@@ -7,6 +7,15 @@ by 3-point Simpson quadrature; the remaining error is dominated by the
 stencil's angular resolution, whose worst-case overestimation factor is
 computed exactly from the stencil geometry (stencil_factor).
 
+Every Simpson node of an edge from h z to h (z + o) is a point of the
+doubled lattice (h/2) Z^d, namely (h/2) 2z, (h/2)(2z + o) and (h/2)(2z + 2o).
+The full weight matrix therefore evaluates the field once on the doubled
+lattice of the graph box, about 2^d times the node count, and assembles every
+offset's weights by integer gathers.  The field is called in blocks of at
+most one node count of points, so peak memory is that of a single field call
+over the nodes plus the stored samples (one speed per point for conformal
+fields, one d x d metric per point otherwise).
+
 Weights are quantized to a dyadic grid (2^k / 2^24 for a power-of-two scale
 k detected from the field), so every path cost is an exact IEEE-754 sum:
 subadditivity and query symmetry hold exactly, not just to rounding, and
@@ -16,8 +25,7 @@ paths unchanged.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -147,8 +155,9 @@ class PassageGraph:
 
     Nodes are lattice points h * z inside the region; edges follow the given
     stencil.  Weights are computed on demand (the full matrix on the first
-    distance query, single edges via edge_weight) and cached; both paths
-    share the same quadrature and quantization, so they agree exactly.
+    distance query, single edges via edge_weight) and cached.  Both paths
+    sample the field at the same doubled-lattice points and share the speed,
+    quadrature and quantization code, so they agree exactly.
     """
 
     def __init__(self, field, region, h, stencil=16):
@@ -168,6 +177,8 @@ class PassageGraph:
         self.n_nodes = int(np.prod(self.shape))
         self.offsets = stencil_offsets(self.stencil, self.dim)
         self.factor = stencil_factor(self.stencil, self.dim)
+        self._conformal = (getattr(field, "mode", None) == "conformal"
+                           and hasattr(field, "conformal_factor_batch"))
         self._unit = self._weight_unit()
         self._matrix = None
         self._edge_cache = {}
@@ -222,25 +233,29 @@ class PassageGraph:
         scale = 2.0 ** np.floor(np.log2(smax * lmax))
         return scale * 2.0 ** (-_QUANT_BITS)
 
-    def _segment_weights(self, A, Bp):
-        """Simpson quadrature of Riemannian length along straight segments."""
-        diff = Bp - A
-        ell = np.linalg.norm(diff, axis=1)
-        e = diff / ell[:, None]
-        mid = 0.5 * (A + Bp)
-        if getattr(self.field, "mode", None) == "conformal" and hasattr(
-                self.field, "conformal_factor_batch"):
-            sa = np.sqrt(self.field.conformal_factor_batch(A))
-            sm = np.sqrt(self.field.conformal_factor_batch(mid))
-            sb = np.sqrt(self.field.conformal_factor_batch(Bp))
+    def _samples(self, k):
+        """Field data at the doubled-lattice points (k / 2) h, k (M, d)
+        integer: the speed factor sqrt(e^{2 phi}) for conformal fields, the
+        metric matrices otherwise."""
+        X = (k / 2) * self.h
+        if self._conformal:
+            return np.sqrt(self.field.conformal_factor_batch(X))
+        return self.field.values_batch(X)
+
+    def _offset_weights(self, off, samples, ends):
+        """Quantized Simpson lengths of the edges along stencil offset off.
+
+        ends = (i0, im, i1) index the samples at each edge's start, midpoint
+        and end; the speed sqrt(e g e) is formed once per sample.
+        """
+        ell = np.linalg.norm(off * self.h)
+        if self._conformal:
+            s = samples
         else:
-            ga = self.field.values_batch(A)
-            gm = self.field.values_batch(mid)
-            gb = self.field.values_batch(Bp)
-            sa = np.sqrt(np.einsum("bi,bij,bj->b", e, ga, e))
-            sm = np.sqrt(np.einsum("bi,bij,bj->b", e, gm, e))
-            sb = np.sqrt(np.einsum("bi,bij,bj->b", e, gb, e))
-        raw = (ell / 6.0) * (sa + 4.0 * sm + sb)
+            e = off * self.h / ell
+            s = np.sqrt(np.einsum("i,bij,j->b", e, samples, e))
+        i0, im, i1 = ends
+        raw = (ell / 6.0) * (s[i0] + 4.0 * s[im] + s[i1])
         return self._quantize(raw)
 
     def _quantize(self, raw):
@@ -257,46 +272,41 @@ class PassageGraph:
             u, v = v, u
         key = (u, v)
         if key not in self._edge_cache:
-            off = np.asarray(v) - np.asarray(u)
+            zu, zv = np.asarray(u), np.asarray(v)
+            off = zv - zu
             if not any(np.array_equal(off, o) for o in self.offsets):
                 raise GraphError(f"{u}->{v} is not a stencil edge")
-            w = self._segment_weights(self.node_position(u)[None, :],
-                                      self.node_position(v)[None, :])
+            samples = self._samples(np.stack([2 * zu, zu + zv, 2 * zv]))
+            w = self._offset_weights(off, samples, ([0], [1], [2]))
             self._edge_cache[key] = float(w[0])
         return self._edge_cache[key]
 
     def _ensure_matrix(self):
         if self._matrix is not None:
             return
-        # conformal fields: endpoint speeds are direction-independent, so
-        # precompute them once per node
+        # one field pass over the doubled lattice, in blocks of n_nodes points
+        shape2 = tuple(2 * s - 1 for s in self.shape)
+        grids = [np.arange(2 * self.z_lo[i], 2 * self.z_hi[i] + 1)
+                 for i in range(self.dim)]
+        k = np.stack([m.ravel() for m in np.meshgrid(*grids, indexing="ij")],
+                     axis=1)
+        samples = np.concatenate([self._samples(k[i:i + self.n_nodes])
+                                  for i in range(0, len(k), self.n_nodes)])
         rows, cols, data = [], [], []
-        nodes = self.all_node_positions()
-        grids = [np.arange(self.shape[i]) for i in range(self.dim)]
-        mesh = np.meshgrid(*grids, indexing="ij")
-        rel = np.stack([m.ravel() for m in mesh], axis=1)
+        rel = np.stack([m.ravel() for m in np.meshgrid(
+            *[np.arange(s) for s in self.shape], indexing="ij")], axis=1)
         canonical = [o for o in self.offsets if tuple(o) > tuple(-o)]
         for off in canonical:
-            ok = np.ones(len(rel), dtype=bool)
-            for i in range(self.dim):
-                tgt = rel[:, i] + off[i]
-                ok &= (tgt >= 0) & (tgt < self.shape[i])
+            ok = np.all((rel + off >= 0) & (rel + off < self.shape), axis=1)
             src_rel = rel[ok]
-            tgt_rel = src_rel + off
-            src_idx = src_rel[:, 0]
-            tgt_idx = tgt_rel[:, 0]
-            for i in range(1, self.dim):
-                src_idx = src_idx * self.shape[i] + src_rel[:, i]
-                tgt_idx = tgt_idx * self.shape[i] + tgt_rel[:, i]
-            A = nodes[src_idx]
-            Bp = A + off * self.h
-            w = self._segment_weights(A, Bp)
-            rows.append(src_idx)
-            cols.append(tgt_idx)
-            data.append(w)
-            rows.append(tgt_idx)
-            cols.append(src_idx)
-            data.append(w)
+            src_idx = np.ravel_multi_index(src_rel.T, self.shape)
+            tgt_idx = np.ravel_multi_index((src_rel + off).T, self.shape)
+            ends = [np.ravel_multi_index((2 * src_rel + j * off).T, shape2)
+                    for j in range(3)]
+            w = self._offset_weights(off, samples, ends)
+            rows += [src_idx, tgt_idx]
+            cols += [tgt_idx, src_idx]
+            data += [w, w]
         rows = np.concatenate(rows)
         cols = np.concatenate(cols)
         data = np.concatenate(data)

@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from rfpp import rng
-from rfpp.fields import Box, ConstantMetric, FlatMetric, KernelSpec, MetricField
+from rfpp.fields import (Box, ConstantMetric, FlatMetric, KernelSpec, MetricField,
+                         SpherePatchField)
 from rfpp.geometry import geodesic_shoot
 from rfpp.distance import (GraphError, ball, build_graph, cube_trace,
                            distance, is_minimizing, length_ratio,
@@ -34,19 +37,18 @@ def test_stencil_factor_values():
         factor = stencil_factor(stencil)
         offs = stencil_offsets(stencil).astype(float)
         norms = np.linalg.norm(offs, axis=1)
-        worst = 1.0
-        for theta in np.linspace(0, np.pi / 2, 2000):
-            u = np.array([np.cos(theta), np.sin(theta)])
-            best = np.inf
-            for i in range(len(offs)):
-                for j in range(len(offs)):
-                    M = np.column_stack([offs[i], offs[j]])
-                    if abs(np.linalg.det(M)) < 1e-9:
-                        continue
-                    ab = np.linalg.solve(M, u)
-                    if np.all(ab >= -1e-12):
-                        best = min(best, ab @ np.array([norms[i], norms[j]]))
-            worst = max(worst, best)
+        theta = np.linspace(0, np.pi / 2, 2000)
+        u = np.stack([np.cos(theta), np.sin(theta)], axis=1)        # (T, 2)
+        i, j = (a.ravel() for a in np.meshgrid(np.arange(len(offs)),
+                                               np.arange(len(offs)),
+                                               indexing="ij"))
+        M = np.stack([offs[i], offs[j]], axis=2)                     # columns
+        keep = np.abs(np.linalg.det(M)) >= 1e-9
+        M, i, j = M[keep], i[keep], j[keep]
+        ab = np.linalg.solve(M[:, None], u[None, :, :, None])[..., 0]  # (P, T, 2)
+        cost = ab[..., 0] * norms[i, None] + ab[..., 1] * norms[j, None]
+        cost = np.where(np.all(ab >= -1e-12, axis=2), cost, np.inf)
+        worst = max(1.0, float(np.max(np.min(cost, axis=0))))
         assert abs(factor - worst) <= 1e-6
     assert stencil_factor(16) <= 1.03
 
@@ -76,6 +78,54 @@ def test_edge_weight_matches_bulk_matrix():
     ia, ib = int(g.node_index((2, 1))), int(g.node_index((3, 3)))
     assert g._matrix[ia, ib] == w_single
     assert g._matrix[ib, ia] == w_single
+    # every edge, both directions, of a small conformal and sym_exp graph
+    for mode in ("conformal", "sym_exp"):
+        field = MetricField(mode, seed=11, region=Box.cube(3.0, 2),
+                            kernel=KernelSpec(range=1.0, amplitude=0.3))
+        g = build_graph(field, Box.cube(1.5, 2), 0.25, 16)
+        g._ensure_matrix()
+        m = g._matrix.tocoo()
+        assert m.nnz == sum(int(np.prod(np.asarray(g.shape) - np.abs(o)))
+                            for o in g.offsets)
+        nodes = g.index_node(np.arange(g.n_nodes))
+        for i, j, w in zip(m.row, m.col, m.data):
+            assert g.edge_weight(nodes[i], nodes[j]) == w
+
+
+def _matrix_digest(g):
+    g._ensure_matrix()
+    h = hashlib.sha256()
+    for a in (g._matrix.data, g._matrix.indices, g._matrix.indptr):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+# digests of the weight matrices assembled by per-offset Simpson quadrature
+# (three field calls per edge); the doubled-lattice assembly must keep them
+GOLDEN_MATRICES = {
+    "conformal": (
+        lambda: MetricField("conformal", seed=5, region=Box.cube(5.0, 2),
+                            kernel=KernelSpec(range=1.0, amplitude=0.3)),
+        Box.cube(3.0, 2), 0.3, 32,
+        "5675dd06e93d4d07b6ab4d2fcb69dfc18c425bfb37d588d8db5610b95c027346"),
+    "sym_exp": (
+        lambda: MetricField("sym_exp", seed=5, region=Box.cube(5.0, 2),
+                            kernel=KernelSpec(range=1.0, amplitude=0.3)),
+        Box.cube(3.0, 2), 0.3, 16,
+        "a47941ed691d04293707640a5f46c0d0827778675b330b4afe2564af713694ed"),
+    "sphere_patch": (
+        lambda: SpherePatchField(radius=2.0), Box.cube(2.0, 2), 0.25, 16,
+        "208d78c228853ec36a1a50ad617cc1a95ea600f3eadfd9a24508c26b5a9f077c"),
+    "flat": (
+        lambda: FlatMetric(2), Box.cube(2.0, 2), 0.25, 32,
+        "2b195ba2159ba0fcf79674cd3c74a0523dc865657c9d3e338b7bbce0d7c06652"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MATRICES))
+def test_weight_matrix_golden_digest(name):
+    make, region, h, stencil, expected = GOLDEN_MATRICES[name]
+    assert _matrix_digest(build_graph(make(), region, h, stencil)) == expected
 
 
 def test_random_edge_weight_vs_fine_quadrature():
