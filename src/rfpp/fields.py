@@ -281,11 +281,11 @@ class MetricField:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)       # (K, d)
 
-    def _gather(self, X):
-        """Displacements to, and coefficients of, every support node.
+    def _support(self, X):
+        """Flat noise-grid indices of, and displacements to, every support node.
 
-        Returns (dx (B,K,d), coeff (B,K,ch)) for the (2 reach + 1)^d nodes
-        whose kernel support can reach each point.
+        Returns (flat (B,K), dx (B,K,d)) for the (2 reach + 1)^d nodes whose
+        kernel support can reach each point.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if not np.all(self.contains(X)):
@@ -304,10 +304,14 @@ class MetricField:
         flat = idx[..., 0]
         for i in range(1, d):
             flat = flat * counts[i] + idx[..., i]
-        coeff = self.noise.coefficients.reshape(-1, self.noise.channels)[flat]
         node_pos = (cell[:, None, :] + offs[None, :, :]) * h
-        dx = X[:, None, :] - node_pos
-        return dx, coeff
+        return flat, X[:, None, :] - node_pos
+
+    def _gather(self, X):
+        """Displacements to, and coefficients of, every support node:
+        (dx (B,K,d), coeff (B,K,ch))."""
+        flat, dx = self._support(X)
+        return dx, self.noise.coefficients.reshape(-1, self.noise.channels)[flat]
 
     def _gaussian_sums(self, X, order=2):
         """Moving-average field G and its first two derivative arrays.
@@ -360,12 +364,8 @@ class MetricField:
         return phi, dG[:, :, 0], d2G[:, :, :, 0]
 
     def _values_sums(self, X):
-        """Kernel sums without derivative accumulation."""
         dx, coeff = self._gather(X)
-        u = np.einsum("bki,bki->bk", dx, dx) / self.kernel.range ** 2
-        psi, _, _ = self.kernel.radial(u)
-        G = np.einsum("bk,bkc->bc", psi, coeff)
-        return (self.kernel.amplitude / self._norm) * G
+        return _value_sums(self.kernel, self._norm, dx, coeff)
 
 
 def _sym_from_channels(dim, A):
@@ -377,6 +377,15 @@ def _sym_from_channels(dim, A):
         out[..., i, j] = A[..., c]
         out[..., j, i] = A[..., c]
     return out
+
+
+def _value_sums(kernel, norm, dx, coeff):
+    """Kernel sums without derivative accumulation (shared by MetricField
+    and FieldStack)."""
+    u = np.einsum("bki,bki->bk", dx, dx) / kernel.range ** 2
+    psi, _, _ = kernel.radial(u)
+    G = np.einsum("bk,bkc->bc", psi, coeff)
+    return (kernel.amplitude / norm) * G
 
 
 def _kernel_sums(kernel, norm, dx, coeff, order=2):
@@ -482,28 +491,12 @@ class FieldStack:
     def _gather(self, X):
         """Row i of the batch evaluates against field (i mod F); batches of
         k * F rows therefore map block-cyclically onto the stack."""
-        t = self.template
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[0] % len(self.fields) != 0:
             raise FieldError("point batch must be a multiple of the stack size")
-        if not np.all(t.contains(X)):
-            raise RegionError("evaluation point outside field region")
-        d = X.shape[1]
-        h = t.spacing
-        cell = np.floor(X / h).astype(np.int64)
-        offs = t._support_offsets()
-        idx = (cell[:, None, :] + offs[None, :, :]
-               - np.asarray(t.noise.index_lo, dtype=np.int64))
-        counts = t.noise.node_counts
-        if idx.min() < 0 or np.any(idx.max(axis=(0, 1)) >= np.asarray(counts)):
-            raise RegionError("kernel support escapes the noise grid")
-        flat = idx[..., 0]
-        for i in range(1, d):
-            flat = flat * counts[i] + idx[..., i]
+        flat, dx = self.template._support(X)
         rows = np.arange(X.shape[0]) % len(self.fields)
-        coeff = self._coeff[rows[:, None], flat]
-        node_pos = (cell[:, None, :] + offs[None, :, :]) * h
-        return X[:, None, :] - node_pos, coeff
+        return dx, self._coeff[rows[:, None], flat]
 
     def evaluate_batch(self, X, order=2):
         t = self.template
@@ -515,9 +508,7 @@ class FieldStack:
     def values_batch(self, X):
         t = self.template
         dx, coeff = self._gather(X)
-        u = np.einsum("bki,bki->bk", dx, dx) / t.kernel.range ** 2
-        psi, _, _ = t.kernel.radial(u)
-        G = (t.kernel.amplitude / t._norm) * np.einsum("bk,bkc->bc", psi, coeff)
+        G = _value_sums(t.kernel, t._norm, dx, coeff)
         return _metric_values_from_sums(t.mode, t.shift, t.value_scale, t.dim, G)
 
 
