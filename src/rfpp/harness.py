@@ -199,11 +199,11 @@ def _run_geodesic(config):
     buf = io.StringIO()
     d = path.positions.shape[1]
     buf.write(f"# parametrization: {path.parametrization}\n")
-    buf.write(f"# step: {path.step!r}\n# termination: {path.termination}\n")
+    buf.write(f"# step: {float(path.step)!r}\n# termination: {path.termination}\n")
     buf.write(",".join(["t"] + [f"x{i+1}" for i in range(d)]
                        + [f"v{i+1}" for i in range(d)]) + "\n")
     for row in np.column_stack([path.times, path.positions, path.velocities]):
-        buf.write(",".join(repr(v) for v in row) + "\n")
+        buf.write(",".join(repr(float(v)) for v in row) + "\n")
     out[csv_path] = buf.getvalue()
     summary = {"riemannian_length": R, "euclidean_length": L,
                "speed_drift_max": path.speed_drift_max,
@@ -228,10 +228,10 @@ def _run_distance(config):
     raster = ball(graph, p.get("ball_radius", hw / 2))
     import io
     buf = io.StringIO()
-    buf.write(f"# ball radius: {raster.t!r}\n# clipped: {raster.clipped}\n")
+    buf.write(f"# ball radius: {float(raster.t)!r}\n# clipped: {raster.clipped}\n")
     buf.write("x1,x2,distance\n")
     for row, dist in zip(raster.inside, raster.distances):
-        buf.write(f"{row[0]!r},{row[1]!r},{dist!r}\n")
+        buf.write(f"{float(row[0])!r},{float(row[1])!r},{float(dist)!r}\n")
     return {"distance.json": canonical_json(
                 {"target": target.tolist(), "d_hat": d_hat,
                  "witness_nodes": len(witness), "stencil_factor": graph.factor}),
@@ -271,7 +271,7 @@ def _run_shape(config):
     angles = np.arange(k) * (2 * np.pi / k)
     lines = ["angle,mu,stderr"]
     for a, m, s in zip(angles, mu, se):
-        lines.append(f"{a!r},{m!r},{s!r}")
+        lines.append(f"{float(a)!r},{float(m)!r},{float(s)!r}")
     report = {"t": p.get("t", 30.0), "replicas": config.replicas,
               "anisotropy_ratio": float(mu.max() / mu.min()),
               "mu": mu.tolist(), "stderr": np.asarray(se).tolist()}
@@ -292,11 +292,12 @@ def _run_frontier(config):
     times, density = frontier_density(path, beta)
     import io
     buf = io.StringIO()
-    buf.write(f"# beta: {beta!r}\n")
+    buf.write(f"# beta: {float(beta)!r}\n")
     buf.write("l,r,r_dot,cone_angle,is_frontier,local_norm,density\n")
     for rec, dens in zip(scan.records, density):
-        buf.write(f"{rec.l!r},{rec.r!r},{rec.r_dot!r},{rec.cone_angle!r},"
-                  f"{int(rec.is_frontier)},{rec.local_norm!r},{dens!r}\n")
+        buf.write(f"{float(rec.l)!r},{float(rec.r)!r},{float(rec.r_dot)!r},"
+                  f"{float(rec.cone_angle)!r},{int(rec.is_frontier)},"
+                  f"{float(rec.local_norm)!r},{float(dens)!r}\n")
     return {"frontier.csv": buf.getvalue(),
             "frontier.json": canonical_json(
                 {"intervals": scan.intervals, "density_tail": float(density[-1])})}
@@ -350,7 +351,7 @@ def _run_fpp(config):
     taus = [fpp_passage(cfg, np.array([n, 0]), replica=r).tau
             for r in range(config.replicas)]
     out = {"fpp.csv": "replica,tau\n" + "".join(
-        f"{r},{t!r}\n" for r, t in enumerate(taus))}
+        f"{r},{float(t)!r}\n" for r, t in enumerate(taus))}
     if p.get("exponents", False):
         sizes = tuple(p.get("sizes", (50, 100, 200, 400)))
         est = exponent_chi("fpp", cfg, sizes, replicas=config.replicas)
@@ -366,7 +367,7 @@ def _run_lpp(config):
     cfg = LatticeConfig(2, n, law, config.seed)
     vals = [lpp_passage(cfg, (n, n), replica=r) for r in range(config.replicas)]
     out = {"lpp.csv": "replica,last_passage\n" + "".join(
-        f"{r},{t!r}\n" for r, t in enumerate(vals))}
+        f"{r},{float(t)!r}\n" for r, t in enumerate(vals))}
     if p.get("exponents", False):
         sizes = tuple(p.get("sizes", (125, 250, 500, 1000)))
         est = exponent_chi("lpp", cfg, sizes, replicas=config.replicas)
@@ -401,7 +402,7 @@ def _run_polymer(config):
         res = polymer_free_energy(seed_r, n, beta)
         rows.append(res.free_energy)
     return {"polymer.csv": "replica,free_energy\n" + "".join(
-        f"{r},{v!r}\n" for r, v in enumerate(rows))}
+        f"{r},{float(v)!r}\n" for r, v in enumerate(rows))}
 
 
 def _law_from_params(p, default=("exponential", (1.0,))):
