@@ -284,17 +284,14 @@ class PassageGraph:
     def _ensure_matrix(self):
         if self._matrix is not None:
             return
-        # one field pass over the doubled lattice, in blocks of n_nodes points
+        # one field pass over the doubled lattice; blocks of n_nodes points
+        # keep peak memory at that of one field call over the nodes
         shape2 = tuple(2 * s - 1 for s in self.shape)
-        grids = [np.arange(2 * self.z_lo[i], 2 * self.z_hi[i] + 1)
-                 for i in range(self.dim)]
-        k = np.stack([m.ravel() for m in np.meshgrid(*grids, indexing="ij")],
-                     axis=1)
+        k = np.indices(shape2).reshape(self.dim, -1).T + 2 * self.z_lo
         samples = np.concatenate([self._samples(k[i:i + self.n_nodes])
                                   for i in range(0, len(k), self.n_nodes)])
         rows, cols, data = [], [], []
-        rel = np.stack([m.ravel() for m in np.meshgrid(
-            *[np.arange(s) for s in self.shape], indexing="ij")], axis=1)
+        rel = np.indices(self.shape).reshape(self.dim, -1).T
         canonical = [o for o in self.offsets if tuple(o) > tuple(-o)]
         for off in canonical:
             ok = np.all((rel + off >= 0) & (rel + off < self.shape), axis=1)
