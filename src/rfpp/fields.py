@@ -281,11 +281,13 @@ class MetricField:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)       # (K, d)
 
-    def _support(self, X):
-        """Flat noise-grid indices of, and displacements to, every support node.
+    def _gather(self, X, lookup=None):
+        """Displacements to, and coefficients of, every support node.
 
-        Returns (flat (B,K), dx (B,K,d)) for the (2 reach + 1)^d nodes whose
-        kernel support can reach each point.
+        Returns (dx (B,K,d), coeff (B,K,ch)) for the (2 reach + 1)^d nodes
+        whose kernel support can reach each point.  ``lookup`` maps the flat
+        noise-grid indices (B,K) to coefficients; the default reads this
+        field's own array.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if not np.all(self.contains(X)):
@@ -304,14 +306,13 @@ class MetricField:
         flat = idx[..., 0]
         for i in range(1, d):
             flat = flat * counts[i] + idx[..., i]
+        if lookup is None:
+            coeff = self.noise.coefficients.reshape(-1, self.noise.channels)[flat]
+        else:
+            coeff = lookup(flat)
         node_pos = (cell[:, None, :] + offs[None, :, :]) * h
-        return flat, X[:, None, :] - node_pos
-
-    def _gather(self, X):
-        """Displacements to, and coefficients of, every support node:
-        (dx (B,K,d), coeff (B,K,ch))."""
-        flat, dx = self._support(X)
-        return dx, self.noise.coefficients.reshape(-1, self.noise.channels)[flat]
+        dx = X[:, None, :] - node_pos
+        return dx, coeff
 
     def _gaussian_sums(self, X, order=2):
         """Moving-average field G and its first two derivative arrays.
@@ -494,9 +495,8 @@ class FieldStack:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[0] % len(self.fields) != 0:
             raise FieldError("point batch must be a multiple of the stack size")
-        flat, dx = self.template._support(X)
         rows = np.arange(X.shape[0]) % len(self.fields)
-        return dx, self._coeff[rows[:, None], flat]
+        return self.template._gather(X, lambda flat: self._coeff[rows[:, None], flat])
 
     def evaluate_batch(self, X, order=2):
         t = self.template
