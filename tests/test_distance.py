@@ -101,12 +101,11 @@ def _matrix_digest(g):
 
 
 # digests of the weight matrices assembled by per-offset Simpson quadrature
-# (three field calls per edge); the doubled-lattice assembly must keep them
+# (three field calls per edge; numpy 2.4.6, scipy 1.17.1, x86-64); the
+# doubled-lattice assembly must reproduce them bit for bit
 GOLDEN_MATRICES = {
     "conformal": (
-        lambda: MetricField("conformal", seed=5, region=Box.cube(5.0, 2),
-                            kernel=KernelSpec(range=1.0, amplitude=0.3)),
-        Box.cube(3.0, 2), 0.3, 32,
+        lambda: conformal(5, half_width=5.0), Box.cube(3.0, 2), 0.3, 32,
         "5675dd06e93d4d07b6ab4d2fcb69dfc18c425bfb37d588d8db5610b95c027346"),
     "sym_exp": (
         lambda: MetricField("sym_exp", seed=5, region=Box.cube(5.0, 2),
