@@ -245,7 +245,18 @@ class MetricField:
         channels = 1 if mode == "conformal" else sym_channel_count(self.dim)
         self.noise = sample_noise(self.seed, region, self.spacing, channels,
                                   margin=kernel.range)
+        # support geometry, fixed for the field's lifetime: the (2 reach + 1)^d
+        # node offsets around a cell, their offsets in the flat (C-order)
+        # noise index, and the flat coefficient view they index
         self._reach = int(np.ceil(kernel.range / self.spacing))
+        axes = [np.arange(-self._reach, self._reach + 1)] * self.dim
+        mesh = np.meshgrid(*axes, indexing="ij")
+        self._offs = np.stack([m.ravel() for m in mesh], axis=1)    # (K, d)
+        self._index_lo = np.asarray(self.noise.index_lo, dtype=np.int64)
+        self._counts = np.asarray(self.noise.node_counts, dtype=np.int64)
+        self._strides = np.append(np.cumprod(self._counts[:0:-1])[::-1], 1)
+        self._flat_offs = self._offs @ self._strides                 # (K,)
+        self._flat_coeff = self.noise.coefficients.reshape(-1, channels)
         self._norm = self._node_normalizer()
 
     # -- plumbing ----------------------------------------------------------
@@ -267,7 +278,7 @@ class MetricField:
         return out
 
     def _node_normalizer(self):
-        val, _, _ = self.kernel.evaluate(self._support_offsets() * self.spacing)
+        val, _, _ = self.kernel.evaluate(self._offs * self.spacing)
         return float(np.sqrt(np.sum(val ** 2)))
 
     def contains(self, points, margin=0.0):
@@ -275,42 +286,33 @@ class MetricField:
 
     # -- kernel sums -------------------------------------------------------
 
-    def _support_offsets(self):
-        reach = self._reach
-        axes = [np.arange(-reach, reach + 1)] * self.dim
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)       # (K, d)
-
     def _gather(self, X, lookup=None):
         """Displacements to, and coefficients of, every support node.
 
         Returns (dx (B,K,d), coeff (B,K,ch)) for the (2 reach + 1)^d nodes
-        whose kernel support can reach each point.  ``lookup`` maps the flat
-        noise-grid indices (B,K) to coefficients; the default reads this
-        field's own array.
+        whose kernel support can reach each point.  The bounds check runs on
+        the (B,d) cells: every support node of a cell lies within ``reach``
+        of it on each axis, so the cells alone decide whether the support
+        stays on the noise grid.  ``lookup`` maps the flat noise-grid indices
+        (B,K) to coefficients; the default reads this field's own array.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if not np.all(self.contains(X)):
             raise RegionError("evaluation point outside field region")
-        d = X.shape[1]
         h = self.spacing
         cell = np.floor(X / h).astype(np.int64)
-        offs = self._support_offsets()                            # (K, d)
-        idx = (cell[:, None, :] + offs[None, :, :]
-               - np.asarray(self.noise.index_lo, dtype=np.int64))
-        counts = self.noise.node_counts
-        if idx.min() < 0 or np.any(idx.max(axis=(0, 1)) >= np.asarray(counts)):
+        rel = cell - self._index_lo
+        if (rel.min() < self._reach
+                or np.any(rel.max(axis=0) + self._reach >= self._counts)):
             # interior points always see their full support; anything else is
             # a bookkeeping bug, not a soft condition
             raise RegionError("kernel support escapes the noise grid")
-        flat = idx[..., 0]
-        for i in range(1, d):
-            flat = flat * counts[i] + idx[..., i]
+        flat = (rel @ self._strides)[:, None] + self._flat_offs
         if lookup is None:
-            coeff = self.noise.coefficients.reshape(-1, self.noise.channels)[flat]
+            coeff = self._flat_coeff[flat]
         else:
             coeff = lookup(flat)
-        node_pos = (cell[:, None, :] + offs[None, :, :]) * h
+        node_pos = (cell[:, None, :] + self._offs[None, :, :]) * h
         dx = X[:, None, :] - node_pos
         return dx, coeff
 
@@ -355,14 +357,16 @@ class MetricField:
         G = self._values_sums(X)
         return self.value_scale * np.exp(2.0 * G[:, 0])
 
-    def conformal_exponent_batch(self, X):
+    def conformal_exponent_batch(self, X, order=2):
         """(phi, dphi, d2phi) of the conformal exponent, conformal mode only;
-        value_scale contributes log(scale)/2 to phi."""
+        value_scale contributes log(scale)/2 to phi.  ``order`` means what it
+        means in evaluate_batch: with order=1 the Hessian sum is skipped and
+        d2phi is None (the conformal geodesic right-hand side needs only
+        dphi)."""
         if self.mode != "conformal":
             raise FieldError("conformal_exponent_batch needs a conformal field")
-        G, dG, d2G = self._gaussian_sums(X, order=2)
-        phi = G[:, 0] + 0.5 * np.log(self.value_scale)
-        return phi, dG[:, :, 0], d2G[:, :, :, 0]
+        G, dG, d2G = self._gaussian_sums(X, order=order)
+        return _exponent_from_sums(self.value_scale, G, dG, d2G)
 
     def _values_sums(self, X):
         dx, coeff = self._gather(X)
@@ -387,6 +391,12 @@ def _value_sums(kernel, norm, dx, coeff):
     psi, _, _ = kernel.radial(u)
     G = np.einsum("bk,bkc->bc", psi, coeff)
     return (kernel.amplitude / norm) * G
+
+
+def _exponent_from_sums(value_scale, G, dG, d2G):
+    """(phi, dphi, d2phi) of a conformal field from its one-channel sums."""
+    phi = G[:, 0] + 0.5 * np.log(value_scale)
+    return phi, dG[:, :, 0], None if d2G is None else d2G[:, :, :, 0]
 
 
 def _kernel_sums(kernel, norm, dx, coeff, order=2):
@@ -489,6 +499,11 @@ class FieldStack:
         """The underlying field for batch row b."""
         return self.fields[b % len(self.fields)]
 
+    def for_rows(self, rows):
+        """Stack whose row i is batch row rows[i] of this one, for a batch
+        cut down to some of its rows."""
+        return FieldStack([self.field_at(b) for b in rows])
+
     def _gather(self, X):
         """Row i of the batch evaluates against field (i mod F); batches of
         k * F rows therefore map block-cyclically onto the stack."""
@@ -510,6 +525,15 @@ class FieldStack:
         dx, coeff = self._gather(X)
         G = _value_sums(t.kernel, t._norm, dx, coeff)
         return _metric_values_from_sums(t.mode, t.shift, t.value_scale, t.dim, G)
+
+    def conformal_exponent_batch(self, X, order=2):
+        """As MetricField.conformal_exponent_batch, row b against field b."""
+        t = self.template
+        if t.mode != "conformal":
+            raise FieldError("conformal_exponent_batch needs a conformal field")
+        dx, coeff = self._gather(X)
+        G, dG, d2G = _kernel_sums(t.kernel, t._norm, dx, coeff, order)
+        return _exponent_from_sums(t.value_scale, G, dG, d2G)
 
 
 def _spd_mask(mats):
@@ -653,11 +677,16 @@ class ConformalAnalyticField(AnalyticField):
         """Return (phi (B,), dphi (B,d), d2phi (B,d,d))."""
         raise NotImplementedError
 
-    def evaluate_batch(self, X, order=2):
+    def conformal_exponent_batch(self, X, order=2):
+        """phi_batch behind the region check; d2phi is None at order=1."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if not np.all(self.contains(X)):
             raise RegionError("evaluation point outside field region")
         phi, dphi, d2phi = self.phi_batch(X)
+        return phi, dphi, d2phi if order >= 2 else None
+
+    def evaluate_batch(self, X, order=2):
+        phi, dphi, d2phi = self.conformal_exponent_batch(X)
         d = self.dim
         eye = np.eye(d)
         f = np.exp(2.0 * phi)

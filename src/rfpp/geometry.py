@@ -9,6 +9,14 @@ fourth-order Runge-Kutta scheme.  Two parametrizations are supported:
                               right-hand side projects out the tangential
                               component of the acceleration)
 
+For a conformal metric g = c e^{2 phi} I the Christoffel symbols are
+Gamma^k_ij = delta^k_i d_j phi + delta^k_j d_i phi - delta_ij d_k phi, so the
+acceleration is the closed form  |V|^2 grad phi - 2 (V . grad phi) V  and the
+right-hand side needs only grad phi.  It is used for MetricField and
+FieldStack in conformal mode, every ConformalAnalyticField (sphere patch,
+hyperbolic disk, bump and perturbed conformal fields) and a ScaledField of
+any of these; every other field contracts the general Christoffel tensor.
+
 Index conventions follow fields.py: grad[i, a, b] = d_i g_ab.  The Riemann
 tensor is assembled as
 
@@ -29,7 +37,7 @@ from scipy.integrate import simpson
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
 from scipy.optimize import brentq
 
-from .fields import RegionError
+from .fields import ConformalAnalyticField, RegionError, ScaledField
 
 SPEED_TOL = 1e-6           # per-sample speed drift allowance, times (1 + t)
 CONJUGATE_REFINE = 1e-6    # bisection width for conjugate-time brackets
@@ -197,10 +205,37 @@ def _normalize(field, x0, v0, parametrization):
     return v0 / n
 
 
+def _conformal_base(field):
+    """The field whose conformal_exponent_batch gives the Christoffel
+    symbols of ``field``, or None when ``field`` is not conformal.  Constant
+    rescaling leaves Gamma unchanged, so ScaledField wrappers are skipped."""
+    while isinstance(field, ScaledField):
+        field = field.base
+    if (isinstance(field, ConformalAnalyticField)
+            or getattr(field, "mode", None) == "conformal"):
+        return field
+    return None
+
+
 def _geodesic_rhs(field, X, V, parametrization):
-    val, grad, _ = field.evaluate_batch(X, order=1)
-    gamma = christoffel_from_derivatives(val, grad)
-    acc = -np.einsum("bkij,bi,bj->bk", gamma, V, V)
+    """(dx/dt, dv/dt) of the geodesic system at a batch of states.
+
+    For a conformal field g = c e^{2 phi} I (MetricField and FieldStack in
+    conformal mode, every ConformalAnalyticField, and ScaledField of one of
+    these) Gamma^k_ij V^i V^j = 2 (V . dphi) V^k - |V|^2 d_k phi, so the
+    acceleration needs dphi alone; every other field contracts the general
+    Christoffel tensor.  The euclidean parametrization then projects out the
+    tangential component.
+    """
+    base = _conformal_base(field)
+    if base is not None:
+        _, dphi, _ = base.conformal_exponent_batch(X, order=1)
+        acc = (np.einsum("bi,bi->b", V, V)[:, None] * dphi
+               - 2.0 * np.einsum("bi,bi->b", V, dphi)[:, None] * V)
+    else:
+        val, grad, _ = field.evaluate_batch(X, order=1)
+        gamma = christoffel_from_derivatives(val, grad)
+        acc = -np.einsum("bkij,bi,bj->bk", gamma, V, V)
     if parametrization == "euclidean":
         acc = acc - np.einsum("bk,bk->b", acc, V)[:, None] * V
     return V, acc
@@ -216,10 +251,51 @@ def _inside_with_margin(field, X, margins):
     return ok & np.isfinite(X).all(axis=1)
 
 
+def _rk4_step(field, X, V, step, parametrization):
+    """One classical RK4 step of the geodesic system for every row."""
+    k1x, k1v = _geodesic_rhs(field, X, V, parametrization)
+    k2x, k2v = _geodesic_rhs(field, X + 0.5 * step * k1x,
+                             V + 0.5 * step * k1v, parametrization)
+    k3x, k3v = _geodesic_rhs(field, X + 0.5 * step * k2x,
+                             V + 0.5 * step * k2v, parametrization)
+    k4x, k4v = _geodesic_rhs(field, X + step * k3x,
+                             V + step * k3v, parametrization)
+    return (X + (step / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x),
+            V + (step / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v))
+
+
+def _rows_field(field, idx):
+    """The field that evaluates batch rows idx: a stack is cut down to the
+    rows' own fields, any other field serves every row."""
+    if hasattr(field, "for_rows"):
+        return field.for_rows(idx)
+    return field
+
+
+def _rk4_rows(field, idx, X, V, step, parametrization):
+    """RK4 step one row at a time, after the batched step raised
+    RegionError.  Returns (Xn, Vn, out): rows flagged in ``out`` had a stage
+    leave the region (their Xn, Vn are NaN); the others advanced exactly as
+    in the batched step."""
+    Xn = np.full_like(X, np.nan)
+    Vn = np.full_like(V, np.nan)
+    out = np.zeros(len(idx), dtype=bool)
+    for j in range(len(idx)):
+        row = slice(j, j + 1)
+        try:
+            Xn[row], Vn[row] = _rk4_step(_rows_field(field, idx[row]), X[row],
+                                         V[row], step, parametrization)
+        except RegionError:
+            out[j] = True
+    return Xn, Vn, out
+
+
 def geodesic_shoot_batch(field, x0, v0, T, step=None, parametrization="riemannian"):
     """Shoot a batch of geodesics from x0 (point or (B,d)) with directions
     v0 (B,d).  Returns a list of GeodesicPath, one per direction; trajectories
-    that leave the field region terminate early with reason "left_region".
+    that leave the field region terminate early with reason "left_region",
+    trajectories whose state stops being finite with reason "numerical".
+    Rows terminate independently: the others keep integrating.
     """
     if parametrization not in ("riemannian", "euclidean"):
         raise GeometryError(f"unknown parametrization {parametrization!r}")
@@ -234,71 +310,57 @@ def geodesic_shoot_batch(field, x0, v0, T, step=None, parametrization="riemannia
         raise RegionError("start point outside field region")
     V = _normalize(field, X, v0, parametrization)
 
+    # histories are written in place; row b's samples are the first
+    # n_samples[b] entries of its column
     n_steps = int(np.ceil(T / step - 1e-12))
-    times = [0.0]
-    pos_hist = [X.copy()]
-    vel_hist = [V.copy()]
-    active_hist = [np.ones(B, dtype=bool)]
-    active = np.ones(B, dtype=bool)
+    times = np.empty(n_steps + 1)
+    pos_hist = np.empty((n_steps + 1, B, d))
+    vel_hist = np.empty((n_steps + 1, B, d))
+    times[0] = 0.0
+    pos_hist[0] = X
+    vel_hist[0] = V
+    n_samples = np.ones(B, dtype=np.int64)
     termination = np.array(["completed"] * B, dtype=object)
 
+    idx = np.arange(B)
+    field_a = field
     t = 0.0
-    for _ in range(n_steps):
-        margins = 1.5 * step * np.max(np.abs(V), axis=1)
-        inside = _inside_with_margin(field, X, margins)
-        newly_out = active & ~inside
-        termination[newly_out] = "left_region"
-        active = active & inside
-        if not np.any(active):
-            break
-        idx = np.where(active)[0]
-        Xa, Va = X[idx], V[idx]
-        try:
-            k1x, k1v = _geodesic_rhs(field, Xa, Va, parametrization)
-            k2x, k2v = _geodesic_rhs(field, Xa + 0.5 * step * k1x,
-                                     Va + 0.5 * step * k1v, parametrization)
-            k3x, k3v = _geodesic_rhs(field, Xa + 0.5 * step * k2x,
-                                     Va + 0.5 * step * k2v, parametrization)
-            k4x, k4v = _geodesic_rhs(field, Xa + step * k3x,
-                                     Va + step * k3v, parametrization)
-        except (RegionError, FloatingPointError):
-            termination[idx] = "left_region"
-            break
-        Xn = Xa + (step / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        Vn = Va + (step / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        bad = ~(np.isfinite(Xn).all(axis=1) & np.isfinite(Vn).all(axis=1))
-        if np.any(bad):
-            termination[idx[bad]] = "numerical"
-            keep = ~bad
-            idx = idx[keep]
-            Xn, Vn = Xn[keep], Vn[keep]
-            active = np.zeros(B, dtype=bool)
-            active[idx] = True
+    for n in range(n_steps):
+        Xa, Va = pos_hist[n, idx], vel_hist[n, idx]
+        margins = 1.5 * step * np.max(np.abs(Va), axis=1)
+        inside = _inside_with_margin(field, Xa, margins)
+        if not np.all(inside):
+            termination[idx[~inside]] = "left_region"
+            idx, Xa, Va = idx[inside], Xa[inside], Va[inside]
             if idx.size == 0:
                 break
-        X = X.copy()
-        V = V.copy()
-        X[idx] = Xn
-        V[idx] = Vn
+            field_a = _rows_field(field, idx)
+        try:
+            Xn, Vn = _rk4_step(field_a, Xa, Va, step, parametrization)
+            out = np.zeros(idx.size, dtype=bool)
+        except RegionError:
+            Xn, Vn, out = _rk4_rows(field, idx, Xa, Va, step, parametrization)
+        bad = ~out & ~(np.isfinite(Xn).all(axis=1) & np.isfinite(Vn).all(axis=1))
+        if np.any(out | bad):
+            termination[idx[out]] = "left_region"
+            termination[idx[bad]] = "numerical"
+            keep = ~(out | bad)
+            idx, Xn, Vn = idx[keep], Xn[keep], Vn[keep]
+            if idx.size == 0:
+                break
+            field_a = _rows_field(field, idx)
         t += step
-        times.append(t)
-        pos_hist.append(X.copy())
-        vel_hist.append(V.copy())
-        active_hist.append(active.copy())
-
-    times = np.asarray(times)
-    pos_hist = np.asarray(pos_hist)       # (N, B, d)
-    vel_hist = np.asarray(vel_hist)
-    active_hist = np.asarray(active_hist)
+        times[n + 1] = t
+        pos_hist[n + 1, idx] = Xn
+        vel_hist[n + 1, idx] = Vn
+        n_samples[idx] = n + 2
 
     paths = []
     for b in range(B):
         field_b = field.field_at(b) if hasattr(field, "field_at") else field
-        n_b = int(np.sum(active_hist[:, b]))
-        ts = times[:n_b]
-        ps = pos_hist[:n_b, b]
-        vs = vel_hist[:n_b, b]
-        path = GeodesicPath(times=ts, positions=ps, velocities=vs,
+        n_b = n_samples[b]
+        path = GeodesicPath(times=times[:n_b], positions=pos_hist[:n_b, b],
+                            velocities=vel_hist[:n_b, b],
                             parametrization=parametrization, step=step,
                             field_ref=repr(getattr(field_b, "seed",
                                                    type(field_b).__name__)),

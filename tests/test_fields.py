@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -262,6 +264,48 @@ def test_field_stack_matches_single_fields():
         assert np.array_equal(sv[i], v[0])
         assert np.array_equal(sg[i], g[0])
         assert np.array_equal(sh[i], h[0])
+
+
+def _evaluation_digest(field, pts):
+    h = hashlib.sha256()
+    for order in (1, 2):
+        for a in field.evaluate_batch(pts, order=order):
+            if a is not None:
+                h.update(np.ascontiguousarray(a).tobytes())
+    h.update(np.ascontiguousarray(field.values_batch(pts)).tobytes())
+    return h.hexdigest()
+
+
+# digests of evaluate_batch (orders 1 and 2) and values_batch at fixed points,
+# computed with the per-call support meshgrid and index-array bounds check
+# (numpy 2.4.6, x86-64); the precomputed support gather must reproduce them
+# bit for bit
+GOLDEN_EVALUATIONS = {
+    "conformal": (
+        lambda: conformal(21), 2,
+        "f4729b9ad80d40ba54532d60ae3f7bc15f2e0f8a28ed6fe5e19d9f13487dde35"),
+    "sym_shift": (
+        lambda: MetricField("sym_shift", seed=21, region=BOX, kernel=KERN,
+                            shift=2.0), 2,
+        "f81345ee211cb54322be671f7e4e03f763f494127e3e1bef0c8ef89de221db02"),
+    "sym_exp": (
+        lambda: MetricField("sym_exp", seed=21, region=BOX, kernel=KERN), 2,
+        "b1b4c671092fba3a4168021b9e4e7b7ef7a706b51025c08203b58794b623c74a"),
+    "stack": (
+        lambda: FieldStack([conformal(s) for s in (21, 22)]), 2,
+        "28b0bd51b989c5643e6ef622c32f1080534c3d32a7475316353d06525844805f"),
+    "conformal_3d": (
+        lambda: MetricField("conformal", seed=21, region=Box.cube(3.0, 3),
+                            kernel=KERN), 3,
+        "15239dbbe55382dbd79c1707765d730900eec19dd5065745ed5c878c806cf26a"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_EVALUATIONS))
+def test_evaluation_golden_digest(name):
+    make, dim, expected = GOLDEN_EVALUATIONS[name]
+    pts = 4.0 * rng.uniform(210, np.arange(64 * dim)).reshape(64, dim) - 2.0
+    assert _evaluation_digest(make(), pts) == expected
 
 
 def test_scaled_field_exact_power_of_two():

@@ -1,14 +1,18 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from rfpp import rng
-from rfpp.fields import (Box, ConstantMetric, FlatMetric, HyperbolicDiskField,
-                         KernelSpec, MetricField, SpherePatchField)
-from rfpp.geometry import (GeometryError, christoffel,
-                           christoffel_from_derivatives, cumulative_lengths,
-                           curvature_at, geodesic_shoot, geodesic_shoot_batch,
-                           jacobi_integrate, lengths, reparametrize,
-                           riemannian_speeds)
+from rfpp.experiments import BumpSpec, PerturbedConformalField, make_bump
+from rfpp.fields import (Box, ConstantMetric, FieldStack, FlatMetric,
+                         HyperbolicDiskField, KernelSpec, MetricField,
+                         ScaledField, SpherePatchField)
+from rfpp.geometry import (GeometryError, _conformal_base, _geodesic_rhs,
+                           christoffel, christoffel_from_derivatives,
+                           cumulative_lengths, curvature_at, geodesic_shoot,
+                           geodesic_shoot_batch, jacobi_integrate, lengths,
+                           reparametrize, riemannian_speeds)
 
 FLAT = FlatMetric(2)
 SPHERE = SpherePatchField(radius=1.0)
@@ -326,3 +330,131 @@ def test_csv_export(tmp_path):
     assert text[0] == "# parametrization: riemannian"
     assert text[3].split(",") == ["t", "x1", "x2", "v1", "v2"]
     assert len(text) == 4 + len(path.times)
+
+
+# ------------------------------------------------------------- conformal fast path
+
+def _tensor_acceleration(field, X, V, parametrization):
+    """Geodesic acceleration through the general Christoffel tensor."""
+    val, grad, _ = field.evaluate_batch(X, order=1)
+    gamma = christoffel_from_derivatives(val, grad)
+    acc = -np.einsum("bkij,bi,bj->bk", gamma, V, V)
+    if parametrization == "euclidean":
+        acc = acc - np.einsum("bk,bk->b", acc, V)[:, None] * V
+    return acc
+
+
+def _bump():
+    spec = BumpSpec(center=(0.0, 0.0), cone_half_angle=1.2, glue_width=0.5)
+    return make_bump(spec, conformal(61, half_width=6.0))
+
+
+CONFORMAL_FIELDS = {
+    "metric_field": lambda: conformal(61, half_width=6.0),
+    "metric_field_scaled": lambda: conformal(61, half_width=6.0).scaled(3.0),
+    "field_stack": lambda: FieldStack([conformal(s, half_width=6.0)
+                                       for s in (61, 62, 63, 64)]),
+    "sphere_patch": lambda: SpherePatchField(radius=2.0, center=(0.3, -0.2)),
+    "hyperbolic_disk": lambda: HyperbolicDiskField(),
+    "bump": _bump,
+    "perturbed": lambda: PerturbedConformalField(
+        _bump(), conformal(65, half_width=6.0), 0.05),
+    "scaled_sphere": lambda: ScaledField(SpherePatchField(radius=2.0), 0.7),
+    "scaled_bump": lambda: ScaledField(_bump(), 2.5),
+}
+
+
+@pytest.mark.parametrize("parametrization", ["riemannian", "euclidean"])
+@pytest.mark.parametrize("name", sorted(CONFORMAL_FIELDS))
+def test_conformal_rhs_matches_tensor_path(name, parametrization):
+    field = CONFORMAL_FIELDS[name]()
+    assert _conformal_base(field) is not None
+    # 64 points spanning the bump's glue ring and its cap
+    X = 1.1 * rng.uniform(71, np.arange(128)).reshape(64, 2) - 0.5
+    V = 2.0 * rng.uniform(72, np.arange(128)).reshape(64, 2) - 1.0
+    if parametrization == "euclidean":
+        V = V / np.linalg.norm(V, axis=1, keepdims=True)
+    dX, acc = _geodesic_rhs(field, X, V, parametrization)
+    ref = _tensor_acceleration(field, X, V, parametrization)
+    assert dX is V
+    err = np.max(np.abs(acc - ref), axis=1)
+    assert np.all(err <= 1e-12 * np.max(np.abs(ref), axis=1))
+
+
+@pytest.mark.parametrize("mode", ["sym_shift", "sym_exp"])
+def test_tensor_fields_keep_tensor_path(mode):
+    field = MetricField(mode, seed=66, region=Box.cube(4.0, 2),
+                        kernel=KernelSpec(range=1.0, amplitude=0.2), shift=2.0)
+    assert _conformal_base(field) is None
+    assert _conformal_base(ScaledField(field, 2.0)) is None
+    X = 4.0 * rng.uniform(73, np.arange(40)).reshape(20, 2) - 2.0
+    V = 2.0 * rng.uniform(74, np.arange(40)).reshape(20, 2) - 1.0
+    for parametrization in ("riemannian", "euclidean"):
+        _, acc = _geodesic_rhs(field, X, V, parametrization)
+        assert np.array_equal(acc, _tensor_acceleration(field, X, V,
+                                                        parametrization))
+
+
+def _path_digest(paths):
+    h = hashlib.sha256()
+    for p in paths:
+        for a in (p.times, p.positions, p.velocities):
+            h.update(np.ascontiguousarray(a).tobytes())
+        h.update(p.termination.encode())
+    return h.hexdigest()
+
+
+def test_sym_exp_paths_golden_digest():
+    # computed with per-step state copies and appended histories (numpy
+    # 2.4.6, x86-64); writing the histories in place must reproduce them bit
+    # for bit, early left_region terminations included
+    field = MetricField("sym_exp", seed=7, region=Box.cube(2.5, 2),
+                        kernel=KernelSpec(range=1.0, amplitude=0.3))
+    dirs = np.array([[1.0, 0.0], [0.0, 1.0], [-0.6, 0.8], [0.7, -0.7]])
+    digests = {}
+    for parametrization in ("riemannian", "euclidean"):
+        paths = geodesic_shoot_batch(field, np.zeros(2), dirs, T=3.0,
+                                     step=2e-3, parametrization=parametrization)
+        assert [p.termination for p in paths].count("left_region") == 3
+        digests[parametrization] = _path_digest(paths)
+    assert digests == {
+        "riemannian":
+            "35dab3c855978a9534ce0152cdd30abb8cff7a90e8d684ce1abac533fd574b78",
+        "euclidean":
+            "6279a6b3403a66a4975b3343b3293b3f2e82c98ec1cde3c9fe93c07397217374",
+    }
+
+
+def test_region_error_ends_only_its_row():
+    # the patch box pokes out of the unit disk, where phi_batch raises
+    # RegionError; the diagonal shot reaches the disk edge inside the box, so
+    # only an RK stage can see it leave.  The opposite shot must not notice.
+    field = HyperbolicDiskField(patch_radius=1.3)
+    x0 = np.array([0.5, 0.5])
+    dirs = np.array([[1.0, 1.0], [-1.0, -1.0]])
+    paths = geodesic_shoot_batch(field, x0, dirs, T=1.0, step=1e-2,
+                                 parametrization="euclidean")
+    out, done = paths
+    assert out.termination == "left_region"
+    assert done.termination == "completed"
+    assert out.duration < 0.5
+    assert np.all(np.linalg.norm(out.positions, axis=1) < 1.0)
+    single = geodesic_shoot(field, x0, dirs[1], T=1.0, step=1e-2,
+                            parametrization="euclidean")
+    assert np.array_equal(done.positions, single.positions)
+    assert np.array_equal(done.velocities, single.velocities)
+
+
+def test_field_stack_rows_terminate_independently():
+    # row 0 leaves its small region early; row 1 keeps integrating against
+    # its own field, exactly as when shot alone
+    fields = [conformal(67, half_width=1.0), conformal(68, half_width=1.0)]
+    dirs = np.array([[1.0, 0.0], [0.0, 1.0]])
+    stack = FieldStack(fields)
+    paths = geodesic_shoot_batch(stack, np.array([0.8, -0.5]), dirs, T=1.0,
+                                 step=1e-2)
+    assert [p.termination for p in paths] == ["left_region", "completed"]
+    single = geodesic_shoot(fields[1], np.array([0.8, -0.5]), dirs[1], T=1.0,
+                            step=1e-2)
+    assert np.array_equal(paths[1].positions, single.positions)
+    assert np.array_equal(paths[1].velocities, single.velocities)
