@@ -362,25 +362,25 @@ def ball(graph, t):
     else:
         inside_idx = np.where(dist <= t)[0]
     inside_z = graph.index_node(inside_idx)
-    inside_set = set(map(tuple, inside_z))
-    boundary = []
-    clipped = False
-    zlo, zhi = graph.z_lo, graph.z_hi
-    for z in inside_z:
-        on_edge = np.any(z == zlo) or np.any(z == zhi)
-        if on_edge:
-            clipped = True
-        is_boundary = on_edge
-        if not is_boundary:
-            for off in graph.offsets:
-                if tuple(z + off) not in inside_set:
-                    is_boundary = True
-                    break
-        if is_boundary:
-            boundary.append(z)
+    # a node is on the boundary if it lies on the box edge or one of its
+    # stencil neighbours is not inside (a neighbour outside the box is not)
+    shape = np.asarray(graph.shape)
+    mask = np.zeros(graph.n_nodes, dtype=bool)
+    mask[inside_idx] = True
+    mask = mask.reshape(graph.shape)
+    rel = inside_z - graph.z_lo
+    on_edge = np.any((rel == 0) | (rel == shape - 1), axis=1)
+    is_boundary = on_edge.copy()
+    for off in graph.offsets:
+        nb = rel + off
+        in_box = np.all((nb >= 0) & (nb < shape), axis=1)
+        hit = np.zeros(len(rel), dtype=bool)
+        hit[in_box] = mask[tuple(nb[in_box].T)]
+        is_boundary |= ~hit
+    boundary = inside_z[is_boundary]
+    clipped = bool(np.any(on_edge))
     return BallRaster(t=float(t), inside=inside_z * graph.h,
-                      boundary=np.asarray(boundary, dtype=float) * graph.h
-                      if boundary else np.empty((0, graph.dim)),
+                      boundary=boundary.astype(float) * graph.h,
                       distances=dist[inside_idx], clipped=clipped)
 
 

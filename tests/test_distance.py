@@ -265,6 +265,41 @@ def test_ball_clipped_report():
     assert b.clipped
 
 
+def _ball_boundary_loop(graph, b):
+    """Boundary marking as a loop over inside nodes and stencil offsets: a
+    node is on the boundary if it touches the box edge or a neighbour is not
+    inside.  Returns (boundary nodes in inside order, clipped)."""
+    inside_z = np.round(b.inside / graph.h).astype(np.int64)
+    inside_set = set(map(tuple, inside_z))
+    boundary = []
+    clipped = False
+    for z in inside_z:
+        on_edge = np.any(z == graph.z_lo) or np.any(z == graph.z_hi)
+        clipped = clipped or on_edge
+        if on_edge or any(tuple(z + off) not in inside_set
+                          for off in graph.offsets):
+            boundary.append(z)
+    return np.asarray(boundary, dtype=float) * graph.h, clipped
+
+
+@pytest.mark.parametrize("case", ["conformal", "clipped", "origin_only"])
+def test_ball_boundary_matches_loop(case):
+    if case == "conformal":
+        g, t = build_graph(conformal(9, half_width=4.0), Box.cube(2.5, 2),
+                           0.25, 16), 1.5
+    elif case == "clipped":
+        g, t = build_graph(conformal(9, half_width=4.0), Box.cube(1.0, 2),
+                           0.25, 32), 1.2
+    else:
+        g, t = small_flat_graph(h=0.25, hw=1.0, stencil=8), 0.0
+    b = ball(g, t)
+    boundary, clipped = _ball_boundary_loop(g, b)
+    assert b.clipped == clipped == (case == "clipped")
+    assert b.boundary.dtype == boundary.dtype
+    assert np.array_equal(b.boundary, boundary)
+    assert 0 < len(b.boundary) < len(b.inside) or case == "origin_only"
+
+
 # --------------------------------------------------------------- shape
 
 def test_shape_flat_bounds():
