@@ -374,9 +374,8 @@ def ball(graph, t):
     for off in graph.offsets:
         nb = rel + off
         in_box = np.all((nb >= 0) & (nb < shape), axis=1)
-        hit = np.zeros(len(rel), dtype=bool)
-        hit[in_box] = mask[tuple(nb[in_box].T)]
-        is_boundary |= ~hit
+        is_boundary |= ~in_box
+        is_boundary[in_box] |= ~mask[tuple(nb[in_box].T)]
     boundary = inside_z[is_boundary]
     clipped = bool(np.any(on_edge))
     return BallRaster(t=float(t), inside=inside_z * graph.h,
