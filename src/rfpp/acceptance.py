@@ -254,34 +254,17 @@ def _c5_lattice_kernels(workers=1):
 
 def _c6_additivity(workers=1):
     from scipy.sparse.csgraph import dijkstra as sp_dijkstra
-    from scipy.sparse import csr_matrix
-    from .lattice import LatticeConfig, exponential_law, geometric_law, lpp_passage
+    from .lattice import (LatticeConfig, bond_matrix, exponential_law,
+                          geometric_law, lpp_passage)
     cfg = LatticeConfig(2, 24, exponential_law(1.0), seed=60001)
     # one shared environment on a box, several sources
     lo, hi = -12, 12
     side = hi - lo + 1
-    grids = np.arange(lo, hi + 1)
-    mesh = np.meshgrid(grids, grids, indexing="ij")
-    coords = np.stack([m.ravel() for m in mesh], axis=1)
+    mat = bond_matrix(cfg, 0, (lo, lo), (hi, hi))
 
     def flat(z):
         return (z[..., 0] - lo) * side + (z[..., 1] - lo)
 
-    rows, cols, data = [], [], []
-    from .lattice import _bond_weights
-    for axis in range(2):
-        ok = coords[:, axis] < hi
-        src = coords[ok]
-        w = _bond_weights(cfg, 0, axis, src)
-        tgt = src.copy()
-        tgt[:, axis] += 1
-        si, ti = flat(src), flat(tgt)
-        rows.extend([si, ti])
-        cols.extend([ti, si])
-        data.extend([w, w])
-    mat = csr_matrix((np.concatenate(data),
-                      (np.concatenate(rows), np.concatenate(cols))),
-                     shape=(side * side, side * side))
     n_src = 25
     src_pts = (rng.uniform(60002, np.arange(2 * n_src)).reshape(n_src, 2)
                * (hi - lo - 2) + lo + 1).astype(np.int64)
@@ -290,10 +273,10 @@ def _c6_additivity(workers=1):
     u = rng.uniform(60003, np.arange(3000)).reshape(1000, 3)
     for t in range(1000):
         ia, ib = int(u[t, 0] * n_src), int(u[t, 1] * n_src)
-        c_pt = coords[int(u[t, 2] * len(coords))]
+        c = int(u[t, 2] * side * side)
         d_ab = dist[ia, flat(src_pts[ib])]
-        d_ac = dist[ia, flat(c_pt)]
-        d_bc = dist[ib, flat(c_pt)]
+        d_ac = dist[ia, c]
+        d_bc = dist[ib, c]
         if d_ac > d_ab + d_bc:
             fpp_viol += 1
     cfgL = LatticeConfig(2, 60, geometric_law(0.5), seed=60004)
@@ -347,16 +330,11 @@ def _c7_lpp_chi(workers=1):
 # -- 8: FPP xi trend and KPZ residual --------------------------------------------
 
 def _c8_task(args):
-    from .lattice import LatticeConfig, exponential_law, fpp_passage, _witness_deviation
+    from .lattice import (LatticeConfig, exponential_law, untied_fpp_passage,
+                          _witness_deviation)
     n, replica = args
     cfg = LatticeConfig(2, n, exponential_law(1.0), seed=80001)
-    extra = 0
-    while True:
-        res = fpp_passage(cfg, np.array([n, 0]), replica=replica + extra * 10 ** 6,
-                          margin=max(10, n // 4))
-        if not res.tie_detected:
-            break
-        extra += 1
+    res = untied_fpp_passage(cfg, np.array([n, 0]), replica, margin=max(10, n // 4))
     return res.tau, _witness_deviation(res.witness, n)
 
 

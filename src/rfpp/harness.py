@@ -348,7 +348,8 @@ def _run_fpp(config):
     law = _law_from_params(p)
     n = p.get("n", 50)
     cfg = LatticeConfig(p.get("dimension", 2), n, law, config.seed)
-    taus = [fpp_passage(cfg, np.array([n, 0]), replica=r).tau
+    target = np.array([n] + [0] * (cfg.dimension - 1))
+    taus = [fpp_passage(cfg, target, replica=r).tau
             for r in range(config.replicas)]
     out = {"fpp.csv": "replica,tau\n" + "".join(
         f"{r},{float(t)!r}\n" for r, t in enumerate(taus))}

@@ -19,7 +19,7 @@ with the combined regression error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -207,6 +207,50 @@ def _bond_weights(config, replica, axis, coords):
     return config.law.sample(config.seed, *words)
 
 
+def bond_matrix(config, replica, lo, hi):
+    """Symmetric CSR matrix of the bond weights on the box lo..hi.
+
+    Nodes are numbered in row-major order of the box.  Each node has 2d
+    neighbour slots in ascending column order, -e_0 ... -e_{d-1} then
+    +e_{d-1} ... +e_0; one weight draw per axis over the bonds inside the
+    box fills both ends of each bond, and slots that leave the box are
+    dropped.  The result is the canonical CSR form (sorted columns, no
+    duplicates, explicit zero weights kept).
+    """
+    lo = np.asarray(lo, dtype=np.int64)
+    hi = np.asarray(hi, dtype=np.int64)
+    d = len(lo)
+    shape = tuple(int(k) for k in hi - lo + 1)
+    n_nodes = int(np.prod(shape))
+    # the index dtype scipy would pick; building it directly saves a copy
+    index = np.int32 if 2 * d * n_nodes < 2 ** 31 else np.int64
+    slots = np.zeros(shape + (2 * d,))
+    valid = np.zeros(shape + (2 * d,), dtype=bool)
+    degree = np.full(shape, 2 * d, dtype=index)
+    offsets = np.empty(2 * d, dtype=index)
+    strides = np.cumprod((shape[1:] + (1,))[::-1])[::-1]
+    for axis in range(d):
+        grids = [np.arange(lo[i], hi[i] + (i != axis)).reshape(
+            [-1 if k == i else 1 for k in range(d)]) for i in range(d)]
+        w = config.law.sample(config.seed, replica, axis, *grids)
+        tail = (slice(None),) * axis + (slice(0, -1),)
+        head = (slice(None),) * axis + (slice(1, None),)
+        down, up = axis, 2 * d - 1 - axis
+        slots[head + (Ellipsis, down)] = w
+        valid[head + (Ellipsis, down)] = True
+        slots[tail + (Ellipsis, up)] = w
+        valid[tail + (Ellipsis, up)] = True
+        degree[(slice(None),) * axis + (0,)] -= 1
+        degree[(slice(None),) * axis + (-1,)] -= 1
+        offsets[down], offsets[up] = -strides[axis], strides[axis]
+    valid = valid.reshape(n_nodes, 2 * d)
+    cols = np.arange(n_nodes, dtype=index)[:, None] + offsets
+    indptr = np.zeros(n_nodes + 1, dtype=index)
+    np.cumsum(degree.ravel(), out=indptr[1:])
+    return csr_matrix((slots.reshape(n_nodes, 2 * d)[valid], cols[valid], indptr),
+                      shape=(n_nodes, n_nodes))
+
+
 def fpp_passage(config, target, replica=0, margin=None, source=None):
     """Passage time and witness between lattice points, by Dijkstra over
     i.i.d. bond weights drawn deterministically from (seed, replica, bond).
@@ -227,35 +271,9 @@ def fpp_passage(config, target, replica=0, margin=None, source=None):
     if np.any(np.abs(target - source) > config.n):
         raise LatticeError("target outside the configured box size")
     shape = tuple((hi - lo + 1).astype(int))
-    n_nodes = int(np.prod(shape))
-
-    grids = [np.arange(lo[i], hi[i] + 1) for i in range(d)]
-    mesh = np.meshgrid(*grids, indexing="ij")
-    coords = np.stack([m.ravel() for m in mesh], axis=1)
-
-    def flat_index(z):
-        idx = z[..., 0] - lo[0]
-        for i in range(1, d):
-            idx = idx * shape[i] + (z[..., i] - lo[i])
-        return idx
-
-    rows, cols, data = [], [], []
-    for axis in range(d):
-        ok = coords[:, axis] < hi[axis]
-        src = coords[ok]
-        w = _bond_weights(config, replica, axis, src)
-        tgt = src.copy()
-        tgt[:, axis] += 1
-        si = flat_index(src)
-        ti = flat_index(tgt)
-        rows.extend([si, ti])
-        cols.extend([ti, si])
-        data.extend([w, w])
-    mat = csr_matrix((np.concatenate(data),
-                      (np.concatenate(rows), np.concatenate(cols))),
-                     shape=(n_nodes, n_nodes))
-    src_idx = int(flat_index(source[None, :])[0])
-    tgt_idx = int(flat_index(target[None, :])[0])
+    mat = bond_matrix(config, replica, lo, hi)
+    src_idx = int(np.ravel_multi_index(tuple(source - lo), shape))
+    tgt_idx = int(np.ravel_multi_index(tuple(target - lo), shape))
     dist, pred = _sp_dijkstra(mat, directed=True, indices=src_idx,
                               return_predecessors=True)
     chain = [tgt_idx]
@@ -264,16 +282,7 @@ def fpp_passage(config, target, replica=0, margin=None, source=None):
     chain.reverse()
     if chain[0] != src_idx:
         raise LatticeError("target unreachable (bounding box too small?)")
-
-    def unflatten(idx):
-        out = np.empty((len(idx), d), dtype=np.int64)
-        rest = np.asarray(idx, dtype=np.int64)
-        for i in range(d - 1, -1, -1):
-            out[:, i] = rest % shape[i] + lo[i]
-            rest = rest // shape[i]
-        return out
-
-    witness = unflatten(chain)
+    witness = np.stack(np.unravel_index(chain, shape), axis=1) + lo
     tie = _witness_tie(mat, dist, chain)
     return FppResult(tau=float(dist[tgt_idx]), witness=witness,
                      tie_detected=tie, source=tuple(source), target=tuple(target))
@@ -337,6 +346,18 @@ def _witness_deviation(witness, n):
     return float(np.max(np.linalg.norm(delta, axis=1)))
 
 
+def untied_fpp_passage(config, target, replica, margin=None):
+    """fpp_passage at the first of replica, replica + 10^6, replica + 2 10^6,
+    ... whose witness has no equal-cost rival."""
+    extra = 0
+    while True:
+        res = fpp_passage(config, target, replica=replica + extra * 10 ** 6,
+                          margin=margin)
+        if not res.tie_detected:
+            return res
+        extra += 1
+
+
 def transversal_deviation(config, n, replica=0, margin=None):
     """Maximal Euclidean distance of the unique witness geodesic to the
     lattice segment {0, e1, ..., n e1}; ties abort with TieDetectedError."""
@@ -362,6 +383,17 @@ def lpp_passage(config, target, origin=(0, 0), replica=0):
     the incoming-bond weight playing the role of a site share.  Weights are
     keyed by absolute bond coordinates, so passage times started from z
     restrict the same environment (superadditivity is exact).
+
+    It is evaluated one row at a time.  With A = T[i-1, :] + wR[i-1, :] and
+    C = [0, cumsum(wU[i, :])], unrolling the recursion along row i gives
+
+        T[i, j] = max_{k <= j} (A[k] + C[j] - C[k])
+                = C[j] + max_{k <= j} (A[k] - C[k]),
+
+    a running maximum.  This equals the recursion bit for bit while every
+    partial sum, A - C included, is a multiple of 2^-30 below 2^53 units
+    in magnitude (the regime of the module docstring: quantized weights,
+    exact binary ``scale``); then no addition or subtraction rounds.
     """
     if config.dimension != 2:
         raise LatticeError("directed LPP is implemented on Z^2")
@@ -383,27 +415,16 @@ def lpp_passage(config, target, origin=(0, 0), replica=0):
                             ii[:, None], jj[None, :]) if n else
           np.zeros((m + 1, 0)))
 
-    T = np.full((m + 1, n + 1), -np.inf)
-    T[0, 0] = 0.0
-    for k in range(1, m + n + 1):
-        i_lo = max(0, k - n)
-        i_hi = min(m, k)
-        i = np.arange(i_lo, i_hi + 1)
-        j = k - i
-        best = np.full(len(i), -np.inf)
-        from_left = i >= 1
-        if np.any(from_left):
-            il = i[from_left]
-            jl = j[from_left]
-            best[from_left] = T[il - 1, jl] + wR[il - 1, jl]
-        from_below = j >= 1
-        if np.any(from_below):
-            ib = i[from_below]
-            jb = j[from_below]
-            best[from_below] = np.maximum(best[from_below],
-                                          T[ib, jb - 1] + wU[ib, jb - 1])
-        T[i, j] = best
-    return float(T[m, n])
+    T = np.zeros(n + 1)
+    C = np.zeros(n + 1)
+    np.cumsum(wU[0], out=T[1:])
+    for i in range(1, m + 1):
+        np.cumsum(wU[i], out=C[1:])
+        T += wR[i - 1]
+        T -= C
+        np.maximum.accumulate(T, out=T)
+        T += C
+    return float(T[n])
 
 
 # ---------------------------------------------------------------------------
@@ -521,12 +542,7 @@ def exponent_xi(model, config, sizes, replicas=100):
         taus = np.empty(replicas)
         devs = np.empty(replicas)
         for r in range(replicas):
-            extra = 0
-            while True:
-                res = fpp_passage(cfg, target, replica=r + extra * 10 ** 6)
-                if not res.tie_detected:
-                    break
-                extra += 1
+            res = untied_fpp_passage(cfg, target, r)
             taus[r] = res.tau
             devs[r] = _witness_deviation(res.witness, n)
         means.append(float(np.mean(devs)))
@@ -624,33 +640,52 @@ class PolymerResult:
     free_energy: float           # -(1/beta) log Z_n
 
 
+_POLYMER_BLOCK = 64
+
+
 def polymer_free_energy(seed, n, beta, eta=None):
     """Free energy of the d = 1 directed polymer in a random environment.
 
     Z_n integrates e^{beta sum eta(j, w_j)} over simple random walks from
     the origin; the forward transfer recursion over reachable sites uses
     log-sum-exp throughout, so Z_n is exact up to floating error.  ``eta``
-    may be a callable (j, x_array) -> values; by default it is an i.i.d.
+    may be a callable (j, x_array) -> values, called once per time j with
+    the reachable sites x in {-j, -j+2, ..., j}; by default it is an i.i.d.
     standard normal table keyed by (seed, j, x).
+
+    The default table is drawn in blocks of _POLYMER_BLOCK (64) times, one
+    ``rng.normal`` call per block, each row padded to the sites of the
+    block's last time (the padding draws are unused); every value equals
+    the per-site draw.
     """
     if beta <= 0:
         raise LatticeError("inverse temperature must be > 0")
     if n < 1:
         raise LatticeError("horizon must be >= 1")
     if eta is None:
-        def eta(j, xs):
-            return rng.normal(seed, j, xs)
+        def eta_block(js, xs):
+            return rng.normal(seed, js[:, None], xs)
+    else:
+        def eta_block(js, xs):
+            out = np.zeros(xs.shape)
+            for r, j in enumerate(js.tolist()):
+                out[r, :j + 1] = eta(j, xs[r, :j + 1])
+            return out
     log_half = np.log(0.5)
-    # sites reachable at time j: x in {-j, -j+2, ..., j}
-    L = np.array([0.0])
-    for j in range(1, n + 1):
-        xs = np.arange(-j, j + 1, 2)
-        left = np.full(len(xs), -np.inf)    # from x - 1 at time j - 1
-        right = np.full(len(xs), -np.inf)   # from x + 1
-        left[1:] = L
-        right[:-1] = L
-        L = np.logaddexp(left, right) + log_half + beta * np.asarray(eta(j, xs), dtype=float)
+    # P[1:j+2] holds L at time j over the sites x in {-j, -j+2, ..., j};
+    # the -inf on either side stands for the unreachable neighbours
+    P = np.full(n + 3, -np.inf)
+    P[1] = 0.0
+    for j0 in range(1, n + 1, _POLYMER_BLOCK):
+        js = np.arange(j0, min(j0 + _POLYMER_BLOCK, n + 1))
+        xs = 2 * np.arange(js[-1] + 1) - js[:, None]
+        weight = beta * eta_block(js, xs)
+        for r, j in enumerate(js.tolist()):
+            L = P[1:j + 2]
+            np.logaddexp(P[:j + 1], L, out=L)
+            L += log_half
+            L += weight[r, :j + 1]
     from scipy.special import logsumexp
-    log_z = float(logsumexp(L))
+    log_z = float(logsumexp(P[1:n + 2]))
     return PolymerResult(n=n, beta=float(beta), log_z=log_z,
                          free_energy=-log_z / beta)

@@ -19,8 +19,11 @@ half-grid so they never hit 0 or 1:
     u = ((h >> 11) + 0.5) * 2**-53      in (0, 1)
 
 Standard normals use Box-Muller on two uniforms drawn with salt words 0, 1.
-The exact algorithm is spelled out here (and in the README) so results can be
-reproduced in any language.
+``normal`` hashes the key once and finishes it twice, as mix64(h) (salt 0,
+since GOLDEN * 0 = 0) and mix64(h + GOLDEN) (salt 1): the same draws as the
+spec above, with one hash of the key instead of two.  The exact algorithm is
+spelled out here (and in the README) so results can be reproduced in any
+language.
 """
 
 from __future__ import annotations
@@ -63,16 +66,26 @@ def hash_words(seed, *words):
     return h
 
 
-def uniform(seed, *words):
-    """Deterministic uniform draw in the open interval (0, 1)."""
-    h = hash_words(seed, *words)
+def _unit(h):
+    """Top 53 bits of a hash as a uniform on the open interval (0, 1)."""
     return ((h >> np.uint64(11)).astype(np.float64) + 0.5) * _TWO_NEG53
 
 
+def uniform(seed, *words):
+    """Deterministic uniform draw in the open interval (0, 1)."""
+    return _unit(hash_words(seed, *words))
+
+
 def normal(seed, *words):
-    """Deterministic standard normal draw (Box-Muller, salt words 0 and 1)."""
-    u1 = uniform(seed, *words, 0)
-    u2 = uniform(seed, *words, 1)
+    """Deterministic standard normal draw (Box-Muller, salt words 0 and 1).
+
+    The key is hashed once; u1 and u2 equal uniform(seed, *words, 0) and
+    uniform(seed, *words, 1) bit for bit.
+    """
+    h = hash_words(seed, *words)
+    with np.errstate(over="ignore"):
+        u1 = _unit(_mix64(h))
+        u2 = _unit(_mix64(h + _GOLDEN))
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 

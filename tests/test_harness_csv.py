@@ -30,3 +30,15 @@ def test_csv_cells_are_plain_numbers(experiment, tmp_path):
             assert len(cells) == width
             for cell in cells:
                 float(cell)
+
+
+def test_fpp_in_three_dimensions(tmp_path):
+    out = str(tmp_path / "fpp")
+    manifest = run(ExperimentConfig("fpp", {"dimension": 3, "n": 3}, seed=3,
+                                    replicas=2, out=out))
+    assert "fpp.csv" in manifest.outputs
+    with open(os.path.join(out, "fpp.csv")) as fh:
+        lines = fh.read().splitlines()
+    assert lines[0] == "replica,tau"
+    assert [ln.split(",")[0] for ln in lines[1:]] == ["0", "1"]
+    assert all(float(ln.split(",")[1]) > 0 for ln in lines[1:])

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations, product
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from rfpp import rng
 from rfpp.lattice import (ExponentEstimate, LatticeConfig, LatticeError,
                           TieDetectedError, WeightLaw, _witness_deviation,
-                          euclidean_fpp, exponent_chi, exponent_xi,
+                          bond_matrix, euclidean_fpp, exponent_chi, exponent_xi,
                           exponential_law, fpp_passage, geometric_law,
                           lpp_passage, polymer_free_energy, time_constant,
                           transversal_deviation)
@@ -118,6 +119,36 @@ def test_fpp_scaling_exact():
         assert np.array_equal(r1.witness, rc.witness)
 
 
+# digests of the bond matrices that fpp_passage assembled through COO
+# (meshgrid coordinates, scipy coo -> csr; numpy 2.4.6, scipy 1.17.1, x86-64);
+# the direct CSR build must reproduce indptr, indices and data bit for bit
+GOLDEN_BOND_MATRICES = {
+    # fpp_passage(cfg, (12, 0), replica=3): default margin 8
+    "2d_default_box": (LatticeConfig(2, 12, exponential_law(1.0), seed=11), 3,
+                       (-8, -8), (20, 8),
+                       "692996398ee0466a61dfcdd1a8878fc7c5422f9f4a70f52472d5a5870a0cb27f"),
+    # fpp_passage(cfg, (4, 0, 0), margin=2)
+    "3d_small_box": (LatticeConfig(3, 4, exponential_law(1.0), seed=12), 0,
+                     (-2, -2, -2), (6, 2, 2),
+                     "04419f856f117b323577b7ec1df39be842b7682acd87f07f20b372637db1f506"),
+    # fpp_passage(cfg, (5, 3), margin=0); geometric weights keep explicit zeros
+    "margin_0": (LatticeConfig(2, 8, geometric_law(0.5), seed=13), 0,
+                 (0, 0), (5, 3),
+                 "6cc3a617cb85cb56d4929754be4731ce38b3f3e1eb49f03c6bdaac944f210524"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BOND_MATRICES))
+def test_bond_matrix_golden_digest(name):
+    cfg, replica, lo, hi, expected = GOLDEN_BOND_MATRICES[name]
+    mat = bond_matrix(cfg, replica, lo, hi)
+    assert mat.has_canonical_format
+    h = hashlib.sha256()
+    for a in (mat.indptr, mat.indices, mat.data):
+        h.update(np.ascontiguousarray(a).tobytes())
+    assert h.hexdigest() == expected
+
+
 def test_time_constant_deterministic():
     cfg = LatticeConfig(2, 64, WeightLaw("deterministic", (1.0,)), seed=1)
     table = time_constant(cfg, (1.0, 0.0), sizes=(8, 16, 32), replicas=10)
@@ -189,6 +220,46 @@ def test_lpp_enumeration_4x4():
                     y += 1
             best = max(best, tot)
         assert lpp_passage(cfg, (4, 4), replica=r) == best
+
+
+def _lpp_antidiagonal(config, target, origin=(0, 0), replica=0):
+    """Reference: the recursion T(z) = max(T(z - e1) + wR, T(z - e2) + wU)
+    evaluated one anti-diagonal at a time on the full table."""
+    ox, oy = origin
+    m, n = target[0] - ox, target[1] - oy
+    ii, jj = np.arange(ox, ox + m), np.arange(oy, oy + n + 1)
+    wR = (config.law.sample(config.seed, replica, 0, ii[:, None], jj[None, :])
+          if m else np.zeros((0, n + 1)))
+    ii, jj = np.arange(ox, ox + m + 1), np.arange(oy, oy + n)
+    wU = (config.law.sample(config.seed, replica, 1, ii[:, None], jj[None, :])
+          if n else np.zeros((m + 1, 0)))
+    T = np.full((m + 1, n + 1), -np.inf)
+    T[0, 0] = 0.0
+    for k in range(1, m + n + 1):
+        i = np.arange(max(0, k - n), min(m, k) + 1)
+        j = k - i
+        best = np.full(len(i), -np.inf)
+        left = i >= 1
+        best[left] = T[i[left] - 1, j[left]] + wR[i[left] - 1, j[left]]
+        below = j >= 1
+        best[below] = np.maximum(best[below],
+                                 T[i[below], j[below] - 1] + wU[i[below], j[below] - 1])
+        T[i, j] = best
+    return float(T[m, n])
+
+
+@pytest.mark.parametrize("law", [geometric_law(0.5), exponential_law(1.0),
+                                 WeightLaw("uniform", (0.5, 2.0)),
+                                 WeightLaw("bernoulli", (0.3, 1.0, 2.0))],
+                         ids=lambda law: law.kind)
+def test_lpp_row_scan_equals_antidiagonal_recursion(law):
+    cfg = LatticeConfig(2, 60, law, seed=31)
+    cases = [((0, 0), (37, 41)), ((3, -5), (40, 9)), ((-7, 2), (-7, 30)),
+             ((4, 4), (25, 4)), ((2, -3), (2, -3)), ((0, 0), (60, 60))]
+    for origin, target in cases:
+        for r in range(2):
+            assert (lpp_passage(cfg, target, origin=origin, replica=r)
+                    == _lpp_antidiagonal(cfg, target, origin=origin, replica=r))
 
 
 def test_lpp_superadditivity_exact():
@@ -316,6 +387,42 @@ def test_polymer_monotone_in_environment():
     f0 = polymer_free_energy(seed, n, beta, eta=eta_plus(0.0)).free_energy
     f1 = polymer_free_energy(seed, n, beta, eta=eta_plus(0.5)).free_energy
     assert f1 < f0
+
+
+def _polymer_rowwise(seed, n, beta, eta=None):
+    """Reference: the transfer recursion one time step at a time, with one
+    environment call per row."""
+    from scipy.special import logsumexp
+    if eta is None:
+        def eta(j, xs):
+            return rng.normal(seed, j, xs)
+    L = np.array([0.0])
+    for j in range(1, n + 1):
+        xs = np.arange(-j, j + 1, 2)
+        left = np.full(len(xs), -np.inf)
+        right = np.full(len(xs), -np.inf)
+        left[1:] = L
+        right[:-1] = L
+        L = (np.logaddexp(left, right) + np.log(0.5)
+             + beta * np.asarray(eta(j, xs), dtype=float))
+    return float(logsumexp(L))
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+def test_polymer_blocked_equals_rowwise(n):
+    for seed in (5, 901):
+        assert polymer_free_energy(seed, n, 0.7).log_z == _polymer_rowwise(seed, n, 0.7)
+    calls, oracle_calls = [], []
+
+    def recording(log):
+        def eta(j, xs):
+            log.append((j, xs.tolist()))
+            return np.sin(0.37 * j + 0.11 * xs)
+        return eta
+
+    got = polymer_free_energy(7, n, 1.3, eta=recording(calls)).log_z
+    assert got == _polymer_rowwise(7, n, 1.3, eta=recording(oracle_calls))
+    assert calls == oracle_calls
 
 
 def test_polymer_validation():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 
 from rfpp import rng
@@ -42,3 +44,21 @@ def test_derive_seed_stable_and_distinct():
     s2 = rng.derive_seed(42, 1)
     assert s1 == rng.derive_seed(42, 0)
     assert s1 != s2
+
+
+# sha256 of hash_words, uniform and normal over the keys below, computed when
+# normal still drew uniform(seed, *words, 0) and uniform(seed, *words, 1)
+# (numpy 2.4.6, x86-64); the spec fixes every bit
+RNG_GOLDEN = "5a22ab5ef7b065e048947ce754544954bb1e6de361fc1ca04d4433260cf25dde"
+
+
+def test_golden_digest():
+    keys = [(7,), (7, 3), (2 ** 40 + 5, -1, 12), (-9, 0),
+            (11, np.arange(50)),
+            (3, np.arange(-20, 20), -7),
+            (5, np.arange(6)[:, None], np.arange(-4, 5)[None, :])]
+    h = hashlib.sha256()
+    for key in keys:
+        for draw in (rng.hash_words, rng.uniform, rng.normal):
+            h.update(np.ascontiguousarray(draw(*key)).tobytes())
+    assert h.hexdigest() == RNG_GOLDEN
