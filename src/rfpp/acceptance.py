@@ -6,8 +6,6 @@ judged against, and (for stochastic criteria) a SHA-256 digest of its raw
 per-replica outputs.  The reproducibility criterion reruns every stochastic
 criterion with a different worker count and demands bit-identical digests,
 which simultaneously exercises run-to-run and across-worker determinism.
-
-The JSON report produced by run_suite follows ACCEPTANCE_REPORT_SCHEMA.
 """
 
 from __future__ import annotations
@@ -24,34 +22,6 @@ from .harness import canonical_json, exact_mean, _run_replicas
 
 FAST_CRITERIA = (1, 2, 3, 4, 5, 6, 7)
 STOCHASTIC_CRITERIA = (3, 7, 8, 9, 10, 11, 12)
-
-ACCEPTANCE_REPORT_SCHEMA = {
-    "type": "object",
-    "required": ["suite", "code_version", "all_passed", "criteria"],
-    "properties": {
-        "suite": {"type": "string", "enum": ["fast", "full"]},
-        "code_version": {"type": "string"},
-        "all_passed": {"type": "boolean"},
-        "criteria": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["id", "name", "passed", "runtime_s",
-                             "tolerance", "details"],
-                "properties": {
-                    "id": {"type": "integer"},
-                    "name": {"type": "string"},
-                    "passed": {"type": "boolean"},
-                    "runtime_s": {"type": "number"},
-                    "tolerance": {"type": "string"},
-                    "digest": {"type": ["string", "null"]},
-                    "details": {"type": "object"},
-                },
-            },
-        },
-    },
-}
-
 
 @dataclass
 class CriterionResult:
@@ -140,7 +110,7 @@ def _c4_christoffel(workers=1):
     h = 1e-4
     worst = 0.0
     for x in pts:
-        gamma = christoffel(field, x).values
+        gamma = christoffel(field, x)
         grads = np.empty((1, 2, 2, 2))
         for i in range(2):
             e = np.zeros(2)
@@ -373,33 +343,24 @@ def _c8_fpp_xi(workers=1):
 
 def _c9_task(args):
     seed, t, k = args
-    from .distance import build_graph
+    from .distance import build_graph, directional_mu
     field = _conformal(seed, half_width=t + 3.0)
     graph = build_graph(field, Box.cube(t + 2.0, 2), h=0.3, stencil=32)
-    angles = np.arange(k) * (2 * np.pi / k)
-    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    dist, _ = graph.sssp(np.zeros(2, dtype=np.int64))
-    out = []
-    for v in dirs:
-        z = graph.snap(t * v)
-        x = graph.node_position(z)
-        out.append(float(dist[int(graph.node_index(z))] / np.linalg.norm(x)))
-    return out
+    return directional_mu(graph, t, k)
 
 
 def _c9_shape_isotropy(workers=1):
+    from .distance import ShapeEstimate
     t, k, n_seeds = 30.0, 16, 20
     seeds = [rng.derive_seed(90001, r) for r in range(n_seeds)]
     rows = _run_replicas(_c9_task, [(s, t, k) for s in seeds], workers)
-    arr = np.asarray(rows)
-    mu = np.array([exact_mean(arr[:, j]) for j in range(k)])
-    ratio = float(mu.max() / mu.min())
-    passed = ratio <= 1.05
-    digest = _sha({"mu_rows": arr.tolist()})
+    est = ShapeEstimate.from_samples(rows, t)
+    passed = est.anisotropy_ratio <= 1.05
+    digest = _sha({"mu_rows": np.asarray(rows).tolist()})
     return CriterionResult(
         9, "shape isotropy", passed,
         "max/min directional mu ratio <= 1.05 (t = 30, 16 dirs, 20 seeds)",
-        {"ratio": ratio, "mu": mu.tolist()}, digest=digest)
+        {"ratio": est.anisotropy_ratio, "mu": est.mu.tolist()}, digest=digest)
 
 
 # -- 10: bump destabilization -------------------------------------------------------
@@ -459,7 +420,7 @@ def _c11_task(args):
 
 
 def _c11_frontier(workers=1):
-    from .experiments import frontier_scan, frontier_density
+    from .experiments import frontier_scan
     from .geometry import geodesic_shoot
     flat = FlatMetric(2)
     radial = geodesic_shoot(flat, (1e-12, 0.0), np.array([1.0, 0.0]),
@@ -467,8 +428,7 @@ def _c11_frontier(workers=1):
     scan = frontier_scan(radial, flat, beta=0.5, rho=0.5, regularity=False)
     flags = [r.is_frontier for r in scan.records]
     angles = [r.cone_angle for r in scan.records]
-    _, density = frontier_density(radial, 0.5)
-    flat_ok = all(flags) and max(angles) == 0.0 and density[-1] == 1.0
+    flat_ok = all(flags) and max(angles) == 0.0 and scan.density[-1] == 1.0
     seeds = [(rng.derive_seed(110001, r),) for r in range(10)]
     rows = _run_replicas(_c11_task, seeds, workers)
     random_ok = all(r["ok"] for r in rows)
@@ -520,7 +480,7 @@ def _c12_scan_trend(workers=1):
 
 # -- 13: reproducibility ------------------------------------------------------------------
 
-def _c13_reproducibility(results, suite, workers_pair=(1, 8)):
+def _c13_reproducibility(results, workers_pair=(1, 8)):
     """Rerun each stochastic criterion with the alternate worker count and
     compare digests; the primary suite run provides the first sample."""
     checked = {}
@@ -583,8 +543,7 @@ class SuiteReport:
 def run_suite(suite="full", workers=1, echo=True):
     """Run the acceptance criteria; 'fast' runs the sub-minute subset.
 
-    Prints one pass/fail line per criterion and returns a SuiteReport whose
-    JSON form validates against ACCEPTANCE_REPORT_SCHEMA.
+    Prints one pass/fail line per criterion and returns a SuiteReport.
     """
     if suite not in ("fast", "full"):
         raise ValueError("suite must be fast or full")
@@ -599,7 +558,7 @@ def run_suite(suite="full", workers=1, echo=True):
             print(f"[{'PASS' if res.passed else 'FAIL'}] criterion {cid:2d}: "
                   f"{res.name} ({res.runtime_s:.1f}s)", flush=True)
     t0 = time.perf_counter()
-    res13 = _c13_reproducibility(results, suite, workers_pair=(workers, 8))
+    res13 = _c13_reproducibility(results, workers_pair=(workers, 8))
     res13.runtime_s = time.perf_counter() - t0
     report.results.append(res13)
     if echo:

@@ -51,6 +51,10 @@ def main(argv=None):
     if args.experiment not in EXPERIMENTS:
         parser.error(f"unknown experiment {args.experiment!r}; valid names: "
                      + ", ".join(EXPERIMENTS))
+    for flag, path in (("--config", args.config), ("--load-field", args.load_field)):
+        if path and not os.path.isfile(path):
+            print(f"error: {flag} file not found: {path}", file=sys.stderr)
+            return 2
     params = {}
     seed, replicas, out = 1, 1, None
     if args.config:

@@ -25,6 +25,7 @@ paths unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,50 +69,24 @@ def stencil_offsets(stencil, dim=2):
 def stencil_factor(stencil, dim=2):
     """Worst-case ratio of stencil-path length to straight-line distance.
 
-    In d = 2 this is exact: within each angular sector between adjacent
-    stencil directions a, b the cheapest representation of a unit vector u
-    costs w . u for w = (|a|, |b|) M^{-1} (M = [a b]), a linear functional,
-    so the sector maximum is |w| when w points into the sector and 1 at the
-    sector edges.  In d = 3 the factor is a sampled bound over directions.
+    The cheapest stencil path along a vector u costs the gauge of
+    P = conv{o / |o|} at u (writing u = sum a_o o / |o| with a >= 0 costs
+    sum a_o), so the worst ratio over unit vectors is 1 / the inradius of P,
+    the distance from the origin to its nearest facet.  Exact in any
+    dimension.
     """
     offs = stencil_offsets(stencil, dim).astype(float)
     if dim == 2:
-        angles = np.arctan2(offs[:, 1], offs[:, 0])
-        order = np.argsort(angles)
-        offs = offs[order]
-        angles = angles[order]
-        worst = 1.0
-        n = len(offs)
-        for i in range(n):
-            a = offs[i]
-            b = offs[(i + 1) % n]
-            M = np.column_stack([a, b])
-            det = np.linalg.det(M)
-            if abs(det) < 1e-12:
-                continue
-            w = np.array([np.linalg.norm(a), np.linalg.norm(b)]) @ np.linalg.inv(M)
-            th = np.arctan2(w[1], w[0])
-            lo = angles[i]
-            hi = angles[(i + 1) % n] if i + 1 < n else angles[0] + 2 * np.pi
-            if i + 1 == n:
-                th = th if th >= lo else th + 2 * np.pi
-            if lo <= th <= hi:
-                worst = max(worst, float(np.linalg.norm(w)))
-        return worst
-    # d = 3: sampled gauge of the stencil's unit-cost ball
-    rng = np.random.default_rng(0)
-    dirs = rng.normal(size=(2000, dim))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        # P's edges join angular neighbours on the unit circle; an edge
+        # spanning the angle g lies at distance cos(g / 2) from the origin
+        angles = np.sort(np.arctan2(offs[:, 1], offs[:, 0]))
+        gaps = np.diff(angles, append=angles[0] + 2 * np.pi)
+        return float(1 / np.cos(np.max(gaps) / 2))
+    # imported here: scipy.spatial adds about 7.5 MiB of resident memory,
+    # which 2-D graphs do not need
+    from scipy.spatial import ConvexHull
     unit = offs / np.linalg.norm(offs, axis=1, keepdims=True)
-    worst = 1.0
-    from scipy.optimize import linprog
-    for u in dirs[:200]:
-        res = linprog(np.linalg.norm(offs, axis=1),
-                      A_eq=offs.T, b_eq=u,
-                      bounds=[(0, None)] * len(offs), method="highs")
-        if res.success:
-            worst = max(worst, float(res.fun))
-    return worst
+    return float(1 / np.min(-ConvexHull(unit).equations[:, -1]))
 
 
 # ---------------------------------------------------------------------------
@@ -127,19 +102,13 @@ class BallRaster:
     distances: np.ndarray       # (M,) graph distances of inside nodes
     clipped: bool = False       # ball reached the region edge
 
-    def to_csv(self, path):
+    def csv_text(self):
         d = self.inside.shape[1]
-        cols = [f"x{i + 1}" for i in range(d)] + ["distance", "boundary"]
-        bset = {tuple(row) for row in np.round(self.boundary / 1e-12).astype(np.int64)} \
-            if len(self.boundary) else set()
-        with open(path, "w") as fh:
-            fh.write(f"# ball radius: {self.t!r}\n")
-            fh.write(f"# clipped: {self.clipped}\n")
-            fh.write(",".join(cols) + "\n")
-            for row, dist in zip(self.inside, self.distances):
-                key = tuple(np.round(row / 1e-12).astype(np.int64))
-                fh.write(",".join(repr(v) for v in row)
-                         + f",{dist!r},{int(key in bset)}\n")
+        lines = [f"# ball radius: {float(self.t)!r}", f"# clipped: {self.clipped}",
+                 ",".join([f"x{i + 1}" for i in range(d)] + ["distance"])]
+        lines += [",".join(repr(float(v)) for v in (*row, dist))
+                  for row, dist in zip(self.inside, self.distances)]
+        return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -383,6 +352,24 @@ def ball(graph, t):
                       distances=dist[inside_idx], clipped=clipped)
 
 
+def _unit_directions(k):
+    angles = np.arange(k) * (2 * np.pi / k)
+    return angles, np.stack([np.cos(angles), np.sin(angles)], axis=1)
+
+
+def directional_mu(graph, t, k):
+    """d_hat(0, x) / |x| for the node x nearest t v, for each of k equally
+    spaced unit directions v of the plane."""
+    _, dirs = _unit_directions(k)
+    dist, _ = graph.sssp(np.zeros(2, dtype=np.int64))
+    mus = np.empty(k)
+    for j, v in enumerate(dirs):
+        z = graph.snap(t * v)
+        x = graph.node_position(z)
+        mus[j] = dist[int(graph.node_index(z))] / np.linalg.norm(x)
+    return mus
+
+
 @dataclass
 class ShapeEstimate:
     directions: np.ndarray      # (k, d) unit vectors
@@ -392,14 +379,26 @@ class ShapeEstimate:
     t: float
     replicas: int
 
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write(f"# radius: {self.t!r}\n")
-            fh.write(f"# replicas: {self.replicas}\n")
-            fh.write(f"# anisotropy_ratio: {self.anisotropy_ratio!r}\n")
-            fh.write("angle,mu,stderr\n")
-            for v, m, s in zip(self.directions, self.mu, self.stderr):
-                fh.write(f"{np.arctan2(v[1], v[0])!r},{m!r},{s!r}\n")
+    @classmethod
+    def from_samples(cls, samples, t):
+        """Reduce a (replicas, k) array of directional_mu rows: exact
+        per-direction means (math.fsum), so the result does not depend on
+        the order replicas finished in."""
+        samples = np.asarray(samples, dtype=float)
+        replicas, k = samples.shape
+        mu = np.array([math.fsum(samples[:, j]) / replicas for j in range(k)])
+        se = (samples.std(axis=0, ddof=1) / np.sqrt(replicas)
+              if replicas > 1 else np.zeros(k))
+        return cls(directions=_unit_directions(k)[1], mu=mu, stderr=se,
+                   anisotropy_ratio=float(mu.max() / mu.min()), t=t,
+                   replicas=replicas)
+
+    def csv_text(self):
+        angles, _ = _unit_directions(len(self.mu))
+        lines = ["angle,mu,stderr"]
+        lines += [",".join(repr(float(v)) for v in row)
+                  for row in zip(angles, self.mu, self.stderr)]
+        return "\n".join(lines) + "\n"
 
 
 def shape_estimate(field_factory, t, directions=16, replicas=8, h=0.3,
@@ -415,28 +414,12 @@ def shape_estimate(field_factory, t, directions=16, replicas=8, h=0.3,
     if replicas < 1:
         raise GraphError("need at least one replica")
     from .fields import Box
-    angles = np.arange(directions) * (2 * np.pi / directions)
-    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    samples = np.empty((replicas, directions))
+    samples = []
     for r in range(replicas):
-        field = field_factory(r)
-        region = Box.cube(t + margin, 2)
-        corners = np.array([region.lo, region.hi])
-        if not np.all(field.contains(corners)):
-            raise GraphError("field region too small for the requested radius")
-        graph = build_graph(field, region, h, stencil=stencil)
-        origin = np.zeros(2, dtype=np.int64)
-        dist, _ = graph.sssp(origin)
-        for k in range(directions):
-            z = graph.snap(t * dirs[k])
-            x = graph.node_position(z)
-            samples[r, k] = dist[int(graph.node_index(z))] / np.linalg.norm(x)
-    mu = samples.mean(axis=0)
-    se = (samples.std(axis=0, ddof=1) / np.sqrt(replicas)
-          if replicas > 1 else np.zeros(directions))
-    return ShapeEstimate(directions=dirs, mu=mu, stderr=se,
-                         anisotropy_ratio=float(mu.max() / mu.min()),
-                         t=float(t), replicas=int(replicas))
+        graph = build_graph(field_factory(r), Box.cube(t + margin, 2), h,
+                            stencil=stencil)
+        samples.append(directional_mu(graph, t, directions))
+    return ShapeEstimate.from_samples(samples, float(t))
 
 
 @dataclass

@@ -58,15 +58,16 @@ class FrontierScan:
     intervals: list            # (l_start, l_end) right-open runs
     beta: float
     rho: float
+    density: np.ndarray        # running frontier density at each sample
 
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write(f"# beta: {self.beta!r}\n# rho: {self.rho!r}\n")
-            fh.write("l,r,r_dot,cone_angle,is_frontier,local_norm\n")
-            for rec in self.records:
-                fh.write(f"{rec.l!r},{rec.r!r},{rec.r_dot!r},"
-                         f"{rec.cone_angle!r},{int(rec.is_frontier)},"
-                         f"{rec.local_norm!r}\n")
+    def csv_text(self):
+        lines = [f"# beta: {float(self.beta)!r}",
+                 "l,r,r_dot,cone_angle,is_frontier,local_norm,density"]
+        lines += [f"{float(rec.l)!r},{float(rec.r)!r},{float(rec.r_dot)!r},"
+                  f"{float(rec.cone_angle)!r},{int(rec.is_frontier)},"
+                  f"{float(rec.local_norm)!r},{float(dens)!r}"
+                  for rec, dens in zip(self.records, self.density)]
+        return "\n".join(lines) + "\n"
 
 
 def frontier_scan(path, field, beta, rho, origin=None, regularity=True):
@@ -74,6 +75,8 @@ def frontier_scan(path, field, beta, rho, origin=None, regularity=True):
 
     A sample is flagged when the radial speed exceeds beta and the radius
     attains its running maximum; flagged runs form right-open intervals.
+    density[i] is the running density delta_hat(l) = Leb(frontier times in
+    [0, l]) / l at sample i, a flagged sample contributing its forward step.
     local_norm (the regularity estimate over the rho-ball) is evaluated at
     each interval start when ``regularity`` is set.
     """
@@ -119,22 +122,19 @@ def frontier_scan(path, field, beta, rho, origin=None, regularity=True):
             i = j + 1
         else:
             i += 1
+    dt = np.diff(path.times)
+    measure = np.concatenate([[0.0], np.cumsum(np.where(flags[:-1], dt, 0.0))])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        density = np.where(path.times > 0, measure / path.times, 1.0)
     return FrontierScan(records=records, intervals=intervals,
-                        beta=float(beta), rho=float(rho))
+                        beta=float(beta), rho=float(rho), density=density)
 
 
 def frontier_density(path, beta, origin=None):
-    """Running density delta_hat(l) = Leb(frontier times in [0, l]) / l."""
+    """Sample times and running frontier density (FrontierScan.density)."""
     scan = frontier_scan(path, field=None, beta=beta, rho=0.0,
                          origin=origin, regularity=False)
-    times = path.times
-    flags = np.array([rec.is_frontier for rec in scan.records])
-    dt = np.diff(times)
-    # right-open intervals: a flagged sample contributes its forward step
-    measure = np.concatenate([[0.0], np.cumsum(np.where(flags[:-1], dt, 0.0))])
-    with np.errstate(invalid="ignore", divide="ignore"):
-        density = np.where(times > 0, measure / times, 1.0)
-    return times, density
+    return path.times, scan.density
 
 
 def local_regularity(field, center, rho, alpha=0.5, subgrid=9,
@@ -198,15 +198,6 @@ class EscapeRecord:
     first_nonminimizing_time: float
 
 
-def _ball_lambda_max(field, radius, subgrid=17):
-    axes = [np.linspace(-radius, radius, subgrid)] * field.dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    pts = pts[np.linalg.norm(pts, axis=1) <= radius]
-    g = field.values_batch(pts)
-    return float(np.max(np.linalg.eigvalsh(g)))
-
-
 def transience_check(field, graph, directions, horizon, radii=None, step=None):
     """Escape records for geodesics shot from the origin.
 
@@ -222,7 +213,9 @@ def transience_check(field, graph, directions, horizon, radii=None, step=None):
         top = max(np.max(np.linalg.norm(p.positions, axis=1)) for p in paths)
         radii = np.linspace(top / 4, 0.95 * top, 4)
     radii = np.asarray(radii, dtype=float)
-    bounds = np.array([r * np.sqrt(_ball_lambda_max(field, r)) for r in radii])
+    origin = np.zeros(field.dim)
+    bounds = np.array([r * np.sqrt(_ball_lambda_max_at(field, origin, r))
+                       for r in radii])
     records = []
     for p, v in zip(paths, directions):
         verdict = is_minimizing(field, p, graph) if graph is not None else None
@@ -459,7 +452,6 @@ class BumpExperimentReport:
     conjugate_fraction: float        # conjugate point inside the cone
     nonminimizing_fraction: float    # subsequently fails is_minimizing
     conjugate_times: np.ndarray      # (entries, perturbations), nan if none
-    rejected_perturbations: int
 
     def as_dict(self):
         return {"eps": self.eps,
@@ -467,7 +459,6 @@ class BumpExperimentReport:
                 "perturbations": self.perturbations,
                 "conjugate_fraction": self.conjugate_fraction,
                 "nonminimizing_fraction": self.nonminimizing_fraction,
-                "rejected_perturbations": self.rejected_perturbations,
                 "conjugate_times": self.conjugate_times.tolist()}
 
 
@@ -511,7 +502,6 @@ def bump_experiment(base, spec, eps, entries=50, perturbations=1, seed=0,
 
     conj_times = np.full((entries, max(perturbations, 1)), np.nan)
     nonmin = np.zeros((entries, max(perturbations, 1)), dtype=bool)
-    rejected = 0
     region = getattr(base, "region", None)
     for p in range(max(perturbations, 1)):
         if eps > 0:
@@ -559,7 +549,7 @@ def bump_experiment(base, spec, eps, entries=50, perturbations=1, seed=0,
         perturbations=max(perturbations, 1), eps=float(eps),
         conjugate_fraction=float(np.mean(found)),
         nonminimizing_fraction=float(np.mean(nonmin[found])) if np.any(found) else 0.0,
-        conjugate_times=conj_times, rejected_perturbations=rejected)
+        conjugate_times=conj_times)
 
 
 # ---------------------------------------------------------------------------

@@ -55,13 +55,6 @@ class DegeneratePathError(GeometryError):
 # Christoffel symbols and curvature
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChristoffelTensor:
-    """Gamma^k_ij at a point, exactly symmetric in the lower indices."""
-    values: np.ndarray
-    point: np.ndarray
-
-
 def christoffel_from_derivatives(val, grad):
     """Batched Gamma^k_ij = 1/2 g^km (d_i g_mj + d_j g_im - d_m g_ij).
 
@@ -76,13 +69,13 @@ def christoffel_from_derivatives(val, grad):
 
 
 def christoffel(field, x, condition_limit=1e12):
-    """Christoffel tensor at a point, from analytic metric derivatives."""
+    """Gamma^k_ij (d, d, d) at a point, from analytic metric derivatives;
+    exactly symmetric in the lower indices."""
     x = np.asarray(x, dtype=float)
     val, grad, _ = field.evaluate_batch(x[None, :], order=1)
     if np.linalg.cond(val[0]) > condition_limit:
         raise GeometryError("metric nearly singular at the requested point")
-    gamma = christoffel_from_derivatives(val, grad)[0]
-    return ChristoffelTensor(values=gamma, point=x)
+    return christoffel_from_derivatives(val, grad)[0]
 
 
 def _christoffel_and_partials(val, grad, hess):
@@ -172,19 +165,16 @@ class GeodesicPath:
     def position_spline(self):
         return CubicHermiteSpline(self.times, self.positions, self.velocities, axis=0)
 
-    def to_csv(self, path):
+    def csv_text(self):
         d = self.positions.shape[1]
-        header = (f"# parametrization: {self.parametrization}\n"
-                  f"# step: {self.step!r}\n"
-                  f"# termination: {self.termination}\n")
-        cols = (["t"] + [f"x{i + 1}" for i in range(d)]
-                + [f"v{i + 1}" for i in range(d)])
+        lines = [f"# parametrization: {self.parametrization}",
+                 f"# step: {float(self.step)!r}",
+                 f"# termination: {self.termination}",
+                 ",".join(["t"] + [f"x{i + 1}" for i in range(d)]
+                          + [f"v{i + 1}" for i in range(d)])]
         rows = np.column_stack([self.times, self.positions, self.velocities])
-        with open(path, "w") as fh:
-            fh.write(header)
-            fh.write(",".join(cols) + "\n")
-            for row in rows:
-                fh.write(",".join(repr(v) for v in row) + "\n")
+        lines += [",".join(repr(float(v)) for v in row) for row in rows]
+        return "\n".join(lines) + "\n"
 
 
 def riemannian_speeds(field, positions, velocities):

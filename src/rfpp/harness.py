@@ -138,6 +138,12 @@ def canonical_json(obj):
     return json.dumps(obj, sort_keys=True, indent=2, default=default)
 
 
+def _replica_csv(column, values):
+    """A replica,<column> table with one row per replica, in replica order."""
+    return f"replica,{column}\n" + "".join(
+        f"{r},{float(v)!r}\n" for r, v in enumerate(values))
+
+
 # ---------------------------------------------------------------------------
 # experiment runners
 # ---------------------------------------------------------------------------
@@ -193,18 +199,7 @@ def _run_geodesic(config):
                           T=p.get("T", 5.0), step=p.get("step", 1e-3),
                           parametrization=p.get("parametrization", "riemannian"))
     R, L = lengths(path, field)
-    out = {}
-    csv_path = "geodesic.csv"
-    import io
-    buf = io.StringIO()
-    d = path.positions.shape[1]
-    buf.write(f"# parametrization: {path.parametrization}\n")
-    buf.write(f"# step: {float(path.step)!r}\n# termination: {path.termination}\n")
-    buf.write(",".join(["t"] + [f"x{i+1}" for i in range(d)]
-                       + [f"v{i+1}" for i in range(d)]) + "\n")
-    for row in np.column_stack([path.times, path.positions, path.velocities]):
-        buf.write(",".join(repr(float(v)) for v in row) + "\n")
-    out[csv_path] = buf.getvalue()
+    out = {"geodesic.csv": path.csv_text()}
     summary = {"riemannian_length": R, "euclidean_length": L,
                "speed_drift_max": path.speed_drift_max,
                "termination": path.termination}
@@ -226,21 +221,15 @@ def _run_distance(config):
     target = np.asarray(p.get("target", (10.0, 0.0)))
     d_hat, witness = distance(graph, np.zeros(2), target)
     raster = ball(graph, p.get("ball_radius", hw / 2))
-    import io
-    buf = io.StringIO()
-    buf.write(f"# ball radius: {float(raster.t)!r}\n# clipped: {raster.clipped}\n")
-    buf.write("x1,x2,distance\n")
-    for row, dist in zip(raster.inside, raster.distances):
-        buf.write(f"{float(row[0])!r},{float(row[1])!r},{float(dist)!r}\n")
     return {"distance.json": canonical_json(
                 {"target": target.tolist(), "d_hat": d_hat,
                  "witness_nodes": len(witness), "stencil_factor": graph.factor}),
-            "ball.csv": buf.getvalue()}
+            "ball.csv": raster.csv_text()}
 
 
 def _shape_replica(args):
     seed, params = args
-    from .distance import build_graph
+    from .distance import build_graph, directional_mu
     from .fields import Box
     p = dict(params)
     t = p.get("t", 30.0)
@@ -248,59 +237,34 @@ def _shape_replica(args):
     field = make_field(seed, p)
     graph = build_graph(field, Box.cube(t + 2.0, 2), p.get("h", 0.3),
                         stencil=p.get("stencil", 32))
-    k = p.get("directions", 16)
-    angles = np.arange(k) * (2 * np.pi / k)
-    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    dist, _ = graph.sssp(np.zeros(2, dtype=np.int64))
-    mus = []
-    for v in dirs:
-        z = graph.snap(t * v)
-        x = graph.node_position(z)
-        mus.append(float(dist[int(graph.node_index(z))] / np.linalg.norm(x)))
-    return mus
+    return directional_mu(graph, t, p.get("directions", 16))
 
 
 def _run_shape(config):
+    from .distance import ShapeEstimate
     p = config.params
     seeds = replica_seeds(config.seed, config.replicas)
     rows = _run_replicas(_shape_replica, [(s, p) for s in seeds], config.workers)
-    arr = np.asarray(rows)
-    mu = np.array([exact_mean(arr[:, j]) for j in range(arr.shape[1])])
-    se = arr.std(axis=0, ddof=1) / np.sqrt(len(rows)) if len(rows) > 1 else 0 * mu
-    k = arr.shape[1]
-    angles = np.arange(k) * (2 * np.pi / k)
-    lines = ["angle,mu,stderr"]
-    for a, m, s in zip(angles, mu, se):
-        lines.append(f"{float(a)!r},{float(m)!r},{float(s)!r}")
-    report = {"t": p.get("t", 30.0), "replicas": config.replicas,
-              "anisotropy_ratio": float(mu.max() / mu.min()),
-              "mu": mu.tolist(), "stderr": np.asarray(se).tolist()}
-    return {"shape.csv": "\n".join(lines) + "\n",
-            "shape.json": canonical_json(report)}
+    est = ShapeEstimate.from_samples(rows, p.get("t", 30.0))
+    report = {"t": est.t, "replicas": est.replicas,
+              "anisotropy_ratio": est.anisotropy_ratio,
+              "mu": est.mu.tolist(), "stderr": est.stderr.tolist()}
+    return {"shape.csv": est.csv_text(), "shape.json": canonical_json(report)}
 
 
 def _run_frontier(config):
-    from .experiments import frontier_scan, frontier_density
+    from .experiments import frontier_scan
     from .geometry import geodesic_shoot
     p = config.params
     field = make_field(config.seed, p)
     path = geodesic_shoot(field, (1e-9, 0.0), np.asarray(p.get("v0", (1.0, 0.0))),
                           T=p.get("T", 10.0), step=p.get("step", 2e-3),
                           parametrization="euclidean")
-    beta = p.get("beta", 0.5)
-    scan = frontier_scan(path, field, beta=beta, rho=p.get("rho", 1.0))
-    times, density = frontier_density(path, beta)
-    import io
-    buf = io.StringIO()
-    buf.write(f"# beta: {float(beta)!r}\n")
-    buf.write("l,r,r_dot,cone_angle,is_frontier,local_norm,density\n")
-    for rec, dens in zip(scan.records, density):
-        buf.write(f"{float(rec.l)!r},{float(rec.r)!r},{float(rec.r_dot)!r},"
-                  f"{float(rec.cone_angle)!r},{int(rec.is_frontier)},"
-                  f"{float(rec.local_norm)!r},{float(dens)!r}\n")
-    return {"frontier.csv": buf.getvalue(),
+    scan = frontier_scan(path, field, beta=p.get("beta", 0.5), rho=p.get("rho", 1.0))
+    return {"frontier.csv": scan.csv_text(),
             "frontier.json": canonical_json(
-                {"intervals": scan.intervals, "density_tail": float(density[-1])})}
+                {"intervals": scan.intervals,
+                 "density_tail": float(scan.density[-1])})}
 
 
 def _run_bump(config):
@@ -351,8 +315,7 @@ def _run_fpp(config):
     target = np.array([n] + [0] * (cfg.dimension - 1))
     taus = [fpp_passage(cfg, target, replica=r).tau
             for r in range(config.replicas)]
-    out = {"fpp.csv": "replica,tau\n" + "".join(
-        f"{r},{float(t)!r}\n" for r, t in enumerate(taus))}
+    out = {"fpp.csv": _replica_csv("tau", taus)}
     if p.get("exponents", False):
         sizes = tuple(p.get("sizes", (50, 100, 200, 400)))
         est = exponent_chi("fpp", cfg, sizes, replicas=config.replicas)
@@ -367,8 +330,7 @@ def _run_lpp(config):
     n = p.get("n", 100)
     cfg = LatticeConfig(2, n, law, config.seed)
     vals = [lpp_passage(cfg, (n, n), replica=r) for r in range(config.replicas)]
-    out = {"lpp.csv": "replica,last_passage\n" + "".join(
-        f"{r},{float(t)!r}\n" for r, t in enumerate(vals))}
+    out = {"lpp.csv": _replica_csv("last_passage", vals)}
     if p.get("exponents", False):
         sizes = tuple(p.get("sizes", (125, 250, 500, 1000)))
         est = exponent_chi("lpp", cfg, sizes, replicas=config.replicas)
@@ -402,8 +364,7 @@ def _run_polymer(config):
         seed_r = rng.derive_seed(config.seed, r)
         res = polymer_free_energy(seed_r, n, beta)
         rows.append(res.free_energy)
-    return {"polymer.csv": "replica,free_energy\n" + "".join(
-        f"{r},{float(v)!r}\n" for r, v in enumerate(rows))}
+    return {"polymer.csv": _replica_csv("free_energy", rows)}
 
 
 def _law_from_params(p, default=("exponential", (1.0,))):

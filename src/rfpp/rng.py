@@ -22,8 +22,7 @@ Standard normals use Box-Muller on two uniforms drawn with salt words 0, 1.
 ``normal`` hashes the key once and finishes it twice, as mix64(h) (salt 0,
 since GOLDEN * 0 = 0) and mix64(h + GOLDEN) (salt 1): the same draws as the
 spec above, with one hash of the key instead of two.  The exact algorithm is
-spelled out here (and in the README) so results can be reproduced in any
-language.
+spelled out here so results can be reproduced in any language.
 """
 
 from __future__ import annotations

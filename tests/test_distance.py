@@ -51,6 +51,30 @@ def test_stencil_factor_values():
         worst = max(1.0, float(np.max(np.min(cost, axis=0))))
         assert abs(factor - worst) <= 1e-6
     assert stencil_factor(16) <= 1.03
+    # the closed form reproduces the exact sector analysis bit for bit
+    assert stencil_factor(8) == 1.082392200292394
+    assert stencil_factor(16) == 1.0274862967460157
+    assert stencil_factor(32) == 1.01308145723319
+
+
+@pytest.mark.parametrize("stencil", [8, 16, 32])
+def test_stencil_factor_bounds_lp_costs_3d(stencil):
+    # oracle: the cheapest nonnegative stencil combination along sampled
+    # unit directions, one linear program each
+    from scipy.optimize import linprog
+    factor = stencil_factor(stencil, dim=3)
+    offs = stencil_offsets(stencil, 3).astype(float)
+    dirs = np.random.default_rng(0).normal(size=(200, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    costs = []
+    for u in dirs:
+        res = linprog(np.linalg.norm(offs, axis=1), A_eq=offs.T, b_eq=u,
+                      bounds=[(0, None)] * len(offs), method="highs")
+        assert res.success
+        costs.append(res.fun)
+    assert max(costs) <= factor + 1e-9
+    # 200 directions come within 2e-4 of the worst one
+    assert max(costs) >= factor - 2e-4
 
 
 # --------------------------------------------------------------- weights
@@ -320,14 +344,12 @@ def test_shape_constant_scaling():
     assert np.array_equal(est4.mu, 2.0 * est1.mu)
 
 
-def test_shape_csv_export(tmp_path):
+def test_shape_csv_export():
     est = shape_estimate(lambda r: FLAT, t=4.0, directions=8, replicas=2,
                          h=0.25, stencil=16, margin=1.0)
-    out = tmp_path / "shape.csv"
-    est.to_csv(out)
-    lines = out.read_text().splitlines()
-    assert lines[3] == "angle,mu,stderr"
-    assert len(lines) == 4 + 8
+    lines = est.csv_text().splitlines()
+    assert lines[0] == "angle,mu,stderr"
+    assert len(lines) == 1 + 8
 
 
 # --------------------------------------------------------------- minimality

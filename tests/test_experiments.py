@@ -259,7 +259,6 @@ def test_bump_perturbed_fraction_stable():
     report = bump_experiment(FLAT, spec, eps=0.01, entries=6,
                              perturbations=4, seed=77, check_minimizing=False)
     assert report.conjugate_fraction == 1.0
-    assert report.rejected_perturbations == 0
 
 
 def test_bump_nonminimizing_after_conjugate():

@@ -1,7 +1,12 @@
 import os
 
+import numpy as np
 import pytest
 
+from rfpp.distance import ball, build_graph, shape_estimate
+from rfpp.experiments import frontier_scan
+from rfpp.fields import Box, FlatMetric, KernelSpec, MetricField
+from rfpp.geometry import geodesic_shoot
 from rfpp.harness import ExperimentConfig, run
 
 TINY = {
@@ -28,6 +33,58 @@ def test_csv_cells_are_plain_numbers(experiment, tmp_path):
         for row in rows:
             cells = row.split(",")
             assert len(cells) == width
+            for cell in cells:
+                float(cell)
+
+
+# sha256 of every output file of the TINY runs at seed 3, computed before the
+# CSV writers moved into the result types; the harness bytes must not change
+GOLDEN = {
+    "distance": {
+        "ball.csv": "adeb50b51e6b35bacb41cd12d5a7cffefd0d29bd6ccf6636c0c2561fe62bb0dd",
+        "distance.json": "0f48844e0f1565d3df2ceba6c6679b84b5a69c44e23bb053183986bf35b4e447"},
+    "frontier": {
+        "frontier.csv": "10bdd92e10b6401b4a2bf990523ec5ad57e9159303fe8f32c80a10c2d1019c0c",
+        "frontier.json": "f37180601017e2ba75b90e63d86d4ff730788a22698be38e33353dff5f5ce769"},
+    "geodesic": {
+        "geodesic.csv": "0db13d82f6760b060eb57cdc2531932ad5126ba86102f31e98aadf7bd1205ae6",
+        "geodesic.json": "01c83ee8c2a1a6c95f087322176edb696d620c8f1182c534159d21ac958c75e0"},
+    "shape": {
+        "shape.csv": "513806cb276dff1d38f5b12f2137fac47467f1329de226f97b78a3894e2b6fdc",
+        "shape.json": "9bd1dc2443428efd71923cc6afe78e779c50cc77e6e1e36acb1dd15c792a5799"},
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(TINY))
+def test_output_golden_digests(experiment, tmp_path):
+    out = str(tmp_path / experiment)
+    manifest = run(ExperimentConfig(experiment, TINY[experiment], seed=3, out=out))
+    assert manifest.outputs == GOLDEN[experiment]
+
+
+def _writer_texts():
+    """csv_text() of each result type, built directly (numpy scalars inside)."""
+    field = MetricField("conformal", seed=3, region=Box.cube(4.0, 2),
+                        kernel=KernelSpec(range=1.0, amplitude=0.3))
+    graph = build_graph(field, Box.cube(2.0, 2), 0.5, stencil=16)
+    path = geodesic_shoot(field, (1e-9, 0.0), np.array([1.0, 0.0]), T=0.3,
+                          step=1e-2, parametrization="euclidean")
+    shape = shape_estimate(lambda r: FlatMetric(2), t=2.0, directions=8,
+                           replicas=2, h=0.5, stencil=16, margin=1.0)
+    return {"GeodesicPath": path.csv_text(),
+            "BallRaster": ball(graph, 1.5).csv_text(),
+            "FrontierScan": frontier_scan(path, field, beta=0.5, rho=1.0).csv_text(),
+            "ShapeEstimate": shape.csv_text()}
+
+
+def test_writer_cells_are_plain_numbers():
+    for name, text in _writer_texts().items():
+        lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
+        width = len(lines[0].split(","))
+        assert len(lines) > 1, name
+        for row in lines[1:]:
+            cells = row.split(",")
+            assert len(cells) == width, name
             for cell in cells:
                 float(cell)
 
