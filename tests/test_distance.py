@@ -51,7 +51,7 @@ def test_stencil_factor_values():
         worst = max(1.0, float(np.max(np.min(cost, axis=0))))
         assert abs(factor - worst) <= 1e-6
     assert stencil_factor(16) <= 1.03
-    # the closed form reproduces the exact sector analysis bit for bit
+    # the exact values, bit for bit
     assert stencil_factor(8) == 1.082392200292394
     assert stencil_factor(16) == 1.0274862967460157
     assert stencil_factor(32) == 1.01308145723319

@@ -37,8 +37,8 @@ def test_csv_cells_are_plain_numbers(experiment, tmp_path):
                 float(cell)
 
 
-# sha256 of every output file of the TINY runs at seed 3, computed before the
-# CSV writers moved into the result types; the harness bytes must not change
+# sha256 of every output file of the TINY runs at seed 3: a change to any
+# output byte must update these on purpose
 GOLDEN = {
     "distance": {
         "ball.csv": "adeb50b51e6b35bacb41cd12d5a7cffefd0d29bd6ccf6636c0c2561fe62bb0dd",
