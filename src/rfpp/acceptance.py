@@ -167,7 +167,6 @@ def _enumerate_fpp(cfg, target, replica):
 
 def _enumerate_lpp(cfg, m, n, replica):
     from itertools import combinations
-    from .lattice import WeightLaw
     best = -np.inf
     for rights in combinations(range(m + n), m):
         x = y = 0
@@ -277,7 +276,7 @@ def _c7_task(args):
 
 
 def _c7_lpp_chi(workers=1):
-    from .lattice import ExponentEstimate, _loglog_fit
+    from .lattice import _loglog_fit
     sizes = (125, 250, 500, 1000)
     rows = _run_replicas(_c7_task, [(r, sizes) for r in range(200)], workers)
     arr = np.asarray(rows)
@@ -428,7 +427,7 @@ def _c11_frontier(workers=1):
     scan = frontier_scan(radial, flat, beta=0.5, rho=0.5, regularity=False)
     flags = [r.is_frontier for r in scan.records]
     angles = [r.cone_angle for r in scan.records]
-    flat_ok = all(flags) and max(angles) == 0.0 and scan.density[-1] == 1.0
+    flat_ok = bool(all(flags) and max(angles) == 0.0 and scan.density[-1] == 1.0)
     seeds = [(rng.derive_seed(110001, r),) for r in range(10)]
     rows = _run_replicas(_c11_task, seeds, workers)
     random_ok = all(r["ok"] for r in rows)

@@ -21,7 +21,7 @@ twice the sphere radius regardless of the entry angle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,8 +29,7 @@ from . import rng as _rng
 from .fields import (Box, ConformalAnalyticField, FieldError, FlatMetric,
                      KernelSpec, MetricField, RegionError, ScaledField,
                      SpherePatchField)
-from .geometry import (GeodesicPath, GeometryError, cumulative_lengths,
-                       geodesic_shoot_batch, jacobi_integrate_batch)
+from .geometry import GeodesicPath, geodesic_shoot_batch, jacobi_integrate_batch
 from .distance import is_minimizing
 
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import io
 import struct
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -117,33 +117,41 @@ class KernelSpec:
         if self.profile not in _PROFILES:
             raise FieldError(f"unknown kernel profile {self.profile!r}")
 
-    def radial(self, u):
-        """psi(u), psi'(u), psi''(u) for u = |x|^2 / range^2 (vectorized)."""
+    def radial(self, u, order=2):
+        """psi(u), psi'(u), psi''(u) for u = |x|^2 / range^2 (vectorized),
+        computed up to ``order``: psi alone at order 0, (psi, psi', None)
+        at order 1 and all three at order 2."""
         u = np.asarray(u, dtype=float)
         inside = u < 1.0
         # clamp to keep 1/(1-u) finite where the result is masked out anyway
         w = np.where(inside, 1.0 - u, 1.0)
         inv = 1.0 / w
         psi = np.where(inside, np.exp(1.0 - inv), 0.0)
+        if order == 0:
+            return psi
         d1 = np.where(inside, -psi * inv * inv, 0.0)
+        if order < 2:
+            return psi, d1, None
         d2 = np.where(inside, psi * (inv ** 4 - 2.0 * inv ** 3), 0.0)
         return psi, d1, d2
 
     def evaluate(self, dx, order=2):
-        """Kernel value, gradient and (for order 2) Hessian at displacements
-        dx (B, d)."""
+        """Kernel value, gradient and Hessian at displacements dx (B, d),
+        computed up to ``order``: the value alone at order 0, (value,
+        gradient, None) at order 1 and all three at order 2."""
         dx = np.atleast_2d(np.asarray(dx, dtype=float))
         xi2 = self.range ** 2
         u = np.einsum("bi,bi->b", dx, dx) / xi2
-        psi, d1, d2 = self.radial(u)
+        if order == 0:
+            return self.radial(u, 0)
+        psi, d1, d2 = self.radial(u, order)
         du = 2.0 * dx / xi2                            # (B, d) = du/dx_i
-        val = psi
         grad = d1[:, None] * du
         if order < 2:
-            return val, grad, None
+            return psi, grad, None
         hess = (d2[:, None, None] * du[:, :, None] * du[:, None, :]
                 + d1[:, None, None] * (2.0 / xi2) * np.eye(dx.shape[1]))
-        return val, grad, hess
+        return psi, grad, hess
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +213,11 @@ def sample_noise(seed, region, spacing, channels, margin=None):
 
 _MODES = ("conformal", "sym_shift", "sym_exp")
 
-# symmetric-matrix channel layout: diagonal entries first, then upper pairs
-_SYM_PAIRS = {
-    2: ((0, 0), (1, 1), (0, 1)),
-    3: ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)),
+# symmetric-matrix channel layout: diagonal entries first, then upper pairs;
+# entry [i, j] is the channel holding g_ij
+_SYM_CHANNELS = {
+    2: np.array([[0, 2], [2, 1]]),
+    3: np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]]),
 }
 
 
@@ -278,7 +287,7 @@ class MetricField:
         return out
 
     def _node_normalizer(self):
-        val, _, _ = self.kernel.evaluate(self._offs * self.spacing)
+        val = self.kernel.evaluate(self._offs * self.spacing, order=0)
         return float(np.sqrt(np.sum(val ** 2)))
 
     def contains(self, points, margin=0.0):
@@ -316,15 +325,11 @@ class MetricField:
         dx = X[:, None, :] - node_pos
         return dx, coeff
 
-    def _gaussian_sums(self, X, order=2):
-        """Moving-average field G and its first two derivative arrays.
-
-        Returns (G (B,ch), dG (B,d,ch), d2G (B,d,d,ch)), already scaled by
-        amplitude / N0.  With order=1 the Hessian sum is skipped (None).
-        """
-        dx, coeff = self._gather(X)
+    def _sums(self, X, order, lookup=None):
+        """Kernel sums of this field at X up to ``order`` (see _kernel_sums);
+        ``lookup`` as in _gather."""
+        dx, coeff = self._gather(X, lookup)
         return _kernel_sums(self.kernel, self._norm, dx, coeff, order)
-
 
     # -- evaluation --------------------------------------------------------
 
@@ -336,9 +341,7 @@ class MetricField:
         when the Hessian is not needed (returned as None); the geodesic
         right-hand side only uses first derivatives.
         """
-        G, dG, d2G = self._gaussian_sums(X, order=order)
-        return _metric_from_sums(self.mode, self.shift, self.value_scale,
-                                 self.dim, G, dG, d2G, order)
+        return _metric_from_sums(self, self._sums(X, order), order)
 
     def evaluate(self, x):
         val, grad, hess = self.evaluate_batch(np.asarray(x, dtype=float)[None, :])
@@ -346,16 +349,13 @@ class MetricField:
 
     def values_batch(self, X):
         """Metric values only (cheaper path for quadrature of edge weights)."""
-        G = self._values_sums(X)
-        return _metric_values_from_sums(self.mode, self.shift,
-                                        self.value_scale, self.dim, G)
+        return _metric_from_sums(self, self._sums(X, 0), 0)
 
     def conformal_factor_batch(self, X):
         """Scalar e^{2 phi} for conformal fields (fast edge-weight path)."""
         if self.mode != "conformal":
             raise FieldError("conformal_factor_batch needs a conformal field")
-        G = self._values_sums(X)
-        return self.value_scale * np.exp(2.0 * G[:, 0])
+        return self.value_scale * np.exp(2.0 * self._sums(X, 0)[:, 0])
 
     def conformal_exponent_batch(self, X, order=2):
         """(phi, dphi, d2phi) of the conformal exponent, conformal mode only;
@@ -363,102 +363,94 @@ class MetricField:
         means in evaluate_batch: with order=1 the Hessian sum is skipped and
         d2phi is None (the conformal geodesic right-hand side needs only
         dphi)."""
-        if self.mode != "conformal":
-            raise FieldError("conformal_exponent_batch needs a conformal field")
-        G, dG, d2G = self._gaussian_sums(X, order=order)
-        return _exponent_from_sums(self.value_scale, G, dG, d2G)
-
-    def _values_sums(self, X):
-        dx, coeff = self._gather(X)
-        return _value_sums(self.kernel, self._norm, dx, coeff)
+        return _exponent_from_sums(self, self._sums(X, order))
 
 
 def _sym_from_channels(dim, A):
     """(B, ..., ch) channel arrays to (B, ..., d, d) symmetric matrices."""
     if A is None:
         return None
-    out = np.zeros(A.shape[:-1] + (dim, dim))
-    for c, (i, j) in enumerate(_SYM_PAIRS[dim]):
-        out[..., i, j] = A[..., c]
-        out[..., j, i] = A[..., c]
-    return out
+    # C order: on a strided view the sym_exp einsums round differently
+    return np.ascontiguousarray(A[..., _SYM_CHANNELS[dim]])
 
 
-def _value_sums(kernel, norm, dx, coeff):
-    """Kernel sums without derivative accumulation (shared by MetricField
-    and FieldStack)."""
-    u = np.einsum("bki,bki->bk", dx, dx) / kernel.range ** 2
-    psi, _, _ = kernel.radial(u)
-    G = np.einsum("bk,bkc->bc", psi, coeff)
-    return (kernel.amplitude / norm) * G
+def _exponent_from_sums(field, sums):
+    """(phi, dphi, d2phi) of a conformal field from its one-channel sums
+    at order 1 or 2 (d2phi None at order 1)."""
+    if field.mode != "conformal":
+        raise FieldError("conformal_exponent_batch needs a conformal field")
+    G, dG, d2G = sums
+    phi = G[:, 0] + 0.5 * np.log(field.value_scale)
+    return phi, dG[..., 0], _first_channel(d2G)
 
 
-def _exponent_from_sums(value_scale, G, dG, d2G):
-    """(phi, dphi, d2phi) of a conformal field from its one-channel sums."""
-    phi = G[:, 0] + 0.5 * np.log(value_scale)
-    return phi, dG[:, :, 0], None if d2G is None else d2G[:, :, :, 0]
+def _first_channel(A):
+    """Channel 0 of a (B, ..., ch) sum array, or None for a skipped order."""
+    return None if A is None else A[..., 0]
 
 
 def _kernel_sums(kernel, norm, dx, coeff, order=2):
-    """Contract kernel derivatives against coefficients (shared by
-    MetricField and FieldStack)."""
+    """Contract kernel derivatives against coefficients, scaled by
+    amplitude / N0: G (B,ch) alone at order 0, (G, dG (B,d,ch), None) at
+    order 1 and (G, dG, d2G (B,d,d,ch)) at order 2."""
     B, K, d = dx.shape
-    val, grad, hess = kernel.evaluate(dx.reshape(B * K, d), order=order)
+    k = kernel.evaluate(dx.reshape(B * K, d), order=order)
+    val, grad, hess = (k, None, None) if order == 0 else k
     scale = kernel.amplitude / norm
-    G = np.einsum("bk,bkc->bc", val.reshape(B, K), coeff)
-    dG = np.einsum("bki,bkc->bic", grad.reshape(B, K, d), coeff)
+    G = scale * np.einsum("bk,bkc->bc", val.reshape(B, K), coeff)
+    if order == 0:
+        return G
+    dG = scale * np.einsum("bki,bkc->bic", grad.reshape(B, K, d), coeff)
     if order < 2:
-        return scale * G, scale * dG, None
-    d2G = np.einsum("bkij,bkc->bijc", hess.reshape(B, K, d, d), coeff)
-    return scale * G, scale * dG, scale * d2G
+        return G, dG, None
+    d2G = scale * np.einsum("bkij,bkc->bijc", hess.reshape(B, K, d, d), coeff)
+    return G, dG, d2G
 
 
-def _metric_from_sums(mode, shift, value_scale, dim, G, dG, d2G, order=2):
-    """Apply the construction-mode map to Gaussian sums and derivatives."""
+def _metric_from_sums(field, sums, order):
+    """Apply the field's construction-mode map to kernel sums of ``order``
+    0, 1 or 2: the metric value alone at order 0, else (value, grad, hess)
+    with hess None at order 1."""
+    G, dG, d2G = (sums, None, None) if order == 0 else sums
+    dim, shift = field.dim, field.shift
     eye = np.eye(dim)
-    hess = None
-    if mode == "conformal":
-        phi, dphi = G[:, 0], dG[:, :, 0]
-        f = np.exp(2.0 * phi)
-        val = f[:, None, None] * eye
-        grad = (2.0 * dphi * f[:, None])[:, :, None, None] * eye
-        if order >= 2:
-            d2phi = d2G[:, :, :, 0]
-            d2f = (4.0 * dphi[:, :, None] * dphi[:, None, :]
-                   + 2.0 * d2phi) * f[:, None, None]
-            hess = d2f[:, :, :, None, None] * eye
-    elif mode == "sym_shift":
+    if field.mode == "conformal":
+        out = _conformal_metric(G[:, 0], _first_channel(dG),
+                                _first_channel(d2G), dim)
+    elif field.mode == "sym_shift":
         val = shift * eye + _sym_from_channels(dim, G)
-        grad = _sym_from_channels(dim, dG)
-        hess = _sym_from_channels(dim, d2G) if order >= 2 else None
         if not np.all(_spd_mask(val)):
             raise RejectedRealizationError(
                 "sym_shift metric not positive-definite at an evaluation "
                 "point; reject this realization (see check_spd_on_region)")
+        out = val if order == 0 else (val, _sym_from_channels(dim, dG),
+                                      _sym_from_channels(dim, d2G))
     else:  # sym_exp
         A = _sym_from_channels(dim, G) + np.log(shift) * eye
-        dA = _sym_from_channels(dim, dG)
-        d2A = _sym_from_channels(dim, d2G) if order >= 2 else None
-        val, grad, hess = _expm_sym_with_derivatives(A, dA, d2A)
-    if value_scale != 1.0:
-        val, grad = value_scale * val, value_scale * grad
-        hess = value_scale * hess if hess is not None else None
-    return val, grad, hess
+        out = _expm_sym_with_derivatives(A, _sym_from_channels(dim, dG),
+                                         _sym_from_channels(dim, d2G))
+    s = field.value_scale
+    if s == 1.0:
+        return out
+    return s * out if order == 0 else tuple(
+        None if a is None else s * a for a in out)
 
 
-def _metric_values_from_sums(mode, shift, value_scale, dim, G):
+def _conformal_metric(phi, dphi, d2phi, dim):
+    """g = e^{2 phi} I from phi (B,), dphi (B,d) and d2phi (B,d,d): the value
+    alone when dphi is None, else (value, grad, hess) with hess None when
+    d2phi is None."""
     eye = np.eye(dim)
-    if mode == "conformal":
-        val = np.exp(2.0 * G[:, 0])[:, None, None] * eye
-    elif mode == "sym_shift":
-        val = shift * eye + _sym_from_channels(dim, G)
-        if not np.all(_spd_mask(val)):
-            raise RejectedRealizationError("sym_shift metric not SPD")
-    else:
-        A = _sym_from_channels(dim, G) + np.log(shift) * eye
-        lam, Q = np.linalg.eigh(A)
-        val = np.einsum("bik,bk,bjk->bij", Q, np.exp(lam), Q)
-    return value_scale * val if value_scale != 1.0 else val
+    f = np.exp(2.0 * phi)
+    val = f[:, None, None] * eye
+    if dphi is None:
+        return val
+    grad = (2.0 * dphi * f[:, None])[:, :, None, None] * eye
+    if d2phi is None:
+        return val, grad, None
+    d2f = (4.0 * dphi[:, :, None] * dphi[:, None, :]
+           + 2.0 * d2phi) * f[:, None, None]
+    return val, grad, d2f[:, :, :, None, None] * eye
 
 
 class FieldStack:
@@ -504,36 +496,28 @@ class FieldStack:
         cut down to some of its rows."""
         return FieldStack([self.field_at(b) for b in rows])
 
-    def _gather(self, X):
-        """Row i of the batch evaluates against field (i mod F); batches of
-        k * F rows therefore map block-cyclically onto the stack."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[0] % len(self.fields) != 0:
+    def _lookup(self, X):
+        """Coefficient lookup reading row i of the batch X from field
+        (i mod F); batches of k * F rows therefore map block-cyclically onto
+        the stack."""
+        B = np.atleast_2d(np.asarray(X, dtype=float)).shape[0]
+        if B % len(self.fields) != 0:
             raise FieldError("point batch must be a multiple of the stack size")
-        rows = np.arange(X.shape[0]) % len(self.fields)
-        return self.template._gather(X, lambda flat: self._coeff[rows[:, None], flat])
+        rows = np.arange(B) % len(self.fields)
+        return lambda flat: self._coeff[rows[:, None], flat]
 
     def evaluate_batch(self, X, order=2):
         t = self.template
-        dx, coeff = self._gather(X)
-        G, dG, d2G = _kernel_sums(t.kernel, t._norm, dx, coeff, order)
-        return _metric_from_sums(t.mode, t.shift, t.value_scale, t.dim,
-                                 G, dG, d2G, order)
+        return _metric_from_sums(t, t._sums(X, order, self._lookup(X)), order)
 
     def values_batch(self, X):
         t = self.template
-        dx, coeff = self._gather(X)
-        G = _value_sums(t.kernel, t._norm, dx, coeff)
-        return _metric_values_from_sums(t.mode, t.shift, t.value_scale, t.dim, G)
+        return _metric_from_sums(t, t._sums(X, 0, self._lookup(X)), 0)
 
     def conformal_exponent_batch(self, X, order=2):
         """As MetricField.conformal_exponent_batch, row b against field b."""
         t = self.template
-        if t.mode != "conformal":
-            raise FieldError("conformal_exponent_batch needs a conformal field")
-        dx, coeff = self._gather(X)
-        G, dG, d2G = _kernel_sums(t.kernel, t._norm, dx, coeff, order)
-        return _exponent_from_sums(t.value_scale, G, dG, d2G)
+        return _exponent_from_sums(t, t._sums(X, order, self._lookup(X)))
 
 
 def _spd_mask(mats):
@@ -583,13 +567,17 @@ def _expm_sym_with_derivatives(A, dA, d2A):
     """e^A with first and second directional derivatives, A symmetric.
 
     A: (B,d,d); dA: (B,p,d,d) directions per coordinate; d2A: (B,p,p,d,d).
+    Returns e^A alone when dA is None, else (e^A, grad, hess) with hess None
+    when d2A is None.
     Uses the spectral (Daleckii-Krein) representation: in the eigenbasis of A,
     [De^A(E)]_ij = E~_ij f[l_i, l_j] and
     [D2e^A(E,F)]_ij = sum_k (E~_ik F~_kj + F~_ik E~_kj) f[l_i, l_k, l_j].
     """
     lam, Q = np.linalg.eigh(A)
-    f1 = _exp_dd1(lam[:, :, None], lam[:, None, :])              # (B,d,d)
     val = np.einsum("bik,bk,bjk->bij", Q, np.exp(lam), Q)
+    if dA is None:
+        return val
+    f1 = _exp_dd1(lam[:, :, None], lam[:, None, :])              # (B,d,d)
 
     Et = np.einsum("bki,bpkl,blj->bpij", Q, dA, Q)               # directions in eigenbasis
     grad_t = Et * f1[:, None, :, :]
@@ -630,7 +618,7 @@ class AnalyticField:
         return val[0], grad[0], hess[0]
 
     def values_batch(self, X):
-        return self.evaluate_batch(X)[0]
+        return self.evaluate_batch(X, order=1)[0]
 
     def evaluate_batch(self, X, order=2):
         raise NotImplementedError
@@ -686,15 +674,8 @@ class ConformalAnalyticField(AnalyticField):
         return phi, dphi, d2phi if order >= 2 else None
 
     def evaluate_batch(self, X, order=2):
-        phi, dphi, d2phi = self.conformal_exponent_batch(X)
-        d = self.dim
-        eye = np.eye(d)
-        f = np.exp(2.0 * phi)
-        val = f[:, None, None] * eye
-        grad = (2.0 * dphi * f[:, None])[:, :, None, None] * eye
-        d2f = (4.0 * dphi[:, :, None] * dphi[:, None, :] + 2.0 * d2phi) * f[:, None, None]
-        hess = d2f[:, :, :, None, None] * eye
-        return val, grad, hess
+        return _conformal_metric(*self.conformal_exponent_batch(X, order),
+                                 self.dim)
 
 
 class SpherePatchField(ConformalAnalyticField):

@@ -60,12 +60,18 @@ def christoffel_from_derivatives(val, grad):
 
     val (B,d,d), grad (B,d,d,d) with grad[:,i,a,b] = d_i g_ab.
     """
+    _, _, gamma = _christoffel_parts(val, grad)
+    return 0.5 * (gamma + np.swapaxes(gamma, 2, 3))   # enforce exact symmetry
+
+
+def _christoffel_parts(val, grad):
+    """(g^-1, term, Gamma) with term[:,m,i,j] = d_i g_mj + d_j g_im - d_m g_ij
+    and Gamma = g^-1 term / 2, not symmetrised."""
     ginv = np.linalg.inv(val)
     term = (np.einsum("bimj->bmij", grad)
             + np.einsum("bjim->bmij", grad)
             - grad)
-    gamma = 0.5 * np.einsum("bkm,bmij->bkij", ginv, term)
-    return 0.5 * (gamma + np.swapaxes(gamma, 2, 3))   # enforce exact symmetry
+    return ginv, term, 0.5 * np.einsum("bkm,bmij->bkij", ginv, term)
 
 
 def christoffel(field, x, condition_limit=1e12):
@@ -80,11 +86,7 @@ def christoffel(field, x, condition_limit=1e12):
 
 def _christoffel_and_partials(val, grad, hess):
     """Gamma and its coordinate partials d_l Gamma^k_ij (batched)."""
-    ginv = np.linalg.inv(val)
-    term = (np.einsum("bimj->bmij", grad)
-            + np.einsum("bjim->bmij", grad)
-            - grad)
-    gamma = 0.5 * np.einsum("bkm,bmij->bkij", ginv, term)
+    ginv, term, gamma = _christoffel_parts(val, grad)
     dginv = -np.einsum("Xka,Xlab,Xbm->Xlkm", ginv, grad, ginv)
     # hess[:, l, i, a, b] = d_l d_i g_ab
     dterm = (np.einsum("blimj->blmij", hess)

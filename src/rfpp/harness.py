@@ -132,7 +132,7 @@ def canonical_json(obj):
     def default(o):
         if isinstance(o, np.ndarray):
             return o.tolist()
-        if isinstance(o, (np.floating, np.integer)):
+        if isinstance(o, np.generic):
             return o.item()
         raise TypeError(f"not serializable: {type(o)}")
     return json.dumps(obj, sort_keys=True, indent=2, default=default)

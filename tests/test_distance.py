@@ -375,6 +375,50 @@ def test_sphere_cut_point_detected_near_pi():
     assert np.pi - 0.05 <= verdict.first_failure_time <= np.pi + 0.05
 
 
+def _is_minimizing_loop(field, path, graph, tol, every):
+    """Checkpoint-by-checkpoint oracle: one single-point field call each."""
+    from rfpp.geometry import cumulative_lengths
+    cum = cumulative_lengths(path, field, "riemannian")
+    dist, _ = graph.sssp(graph.snap(path.positions[0]))
+    verdicts = []
+    for i in np.arange(every, len(path.times), every):
+        x = path.positions[i]
+        z = graph.snap(x)
+        offset = np.linalg.norm(graph.node_position(z) - x)
+        g = field.values_batch(x[None, :])[0]
+        allowance = (offset + 0.5 * graph.h) * np.sqrt(
+            float(np.max(np.linalg.eigvalsh(g))))
+        d_hat = float(dist[int(graph.node_index(z))])
+        verdicts.append(cum[i] <= d_hat * (1.0 + tol) + allowance)
+    return np.array(verdicts)
+
+
+def _minimality_case(name):
+    if name == "sphere":
+        # past the antipode at Riemannian time pi the checkpoints fail
+        sphere = SpherePatchField(radius=1.0)
+        return sphere, build_graph(sphere, Box.cube(1.8, 2), 0.05, 16), \
+            geodesic_shoot(sphere, (1.0, 0.0), np.array([0.0, 1.0]), T=4.6,
+                           step=2e-3)
+    field = conformal(5, half_width=6.0)
+    return field, build_graph(field, Box.cube(4.0, 2), 0.25, 16), \
+        geodesic_shoot(field, (0.1, 0.0), np.array([0.6, 0.8]), T=3.5,
+                       step=2e-3, parametrization="euclidean")
+
+
+@pytest.mark.parametrize("name", ["conformal", "sphere"])
+def test_is_minimizing_matches_checkpoint_loop(name):
+    field, g, path = _minimality_case(name)
+    verdict = is_minimizing(field, path, g, checkpoint_every=25)
+    expected = _is_minimizing_loop(field, path, g, verdict.tol, 25)
+    assert np.array_equal(verdict.verdicts, expected)
+    failed = verdict.checkpoint_times[~expected]
+    if len(failed):
+        assert verdict.first_failure_time == failed[0]
+    else:
+        assert np.isnan(verdict.first_failure_time)
+
+
 def test_witness_length_at_least_distance():
     field = conformal(12, half_width=6.0)
     g = build_graph(field, Box.cube(4.0, 2), 0.25, 16)

@@ -5,8 +5,9 @@ import pytest
 
 from rfpp import rng
 from rfpp.fields import (AssumptionReport, Box, ConstantMetric, FieldError,
-                         FieldStack, FlatMetric, KernelSpec, MetricField,
-                         RegionError, SpherePatchField, assumption_report,
+                         FieldStack, FlatMetric, HyperbolicDiskField,
+                         KernelSpec, MetricField, RegionError,
+                         SpherePatchField, assumption_report,
                          check_spd_on_region, eigen_bounds, load_field,
                          sample_noise, save_field)
 
@@ -266,46 +267,77 @@ def test_field_stack_matches_single_fields():
         assert np.array_equal(sh[i], h[0])
 
 
-def _evaluation_digest(field, pts):
-    h = hashlib.sha256()
-    for order in (1, 2):
-        for a in field.evaluate_batch(pts, order=order):
-            if a is not None:
-                h.update(np.ascontiguousarray(a).tobytes())
-    h.update(np.ascontiguousarray(field.values_batch(pts)).tobytes())
-    return h.hexdigest()
+def _evaluation_digests(field, pts):
+    """sha256 of evaluate_batch (orders 1 and 2) and values_batch, and of the
+    conformal entry points (conformal_exponent_batch at orders 1 and 2, then
+    conformal_factor_batch where the field has it; None for tensor fields).
+    Only the arrays an order promises are hashed: analytic fields may return
+    a Hessian at order 1."""
+    def digest(arrays):
+        h = hashlib.sha256()
+        for a in arrays:
+            h.update(np.ascontiguousarray(a).tobytes())
+        return h.hexdigest()
+
+    evaluation = [a for order in (1, 2)
+                  for a in field.evaluate_batch(pts, order=order)[:order + 1]]
+    evaluation.append(field.values_batch(pts))
+    if getattr(field, "mode", "conformal") != "conformal":
+        return digest(evaluation), None
+    conformal = [a for order in (1, 2) for a in
+                 field.conformal_exponent_batch(pts, order=order)[:order + 1]]
+    if hasattr(field, "conformal_factor_batch"):
+        conformal.append(field.conformal_factor_batch(pts))
+    return digest(evaluation), digest(conformal)
 
 
-# digests of evaluate_batch (orders 1 and 2) and values_batch at fixed points,
-# computed with the per-call support meshgrid and index-array bounds check
-# (numpy 2.4.6, x86-64); the precomputed support gather must reproduce them
-# bit for bit
+# (evaluation, conformal) digests from _evaluation_digests at fixed points in
+# [-w, w]^dim (the hyperbolic points stay inside its patch), computed on
+# earlier implementations of the support gather, kernel sums and mode maps
+# (numpy 2.4.6, x86-64); any rewrite of them must reproduce every bit
 GOLDEN_EVALUATIONS = {
     "conformal": (
-        lambda: conformal(21), 2,
-        "f4729b9ad80d40ba54532d60ae3f7bc15f2e0f8a28ed6fe5e19d9f13487dde35"),
+        lambda: conformal(21), 2, 2.0,
+        "f4729b9ad80d40ba54532d60ae3f7bc15f2e0f8a28ed6fe5e19d9f13487dde35",
+        "b6d1f6c974ef2296d65622f23422ea394e02d731c47b441af4a5a87f83fb7444"),
     "sym_shift": (
         lambda: MetricField("sym_shift", seed=21, region=BOX, kernel=KERN,
-                            shift=2.0), 2,
-        "f81345ee211cb54322be671f7e4e03f763f494127e3e1bef0c8ef89de221db02"),
+                            shift=2.0), 2, 2.0,
+        "f81345ee211cb54322be671f7e4e03f763f494127e3e1bef0c8ef89de221db02",
+        None),
     "sym_exp": (
-        lambda: MetricField("sym_exp", seed=21, region=BOX, kernel=KERN), 2,
-        "b1b4c671092fba3a4168021b9e4e7b7ef7a706b51025c08203b58794b623c74a"),
+        lambda: MetricField("sym_exp", seed=21, region=BOX, kernel=KERN), 2, 2.0,
+        "b1b4c671092fba3a4168021b9e4e7b7ef7a706b51025c08203b58794b623c74a",
+        None),
     "stack": (
-        lambda: FieldStack([conformal(s) for s in (21, 22)]), 2,
-        "28b0bd51b989c5643e6ef622c32f1080534c3d32a7475316353d06525844805f"),
+        lambda: FieldStack([conformal(s) for s in (21, 22)]), 2, 2.0,
+        "28b0bd51b989c5643e6ef622c32f1080534c3d32a7475316353d06525844805f",
+        "d61dd6e49b938c2f268cea244a7a846325318ed72940719613df64ccee07941f"),
     "conformal_3d": (
         lambda: MetricField("conformal", seed=21, region=Box.cube(3.0, 3),
-                            kernel=KERN), 3,
-        "15239dbbe55382dbd79c1707765d730900eec19dd5065745ed5c878c806cf26a"),
+                            kernel=KERN), 3, 2.0,
+        "15239dbbe55382dbd79c1707765d730900eec19dd5065745ed5c878c806cf26a",
+        "66ae11d1938b5cd7cbf27a82fc2beac2a14b7c5090bd792846ecec0431850a69"),
+    "conformal_scaled": (
+        lambda: conformal(21).scaled(4.0), 2, 2.0,
+        "8db39232bddc8fc22e7efce723b0aafd2cb0d7bfeaa11f47d7953c5be9c41e07",
+        "17f3f50c59b7269578e928ac1538cc2af88a61f1d571f2089acdc203b65179c4"),
+    "sphere_patch": (
+        lambda: SpherePatchField(radius=1.5, center=(0.25, -0.5)), 2, 2.0,
+        "c81e2b4f7747b7e0497c3834fb182279ec7719c62af6f8991137d63c44bf0bde",
+        "6ddf9b1b2f38c0a269050a306f00708b101e83e99f25ca99c06b2287c897ec6e"),
+    "hyperbolic_disk": (
+        lambda: HyperbolicDiskField(), 2, 0.65,
+        "404eafabda22c103c77447a9725d525556bbf9b114cc0691d677862ec4258d8f",
+        "cd6c222eba7a09efcf9b4c26e93a247b8c04276bb6d00f5c84bcb62cfee39862"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_EVALUATIONS))
 def test_evaluation_golden_digest(name):
-    make, dim, expected = GOLDEN_EVALUATIONS[name]
-    pts = 4.0 * rng.uniform(210, np.arange(64 * dim)).reshape(64, dim) - 2.0
-    assert _evaluation_digest(make(), pts) == expected
+    make, dim, w, evaluation, conformal_ = GOLDEN_EVALUATIONS[name]
+    pts = 2.0 * w * rng.uniform(210, np.arange(64 * dim)).reshape(64, dim) - w
+    assert _evaluation_digests(make(), pts) == (evaluation, conformal_)
 
 
 def test_scaled_field_exact_power_of_two():
