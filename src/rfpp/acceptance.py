@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__, rng
 from .fields import Box, FlatMetric, KernelSpec, MetricField, SpherePatchField
-from .harness import canonical_json, exact_mean, _run_replicas
+from .harness import canonical_json, _run_replicas
 
 FAST_CRITERIA = (1, 2, 3, 4, 5, 6, 7)
 STOCHASTIC_CRITERIA = (3, 7, 8, 9, 10, 11, 12)
@@ -276,23 +276,18 @@ def _c7_task(args):
 
 
 def _c7_lpp_chi(workers=1):
-    from .lattice import _loglog_fit
+    from .lattice import chi_estimate
     sizes = (125, 250, 500, 1000)
     rows = _run_replicas(_c7_task, [(r, sizes) for r in range(200)], workers)
     arr = np.asarray(rows)
-    variances = []
-    for j in range(len(sizes)):
-        col = arr[:, j]
-        m = exact_mean(col)
-        variances.append(exact_mean((col - m) ** 2) * len(col) / (len(col) - 1))
-    slope, se, r2 = _loglog_fit(sizes, variances)
-    chi = slope / 2.0
-    passed = 0.25 <= chi <= 0.42
+    est = chi_estimate(sizes, arr.T)
+    passed = 0.25 <= est.estimate <= 0.42
     digest = _sha({"samples": arr.tolist()})
     return CriterionResult(
         7, "LPP chi anchor (geometric weights)", passed,
         "chi in [0.25, 0.42] at sizes 125..1000, 200 replicas",
-        {"chi": chi, "slope_se": se, "r2": r2, "variances": variances},
+        {"chi": est.estimate, "slope_se": 2.0 * est.stderr,
+         "r2": est.r_squared, "variances": list(est.statistics)},
         digest=digest)
 
 
@@ -308,34 +303,27 @@ def _c8_task(args):
 
 
 def _c8_fpp_xi(workers=1):
-    from .lattice import _loglog_fit
+    from .lattice import kpz_report
     sizes = (50, 100, 200, 400)
     replicas = 100
     tasks = [(n, r) for n in sizes for r in range(replicas)]
     rows = _run_replicas(_c8_task, tasks, workers)
     taus = np.asarray([t for t, _ in rows]).reshape(len(sizes), replicas)
     devs = np.asarray([d for _, d in rows]).reshape(len(sizes), replicas)
-    mean_dev = [exact_mean(devs[i]) for i in range(len(sizes))]
-    variances = []
-    for i in range(len(sizes)):
-        m = exact_mean(taus[i])
-        variances.append(exact_mean((taus[i] - m) ** 2) * replicas / (replicas - 1))
-    xi_slope, xi_se, xi_r2 = _loglog_fit(sizes, mean_dev)
-    chi_slope, chi_se, _ = _loglog_fit(sizes, variances)
-    chi = chi_slope / 2.0
-    residual = chi - (2.0 * xi_slope - 1.0)
-    resid_tol = 2.0 * float(np.sqrt((chi_se / 2.0) ** 2 + 4.0 * xi_se ** 2))
+    report = kpz_report(sizes, taus, devs)
+    xi = report.xi.estimate
+    mean_dev = list(report.xi.statistics)
     increasing = bool(np.all(np.diff(mean_dev) > 0))
-    passed = (0.5 <= xi_slope <= 0.8) and increasing \
-        and abs(residual) <= resid_tol
+    passed = (0.5 <= xi <= 0.8) and increasing and report.kpz_consistent
     digest = _sha({"taus": taus.tolist(), "devs": devs.tolist()})
     return CriterionResult(
         8, "FPP xi trend and KPZ residual", passed,
         "xi in [0.5, 0.8]; mean d_n strictly increasing; "
         "|chi - (2 xi - 1)| <= 2 sigma",
-        {"xi": xi_slope, "xi_r2": xi_r2, "chi": chi, "mean_dev": mean_dev,
-         "kpz_residual": residual, "residual_tol": resid_tol,
-         "increasing": increasing}, digest=digest)
+        {"xi": xi, "xi_r2": report.xi.r_squared, "chi": report.chi.estimate,
+         "mean_dev": mean_dev, "kpz_residual": report.kpz_residual,
+         "residual_tol": report.residual_tol, "increasing": increasing},
+        digest=digest)
 
 
 # -- 9: shape isotropy ------------------------------------------------------------

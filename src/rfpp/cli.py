@@ -17,6 +17,10 @@ import sys
 
 from .harness import EXPERIMENTS, ConfigError, ExperimentConfig, run
 
+# the experiments that evaluate make_field(--seed, params), the field that
+# --save-field writes and --load-field replaces
+FIELD_EXPERIMENTS = ("geodesic", "distance", "frontier")
+
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -51,6 +55,13 @@ def main(argv=None):
     if args.experiment not in EXPERIMENTS:
         parser.error(f"unknown experiment {args.experiment!r}; valid names: "
                      + ", ".join(EXPERIMENTS))
+    for flag, path in (("--save-field", args.save_field),
+                       ("--load-field", args.load_field)):
+        if path and args.experiment not in FIELD_EXPERIMENTS:
+            print(f"error: {flag} applies only to the experiments that use "
+                  f"the field of --seed: {', '.join(FIELD_EXPERIMENTS)}",
+                  file=sys.stderr)
+            return 2
     for flag, path in (("--config", args.config), ("--load-field", args.load_field)):
         if path and not os.path.isfile(path):
             print(f"error: {flag} file not found: {path}", file=sys.stderr)
@@ -87,7 +98,7 @@ def main(argv=None):
         config = ExperimentConfig(experiment=args.experiment, params=params,
                                   seed=seed, replicas=replicas,
                                   workers=args.workers, out=out)
-        if args.save_field and args.experiment != "accept":
+        if args.save_field:
             from .fields import save_field
             from .harness import make_field
             os.makedirs(out, exist_ok=True)

@@ -145,7 +145,7 @@ class PassageGraph:
         self.n_nodes = int(np.prod(self.shape))
         self.offsets = stencil_offsets(self.stencil, self.dim)
         self.factor = stencil_factor(self.stencil, self.dim)
-        self._conformal = (getattr(field, "mode", None) == "conformal"
+        self._conformal = (field.conformal
                            and hasattr(field, "conformal_factor_batch"))
         self._unit = self._weight_unit()
         self._matrix = None

@@ -26,9 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .fields import (Box, ConformalAnalyticField, FieldError, FlatMetric,
-                     KernelSpec, MetricField, RegionError, ScaledField,
-                     SpherePatchField)
+from .fields import (Box, ConformalAnalyticField, FieldError, KernelSpec,
+                     MetricField, RegionError, SpherePatchField)
 from .geometry import GeodesicPath, geodesic_shoot_batch, jacobi_integrate_batch
 from .distance import is_minimizing
 
@@ -317,24 +316,6 @@ def _quintic_blend(t):
     return chi, d1, d2
 
 
-def _phi_parts(field, X):
-    """(phi, dphi, d2phi) of a conformal field's exponent."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if isinstance(field, ConformalAnalyticField):
-        return field.phi_batch(X)
-    if isinstance(field, MetricField):
-        if field.mode != "conformal":
-            raise BumpError("bump overlays need a conformal or flat base field")
-        return field.conformal_exponent_batch(X)
-    if isinstance(field, ScaledField):
-        phi, dphi, d2phi = _phi_parts(field.base, X)
-        return phi + 0.5 * np.log(field.factor), dphi, d2phi
-    if isinstance(field, FlatMetric):
-        B, d = X.shape
-        return np.zeros(B), np.zeros((B, d)), np.zeros((B, d, d))
-    raise BumpError("bump overlays need a conformal or flat base field")
-
-
 class BumpField(ConformalAnalyticField):
     """Conformal metric blending a base field into a spherical cap.
 
@@ -344,12 +325,13 @@ class BumpField(ConformalAnalyticField):
     """
 
     def __init__(self, spec, base):
-        super().__init__(dim=getattr(base, "dim", 2))
-        _phi_parts(base, np.atleast_2d(np.asarray(spec.center, float)))  # type check
+        if not base.conformal:
+            raise BumpError("bump overlays need a conformal or flat base field")
+        super().__init__(dim=base.dim)
         self.spec = spec
         self.base = base
-        self.region = getattr(base, "region", None)
-        self.correlation_length = getattr(base, "correlation_length", 1.0)
+        self.region = base.region
+        self.correlation_length = base.correlation_length
         self.apex = np.asarray(spec.center, dtype=float)
         u = np.asarray(spec.orientation, dtype=float)
         self.cap = SpherePatchField(radius=spec.cap_radius,
@@ -359,36 +341,38 @@ class BumpField(ConformalAnalyticField):
     def contains(self, points, margin=0.0):
         return self.base.contains(points, margin=margin)
 
-    def phi_batch(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        B, d = X.shape
+    def phi_batch(self, X, order=2):
+        d = X.shape[1]
         w = self.spec.glue_width
         y = X - self.apex
         s = np.linalg.norm(y, axis=1)
         t = s / w
         chi, c1, c2 = _quintic_blend(t)
-        pb, dpb, d2pb = _phi_parts(self.base, X)
-        pc, dpc, d2pc = self.cap.phi_batch(X)
+        pb, dpb, d2pb = self.base.conformal_exponent_batch(X, order)
+        pc, dpc, d2pc = self.cap.phi_batch(X, order)
         delta = pc - pb
         ddelta = dpc - dpb
-        d2delta = d2pc - d2pb
 
         # derivatives of chi(|y| / w); chi', chi'' vanish at the apex
         with np.errstate(invalid="ignore", divide="ignore"):
             shat = np.where(s > 0, s, np.inf)
             dt = y / (w * shat[:, None])
-            eye = np.eye(d)
-            d2t = (eye[None] - y[:, :, None] * y[:, None, :] / (shat ** 2)[:, None, None]) \
-                / (w * shat[:, None, None])
         dchi = c1[:, None] * dt
-        d2chi = (c2[:, None, None] * dt[:, :, None] * dt[:, None, :]
-                 + c1[:, None, None] * d2t)
         zero = (s == 0) | (t >= 1.0)
         dchi[zero] = 0.0
-        d2chi[zero] = 0.0
 
         phi = pb + chi * delta
         dphi = dpb + dchi * delta[:, None] + chi[:, None] * ddelta
+        if order < 2:
+            return phi, dphi, None
+        with np.errstate(invalid="ignore", divide="ignore"):
+            d2t = (np.eye(d)[None]
+                   - y[:, :, None] * y[:, None, :] / (shat ** 2)[:, None, None]) \
+                / (w * shat[:, None, None])
+        d2chi = (c2[:, None, None] * dt[:, :, None] * dt[:, None, :]
+                 + c1[:, None, None] * d2t)
+        d2chi[zero] = 0.0
+        d2delta = d2pc - d2pb
         d2phi = (d2pb + d2chi * delta[:, None, None]
                  + dchi[:, :, None] * ddelta[:, None, :]
                  + dchi[:, None, :] * ddelta[:, :, None]
@@ -401,7 +385,7 @@ def make_bump(spec, base):
     field = BumpField(spec, base)
     corner = (np.asarray(spec.center)
               + np.asarray(spec.orientation) * spec.cone_length)
-    if not np.all(field.contains(np.atleast_2d(corner))):
+    if not np.all(field.contains(np.array([spec.center, corner]))):
         raise BumpError("cone does not fit inside the base field region")
     return field
 
@@ -414,18 +398,19 @@ class PerturbedConformalField(ConformalAnalyticField):
         self.base = base
         self.noise_field = noise_field
         self.amplitude = float(amplitude)
-        self.region = getattr(noise_field, "region", None)
-        self.correlation_length = getattr(base, "correlation_length", 1.0)
+        self.region = noise_field.region
+        self.correlation_length = base.correlation_length
 
     def contains(self, points, margin=0.0):
         ok = self.base.contains(points, margin=margin)
         return ok & self.noise_field.contains(points, margin=margin)
 
-    def phi_batch(self, X):
-        phi, dphi, d2phi = _phi_parts(self.base, X)
-        q, dq, d2q = _phi_parts(self.noise_field, X)
+    def phi_batch(self, X, order=2):
+        phi, dphi, d2phi = self.base.conformal_exponent_batch(X, order)
+        q, dq, d2q = self.noise_field.conformal_exponent_batch(X, order)
         a = self.amplitude
-        return phi + a * q, dphi + a * dq, d2phi + a * d2q
+        return (phi + a * q, dphi + a * dq,
+                None if d2phi is None else d2phi + a * d2q)
 
 
 def _perturbation_scale(bump, overlay, probe_points, eps):
@@ -501,10 +486,9 @@ def bump_experiment(base, spec, eps, entries=50, perturbations=1, seed=0,
 
     conj_times = np.full((entries, max(perturbations, 1)), np.nan)
     nonmin = np.zeros((entries, max(perturbations, 1)), dtype=bool)
-    region = getattr(base, "region", None)
     for p in range(max(perturbations, 1)):
         if eps > 0:
-            noise_region = region if region is not None else Box.cube(
+            noise_region = base.region if base.region is not None else Box.cube(
                 float(spec.cone_length + 4.0), 2)
             overlay = MetricField(
                 "conformal", seed=_rng.derive_seed(seed, p), region=noise_region,
@@ -590,7 +574,7 @@ def direction_scan(field, graph, radii, k=64, base=None, step=None, tol=None):
     # transience bound: a minimizing geodesic still inside the radius-R ball
     # at Riemannian time > R sqrt(Lambda(ball)) cannot be minimizing, so the
     # horizon only needs to slightly exceed the largest such bound
-    corr = getattr(field, "correlation_length", 1.0)
+    corr = field.correlation_length
     subgrid = max(17, int(np.ceil(4.0 * radii[-1] / corr)) + 1)
     lam_hat = _ball_lambda_max_at(field, base, radii[-1], subgrid=subgrid)
     bounds = radii * np.sqrt(lam_hat)

@@ -33,10 +33,16 @@ Analytic (non-random) fields used throughout the experiments live here too:
 flat and constant metrics, and conformal factors given in closed form (round
 sphere, hyperbolic disk).  All field objects share the same evaluation
 interface and can be passed anywhere a sampled field is accepted.
+
+This module alone decides which fields are conformal: every field has a
+``conformal`` flag derived from its mode or its class, and every field
+with the flag set answers ``conformal_exponent_batch(X, order)`` with
+(phi, dphi, d2phi), d2phi None below order 2.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 import struct
 from dataclasses import dataclass, field as dc_field
@@ -242,6 +248,7 @@ class MetricField:
         if shift <= 0:
             raise FieldError("shift (mean level) must be > 0")
         self.mode = mode
+        self.conformal = mode == "conformal"
         self.seed = int(seed)
         self.region = region
         self.kernel = kernel
@@ -353,7 +360,7 @@ class MetricField:
 
     def conformal_factor_batch(self, X):
         """Scalar e^{2 phi} for conformal fields (fast edge-weight path)."""
-        if self.mode != "conformal":
+        if not self.conformal:
             raise FieldError("conformal_factor_batch needs a conformal field")
         return self.value_scale * np.exp(2.0 * self._sums(X, 0)[:, 0])
 
@@ -377,7 +384,7 @@ def _sym_from_channels(dim, A):
 def _exponent_from_sums(field, sums):
     """(phi, dphi, d2phi) of a conformal field from its one-channel sums
     at order 1 or 2 (d2phi None at order 1)."""
-    if field.mode != "conformal":
+    if not field.conformal:
         raise FieldError("conformal_exponent_batch needs a conformal field")
     G, dG, d2G = sums
     phi = G[:, 0] + 0.5 * np.log(field.value_scale)
@@ -475,9 +482,8 @@ class FieldStack:
         self.template = f0
         self.dim = f0.dim
         self.region = f0.region
-        self.mode = f0.mode
+        self.conformal = f0.conformal
         self.correlation_length = f0.correlation_length
-        self.value_scale = f0.value_scale
         self._coeff = np.stack(
             [f.noise.coefficients.reshape(-1, f.noise.channels) for f in self.fields])
 
@@ -511,8 +517,7 @@ class FieldStack:
         return _metric_from_sums(t, t._sums(X, order, self._lookup(X)), order)
 
     def values_batch(self, X):
-        t = self.template
-        return _metric_from_sums(t, t._sums(X, 0, self._lookup(X)), 0)
+        return self.evaluate_batch(X, order=0)
 
     def conformal_exponent_batch(self, X, order=2):
         """As MetricField.conformal_exponent_batch, row b against field b."""
@@ -604,8 +609,8 @@ class AnalyticField:
     """Base for closed-form metrics valid on all of R^d (or a stated region)."""
 
     region = None           # None means unbounded
-    value_scale = 1.0
     correlation_length = 1.0
+    conformal = False
 
     def contains(self, points, margin=0.0):
         x = np.atleast_2d(np.asarray(points, dtype=float))
@@ -646,36 +651,42 @@ class ConstantMetric(AnalyticField):
         B, d = X.shape
         val = np.broadcast_to(self.matrix, (B, d, d)).copy()
         grad = np.zeros((B, d, d, d))
-        hess = np.zeros((B, d, d, d, d))
+        hess = np.zeros((B, d, d, d, d)) if order >= 2 else None
         return val, grad, hess
-
-
-class FlatMetric(ConstantMetric):
-    def __init__(self, dim=2):
-        super().__init__(np.eye(dim))
 
 
 class ConformalAnalyticField(AnalyticField):
     """g = e^{2 phi} I for a closed-form phi; subclasses supply phi_batch."""
 
+    conformal = True
+
     def __init__(self, dim=2):
         self.dim = dim
 
-    def phi_batch(self, X):
-        """Return (phi (B,), dphi (B,d), d2phi (B,d,d))."""
+    def phi_batch(self, X, order=2):
+        """Return (phi (B,), dphi (B,d), d2phi (B,d,d)), d2phi None below
+        order 2."""
         raise NotImplementedError
 
     def conformal_exponent_batch(self, X, order=2):
-        """phi_batch behind the region check; d2phi is None at order=1."""
+        """phi_batch behind the region check."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if not np.all(self.contains(X)):
             raise RegionError("evaluation point outside field region")
-        phi, dphi, d2phi = self.phi_batch(X)
-        return phi, dphi, d2phi if order >= 2 else None
+        return self.phi_batch(X, order)
 
     def evaluate_batch(self, X, order=2):
         return _conformal_metric(*self.conformal_exponent_batch(X, order),
                                  self.dim)
+
+
+class FlatMetric(ConformalAnalyticField):
+    """The euclidean metric g = I, the conformal field with phi = 0."""
+
+    def phi_batch(self, X, order=2):
+        B, d = X.shape
+        return (np.zeros(B), np.zeros((B, d)),
+                np.zeros((B, d, d)) if order >= 2 else None)
 
 
 class SpherePatchField(ConformalAnalyticField):
@@ -689,15 +700,9 @@ class SpherePatchField(ConformalAnalyticField):
         self.radius = float(radius)
         self.center = np.zeros(dim) if center is None else np.asarray(center, float)
 
-    def phi_batch(self, X):
-        y = X - self.center
-        R2 = self.radius ** 2
-        q = R2 + np.einsum("bi,bi->b", y, y)
-        phi = np.log(2.0 * R2) - np.log(q)
-        dphi = -2.0 * y / q[:, None]
-        d2phi = (-2.0 * np.eye(self.dim) / q[:, None, None]
-                 + 4.0 * y[:, :, None] * y[:, None, :] / (q ** 2)[:, None, None])
-        return phi, dphi, d2phi
+    def phi_batch(self, X, order=2):
+        return _stereographic_exponent(X - self.center, self.radius ** 2, 1.0,
+                                       order)
 
 
 class HyperbolicDiskField(ConformalAnalyticField):
@@ -707,15 +712,24 @@ class HyperbolicDiskField(ConformalAnalyticField):
         super().__init__(dim)
         self.region = Box.cube(patch_radius / np.sqrt(dim), dim)
 
-    def phi_batch(self, X):
-        q = 1.0 - np.einsum("bi,bi->b", X, X)
-        if np.any(q <= 0):
-            raise RegionError("point outside the unit disk")
-        phi = np.log(2.0) - np.log(q)
-        dphi = 2.0 * X / q[:, None]
-        d2phi = (2.0 * np.eye(self.dim) / q[:, None, None]
-                 + 4.0 * X[:, :, None] * X[:, None, :] / (q ** 2)[:, None, None])
-        return phi, dphi, d2phi
+    def phi_batch(self, X, order=2):
+        return _stereographic_exponent(X, 1.0, -1.0, order)
+
+
+def _stereographic_exponent(y, a, sign, order):
+    """(phi, dphi, d2phi) of e^{2 phi} = 4 a^2 / (a + sign |y|^2)^2, the
+    stereographic chart of curvature sign / a, d2phi None below order 2;
+    points where a + sign |y|^2 <= 0 lie outside the chart."""
+    q = a + sign * np.einsum("bi,bi->b", y, y)
+    if np.any(q <= 0):
+        raise RegionError("point outside the stereographic chart")
+    phi = np.log(2.0 * a) - np.log(q)
+    dphi = -2.0 * sign * y / q[:, None]
+    if order < 2:
+        return phi, dphi, None
+    d2phi = (-2.0 * sign * np.eye(y.shape[1]) / q[:, None, None]
+             + 4.0 * y[:, :, None] * y[:, None, :] / (q ** 2)[:, None, None])
+    return phi, dphi, d2phi
 
 
 class ScaledField(AnalyticField):
@@ -725,8 +739,9 @@ class ScaledField(AnalyticField):
         self.base = base
         self.factor = float(factor)
         self.dim = base.dim
-        self.region = getattr(base, "region", None)
-        self.correlation_length = getattr(base, "correlation_length", 1.0)
+        self.region = base.region
+        self.correlation_length = base.correlation_length
+        self.conformal = base.conformal
 
     def contains(self, points, margin=0.0):
         return self.base.contains(points, margin=margin)
@@ -739,6 +754,11 @@ class ScaledField(AnalyticField):
 
     def values_batch(self, X):
         return self.factor * self.base.values_batch(X)
+
+    def conformal_exponent_batch(self, X, order=2):
+        """The base's (phi, dphi, d2phi) with log(factor) / 2 added to phi."""
+        phi, dphi, d2phi = self.base.conformal_exponent_batch(X, order)
+        return phi + 0.5 * np.log(self.factor), dphi, d2phi
 
 
 # ---------------------------------------------------------------------------
@@ -867,11 +887,13 @@ def assumption_report(field, cubes, r_values=(0.5, 1.0), subgrid=7):
 # persistence
 # ---------------------------------------------------------------------------
 #
-# Binary container layout (little-endian, version 1):
+# Binary container layout (little-endian, version 2).  The coefficients are a
+# pure function of the seed and the node grid, so the container stores the
+# spec and a digest of the coefficients, and loading regenerates them:
 #
 #   offset  size  field
 #   0       8     magic  b"RFPP-FLD"
-#   8       4     u32    version (1)
+#   8       4     u32    version (2)
 #   12      1     u8     mode code (0 conformal, 1 sym_shift, 2 sym_exp)
 #   13      1     u8     dimension d
 #   14      1     u8     kernel profile code (0 bump)
@@ -887,10 +909,16 @@ def assumption_report(field, cubes, r_values=(0.5, 1.0), subgrid=7):
 #   ..      8d    f64[d] region hi
 #   ..      8d    i64[d] node index lo (global lattice coordinates)
 #   ..      8d    i64[d] node counts per axis
-#   ..      rest  f64    coefficient array, C order, shape counts + (channels,)
+#   ..      32    sha256 of the coefficient array (f64, C order, shape
+#                        counts + (channels,))
 
 _MAGIC = b"RFPP-FLD"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
+
+
+def _coefficient_digest(noise):
+    return hashlib.sha256(np.ascontiguousarray(
+        noise.coefficients, dtype="<f8").tobytes()).digest()
 
 
 def save_field(field, path):
@@ -911,7 +939,7 @@ def save_field(field, path):
     buf.write(struct.pack(f"<{d}d", *field.region.hi))
     buf.write(struct.pack(f"<{d}q", *field.noise.index_lo))
     buf.write(struct.pack(f"<{d}q", *field.noise.node_counts))
-    buf.write(np.ascontiguousarray(field.noise.coefficients, dtype="<f8").tobytes())
+    buf.write(_coefficient_digest(field.noise))
     data = buf.getvalue()
     with open(path, "wb") as fh:
         fh.write(data)
@@ -919,8 +947,9 @@ def save_field(field, path):
 
 
 def load_field(path):
-    """Read a MetricField back; stored coefficients take precedence but are
-    verified against regeneration from the stored seed."""
+    """Read a MetricField back, regenerating its coefficients from the stored
+    seed; a node grid or coefficient digest that differs from the
+    regeneration is refused."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:8] != _MAGIC:
@@ -937,15 +966,13 @@ def load_field(path):
     hi = struct.unpack_from(f"<{d}d", data, off); off += 8 * d
     index_lo = struct.unpack_from(f"<{d}q", data, off); off += 8 * d
     counts = struct.unpack_from(f"<{d}q", data, off); off += 8 * d
-    n = int(np.prod(counts)) * channels
-    coeff = np.frombuffer(data, dtype="<f8", count=n, offset=off)
-    coeff = coeff.reshape(tuple(counts) + (channels,))
     field = MetricField(_MODES[mode_c], seed, Box(lo, hi),
                         kernel=KernelSpec(range=rng_, profile=_PROFILES[profile_c],
                                           amplitude=amp),
                         shift=shift, spacing=spacing, value_scale=vscale)
-    if field.noise.index_lo != index_lo or field.noise.node_counts != tuple(counts):
+    if (field.noise.index_lo != index_lo or field.noise.node_counts != counts
+            or field.noise.channels != channels):
         raise FieldError("stored node grid does not match regeneration")
-    if not np.array_equal(field.noise.coefficients, coeff):
-        raise FieldError("stored coefficients do not match the stored seed")
+    if _coefficient_digest(field.noise) != data[off:]:
+        raise FieldError("stored coefficient digest does not match the stored seed")
     return field

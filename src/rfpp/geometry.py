@@ -12,10 +12,10 @@ fourth-order Runge-Kutta scheme.  Two parametrizations are supported:
 For a conformal metric g = c e^{2 phi} I the Christoffel symbols are
 Gamma^k_ij = delta^k_i d_j phi + delta^k_j d_i phi - delta_ij d_k phi, so the
 acceleration is the closed form  |V|^2 grad phi - 2 (V . grad phi) V  and the
-right-hand side needs only grad phi.  It is used for MetricField and
-FieldStack in conformal mode, every ConformalAnalyticField (sphere patch,
-hyperbolic disk, bump and perturbed conformal fields) and a ScaledField of
-any of these; every other field contracts the general Christoffel tensor.
+right-hand side needs only grad phi, read through
+conformal_exponent_batch(X, order=1).  It is used for every field with
+``conformal`` set (fields.py decides which those are); every other field
+contracts the general Christoffel tensor.
 
 Index conventions follow fields.py: grad[i, a, b] = d_i g_ab.  The Riemann
 tensor is assembled as
@@ -37,7 +37,7 @@ from scipy.integrate import simpson
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
 from scipy.optimize import brentq
 
-from .fields import ConformalAnalyticField, RegionError, ScaledField
+from .fields import RegionError
 
 SPEED_TOL = 1e-6           # per-sample speed drift allowance, times (1 + t)
 CONJUGATE_REFINE = 1e-6    # bisection width for conjugate-time brackets
@@ -197,31 +197,17 @@ def _normalize(field, x0, v0, parametrization):
     return v0 / n
 
 
-def _conformal_base(field):
-    """The field whose conformal_exponent_batch gives the Christoffel
-    symbols of ``field``, or None when ``field`` is not conformal.  Constant
-    rescaling leaves Gamma unchanged, so ScaledField wrappers are skipped."""
-    while isinstance(field, ScaledField):
-        field = field.base
-    if (isinstance(field, ConformalAnalyticField)
-            or getattr(field, "mode", None) == "conformal"):
-        return field
-    return None
-
-
 def _geodesic_rhs(field, X, V, parametrization):
     """(dx/dt, dv/dt) of the geodesic system at a batch of states.
 
-    For a conformal field g = c e^{2 phi} I (MetricField and FieldStack in
-    conformal mode, every ConformalAnalyticField, and ScaledField of one of
-    these) Gamma^k_ij V^i V^j = 2 (V . dphi) V^k - |V|^2 d_k phi, so the
+    For a field with ``conformal`` set, g = c e^{2 phi} I and
+    Gamma^k_ij V^i V^j = 2 (V . dphi) V^k - |V|^2 d_k phi, so the
     acceleration needs dphi alone; every other field contracts the general
     Christoffel tensor.  The euclidean parametrization then projects out the
     tangential component.
     """
-    base = _conformal_base(field)
-    if base is not None:
-        _, dphi, _ = base.conformal_exponent_batch(X, order=1)
+    if field.conformal:
+        _, dphi, _ = field.conformal_exponent_batch(X, order=1)
         acc = (np.einsum("bi,bi->b", V, V)[:, None] * dphi
                - 2.0 * np.einsum("bi,bi->b", V, dphi)[:, None] * V)
     else:
@@ -234,7 +220,7 @@ def _geodesic_rhs(field, X, V, parametrization):
 
 
 def _inside_with_margin(field, X, margins):
-    region = getattr(field, "region", None)
+    region = field.region
     if region is None:
         return np.isfinite(X).all(axis=1)
     lo = np.asarray(region.lo)
@@ -296,7 +282,7 @@ def geodesic_shoot_batch(field, x0, v0, T, step=None, parametrization="riemannia
     x0 = np.asarray(x0, dtype=float)
     X = np.broadcast_to(x0, (B, d)).astype(float).copy()
     if step is None:
-        step = 1e-3 * getattr(field, "correlation_length", 1.0)
+        step = 1e-3 * field.correlation_length
     step = float(step)
     if not np.all(field.contains(X)):
         raise RegionError("start point outside field region")

@@ -104,14 +104,10 @@ def file_digest(path):
     return h.hexdigest()
 
 
-def exact_sum(values):
-    """Order-independent exact float reduction."""
-    return math.fsum(values)
-
-
 def exact_mean(values):
+    """Order-independent exact mean (math.fsum)."""
     values = list(values)
-    return exact_sum(values) / len(values)
+    return math.fsum(values) / len(values)
 
 
 def replica_seeds(master, replicas):

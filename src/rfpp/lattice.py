@@ -26,6 +26,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
 from . import rng
+from .harness import exact_mean
 
 _WEIGHT_GRID = 2.0 ** 30
 
@@ -483,8 +484,26 @@ def _passage_samples(model, config, n, replicas):
                      for r in range(replicas)])
 
 
+def chi_estimate(sizes, samples):
+    """chi from the regression of log Var a_n on log n (chi = slope / 2),
+    samples[i] holding the passage times at sizes[i].  Var is
+    mean((a - m)^2) n / (n - 1) with exact (math.fsum) means."""
+    variances = []
+    for row in np.asarray(samples, dtype=float):
+        m = exact_mean(row)
+        v = exact_mean((row - m) ** 2) * len(row) / (len(row) - 1)
+        if v == 0:
+            raise LatticeError("degenerate variance; weights deterministic?")
+        variances.append(v)
+    slope, se, r2 = _loglog_fit(sizes, variances)
+    return ExponentEstimate(name="chi", estimate=slope / 2.0,
+                            halfwidth=max(se, 1e-12), stderr=se / 2.0,
+                            sizes=tuple(sizes), statistics=tuple(variances),
+                            slope=slope, r_squared=r2)
+
+
 def exponent_chi(model, config, sizes, replicas=100):
-    """chi from the regression of log Var a_n on log n (chi = slope / 2)."""
+    """chi_estimate over ``replicas`` passage times at each size."""
     if model not in ("fpp", "lpp"):
         raise LatticeError("model must be fpp or lpp")
     if len(sizes) < 4:
@@ -493,19 +512,8 @@ def exponent_chi(model, config, sizes, replicas=100):
         raise LatticeError("need at least 100 replicas")
     if not config.law.random:
         raise LatticeError("deterministic weights have no fluctuations")
-    variances = []
-    for n in sizes:
-        samples = _passage_samples(model, config, n, replicas)
-        v = float(np.var(samples, ddof=1))
-        if v == 0:
-            raise LatticeError("degenerate variance; weights deterministic?")
-        variances.append(v)
-    slope, se, r2 = _loglog_fit(sizes, variances)
-    return ExponentEstimate(name="chi", estimate=slope / 2.0,
-                            halfwidth=max(2.0 * se / 2.0, 1e-12),
-                            stderr=se / 2.0, sizes=tuple(sizes),
-                            statistics=tuple(variances), slope=slope,
-                            r_squared=r2)
+    return chi_estimate(sizes, [_passage_samples(model, config, n, replicas)
+                                for n in sizes])
 
 
 @dataclass(frozen=True)
@@ -520,47 +528,43 @@ class KpzReport:
         return abs(self.kpz_residual) <= self.residual_tol
 
 
-def exponent_xi(model, config, sizes, replicas=100):
-    """xi from the regression of log E d_n on log n, with the KPZ residual.
+def kpz_report(sizes, taus, devs):
+    """xi from the regression of log E d_n on log n (exact means), chi from
+    the passage times of the same runs on the identical size grid
+    (chi_estimate), and the residual chi - (2 xi - 1) with a propagated
+    two-sigma tolerance; taus[i] and devs[i] hold the runs at sizes[i]."""
+    means = [exact_mean(row) for row in devs]
+    xi_slope, xi_se, xi_r2 = _loglog_fit(sizes, means)
+    xi = ExponentEstimate(name="xi", estimate=xi_slope,
+                          halfwidth=max(2.0 * xi_se, 1e-12), stderr=xi_se,
+                          sizes=tuple(sizes), statistics=tuple(means),
+                          slope=xi_slope, r_squared=xi_r2)
+    chi = chi_estimate(sizes, taus)
+    residual = chi.estimate - (2.0 * xi.estimate - 1.0)
+    tol = 2.0 * float(np.sqrt(chi.stderr ** 2 + 4.0 * xi.stderr ** 2))
+    return KpzReport(xi=xi, chi=chi, kpz_residual=float(residual),
+                     residual_tol=tol)
 
-    The same witness runs provide the passage times, so chi is estimated on
-    the identical size grid and the residual chi - (2 xi - 1) carries a
-    propagated two-sigma tolerance.
-    """
+
+def exponent_xi(model, config, sizes, replicas=100):
+    """kpz_report over ``replicas`` untied witness runs at each size."""
     if model != "fpp":
         raise LatticeError("transversal deviations are defined for fpp")
     if not config.law.continuous:
         raise LatticeError("xi needs a continuous weight law")
     if len(sizes) < 4:
         raise LatticeError("need at least 4 sizes")
-    means = []
-    variances = []
-    for n in sizes:
+    taus = np.empty((len(sizes), replicas))
+    devs = np.empty((len(sizes), replicas))
+    for i, n in enumerate(sizes):
         cfg = LatticeConfig(config.dimension, max(config.n, int(n)),
                             config.law, config.seed)
         target = np.array([n] + [0] * (cfg.dimension - 1))
-        taus = np.empty(replicas)
-        devs = np.empty(replicas)
         for r in range(replicas):
             res = untied_fpp_passage(cfg, target, r)
-            taus[r] = res.tau
-            devs[r] = _witness_deviation(res.witness, n)
-        means.append(float(np.mean(devs)))
-        variances.append(float(np.var(taus, ddof=1)))
-    xi_slope, xi_se, xi_r2 = _loglog_fit(sizes, means)
-    xi = ExponentEstimate(name="xi", estimate=xi_slope,
-                          halfwidth=max(2.0 * xi_se, 1e-12), stderr=xi_se,
-                          sizes=tuple(sizes), statistics=tuple(means),
-                          slope=xi_slope, r_squared=xi_r2)
-    chi_slope, chi_se, chi_r2 = _loglog_fit(sizes, variances)
-    chi = ExponentEstimate(name="chi", estimate=chi_slope / 2.0,
-                           halfwidth=max(chi_se, 1e-12), stderr=chi_se / 2.0,
-                           sizes=tuple(sizes), statistics=tuple(variances),
-                           slope=chi_slope, r_squared=chi_r2)
-    residual = chi.estimate - (2.0 * xi.estimate - 1.0)
-    tol = 2.0 * float(np.sqrt(chi.stderr ** 2 + 4.0 * xi.stderr ** 2))
-    return KpzReport(xi=xi, chi=chi, kpz_residual=float(residual),
-                     residual_tol=tol)
+            taus[i, r] = res.tau
+            devs[i, r] = _witness_deviation(res.witness, n)
+    return kpz_report(sizes, taus, devs)
 
 
 # ---------------------------------------------------------------------------

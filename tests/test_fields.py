@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from rfpp import rng
+from rfpp.experiments import BumpSpec, PerturbedConformalField, make_bump
 from rfpp.fields import (AssumptionReport, Box, ConstantMetric, FieldError,
                          FieldStack, FlatMetric, HyperbolicDiskField,
-                         KernelSpec, MetricField, RegionError,
+                         KernelSpec, MetricField, RegionError, ScaledField,
                          SpherePatchField, assumption_report,
                          check_spd_on_region, eigen_bounds, load_field,
                          sample_noise, save_field)
@@ -271,30 +272,39 @@ def _evaluation_digests(field, pts):
     """sha256 of evaluate_batch (orders 1 and 2) and values_batch, and of the
     conformal entry points (conformal_exponent_batch at orders 1 and 2, then
     conformal_factor_batch where the field has it; None for tensor fields).
-    Only the arrays an order promises are hashed: analytic fields may return
-    a Hessian at order 1."""
+    Every order-1 call must return None for the Hessian it skips."""
     def digest(arrays):
         h = hashlib.sha256()
         for a in arrays:
             h.update(np.ascontiguousarray(a).tobytes())
         return h.hexdigest()
 
-    evaluation = [a for order in (1, 2)
-                  for a in field.evaluate_batch(pts, order=order)[:order + 1]]
-    evaluation.append(field.values_batch(pts))
-    if getattr(field, "mode", "conformal") != "conformal":
+    def orders(evaluate):
+        first, second = evaluate(pts, order=1), evaluate(pts, order=2)
+        assert first[2] is None
+        return list(first[:2]) + list(second)
+
+    evaluation = orders(field.evaluate_batch) + [field.values_batch(pts)]
+    if not field.conformal:
         return digest(evaluation), None
-    conformal = [a for order in (1, 2) for a in
-                 field.conformal_exponent_batch(pts, order=order)[:order + 1]]
+    conformal = orders(field.conformal_exponent_batch)
     if hasattr(field, "conformal_factor_batch"):
         conformal.append(field.conformal_factor_batch(pts))
     return digest(evaluation), digest(conformal)
 
 
+def _bump(base):
+    spec = BumpSpec(center=(0.0, 0.0), cone_half_angle=1.2, glue_width=0.5)
+    return make_bump(spec, base)
+
+
 # (evaluation, conformal) digests from _evaluation_digests at fixed points in
 # [-w, w]^dim (the hyperbolic points stay inside its patch), computed on
 # earlier implementations of the support gather, kernel sums and mode maps
-# (numpy 2.4.6, x86-64); any rewrite of them must reproduce every bit
+# (numpy 2.4.6, x86-64); any rewrite of them must reproduce every bit.  The
+# flat, bump, perturbed and scaled-sphere digests were computed when
+# FlatMetric was a constant tensor field and bump exponents were assembled
+# outside fields.py, always at order 2
 GOLDEN_EVALUATIONS = {
     "conformal": (
         lambda: conformal(21), 2, 2.0,
@@ -330,6 +340,28 @@ GOLDEN_EVALUATIONS = {
         lambda: HyperbolicDiskField(), 2, 0.65,
         "404eafabda22c103c77447a9725d525556bbf9b114cc0691d677862ec4258d8f",
         "cd6c222eba7a09efcf9b4c26e93a247b8c04276bb6d00f5c84bcb62cfee39862"),
+    "flat": (
+        lambda: FlatMetric(2), 2, 2.0,
+        "2a3c0465947de3a09a9a039eda7d5efedaa50b8f0252cdbbd165eb68c1ee1b5f",
+        "a11937f356a9b0ba592c82f5290bac8016cb33a3f9bc68d3490147c158ebb10d"),
+    "bump_conformal": (
+        lambda: _bump(conformal(21)), 2, 2.0,
+        "99045b6857f2fbeabca15b8815ccbaa656e53d6560430aaed1d6a7e4799b406f",
+        "0dde7999641272991562c954d16c4af61d013709d1102a5ff9b8105fbebd4a02"),
+    "bump_flat": (
+        lambda: _bump(FlatMetric(2)), 2, 2.0,
+        "a9ff5b291e64b77f460f0112cb8a8643fef8e27b4f86282e2a5ef458c94c8e19",
+        "c2bbfe035f3825e0f10298b295d8150159ffd5a9e805f3d47c62e9c3ed28433a"),
+    "perturbed": (
+        lambda: PerturbedConformalField(_bump(conformal(21)), conformal(22),
+                                        0.05), 2, 2.0,
+        "b95941f4bbfe57faac016b8b0187caa3d752fd0f7eb6a77276e28102240ddbee",
+        "759727a0574589a161e8f4abcba59f664d88c2a9b473df0e0693d2adb33308ed"),
+    "scaled_sphere": (
+        lambda: ScaledField(SpherePatchField(radius=1.5, center=(0.25, -0.5)),
+                            0.7), 2, 2.0,
+        "8466300f3f9c1af38aa1e704d62234fb8b7391faeacc9b537956f03c90616ffb",
+        "cf312a7ccfdafe3893de6fd84fe8a8dfe0088a3c298fdbe60a1ad2e24393d0d8"),
 }
 
 
@@ -362,6 +394,20 @@ def test_save_load_roundtrip(tmp_path):
     b = g.evaluate_batch(pts)
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("offset,match", [(-1, "digest"), (16, "digest"),
+                                          (8, "unsupported container version")])
+def test_load_rejects_tampered_container(tmp_path, offset, match):
+    # a flipped digest byte, a flipped seed byte (the regenerated
+    # coefficients no longer match the digest), and version 1 (2 ^ 3)
+    path = tmp_path / "field.rfpp"
+    save_field(conformal(5, box=Box.cube(2.0, 2)), path)
+    data = bytearray(path.read_bytes())
+    data[offset] ^= 3 if offset == 8 else 1
+    path.write_bytes(bytes(data))
+    with pytest.raises(FieldError, match=match):
+        load_field(path)
 
 
 def test_load_rejects_corrupt(tmp_path):

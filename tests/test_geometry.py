@@ -8,7 +8,7 @@ from rfpp.experiments import BumpSpec, PerturbedConformalField, make_bump
 from rfpp.fields import (Box, ConstantMetric, FieldStack, FlatMetric,
                          HyperbolicDiskField, KernelSpec, MetricField,
                          ScaledField, SpherePatchField)
-from rfpp.geometry import (GeometryError, _conformal_base, _geodesic_rhs,
+from rfpp.geometry import (GeometryError, _geodesic_rhs,
                            christoffel, christoffel_from_derivatives,
                            cumulative_lengths, curvature_at, geodesic_shoot,
                            geodesic_shoot_batch, jacobi_integrate, lengths,
@@ -366,7 +366,7 @@ CONFORMAL_FIELDS = {
 @pytest.mark.parametrize("name", sorted(CONFORMAL_FIELDS))
 def test_conformal_rhs_matches_tensor_path(name, parametrization):
     field = CONFORMAL_FIELDS[name]()
-    assert _conformal_base(field) is not None
+    assert field.conformal
     # 64 points spanning the bump's glue ring and its cap
     X = 1.1 * rng.uniform(71, np.arange(128)).reshape(64, 2) - 0.5
     V = 2.0 * rng.uniform(72, np.arange(128)).reshape(64, 2) - 1.0
@@ -379,12 +379,22 @@ def test_conformal_rhs_matches_tensor_path(name, parametrization):
     assert np.all(err <= 1e-12 * np.max(np.abs(ref), axis=1))
 
 
+@pytest.mark.parametrize("name", sorted(CONFORMAL_FIELDS) + ["flat"])
+def test_conformal_exponent_order_one_is_order_two_without_hessian(name):
+    field = FLAT if name == "flat" else CONFORMAL_FIELDS[name]()
+    X = 1.1 * rng.uniform(71, np.arange(128)).reshape(64, 2) - 0.5
+    phi1, dphi1, d2phi1 = field.conformal_exponent_batch(X, order=1)
+    phi2, dphi2, d2phi2 = field.conformal_exponent_batch(X, order=2)
+    assert d2phi1 is None and d2phi2.shape == (64, 2, 2)
+    assert phi1.tobytes() == phi2.tobytes() and dphi1.tobytes() == dphi2.tobytes()
+
+
 @pytest.mark.parametrize("mode", ["sym_shift", "sym_exp"])
 def test_tensor_fields_keep_tensor_path(mode):
     field = MetricField(mode, seed=66, region=Box.cube(4.0, 2),
                         kernel=KernelSpec(range=1.0, amplitude=0.2), shift=2.0)
-    assert _conformal_base(field) is None
-    assert _conformal_base(ScaledField(field, 2.0)) is None
+    assert not field.conformal
+    assert not ScaledField(field, 2.0).conformal
     X = 4.0 * rng.uniform(73, np.arange(40)).reshape(20, 2) - 2.0
     V = 2.0 * rng.uniform(74, np.arange(40)).reshape(20, 2) - 1.0
     for parametrization in ("riemannian", "euclidean"):
