@@ -17,8 +17,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import __version__, rng
-from .fields import Box, FlatMetric, KernelSpec, MetricField, SpherePatchField
-from .harness import canonical_json, _run_replicas
+from .fields import Box, FlatMetric, SpherePatchField
+from .harness import canonical_json, make_field, _run_replicas, _shape_replica
 
 FAST_CRITERIA = (1, 2, 3, 4, 5, 6, 7)
 STOCHASTIC_CRITERIA = (3, 7, 8, 9, 10, 11, 12)
@@ -41,11 +41,6 @@ class CriterionResult:
 
 def _sha(obj):
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
-
-
-def _conformal(seed, amplitude=0.3, half_width=16.0):
-    return MetricField("conformal", seed=seed, region=Box.cube(half_width, 2),
-                       kernel=KernelSpec(range=1.0, amplitude=amplitude))
 
 
 # -- 1: flat-metric distance -------------------------------------------------
@@ -85,7 +80,7 @@ def _c3_speed_conservation(workers=1):
     from .fields import FieldStack
     from .geometry import geodesic_shoot_batch
     seeds = [rng.derive_seed(30001, r) for r in range(20)]
-    fields = [_conformal(s, half_width=30.0) for s in seeds]
+    fields = [make_field(s, {"half_width": 30.0}) for s in seeds]
     stack = FieldStack(fields)
     angles = 2.0 * np.pi * rng.uniform(30002, np.arange(20))
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
@@ -105,7 +100,7 @@ def _c3_speed_conservation(workers=1):
 
 def _c4_christoffel(workers=1):
     from .geometry import christoffel, christoffel_from_derivatives
-    field = _conformal(40001, half_width=8.0)
+    field = make_field(40001, {"half_width": 8.0})
     pts = 6.0 * rng.uniform(40002, np.arange(200)).reshape(100, 2) - 3.0
     h = 1e-4
     worst = 0.0
@@ -328,20 +323,12 @@ def _c8_fpp_xi(workers=1):
 
 # -- 9: shape isotropy ------------------------------------------------------------
 
-def _c9_task(args):
-    seed, t, k = args
-    from .distance import build_graph, directional_mu
-    field = _conformal(seed, half_width=t + 3.0)
-    graph = build_graph(field, Box.cube(t + 2.0, 2), h=0.3, stencil=32)
-    return directional_mu(graph, t, k)
-
-
 def _c9_shape_isotropy(workers=1):
     from .distance import ShapeEstimate
-    t, k, n_seeds = 30.0, 16, 20
-    seeds = [rng.derive_seed(90001, r) for r in range(n_seeds)]
-    rows = _run_replicas(_c9_task, [(s, t, k) for s in seeds], workers)
-    est = ShapeEstimate.from_samples(rows, t)
+    params = {"t": 30.0, "h": 0.3, "stencil": 32, "directions": 16}
+    seeds = [rng.derive_seed(90001, r) for r in range(20)]
+    rows = _run_replicas(_shape_replica, [(s, params) for s in seeds], workers)
+    est = ShapeEstimate.from_samples(rows, params["t"])
     passed = est.anisotropy_ratio <= 1.05
     digest = _sha({"mu_rows": np.asarray(rows).tolist()})
     return CriterionResult(
@@ -382,7 +369,7 @@ def _c11_task(args):
     from .distance import build_graph, is_minimizing, length_ratio
     from .experiments import frontier_density
     from .geometry import geodesic_shoot
-    field = _conformal(seed, half_width=17.0)
+    field = make_field(seed, {"half_width": 17.0})
     graph = build_graph(field, Box.cube(14.0, 2), h=0.3, stencil=32)
     angle = float(2 * np.pi * rng.uniform(seed, 777))
     v0 = np.array([np.cos(angle), np.sin(angle)])
@@ -441,8 +428,7 @@ def _c12_task(args):
     seed, = args
     from .distance import build_graph
     from .experiments import direction_scan
-    field = MetricField("conformal", seed=seed, region=Box.cube(47.0, 2),
-                        kernel=KernelSpec(range=1.0, amplitude=SCAN_AMPLITUDE))
+    field = make_field(seed, {"half_width": 47.0, "amplitude": SCAN_AMPLITUDE})
     graph = build_graph(field, Box.cube(44.0, 2), h=0.5, stencil=16)
     scan = direction_scan(field, graph, radii=(5.0, 10.0, 20.0, 40.0),
                           k=64, step=2e-2)
@@ -467,7 +453,7 @@ def _c12_scan_trend(workers=1):
 
 # -- 13: reproducibility ------------------------------------------------------------------
 
-def _c13_reproducibility(results, workers_pair=(1, 8)):
+def _c13_reproducibility(results, workers_pair):
     """Rerun each stochastic criterion with the alternate worker count and
     compare digests; the primary suite run provides the first sample."""
     checked = {}
@@ -475,7 +461,7 @@ def _c13_reproducibility(results, workers_pair=(1, 8)):
     for cid in STOCHASTIC_CRITERIA:
         if cid not in results:
             continue
-        rerun = _CRITERIA[cid][1](workers=workers_pair[1])
+        rerun = _CRITERIA[cid](workers=workers_pair[1])
         same = rerun.digest == results[cid].digest
         checked[str(cid)] = {"digest_first": results[cid].digest,
                              "digest_second": rerun.digest, "identical": same}
@@ -488,25 +474,24 @@ def _c13_reproducibility(results, workers_pair=(1, 8)):
 
 
 _CRITERIA = {
-    1: ("flat-metric distance ratio", _c1_flat_distance),
-    2: ("round-sphere conjugate time", _c2_sphere_conjugate),
-    3: ("geodesic speed conservation", _c3_speed_conservation),
-    4: ("Christoffel consistency", _c4_christoffel),
-    5: ("lattice kernels against enumeration", _c5_lattice_kernels),
-    6: ("exact subadditivity/superadditivity", _c6_additivity),
-    7: ("LPP chi anchor", _c7_lpp_chi),
-    8: ("FPP xi trend and KPZ residual", _c8_fpp_xi),
-    9: ("shape isotropy", _c9_shape_isotropy),
-    10: ("bump destabilization", _c10_bump),
-    11: ("frontier machinery", _c11_frontier),
-    12: ("direction scan trend", _c12_scan_trend),
+    1: _c1_flat_distance,
+    2: _c2_sphere_conjugate,
+    3: _c3_speed_conservation,
+    4: _c4_christoffel,
+    5: _c5_lattice_kernels,
+    6: _c6_additivity,
+    7: _c7_lpp_chi,
+    8: _c8_fpp_xi,
+    9: _c9_shape_isotropy,
+    10: _c10_bump,
+    11: _c11_frontier,
+    12: _c12_scan_trend,
 }
 
 
 def run_criterion(cid, workers=1):
-    name, fn = _CRITERIA[cid]
     t0 = time.perf_counter()
-    res = fn(workers=workers)
+    res = _CRITERIA[cid](workers=workers)
     res.runtime_s = time.perf_counter() - t0
     return res
 
@@ -527,7 +512,7 @@ class SuiteReport:
             "criteria": [r.as_dict() for r in self.results]})
 
 
-def run_suite(suite="full", workers=1, echo=True):
+def run_suite(suite="full", workers=1):
     """Run the acceptance criteria; 'fast' runs the sub-minute subset.
 
     Prints one pass/fail line per criterion and returns a SuiteReport.
@@ -541,14 +526,12 @@ def run_suite(suite="full", workers=1, echo=True):
         res = run_criterion(cid, workers=workers)
         results[cid] = res
         report.results.append(res)
-        if echo:
-            print(f"[{'PASS' if res.passed else 'FAIL'}] criterion {cid:2d}: "
-                  f"{res.name} ({res.runtime_s:.1f}s)", flush=True)
+        print(f"[{'PASS' if res.passed else 'FAIL'}] criterion {cid:2d}: "
+              f"{res.name} ({res.runtime_s:.1f}s)", flush=True)
     t0 = time.perf_counter()
     res13 = _c13_reproducibility(results, workers_pair=(workers, 8))
     res13.runtime_s = time.perf_counter() - t0
     report.results.append(res13)
-    if echo:
-        print(f"[{'PASS' if res13.passed else 'FAIL'}] criterion 13: "
-              f"{res13.name} ({res13.runtime_s:.1f}s)", flush=True)
+    print(f"[{'PASS' if res13.passed else 'FAIL'}] criterion 13: "
+          f"{res13.name} ({res13.runtime_s:.1f}s)", flush=True)
     return report

@@ -32,6 +32,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
+from .fields import Box, MetricField, grid_points
 
 _QUANT_BITS = 24
 
@@ -46,9 +47,7 @@ class GraphError(ValueError):
 
 def _coprime_ring(radius, dim):
     """Integer vectors with Chebyshev norm == radius and coprime entries."""
-    axes = [np.arange(-radius, radius + 1)] * dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    vecs = np.stack([m.ravel() for m in mesh], axis=1)
+    vecs = grid_points([np.arange(-radius, radius + 1)] * dim)
     cheb = np.max(np.abs(vecs), axis=1)
     vecs = vecs[cheb == radius]
     g = np.gcd.reduce(np.abs(vecs), axis=1)
@@ -145,8 +144,8 @@ class PassageGraph:
         self.n_nodes = int(np.prod(self.shape))
         self.offsets = stencil_offsets(self.stencil, self.dim)
         self.factor = stencil_factor(self.stencil, self.dim)
-        self._conformal = (field.conformal
-                           and hasattr(field, "conformal_factor_batch"))
+        # only a sampled field has the scalar e^{2 phi} path
+        self._scalar_speed = isinstance(field, MetricField) and field.conformal
         self._unit = self._weight_unit()
         self._matrix = None
         self._edge_cache = {}
@@ -183,10 +182,8 @@ class PassageGraph:
         return np.round(p).astype(np.int64)
 
     def all_node_positions(self):
-        grids = [np.arange(self.z_lo[i], self.z_hi[i] + 1) for i in range(self.dim)]
-        mesh = np.meshgrid(*grids, indexing="ij")
-        z = np.stack([m.ravel() for m in mesh], axis=1)
-        return z * self.h
+        return grid_points([np.arange(self.z_lo[i], self.z_hi[i] + 1)
+                            for i in range(self.dim)]) * self.h
 
     # -- weights ---------------------------------------------------------------
 
@@ -206,7 +203,7 @@ class PassageGraph:
         integer: the speed factor sqrt(e^{2 phi}) for conformal fields, the
         metric matrices otherwise."""
         X = (k / 2) * self.h
-        if self._conformal:
+        if self._scalar_speed:
             return np.sqrt(self.field.conformal_factor_batch(X))
         return self.field.values_batch(X)
 
@@ -217,7 +214,7 @@ class PassageGraph:
         and end; the speed sqrt(e g e) is formed once per sample.
         """
         ell = np.linalg.norm(off * self.h)
-        if self._conformal:
+        if self._scalar_speed:
             s = samples
         else:
             e = off * self.h / ell
@@ -412,7 +409,6 @@ def shape_estimate(field_factory, t, directions=16, replicas=8, h=0.3,
         raise GraphError("need at least 8 directions")
     if replicas < 1:
         raise GraphError("need at least one replica")
-    from .fields import Box
     samples = []
     for r in range(replicas):
         graph = build_graph(field_factory(r), Box.cube(t + margin, 2), h,

@@ -27,9 +27,13 @@ import numpy as np
 
 from . import rng as _rng
 from .fields import (Box, ConformalAnalyticField, FieldError, KernelSpec,
-                     MetricField, RegionError, SpherePatchField)
+                     MetricField, RegionError, SpherePatchField, grid_points)
 from .geometry import GeodesicPath, geodesic_shoot_batch, jacobi_integrate_batch
 from .distance import is_minimizing
+
+
+HOLDER_ALPHA = 0.5                 # Holder exponent of local_regularity
+HOLDER_SCALES = (2e-3, 1e-3)       # its divided-difference step sizes
 
 
 class ExperimentError(ValueError):
@@ -68,8 +72,9 @@ class FrontierScan:
         return "\n".join(lines) + "\n"
 
 
-def frontier_scan(path, field, beta, rho, origin=None, regularity=True):
-    """Frontier records along a euclidean-parametrized path.
+def frontier_scan(path, field, beta, rho, regularity=True):
+    """Frontier records along a euclidean-parametrized path, radii measured
+    from the origin.
 
     A sample is flagged when the radial speed exceeds beta and the radius
     attains its running maximum; flagged runs form right-open intervals.
@@ -82,8 +87,7 @@ def frontier_scan(path, field, beta, rho, origin=None, regularity=True):
         raise ExperimentError("frontier scan needs euclidean parametrization")
     if not 0 < beta < 1:
         raise ExperimentError("beta must lie in (0, 1)")
-    origin = np.zeros(path.positions.shape[1]) if origin is None else np.asarray(origin)
-    pos = path.positions - origin
+    pos = path.positions
     r = np.linalg.norm(pos, axis=1)
     start = 1 if r[0] == 0 else 0
     speed = np.linalg.norm(path.velocities, axis=1)
@@ -128,32 +132,29 @@ def frontier_scan(path, field, beta, rho, origin=None, regularity=True):
                         beta=float(beta), rho=float(rho), density=density)
 
 
-def frontier_density(path, beta, origin=None):
+def frontier_density(path, beta):
     """Sample times and running frontier density (FrontierScan.density)."""
     scan = frontier_scan(path, field=None, beta=beta, rho=0.0,
-                         origin=origin, regularity=False)
+                         regularity=False)
     return path.times, scan.density
 
 
-def local_regularity(field, center, rho, alpha=0.5, subgrid=9,
-                     holder_scales=(2e-3, 1e-3)):
+def local_regularity(field, center, rho, subgrid=9):
     """Estimate of sup|g| + sup|dg| + sup|d2g| + Holder(d2g, alpha) + 1/lambda
-    over the Euclidean rho-ball at ``center``.
+    over the Euclidean rho-ball at ``center``, alpha = HOLDER_ALPHA.
 
     Suprema are over a subgrid x subgrid mesh of the bounding cube clipped to
     the ball (use 2^k + 1 points for nested refinements).  The Holder
     seminorm is a divided-difference quotient of the analytic second
-    derivatives at the two given scales.
+    derivatives at the HOLDER_SCALES step sizes.
     """
     center = np.asarray(center, dtype=float)
     d = len(center)
     if rho <= 0:
         pts = center[None, :]
     else:
-        axes = [np.linspace(center[i] - rho, center[i] + rho, subgrid)
-                for i in range(d)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
+        pts = grid_points([np.linspace(center[i] - rho, center[i] + rho, subgrid)
+                           for i in range(d)])
         pts = pts[np.linalg.norm(pts - center, axis=1) <= rho + 1e-12]
     if not np.all(field.contains(pts)):
         raise RegionError("regularity ball exceeds field region")
@@ -166,7 +167,7 @@ def local_regularity(field, center, rho, alpha=0.5, subgrid=9,
         raise ExperimentError("metric not positive on the regularity ball")
 
     holder = 0.0
-    for h in holder_scales:
+    for h in HOLDER_SCALES:
         for axis in range(d):
             shift = np.zeros(d)
             shift[axis] = h
@@ -176,7 +177,7 @@ def local_regularity(field, center, rho, alpha=0.5, subgrid=9,
                 continue
             h2 = field.evaluate_batch(sub + shift)[2]
             h0 = hess[inside]
-            quot = np.max(np.abs(h2 - h0)) / h ** alpha
+            quot = np.max(np.abs(h2 - h0)) / h ** HOLDER_ALPHA
             holder = max(holder, float(quot))
     return sup_g + sup_dg + sup_d2g + holder + 1.0 / lam_min
 
@@ -338,9 +339,6 @@ class BumpField(ConformalAnalyticField):
                                     center=self.apex + spec.cap_radius * u,
                                     dim=self.dim)
 
-    def contains(self, points, margin=0.0):
-        return self.base.contains(points, margin=margin)
-
     def phi_batch(self, X, order=2):
         d = X.shape[1]
         w = self.spec.glue_width
@@ -391,19 +389,17 @@ def make_bump(spec, base):
 
 
 class PerturbedConformalField(ConformalAnalyticField):
-    """Conformal field plus a small sampled conformal exponent overlay."""
+    """Conformal field plus a small sampled conformal exponent overlay,
+    valid where both are."""
 
     def __init__(self, base, noise_field, amplitude):
         super().__init__(dim=base.dim)
         self.base = base
         self.noise_field = noise_field
         self.amplitude = float(amplitude)
-        self.region = noise_field.region
+        self.region = (noise_field.region if base.region is None
+                       else noise_field.region.intersection(base.region))
         self.correlation_length = base.correlation_length
-
-    def contains(self, points, margin=0.0):
-        ok = self.base.contains(points, margin=margin)
-        return ok & self.noise_field.contains(points, margin=margin)
 
     def phi_batch(self, X, order=2):
         phi, dphi, d2phi = self.base.conformal_exponent_batch(X, order)
@@ -447,7 +443,7 @@ class BumpExperimentReport:
 
 
 def bump_experiment(base, spec, eps, entries=50, perturbations=1, seed=0,
-                    step=None, graph_h=None, check_minimizing=True):
+                    check_minimizing=True):
     """Sweep of entry directions within theta across perturbed bump fields.
 
     For each perturbation an independent small conformal overlay (scaled so
@@ -456,7 +452,8 @@ def bump_experiment(base, spec, eps, entries=50, perturbations=1, seed=0,
     [-theta, theta] and their Jacobi determinants are tracked through the
     cap.  Reports the fraction developing a conjugate point inside the cone
     and, if requested, the fraction subsequently failing is_minimizing on a
-    passage graph over the cone region.
+    passage graph over the cone region.  Geodesics use the step 5e-3 R and
+    the graph the spacing 0.12 R, R the cap radius.
     """
     if eps < 0:
         raise BumpError("perturbation size must be >= 0")
@@ -471,8 +468,7 @@ def bump_experiment(base, spec, eps, entries=50, perturbations=1, seed=0,
     angles = base_angle + (np.linspace(-theta, theta, entries) if entries > 1
                            else np.zeros(1))
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    if step is None:
-        step = 5e-3 * R
+    step = 5e-3 * R
     # conjugate time from the apex is at most glue + pi R (pre-cap growth of
     # the Jacobi field only shortens the in-cap requirement); stop before the
     # axial geodesic reaches the cap chart's far pole
@@ -512,8 +508,7 @@ def bump_experiment(base, spec, eps, entries=50, perturbations=1, seed=0,
             # cover the cap skirt (cheap detours run at |x - c| ~ 2-3 R)
             greg = Box(tuple(apex - 2.5 * R),
                        tuple(apex + max(spec.cone_length, 3.0 * R) + R))
-            graph = build_graph(field, greg,
-                                graph_h if graph_h else 0.12 * R, stencil=16)
+            graph = build_graph(field, greg, 0.12 * R, stencil=16)
         for e in range(entries):
             rec = records[e]
             spline = clipped[e].position_spline()
@@ -556,7 +551,7 @@ class DirectionScan:
                 "final_directions": self.final_directions.tolist()}
 
 
-def direction_scan(field, graph, radii, k=64, base=None, step=None, tol=None):
+def direction_scan(field, graph, radii, k=64, base=None, step=None):
     """Minimizing verdicts per (initial direction, radius).
 
     Each of k directions is shot until it exits the largest radius (or a
@@ -587,7 +582,7 @@ def direction_scan(field, graph, radii, k=64, base=None, step=None, tol=None):
     for i, p in enumerate(paths):
         r_t = np.linalg.norm(p.positions - base, axis=1)
         finals[i] = (p.positions[-1] - base) / max(r_t[-1], 1e-300)
-        verdict = is_minimizing(field, p, graph, tol=tol)
+        verdict = is_minimizing(field, p, graph)
         times = verdict.checkpoint_times
         ok = verdict.verdicts
         for j, R in enumerate(radii):
@@ -610,10 +605,8 @@ def direction_scan(field, graph, radii, k=64, base=None, step=None, tol=None):
 
 
 def _ball_lambda_max_at(field, center, radius, subgrid=17):
-    axes = [np.linspace(center[i] - radius, center[i] + radius, subgrid)
-            for i in range(field.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    pts = grid_points([np.linspace(center[i] - radius, center[i] + radius, subgrid)
+                       for i in range(field.dim)])
     pts = pts[np.linalg.norm(pts - center, axis=1) <= radius]
     pts = pts[field.contains(pts)]
     if len(pts) == 0:

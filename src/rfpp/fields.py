@@ -34,10 +34,19 @@ flat and constant metrics, and conformal factors given in closed form (round
 sphere, hyperbolic disk).  All field objects share the same evaluation
 interface and can be passed anywhere a sampled field is accepted.
 
-This module alone decides which fields are conformal: every field has a
-``conformal`` flag derived from its mode or its class, and every field
-with the flag set answers ``conformal_exponent_batch(X, order)`` with
-(phi, dphi, d2phi), d2phi None below order 2.
+Every field is a ``Field``, which owns the protocol its consumers
+(geodesics, the passage graph, the experiments) read:
+
+    region        the Box a field is valid on, None for all of R^d; the
+                  one source of membership, ``contains(points)``
+    conformal     set when g = c e^{2 phi} I; this module alone decides it,
+                  from the mode or the class, and every field with the flag
+                  answers ``conformal_exponent_batch(X, order)`` with (phi,
+                  dphi, d2phi), d2phi None below order 2
+    field_at(b)   the field evaluating batch row b, and
+    for_rows(r)   the field evaluating a batch cut down to rows r: the field
+                  itself, except for a FieldStack, whose rows are separate
+                  fields
 """
 
 from __future__ import annotations
@@ -88,31 +97,36 @@ class Box:
     def dim(self):
         return len(self.lo)
 
-    def contains(self, points, margin=0.0):
+    def contains(self, points):
         x = np.atleast_2d(np.asarray(points, dtype=float))
-        lo = np.asarray(self.lo) + margin
-        hi = np.asarray(self.hi) - margin
-        return np.all((x >= lo) & (x <= hi), axis=1)
+        return np.all((x >= np.asarray(self.lo)) & (x <= np.asarray(self.hi)),
+                      axis=1)
+
+    def intersection(self, other):
+        """The box common to this box and ``other``."""
+        return Box(np.maximum(self.lo, other.lo), np.minimum(self.hi, other.hi))
 
     @staticmethod
     def cube(half_width, dim):
         return Box((-half_width,) * dim, (half_width,) * dim)
 
 
-_PROFILES = ("bump",)
+def grid_points(axes):
+    """The (N, d) points of the mesh of the given 1-D axes, the first axis
+    varying slowest."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
 
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Compactly supported smoothing kernel.
+    """Compactly supported smoothing kernel, scaled by ``amplitude``.
 
-    ``profile='bump'`` is k(x) = psi(|x|^2 / range^2) with
-    psi(u) = exp(1 - 1/(1-u)) for u < 1 and 0 otherwise: C^inf, radial,
-    identically zero outside the radius, so the induced field has covariance
-    exactly zero at separations >= 2 * range.
+    k(x) = psi(|x|^2 / range^2) with psi(u) = exp(1 - 1/(1-u)) for u < 1 and
+    0 otherwise: C^inf, radial, identically zero outside the radius, so the
+    induced field has covariance exactly zero at separations >= 2 * range.
     """
     range: float = 1.0
-    profile: str = "bump"
     amplitude: float = 1.0
 
     def __post_init__(self):
@@ -120,8 +134,6 @@ class KernelSpec:
             raise FieldError("kernel range must be > 0")
         if self.amplitude < 0:
             raise FieldError("kernel amplitude must be >= 0")
-        if self.profile not in _PROFILES:
-            raise FieldError(f"unknown kernel profile {self.profile!r}")
 
     def radial(self, u, order=2):
         """psi(u), psi'(u), psi''(u) for u = |x|^2 / range^2 (vectorized),
@@ -231,7 +243,28 @@ def sym_channel_count(dim):
     return dim * (dim + 1) // 2
 
 
-class MetricField:
+class Field:
+    """The protocol every field shares (see the module docstring)."""
+
+    region = None           # None means unbounded
+    conformal = False
+
+    def contains(self, points):
+        """Membership of points (N, d) in ``region``."""
+        if self.region is None:
+            return np.ones(np.atleast_2d(points).shape[0], dtype=bool)
+        return self.region.contains(points)
+
+    def field_at(self, b):
+        """The field that evaluates batch row b."""
+        return self
+
+    def for_rows(self, rows):
+        """The field that evaluates a batch cut down to the given rows."""
+        return self
+
+
+class MetricField(Field):
     """A sampled random Riemannian metric on a box region.
 
     Immutable after construction; evaluation is pure and thread-safe.
@@ -265,9 +298,8 @@ class MetricField:
         # node offsets around a cell, their offsets in the flat (C-order)
         # noise index, and the flat coefficient view they index
         self._reach = int(np.ceil(kernel.range / self.spacing))
-        axes = [np.arange(-self._reach, self._reach + 1)] * self.dim
-        mesh = np.meshgrid(*axes, indexing="ij")
-        self._offs = np.stack([m.ravel() for m in mesh], axis=1)    # (K, d)
+        self._offs = grid_points(
+            [np.arange(-self._reach, self._reach + 1)] * self.dim)   # (K, d)
         self._index_lo = np.asarray(self.noise.index_lo, dtype=np.int64)
         self._counts = np.asarray(self.noise.node_counts, dtype=np.int64)
         self._strides = np.append(np.cumprod(self._counts[:0:-1])[::-1], 1)
@@ -296,9 +328,6 @@ class MetricField:
     def _node_normalizer(self):
         val = self.kernel.evaluate(self._offs * self.spacing, order=0)
         return float(np.sqrt(np.sum(val ** 2)))
-
-    def contains(self, points, margin=0.0):
-        return self.region.contains(points, margin=margin)
 
     # -- kernel sums -------------------------------------------------------
 
@@ -460,7 +489,7 @@ def _conformal_metric(phi, dphi, d2phi, dim):
     return val, grad, d2f[:, :, :, None, None] * eye
 
 
-class FieldStack:
+class FieldStack(Field):
     """Evaluate row b of a point batch against field b of a stack.
 
     All stacked fields must share mode, kernel, spacing, region, shift and
@@ -489,9 +518,6 @@ class FieldStack:
 
     def __len__(self):
         return len(self.fields)
-
-    def contains(self, points, margin=0.0):
-        return self.template.contains(points, margin=margin)
 
     def field_at(self, b):
         """The underlying field for batch row b."""
@@ -605,18 +631,10 @@ def _expm_sym_with_derivatives(A, dA, d2A):
 # analytic fields
 # ---------------------------------------------------------------------------
 
-class AnalyticField:
+class AnalyticField(Field):
     """Base for closed-form metrics valid on all of R^d (or a stated region)."""
 
-    region = None           # None means unbounded
     correlation_length = 1.0
-    conformal = False
-
-    def contains(self, points, margin=0.0):
-        x = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.region is None:
-            return np.ones(x.shape[0], dtype=bool)
-        return self.region.contains(points, margin=margin)
 
     def evaluate(self, x):
         val, grad, hess = self.evaluate_batch(np.asarray(x, dtype=float)[None, :])
@@ -743,9 +761,6 @@ class ScaledField(AnalyticField):
         self.correlation_length = base.correlation_length
         self.conformal = base.conformal
 
-    def contains(self, points, margin=0.0):
-        return self.base.contains(points, margin=margin)
-
     def evaluate_batch(self, X, order=2):
         val, grad, hess = self.base.evaluate_batch(X, order=order)
         if hess is not None:
@@ -777,12 +792,6 @@ class EigenBounds:
             raise FieldError("eigenvalue bounds must satisfy 0 < min <= max")
 
 
-def _grid_points(box, step, dim):
-    axes = [np.arange(box.lo[i], box.hi[i] + step * 0.5, step) for i in range(dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
-
-
 def check_spd_on_region(field, region, grid, floor=1e-3):
     """Scan minimum eigenvalue over a sampling grid.
 
@@ -790,7 +799,8 @@ def check_spd_on_region(field, region, grid, floor=1e-3):
     For sym_shift fields this is the rejection step that keeps only
     realizations that are positive-definite with margin.
     """
-    pts = _grid_points(region, grid, field.dim)
+    pts = grid_points([np.arange(region.lo[i], region.hi[i] + grid * 0.5, grid)
+                       for i in range(field.dim)])
     try:
         vals = field.values_batch(pts)
     except RejectedRealizationError:
@@ -807,9 +817,8 @@ def eigen_bounds(field, cube_center, subgrid=9):
     cube = Box(tuple(center - 0.5), tuple(center + 0.5))
     if not np.all(field.contains(np.array([cube.lo, cube.hi]))):
         raise RegionError("cube outside field region")
-    axes = [np.linspace(cube.lo[i], cube.hi[i], subgrid) for i in range(d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    pts = grid_points([np.linspace(cube.lo[i], cube.hi[i], subgrid)
+                       for i in range(d)])
     lam = np.linalg.eigvalsh(field.values_batch(pts))
     return EigenBounds(lambda_min=float(np.min(lam)),
                        lambda_max=float(np.max(lam)), region=cube)
@@ -836,7 +845,7 @@ def _cube_gap(a, b):
     return float(np.linalg.norm(per_axis))
 
 
-def assumption_report(field, cubes, r_values=(0.5, 1.0), subgrid=7):
+def assumption_report(field, cubes, r_values=(0.5, 1.0)):
     """Moment-generating diagnostics for the eigenvalue envelope.
 
     ``cubes`` must contain at least 30 lattice points whose unit cubes are
@@ -846,7 +855,8 @@ def assumption_report(field, cubes, r_values=(0.5, 1.0), subgrid=7):
     cubes = [np.asarray(c, dtype=float) for c in cubes]
     if len(cubes) < 30:
         raise FieldError("need at least 30 cubes for the assumption report")
-    sep = field.dependence_range if hasattr(field, "dependence_range") else 0.0
+    # a closed-form field has no randomness to be dependent
+    sep = field.dependence_range if isinstance(field, MetricField) else 0.0
     for i in range(len(cubes)):
         for j in range(i + 1, len(cubes)):
             if _cube_gap(cubes[i], cubes[j]) < sep:
@@ -854,7 +864,7 @@ def assumption_report(field, cubes, r_values=(0.5, 1.0), subgrid=7):
     lam_max = np.empty(len(cubes))
     lam_min = np.empty(len(cubes))
     for idx, c in enumerate(cubes):
-        eb = eigen_bounds(field, c, subgrid=subgrid)
+        eb = eigen_bounds(field, c, subgrid=7)
         lam_max[idx] = eb.lambda_max
         lam_min[idx] = eb.lambda_min
     ratio = lam_max / lam_min
@@ -896,8 +906,7 @@ def assumption_report(field, cubes, r_values=(0.5, 1.0), subgrid=7):
 #   8       4     u32    version (2)
 #   12      1     u8     mode code (0 conformal, 1 sym_shift, 2 sym_exp)
 #   13      1     u8     dimension d
-#   14      1     u8     kernel profile code (0 bump)
-#   15      1     u8     reserved (0)
+#   14      2     u8[2]  reserved (0)
 #   16      8     i64    seed
 #   24      8     f64    kernel range
 #   32      8     f64    kernel amplitude
@@ -914,6 +923,7 @@ def assumption_report(field, cubes, r_values=(0.5, 1.0), subgrid=7):
 
 _MAGIC = b"RFPP-FLD"
 _FORMAT_VERSION = 2
+_HEADER_BYTES = 100     # container size less its 32 d per-axis bytes
 
 
 def _coefficient_digest(noise):
@@ -929,8 +939,7 @@ def save_field(field, path):
     buf = io.BytesIO()
     buf.write(_MAGIC)
     buf.write(struct.pack("<I", _FORMAT_VERSION))
-    buf.write(struct.pack("<BBBB", _MODES.index(field.mode), d,
-                          _PROFILES.index(field.kernel.profile), 0))
+    buf.write(struct.pack("<BBBB", _MODES.index(field.mode), d, 0, 0))
     buf.write(struct.pack("<q", field.seed))
     buf.write(struct.pack("<ddddd", field.kernel.range, field.kernel.amplitude,
                           field.shift, field.spacing, field.value_scale))
@@ -954,10 +963,19 @@ def load_field(path):
         data = fh.read()
     if data[:8] != _MAGIC:
         raise FieldError("not a field container (bad magic)")
+    if len(data) < _HEADER_BYTES:
+        raise FieldError(f"truncated field container ({len(data)} bytes)")
     version, = struct.unpack_from("<I", data, 8)
     if version != _FORMAT_VERSION:
         raise FieldError(f"unsupported container version {version}")
-    mode_c, d, profile_c, _ = struct.unpack_from("<BBBB", data, 12)
+    mode_c, d = data[12], data[13]
+    if mode_c >= len(_MODES):
+        raise FieldError(f"unknown mode code {mode_c}")
+    if d < 2:
+        raise FieldError(f"dimension {d} below 2")
+    if len(data) != _HEADER_BYTES + 32 * d:
+        raise FieldError(f"field container of dimension {d} has {len(data)} "
+                         f"bytes, not {_HEADER_BYTES + 32 * d}")
     seed, = struct.unpack_from("<q", data, 16)
     rng_, amp, shift, spacing, vscale = struct.unpack_from("<ddddd", data, 24)
     channels, = struct.unpack_from("<I", data, 64)
@@ -967,8 +985,7 @@ def load_field(path):
     index_lo = struct.unpack_from(f"<{d}q", data, off); off += 8 * d
     counts = struct.unpack_from(f"<{d}q", data, off); off += 8 * d
     field = MetricField(_MODES[mode_c], seed, Box(lo, hi),
-                        kernel=KernelSpec(range=rng_, profile=_PROFILES[profile_c],
-                                          amplitude=amp),
+                        kernel=KernelSpec(range=rng_, amplitude=amp),
                         shift=shift, spacing=spacing, value_scale=vscale)
     if (field.noise.index_lo != index_lo or field.noise.node_counts != counts
             or field.noise.channels != channels):

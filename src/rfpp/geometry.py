@@ -41,6 +41,8 @@ from .fields import RegionError
 
 SPEED_TOL = 1e-6           # per-sample speed drift allowance, times (1 + t)
 CONJUGATE_REFINE = 1e-6    # bisection width for conjugate-time brackets
+CONDITION_LIMIT = 1e12     # metric condition number treated as singular
+JACOBI_CHUNK = 20000       # points per field call in the Jacobi coefficients
 
 
 class GeometryError(ValueError):
@@ -74,12 +76,12 @@ def _christoffel_parts(val, grad):
     return ginv, term, 0.5 * np.einsum("bkm,bmij->bkij", ginv, term)
 
 
-def christoffel(field, x, condition_limit=1e12):
+def christoffel(field, x):
     """Gamma^k_ij (d, d, d) at a point, from analytic metric derivatives;
     exactly symmetric in the lower indices."""
     x = np.asarray(x, dtype=float)
     val, grad, _ = field.evaluate_batch(x[None, :], order=1)
-    if np.linalg.cond(val[0]) > condition_limit:
+    if np.linalg.cond(val[0]) > CONDITION_LIMIT:
         raise GeometryError("metric nearly singular at the requested point")
     return christoffel_from_derivatives(val, grad)[0]
 
@@ -107,7 +109,7 @@ def riemann_tensor(val, grad, hess):
     return curv
 
 
-def curvature_at(field, x, plane=None, condition_limit=1e12):
+def curvature_at(field, x, plane=None):
     """Gauss curvature (d = 2) or sectional curvature of a plane (d = 3).
 
     ``plane`` is a pair of spanning vectors, required when d = 3.
@@ -115,7 +117,7 @@ def curvature_at(field, x, plane=None, condition_limit=1e12):
     x = np.asarray(x, dtype=float)
     val, grad, hess = field.evaluate_batch(x[None, :])
     g = val[0]
-    if np.linalg.cond(g) > condition_limit:
+    if np.linalg.cond(g) > CONDITION_LIMIT:
         raise GeometryError("metric nearly singular at the requested point")
     R = riemann_tensor(val, grad, hess)[0]
     d = g.shape[0]
@@ -242,14 +244,6 @@ def _rk4_step(field, X, V, step, parametrization):
             V + (step / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v))
 
 
-def _rows_field(field, idx):
-    """The field that evaluates batch rows idx: a stack is cut down to the
-    rows' own fields, any other field serves every row."""
-    if hasattr(field, "for_rows"):
-        return field.for_rows(idx)
-    return field
-
-
 def _rk4_rows(field, idx, X, V, step, parametrization):
     """RK4 step one row at a time, after the batched step raised
     RegionError.  Returns (Xn, Vn, out): rows flagged in ``out`` had a stage
@@ -261,7 +255,7 @@ def _rk4_rows(field, idx, X, V, step, parametrization):
     for j in range(len(idx)):
         row = slice(j, j + 1)
         try:
-            Xn[row], Vn[row] = _rk4_step(_rows_field(field, idx[row]), X[row],
+            Xn[row], Vn[row] = _rk4_step(field.for_rows(idx[row]), X[row],
                                          V[row], step, parametrization)
         except RegionError:
             out[j] = True
@@ -312,7 +306,7 @@ def geodesic_shoot_batch(field, x0, v0, T, step=None, parametrization="riemannia
             idx, Xa, Va = idx[inside], Xa[inside], Va[inside]
             if idx.size == 0:
                 break
-            field_a = _rows_field(field, idx)
+            field_a = field.for_rows(idx)
         try:
             Xn, Vn = _rk4_step(field_a, Xa, Va, step, parametrization)
             out = np.zeros(idx.size, dtype=bool)
@@ -326,7 +320,7 @@ def geodesic_shoot_batch(field, x0, v0, T, step=None, parametrization="riemannia
             idx, Xn, Vn = idx[keep], Xn[keep], Vn[keep]
             if idx.size == 0:
                 break
-            field_a = _rows_field(field, idx)
+            field_a = field.for_rows(idx)
         t += step
         times[n + 1] = t
         pos_hist[n + 1, idx] = Xn
@@ -335,7 +329,7 @@ def geodesic_shoot_batch(field, x0, v0, T, step=None, parametrization="riemannia
 
     paths = []
     for b in range(B):
-        field_b = field.field_at(b) if hasattr(field, "field_at") else field
+        field_b = field.field_at(b)
         n_b = n_samples[b]
         path = GeodesicPath(times=times[:n_b], positions=pos_hist[:n_b, b],
                             velocities=vel_hist[:n_b, b],
@@ -530,7 +524,7 @@ def jacobi_integrate(field, path):
     return jacobi_integrate_batch(field, [path])[0]
 
 
-def _jacobi_coefficients(field, X, V, chunk=20000):
+def _jacobi_coefficients(field, X, V):
     """Per-point linear operators of the Jacobi system.
 
     gv[k, j]   = Gamma^k_ij V^i              (connection drag)
@@ -542,8 +536,8 @@ def _jacobi_coefficients(field, X, V, chunk=20000):
     gv = np.empty((n, d, d))
     cv = np.empty((n, d, d))
     voldet = np.empty(n)
-    for s in range(0, n, chunk):
-        sl = slice(s, min(n, s + chunk))
+    for s in range(0, n, JACOBI_CHUNK):
+        sl = slice(s, min(n, s + JACOBI_CHUNK))
         val, grad, hess = field.evaluate_batch(X[sl])
         gamma = christoffel_from_derivatives(val, grad)
         R = riemann_tensor(val, grad, hess)

@@ -400,19 +400,20 @@ _RUNNERS = {
 def run(config, force=False):
     """Execute an experiment config; returns the RunManifest.
 
-    Output files land in config.out; an existing non-empty output directory
-    requires force=True.  A manifest.json with the config hash, per-replica
-    seeds and output digests is written alongside.
+    Output files land in config.out.  If any of them exists already, nothing
+    is written unless force=True, which overwrites.  A manifest.json with the
+    config hash, per-replica seeds and output digests is written alongside.
     """
     t0 = time.perf_counter()
     outputs = _RUNNERS[config.experiment](config)
+    paths = {name: os.path.join(config.out, name) for name in sorted(outputs)}
+    clash = [path for path in paths.values() if os.path.exists(path)]
+    if clash and not force:
+        raise ConfigError(f"output {clash[0]} exists; pass force to overwrite")
     os.makedirs(config.out, exist_ok=True)
     digests = {}
-    for name, data in sorted(outputs.items()):
-        path = os.path.join(config.out, name)
-        if os.path.exists(path) and not force:
-            raise ConfigError(f"output {path} exists; pass force to overwrite")
-        atomic_write(path, data)
+    for name, path in paths.items():
+        atomic_write(path, outputs[name])
         digests[name] = file_digest(path)
     manifest = RunManifest(
         config_hash=config.digest(), code_version=__version__,

@@ -19,6 +19,7 @@ with the combined regression error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,7 @@ class TieDetectedError(LatticeError):
 # ---------------------------------------------------------------------------
 
 _LAW_KINDS = ("exponential", "geometric", "uniform", "bernoulli",
-              "deterministic", "power_alpha")
+              "deterministic")
 
 
 @dataclass(frozen=True)
@@ -53,9 +54,8 @@ class WeightLaw:
 
     kind/params: exponential(rate) | geometric(p) on {0, 1, ...} |
     uniform(a, b) | bernoulli(p, lo, hi) (weight hi with probability p) |
-    deterministic(c) | power_alpha(alpha) (Euclidean FPP edge cost
-    |q - q'|^alpha; not samplable).  ``scale`` multiplies every quantized
-    draw; exact binary scales preserve exactness.
+    deterministic(c).  ``scale`` multiplies every quantized draw; exact
+    binary scales preserve exactness.
     """
     kind: str
     params: tuple = ()
@@ -72,7 +72,6 @@ class WeightLaw:
             "bernoulli": lambda: len(p) == 3 and 0 <= p[0] <= 1
             and p[1] >= 0 and p[2] >= 0,
             "deterministic": lambda: len(p) == 1 and p[0] >= 0,
-            "power_alpha": lambda: len(p) == 1 and p[0] > 1,
         }[self.kind]()
         if not ok:
             raise LatticeError(f"bad parameters {p} for law {self.kind}")
@@ -85,12 +84,10 @@ class WeightLaw:
 
     @property
     def random(self):
-        return self.kind not in ("deterministic", "power_alpha")
+        return self.kind != "deterministic"
 
     def sample(self, seed, *words):
         """Deterministic quantized draws keyed by (seed, words)."""
-        if self.kind == "power_alpha":
-            raise LatticeError("power_alpha weights come from point pairs")
         if self.kind == "deterministic":
             shape = np.broadcast(*[np.asarray(w) for w in words]).shape if words else ()
             raw = np.full(shape, self.params[0], dtype=float)
@@ -109,54 +106,39 @@ class WeightLaw:
         q = np.round(raw * _WEIGHT_GRID) / _WEIGHT_GRID
         return self.scale * q
 
-    def survival(self, t):
-        """P(weight/scale > t) for the unscaled draw."""
-        t = np.asarray(t, dtype=float)
-        if self.kind == "exponential":
-            return np.where(t < 0, 1.0, np.exp(-self.params[0] * np.maximum(t, 0)))
-        if self.kind == "geometric":
-            p = self.params[0]
-            return np.where(t < 0, 1.0, (1 - p) ** (np.floor(t) + 1))
-        if self.kind == "uniform":
-            a, b = self.params
-            return np.clip((b - t) / (b - a), 0.0, 1.0)
-        if self.kind == "bernoulli":
-            prob, lo, hi = self.params
-            lo, hi = min(lo, hi), max(hi, lo)
-            plo = 1 - prob if self.params[1] <= self.params[2] else prob
-            return np.where(t < lo, 1.0, np.where(t < hi, 1 - plo, 0.0))
-        if self.kind == "deterministic":
-            return np.where(t < self.params[0], 1.0, 0.0)
-        raise LatticeError("no survival function for power_alpha")
-
     def min_moment(self, dimension):
-        """E[min(t_1, ..., t_{2d})^{2d}] for 2d independent copies.
+        """E[min(t_1, ..., t_{2d})^{2d}] for 2d independent copies, in
+        closed form (the unquantized law).
 
         Finite for every supported law; the value itself is reported so the
         moment condition can be inspected, not just asserted.
         """
-        from scipy.integrate import quad
         m = 2 * dimension
-        if self.kind == "power_alpha":
-            raise LatticeError("moment condition does not apply to power_alpha")
+        p = self.params
         if self.kind == "deterministic":
-            return (self.scale * self.params[0]) ** m
-        if self.kind in ("geometric", "bernoulli"):
-            tail = 0.0
-            val = 0.0
-            k = 0.0
-            while True:
-                s_before = float(self.survival(k - 0.5) ** m)
-                s_after = float(self.survival(k + 0.5) ** m)
-                val += (s_before - s_after) * (self.scale * k) ** m
-                if s_after < 1e-14 or k > 1e6:
-                    break
-                k += 1.0
-            return val + tail
-        integrand = lambda t: m * t ** (m - 1) * float(self.survival(t) ** m)
-        hi = (200.0 / self.params[0] if self.kind == "exponential"
-              else self.params[1])
-        val, _ = quad(integrand, 0.0, hi, limit=200)
+            val = p[0] ** m
+        elif self.kind == "exponential":
+            # the minimum is exponential with rate m * rate
+            val = math.factorial(m) / (m * p[0]) ** m
+        elif self.kind == "uniform":
+            # the minimum is a + (b - a) V, V ~ Beta(1, m): E V^k = k! m! / (k + m)!
+            a, b = p
+            val = sum(math.comb(m, k) * a ** (m - k) * (b - a) ** k
+                      * math.factorial(k) * math.factorial(m) / math.factorial(k + m)
+                      for k in range(m + 1))
+        elif self.kind == "bernoulli":
+            # the minimum takes the larger value only when all m draws do
+            prob, lo, hi = p
+            q = (prob if hi >= lo else 1.0 - prob) ** m
+            val = q * max(lo, hi) ** m + (1.0 - q) * min(lo, hi) ** m
+        else:
+            # geometric: P(min >= k) = x^k with x = (1 - p)^m, so E min^m =
+            # (1 - x) Li_{-m}(x) = x sum_j A(m, j) x^j / (1 - x)^m with the
+            # Eulerian numbers A(m, j)
+            x = (1.0 - p[0]) ** m
+            eulerian = [sum((-1) ** i * math.comb(m + 1, i) * (j + 1 - i) ** m
+                            for i in range(j + 1)) for j in range(m)]
+            val = x * sum(a * x ** j for j, a in enumerate(eulerian)) / (1.0 - x) ** m
         return val * self.scale ** m
 
 
@@ -310,11 +292,6 @@ class TimeConstantTable:
     stderr: np.ndarray
     cauchy_differences: np.ndarray      # |mu(n_i) - mu(n_{i+1})|
 
-    @property
-    def converging(self):
-        d = self.cauchy_differences
-        return bool(len(d) < 2 or d[-1] < d[0])
-
 
 def time_constant(config, direction, sizes, replicas=20):
     """Empirical tau(0, n v)/n per size, with a Cauchy-difference trend."""
@@ -347,7 +324,7 @@ def _witness_deviation(witness, n):
     return float(np.max(np.linalg.norm(delta, axis=1)))
 
 
-def untied_fpp_passage(config, target, replica, margin=None):
+def untied_fpp_passage(config, target, replica, margin):
     """fpp_passage at the first of replica, replica + 10^6, replica + 2 10^6,
     ... whose witness has no equal-cost rival."""
     extra = 0
@@ -359,14 +336,14 @@ def untied_fpp_passage(config, target, replica, margin=None):
         extra += 1
 
 
-def transversal_deviation(config, n, replica=0, margin=None):
+def transversal_deviation(config, n, replica=0):
     """Maximal Euclidean distance of the unique witness geodesic to the
     lattice segment {0, e1, ..., n e1}; ties abort with TieDetectedError."""
     if not config.law.continuous:
         raise LatticeError("transversal deviation needs a continuous law "
                            "(almost-sure unique witness)")
     res = fpp_passage(config, np.array([n] + [0] * (config.dimension - 1)),
-                      replica=replica, margin=margin)
+                      replica=replica)
     if res.tie_detected:
         raise TieDetectedError(f"equal-cost witness at replica {replica}")
     return _witness_deviation(res.witness, n)
@@ -544,27 +521,6 @@ def kpz_report(sizes, taus, devs):
     tol = 2.0 * float(np.sqrt(chi.stderr ** 2 + 4.0 * xi.stderr ** 2))
     return KpzReport(xi=xi, chi=chi, kpz_residual=float(residual),
                      residual_tol=tol)
-
-
-def exponent_xi(model, config, sizes, replicas=100):
-    """kpz_report over ``replicas`` untied witness runs at each size."""
-    if model != "fpp":
-        raise LatticeError("transversal deviations are defined for fpp")
-    if not config.law.continuous:
-        raise LatticeError("xi needs a continuous weight law")
-    if len(sizes) < 4:
-        raise LatticeError("need at least 4 sizes")
-    taus = np.empty((len(sizes), replicas))
-    devs = np.empty((len(sizes), replicas))
-    for i, n in enumerate(sizes):
-        cfg = LatticeConfig(config.dimension, max(config.n, int(n)),
-                            config.law, config.seed)
-        target = np.array([n] + [0] * (cfg.dimension - 1))
-        for r in range(replicas):
-            res = untied_fpp_passage(cfg, target, r)
-            taus[i, r] = res.tau
-            devs[i, r] = _witness_deviation(res.witness, n)
-    return kpz_report(sizes, taus, devs)
 
 
 # ---------------------------------------------------------------------------

@@ -40,3 +40,15 @@ def test_tiny_run_writes_outputs(tmp_path, capsys):
     assert cli.main(["lpp", "--config", str(config), "--out", str(out)]) == 0
     assert (out / "lpp.csv").read_text().splitlines()[0] == "replica,last_passage"
     assert "wrote 1 output file(s)" in capsys.readouterr().out
+
+
+def test_malformed_field_container_fails_fast(tmp_path, capsys):
+    # magic, version 2 and two header bytes: 14 bytes of a 164-byte container
+    field_path = tmp_path / "field.rfpp"
+    field_path.write_bytes(b"RFPP-FLD" + (2).to_bytes(4, "little") + b"\x00\x02")
+    out = tmp_path / "out"
+    assert cli.main(["geodesic", "--load-field", str(field_path),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: truncated field container")
+    assert not out.exists()

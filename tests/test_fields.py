@@ -415,3 +415,64 @@ def test_load_rejects_corrupt(tmp_path):
     path.write_bytes(b"not a container at all")
     with pytest.raises(FieldError):
         load_field(path)
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda data: data[:14], "truncated"),
+    (lambda data: data[:12] + bytes([7]) + data[13:], "mode code 7"),
+    (lambda data: data[:13] + bytes([9]) + data[14:], "dimension 9"),
+], ids=["truncated", "bad_mode", "bad_dimension"])
+def test_load_refuses_malformed_header(tmp_path, edit, match):
+    path = tmp_path / "field.rfpp"
+    save_field(conformal(5, box=Box.cube(2.0, 2)), path)
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(FieldError, match=match):
+        load_field(path)
+
+
+# ---------------------------------------------------------------- membership
+
+def _region_fields():
+    """One field of every class; the perturbed field's base region (that of
+    its bump) sticks out of its noise region on one side only."""
+    small = Box.cube(3.0, 2)
+    return {
+        "MetricField": conformal(5, box=small),
+        "FieldStack": FieldStack([conformal(5, box=small), conformal(6, box=small)]),
+        "ConstantMetric": ConstantMetric(np.diag([1.0, 2.0])),
+        "FlatMetric": FlatMetric(2),
+        "SpherePatchField": SpherePatchField(radius=1.5),
+        "HyperbolicDiskField": HyperbolicDiskField(),
+        "ScaledField": ScaledField(HyperbolicDiskField(), 0.7),
+        "BumpField": _bump(conformal(21)),
+        "PerturbedConformalField": PerturbedConformalField(
+            _bump(conformal(21, box=Box((-1.0, -3.0), (5.0, 1.0)))),
+            conformal(22, box=Box.cube(3.0, 2)), 0.05),
+    }
+
+
+@pytest.mark.parametrize("name", [
+    "MetricField", "FieldStack", "ConstantMetric", "FlatMetric",
+    "SpherePatchField", "HyperbolicDiskField", "ScaledField", "BumpField",
+    "PerturbedConformalField"])
+def test_contains_follows_region(name):
+    field = _region_fields()[name]
+    X = 14.0 * rng.uniform(220, np.arange(2000)).reshape(1000, 2) - 7.0
+    if field.region is None:
+        expected = np.ones(len(X), dtype=bool)
+    else:
+        lo, hi = np.asarray(field.region.lo), np.asarray(field.region.hi)
+        expected = np.all((X >= lo) & (X <= hi), axis=1)
+    assert 0 < np.sum(expected) <= len(X)
+    assert np.array_equal(field.contains(X), expected)
+    if name == "FieldStack":
+        assert field.field_at(3) is field.fields[1]
+        assert field.for_rows([1]).fields == [field.fields[1]]
+    else:
+        assert field.field_at(3) is field
+        assert field.for_rows(np.arange(2)) is field
+
+
+def test_perturbed_region_is_the_intersection():
+    field = _region_fields()["PerturbedConformalField"]
+    assert field.region == Box((-1.0, -3.0), (3.0, 1.0))

@@ -7,7 +7,7 @@ from rfpp.distance import ball, build_graph, shape_estimate
 from rfpp.experiments import frontier_scan
 from rfpp.fields import Box, FlatMetric, KernelSpec, MetricField
 from rfpp.geometry import geodesic_shoot
-from rfpp.harness import ExperimentConfig, run
+from rfpp.harness import ConfigError, ExperimentConfig, run
 
 TINY = {
     "distance": {"graph_half_width": 2.0, "h": 0.5, "target": (1.0, 0.0),
@@ -60,6 +60,17 @@ def test_output_golden_digests(experiment, tmp_path):
     out = str(tmp_path / experiment)
     manifest = run(ExperimentConfig(experiment, TINY[experiment], seed=3, out=out))
     assert manifest.outputs == GOLDEN[experiment]
+
+
+def test_run_writes_nothing_when_an_output_exists(tmp_path):
+    # distance writes ball.csv and distance.json; the clash is on the second
+    out = tmp_path / "distance"
+    out.mkdir()
+    (out / "distance.json").write_text("kept")
+    with pytest.raises(ConfigError, match="distance.json exists"):
+        run(ExperimentConfig("distance", TINY["distance"], seed=3, out=str(out)))
+    assert os.listdir(out) == ["distance.json"]
+    assert (out / "distance.json").read_text() == "kept"
 
 
 def _writer_texts():

@@ -1,10 +1,12 @@
 """Every name a module of src/rfpp imports is used in the scope that
-imports it (no linter is assumed to be installed, so this is the check)."""
+imports it, and every function, class and method it defines is read
+somewhere (no linter is assumed to be installed, so these are the checks)."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "rfpp"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "rfpp"
 
 
 def _unused_imports(source):
@@ -50,3 +52,45 @@ def test_unused_import_scan_sees_local_scopes():
         "def g():\n"
         "    return os.sep\n")
     assert sorted(_unused_imports(source)) == ["loads", "tau"]
+
+
+def _unreferenced(defining, reading):
+    """Functions, classes and methods defined in the ``defining`` sources,
+    dunders aside, that no ``reading`` source reads.  A read is a Name load,
+    an attribute name or a string constant holding the identifier (the
+    benchmark's span table names methods by string); an import is not."""
+    defined = {n.name for source in defining for n in ast.walk(ast.parse(source))
+               if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and not (n.name.startswith("__") and n.name.endswith("__"))}
+    read = set()
+    for source in reading:
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                read.add(n.value)
+    return sorted(defined - read)
+
+
+def test_no_unreferenced_definitions():
+    defining = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    reading = [path.read_text() for folder in ("src", "tests", "perfbench")
+               for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert _unreferenced(defining, reading) == []
+
+
+def test_unreferenced_definition_scan_sees_names_attributes_and_strings():
+    defining = ("class A:\n"
+                "    def used(self): pass\n"
+                "    def spare(self): pass\n"
+                "    def __repr__(self): pass\n"
+                "def by_name(): pass\n"
+                "def by_string(): pass\n"
+                "def imported(): pass\n")
+    reading = ("from m import imported\n"
+               "A().used()\n"
+               "by_name()\n"
+               "TABLE = ('by_string',)\n")
+    assert _unreferenced([defining], [reading]) == ["imported", "spare"]

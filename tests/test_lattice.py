@@ -1,4 +1,5 @@
 import hashlib
+from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from rfpp import rng
 from rfpp.lattice import (ExponentEstimate, LatticeConfig, LatticeError,
                           TieDetectedError, WeightLaw, _witness_deviation,
-                          bond_matrix, euclidean_fpp, exponent_chi, exponent_xi,
+                          bond_matrix, euclidean_fpp, exponent_chi,
                           exponential_law, fpp_passage, geometric_law,
                           lpp_passage, polymer_free_energy, time_constant,
                           transversal_deviation)
@@ -52,6 +53,23 @@ def test_min_moment_finite():
     # exponential(1): min of 4 ~ Exp(4), E[X^4] = 4! / 4^4
     got = exponential_law(1.0).min_moment(2)
     assert abs(got - 24.0 / 256.0) < 1e-6
+
+
+def test_min_moment_two_point_law_exact():
+    # the minimum of four draws is 0.75 only when all four are (1/16)
+    got = WeightLaw("bernoulli", (0.5, 0.25, 0.75)).min_moment(2)
+    assert got == pytest.approx((15 / 16) * 0.25 ** 4 + (1 / 16) * 0.75 ** 4,
+                                rel=1e-15)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_min_moment_geometric_exact(d):
+    # P(min >= k) = x^k with x = 2^-2d, so E min^2d = (1 - x) sum_k k^2d x^k;
+    # the exact partial sum to k = 199 leaves a tail far below double precision
+    m = 2 * d
+    x = Fraction(1, 2 ** m)
+    want = (1 - x) * sum(Fraction(k) ** m * x ** k for k in range(1, 200))
+    assert geometric_law(0.5).min_moment(d) == pytest.approx(float(want), rel=1e-15)
 
 
 # --------------------------------------------------------------- FPP
