@@ -1,8 +1,14 @@
 """Differential geometry on metric fields: Christoffel symbols, geodesic
 shooting, arc lengths, reparametrization, Jacobi fields and curvature.
 
-Geodesics solve  d2x^k = -Gamma^k_ij dx^i dx^j  with the classical fixed-step
-fourth-order Runge-Kutta scheme.  Two parametrizations are supported:
+Geodesics solve  d2x^k = -Gamma^k_ij dx^i dx^j  with the embedded
+Dormand-Prince 5(4) pair.  ``step`` is the output sample spacing and the
+accuracy request: every row of a batch controls its own step against a local
+error target proportional to step^4 (at step 1e-3 on a unit-correlation-length
+field the global error matches classical RK4 at that step; coarser requests
+come out less accurate than RK4 would be), and the samples on the grid k step
+come from a quintic Hermite interpolant through position, velocity and
+acceleration at both ends of each step.  Two parametrizations are supported:
 
     riemannian   |dx|_g = 1   (the affine geodesic equation above)
     euclidean    |dx|   = 1   (same curve, unit Euclidean speed; the
@@ -43,6 +49,36 @@ SPEED_TOL = 1e-6           # per-sample speed drift allowance, times (1 + t)
 CONJUGATE_REFINE = 1e-6    # bisection width for conjugate-time brackets
 CONDITION_LIMIT = 1e12     # metric condition number treated as singular
 JACOBI_CHUNK = 20000       # points per field call in the Jacobi coefficients
+DP_TOLERANCE = 6.0         # geodesic local error target, times step^4
+MIN_STEP = 1e-3            # smallest geodesic step, as a fraction of step
+
+# Dormand-Prince 5(4) (Dormand and Prince, 1980) in Nystrom form for
+# x'' = a(x, x'): rows 2..7 of the autonomous tableau (the last holds the
+# fifth-order weights; its stage is the acceleration at the new state, the
+# next step's first), their nodes, and the weights of the embedded error
+# estimate (fifth minus fourth order).  Stage velocities are V + h sum_j
+# a_ij a_j and stage positions X + c_i h V + h^2 sum_j (A^2)_ij a_j, so where
+# the acceleration vanishes the velocity stays exactly constant.
+_DP_A = ((1 / 5,),
+         (3 / 40, 9 / 40),
+         (44 / 45, -56 / 15, 32 / 9),
+         (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+         (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))
+_DP_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525,
+         -1 / 40)
+
+
+def _times_stage_matrix(x):
+    """sum_k x_k a_kj for stage weights x, where row k of the strictly lower
+    triangular stage matrix is _DP_A[k - 1]."""
+    return tuple(sum(x[k] * _DP_A[k - 1][j] for k in range(j + 1, len(x)))
+                 for j in range(len(x) - 1))
+
+
+_DP_AA = tuple(_times_stage_matrix(row) for row in _DP_A)   # rows of A^2
+_DP_EA = _times_stage_matrix(_DP_E)
 
 
 class GeometryError(ValueError):
@@ -144,9 +180,13 @@ def curvature_at(field, x, plane=None):
 class GeodesicPath:
     """Discretized geodesic trajectory.
 
-    samples are (times[i], positions[i], velocities[i]); velocities are with
-    respect to the stated parametrization (unit Riemannian or unit Euclidean
-    speed).  ``termination`` is "completed", "left_region" or "numerical".
+    samples are (times[i], positions[i], velocities[i]) on the grid
+    times[i] = i step; velocities are with respect to the stated
+    parametrization (unit Riemannian or unit Euclidean speed).  ``step`` is
+    the sample spacing and the accuracy request the path was integrated to;
+    ``steps`` and ``rejected`` count the integrator's accepted and rejected
+    steps (zero for a path not shot by geodesic_shoot_batch).
+    ``termination`` is "completed", "left_region" or "numerical".
     """
     times: np.ndarray
     positions: np.ndarray
@@ -155,6 +195,8 @@ class GeodesicPath:
     step: float
     field_ref: str = ""
     termination: str = "completed"
+    steps: int = 0
+    rejected: int = 0
     speed_drift_max: float = 0.0
     drift_flagged: bool = False
 
@@ -221,53 +263,125 @@ def _geodesic_rhs(field, X, V, parametrization):
     return V, acc
 
 
-def _inside_with_margin(field, X, margins):
+def _margin_steps(field, X, V):
+    """Per row, the largest step h whose margin 1.5 h |V|_max still fits
+    between X and the boundary of the field's region box (inf without one)."""
     region = field.region
     if region is None:
-        return np.isfinite(X).all(axis=1)
-    lo = np.asarray(region.lo)
-    hi = np.asarray(region.hi)
-    ok = np.all((X >= lo + margins[:, None]) & (X <= hi - margins[:, None]), axis=1)
-    return ok & np.isfinite(X).all(axis=1)
+        return np.full(len(X), np.inf)
+    room = np.minimum(X - np.asarray(region.lo), np.asarray(region.hi) - X)
+    return np.min(room, axis=1) / (1.5 * np.max(np.abs(V), axis=1))
 
 
-def _rk4_step(field, X, V, step, parametrization):
-    """One classical RK4 step of the geodesic system for every row."""
-    k1x, k1v = _geodesic_rhs(field, X, V, parametrization)
-    k2x, k2v = _geodesic_rhs(field, X + 0.5 * step * k1x,
-                             V + 0.5 * step * k1v, parametrization)
-    k3x, k3v = _geodesic_rhs(field, X + 0.5 * step * k2x,
-                             V + 0.5 * step * k2v, parametrization)
-    k4x, k4v = _geodesic_rhs(field, X + step * k3x,
-                             V + step * k3v, parametrization)
-    return (X + (step / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x),
-            V + (step / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v))
+def _combine(coefs, ks):
+    """sum_j coefs[j] ks[j], accumulated in stage order element by element, so
+    a row's result never depends on the other rows of the batch."""
+    acc = None
+    for c, k in zip(coefs, ks):
+        if c != 0.0:
+            acc = c * k if acc is None else acc + c * k
+    return acc
 
 
-def _rk4_rows(field, idx, X, V, step, parametrization):
-    """RK4 step one row at a time, after the batched step raised
-    RegionError.  Returns (Xn, Vn, out): rows flagged in ``out`` had a stage
-    leave the region (their Xn, Vn are NaN); the others advanced exactly as
+def _dp5_step(field, X, V, A, h, parametrization):
+    """One Dormand-Prince 5(4) step of the geodesic system for every row.
+
+    (X, V) is the state, A its acceleration and h (B,) the per-row steps.
+    Returns (Xn, Vn, An, W, err): the fifth-order state, its acceleration
+    (the last stage, reused as the next step's first), W with
+    Xn = X + h V + h^2 W, and the max-norm of the embedded error estimate
+    over the position and velocity components.
+    """
+    hc = h[:, None]
+    kv = [A]
+    for c, a, aa in zip(_DP_C, _DP_A, _DP_AA):
+        Vs = V + hc * _combine(a, kv)
+        W = _combine(aa, kv)
+        Xs = X + (c * hc) * V
+        if W is not None:
+            Xs = Xs + (hc * hc) * W
+        _, acc = _geodesic_rhs(field, Xs, Vs, parametrization)
+        kv.append(acc)
+    err = np.maximum(np.max(np.abs((hc * hc) * _combine(_DP_EA, kv)), axis=1),
+                     np.max(np.abs(hc * _combine(_DP_E, kv)), axis=1))
+    return Xs, Vs, acc, W, err
+
+
+def _dp5_rows(field, idx, X, V, A, h, parametrization):
+    """The step one row at a time, after the batched step raised RegionError.
+    Returns _dp5_step's results and ``out``: rows flagged in it had a stage
+    leave the region (their results are NaN); the others advanced exactly as
     in the batched step."""
-    Xn = np.full_like(X, np.nan)
-    Vn = np.full_like(V, np.nan)
+    Xn, Vn, An, W = (np.full_like(X, np.nan) for _ in range(4))
+    err = np.full(len(idx), np.nan)
     out = np.zeros(len(idx), dtype=bool)
     for j in range(len(idx)):
         row = slice(j, j + 1)
         try:
-            Xn[row], Vn[row] = _rk4_step(field.for_rows(idx[row]), X[row],
-                                         V[row], step, parametrization)
+            Xn[row], Vn[row], An[row], W[row], err[row] = _dp5_step(
+                field.for_rows(idx[row]), X[row], V[row], A[row], h[row],
+                parametrization)
         except RegionError:
             out[j] = True
-    return Xn, Vn, out
+    return Xn, Vn, An, W, err, out
+
+
+def _hermite_samples(theta, h, x0, v0, a0, v1, a1, W):
+    """Positions and velocities at fractions theta of steps of length h from
+    the quintic Hermite interpolant through (x, v, a) at both ends, with the
+    end position x1 = x0 + h v0 + h^2 W; a step without acceleration
+    interpolates its constant velocity exactly."""
+    s = theta[:, None]
+    r = 1.0 - s
+    hc = h[:, None]
+    # x(s) = x0 + s h v0 + h b4 (v1 - v0) + h^2 (b5 W + b2 a0 + b3 a1) in the
+    # quintic Hermite basis b_i; d_i = db_i/ds
+    b2, b3 = 0.5 * s ** 2 * r ** 3, 0.5 * s ** 3 * r ** 2
+    b4 = -s ** 3 * r * (4.0 - 3.0 * s)
+    b5 = s ** 3 * (10.0 + s * (-15.0 + 6.0 * s))
+    d2, d3 = 0.5 * s * r ** 2 * (2.0 - 5.0 * s), 0.5 * s ** 2 * r * (3.0 - 5.0 * s)
+    d4 = s ** 2 * (-12.0 + s * (28.0 - 15.0 * s))
+    d5 = 30.0 * s ** 2 * r ** 2
+    pos = (x0 + (s * hc) * v0 + (hc * b4) * (v1 - v0)
+           + (hc * hc) * (b5 * W + b2 * a0 + b3 * a1))
+    vel = v0 + d4 * (v1 - v0) + hc * (d5 * W + d2 * a0 + d3 * a1)
+    return pos, vel
+
+
+def _store_samples(times, pos_hist, vel_hist, n_samples, idx, accept, t0, t1,
+                   h, X, V, A, Vn, An, W):
+    """Write the grid samples in (t0, t1] of every accepted step (rows
+    idx[accept]) into the histories, from the step's Hermite interpolant."""
+    rows = idx[accept]
+    k_hi = np.searchsorted(times, t1[accept], side="right")
+    counts = k_hi - n_samples[rows]
+    sel = np.flatnonzero(accept).repeat(counts)
+    ks = (np.arange(sel.size) + n_samples[rows].repeat(counts)
+          - (np.cumsum(counts) - counts).repeat(counts))
+    pos_hist[ks, idx[sel]], vel_hist[ks, idx[sel]] = _hermite_samples(
+        (times[ks] - t0[sel]) / h[sel], h[sel], X[sel], V[sel], A[sel],
+        Vn[sel], An[sel], W[sel])
+    n_samples[rows] = k_hi
 
 
 def geodesic_shoot_batch(field, x0, v0, T, step=None, parametrization="riemannian"):
     """Shoot a batch of geodesics from x0 (point or (B,d)) with directions
-    v0 (B,d).  Returns a list of GeodesicPath, one per direction; trajectories
-    that leave the field region terminate early with reason "left_region",
-    trajectories whose state stops being finite with reason "numerical".
-    Rows terminate independently: the others keep integrating.
+    v0 (B,d).  Returns a list of GeodesicPath, one per direction.
+
+    ``step`` (default 1e-3 correlation lengths) is both the output sample
+    spacing and the accuracy request: samples lie on the grid k step up to
+    the first grid time >= T, and every row integrates with its own
+    error-controlled Dormand-Prince 5(4) steps against the local error
+    target DP_TOLERANCE step^4 (max-norm over position and velocity; at
+    step 1e-3 the global error matches classical RK4 at that step).  Samples
+    between step ends come from the quintic Hermite interpolant.
+
+    A row ends "left_region" when the margin 1.5 h |V|_max leaves the region
+    box even at h = step, or when a stage of a step no longer than ``step``
+    raises RegionError; it ends "numerical" when its step would fall below
+    MIN_STEP step (non-finite stages or an unreachable error target).  Rows
+    terminate independently, at their last accepted sample: each row's path
+    is bit-identical to the same row shot alone.
     """
     if parametrization not in ("riemannian", "euclidean"):
         raise GeometryError(f"unknown parametrization {parametrization!r}")
@@ -281,51 +395,80 @@ def geodesic_shoot_batch(field, x0, v0, T, step=None, parametrization="riemannia
     if not np.all(field.contains(X)):
         raise RegionError("start point outside field region")
     V = _normalize(field, X, v0, parametrization)
+    _, A = _geodesic_rhs(field, X, V, parametrization)
 
     # histories are written in place; row b's samples are the first
     # n_samples[b] entries of its column
-    n_steps = int(np.ceil(T / step - 1e-12))
-    times = np.empty(n_steps + 1)
-    pos_hist = np.empty((n_steps + 1, B, d))
-    vel_hist = np.empty((n_steps + 1, B, d))
-    times[0] = 0.0
+    n_out = int(np.ceil(T / step - 1e-12))
+    times = np.concatenate([[0.0], np.cumsum(np.full(n_out, step))])
+    t_end = times[-1]
+    pos_hist = np.empty((n_out + 1, B, d))
+    vel_hist = np.empty((n_out + 1, B, d))
     pos_hist[0] = X
     vel_hist[0] = V
     n_samples = np.ones(B, dtype=np.int64)
     termination = np.array(["completed"] * B, dtype=object)
+    tol = DP_TOLERANCE * step ** 4
+    steps = np.zeros(B, dtype=np.int64)
+    rejected = np.zeros(B, dtype=np.int64)
 
-    idx = np.arange(B)
+    # state of the rows still integrating: row index, position, velocity,
+    # acceleration, time, proposed step and last accepted error ratio
+    idx = np.arange(B if n_out else 0)
+    t, h, last = np.zeros(B), np.full(B, step), np.ones(B)
     field_a = field
-    t = 0.0
-    for n in range(n_steps):
-        Xa, Va = pos_hist[n, idx], vel_hist[n, idx]
-        margins = 1.5 * step * np.max(np.abs(Va), axis=1)
-        inside = _inside_with_margin(field, Xa, margins)
-        if not np.all(inside):
-            termination[idx[~inside]] = "left_region"
-            idx, Xa, Va = idx[inside], Xa[inside], Va[inside]
+    while idx.size:
+        fit = _margin_steps(field, X, V)
+        cramped = fit < step
+        if np.any(cramped):
+            termination[idx[cramped]] = "left_region"
+            idx, X, V, A, t, h, last, fit = (
+                a[~cramped] for a in (idx, X, V, A, t, h, last, fit))
             if idx.size == 0:
                 break
             field_a = field.for_rows(idx)
+        ha = np.minimum(np.minimum(h, fit), t_end - t)
         try:
-            Xn, Vn = _rk4_step(field_a, Xa, Va, step, parametrization)
+            Xn, Vn, An, W, err = _dp5_step(field_a, X, V, A, ha,
+                                           parametrization)
             out = np.zeros(idx.size, dtype=bool)
         except RegionError:
-            Xn, Vn, out = _rk4_rows(field, idx, Xa, Va, step, parametrization)
-        bad = ~out & ~(np.isfinite(Xn).all(axis=1) & np.isfinite(Vn).all(axis=1))
-        if np.any(out | bad):
-            termination[idx[out]] = "left_region"
-            termination[idx[bad]] = "numerical"
-            keep = ~(out | bad)
-            idx, Xn, Vn = idx[keep], Xn[keep], Vn[keep]
-            if idx.size == 0:
-                break
-            field_a = field.for_rows(idx)
-        t += step
-        times[n + 1] = t
-        pos_hist[n + 1, idx] = Xn
-        vel_hist[n + 1, idx] = Vn
-        n_samples[idx] = n + 2
+            Xn, Vn, An, W, err, out = _dp5_rows(field, idx, X, V, A, ha,
+                                                parametrization)
+        finite = (np.isfinite(err) & np.isfinite(Xn).all(axis=1)
+                  & np.isfinite(Vn).all(axis=1) & np.isfinite(An).all(axis=1))
+        ratio = err / tol
+        accept = ~out & finite & (ratio <= 1.0)
+        # PI step control (Gustafsson 1991, with the constants of Hairer and
+        # Wanner's DOPRI5): an accepted step also weighs the previous ratio.
+        # A step that left the region is retried at a quarter of its length,
+        # but not below the sample spacing.
+        with np.errstate(divide="ignore"):
+            grow = np.where(finite, 0.9 * ratio ** -0.17, 0.0)
+        grow[accept] *= last[accept] ** 0.04
+        last[accept] = np.maximum(ratio[accept], 1e-4)
+        h = np.where(out, np.maximum(0.25 * ha, step), ha * np.clip(grow, 0.2, 5.0))
+        steps[idx] += accept
+        rejected[idx] += ~accept
+
+        t1 = np.where(ha == t_end - t, t_end, t + ha)
+        _store_samples(times, pos_hist, vel_hist, n_samples, idx, accept, t,
+                       t1, ha, X, V, A, Vn, An, W)
+        t = np.where(accept, t1, t)
+        X, V, A = (np.where(accept[:, None], new, old)
+                   for new, old in ((Xn, X), (Vn, V), (An, A)))
+
+        done = accept & (t >= t_end)
+        left = out & (ha <= step)
+        failed = ~out & ~done & (h < MIN_STEP * step)
+        termination[idx[left]] = "left_region"
+        termination[idx[failed]] = "numerical"
+        going = ~(done | left | failed)
+        if not np.all(going):
+            idx, X, V, A, t, h, last = (
+                a[going] for a in (idx, X, V, A, t, h, last))
+            if idx.size:
+                field_a = field.for_rows(idx)
 
     paths = []
     for b in range(B):
@@ -336,7 +479,8 @@ def geodesic_shoot_batch(field, x0, v0, T, step=None, parametrization="riemannia
                             parametrization=parametrization, step=step,
                             field_ref=repr(getattr(field_b, "seed",
                                                    type(field_b).__name__)),
-                            termination=str(termination[b]))
+                            termination=str(termination[b]),
+                            steps=int(steps[b]), rejected=int(rejected[b]))
         _attach_drift(field_b, path)
         paths.append(path)
     return paths

@@ -2,10 +2,11 @@
 
 Every experiment is described by an ExperimentConfig (a plain dict of
 parameters plus seed/replica/worker counts), dispatched to the owning module
-with per-replica seeds derived deterministically from the master seed, and
-written atomically (temp file + rename) together with a RunManifest that
-records the config hash, code version, per-replica seeds, wall time and
-SHA-256 digests of every output file.
+with per-replica seeds derived deterministically from the master seed (the
+SINGLE_RUN experiments run once, on the master seed itself, and refuse
+replicas > 1), and written atomically (temp file + rename) together with a
+RunManifest that records the config hash, code version, the seeds the run
+used, wall time and SHA-256 digests of every output file.
 
 Replica results are reduced in replica order with exact summation
 (math.fsum), so aggregated statistics are bit-identical for any worker count
@@ -29,6 +30,8 @@ from . import __version__, rng
 
 EXPERIMENTS = ("field-check", "geodesic", "distance", "shape", "frontier",
                "bump", "scan", "fpp", "lpp", "euclid-fpp", "polymer", "accept")
+# experiments that run once, on the master seed itself
+SINGLE_RUN = ("geodesic", "distance", "frontier", "bump")
 
 
 class ConfigError(ValueError):
@@ -51,6 +54,9 @@ class ExperimentConfig:
                 + ", ".join(EXPERIMENTS))
         if self.replicas < 1:
             raise ConfigError("replicas must be >= 1")
+        if self.replicas > 1 and self.experiment in SINGLE_RUN:
+            raise ConfigError(f"{self.experiment} runs once on the master "
+                              f"seed; replicas must be 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
 
@@ -198,7 +204,8 @@ def _run_geodesic(config):
     out = {"geodesic.csv": path.csv_text()}
     summary = {"riemannian_length": R, "euclidean_length": L,
                "speed_drift_max": path.speed_drift_max,
-               "termination": path.termination}
+               "termination": path.termination, "steps": path.steps,
+               "rejected": path.rejected}
     if p.get("jacobi", True) and path.parametrization == "riemannian":
         rec = jacobi_integrate(field, path)
         summary["conjugate_times"] = list(rec.conjugate_times)
@@ -417,7 +424,8 @@ def run(config, force=False):
         digests[name] = file_digest(path)
     manifest = RunManifest(
         config_hash=config.digest(), code_version=__version__,
-        replica_seeds=replica_seeds(config.seed, config.replicas),
+        replica_seeds=([config.seed] if config.experiment in SINGLE_RUN
+                       else replica_seeds(config.seed, config.replicas)),
         wall_time_s=time.perf_counter() - t0, outputs=digests)
     atomic_write(os.path.join(config.out, "manifest.json"), manifest.to_json())
     return manifest

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from rfpp import cli
@@ -52,3 +54,38 @@ def test_malformed_field_container_fails_fast(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: truncated field container")
     assert not out.exists()
+
+
+# tiny parameters for the experiments that run once on the master seed
+SINGLE_RUN_PARAMS = {
+    "geodesic": {"T": 0.2, "step": 1e-2},
+    "distance": {"graph_half_width": 3.0, "h": 0.5, "target": [2.0, 0.0]},
+    "frontier": {"T": 0.4, "step": 1e-2},
+    "bump": {"entries": 2, "check_minimizing": False},
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(SINGLE_RUN_PARAMS))
+def test_replicas_refused_where_the_run_cannot_replicate(experiment, tmp_path,
+                                                         capsys):
+    out = tmp_path / "out"
+    field_path = tmp_path / "field.rfpp"
+    argv = [experiment, "--replicas", "2", "--out", str(out)]
+    if experiment != "bump":
+        argv += ["--save-field", str(field_path)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: {experiment} runs once on the master seed; "
+                   f"replicas must be 1"]
+    assert not out.exists() and not field_path.exists()
+
+
+@pytest.mark.parametrize("experiment", sorted(SINGLE_RUN_PARAMS))
+def test_manifest_records_the_seed_the_run_used(experiment, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"params": SINGLE_RUN_PARAMS[experiment]}))
+    out = tmp_path / "out"
+    assert cli.main([experiment, "--config", str(config), "--seed", "17",
+                     "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["replica_seeds"] == [17]

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from rfpp import rng
+from rfpp import experiments, rng
 from rfpp.fields import (Box, ConstantMetric, FlatMetric, KernelSpec,
                          MetricField, SpherePatchField)
 from rfpp.geometry import GeodesicPath, geodesic_shoot, jacobi_integrate
@@ -287,15 +289,35 @@ def test_scan_flat_all_minimizing():
     assert not np.any(scan.trapped)
 
 
-def test_scan_sphere_cut_all_directions():
+def test_scan_sphere_cut_all_directions(monkeypatch):
     # from a non-polar base point every great circle cuts at pi; only the
-    # through-pole direction exits the chart still minimizing
+    # through-pole direction exits the chart still minimizing.  The two
+    # meridian rows (directions +e1 and -e1) run into the pole, the chart's
+    # point at infinity: they end "numerical" at their last finite sample,
+    # before anything overflows
+    shots = []
+
+    def recorded(*args, **kwargs):
+        paths = shoot(*args, **kwargs)
+        shots.extend(paths)
+        return paths
+
+    shoot = experiments.geodesic_shoot_batch
+    monkeypatch.setattr(experiments, "geodesic_shoot_batch", recorded)
     sphere = SpherePatchField(radius=1.0)
     graph = build_graph(sphere, Box.cube(6.0, 2), 0.08, 32)
-    scan = direction_scan(sphere, graph, radii=(0.5, 1.0, 2.5, 4.0), k=8,
-                          base=(1.0, 0.0), step=2e-3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        scan = direction_scan(sphere, graph, radii=(0.5, 1.0, 2.5, 4.0), k=8,
+                              base=(1.0, 0.0), step=2e-3)
     assert np.all(np.diff(scan.fractions) <= 0)
     assert scan.fractions[-1] <= 2.0 / 8.0
+    assert [p.termination for p in shots] == (
+        ["numerical"] + ["completed"] * 3 + ["numerical"] + ["completed"] * 3)
+    for p in shots:
+        assert np.all(np.isfinite(p.positions)) and np.all(np.isfinite(p.velocities))
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)
+                and ("overflow" in str(w.message) or "invalid" in str(w.message))]
 
 
 def test_scan_verdicts_monotone_absorbing():

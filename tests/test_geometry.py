@@ -81,6 +81,38 @@ def test_sphere_radial_escape_monotone():
     assert path.speed_drift_max <= 1e-6
 
 
+def test_sphere_radial_closed_form():
+    # from the chart origin the unit sphere's geodesic along e1 is the
+    # meridian, |gamma(t)| = tan(t / 2); the samples between step ends come
+    # from the Hermite interpolant
+    path = geodesic_shoot(SPHERE, (0.0, 0.0), np.array([1.0, 0.0]),
+                          T=2.5, step=1e-3)
+    r = np.linalg.norm(path.positions, axis=1)
+    assert path.termination == "completed"
+    assert np.max(np.abs(r - np.tan(path.times / 2.0))) <= 1e-9
+    assert np.max(np.abs(path.positions[:, 1])) == 0.0
+
+
+def test_field_calls_per_shot():
+    # error-controlled steps several sample spacings long: at most 2000
+    # right-hand-side field calls for 1500 samples (classical RK4 at the
+    # sample spacing made 6000)
+    field = conformal(12345)
+    calls = []
+    exponent = field.conformal_exponent_batch
+
+    def counted(X, order=2):
+        calls.append(len(X))
+        return exponent(X, order=order)
+
+    field.conformal_exponent_batch = counted
+    path = geodesic_shoot(field, (0.0, 0.0), np.array([1.0, 0.0]), T=1.5,
+                          step=1e-3)
+    assert path.termination == "completed" and len(path.times) == 1501
+    assert len(calls) == 6 * (path.steps + path.rejected) + 1
+    assert len(calls) <= 2000
+
+
 def test_richardson_convergence_order():
     field = conformal(11)
     ref = geodesic_shoot(field, (0.0, 0.0), np.array([0.6, 0.8]),
@@ -322,6 +354,28 @@ def test_batch_matches_single():
         assert np.array_equal(batch[i].velocities, single.velocities)
 
 
+def test_rows_independent_under_differing_step_histories():
+    # on an amplitude-1 field the rows take different steps and reject
+    # different ones (in the stack, row 0 crosses a strongly curved patch
+    # the others never see); each row still equals its own single shot
+    x0 = np.array([[0.0, 0.0], [3.0, 1.0], [-2.0, 2.0]])
+    dirs = np.array([[1.0, 0.0], [0.0, 1.0], [-0.6, 0.8]])
+    field = conformal(43, amplitude=1.0)
+    fields = [conformal(s, amplitude=1.0) for s in (44, 45, 46)]
+    for shot, singles, start in (
+            (field, [field] * 3, x0),
+            (FieldStack(fields), fields, np.zeros((3, 2)))):
+        paths = geodesic_shoot_batch(shot, start, dirs, T=2.0, step=1e-3)
+        histories = {(p.steps, p.rejected) for p in paths}
+        assert len(histories) == 3 and max(p.rejected for p in paths) > 0
+        for i, path in enumerate(paths):
+            single = geodesic_shoot(singles[i], start[i], dirs[i], T=2.0,
+                                    step=1e-3)
+            assert (single.steps, single.rejected) == (path.steps, path.rejected)
+            assert np.array_equal(path.positions, single.positions)
+            assert np.array_equal(path.velocities, single.velocities)
+
+
 def test_csv_export():
     path = geodesic_shoot(FLAT, (0.0, 0.0), np.array([1.0, 0.0]), T=0.2, step=1e-2)
     text = path.csv_text().splitlines()
@@ -413,9 +467,9 @@ def _path_digest(paths):
 
 
 def test_sym_exp_paths_golden_digest():
-    # computed with per-step state copies and appended histories (numpy
-    # 2.4.6, x86-64); writing the histories in place must reproduce them bit
-    # for bit, early left_region terminations included
+    # computed with the Dormand-Prince shooter (numpy 2.4.6, x86-64): a
+    # refactoring must reproduce the paths bit for bit, early left_region
+    # terminations included
     field = MetricField("sym_exp", seed=7, region=Box.cube(2.5, 2),
                         kernel=KernelSpec(range=1.0, amplitude=0.3))
     dirs = np.array([[1.0, 0.0], [0.0, 1.0], [-0.6, 0.8], [0.7, -0.7]])
@@ -427,9 +481,9 @@ def test_sym_exp_paths_golden_digest():
         digests[parametrization] = _path_digest(paths)
     assert digests == {
         "riemannian":
-            "35dab3c855978a9534ce0152cdd30abb8cff7a90e8d684ce1abac533fd574b78",
+            "fa0468bb21ec20c0b76b2b0997ec121a3f8658e31effdbb07a632771204a435e",
         "euclidean":
-            "6279a6b3403a66a4975b3343b3293b3f2e82c98ec1cde3c9fe93c07397217374",
+            "8cc34dd7744f63b55832d5384fbb2ceb7c6e9d14e5a8feb29275484f6c20c59d",
     }
 
 

@@ -44,11 +44,11 @@ GOLDEN = {
         "ball.csv": "adeb50b51e6b35bacb41cd12d5a7cffefd0d29bd6ccf6636c0c2561fe62bb0dd",
         "distance.json": "0f48844e0f1565d3df2ceba6c6679b84b5a69c44e23bb053183986bf35b4e447"},
     "frontier": {
-        "frontier.csv": "10bdd92e10b6401b4a2bf990523ec5ad57e9159303fe8f32c80a10c2d1019c0c",
+        "frontier.csv": "eeb36759220ca383f7c3ac52b1c98463139f26a6af629940c4e92213affc0f89",
         "frontier.json": "f37180601017e2ba75b90e63d86d4ff730788a22698be38e33353dff5f5ce769"},
     "geodesic": {
-        "geodesic.csv": "0db13d82f6760b060eb57cdc2531932ad5126ba86102f31e98aadf7bd1205ae6",
-        "geodesic.json": "01c83ee8c2a1a6c95f087322176edb696d620c8f1182c534159d21ac958c75e0"},
+        "geodesic.csv": "3a57eafaf6acb8cbf83abcf89f94e67e8430b615143f09c5b2c358f34486b122",
+        "geodesic.json": "657ad1c0d841d8370a2701ee053bf543805b25795667f4a1a52b4b6b1f7233c3"},
     "shape": {
         "shape.csv": "513806cb276dff1d38f5b12f2137fac47467f1329de226f97b78a3894e2b6fdc",
         "shape.json": "9bd1dc2443428efd71923cc6afe78e779c50cc77e6e1e36acb1dd15c792a5799"},
