@@ -4,7 +4,8 @@ Every experiment is described by an ExperimentConfig (a plain dict of
 parameters plus seed/replica/worker counts), dispatched to the owning module
 with per-replica seeds derived deterministically from the master seed (the
 SINGLE_RUN experiments run once, on the master seed itself, and refuse
-replicas > 1), and written atomically (temp file + rename) together with a
+replicas > 1; fpp and lpp key their replicas by index under the master
+seed), and written atomically (temp file + rename) together with a
 RunManifest that records the config hash, code version, the seeds the run
 used, wall time and SHA-256 digests of every output file.
 
@@ -31,7 +32,10 @@ from . import __version__, rng
 EXPERIMENTS = ("field-check", "geodesic", "distance", "shape", "frontier",
                "bump", "scan", "fpp", "lpp", "euclid-fpp", "polymer", "accept")
 # experiments that run once, on the master seed itself
-SINGLE_RUN = ("geodesic", "distance", "frontier", "bump")
+SINGLE_RUN = ("geodesic", "distance", "frontier", "bump", "euclid-fpp")
+# experiments whose replicas all draw under the master seed itself: fpp and
+# lpp key replica r's bonds by the word r
+MASTER_SEEDED = SINGLE_RUN + ("fpp", "lpp")
 
 
 class ConfigError(ValueError):
@@ -424,7 +428,7 @@ def run(config, force=False):
         digests[name] = file_digest(path)
     manifest = RunManifest(
         config_hash=config.digest(), code_version=__version__,
-        replica_seeds=([config.seed] if config.experiment in SINGLE_RUN
+        replica_seeds=([config.seed] if config.experiment in MASTER_SEEDED
                        else replica_seeds(config.seed, config.replicas)),
         wall_time_s=time.perf_counter() - t0, outputs=digests)
     atomic_write(os.path.join(config.out, "manifest.json"), manifest.to_json())

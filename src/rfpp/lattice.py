@@ -30,6 +30,9 @@ from . import rng
 from .harness import exact_mean
 
 _WEIGHT_GRID = 2.0 ** 30
+# keys per WeightLaw.sample block: its uint64 and float64 temporaries
+# (256 KiB each) stay in cache
+_SAMPLE_BLOCK = 2 ** 15
 
 
 class LatticeError(ValueError):
@@ -87,24 +90,53 @@ class WeightLaw:
         return self.kind != "deterministic"
 
     def sample(self, seed, *words):
-        """Deterministic quantized draws keyed by (seed, words)."""
+        """Deterministic quantized draws keyed by (seed, words).
+
+        The draws are made in blocks of about _SAMPLE_BLOCK keys, row
+        blocks along the first axis of the broadcast shape, and mapped to
+        quantized weights in place; each value equals the draw of its own
+        key.  Scalar words, and words of extent 1 along that axis, are
+        passed to the generator unsliced, so they are hashed once per block.
+        """
+        shape = np.broadcast_shapes(*(np.shape(w) for w in words))
+        out = np.empty(shape)
+        if not shape:
+            self._fill(seed, words, out)
+            return out[()]
+        step = max(1, _SAMPLE_BLOCK // max(math.prod(shape[1:]), 1))
+        sliced = [np.ndim(w) == len(shape) and np.shape(w)[0] > 1 for w in words]
+        for r0 in range(0, shape[0], step):
+            rows = slice(r0, r0 + step)
+            self._fill(seed, [np.asarray(w)[rows] if cut else w
+                              for w, cut in zip(words, sliced)], out[rows])
+        return out
+
+    def _fill(self, seed, words, out):
+        """Write the quantized draws keyed by (seed, words) into out."""
         if self.kind == "deterministic":
-            shape = np.broadcast(*[np.asarray(w) for w in words]).shape if words else ()
-            raw = np.full(shape, self.params[0], dtype=float)
+            out.fill(self.params[0])
         else:
             u = rng.uniform(seed, *words)
             if self.kind == "exponential":
-                raw = -np.log(u) / self.params[0]
+                np.log(u, out=out)
+                np.negative(out, out=out)
+                out /= self.params[0]
             elif self.kind == "geometric":
-                raw = np.floor(np.log(u) / np.log1p(-self.params[0]))
+                np.log(u, out=out)
+                out /= np.log1p(-self.params[0])
+                np.floor(out, out=out)
             elif self.kind == "uniform":
                 a, b = self.params
-                raw = a + (b - a) * u
+                np.multiply(u, b - a, out=out)
+                out += a
             else:  # bernoulli
                 prob, lo, hi = self.params
-                raw = np.where(u < prob, hi, lo)
-        q = np.round(raw * _WEIGHT_GRID) / _WEIGHT_GRID
-        return self.scale * q
+                out.fill(lo)
+                np.copyto(out, hi, where=u < prob)
+        out *= _WEIGHT_GRID
+        np.round(out, out=out)
+        out /= _WEIGHT_GRID
+        out *= self.scale
 
     def min_moment(self, dimension):
         """E[min(t_1, ..., t_{2d})^{2d}] for 2d independent copies, in
@@ -384,14 +416,10 @@ def lpp_passage(config, target, origin=(0, 0), replica=0):
     # wU[i, j]: bond (ox+i, oy+j) -> (ox+i, oy+j+1), j < n
     ii = np.arange(ox, ox + m)
     jj = np.arange(oy, oy + n + 1)
-    wR = (config.law.sample(config.seed, replica, 0,
-                            ii[:, None], jj[None, :]) if m else
-          np.zeros((0, n + 1)))
+    wR = config.law.sample(config.seed, replica, 0, ii[:, None], jj[None, :])
     ii = np.arange(ox, ox + m + 1)
     jj = np.arange(oy, oy + n)
-    wU = (config.law.sample(config.seed, replica, 1,
-                            ii[:, None], jj[None, :]) if n else
-          np.zeros((m + 1, 0)))
+    wU = config.law.sample(config.seed, replica, 1, ii[:, None], jj[None, :])
 
     T = np.zeros(n + 1)
     C = np.zeros(n + 1)

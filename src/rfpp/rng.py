@@ -37,12 +37,14 @@ _TWO_NEG53 = 2.0 ** -53
 
 
 def _mix64(z):
-    """SplitMix64/Murmur3 finalizer, vectorized over uint64 arrays."""
-    z = z ^ (z >> _S33)
-    z = z * _MIX1
-    z = z ^ (z >> _S33)
-    z = z * _MIX2
-    return z ^ (z >> _S33)
+    """SplitMix64/Murmur3 finalizer, in place on a uint64 array the generator
+    allocated itself (never on a caller's array); a scalar is rebound."""
+    z ^= z >> _S33
+    z *= _MIX1
+    z ^= z >> _S33
+    z *= _MIX2
+    z ^= z >> _S33
+    return z
 
 
 def _as_u64(w):
@@ -59,6 +61,8 @@ def hash_words(seed, *words):
     """64-bit hash of (seed, words...).  Words may be scalars or broadcastable
     integer arrays; negative values are taken as two's complement."""
     with np.errstate(over="ignore"):
+        # every sum is a fresh array, so the caller's seed and words are
+        # never mixed in place
         h = _mix64(_as_u64(seed) + _GOLDEN)
         for w in words:
             h = _mix64(h + _GOLDEN * _as_u64(w))
@@ -66,8 +70,13 @@ def hash_words(seed, *words):
 
 
 def _unit(h):
-    """Top 53 bits of a hash as a uniform on the open interval (0, 1)."""
-    return ((h >> np.uint64(11)).astype(np.float64) + 0.5) * _TWO_NEG53
+    """Top 53 bits of a generator-owned hash as a uniform on the open
+    interval (0, 1); h is shifted in place."""
+    h >>= np.uint64(11)
+    u = h.astype(np.float64)
+    u += 0.5
+    u *= _TWO_NEG53
+    return u
 
 
 def uniform(seed, *words):
@@ -83,8 +92,9 @@ def normal(seed, *words):
     """
     h = hash_words(seed, *words)
     with np.errstate(over="ignore"):
+        salt1 = h + _GOLDEN
         u1 = _unit(_mix64(h))
-        u2 = _unit(_mix64(h + _GOLDEN))
+        u2 = _unit(_mix64(salt1))
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from rfpp import cli
+from rfpp import cli, rng
+from rfpp.lattice import (LatticeConfig, WeightLaw, fpp_passage, lpp_passage,
+                          polymer_free_energy)
 
 
 @pytest.mark.parametrize("flag", ["--config", "--load-field"])
@@ -62,7 +64,11 @@ SINGLE_RUN_PARAMS = {
     "distance": {"graph_half_width": 3.0, "h": 0.5, "target": [2.0, 0.0]},
     "frontier": {"T": 0.4, "step": 1e-2},
     "bump": {"entries": 2, "check_minimizing": False},
+    "euclid-fpp": {"points": 20},
 }
+
+# experiments that sample no field and refuse --save-field
+NO_FIELD = ("bump", "euclid-fpp")
 
 
 @pytest.mark.parametrize("experiment", sorted(SINGLE_RUN_PARAMS))
@@ -71,7 +77,7 @@ def test_replicas_refused_where_the_run_cannot_replicate(experiment, tmp_path,
     out = tmp_path / "out"
     field_path = tmp_path / "field.rfpp"
     argv = [experiment, "--replicas", "2", "--out", str(out)]
-    if experiment != "bump":
+    if experiment not in NO_FIELD:
         argv += ["--save-field", str(field_path)]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
@@ -89,3 +95,34 @@ def test_manifest_records_the_seed_the_run_used(experiment, tmp_path):
                      "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["replica_seeds"] == [17]
+
+
+def _lattice_replica_values(experiment, seeds, replicas):
+    """What each replica of a 6-site run computes from the recorded seeds."""
+    if experiment == "polymer":
+        return [polymer_free_energy(s, 6, 1.0).free_energy for s in seeds]
+    cfg = LatticeConfig(2, 6, WeightLaw(*{"fpp": ("exponential", (1.0,)),
+                                          "lpp": ("geometric", (0.5,))}[experiment]),
+                        seeds[0])
+    if experiment == "fpp":
+        return [fpp_passage(cfg, (6, 0), replica=r).tau for r in range(replicas)]
+    return [lpp_passage(cfg, (6, 6), replica=r) for r in range(replicas)]
+
+
+@pytest.mark.parametrize("experiment", ["fpp", "lpp", "polymer"])
+def test_lattice_manifest_records_the_seeds_the_replicas_used(experiment,
+                                                              tmp_path):
+    # fpp and lpp key replica r's bonds by the word r under the master seed;
+    # polymer draws replica r's environment from derive_seed(seed, r)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"params": {"n": 6}}))
+    out = tmp_path / "out"
+    assert cli.main([experiment, "--config", str(config), "--seed", "17",
+                     "--replicas", "3", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    expected = ([rng.derive_seed(17, r) for r in range(3)]
+                if experiment == "polymer" else [17])
+    assert manifest["replica_seeds"] == expected
+    rows = (out / f"{experiment}.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[1]) for row in rows] == \
+        _lattice_replica_values(experiment, expected, 3)

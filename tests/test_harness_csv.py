@@ -15,6 +15,10 @@ TINY = {
     "shape": {"t": 2.0, "h": 0.5, "stencil": 16, "directions": 8},
     "geodesic": {"T": 0.1, "step": 1e-2},
     "frontier": {"T": 0.3, "step": 1e-2},
+    # lpp and fpp draw their weights in several sample blocks at these sizes
+    "fpp": {"n": 200},
+    "lpp": {"n": 200},
+    "polymer": {"n": 300},
 }
 
 
@@ -46,9 +50,15 @@ GOLDEN = {
     "frontier": {
         "frontier.csv": "eeb36759220ca383f7c3ac52b1c98463139f26a6af629940c4e92213affc0f89",
         "frontier.json": "f37180601017e2ba75b90e63d86d4ff730788a22698be38e33353dff5f5ce769"},
+    "fpp": {
+        "fpp.csv": "05f97ea68d4c0970c942dc95053bae50a10a39b1045ce11c60c7fecdd68b6dc0"},
     "geodesic": {
         "geodesic.csv": "3a57eafaf6acb8cbf83abcf89f94e67e8430b615143f09c5b2c358f34486b122",
         "geodesic.json": "657ad1c0d841d8370a2701ee053bf543805b25795667f4a1a52b4b6b1f7233c3"},
+    "lpp": {
+        "lpp.csv": "16c276f025c439fb7659e028646c860eca689b2ca867b7e37ee543703c4a0174"},
+    "polymer": {
+        "polymer.csv": "5ce28b19a281ad5148cfd6091acd216a7af7c6a86b706e9f5c05d984ff030872"},
     "shape": {
         "shape.csv": "513806cb276dff1d38f5b12f2137fac47467f1329de226f97b78a3894e2b6fdc",
         "shape.json": "9bd1dc2443428efd71923cc6afe78e779c50cc77e6e1e36acb1dd15c792a5799"},

@@ -72,6 +72,42 @@ def test_min_moment_geometric_exact(d):
     assert geometric_law(0.5).min_moment(d) == pytest.approx(float(want), rel=1e-15)
 
 
+# sha256 of WeightLaw.sample for every law over the keys below, computed when
+# sample drew every key in one rng.uniform call and quantized through fresh
+# temporaries (numpy 2.4.6, x86-64).  The keys cover a scalar key, 1-D keys
+# longer than one sample block, an (m, 1) x (1, n) grid whose m is not a
+# multiple of the rows per block, a 3-D grid, size-1 words and negative
+# coordinates.
+SAMPLE_LAWS = (WeightLaw("exponential", (1.5,)), WeightLaw("geometric", (0.3,)),
+               WeightLaw("uniform", (0.25, 2.0)),
+               WeightLaw("bernoulli", (0.3, 1.0, 2.0), scale=0.5),
+               WeightLaw("deterministic", (1.7,), scale=2.0))
+SAMPLE_KEYS = ((7, 3, -2),
+               (2 ** 40 + 5, np.arange(-35000, 35000)),
+               (11, 0, np.arange(300)[:, None], np.arange(-128, 129)[None, :]),
+               (12, np.arange(5)[:, None, None], np.arange(-40, 40)[None, :, None],
+                np.arange(100)[None, None, :]),
+               (-9, np.array([4]), np.arange(-70, 0)[:, None], -np.arange(700)))
+SAMPLE_GOLDEN = "c9a422ef1311da39fd0a3993eeb7b531a7b2213978d9c50a1c0e94f21c670ecf"
+
+
+def test_sample_golden_digest():
+    h = hashlib.sha256()
+    for law in SAMPLE_LAWS:
+        for key in SAMPLE_KEYS:
+            h.update(np.ascontiguousarray(law.sample(*key)).tobytes())
+    assert h.hexdigest() == SAMPLE_GOLDEN
+
+
+def test_sample_shapes_follow_the_words():
+    law = exponential_law(1.0)
+    assert np.shape(law.sample(7, 3, -2)) == ()
+    grid = law.sample(11, 0, np.arange(300)[:, None], np.arange(257)[None, :])
+    assert grid.shape == (300, 257)
+    assert np.array_equal(grid[299], law.sample(11, 0, 299, np.arange(257)))
+    assert law.sample(3, np.arange(0)[:, None], np.arange(5)).shape == (0, 5)
+
+
 # --------------------------------------------------------------- FPP
 
 def test_fpp_deterministic_weights_axis():

@@ -62,3 +62,18 @@ def test_golden_digest():
         for draw in (rng.hash_words, rng.uniform, rng.normal):
             h.update(np.ascontiguousarray(draw(*key)).tobytes())
     assert h.hexdigest() == RNG_GOLDEN
+
+
+def test_draws_leave_the_callers_arrays_unchanged():
+    # the generator mixes in place, but only arrays it allocated itself
+    seed = np.arange(6, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    words = (np.arange(6, dtype=np.uint64), np.full((3, 1), 2 ** 63, dtype=np.uint64),
+             np.uint64(5))
+    kept = [seed.copy()] + [np.copy(w) for w in words]
+    for draw in (rng.hash_words, rng.uniform, rng.normal):
+        draw(seed, *words)
+        draw(seed)
+        draw(7, *words)
+        for before, after in zip(kept, (seed,) + words):
+            assert after.dtype == np.uint64
+            assert np.array_equal(before, after)
