@@ -15,7 +15,8 @@ import json
 import os
 import sys
 
-from .harness import EXPERIMENTS, ConfigError, ExperimentConfig, run
+from .harness import (EXPERIMENTS, ConfigError, ExperimentConfig,
+                      output_paths, run)
 
 # the experiments that evaluate make_field(--seed, params), the field that
 # --save-field writes and --load-field replaces
@@ -99,6 +100,7 @@ def main(argv=None):
                                   seed=seed, replicas=replicas,
                                   workers=args.workers, out=out)
         if args.save_field:
+            output_paths(config, args.force)
             from .fields import save_field
             from .harness import make_field
             os.makedirs(out, exist_ok=True)

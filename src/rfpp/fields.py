@@ -92,15 +92,22 @@ class Box:
             raise FieldError("box lo/hi dimension mismatch")
         if any(h <= l for l, h in zip(lo, hi)):
             raise FieldError("degenerate box")
+        # (d, 1) bound columns for contains, built once; they are not
+        # dataclass fields, so equality, repr and hashing see lo and hi alone
+        object.__setattr__(self, "_lo_col", np.array(lo)[:, None])
+        object.__setattr__(self, "_hi_col", np.array(hi)[:, None])
 
     @property
     def dim(self):
         return len(self.lo)
 
     def contains(self, points):
-        x = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.all((x >= np.asarray(self.lo)) & (x <= np.asarray(self.hi)),
-                      axis=1)
+        # compare the (d, B) transpose into C order, so each comparison and
+        # the reduction over axes run along the batch, not along rows of d
+        xt = np.atleast_2d(np.asarray(points, dtype=float)).T
+        inside = (np.greater_equal(xt, self._lo_col, order="C")
+                  & np.less_equal(xt, self._hi_col, order="C"))
+        return np.logical_and.reduce(inside)
 
     def intersection(self, other):
         """The box common to this box and ``other``."""
@@ -138,19 +145,26 @@ class KernelSpec:
     def radial(self, u, order=2):
         """psi(u), psi'(u), psi''(u) for u = |x|^2 / range^2 (vectorized),
         computed up to ``order``: psi alone at order 0, (psi, psi', None)
-        at order 1 and all three at order 2."""
+        at order 1 and all three at order 2.
+
+        1/(1-u), the exponential and the derivatives are computed on the
+        entries with u < 1 alone (about 60% of a field's support offsets)
+        and scattered into zeros; each entry sees the same operations
+        whatever else its array holds."""
         u = np.asarray(u, dtype=float)
         inside = u < 1.0
-        # clamp to keep 1/(1-u) finite where the result is masked out anyway
-        w = np.where(inside, 1.0 - u, 1.0)
-        inv = 1.0 / w
-        psi = np.where(inside, np.exp(1.0 - inv), 0.0)
+        inv = 1.0 / (1.0 - u[inside])
+        e = np.exp(1.0 - inv)
+        psi = np.zeros_like(u)
+        psi[inside] = e
         if order == 0:
             return psi
-        d1 = np.where(inside, -psi * inv * inv, 0.0)
+        d1 = np.zeros_like(u)
+        d1[inside] = -e * inv * inv
         if order < 2:
             return psi, d1, None
-        d2 = np.where(inside, psi * (inv ** 4 - 2.0 * inv ** 3), 0.0)
+        d2 = np.zeros_like(u)
+        d2[inside] = e * (inv ** 4 - 2.0 * inv ** 3)
         return psi, d1, d2
 
     def evaluate(self, dx, order=2):
@@ -162,13 +176,19 @@ class KernelSpec:
         u = np.einsum("bi,bi->b", dx, dx) / xi2
         if order == 0:
             return self.radial(u, 0)
+        return self.chain(u, 2.0 * dx / xi2, order)
+
+    def chain(self, u, du, order):
+        """Kernel value, gradient and Hessian, the Hessian None below order
+        2, from u = |x|^2 / range^2 (N,) and du = du/dx = 2 x / range^2
+        (N, d), at order 1 or 2."""
         psi, d1, d2 = self.radial(u, order)
-        du = 2.0 * dx / xi2                            # (B, d) = du/dx_i
         grad = d1[:, None] * du
         if order < 2:
             return psi, grad, None
         hess = (d2[:, None, None] * du[:, :, None] * du[:, None, :]
-                + d1[:, None, None] * (2.0 / xi2) * np.eye(dx.shape[1]))
+                + d1[:, None, None] * (2.0 / self.range ** 2)
+                * np.eye(du.shape[1]))
         return psi, grad, hess
 
 
@@ -294,18 +314,22 @@ class MetricField(Field):
         channels = 1 if mode == "conformal" else sym_channel_count(self.dim)
         self.noise = sample_noise(self.seed, region, self.spacing, channels,
                                   margin=kernel.range)
-        # support geometry, fixed for the field's lifetime: the (2 reach + 1)^d
-        # node offsets around a cell, their offsets in the flat (C-order)
-        # noise index, and the flat coefficient view they index
+        # support geometry, fixed for the field's lifetime: the 2 reach + 1
+        # node offsets along one axis, the (2 reach + 1)^d offsets around a
+        # cell (their mesh, first axis slowest), the index spreading a row
+        # (m, d) of a per-axis table over the mesh, their offsets in the flat
+        # (C-order) noise index, and the flat coefficient view they index
         self._reach = int(np.ceil(kernel.range / self.spacing))
-        self._offs = grid_points(
-            [np.arange(-self._reach, self._reach + 1)] * self.dim)   # (K, d)
+        self._line = np.arange(-self._reach, self._reach + 1)         # (m,)
+        offs = grid_points([self._line] * self.dim)                  # (K, d)
+        self._spread = ((offs + self._reach) * self.dim
+                        + np.arange(self.dim)).ravel()               # (K d,)
         self._index_lo = np.asarray(self.noise.index_lo, dtype=np.int64)
         self._counts = np.asarray(self.noise.node_counts, dtype=np.int64)
         self._strides = np.append(np.cumprod(self._counts[:0:-1])[::-1], 1)
-        self._flat_offs = self._offs @ self._strides                 # (K,)
+        self._flat_offs = offs @ self._strides                       # (K,)
         self._flat_coeff = self.noise.coefficients.reshape(-1, channels)
-        self._norm = self._node_normalizer()
+        self._norm = self._node_normalizer(offs)
 
     # -- plumbing ----------------------------------------------------------
 
@@ -325,21 +349,27 @@ class MetricField(Field):
         out.value_scale = self.value_scale * float(factor)
         return out
 
-    def _node_normalizer(self):
-        val = self.kernel.evaluate(self._offs * self.spacing, order=0)
+    def _node_normalizer(self, offs):
+        val = self.kernel.evaluate(offs * self.spacing, order=0)
         return float(np.sqrt(np.sum(val ** 2)))
 
     # -- kernel sums -------------------------------------------------------
 
     def _gather(self, X, lookup=None):
-        """Displacements to, and coefficients of, every support node.
+        """Per-axis displacements to, and coefficients of, every support node.
 
-        Returns (dx (B,K,d), coeff (B,K,ch)) for the (2 reach + 1)^d nodes
-        whose kernel support can reach each point.  The bounds check runs on
-        the (B,d) cells: every support node of a cell lies within ``reach``
-        of it on each axis, so the cells alone decide whether the support
-        stays on the noise grid.  ``lookup`` maps the flat noise-grid indices
-        (B,K) to coefficients; the default reads this field's own array.
+        Returns (dx1 (B,m,d), coeff (B,K,ch)) for the K = m^d nodes, m =
+        2 reach + 1, whose kernel support can reach each point.  The support
+        of a point is the mesh of m node lines per axis, so its displacements
+        are a per-axis table: dx1[b, j, i] = X[b, i] - (cell[b, i] + j -
+        reach) h, with the integer add, the multiply and the subtract a full
+        (B,K,d) displacement tensor would apply to that entry.  Node k of
+        coeff's K axis is the mesh point (j_0, ..., j_{d-1}), first axis
+        slowest.  The bounds check runs on the (B,d) cells: every support
+        node of a cell lies within ``reach`` of it on each axis, so the cells
+        alone decide whether the support stays on the noise grid.
+        ``lookup`` maps the flat noise-grid indices (B,K) to coefficients;
+        the default reads this field's own array.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if not np.all(self.contains(X)):
@@ -354,18 +384,18 @@ class MetricField(Field):
             raise RegionError("kernel support escapes the noise grid")
         flat = (rel @ self._strides)[:, None] + self._flat_offs
         if lookup is None:
-            coeff = self._flat_coeff[flat]
+            coeff = np.take(self._flat_coeff, flat, axis=0)
         else:
             coeff = lookup(flat)
-        node_pos = (cell[:, None, :] + self._offs[None, :, :]) * h
-        dx = X[:, None, :] - node_pos
-        return dx, coeff
+        dx1 = X[:, None, :] - (cell[:, None, :] + self._line[None, :, None]) * h
+        return dx1, coeff
 
     def _sums(self, X, order, lookup=None):
         """Kernel sums of this field at X up to ``order`` (see _kernel_sums);
         ``lookup`` as in _gather."""
-        dx, coeff = self._gather(X, lookup)
-        return _kernel_sums(self.kernel, self._norm, dx, coeff, order)
+        dx1, coeff = self._gather(X, lookup)
+        return _kernel_sums(self.kernel, self._norm, dx1, self._spread, coeff,
+                            order)
 
     # -- evaluation --------------------------------------------------------
 
@@ -425,13 +455,36 @@ def _first_channel(A):
     return None if A is None else A[..., 0]
 
 
-def _kernel_sums(kernel, norm, dx, coeff, order=2):
+def _kernel_sums(kernel, norm, dx1, spread, coeff, order=2):
     """Contract kernel derivatives against coefficients, scaled by
     amplitude / N0: G (B,ch) alone at order 0, (G, dG (B,d,ch), None) at
-    order 1 and (G, dG, d2G (B,d,d,ch)) at order 2."""
-    B, K, d = dx.shape
-    k = kernel.evaluate(dx.reshape(B * K, d), order=order)
-    val, grad, hess = (k, None, None) if order == 0 else k
+    order 1 and (G, dG, d2G (B,d,d,ch)) at order 2.
+
+    The displacements come as the per-axis table dx1 (B,m,d) of _gather and
+    coeff (B,K,ch) holds the K = m^d mesh nodes, first axis slowest.  No
+    (B,K,d) displacement tensor is built: u = |dx|^2 / range^2 is the outer
+    sum of the squared per-axis displacements, added in the order
+    einsum("bi,bi->b") adds a row of up to seven terms (two lanes, even
+    axes and odd axes, then their sum): x0^2 + x1^2 in 2-D and
+    (x0^2 + x2^2) + x1^2 in 3-D, so every u keeps the bits of the einsum
+    over the full tensor.  From order 1 on, the factor du/dx = 2 dx /
+    range^2 is computed per axis and spread over the mesh by ``spread``,
+    the (K d,) positions in a flattened (m, d) table row of the mesh
+    entries (k, i)."""
+    B, m, d = dx1.shape
+    K = m ** d
+    xi2 = kernel.range ** 2
+    sq = dx1 * dx1
+    lanes = [_mesh_axis(sq, 0), _mesh_axis(sq, 1)]
+    for i in range(2, d):
+        lanes[i % 2] = lanes[i % 2] + _mesh_axis(sq, i)
+    u = ((lanes[0] + lanes[1]) / xi2).reshape(B * K)
+    if order == 0:
+        val, grad, hess = kernel.radial(u, 0), None, None
+    else:
+        du1 = (2.0 * dx1 / xi2).reshape(B, m * d)
+        du = np.take(du1, spread, axis=1).reshape(B * K, d)
+        val, grad, hess = kernel.chain(u, du, order)
     scale = kernel.amplitude / norm
     G = scale * np.einsum("bk,bkc->bc", val.reshape(B, K), coeff)
     if order == 0:
@@ -441,6 +494,13 @@ def _kernel_sums(kernel, norm, dx, coeff, order=2):
         return G, dG, None
     d2G = scale * np.einsum("bkij,bkc->bijc", hess.reshape(B, K, d, d), coeff)
     return G, dG, d2G
+
+
+def _mesh_axis(table, i):
+    """Column i of a per-axis table (B,m,d), shaped to broadcast along axis
+    i of the (B, m, ..., m) support mesh."""
+    B, m, d = table.shape
+    return table[:, :, i].reshape((B,) + (1,) * i + (m,) + (1,) * (d - 1 - i))
 
 
 def _metric_from_sums(field, sums, order):

@@ -392,35 +392,53 @@ def _run_accept(config):
     return {"acceptance.json": report.to_json()}
 
 
+# each experiment's runner and the output files it writes; a (name, param)
+# pair is written only when that parameter is set
 _RUNNERS = {
-    "field-check": _run_field_check,
-    "geodesic": _run_geodesic,
-    "distance": _run_distance,
-    "shape": _run_shape,
-    "frontier": _run_frontier,
-    "bump": _run_bump,
-    "scan": _run_scan,
-    "fpp": _run_fpp,
-    "lpp": _run_lpp,
-    "euclid-fpp": _run_euclid_fpp,
-    "polymer": _run_polymer,
-    "accept": _run_accept,
+    "field-check": (_run_field_check, ("field-check.json",)),
+    "geodesic": (_run_geodesic, ("geodesic.csv", "geodesic.json")),
+    "distance": (_run_distance, ("ball.csv", "distance.json")),
+    "shape": (_run_shape, ("shape.csv", "shape.json")),
+    "frontier": (_run_frontier, ("frontier.csv", "frontier.json")),
+    "bump": (_run_bump, ("bump.json",)),
+    "scan": (_run_scan, ("scan.json",)),
+    "fpp": (_run_fpp, ("fpp.csv", ("fpp-chi.json", "exponents"))),
+    "lpp": (_run_lpp, ("lpp.csv", ("lpp-chi.json", "exponents"))),
+    "euclid-fpp": (_run_euclid_fpp, ("euclid-fpp.json",)),
+    "polymer": (_run_polymer, ("polymer.csv",)),
+    "accept": (_run_accept, ("acceptance.json",)),
 }
+
+
+def output_paths(config, force=False):
+    """{name: path} of the files ``config``'s run writes, in name order;
+    ConfigError if one of them exists already and ``force`` is not set."""
+    names = []
+    for entry in _RUNNERS[config.experiment][1]:
+        name, param = (entry, None) if isinstance(entry, str) else entry
+        if param is None or config.params.get(param, False):
+            names.append(name)
+    paths = {name: os.path.join(config.out, name) for name in sorted(names)}
+    clash = [path for path in paths.values() if os.path.exists(path)]
+    if clash and not force:
+        raise ConfigError(f"output {clash[0]} exists; pass force to overwrite")
+    return paths
 
 
 def run(config, force=False):
     """Execute an experiment config; returns the RunManifest.
 
-    Output files land in config.out.  If any of them exists already, nothing
-    is written unless force=True, which overwrites.  A manifest.json with the
-    config hash, per-replica seeds and output digests is written alongside.
+    Output files land in config.out.  If any of them exists already, the
+    run is refused before anything is computed or written, unless
+    force=True, which overwrites.  A manifest.json with the config hash,
+    per-replica seeds and output digests is written alongside.
     """
     t0 = time.perf_counter()
-    outputs = _RUNNERS[config.experiment](config)
-    paths = {name: os.path.join(config.out, name) for name in sorted(outputs)}
-    clash = [path for path in paths.values() if os.path.exists(path)]
-    if clash and not force:
-        raise ConfigError(f"output {clash[0]} exists; pass force to overwrite")
+    paths = output_paths(config, force)
+    outputs = _RUNNERS[config.experiment][0](config)
+    if sorted(outputs) != list(paths):
+        raise AssertionError(f"{config.experiment} wrote {sorted(outputs)}, "
+                             f"not its declared outputs {list(paths)}")
     os.makedirs(config.out, exist_ok=True)
     digests = {}
     for name, path in paths.items():

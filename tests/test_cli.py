@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from rfpp import cli, rng
+from rfpp import cli, harness, rng
+from rfpp.distance import ShapeEstimate
 from rfpp.lattice import (LatticeConfig, WeightLaw, fpp_passage, lpp_passage,
                           polymer_free_energy)
 
@@ -126,3 +127,59 @@ def test_lattice_manifest_records_the_seeds_the_replicas_used(experiment,
     rows = (out / f"{experiment}.csv").read_text().splitlines()[1:]
     assert [float(row.split(",")[1]) for row in rows] == \
         _lattice_replica_values(experiment, expected, 3)
+
+
+# tiny parameters of the experiments that draw replica r's field from
+# derive_seed(seed, r)
+REPLICA_PARAMS = {
+    "field-check": {"half_width": 4.0, "grid": 0.5},
+    "shape": {"t": 2.0, "h": 0.5, "stencil": 16, "directions": 8},
+    "scan": {"radii": [1.0, 2.0], "h": 0.5, "directions": 4, "step": 1e-2},
+}
+
+
+def _replica_outputs_from_seeds(experiment, seeds, params):
+    """The output the run must have written, recomputed replica by replica
+    from the recorded seeds."""
+    if experiment == "shape":
+        rows = [harness._shape_replica((s, params)) for s in seeds]
+        return "shape.csv", ShapeEstimate.from_samples(
+            rows, params["t"]).csv_text()
+    task = {"field-check": harness._field_check_replica,
+            "scan": harness._scan_replica}[experiment]
+    rows = [json.loads(harness.canonical_json(task((s, params))))
+            for s in seeds]
+    return f"{experiment}.json", rows
+
+
+@pytest.mark.parametrize("experiment", sorted(REPLICA_PARAMS))
+def test_replica_manifest_records_the_seeds_the_replicas_used(experiment,
+                                                              tmp_path):
+    params = REPLICA_PARAMS[experiment]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"params": params}))
+    out = tmp_path / "out"
+    assert cli.main([experiment, "--config", str(config), "--seed", "17",
+                     "--replicas", "2", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    seeds = [rng.derive_seed(17, r) for r in range(2)]
+    assert manifest["replica_seeds"] == seeds
+    name, expected = _replica_outputs_from_seeds(experiment, seeds, params)
+    written = (out / name).read_text()
+    if name.endswith(".json"):
+        written = json.loads(written)["replicas"]
+    assert written == expected
+
+
+def test_save_field_is_refused_before_sampling_when_an_output_exists(
+        tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "distance.json").write_text("kept")
+    field_path = tmp_path / "field.rfpp"
+    assert cli.main(["distance", "--save-field", str(field_path),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].endswith("exists; pass force to overwrite")
+    assert not field_path.exists()
+    assert (out / "distance.json").read_text() == "kept"

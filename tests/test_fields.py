@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -328,6 +329,16 @@ GOLDEN_EVALUATIONS = {
                             kernel=KERN), 3, 2.0,
         "15239dbbe55382dbd79c1707765d730900eec19dd5065745ed5c878c806cf26a",
         "66ae11d1938b5cd7cbf27a82fc2beac2a14b7c5090bd792846ecec0431850a69"),
+    "sym_exp_3d": (
+        lambda: MetricField("sym_exp", seed=21, region=Box.cube(3.0, 3),
+                            kernel=KERN), 3, 2.0,
+        "0b620e6ba7f72c4dd7000b37eb9624e32f8f1dd6244afcb630a80be99616bdf3",
+        None),
+    "sym_shift_3d": (
+        lambda: MetricField("sym_shift", seed=21, region=Box.cube(3.0, 3),
+                            kernel=KERN, shift=2.0), 3, 2.0,
+        "b962eb198e68f198b3d9dec276746d4d45754f43ef8eb92af1718168b93bb8fe",
+        None),
     "conformal_scaled": (
         lambda: conformal(21).scaled(4.0), 2, 2.0,
         "8db39232bddc8fc22e7efce723b0aafd2cb0d7bfeaa11f47d7953c5be9c41e07",
@@ -370,6 +381,25 @@ def test_evaluation_golden_digest(name):
     make, dim, w, evaluation, conformal_ = GOLDEN_EVALUATIONS[name]
     pts = 2.0 * w * rng.uniform(210, np.arange(64 * dim)).reshape(64, dim) - w
     assert _evaluation_digests(make(), pts) == (evaluation, conformal_)
+
+
+@pytest.mark.parametrize("mode,dim", [("conformal", 2), ("conformal", 3),
+                                      ("sym_exp", 2), ("sym_exp", 3)])
+def test_rows_evaluate_independently(mode, dim):
+    # every row of a batch is bit-for-bit the point evaluated alone, at
+    # every order: no row's sum depends on the batch it came in
+    field = MetricField(mode, seed=23, region=Box.cube(3.0, dim), kernel=KERN)
+    X = 5.0 * rng.uniform(230, np.arange(257 * dim)).reshape(257, dim) - 2.5
+    batch = [field.values_batch(X)] + [field.evaluate_batch(X, order=k)
+                                       for k in (1, 2)]
+    for b in range(len(X)):
+        alone = [field.values_batch(X[b:b + 1])] + [
+            field.evaluate_batch(X[b:b + 1], order=k) for k in (1, 2)]
+        assert np.array_equal(batch[0][b], alone[0][0])
+        for whole, one in zip(batch[1:], alone[1:]):
+            for a, c in zip(whole, one):
+                if a is not None:
+                    assert np.array_equal(a[b], c[0])
 
 
 def test_scaled_field_exact_power_of_two():
@@ -471,6 +501,26 @@ def test_contains_follows_region(name):
     else:
         assert field.field_at(3) is field
         assert field.for_rows(np.arange(2)) is field
+
+
+def test_box_identity_is_its_bounds(tmp_path):
+    # the bound columns contains() reads are not fields: equality, hashing,
+    # repr, pickling and the field container see lo and hi alone
+    box = Box(np.array([-1, 0.5]), (2.0, 3))
+    same = Box((-1.0, 0.5), (2.0, 3.0))
+    assert box == same and hash(box) == hash(same)
+    assert repr(box) == "Box(lo=(-1.0, 0.5), hi=(2.0, 3.0))"
+    copy = pickle.loads(pickle.dumps(box))
+    assert copy == box
+    X = np.array([[0.0, 1.0], [2.5, 1.0], [-1.0, 3.0], [0.0, np.nan]])
+    assert copy.contains(X).tolist() == [True, False, True, False]
+    assert box.contains(X[0]).tolist() == [True]
+    # sha256 of this container, computed before the bound columns existed
+    field = MetricField("sym_exp", seed=5, region=Box((-1.0, -2.0), (2.0, 1.5)),
+                        kernel=KernelSpec(range=0.8, amplitude=0.2))
+    save_field(field, tmp_path / "field.rfpp")
+    assert hashlib.sha256((tmp_path / "field.rfpp").read_bytes()).hexdigest() \
+        == "f786e83b849fd20ea54059cb766b228653fbeabcc41a37728c33c47829eeff2d"
 
 
 def test_perturbed_region_is_the_intersection():

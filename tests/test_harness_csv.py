@@ -7,6 +7,7 @@ from rfpp.distance import ball, build_graph, shape_estimate
 from rfpp.experiments import frontier_scan
 from rfpp.fields import Box, FlatMetric, KernelSpec, MetricField
 from rfpp.geometry import geodesic_shoot
+from rfpp import harness
 from rfpp.harness import ConfigError, ExperimentConfig, run
 
 TINY = {
@@ -120,3 +121,45 @@ def test_fpp_in_three_dimensions(tmp_path):
     assert lines[0] == "replica,tau"
     assert [ln.split(",")[0] for ln in lines[1:]] == ["0", "1"]
     assert all(float(ln.split(",")[1]) > 0 for ln in lines[1:])
+
+
+def test_clash_is_refused_before_the_runner_computes(tmp_path, monkeypatch):
+    # the distance runner samples its field through make_field first; a
+    # clash must raise before it is reached
+    out = tmp_path / "distance"
+    out.mkdir()
+    (out / "ball.csv").write_text("kept")
+
+    def sample(*args):
+        raise AssertionError("the runner computed before the clash check")
+
+    monkeypatch.setattr(harness, "make_field", sample)
+    with pytest.raises(ConfigError, match="ball.csv exists"):
+        run(ExperimentConfig("distance", TINY["distance"], seed=3, out=str(out)))
+    assert os.listdir(out) == ["ball.csv"]
+    assert (out / "ball.csv").read_text() == "kept"
+
+
+@pytest.mark.parametrize("experiment,params,names", [
+    ("fpp", {"n": 4}, ["fpp.csv"]),
+    ("fpp", {"n": 4, "exponents": True}, ["fpp-chi.json", "fpp.csv"]),
+    ("lpp", {"exponents": True}, ["lpp-chi.json", "lpp.csv"]),
+    ("accept", {}, ["acceptance.json"]),
+])
+def test_output_paths_follow_the_parameters(experiment, params, names,
+                                            tmp_path):
+    config = ExperimentConfig(experiment, params, out=str(tmp_path))
+    paths = harness.output_paths(config)
+    assert list(paths) == names
+    assert paths == {n: os.path.join(str(tmp_path), n) for n in names}
+
+
+def test_shape_digests_do_not_depend_on_the_worker_count(tmp_path):
+    digests = []
+    for workers in (1, 2):
+        out = str(tmp_path / f"workers{workers}")
+        manifest = run(ExperimentConfig("shape", TINY["shape"], seed=3,
+                                        replicas=2, workers=workers, out=out))
+        digests.append(manifest.outputs)
+    assert sorted(digests[0]) == ["shape.csv", "shape.json"]
+    assert digests[0] == digests[1]
