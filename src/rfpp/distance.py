@@ -32,7 +32,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
-from .fields import Box, MetricField, grid_points
+from .fields import MetricField, grid_points
 
 _QUANT_BITS = 24
 
@@ -107,14 +107,6 @@ class BallRaster:
         lines += [",".join(repr(float(v)) for v in (*row, dist))
                   for row, dist in zip(self.inside, self.distances)]
         return "\n".join(lines) + "\n"
-
-
-@dataclass
-class CubeTrace:
-    """Euclidean length a path spends in each unit lattice cube."""
-    per_cube_length: dict
-    gamma_set: set              # cubes with in-cube length >= 1/4
-    hat_gamma_set: set          # gamma_set plus *-adjacent neighbors
 
 
 class PassageGraph:
@@ -368,7 +360,6 @@ def directional_mu(graph, t, k):
 
 @dataclass
 class ShapeEstimate:
-    directions: np.ndarray      # (k, d) unit vectors
     mu: np.ndarray              # per-direction mean of d_hat(0, t v) / |x|
     stderr: np.ndarray
     anisotropy_ratio: float
@@ -385,7 +376,7 @@ class ShapeEstimate:
         mu = np.array([math.fsum(samples[:, j]) / replicas for j in range(k)])
         se = (samples.std(axis=0, ddof=1) / np.sqrt(replicas)
               if replicas > 1 else np.zeros(k))
-        return cls(directions=_unit_directions(k)[1], mu=mu, stderr=se,
+        return cls(mu=mu, stderr=se,
                    anisotropy_ratio=float(mu.max() / mu.min()), t=t,
                    replicas=replicas)
 
@@ -397,32 +388,11 @@ class ShapeEstimate:
         return "\n".join(lines) + "\n"
 
 
-def shape_estimate(field_factory, t, directions=16, replicas=8, h=0.3,
-                   stencil=32, margin=2.0):
-    """Per-direction estimates of d_hat(0, t v) / t over replica fields.
-
-    field_factory(replica_index) must return a field containing the cube of
-    half-width t + margin.  Reports the per-direction mean, standard error
-    and the max/min anisotropy ratio.
-    """
-    if directions < 8:
-        raise GraphError("need at least 8 directions")
-    if replicas < 1:
-        raise GraphError("need at least one replica")
-    samples = []
-    for r in range(replicas):
-        graph = build_graph(field_factory(r), Box.cube(t + margin, 2), h,
-                            stencil=stencil)
-        samples.append(directional_mu(graph, t, directions))
-    return ShapeEstimate.from_samples(samples, float(t))
-
-
 @dataclass
 class MinimalityVerdict:
     checkpoint_times: np.ndarray
     verdicts: np.ndarray            # bool per checkpoint
     first_failure_time: float       # nan if always minimizing
-    snapped: bool                   # any checkpoint off-grid and snapped
     tol: float
 
     @property
@@ -447,8 +417,7 @@ def is_minimizing(field, path, graph, tol=None, checkpoint_every=None):
     if len(idx) == 0:
         raise GraphError("path too short for any checkpoint")
     cum = cumulative_lengths(path, field, "riemannian")
-    start_z = graph.snap(path.positions[0])
-    dist, _ = graph.sssp(start_z)
+    dist, _ = graph.sssp(graph.snap(path.positions[0]))
 
     times = path.times[idx]
     x = path.positions[idx]
@@ -456,9 +425,6 @@ def is_minimizing(field, path, graph, tol=None, checkpoint_every=None):
     # per-row norms: a vectorised row norm differs in the last bit
     offset = np.array([np.linalg.norm(p - q)
                        for p, q in zip(graph.node_position(z), x)])
-    snapped_any = bool(np.linalg.norm(path.positions[0]
-                                      - graph.node_position(start_z)) > 1e-12
-                       or np.any(offset > 1e-12))
     lam = np.max(np.linalg.eigvalsh(field.values_batch(x)), axis=1)
     allowance = (offset + 0.5 * graph.h) * np.sqrt(lam)
     d_hat = dist[graph.node_index(z)]
@@ -466,51 +432,7 @@ def is_minimizing(field, path, graph, tol=None, checkpoint_every=None):
     failed = times[~verdicts]
     first_fail = float(failed[0]) if len(failed) else np.nan
     return MinimalityVerdict(checkpoint_times=times, verdicts=verdicts,
-                             first_failure_time=first_fail,
-                             snapped=snapped_any, tol=float(tol))
-
-
-def cube_trace(path):
-    """Per-unit-cube Euclidean lengths of a path by exact segment clipping.
-
-    Cubes are C_z = [z - 1/2, z + 1/2)^d.  gamma_set collects cubes holding
-    at least Euclidean length 1/4; hat_gamma_set adds *-adjacent neighbors.
-    """
-    if path.parametrization != "euclidean":
-        raise GraphError("cube_trace needs euclidean parametrization")
-    pos = path.positions
-    d = pos.shape[1]
-    lengths_map = {}
-    for p0, p1 in zip(pos[:-1], pos[1:]):
-        seg = p1 - p0
-        seg_len = float(np.linalg.norm(seg))
-        if seg_len == 0:
-            continue
-        # parameter values where any coordinate crosses a half-integer plane
-        ts = [0.0, 1.0]
-        for i in range(d):
-            lo, hi = (p0[i], p1[i]) if p0[i] <= p1[i] else (p1[i], p0[i])
-            k0 = np.ceil(lo - 0.5)
-            planes = np.arange(k0 + 0.5, hi, 1.0)
-            for plane in planes:
-                if seg[i] != 0:
-                    ts.append(float((plane - p0[i]) / seg[i]))
-        ts = sorted({t for t in ts if 0.0 <= t <= 1.0})
-        for t0, t1 in zip(ts[:-1], ts[1:]):
-            if t1 <= t0:
-                continue
-            mid = p0 + 0.5 * (t0 + t1) * seg
-            z = tuple(int(v) for v in np.floor(mid + 0.5))
-            lengths_map[z] = lengths_map.get(z, 0.0) + (t1 - t0) * seg_len
-    gamma = {z for z, l in lengths_map.items() if l >= 0.25}
-    hat = set(gamma)
-    if d <= 3:
-        from itertools import product
-        for z in gamma:
-            for off in product((-1, 0, 1), repeat=d):
-                hat.add(tuple(np.asarray(z) + np.asarray(off)))
-    return CubeTrace(per_cube_length=lengths_map, gamma_set=gamma,
-                     hat_gamma_set=hat)
+                             first_failure_time=first_fail, tol=float(tol))
 
 
 def length_ratio(field, graph, x):

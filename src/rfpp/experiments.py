@@ -1,5 +1,5 @@
-"""Geodesic experiments: frontier times, transience, local regularity, the
-bump metric and its destabilization sweep, and the minimizing-direction scan.
+"""Geodesic experiments: frontier times, local regularity, the bump metric
+and its destabilization sweep, and the minimizing-direction scan.
 
 Conventions here mirror the geometric picture used throughout the package:
 geodesics in euclidean parametrization track r(l) = |gamma(l)| and its
@@ -29,7 +29,7 @@ from . import rng as _rng
 from .fields import (Box, ConformalAnalyticField, FieldError, KernelSpec,
                      MetricField, RegionError, SpherePatchField, grid_points)
 from .geometry import GeodesicPath, geodesic_shoot_batch, jacobi_integrate_batch
-from .distance import is_minimizing
+from .distance import _unit_directions, is_minimizing
 
 
 HOLDER_ALPHA = 0.5                 # Holder exponent of local_regularity
@@ -59,7 +59,6 @@ class FrontierScan:
     records: list
     intervals: list            # (l_start, l_end) right-open runs
     beta: float
-    rho: float
     density: np.ndarray        # running frontier density at each sample
 
     def csv_text(self):
@@ -129,7 +128,7 @@ def frontier_scan(path, field, beta, rho, regularity=True):
     with np.errstate(invalid="ignore", divide="ignore"):
         density = np.where(path.times > 0, measure / path.times, 1.0)
     return FrontierScan(records=records, intervals=intervals,
-                        beta=float(beta), rho=float(rho), density=density)
+                        beta=float(beta), density=density)
 
 
 def frontier_density(path, beta):
@@ -180,63 +179,6 @@ def local_regularity(field, center, rho, subgrid=9):
             quot = np.max(np.abs(h2 - h0)) / h ** HOLDER_ALPHA
             holder = max(holder, float(quot))
     return sup_g + sup_dg + sup_d2g + holder + 1.0 / lam_min
-
-
-# ---------------------------------------------------------------------------
-# transience
-# ---------------------------------------------------------------------------
-
-@dataclass
-class EscapeRecord:
-    direction: np.ndarray
-    radii: np.ndarray
-    last_time_in: np.ndarray       # last Riemannian time with |gamma| <= r
-    bounds: np.ndarray             # r * sqrt(Lambda_hat(ball r))
-    violations_while_minimizing: list
-    violations_after: list
-    first_nonminimizing_time: float
-
-
-def transience_check(field, graph, directions, horizon, radii=None, step=None):
-    """Escape records for geodesics shot from the origin.
-
-    For each nested ball the record holds the last Riemannian time spent
-    inside and the bound r sqrt(Lambda_hat); times inside the ball that
-    exceed the bound are listed, split by whether the segment up to that
-    time was still judged minimizing against the passage graph.
-    """
-    directions = np.atleast_2d(np.asarray(directions, dtype=float))
-    paths = geodesic_shoot_batch(field, np.zeros(field.dim), directions,
-                                 horizon, step=step)
-    if radii is None:
-        top = max(np.max(np.linalg.norm(p.positions, axis=1)) for p in paths)
-        radii = np.linspace(top / 4, 0.95 * top, 4)
-    radii = np.asarray(radii, dtype=float)
-    origin = np.zeros(field.dim)
-    bounds = np.array([r * np.sqrt(_ball_lambda_max_at(field, origin, r))
-                       for r in radii])
-    records = []
-    for p, v in zip(paths, directions):
-        verdict = is_minimizing(field, p, graph) if graph is not None else None
-        t_cut = verdict.first_failure_time if verdict is not None else np.nan
-        r_t = np.linalg.norm(p.positions, axis=1)
-        last_in = np.empty(len(radii))
-        viol_min, viol_after = [], []
-        for i, r in enumerate(radii):
-            inside = np.where(r_t <= r)[0]
-            last_in[i] = p.times[inside[-1]] if len(inside) else np.nan
-            bad = inside[p.times[inside] > bounds[i]]
-            for t in p.times[bad]:
-                if np.isnan(t_cut) or t <= t_cut:
-                    viol_min.append((float(r), float(t)))
-                else:
-                    viol_after.append((float(r), float(t)))
-        records.append(EscapeRecord(direction=v, radii=radii,
-                                    last_time_in=last_in, bounds=bounds,
-                                    violations_while_minimizing=viol_min,
-                                    violations_after=viol_after,
-                                    first_nonminimizing_time=float(t_cut)))
-    return records
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +479,6 @@ def bump_experiment(base, spec, eps, entries=50, perturbations=1, seed=0,
 @dataclass
 class DirectionScan:
     radii: np.ndarray
-    directions: np.ndarray          # (k, d) initial unit vectors
     verdicts: np.ndarray            # (k, len(radii)); non-min is absorbing
     fractions: np.ndarray           # |V_hat_n| / k per radius
     final_directions: np.ndarray    # observed gamma(T)/|gamma(T)| per direction
@@ -564,8 +505,7 @@ def direction_scan(field, graph, radii, k=64, base=None, step=None):
     if field.dim != 2:
         raise ExperimentError("the direction scan is implemented in d = 2")
     base = np.zeros(2) if base is None else np.asarray(base, dtype=float)
-    angles = np.arange(k) * (2.0 * np.pi / k)
-    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    _, dirs = _unit_directions(k)
     # transience bound: a minimizing geodesic still inside the radius-R ball
     # at Riemannian time > R sqrt(Lambda(ball)) cannot be minimizing, so the
     # horizon only needs to slightly exceed the largest such bound
@@ -599,7 +539,7 @@ def direction_scan(field, graph, radii, k=64, base=None, step=None):
         # enforce absorbing non-minimizing verdicts across radii
         verdicts[i] = np.logical_and.accumulate(verdicts[i])
     fractions = verdicts.mean(axis=0)
-    return DirectionScan(radii=radii, directions=dirs, verdicts=verdicts,
+    return DirectionScan(radii=radii, verdicts=verdicts,
                          fractions=fractions, final_directions=finals,
                          trapped=trapped)
 

@@ -337,11 +337,6 @@ class MetricField(Field):
     def correlation_length(self):
         return self.kernel.range
 
-    @property
-    def dependence_range(self):
-        """Separation beyond which field values are exactly independent."""
-        return 2.0 * self.kernel.range
-
     def scaled(self, factor):
         """Copy of this field with the metric multiplied by ``factor``."""
         out = object.__new__(MetricField)
@@ -837,7 +832,7 @@ class ScaledField(AnalyticField):
 
 
 # ---------------------------------------------------------------------------
-# SPD checks, eigenvalue bounds, assumption diagnostics
+# SPD checks and eigenvalue bounds
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -882,75 +877,6 @@ def eigen_bounds(field, cube_center, subgrid=9):
     lam = np.linalg.eigvalsh(field.values_batch(pts))
     return EigenBounds(lambda_min=float(np.min(lam)),
                        lambda_max=float(np.max(lam)), region=cube)
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    """Empirical moment-generating estimates for Lambda_0 and Lambda_0/lambda_0
-    over disjoint, independent unit cubes, plus a finite-range covariance check."""
-    r_values: tuple
-    mgf_lambda: tuple          # mean of exp(r * Lambda) per r
-    mgf_lambda_se: tuple
-    mgf_ratio: tuple           # mean of exp(r * Lambda/lambda) per r
-    mgf_ratio_se: tuple
-    pair_covariance: float     # cov of Lambda over consecutive cube pairs
-    pair_covariance_se: float
-    n_cubes: int
-
-
-def _cube_gap(a, b):
-    """Euclidean gap between unit cubes centered at lattice points a, b."""
-    diff = np.abs(np.asarray(a, float) - np.asarray(b, float))
-    per_axis = np.maximum(diff - 1.0, 0.0)
-    return float(np.linalg.norm(per_axis))
-
-
-def assumption_report(field, cubes, r_values=(0.5, 1.0)):
-    """Moment-generating diagnostics for the eigenvalue envelope.
-
-    ``cubes`` must contain at least 30 lattice points whose unit cubes are
-    pairwise separated by at least the field's dependence range, so the
-    per-cube extrema are genuinely independent samples.
-    """
-    cubes = [np.asarray(c, dtype=float) for c in cubes]
-    if len(cubes) < 30:
-        raise FieldError("need at least 30 cubes for the assumption report")
-    # a closed-form field has no randomness to be dependent
-    sep = field.dependence_range if isinstance(field, MetricField) else 0.0
-    for i in range(len(cubes)):
-        for j in range(i + 1, len(cubes)):
-            if _cube_gap(cubes[i], cubes[j]) < sep:
-                raise FieldError("cubes closer than the dependence range")
-    lam_max = np.empty(len(cubes))
-    lam_min = np.empty(len(cubes))
-    for idx, c in enumerate(cubes):
-        eb = eigen_bounds(field, c, subgrid=7)
-        lam_max[idx] = eb.lambda_max
-        lam_min[idx] = eb.lambda_min
-    ratio = lam_max / lam_min
-
-    def mgf(samples, r):
-        e = np.exp(r * samples)
-        return float(np.mean(e)), float(np.std(e, ddof=1) / np.sqrt(len(e)))
-
-    mgf_l, se_l, mgf_r, se_r = [], [], [], []
-    for r in r_values:
-        m, s = mgf(lam_max, r)
-        mgf_l.append(m)
-        se_l.append(s)
-        m, s = mgf(ratio, r)
-        mgf_r.append(m)
-        se_r.append(s)
-
-    # consecutive disjoint pairs as independent covariance samples
-    pairs = len(cubes) // 2
-    a = lam_max[0:2 * pairs:2]
-    b = lam_max[1:2 * pairs:2]
-    prod = (a - a.mean()) * (b - b.mean())
-    cov = float(np.mean(prod))
-    cov_se = float(np.std(prod, ddof=1) / np.sqrt(pairs))
-    return AssumptionReport(tuple(r_values), tuple(mgf_l), tuple(se_l),
-                            tuple(mgf_r), tuple(se_r), cov, cov_se, len(cubes))
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ unit-speed geodesic reads  D2 J + R(J, dx) dx = 0.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import simpson
@@ -203,10 +203,6 @@ class GeodesicPath:
     def __post_init__(self):
         if len(self.times) >= 2 and np.any(np.diff(self.times) <= 0):
             raise GeometryError("sample times must be strictly increasing")
-
-    @property
-    def duration(self):
-        return float(self.times[-1] - self.times[0])
 
     def position_spline(self):
         return CubicHermiteSpline(self.times, self.positions, self.velocities, axis=0)
@@ -621,12 +617,11 @@ class JacobiRecord:
     (velocity, J_1, ..., J_{d-1}) at times[i]; with the initial covariant
     derivatives forming a g-orthonormal transverse frame this normalizes to
     t^{d-1} on a flat field.  conjugate_times are bracketed sign changes
-    refined to 1e-6; vanishings without a sign change are listed as suspect.
+    refined to 1e-6.
     """
     times: np.ndarray
     det_history: np.ndarray
     conjugate_times: list
-    suspect_times: list = dc_field(default_factory=list)
 
 
 def _transverse_frame(field, x0, v0):
@@ -760,8 +755,6 @@ def jacobi_integrate_batch(field, paths):
 
 def _detect_conjugates(times, det):
     conjugate = []
-    suspect = []
-    scale = np.max(np.abs(det)) or 1.0
     spline = CubicSpline(times, det)
     sign = np.sign(det)
     for i in range(1, len(times) - 1):
@@ -769,12 +762,5 @@ def _detect_conjugates(times, det):
             t_star = brentq(spline, times[i], times[i + 1],
                             xtol=CONJUGATE_REFINE)
             conjugate.append(float(t_star))
-        elif (0 < i < len(times) - 1
-              and abs(det[i]) < 1e-9 * scale
-              and abs(det[i]) <= abs(det[i - 1])
-              and abs(det[i]) <= abs(det[i + 1])
-              and sign[i - 1] == sign[i + 1]
-              and times[i] > times[1]):
-            suspect.append(float(times[i]))
     return JacobiRecord(times=times, det_history=det,
-                        conjugate_times=conjugate, suspect_times=suspect)
+                        conjugate_times=conjugate)

@@ -333,7 +333,7 @@ def _run_fpp(config):
 def _run_lpp(config):
     from .lattice import LatticeConfig, lpp_passage, exponent_chi
     p = config.params
-    law = _law_from_params(p, default=("geometric", (0.5,)))
+    law = _law_from_params(p, default="geometric")
     n = p.get("n", 100)
     cfg = LatticeConfig(2, n, law, config.seed)
     vals = [lpp_passage(cfg, (n, n), replica=r) for r in range(config.replicas)]
@@ -374,14 +374,10 @@ def _run_polymer(config):
     return {"polymer.csv": _replica_csv("free_energy", rows)}
 
 
-def _law_from_params(p, default=("exponential", (1.0,))):
-    from .lattice import WeightLaw
-    kind = p.get("law", default[0])
-    params = tuple(p.get("law_params", default[1] if kind == default[0] else ()))
-    if not params:
-        params = {"exponential": (1.0,), "geometric": (0.5,),
-                  "uniform": (0.0, 1.0), "bernoulli": (0.5, 1.0, 2.0),
-                  "deterministic": (1.0,)}[kind]
+def _law_from_params(p, default="exponential"):
+    from .lattice import LAW_DEFAULTS, WeightLaw
+    kind = p.get("law", default)
+    params = tuple(p.get("law_params", ())) or LAW_DEFAULTS.get(kind, ())
     return WeightLaw(kind, params)
 
 

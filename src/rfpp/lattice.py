@@ -39,16 +39,15 @@ class LatticeError(ValueError):
     pass
 
 
-class TieDetectedError(LatticeError):
-    """Two equal-cost witness paths; resample the replica."""
-
-
 # ---------------------------------------------------------------------------
 # weight laws
 # ---------------------------------------------------------------------------
 
-_LAW_KINDS = ("exponential", "geometric", "uniform", "bernoulli",
-              "deterministic")
+# the law kinds and the parameters a law of each kind takes when none are
+# given
+LAW_DEFAULTS = {"exponential": (1.0,), "geometric": (0.5,),
+                "uniform": (0.0, 1.0), "bernoulli": (0.5, 1.0, 2.0),
+                "deterministic": (1.0,)}
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,7 @@ class WeightLaw:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in _LAW_KINDS:
+        if self.kind not in LAW_DEFAULTS:
             raise LatticeError(f"unknown weight law {self.kind!r}")
         p = self.params
         ok = {
@@ -80,10 +79,6 @@ class WeightLaw:
             raise LatticeError(f"bad parameters {p} for law {self.kind}")
         if self.scale <= 0:
             raise LatticeError("scale must be > 0")
-
-    @property
-    def continuous(self):
-        return self.kind in ("exponential", "uniform")
 
     @property
     def random(self):
@@ -138,42 +133,6 @@ class WeightLaw:
         out /= _WEIGHT_GRID
         out *= self.scale
 
-    def min_moment(self, dimension):
-        """E[min(t_1, ..., t_{2d})^{2d}] for 2d independent copies, in
-        closed form (the unquantized law).
-
-        Finite for every supported law; the value itself is reported so the
-        moment condition can be inspected, not just asserted.
-        """
-        m = 2 * dimension
-        p = self.params
-        if self.kind == "deterministic":
-            val = p[0] ** m
-        elif self.kind == "exponential":
-            # the minimum is exponential with rate m * rate
-            val = math.factorial(m) / (m * p[0]) ** m
-        elif self.kind == "uniform":
-            # the minimum is a + (b - a) V, V ~ Beta(1, m): E V^k = k! m! / (k + m)!
-            a, b = p
-            val = sum(math.comb(m, k) * a ** (m - k) * (b - a) ** k
-                      * math.factorial(k) * math.factorial(m) / math.factorial(k + m)
-                      for k in range(m + 1))
-        elif self.kind == "bernoulli":
-            # the minimum takes the larger value only when all m draws do
-            prob, lo, hi = p
-            q = (prob if hi >= lo else 1.0 - prob) ** m
-            val = q * max(lo, hi) ** m + (1.0 - q) * min(lo, hi) ** m
-        else:
-            # geometric: P(min >= k) = x^k with x = (1 - p)^m, so E min^m =
-            # (1 - x) Li_{-m}(x) = x sum_j A(m, j) x^j / (1 - x)^m with the
-            # Eulerian numbers A(m, j)
-            x = (1.0 - p[0]) ** m
-            eulerian = [sum((-1) ** i * math.comb(m + 1, i) * (j + 1 - i) ** m
-                            for i in range(j + 1)) for j in range(m)]
-            val = x * sum(a * x ** j for j, a in enumerate(eulerian)) / (1.0 - x) ** m
-        return val * self.scale ** m
-
-
 def exponential_law(rate=1.0):
     return WeightLaw("exponential", (float(rate),))
 
@@ -206,8 +165,6 @@ class FppResult:
     tau: float
     witness: np.ndarray          # (M, d) lattice points from source to target
     tie_detected: bool
-    source: tuple
-    target: tuple
 
 
 def _box_axes(source, target, margin):
@@ -300,7 +257,7 @@ def fpp_passage(config, target, replica=0, margin=None, source=None):
     witness = np.stack(np.unravel_index(chain, shape), axis=1) + lo
     tie = _witness_tie(mat, dist, chain)
     return FppResult(tau=float(dist[tgt_idx]), witness=witness,
-                     tie_detected=tie, source=tuple(source), target=tuple(target))
+                     tie_detected=tie)
 
 
 def _witness_tie(mat, dist, chain):
@@ -315,36 +272,6 @@ def _witness_tie(mat, dist, chain):
                 if optimal > 1:
                     return True
     return False
-
-
-@dataclass
-class TimeConstantTable:
-    sizes: tuple
-    mu: np.ndarray
-    stderr: np.ndarray
-    cauchy_differences: np.ndarray      # |mu(n_i) - mu(n_{i+1})|
-
-
-def time_constant(config, direction, sizes, replicas=20):
-    """Empirical tau(0, n v)/n per size, with a Cauchy-difference trend."""
-    if list(sizes) != sorted(sizes):
-        raise LatticeError("sizes must be increasing")
-    if replicas < 10:
-        raise LatticeError("need at least 10 replicas")
-    direction = np.asarray(direction, dtype=float)
-    direction = direction / np.linalg.norm(direction)
-    mu = np.empty(len(sizes))
-    se = np.empty(len(sizes))
-    for i, n in enumerate(sizes):
-        target = np.rint(n * direction).astype(np.int64)
-        cfg = LatticeConfig(config.dimension, max(config.n, int(n)),
-                            config.law, config.seed)
-        vals = np.array([fpp_passage(cfg, target, replica=r).tau / n
-                         for r in range(replicas)])
-        mu[i] = vals.mean()
-        se[i] = vals.std(ddof=1) / np.sqrt(replicas)
-    return TimeConstantTable(sizes=tuple(sizes), mu=mu, stderr=se,
-                             cauchy_differences=np.abs(np.diff(mu)))
 
 
 def _witness_deviation(witness, n):
@@ -366,19 +293,6 @@ def untied_fpp_passage(config, target, replica, margin):
         if not res.tie_detected:
             return res
         extra += 1
-
-
-def transversal_deviation(config, n, replica=0):
-    """Maximal Euclidean distance of the unique witness geodesic to the
-    lattice segment {0, e1, ..., n e1}; ties abort with TieDetectedError."""
-    if not config.law.continuous:
-        raise LatticeError("transversal deviation needs a continuous law "
-                           "(almost-sure unique witness)")
-    res = fpp_passage(config, np.array([n] + [0] * (config.dimension - 1)),
-                      replica=replica)
-    if res.tie_detected:
-        raise TieDetectedError(f"equal-cost witness at replica {replica}")
-    return _witness_deviation(res.witness, n)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,17 @@ def test_tiny_run_writes_outputs(tmp_path, capsys):
     assert "wrote 1 output file(s)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("experiment", ["fpp", "lpp"])
+def test_unknown_weight_law_fails_fast(experiment, tmp_path, capsys):
+    # with no law_params given, an unknown kind is a one-line error too
+    out = tmp_path / "out"
+    assert cli.main([experiment, "--law", "gamma", "--n", "6",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: unknown weight law 'gamma'"]
+    assert not out.exists()
+
+
 def test_malformed_field_container_fails_fast(tmp_path, capsys):
     # magic, version 2 and two header bytes: 14 bytes of a 164-byte container
     field_path = tmp_path / "field.rfpp"

@@ -7,9 +7,9 @@ from rfpp import rng
 from rfpp.fields import (Box, ConstantMetric, FlatMetric, KernelSpec, MetricField,
                          SpherePatchField)
 from rfpp.geometry import geodesic_shoot
-from rfpp.distance import (GraphError, ball, build_graph, cube_trace,
-                           distance, is_minimizing, length_ratio,
-                           shape_estimate, stencil_factor, stencil_offsets)
+from rfpp.distance import (GraphError, ShapeEstimate, ball, build_graph,
+                           directional_mu, distance, is_minimizing,
+                           length_ratio, stencil_factor, stencil_offsets)
 
 FLAT = FlatMetric(2)
 
@@ -326,9 +326,16 @@ def test_ball_boundary_matches_loop(case):
 
 # --------------------------------------------------------------- shape
 
+def shape_of(fields, t):
+    """ShapeEstimate over 8 directions, one graph per replica field (h 0.25,
+    stencil 16, half-width t + 1), reduced as the shape experiment does."""
+    rows = [directional_mu(build_graph(f, Box.cube(t + 1.0, 2), 0.25, 16), t, 8)
+            for f in fields]
+    return ShapeEstimate.from_samples(rows, t)
+
+
 def test_shape_flat_bounds():
-    est = shape_estimate(lambda r: FLAT, t=6.0, directions=8, replicas=1,
-                         h=0.25, stencil=16, margin=1.0)
+    est = shape_of([FLAT], 6.0)
     # lower slack covers the dyadic weight quantization (~1e-7 relative)
     assert np.all(est.mu >= 1.0 - 1e-6)
     assert np.all(est.mu <= stencil_factor(16) + 1e-6)
@@ -336,17 +343,13 @@ def test_shape_flat_bounds():
 
 
 def test_shape_constant_scaling():
-    est1 = shape_estimate(lambda r: FLAT, t=5.0, directions=8, replicas=1,
-                          h=0.25, stencil=16, margin=1.0)
-    est4 = shape_estimate(lambda r: ConstantMetric(4.0 * np.eye(2)), t=5.0,
-                          directions=8, replicas=1, h=0.25, stencil=16,
-                          margin=1.0)
+    est1 = shape_of([FLAT], 5.0)
+    est4 = shape_of([ConstantMetric(4.0 * np.eye(2))], 5.0)
     assert np.array_equal(est4.mu, 2.0 * est1.mu)
 
 
 def test_shape_csv_export():
-    est = shape_estimate(lambda r: FLAT, t=4.0, directions=8, replicas=2,
-                         h=0.25, stencil=16, margin=1.0)
+    est = shape_of([FLAT, FLAT], 4.0)
     lines = est.csv_text().splitlines()
     assert lines[0] == "angle,mu,stderr"
     assert len(lines) == 1 + 8
@@ -428,43 +431,6 @@ def test_witness_length_at_least_distance():
         total += g.edge_weight(np.round(a / g.h).astype(int),
                                np.round(b / g.h).astype(int))
     assert total == d_hat
-
-
-# --------------------------------------------------------------- cube trace
-
-def path_from_points(points):
-    from rfpp.geometry import GeodesicPath
-    pts = np.asarray(points, dtype=float)
-    seg = np.diff(pts, axis=0)
-    ls = np.concatenate([[0.0], np.cumsum(np.linalg.norm(seg, axis=1))])
-    vel = np.vstack([seg / np.linalg.norm(seg, axis=1, keepdims=True),
-                     seg[-1:] / np.linalg.norm(seg[-1])])
-    return GeodesicPath(times=ls, positions=pts, velocities=vel,
-                        parametrization="euclidean", step=1.0)
-
-
-def test_cube_trace_axis_segment():
-    path = path_from_points([(0.0, 0.0), (10.0, 0.0)])
-    trace = cube_trace(path)
-    assert trace.gamma_set == {(i, 0) for i in range(11)}
-    assert abs(sum(trace.per_cube_length.values()) - 10.0) <= 1e-9
-    assert trace.gamma_set <= trace.hat_gamma_set
-
-
-def test_cube_trace_short_path_conserves_length():
-    path = path_from_points([(0.0, 0.0), (0.1, 0.05)])
-    trace = cube_trace(path)
-    assert trace.gamma_set == set()
-    total = sum(trace.per_cube_length.values())
-    assert abs(total - np.hypot(0.1, 0.05)) <= 1e-9
-
-
-def test_cube_trace_generic_length_partition():
-    pts = np.cumsum(rng.uniform(55, np.arange(40)).reshape(20, 2) - 0.3, axis=0)
-    path = path_from_points(pts)
-    trace = cube_trace(path)
-    seg_total = np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1))
-    assert abs(sum(trace.per_cube_length.values()) - seg_total) <= 1e-9
 
 
 # --------------------------------------------------------------- length ratio

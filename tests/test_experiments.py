@@ -6,12 +6,13 @@ import pytest
 from rfpp import experiments, rng
 from rfpp.fields import (Box, ConstantMetric, FlatMetric, KernelSpec,
                          MetricField, SpherePatchField)
-from rfpp.geometry import GeodesicPath, geodesic_shoot, jacobi_integrate
-from rfpp.distance import build_graph
+from rfpp.geometry import (GeodesicPath, geodesic_shoot, geodesic_shoot_batch,
+                           jacobi_integrate)
+from rfpp.distance import build_graph, is_minimizing
 from rfpp.experiments import (BumpError, BumpSpec, ExperimentError,
                               bump_experiment, direction_scan,
                               frontier_density, frontier_scan,
-                              local_regularity, make_bump, transience_check)
+                              local_regularity, make_bump)
 
 FLAT = FlatMetric(2)
 CONE_ANGLE = float(np.arccos(0.25))      # cos(phi) = beta/2 with beta = 1/2
@@ -135,13 +136,28 @@ def test_regularity_dominates_flat_floor():
 
 # --------------------------------------------------------------- transience
 
+def late_times(field, graph, path, radius):
+    """Times at which a geodesic from the origin is inside the ball of the
+    radius later than radius sqrt(Lambda_hat) (the bound direction_scan's
+    trapped rule rests on), split into those while is_minimizing accepts
+    the segment so far and those after, and the last time inside."""
+    origin = np.zeros(2)
+    bound = radius * np.sqrt(experiments._ball_lambda_max_at(field, origin, radius))
+    cut = is_minimizing(field, path, graph).first_failure_time
+    inside = np.linalg.norm(path.positions, axis=1) <= radius
+    late = path.times[inside & (path.times > bound)]
+    after = late > cut                  # all False when nothing fails (nan)
+    return late[~after], late[after], path.times[inside][-1]
+
+
 def test_transience_flat_radial():
     graph = build_graph(FLAT, Box.cube(6.0, 2), 0.25, 16)
-    records = transience_check(FLAT, graph, np.array([[1.0, 0.0]]),
-                               horizon=5.0, radii=(1.0, 2.0, 4.0), step=1e-3)
-    rec = records[0]
-    assert np.allclose(rec.last_time_in, rec.radii, atol=1e-3)
-    assert rec.violations_while_minimizing == []
+    path = geodesic_shoot_batch(FLAT, np.zeros(2), np.array([[1.0, 0.0]]),
+                                5.0, step=1e-3)[0]
+    for r in (1.0, 2.0, 4.0):
+        while_min, _, last_in = late_times(FLAT, graph, path, r)
+        assert abs(last_in - r) <= 1e-3
+        assert len(while_min) == 0
 
 
 def test_transience_sphere_violations_only_after_cut():
@@ -149,13 +165,13 @@ def test_transience_sphere_violations_only_after_cut():
     # the bounded great circle |x + e1| = 1, re-entering balls repeatedly
     sphere = SpherePatchField(radius=1.0, center=(-1.0, 0.0))
     graph = build_graph(sphere, Box.cube(2.5, 2), 0.05, 32)
-    records = transience_check(sphere, graph, np.array([[0.0, 1.0]]),
-                               horizon=9.0, radii=(2.0,), step=2e-3)
-    rec = records[0]
+    path = geodesic_shoot_batch(sphere, np.zeros(2), np.array([[0.0, 1.0]]),
+                                9.0, step=2e-3)[0]
+    while_min, after, _ = late_times(sphere, graph, path, 2.0)
     # the proof inequality t <= r sqrt(Lambda) fails only past the cut at pi
-    assert rec.violations_while_minimizing == []
-    assert len(rec.violations_after) > 0
-    assert min(t for _, t in rec.violations_after) > np.pi
+    assert len(while_min) == 0
+    assert len(after) > 0
+    assert after.min() > np.pi
 
 
 def test_transience_random_minimizing_inequality():
@@ -163,10 +179,9 @@ def test_transience_random_minimizing_inequality():
     graph = build_graph(field, Box.cube(11.0, 2), 0.3, 32)
     dirs = np.stack([np.cos(np.arange(4) * np.pi / 2),
                      np.sin(np.arange(4) * np.pi / 2)], axis=1)
-    records = transience_check(field, graph, dirs, horizon=9.0,
-                               radii=(2.0, 4.0, 8.0), step=2e-3)
-    for rec in records:
-        assert rec.violations_while_minimizing == []
+    for path in geodesic_shoot_batch(field, np.zeros(2), dirs, 9.0, step=2e-3):
+        for r in (2.0, 4.0, 8.0):
+            assert len(late_times(field, graph, path, r)[0]) == 0
 
 
 # --------------------------------------------------------------- bump metric

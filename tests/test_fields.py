@@ -6,12 +6,11 @@ import pytest
 
 from rfpp import rng
 from rfpp.experiments import BumpSpec, PerturbedConformalField, make_bump
-from rfpp.fields import (AssumptionReport, Box, ConstantMetric, FieldError,
-                         FieldStack, FlatMetric, HyperbolicDiskField,
-                         KernelSpec, MetricField, RegionError, ScaledField,
-                         SpherePatchField, assumption_report,
-                         check_spd_on_region, eigen_bounds, load_field,
-                         sample_noise, save_field)
+from rfpp.fields import (Box, ConstantMetric, FieldError, FieldStack,
+                         FlatMetric, HyperbolicDiskField, KernelSpec,
+                         MetricField, RegionError, ScaledField,
+                         SpherePatchField, check_spd_on_region, eigen_bounds,
+                         load_field, sample_noise, save_field)
 
 BOX = Box.cube(6.0, 2)
 KERN = KernelSpec(range=1.0, amplitude=0.3)
@@ -215,30 +214,6 @@ def test_eigen_bounds_conformal_scalar_oracle():
     factors = f.conformal_factor_batch(pts)
     assert np.isclose(eb.lambda_min, factors.min(), rtol=0, atol=0)
     assert np.isclose(eb.lambda_max, factors.max(), rtol=0, atol=0)
-
-
-def test_assumption_report_flat():
-    report = assumption_report(FlatMetric(2),
-                               [(4 * i, 4 * j) for i in range(8) for j in range(4)],
-                               r_values=(0.7,))
-    assert isinstance(report, AssumptionReport)
-    assert np.isclose(report.mgf_lambda[0], np.exp(0.7))
-    assert report.pair_covariance == 0.0
-
-
-def test_assumption_report_separation_enforced():
-    f = conformal(5, box=Box.cube(20.0, 2))
-    with pytest.raises(FieldError):
-        assumption_report(f, [(i, 0) for i in range(30)])
-
-
-def test_assumption_report_independent_cubes():
-    f = conformal(5, box=Box.cube(21.0, 2))
-    cubes = [(4 * i - 18, 4 * j - 18) for i in range(10) for j in range(4)]
-    report = assumption_report(f, cubes, r_values=(0.5,))
-    assert report.n_cubes == 40
-    assert report.mgf_lambda[0] > 0
-    assert abs(report.pair_covariance) <= 4.0 * report.pair_covariance_se
 
 
 def test_finite_range_cube_covariance_across_seeds():

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from rfpp.distance import ball, build_graph, shape_estimate
+from rfpp.distance import ShapeEstimate, ball, build_graph, directional_mu
 from rfpp.experiments import frontier_scan
 from rfpp.fields import Box, FlatMetric, KernelSpec, MetricField
 from rfpp.geometry import geodesic_shoot
@@ -91,8 +91,8 @@ def _writer_texts():
     graph = build_graph(field, Box.cube(2.0, 2), 0.5, stencil=16)
     path = geodesic_shoot(field, (1e-9, 0.0), np.array([1.0, 0.0]), T=0.3,
                           step=1e-2, parametrization="euclidean")
-    shape = shape_estimate(lambda r: FlatMetric(2), t=2.0, directions=8,
-                           replicas=2, h=0.5, stencil=16, margin=1.0)
+    flat = build_graph(FlatMetric(2), Box.cube(3.0, 2), 0.5, stencil=16)
+    shape = ShapeEstimate.from_samples([directional_mu(flat, 2.0, 8)] * 2, 2.0)
     return {"GeodesicPath": path.csv_text(),
             "BallRaster": ball(graph, 1.5).csv_text(),
             "FrontierScan": frontier_scan(path, field, beta=0.5, rho=1.0).csv_text(),

@@ -1,6 +1,7 @@
 """Every name a module of src/rfpp imports is used in the scope that
-imports it, and every function, class and method it defines is read
-somewhere (no linter is assumed to be installed, so these are the checks)."""
+imports it, every function, class and method it defines is reached from a
+run, and every dataclass field it defines is read somewhere (no linter is
+assumed to be installed, so these are the checks)."""
 
 import ast
 from pathlib import Path
@@ -54,43 +55,151 @@ def test_unused_import_scan_sees_local_scopes():
     assert sorted(_unused_imports(source)) == ["loads", "tau"]
 
 
-def _unreferenced(defining, reading):
-    """Functions, classes and methods defined in the ``defining`` sources,
-    dunders aside, that no ``reading`` source reads.  A read is a Name load,
-    an attribute name or a string constant holding the identifier (the
-    benchmark's span table names methods by string); an import is not."""
-    defined = {n.name for source in defining for n in ast.walk(ast.parse(source))
-               if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-               and not (n.name.startswith("__") and n.name.endswith("__"))}
-    read = set()
-    for source in reading:
-        for n in ast.walk(ast.parse(source)):
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-                read.add(n.id)
-            elif isinstance(n, ast.Attribute):
-                read.add(n.attr)
-            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
-                read.add(n.value)
-    return sorted(defined - read)
+# Definitions no run reaches that tests compare against, each kept in src
+# because it is a reference implementation, not a helper of one test.
+TEST_ORACLES = (
+    "fields.ConstantMetric",        # closed-form constant metric: flat-case oracle
+    "fields.HyperbolicDiskField",   # constant curvature -1: Jacobi and curvature oracle
+    "geometry.curvature_at",        # sectional curvature: oracle for riemann_tensor
+    "distance.PassageGraph.edge_weight",  # one edge on demand: oracle for the matrix
+)
+
+
+def _reads(tree):
+    """Identifiers a syntax tree reads: Name loads, attribute names and
+    string constants holding the identifier (the benchmark's span table
+    names functions and methods by string); an import is not a read."""
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            out.add(n.value)
+    return out
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions(modules):
+    """Every function, class, method and module-level assignment of the
+    modules (name -> source), as {qualified name: (name, identifiers its
+    code reads)}, and the identifiers the remaining module-level code reads.
+
+    A function's code includes its nested functions.  A class's code is its
+    bases, decorators and body without its methods: each method other than
+    a dunder is a definition of its own, so reaching a class does not reach
+    its methods, while dunders run whenever the class is used."""
+    defs, top = {}, set()
+    for module, source in modules.items():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                for t in targets:
+                    for n in ast.walk(t):
+                        if isinstance(n, ast.Name):
+                            defs[f"{module}.{n.id}"] = (n.id, _reads(stmt))
+                continue
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                top |= _reads(stmt)
+                continue
+            qual = f"{module}.{stmt.name}"
+            if isinstance(stmt, ast.FunctionDef):
+                defs[qual] = (stmt.name, _reads(stmt))
+                continue
+            reads = set()
+            for node in stmt.bases + stmt.decorator_list + stmt.body:
+                if isinstance(node, ast.FunctionDef) and not _is_dunder(node.name):
+                    defs[f"{qual}.{node.name}"] = (node.name, _reads(node))
+                else:
+                    reads |= _reads(node)
+            defs[qual] = (stmt.name, reads)
+    return defs, top
+
+
+def _unreached(modules, roots, exempt=()):
+    """Qualified names of the definitions (see _definitions) that no chain
+    of reads from the roots and the module-level code reaches.  Names are
+    matched by identifier alone, so a read of ``run`` reaches every
+    definition called run."""
+    defs, top = _definitions(modules)
+    by_name = {}
+    for qual, (name, _) in defs.items():
+        by_name.setdefault(name, []).append(qual)
+    reached, seen, todo = set(), set(), list(set(roots) | top)
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            for qual in by_name.get(name, ()):
+                reached.add(qual)
+                todo.extend(defs[qual][1])
+    return sorted(set(defs) - reached - set(exempt))
+
+
+def _unread_fields(modules, reading):
+    """Fields of the dataclasses the modules (name -> source) define that no
+    ``reading`` source loads as an attribute."""
+    loaded = {n.attr for source in reading for n in ast.walk(ast.parse(source))
+              if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = []
+    for module, source in modules.items():
+        for cls in ast.walk(ast.parse(source)):
+            if isinstance(cls, ast.ClassDef) and "dataclass" in set().union(
+                    *map(_reads, cls.decorator_list)):
+                unread += [f"{module}.{cls.name}.{stmt.target.id}"
+                           for stmt in cls.body
+                           if isinstance(stmt, ast.AnnAssign)
+                           and stmt.target.id not in loaded]
+    return sorted(unread)
+
+
+def _src_modules():
+    return {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
 
 
 def test_no_unreferenced_definitions():
-    defining = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    """Every src definition (module-level assignments included) is reached
+    from the command line's ``main`` or from a name the benchmark reads,
+    test oracles aside."""
+    bench = set().union(*(_reads(ast.parse(path.read_text()))
+                          for path in sorted((ROOT / "perfbench").glob("*.py"))))
+    assert _unreached(_src_modules(), {"main"} | bench, TEST_ORACLES) == []
+
+
+def test_every_dataclass_field_is_read():
     reading = [path.read_text() for folder in ("src", "tests", "perfbench")
                for path in sorted((ROOT / folder).rglob("*.py"))]
-    assert _unreferenced(defining, reading) == []
+    assert _unread_fields(_src_modules(), reading) == []
 
 
 def test_unreferenced_definition_scan_sees_names_attributes_and_strings():
-    defining = ("class A:\n"
-                "    def used(self): pass\n"
-                "    def spare(self): pass\n"
-                "    def __repr__(self): pass\n"
-                "def by_name(): pass\n"
-                "def by_string(): pass\n"
-                "def imported(): pass\n")
-    reading = ("from m import imported\n"
-               "A().used()\n"
-               "by_name()\n"
-               "TABLE = ('by_string',)\n")
-    assert _unreferenced([defining], [reading]) == ["imported", "spare"]
+    defining = {"m": (
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class A:\n"
+        "    kept: int\n"
+        "    unread: int\n"
+        "    def used(self): return by_name()\n"
+        "    def spare(self): pass\n"
+        "    def __repr__(self): return helper()\n"
+        "def helper(): pass\n"
+        "def by_name(): pass\n"
+        "def by_string(): pass\n"
+        "def imported(): pass\n"
+        "def only_tested(): pass\n"
+        "TABLE = ('by_string',)\n"
+        "def main():\n"
+        "    return A(1, 2).used(), TABLE\n")}
+    test = "from m import imported, only_tested\nonly_tested()\n"
+    assert _unreached(defining, {"main"}) == [
+        "m.A.spare", "m.imported", "m.only_tested"]
+    assert _unreached(defining, {"main"}, ("m.A.spare", "m.imported",
+                                           "m.only_tested")) == []
+    reading = [defining["m"], test, "print(A(1, 2).kept)\n"]
+    assert _unread_fields(defining, reading) == ["m.A.unread"]

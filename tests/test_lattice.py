@@ -1,5 +1,4 @@
 import hashlib
-from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
@@ -7,11 +6,10 @@ import pytest
 
 from rfpp import rng
 from rfpp.lattice import (ExponentEstimate, LatticeConfig, LatticeError,
-                          TieDetectedError, WeightLaw, _witness_deviation,
-                          bond_matrix, euclidean_fpp, exponent_chi,
-                          exponential_law, fpp_passage, geometric_law,
-                          lpp_passage, polymer_free_energy, time_constant,
-                          transversal_deviation)
+                          WeightLaw, _witness_deviation, bond_matrix,
+                          euclidean_fpp, exponent_chi, exponential_law,
+                          fpp_passage, geometric_law, lpp_passage,
+                          polymer_free_energy, untied_fpp_passage)
 
 
 # --------------------------------------------------------------- weight laws
@@ -39,37 +37,6 @@ def test_geometric_law_support_and_mean():
     assert np.all(draws >= 0)
     assert np.all(draws == np.floor(draws))
     assert abs(draws.mean() - 1.0) < 0.02        # mean (1-p)/p = 1
-
-
-def test_min_moment_finite():
-    for law in (exponential_law(1.0), geometric_law(0.5),
-                WeightLaw("uniform", (0.0, 2.0)),
-                WeightLaw("bernoulli", (0.5, 1.0, 2.0)),
-                WeightLaw("deterministic", (3.0,))):
-        m = law.min_moment(2)
-        assert np.isfinite(m) and m >= 0
-    # deterministic(c): min^4 = c^4 exactly
-    assert WeightLaw("deterministic", (3.0,)).min_moment(2) == 81.0
-    # exponential(1): min of 4 ~ Exp(4), E[X^4] = 4! / 4^4
-    got = exponential_law(1.0).min_moment(2)
-    assert abs(got - 24.0 / 256.0) < 1e-6
-
-
-def test_min_moment_two_point_law_exact():
-    # the minimum of four draws is 0.75 only when all four are (1/16)
-    got = WeightLaw("bernoulli", (0.5, 0.25, 0.75)).min_moment(2)
-    assert got == pytest.approx((15 / 16) * 0.25 ** 4 + (1 / 16) * 0.75 ** 4,
-                                rel=1e-15)
-
-
-@pytest.mark.parametrize("d", [2, 3])
-def test_min_moment_geometric_exact(d):
-    # P(min >= k) = x^k with x = 2^-2d, so E min^2d = (1 - x) sum_k k^2d x^k;
-    # the exact partial sum to k = 199 leaves a tail far below double precision
-    m = 2 * d
-    x = Fraction(1, 2 ** m)
-    want = (1 - x) * sum(Fraction(k) ** m * x ** k for k in range(1, 200))
-    assert geometric_law(0.5).min_moment(d) == pytest.approx(float(want), rel=1e-15)
 
 
 # sha256 of WeightLaw.sample for every law over the keys below, computed when
@@ -204,38 +171,43 @@ def test_bond_matrix_golden_digest(name):
 
 
 def test_time_constant_deterministic():
+    # every bond costs 1, so tau(0, n e1) = n exactly
     cfg = LatticeConfig(2, 64, WeightLaw("deterministic", (1.0,)), seed=1)
-    table = time_constant(cfg, (1.0, 0.0), sizes=(8, 16, 32), replicas=10)
-    assert np.all(table.mu == 1.0)
+    for n in (8, 16, 32):
+        assert fpp_passage(cfg, np.array([n, 0])).tau == n
 
 
 def test_time_constant_bernoulli_subadditive_trend():
     cfg = LatticeConfig(2, 64, WeightLaw("bernoulli", (0.5, 1.0, 2.0)), seed=5)
-    table = time_constant(cfg, (1.0, 0.0), sizes=(8, 16, 32), replicas=30)
-    assert np.all(table.mu >= 1.0)
-    assert table.mu[-1] <= table.mu[0] + 2.0 * table.stderr[0]
+    rows = np.array([[fpp_passage(cfg, np.array([n, 0]), replica=r).tau / n
+                      for r in range(30)] for n in (8, 16, 32)])
+    mu = rows.mean(axis=1)
+    assert np.all(mu >= 1.0)
+    assert mu[-1] <= mu[0] + 2.0 * rows[0].std(ddof=1) / np.sqrt(30)
+
+
+def witness_deviation(cfg, n, replica=0):
+    """Deviation of the untied witness to n e1 from the axis, in the box
+    fpp_passage draws by default."""
+    res = untied_fpp_passage(cfg, np.array([n, 0]), replica,
+                             margin=max(8, cfg.n // 2))
+    return _witness_deviation(res.witness, n)
 
 
 def test_transversal_deviation_cases():
     # straight witness: deviation 0
     cfg = LatticeConfig(2, 10, WeightLaw("uniform", (0.999, 1.0)), seed=2)
-    assert transversal_deviation(cfg, 8) == 0.0
+    assert witness_deviation(cfg, 8) == 0.0
     # a hand-built witness through (k, 1) has deviation exactly 1
     witness = np.array([[0, 0], [1, 0], [1, 1], [2, 1], [2, 0], [3, 0]])
     assert _witness_deviation(witness, 3) == 1.0
-
-
-def test_transversal_deviation_needs_continuous():
-    cfg = LatticeConfig(2, 10, geometric_law(0.5), seed=2)
-    with pytest.raises(LatticeError):
-        transversal_deviation(cfg, 5)
 
 
 def test_superdiffusive_trend():
     cfg = LatticeConfig(2, 128, exponential_law(1.0), seed=11)
     means = []
     for n in (16, 32, 64):
-        devs = [transversal_deviation(cfg, n, replica=r) for r in range(30)]
+        devs = [witness_deviation(cfg, n, replica=r) for r in range(30)]
         means.append(np.mean(devs))
     assert means[0] < means[1] < means[2]
 
