@@ -51,6 +51,7 @@ Every field is a ``Field``, which owns the protocol its consumers
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import struct
@@ -77,6 +78,12 @@ class RejectedRealizationError(FieldError):
 # regions and kernels
 # ---------------------------------------------------------------------------
 
+# the (2, 1, 1) signs taking a point batch X to [X, -X] in Box.contains_all
+_SIGNS = np.array([1.0, -1.0])[:, None, None]
+# floor on 1 - u in KernelSpec.radial: exp(1 - 1/g) underflows to zero for
+# every g below it (exp(1 - 1024) is far below the smallest double)
+_GAP_FLOOR = 2.0 ** -10
+
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned box [lo_i, hi_i] in R^d."""
@@ -92,10 +99,13 @@ class Box:
             raise FieldError("box lo/hi dimension mismatch")
         if any(h <= l for l, h in zip(lo, hi)):
             raise FieldError("degenerate box")
-        # (d, 1) bound columns for contains, built once; they are not
-        # dataclass fields, so equality, repr and hashing see lo and hi alone
+        # (d, 1) bound columns for contains and the (2, 1, d) bounds [lo,
+        # -hi] for contains_all, built once; they are not dataclass fields,
+        # so equality, repr and hashing see lo and hi alone
         object.__setattr__(self, "_lo_col", np.array(lo)[:, None])
         object.__setattr__(self, "_hi_col", np.array(hi)[:, None])
+        object.__setattr__(self, "_bounds",
+                           np.array([lo, np.negative(hi)])[:, None, :])
 
     @property
     def dim(self):
@@ -108,6 +118,12 @@ class Box:
         inside = (np.greater_equal(xt, self._lo_col, order="C")
                   & np.less_equal(xt, self._hi_col, order="C"))
         return np.logical_and.reduce(inside)
+
+    def contains_all(self, points):
+        """Whether every row of points (B, d) lies in the box, as one
+        comparison of [X, -X] against [lo, -hi]: negation is exact, so it
+        holds exactly where lo <= X <= hi, and NaN fails it."""
+        return (points * _SIGNS >= self._bounds).all()
 
     def intersection(self, other):
         """The box common to this box and ``other``."""
@@ -147,25 +163,32 @@ class KernelSpec:
         computed up to ``order``: psi alone at order 0, (psi, psi', None)
         at order 1 and all three at order 2.
 
-        1/(1-u), the exponential and the derivatives are computed on the
-        entries with u < 1 alone (about 60% of a field's support offsets)
-        and scattered into zeros; each entry sees the same operations
-        whatever else its array holds."""
+        The result equals, byte for byte, the closed form on the entries
+        with u < 1 and +0.0 on the others, but each array operation runs on
+        every entry in place, so no entry's result depends on what else its
+        array holds.  Where 1 - u < _GAP_FLOOR, exp(1 - 1/(1 - u)) underflows
+        to zero, and exp is slow on such arguments: those entries run at
+        1 - u = 1/4 with psi then set to +0.0, which leaves psi' = -0.0 and
+        psi'' = +0.0 as the closed form has them inside the support; psi' is
+        set to +0.0 where u >= 1."""
         u = np.asarray(u, dtype=float)
-        inside = u < 1.0
-        inv = 1.0 / (1.0 - u[inside])
-        e = np.exp(1.0 - inv)
-        psi = np.zeros_like(u)
-        psi[inside] = e
+        inv = np.subtract(1.0, u)
+        below = inv < _GAP_FLOOR
+        np.copyto(inv, 0.25, where=below)
+        np.divide(1.0, inv, out=inv)
+        psi = np.subtract(1.0, inv)
+        np.exp(psi, out=psi)
+        np.copyto(psi, 0.0, where=below)
         if order == 0:
             return psi
-        d1 = np.zeros_like(u)
-        d1[inside] = -e * inv * inv
+        # -(e inv inv) has the bits of (-e) inv inv: rounding is symmetric
+        d1 = np.multiply(psi, inv)
+        d1 *= inv
+        np.negative(d1, out=d1)
+        np.copyto(d1, 0.0, where=u >= 1.0)
         if order < 2:
             return psi, d1, None
-        d2 = np.zeros_like(u)
-        d2[inside] = e * (inv ** 4 - 2.0 * inv ** 3)
-        return psi, d1, d2
+        return psi, d1, psi * (inv ** 4 - 2.0 * inv ** 3)
 
     def evaluate(self, dx, order=2):
         """Kernel value, gradient and Hessian at displacements dx (B, d),
@@ -180,15 +203,15 @@ class KernelSpec:
 
     def chain(self, u, du, order):
         """Kernel value, gradient and Hessian, the Hessian None below order
-        2, from u = |x|^2 / range^2 (N,) and du = du/dx = 2 x / range^2
-        (N, d), at order 1 or 2."""
+        2, from u = |x|^2 / range^2 (any shape S) and du = du/dx = 2 x /
+        range^2 (S + (d,)), at order 1 or 2."""
         psi, d1, d2 = self.radial(u, order)
-        grad = d1[:, None] * du
+        grad = d1[..., None] * du
         if order < 2:
             return psi, grad, None
-        hess = (d2[:, None, None] * du[:, :, None] * du[:, None, :]
-                + d1[:, None, None] * (2.0 / self.range ** 2)
-                * np.eye(du.shape[1]))
+        hess = (d2[..., None, None] * du[..., :, None] * du[..., None, :]
+                + d1[..., None, None] * (2.0 / self.range ** 2)
+                * np.eye(du.shape[-1]))
         return psi, grad, hess
 
 
@@ -202,8 +225,12 @@ class NoiseField:
     {spacing * z : z integer}, one array slot per (node, channel).
 
     The node grid covers ``region`` plus a margin of ``margin`` (the kernel
-    range) on every side.  Coefficient (z, c) is ``rng.normal(seed, *z, c)``:
-    a pure function of the key, hence reproducible and region-independent.
+    range) on every side, extended where needed to the ceil(margin /
+    spacing) nodes either side of the cells of the region's corners (when
+    margin / spacing is not an integer, floor((lo - margin) / spacing) can
+    fall one node short of that).  Coefficient (z, c) is ``rng.normal(seed,
+    *z, c)``: a pure function of the key, hence reproducible and
+    region-independent.
     """
     seed: int
     region: Box
@@ -219,8 +246,13 @@ class NoiseField:
         if self.channels < 1:
             raise FieldError("need at least one channel")
         d = self.region.dim
-        lo = np.floor((np.asarray(self.region.lo) - self.margin) / self.spacing).astype(np.int64)
-        hi = np.ceil((np.asarray(self.region.hi) + self.margin) / self.spacing).astype(np.int64)
+        h = self.spacing
+        region_lo, region_hi = np.asarray(self.region.lo), np.asarray(self.region.hi)
+        reach = int(np.ceil(self.margin / h))
+        lo = np.minimum(np.floor((region_lo - self.margin) / h),
+                        np.floor(region_lo / h) - reach).astype(np.int64)
+        hi = np.maximum(np.ceil((region_hi + self.margin) / h),
+                        np.floor(region_hi / h) + reach).astype(np.int64)
         counts = hi - lo + 1
         axes = [np.arange(lo[i], hi[i] + 1, dtype=np.int64) for i in range(d)]
         mesh = np.meshgrid(*axes, indexing="ij")
@@ -324,12 +356,20 @@ class MetricField(Field):
         offs = grid_points([self._line] * self.dim)                  # (K, d)
         self._spread = ((offs + self._reach) * self.dim
                         + np.arange(self.dim)).ravel()               # (K d,)
-        self._index_lo = np.asarray(self.noise.index_lo, dtype=np.int64)
-        self._counts = np.asarray(self.noise.node_counts, dtype=np.int64)
-        self._strides = np.append(np.cumprod(self._counts[:0:-1])[::-1], 1)
-        self._flat_offs = offs @ self._strides                       # (K,)
+        index_lo = np.asarray(self.noise.index_lo, dtype=np.int64)
+        counts = np.asarray(self.noise.node_counts, dtype=np.int64)
+        self._strides = np.append(np.cumprod(counts[:0:-1])[::-1], 1)
+        # flat index of support node k of cell z: z @ strides + _flat_offs[k]
+        self._flat_offs = (offs - index_lo) @ self._strides          # (K,)
         self._flat_coeff = self.noise.coefficients.reshape(-1, channels)
         self._norm = self._node_normalizer(offs)
+        # every point of the region has its cell between the cells of the
+        # two corners (floor is monotone), so the corners alone decide
+        # whether each support stays on the noise grid
+        corners = np.floor(np.array([region.lo, region.hi]) / self.spacing)
+        rel = corners.astype(np.int64) - index_lo
+        if np.any(rel[0] < self._reach) or np.any(rel[1] + self._reach >= counts):
+            raise FieldError("kernel support escapes the noise grid")
 
     # -- plumbing ----------------------------------------------------------
 
@@ -360,26 +400,23 @@ class MetricField(Field):
         reach) h, with the integer add, the multiply and the subtract a full
         (B,K,d) displacement tensor would apply to that entry.  Node k of
         coeff's K axis is the mesh point (j_0, ..., j_{d-1}), first axis
-        slowest.  The bounds check runs on the (B,d) cells: every support
-        node of a cell lies within ``reach`` of it on each axis, so the cells
-        alone decide whether the support stays on the noise grid.
+        slowest.  A point outside the region raises RegionError, tested on
+        the (B,d) rows at once by Box.contains_all.  The support needs no
+        test per call: __init__ checked it for the cells of the region's
+        corners, which bound the cell of every point inside.
         ``lookup`` maps the flat noise-grid indices (B,K) to coefficients;
         the default reads this field's own array.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if not np.all(self.contains(X)):
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2:
+            X = np.atleast_2d(X)
+        if not self.region.contains_all(X):
             raise RegionError("evaluation point outside field region")
         h = self.spacing
         cell = np.floor(X / h).astype(np.int64)
-        rel = cell - self._index_lo
-        if (rel.min() < self._reach
-                or np.any(rel.max(axis=0) + self._reach >= self._counts)):
-            # interior points always see their full support; anything else is
-            # a bookkeeping bug, not a soft condition
-            raise RegionError("kernel support escapes the noise grid")
-        flat = (rel @ self._strides)[:, None] + self._flat_offs
+        flat = (cell @ self._strides)[:, None] + self._flat_offs
         if lookup is None:
-            coeff = np.take(self._flat_coeff, flat, axis=0)
+            coeff = self._flat_coeff.take(flat, axis=0)
         else:
             coeff = lookup(flat)
         dx1 = X[:, None, :] - (cell[:, None, :] + self._line[None, :, None]) * h
@@ -470,32 +507,31 @@ def _kernel_sums(kernel, norm, dx1, spread, coeff, order=2):
     K = m ** d
     xi2 = kernel.range ** 2
     sq = dx1 * dx1
-    lanes = [_mesh_axis(sq, 0), _mesh_axis(sq, 1)]
+    axes = _mesh_axes(d)
+    lanes = [sq[axes[0]], sq[axes[1]]]
     for i in range(2, d):
-        lanes[i % 2] = lanes[i % 2] + _mesh_axis(sq, i)
-    u = ((lanes[0] + lanes[1]) / xi2).reshape(B * K)
-    if order == 0:
-        val, grad, hess = kernel.radial(u, 0), None, None
-    else:
-        du1 = (2.0 * dx1 / xi2).reshape(B, m * d)
-        du = np.take(du1, spread, axis=1).reshape(B * K, d)
-        val, grad, hess = kernel.chain(u, du, order)
+        lanes[i % 2] = lanes[i % 2] + sq[axes[i]]
+    u = np.add(lanes[0], lanes[1]).reshape(B, K)
+    u /= xi2
     scale = kernel.amplitude / norm
-    G = scale * np.einsum("bk,bkc->bc", val.reshape(B, K), coeff)
     if order == 0:
-        return G
-    dG = scale * np.einsum("bki,bkc->bic", grad.reshape(B, K, d), coeff)
+        return scale * np.einsum("bk,bkc->bc", kernel.radial(u, 0), coeff)
+    du = (2.0 * dx1 / xi2).reshape(B, m * d).take(spread, axis=1)
+    val, grad, hess = kernel.chain(u, du.reshape(B, K, d), order)
+    G = scale * np.einsum("bk,bkc->bc", val, coeff)
+    dG = scale * np.einsum("bki,bkc->bic", grad, coeff)
     if order < 2:
         return G, dG, None
-    d2G = scale * np.einsum("bkij,bkc->bijc", hess.reshape(B, K, d, d), coeff)
-    return G, dG, d2G
+    return G, dG, scale * np.einsum("bkij,bkc->bijc", hess, coeff)
 
 
-def _mesh_axis(table, i):
-    """Column i of a per-axis table (B,m,d), shaped to broadcast along axis
-    i of the (B, m, ..., m) support mesh."""
-    B, m, d = table.shape
-    return table[:, :, i].reshape((B,) + (1,) * i + (m,) + (1,) * (d - 1 - i))
+@functools.cache
+def _mesh_axes(d):
+    """Per axis i, the index taking column i of a per-axis table (B,m,d) to
+    a view that broadcasts along axis i of the (B, m, ..., m) support
+    mesh."""
+    return tuple((slice(None),) + (None,) * i + (slice(None),)
+                 + (None,) * (d - 1 - i) + (i,) for i in range(d))
 
 
 def _metric_from_sums(field, sums, order):
@@ -744,7 +780,7 @@ class ConformalAnalyticField(AnalyticField):
     def conformal_exponent_batch(self, X, order=2):
         """phi_batch behind the region check."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if not np.all(self.contains(X)):
+        if self.region is not None and not self.region.contains_all(X):
             raise RegionError("evaluation point outside field region")
         return self.phi_batch(X, order)
 

@@ -269,14 +269,33 @@ def _margin_steps(field, X, V):
     return np.min(room, axis=1) / (1.5 * np.max(np.abs(V), axis=1))
 
 
-def _combine(coefs, ks):
-    """sum_j coefs[j] ks[j], accumulated in stage order element by element, so
-    a row's result never depends on the other rows of the batch."""
-    acc = None
-    for c, k in zip(coefs, ks):
-        if c != 0.0:
-            acc = c * k if acc is None else acc + c * k
-    return acc
+def _weights(coefs):
+    """(stages, column) of a row of stage weights: the stages of its nonzero
+    weights (a slice where they are consecutive) and those weights as a
+    (n, 1, 1) column; None for a row of zeros."""
+    stages = [j for j, c in enumerate(coefs) if c != 0.0]
+    if not stages:
+        return None
+    column = np.array([coefs[j] for j in stages])[:, None, None]
+    if stages == list(range(stages[0], stages[-1] + 1)):
+        return slice(stages[0], stages[-1] + 1), column
+    return np.array(stages), column
+
+
+_DP_STAGES = tuple(zip(_DP_C, map(_weights, _DP_A), map(_weights, _DP_AA)))
+_DP_ERR = (_weights(_DP_EA), _weights(_DP_E))
+
+
+def _combine(weights, ks):
+    """sum_j w_j ks[j] over the nonzero weights of a _weights row, None for
+    a row of zeros.  add.reduce along the stage axis adds the products in
+    stage order element by element, starting from -0.0, the identity that
+    leaves a lone product's sign alone, so a row's result never depends on
+    the other rows of the batch."""
+    if weights is None:
+        return None
+    stages, column = weights
+    return np.add.reduce(column * ks[stages], axis=0, initial=-0.0)
 
 
 def _dp5_step(field, X, V, A, h, parametrization):
@@ -289,18 +308,20 @@ def _dp5_step(field, X, V, A, h, parametrization):
     over the position and velocity components.
     """
     hc = h[:, None]
-    kv = [A]
-    for c, a, aa in zip(_DP_C, _DP_A, _DP_AA):
+    hh = hc * hc
+    kv = np.empty((len(_DP_STAGES) + 1,) + A.shape)
+    kv[0] = A
+    for j, (c, a, aa) in enumerate(_DP_STAGES, start=1):
         Vs = V + hc * _combine(a, kv)
         W = _combine(aa, kv)
         Xs = X + (c * hc) * V
         if W is not None:
-            Xs = Xs + (hc * hc) * W
-        _, acc = _geodesic_rhs(field, Xs, Vs, parametrization)
-        kv.append(acc)
-    err = np.maximum(np.max(np.abs((hc * hc) * _combine(_DP_EA, kv)), axis=1),
-                     np.max(np.abs(hc * _combine(_DP_E, kv)), axis=1))
-    return Xs, Vs, acc, W, err
+            Xs = Xs + hh * W
+        _, kv[j] = _geodesic_rhs(field, Xs, Vs, parametrization)
+    err_x, err_v = _DP_ERR
+    err = np.maximum(np.max(np.abs(hh * _combine(err_x, kv)), axis=1),
+                     np.max(np.abs(hc * _combine(err_v, kv)), axis=1))
+    return Xs, Vs, kv[-1].copy(), W, err
 
 
 def _dp5_rows(field, idx, X, V, A, h, parametrization):
@@ -344,20 +365,29 @@ def _hermite_samples(theta, h, x0, v0, a0, v1, a1, W):
     return pos, vel
 
 
-def _store_samples(times, pos_hist, vel_hist, n_samples, idx, accept, t0, t1,
-                   h, X, V, A, Vn, An, W):
-    """Write the grid samples in (t0, t1] of every accepted step (rows
-    idx[accept]) into the histories, from the step's Hermite interpolant."""
-    rows = idx[accept]
-    k_hi = np.searchsorted(times, t1[accept], side="right")
-    counts = k_hi - n_samples[rows]
-    sel = np.flatnonzero(accept).repeat(counts)
-    ks = (np.arange(sel.size) + n_samples[rows].repeat(counts)
-          - (np.cumsum(counts) - counts).repeat(counts))
-    pos_hist[ks, idx[sel]], vel_hist[ks, idx[sel]] = _hermite_samples(
+def _dense_output(times, pos_hist, vel_hist, attempts):
+    """Write the grid samples in (t0, t1] of every accepted step into the
+    histories, from each step's Hermite interpolant in one vectorized call,
+    and return the number of samples per row.  ``attempts`` lists the
+    steps the integration loop attempted, as (idx, accept, t0, t1, h, X, V,
+    A, Vn, An, W) over the rows idx it advanced."""
+    n_samples = np.ones(pos_hist.shape[1], dtype=np.int64)
+    if not attempts:
+        return n_samples
+    columns = [np.concatenate(parts) for parts in zip(*attempts)]
+    accept = columns.pop(1)
+    rows, t0, t1, h, X, V, A, Vn, An, W = (c[accept] for c in columns)
+    k_lo = np.searchsorted(times, t0, side="right")
+    k_hi = np.searchsorted(times, t1, side="right")
+    counts = k_hi - k_lo
+    sel = np.arange(len(counts)).repeat(counts)
+    ks = (np.arange(sel.size)
+          + (k_lo - (np.cumsum(counts) - counts)).repeat(counts))
+    pos_hist[ks, rows[sel]], vel_hist[ks, rows[sel]] = _hermite_samples(
         (times[ks] - t0[sel]) / h[sel], h[sel], X[sel], V[sel], A[sel],
         Vn[sel], An[sel], W[sel])
-    n_samples[rows] = k_hi
+    np.maximum.at(n_samples, rows, k_hi)
+    return n_samples
 
 
 def geodesic_shoot_batch(field, x0, v0, T, step=None, parametrization="riemannian"):
@@ -402,21 +432,22 @@ def geodesic_shoot_batch(field, x0, v0, T, step=None, parametrization="riemannia
     vel_hist = np.empty((n_out + 1, B, d))
     pos_hist[0] = X
     vel_hist[0] = V
-    n_samples = np.ones(B, dtype=np.int64)
     termination = np.array(["completed"] * B, dtype=object)
     tol = DP_TOLERANCE * step ** 4
     steps = np.zeros(B, dtype=np.int64)
     rejected = np.zeros(B, dtype=np.int64)
 
     # state of the rows still integrating: row index, position, velocity,
-    # acceleration, time, proposed step and last accepted error ratio
+    # acceleration, time, proposed step and last accepted error ratio; every
+    # attempted step is kept for the dense output after the loop
     idx = np.arange(B if n_out else 0)
     t, h, last = np.zeros(B), np.full(B, step), np.ones(B)
     field_a = field
+    attempts = []
     while idx.size:
         fit = _margin_steps(field, X, V)
         cramped = fit < step
-        if np.any(cramped):
+        if cramped.any():
             termination[idx[cramped]] = "left_region"
             idx, X, V, A, t, h, last, fit = (
                 a[~cramped] for a in (idx, X, V, A, t, h, last, fit))
@@ -448,8 +479,7 @@ def geodesic_shoot_batch(field, x0, v0, T, step=None, parametrization="riemannia
         rejected[idx] += ~accept
 
         t1 = np.where(ha == t_end - t, t_end, t + ha)
-        _store_samples(times, pos_hist, vel_hist, n_samples, idx, accept, t,
-                       t1, ha, X, V, A, Vn, An, W)
+        attempts.append((idx, accept, t, t1, ha, X, V, A, Vn, An, W))
         t = np.where(accept, t1, t)
         X, V, A = (np.where(accept[:, None], new, old)
                    for new, old in ((Xn, X), (Vn, V), (An, A)))
@@ -460,12 +490,13 @@ def geodesic_shoot_batch(field, x0, v0, T, step=None, parametrization="riemannia
         termination[idx[left]] = "left_region"
         termination[idx[failed]] = "numerical"
         going = ~(done | left | failed)
-        if not np.all(going):
+        if not going.all():
             idx, X, V, A, t, h, last = (
                 a[going] for a in (idx, X, V, A, t, h, last))
             if idx.size:
                 field_a = field.for_rows(idx)
 
+    n_samples = _dense_output(times, pos_hist, vel_hist, attempts)
     paths = []
     for b in range(B):
         field_b = field.field_at(b)
@@ -726,13 +757,14 @@ def jacobi_integrate_batch(field, paths):
     gv_m = gv_m.reshape(N - 1, B, d, d)
     cv_m = cv_m.reshape(N - 1, B, d, d)
 
-    J = np.zeros((B, d, d - 1))
+    # J at every sample; the frames (velocity, J) get one batched
+    # determinant after the loop (LAPACK factors each matrix on its own)
+    J_hist = np.zeros((N, B, d, d - 1))
+    J = J_hist[0]
     W = np.empty((B, d, d - 1))
-    dets = np.empty((N, B))
     for b in range(B):
         frame = _transverse_frame(field, pos[0, b], vel[0, b])
         W[b] = frame[:, 1:]
-    dets[0] = 0.0
 
     def rhs(gv, cv, Jc, Wc):
         dJ = Wc - gv @ Jc
@@ -747,9 +779,11 @@ def jacobi_integrate_batch(field, paths):
         k4J, k4W = rhs(gv_s[i + 1], cv_s[i + 1], J + h * k3J, W + h * k3W)
         J = J + (h / 6.0) * (k1J + 2 * k2J + 2 * k3J + k4J)
         W = W + (h / 6.0) * (k1W + 2 * k2W + 2 * k3W + k4W)
-        frame = np.concatenate([vel[i + 1][:, :, None], J], axis=2)
-        dets[i + 1] = vol_s[i + 1] * np.linalg.det(frame)
+        J_hist[i + 1] = J
 
+    frames = np.concatenate([vel[1:, :, :, None], J_hist[1:]], axis=3)
+    dets = np.concatenate([np.zeros((1, B)),
+                           vol_s[1:] * np.linalg.det(frames)])
     return [_detect_conjugates(times, dets[:, b]) for b in range(B)]
 
 

@@ -194,3 +194,31 @@ def test_save_field_is_refused_before_sampling_when_an_output_exists(
     assert len(err) == 1 and err[0].endswith("exists; pass force to overwrite")
     assert not field_path.exists()
     assert (out / "distance.json").read_text() == "kept"
+
+
+# tiny parameters of every experiment the harness runs; accept runs its
+# cheapest criterion alone (see test_every_experiment_runs_from_the_cli)
+SMOKE_PARAMS = {**SINGLE_RUN_PARAMS, **REPLICA_PARAMS,
+                "fpp": {"n": 6}, "lpp": {"n": 6}, "polymer": {"n": 6},
+                "accept": {}}
+
+
+@pytest.mark.parametrize("experiment", sorted(harness._RUNNERS))
+def test_every_experiment_runs_from_the_cli(experiment, tmp_path,
+                                            monkeypatch):
+    # the suite's fast subset takes tens of seconds; criterion 4
+    # (Christoffel symbols against finite differences) takes a fraction of
+    # a second and is not rerun by the reproducibility criterion
+    from rfpp import acceptance
+    monkeypatch.setattr(acceptance, "FAST_CRITERIA", (4,))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"params": SMOKE_PARAMS[experiment]}))
+    out = tmp_path / "out"
+    assert cli.main([experiment, "--config", str(config), "--out",
+                     str(out)]) == 0
+    declared = harness.output_paths(harness.ExperimentConfig(
+        experiment, SMOKE_PARAMS[experiment], out=str(out)), force=True)
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        list(declared) + ["manifest.json"])
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest["outputs"]) == list(declared)

@@ -71,6 +71,28 @@ def test_conformal_is_positive_multiple_of_identity():
     assert np.all(vals[:, 0, 0] > 0)
 
 
+def test_field_evaluates_at_its_region_corners():
+    # range / spacing = 10/3: floor((lo - range) / spacing) = -57 is one node
+    # short of floor(lo / spacing) - ceil(range / spacing) = -58, so the
+    # corners' support left the noise grid and values_batch raised
+    kernel = KernelSpec(range=1.0, amplitude=0.3)
+    field = MetricField("conformal", 3, Box.cube(16.0, 2), kernel, spacing=0.3)
+    corners = np.array([[-16.0, -16.0], [16.0, 16.0], [-16.0, 16.0],
+                        [16.0, -16.0]])
+    assert np.all(np.isfinite(field.values_batch(corners)))
+    assert field.noise.index_lo == (-58, -58)
+    assert field.noise.node_counts == (116, 116)
+    # coefficients are keyed by absolute node: the extended grid changes no
+    # value at a point a smaller region already covered
+    inner = MetricField("conformal", 3, Box.cube(12.0, 2), kernel, spacing=0.3)
+    X = 24.0 * rng.uniform(24, np.arange(400)).reshape(200, 2) - 12.0
+    assert field.values_batch(X).tobytes() == inner.values_batch(X).tobytes()
+    # a grid that reached far enough stays as it was: the default spacing
+    # divides the range, and the grid is floor((lo - range) / spacing) on
+    assert conformal(1, box=Box.cube(16.0, 2)).noise.index_lo == (-68, -68)
+    assert conformal(1, box=Box.cube(16.0, 2)).noise.node_counts == (137, 137)
+
+
 def test_region_enforced():
     f = conformal(11)
     with pytest.raises(RegionError):
@@ -164,6 +186,29 @@ def test_kernel_compact_support():
     assert np.all(grad[:2] == 0.0) and np.all(hess[:2] == 0.0)
 
 
+def test_radial_has_the_bits_of_the_closed_form_on_the_support():
+    # the oracle: the closed form on the entries with u < 1 alone, scattered
+    # into +0.0; every entry matches it byte for byte, the signs of zeros
+    # included, also where exp underflows next to the support's edge
+    u = np.concatenate([np.linspace(0.0, 2.0, 20001),
+                        1.0 - np.ldexp(1.0, -np.arange(1, 54)),
+                        [1.0, 1e300, np.inf]])
+    inside = u < 1.0
+    inv = 1.0 / (1.0 - u[inside])
+    e = np.exp(1.0 - inv)
+    expected = [np.zeros_like(u) for _ in range(3)]
+    expected[0][inside] = e
+    expected[1][inside] = -e * inv * inv
+    expected[2][inside] = e * (inv ** 4 - 2.0 * inv ** 3)
+    kernel = KernelSpec(range=1.0)
+    assert kernel.radial(u, 0).tobytes() == expected[0].tobytes()
+    first = kernel.radial(u, 1)
+    assert first[2] is None
+    for got in (first[:2], kernel.radial(u, 2)):
+        for a, b in zip(got, expected):
+            assert a.tobytes() == b.tobytes()
+
+
 def test_lattice_stationarity():
     # single-point moments agree at lattice-translated points across seeds
     shift = np.array([0.25 * 3, 0.25 * 5])     # a noise-lattice vector
@@ -239,9 +284,9 @@ def test_field_stack_matches_single_fields():
     sv, sg, sh = stack.evaluate_batch(pts)
     for i, f in enumerate(fields):
         v, g, h = f.evaluate_batch(pts[i][None, :])
-        assert np.array_equal(sv[i], v[0])
-        assert np.array_equal(sg[i], g[0])
-        assert np.array_equal(sh[i], h[0])
+        assert sv[i].tobytes() == v[0].tobytes()
+        assert sg[i].tobytes() == g[0].tobytes()
+        assert sh[i].tobytes() == h[0].tobytes()
 
 
 def _evaluation_digests(field, pts):
@@ -361,8 +406,9 @@ def test_evaluation_golden_digest(name):
 @pytest.mark.parametrize("mode,dim", [("conformal", 2), ("conformal", 3),
                                       ("sym_exp", 2), ("sym_exp", 3)])
 def test_rows_evaluate_independently(mode, dim):
-    # every row of a batch is bit-for-bit the point evaluated alone, at
-    # every order: no row's sum depends on the batch it came in
+    # every row of a batch is byte for byte the point evaluated alone, at
+    # every order (signs of zeros included): no row's sum depends on the
+    # batch it came in
     field = MetricField(mode, seed=23, region=Box.cube(3.0, dim), kernel=KERN)
     X = 5.0 * rng.uniform(230, np.arange(257 * dim)).reshape(257, dim) - 2.5
     batch = [field.values_batch(X)] + [field.evaluate_batch(X, order=k)
@@ -370,11 +416,11 @@ def test_rows_evaluate_independently(mode, dim):
     for b in range(len(X)):
         alone = [field.values_batch(X[b:b + 1])] + [
             field.evaluate_batch(X[b:b + 1], order=k) for k in (1, 2)]
-        assert np.array_equal(batch[0][b], alone[0][0])
+        assert batch[0][b].tobytes() == alone[0][0].tobytes()
         for whole, one in zip(batch[1:], alone[1:]):
             for a, c in zip(whole, one):
                 if a is not None:
-                    assert np.array_equal(a[b], c[0])
+                    assert a[b].tobytes() == c[0].tobytes()
 
 
 def test_scaled_field_exact_power_of_two():

@@ -23,6 +23,11 @@ def conformal(seed, half_width=16.0, amplitude=0.3):
                        kernel=KernelSpec(range=1.0, amplitude=amplitude))
 
 
+def same_bits(a, b):
+    """Equal shape and bytes: unlike np.array_equal, -0.0 differs from 0.0."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 # ------------------------------------------------------------- christoffel
 
 def test_christoffel_flat_zero():
@@ -350,8 +355,8 @@ def test_batch_matches_single():
     batch = geodesic_shoot_batch(field, np.zeros(2), dirs, T=1.0, step=1e-3)
     for i, v in enumerate(dirs):
         single = geodesic_shoot(field, np.zeros(2), v, T=1.0, step=1e-3)
-        assert np.array_equal(batch[i].positions, single.positions)
-        assert np.array_equal(batch[i].velocities, single.velocities)
+        assert same_bits(batch[i].positions, single.positions)
+        assert same_bits(batch[i].velocities, single.velocities)
 
 
 def test_rows_independent_under_differing_step_histories():
@@ -372,8 +377,8 @@ def test_rows_independent_under_differing_step_histories():
             single = geodesic_shoot(singles[i], start[i], dirs[i], T=2.0,
                                     step=1e-3)
             assert (single.steps, single.rejected) == (path.steps, path.rejected)
-            assert np.array_equal(path.positions, single.positions)
-            assert np.array_equal(path.velocities, single.velocities)
+            assert same_bits(path.positions, single.positions)
+            assert same_bits(path.velocities, single.velocities)
 
 
 def test_csv_export():
@@ -487,6 +492,30 @@ def test_sym_exp_paths_golden_digest():
     }
 
 
+def test_conformal_paths_golden_digest():
+    # computed before the conformal stage and dense-output rewrites (numpy
+    # 2.4.6, x86-64): 8 batched directions through the order-1 kernel sums,
+    # with rows leaving the box in both parametrizations
+    field = MetricField("conformal", seed=7, region=Box.cube(2.5, 2),
+                        kernel=KernelSpec(range=1.0, amplitude=0.3))
+    angles = np.arange(8) * (np.pi / 4) + 0.1
+    dirs = np.column_stack([np.cos(angles), np.sin(angles)])
+    digests, left = {}, {}
+    for parametrization in ("riemannian", "euclidean"):
+        paths = geodesic_shoot_batch(field, np.zeros(2), dirs, T=3.4,
+                                     step=2e-3, parametrization=parametrization)
+        left[parametrization] = [p.termination for p in paths].count(
+            "left_region")
+        digests[parametrization] = _path_digest(paths)
+    assert left == {"riemannian": 2, "euclidean": 5}
+    assert digests == {
+        "riemannian":
+            "a3e42776ae9f7087b65c94a7f9ece783302796caccae27ebacca347a3f130c91",
+        "euclidean":
+            "c14653f4204bca7f62a86cb3e6bad5ca500d90a83a280febce2eac902553abbc",
+    }
+
+
 def test_region_error_ends_only_its_row():
     # the patch box pokes out of the unit disk, where phi_batch raises
     # RegionError; the diagonal shot reaches the disk edge inside the box, so
@@ -503,8 +532,8 @@ def test_region_error_ends_only_its_row():
     assert np.all(np.linalg.norm(out.positions, axis=1) < 1.0)
     single = geodesic_shoot(field, x0, dirs[1], T=1.0, step=1e-2,
                             parametrization="euclidean")
-    assert np.array_equal(done.positions, single.positions)
-    assert np.array_equal(done.velocities, single.velocities)
+    assert same_bits(done.positions, single.positions)
+    assert same_bits(done.velocities, single.velocities)
 
 
 def test_field_stack_rows_terminate_independently():
@@ -518,5 +547,5 @@ def test_field_stack_rows_terminate_independently():
     assert [p.termination for p in paths] == ["left_region", "completed"]
     single = geodesic_shoot(fields[1], np.array([0.8, -0.5]), dirs[1], T=1.0,
                             step=1e-2)
-    assert np.array_equal(paths[1].positions, single.positions)
-    assert np.array_equal(paths[1].velocities, single.velocities)
+    assert same_bits(paths[1].positions, single.positions)
+    assert same_bits(paths[1].velocities, single.velocities)
