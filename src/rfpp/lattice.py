@@ -223,6 +223,23 @@ def bond_matrix(config, replica, lo, hi):
                       shape=(n_nodes, n_nodes))
 
 
+def _lattice_point(point, d, name):
+    """point as an int64 vector of Z^d, or a LatticeError naming it."""
+    point = np.asarray(point, dtype=np.int64)
+    if point.shape != (d,):
+        raise LatticeError(f"{name} must be a point of Z^{d}, got shape {point.shape}")
+    return point
+
+
+def _node(point, lo, hi):
+    """Row-major index of a lattice point in the box lo..hi."""
+    return int(np.ravel_multi_index(tuple(point - lo), tuple(hi - lo + 1)))
+
+
+# margin of the narrow box whose passage time bounds fpp_passage's Dijkstra
+_NARROW_MARGIN = 8
+
+
 def fpp_passage(config, target, replica=0, margin=None, source=None):
     """Passage time and witness between lattice points, by Dijkstra over
     i.i.d. bond weights drawn deterministically from (seed, replica, bond).
@@ -231,47 +248,59 @@ def fpp_passage(config, target, replica=0, margin=None, source=None):
     margin (default max(8, n // 2)) on every side; transversal wandering of
     the witness beyond that margin would be astronomically unlikely for the
     sizes this laboratory targets.
+
+    When the margin exceeds 8, the passage time in the box of margin 8 is
+    computed first.  That box lies inside the full one and its bonds carry
+    the same weights, so its passage time bounds tau from above, and the
+    Dijkstra of the full box settles only the nodes within that bound
+    (scipy keeps a node whose distance equals the bound).  A node beyond
+    the bound is neither on a witness nor an optimal parent of a witness
+    vertex, so tau, the witness when untied and ``tie_detected`` equal
+    those of the unbounded search.
     """
     d = config.dimension
-    source = np.zeros(d, dtype=np.int64) if source is None else np.asarray(source, np.int64)
-    target = np.asarray(target, dtype=np.int64)
-    if target.shape != (d,):
-        raise LatticeError("target dimension mismatch")
+    source = _lattice_point(np.zeros(d) if source is None else source, d, "source")
+    target = _lattice_point(target, d, "target")
     if margin is None:
-        margin = max(8, config.n // 2)
+        margin = max(_NARROW_MARGIN, config.n // 2)
     lo, hi = _box_axes(source, target, margin)
     if np.any(np.abs(target - source) > config.n):
         raise LatticeError("target outside the configured box size")
-    shape = tuple((hi - lo + 1).astype(int))
+    bound = np.inf
+    if margin > _NARROW_MARGIN:
+        nlo, nhi = lo + (margin - _NARROW_MARGIN), hi - (margin - _NARROW_MARGIN)
+        dist = _sp_dijkstra(bond_matrix(config, replica, nlo, nhi), directed=True,
+                            indices=_node(source, nlo, nhi))
+        bound = float(dist[_node(target, nlo, nhi)])
     mat = bond_matrix(config, replica, lo, hi)
-    src_idx = int(np.ravel_multi_index(tuple(source - lo), shape))
-    tgt_idx = int(np.ravel_multi_index(tuple(target - lo), shape))
+    src_idx, tgt_idx = _node(source, lo, hi), _node(target, lo, hi)
     dist, pred = _sp_dijkstra(mat, directed=True, indices=src_idx,
-                              return_predecessors=True)
+                              return_predecessors=True, limit=bound)
     chain = [tgt_idx]
     while pred[chain[-1]] >= 0:
         chain.append(int(pred[chain[-1]]))
     chain.reverse()
     if chain[0] != src_idx:
         raise LatticeError("target unreachable (bounding box too small?)")
-    witness = np.stack(np.unravel_index(chain, shape), axis=1) + lo
-    tie = _witness_tie(mat, dist, chain)
+    witness = np.stack(np.unravel_index(chain, tuple(hi - lo + 1)), axis=1) + lo
     return FppResult(tau=float(dist[tgt_idx]), witness=witness,
-                     tie_detected=tie)
+                     tie_detected=_witness_tie(mat, dist, chain))
 
 
 def _witness_tie(mat, dist, chain):
-    """True if some witness vertex is reached optimally from two parents."""
-    indptr, indices, data = mat.indptr, mat.indices, mat.data
-    for v in chain[1:]:
-        optimal = 0
-        for k in range(indptr[v], indptr[v + 1]):
-            u = indices[k]
-            if dist[u] + data[k] == dist[v]:
-                optimal += 1
-                if optimal > 1:
-                    return True
-    return False
+    """True if some witness vertex is reached optimally from two parents.
+
+    One pass over the CSR rows of chain[1:]: entry k of row v is an
+    optimal parent when dist[indices[k]] + data[k] == dist[v].
+    """
+    v = np.asarray(chain[1:], dtype=np.int64)
+    start = mat.indptr[v]
+    length = mat.indptr[v + 1] - start
+    row = np.repeat(np.arange(len(v)), length)
+    k = np.arange(len(row)) + np.repeat(start - np.cumsum(length) + length, length)
+    optimal = row[dist[mat.indices[k]] + mat.data[k] == dist[v][row]]
+    # the rows are ascending, so two optimal parents of one vertex are adjacent
+    return bool(np.any(optimal[1:] == optimal[:-1]))
 
 
 def _witness_deviation(witness, n):
@@ -314,15 +343,18 @@ def lpp_passage(config, target, origin=(0, 0), replica=0):
         T[i, j] = max_{k <= j} (A[k] + C[j] - C[k])
                 = C[j] + max_{k <= j} (A[k] - C[k]),
 
-    a running maximum.  This equals the recursion bit for bit while every
+    a running maximum.  The weights are folded before the scan: wU is
+    cumsummed in place along its rows and wR[i-1, :] - C is formed in place
+    of wR, so a row costs one add, one running maximum and one add of the
+    row's cumsum.  This equals the recursion bit for bit while every
     partial sum, A - C included, is a multiple of 2^-30 below 2^53 units
     in magnitude (the regime of the module docstring: quantized weights,
     exact binary ``scale``); then no addition or subtraction rounds.
     """
     if config.dimension != 2:
         raise LatticeError("directed LPP is implemented on Z^2")
-    ox, oy = (int(v) for v in origin)
-    tx, ty = (int(v) for v in target)
+    ox, oy = (int(v) for v in _lattice_point(origin, 2, "origin"))
+    tx, ty = (int(v) for v in _lattice_point(target, 2, "target"))
     m, n = tx - ox, ty - oy
     if m < 0 or n < 0:
         raise LatticeError("target must lie up/right of the origin")
@@ -335,15 +367,14 @@ def lpp_passage(config, target, origin=(0, 0), replica=0):
     jj = np.arange(oy, oy + n)
     wU = config.law.sample(config.seed, replica, 1, ii[:, None], jj[None, :])
 
+    np.cumsum(wU, axis=1, out=wU)
+    wR[:, 1:] -= wU[1:]
     T = np.zeros(n + 1)
-    C = np.zeros(n + 1)
-    np.cumsum(wU[0], out=T[1:])
+    T[1:] = wU[0]
     for i in range(1, m + 1):
-        np.cumsum(wU[i], out=C[1:])
         T += wR[i - 1]
-        T -= C
         np.maximum.accumulate(T, out=T)
-        T += C
+        T[1:] += wU[i]
     return float(T[n])
 
 
@@ -545,15 +576,36 @@ class PolymerResult:
 _POLYMER_BLOCK = 64
 
 
+def _logaddexp(a, b, out, t):
+    """log(e^a + e^b) into out, as M + log1p(exp(t)) with M = max(a, b) and
+    t = min(a, b) - M; t is a scratch array of out's shape.  out may be a
+    or b itself, but no shifted view of either.
+
+    Vectorized exp and log1p replace np.logaddexp's scalar libm calls, so
+    the result may differ from it in the last bits.  An equal infinite pair
+    gives t = NaN, which fmin maps to 0, so the result is M itself, as in
+    np.logaddexp; the subtraction then raises numpy's invalid-value flag,
+    which the caller silences.  A NaN input gives NaN.
+    """
+    np.minimum(a, b, out=t)
+    np.maximum(a, b, out=out)
+    t -= out
+    np.fmin(t, 0.0, out=t)
+    np.exp(t, out=t)
+    np.log1p(t, out=t)
+    out += t
+    return out
+
+
 def polymer_free_energy(seed, n, beta, eta=None):
     """Free energy of the d = 1 directed polymer in a random environment.
 
     Z_n integrates e^{beta sum eta(j, w_j)} over simple random walks from
     the origin; the forward transfer recursion over reachable sites uses
-    log-sum-exp throughout, so Z_n is exact up to floating error.  ``eta``
-    may be a callable (j, x_array) -> values, called once per time j with
-    the reachable sites x in {-j, -j+2, ..., j}; by default it is an i.i.d.
-    standard normal table keyed by (seed, j, x).
+    log-sum-exp throughout (``_logaddexp``, vectorized), so Z_n is exact up
+    to floating error.  ``eta`` may be a callable (j, x_array) -> values,
+    called once per time j with the reachable sites x in {-j, -j+2, ..., j};
+    by default it is an i.i.d. standard normal table keyed by (seed, j, x).
 
     The default table is drawn in blocks of _POLYMER_BLOCK (64) times, one
     ``rng.normal`` call per block, each row padded to the sites of the
@@ -578,15 +630,19 @@ def polymer_free_energy(seed, n, beta, eta=None):
     # the -inf on either side stands for the unreachable neighbours
     P = np.full(n + 3, -np.inf)
     P[1] = 0.0
-    for j0 in range(1, n + 1, _POLYMER_BLOCK):
-        js = np.arange(j0, min(j0 + _POLYMER_BLOCK, n + 1))
-        xs = 2 * np.arange(js[-1] + 1) - js[:, None]
-        weight = beta * eta_block(js, xs)
-        for r, j in enumerate(js.tolist()):
-            L = P[1:j + 2]
-            np.logaddexp(P[:j + 1], L, out=L)
-            L += log_half
-            L += weight[r, :j + 1]
+    M = np.empty(n + 1)
+    t = np.empty(n + 1)
+    with np.errstate(invalid="ignore"):
+        for j0 in range(1, n + 1, _POLYMER_BLOCK):
+            js = np.arange(j0, min(j0 + _POLYMER_BLOCK, n + 1))
+            xs = 2 * np.arange(js[-1] + 1) - js[:, None]
+            weight = beta * eta_block(js, xs)
+            for r, j in enumerate(js.tolist()):
+                L = P[1:j + 2]
+                # M first: L overlaps P[:j + 1], so it is written last
+                _logaddexp(P[:j + 1], L, M[:j + 1], t[:j + 1])
+                np.add(M[:j + 1], log_half, out=L)
+                L += weight[r, :j + 1]
     from scipy.special import logsumexp
     log_z = float(logsumexp(P[1:n + 2]))
     return PolymerResult(n=n, beta=float(beta), log_z=log_z,

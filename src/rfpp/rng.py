@@ -54,7 +54,8 @@ def _as_u64(w):
     a = np.asarray(w)
     if a.dtype == np.uint64:
         return a
-    return a.astype(np.int64).astype(np.uint64)
+    # a view, not a copy, of int64 words: callers never write to the result
+    return a.astype(np.int64, copy=False).view(np.uint64)
 
 
 def hash_words(seed, *words):

@@ -3,13 +3,15 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra
 
 from rfpp import rng
 from rfpp.lattice import (ExponentEstimate, LatticeConfig, LatticeError,
-                          WeightLaw, _witness_deviation, bond_matrix,
-                          euclidean_fpp, exponent_chi, exponential_law,
-                          fpp_passage, geometric_law, lpp_passage,
-                          polymer_free_energy, untied_fpp_passage)
+                          WeightLaw, _logaddexp, _witness_deviation,
+                          _witness_tie, bond_matrix, euclidean_fpp,
+                          exponent_chi, exponential_law, fpp_passage,
+                          geometric_law, lpp_passage, polymer_free_energy,
+                          untied_fpp_passage)
 
 
 # --------------------------------------------------------------- weight laws
@@ -168,6 +170,119 @@ def test_bond_matrix_golden_digest(name):
     for a in (mat.indptr, mat.indices, mat.data):
         h.update(np.ascontiguousarray(a).tobytes())
     assert h.hexdigest() == expected
+
+
+def _witness_tie_loop(mat, dist, chain):
+    """Reference: count the optimal parents of each witness vertex in turn."""
+    indptr, indices, data = mat.indptr, mat.indices, mat.data
+    for v in chain[1:]:
+        optimal = 0
+        for k in range(indptr[v], indptr[v + 1]):
+            if dist[indices[k]] + data[k] == dist[v]:
+                optimal += 1
+                if optimal > 1:
+                    return True
+    return False
+
+
+def _fpp_unbounded(cfg, target, replica, margin):
+    """Reference: tau, witness and tie of a Dijkstra with no bound over the
+    bond matrix of the box fpp_passage draws, with the vertex-loop tie test."""
+    source = np.zeros(cfg.dimension, dtype=np.int64)
+    lo = np.minimum(source, target) - margin
+    hi = np.maximum(source, target) + margin
+    shape = tuple(hi - lo + 1)
+    mat = bond_matrix(cfg, replica, lo, hi)
+    src = int(np.ravel_multi_index(tuple(source - lo), shape))
+    tgt = int(np.ravel_multi_index(tuple(np.asarray(target) - lo), shape))
+    dist, pred = dijkstra(mat, directed=True, indices=src, return_predecessors=True)
+    chain = [tgt]
+    while pred[chain[-1]] >= 0:
+        chain.append(int(pred[chain[-1]]))
+    chain.reverse()
+    witness = np.stack(np.unravel_index(chain, shape), axis=1) + lo
+    return float(dist[tgt]), witness, _witness_tie_loop(mat, dist, chain)
+
+
+FPP_BOUND_LAWS = (exponential_law(1.0), geometric_law(0.5),
+                  WeightLaw("bernoulli", (0.5, 1.0, 2.0)),
+                  WeightLaw("deterministic", (1.0,)))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("law", FPP_BOUND_LAWS, ids=lambda law: law.kind)
+def test_fpp_bounded_dijkstra_equals_unbounded(d, law):
+    # margins 4 and 8 run one Dijkstra; margin n // 2 > 8 first bounds it by
+    # the passage time in the box of margin 8
+    n = 20 if d == 2 else 18
+    cfg = LatticeConfig(d, n, law, seed=41)
+    for target in ((n,) + (0,) * (d - 1), (12, 9, 2)[:d]):
+        for replica in range(2):
+            bound = fpp_passage(cfg, target, replica=replica, margin=8).tau
+            for margin in (4, 8, n // 2):
+                got = fpp_passage(cfg, target, replica=replica, margin=margin)
+                tau, witness, tie = _fpp_unbounded(cfg, target, replica, margin)
+                assert got.tau == tau
+                assert got.tie_detected == tie
+                if not tie:
+                    assert np.array_equal(got.witness, witness)
+            assert tau <= bound
+            if law.kind == "deterministic":
+                # the straight witness lies inside the narrow box
+                assert tau == bound == sum(target)
+
+
+def test_fpp_bound_from_the_narrow_box_can_be_strict():
+    # zero geometric weights let the witness leave the box of margin 8
+    cfg = LatticeConfig(2, 20, geometric_law(0.5), seed=1)
+    full = fpp_passage(cfg, (12, 9), margin=10)
+    assert full.tau < fpp_passage(cfg, (12, 9), margin=8).tau
+    assert full.tau == _fpp_unbounded(cfg, (12, 9), 0, 10)[0]
+
+
+def test_witness_tie_matches_the_vertex_loop():
+    outcomes = set()
+    for law in (geometric_law(0.5), WeightLaw("bernoulli", (0.5, 1.0, 2.0))):
+        cfg = LatticeConfig(2, 12, law, seed=53)
+        mat = bond_matrix(cfg, 0, (-6, -6), (18, 9))
+        for src in (0, 77, 312):
+            dist, pred = dijkstra(mat, directed=True, indices=src,
+                                  return_predecessors=True)
+            for tgt in range(0, mat.shape[0], 13):
+                chain = [tgt]
+                while pred[chain[-1]] >= 0:
+                    chain.append(int(pred[chain[-1]]))
+                chain.reverse()
+                tie = _witness_tie(mat, dist, chain)
+                assert tie == _witness_tie_loop(mat, dist, chain)
+                outcomes.add(tie)
+        # vertex lists that are no witness, boundary rows included
+        for r in range(20):
+            chain = rng.hash_words(r, np.arange(r % 7)) % np.uint64(mat.shape[0])
+            chain = chain.astype(np.int64).tolist()
+            assert _witness_tie(mat, dist, chain) == _witness_tie_loop(mat, dist, chain)
+    assert outcomes == {True, False}
+
+
+def test_lattice_points_are_validated_before_drawing(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("weights drawn before the points were checked")
+
+    monkeypatch.setattr(rng, "uniform", no_draws)
+    cfg2 = LatticeConfig(2, 10, exponential_law(1.0), seed=1)
+    cfg3 = LatticeConfig(3, 10, exponential_law(1.0), seed=1)
+    calls = [lambda: fpp_passage(cfg2, (3, 0), source=(0,)),
+             lambda: fpp_passage(cfg2, (3, 0), source=(0, 0, 0)),
+             lambda: fpp_passage(cfg2, (3, 0, 0)),
+             lambda: fpp_passage(cfg3, (3, 0)),
+             lambda: fpp_passage(cfg3, (3, 0, 0), source=[[0, 0, 0]]),
+             lambda: lpp_passage(cfg2, (3, 4, 5)),
+             lambda: lpp_passage(cfg2, (3,)),
+             lambda: lpp_passage(cfg2, (3, 4), origin=(0,)),
+             lambda: lpp_passage(cfg2, (3, 4), origin=(0, 0, 0))]
+    for call in calls:
+        with pytest.raises(LatticeError, match="must be a point of Z"):
+            call()
 
 
 def test_time_constant_deterministic():
@@ -349,7 +464,6 @@ def test_euclid_alpha_validation():
 
 def test_euclid_knn_equals_complete_graph():
     from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra
     u = rng.uniform(91, np.arange(1000)).reshape(500, 2) * 10.0
     res = euclidean_fpp(u, 1.5, u[0], u[7])
     full = dijkstra(csr_matrix(
@@ -415,9 +529,36 @@ def test_polymer_monotone_in_environment():
     assert f1 < f0
 
 
+def test_logaddexp_matches_numpy():
+    # measured on 2^22 pairs per kind: at most 1 ulp of max(|result|, 1)
+    # from np.logaddexp (the log1p term lies in [0, log 2], so its last-bit
+    # difference is an absolute 2^-53 or less, which cancellation in M + it
+    # can make many ulps of a result near 0)
+    u = rng.uniform(61, np.arange(4 << 16)).reshape(4, -1)
+    a = np.where(u[2] < 0.5, -1.0, 1.0) * 10.0 ** (-3 + 7 * u[0])
+    for b in (np.where(u[3] < 0.5, -1.0, 1.0) * 10.0 ** (-3 + 7 * u[1]),
+              a + (u[1] - 0.5) * 1e-2, -a + (u[1] - 0.5)):
+        ref = np.logaddexp(a, b)
+        got = _logaddexp(a, b, np.empty(len(a)), np.empty(len(a)))
+        assert np.all(np.abs(got - ref) <= np.spacing(np.maximum(np.abs(ref), 1.0)))
+    # exact: equal inputs (a + log 2), -inf on either side, infinite pairs
+    x = np.concatenate([a, -a, [np.inf, -np.inf, np.inf, -np.inf, 1.0]])
+    y = np.concatenate([a, np.full(len(a), -np.inf),
+                        [np.inf, -np.inf, -np.inf, np.inf, np.inf]])
+    with np.errstate(invalid="ignore"):
+        for p, q in ((x, y), (y, x)):
+            got = _logaddexp(p, q, np.empty(len(p)), np.empty(len(p)))
+            assert np.array_equal(got, np.logaddexp(p, q))
+    # the output may be one of the inputs
+    b = a[::-1].copy()
+    ref = _logaddexp(a, b, np.empty(len(a)), np.empty(len(a)))
+    assert np.array_equal(_logaddexp(a, b, b, np.empty(len(a))), ref)
+
+
 def _polymer_rowwise(seed, n, beta, eta=None):
     """Reference: the transfer recursion one time step at a time, with one
-    environment call per row."""
+    environment call per row, through the same log-sum-exp as the library
+    (test_logaddexp_matches_numpy pins it against np.logaddexp)."""
     from scipy.special import logsumexp
     if eta is None:
         def eta(j, xs):
@@ -429,8 +570,8 @@ def _polymer_rowwise(seed, n, beta, eta=None):
         right = np.full(len(xs), -np.inf)
         left[1:] = L
         right[:-1] = L
-        L = (np.logaddexp(left, right) + np.log(0.5)
-             + beta * np.asarray(eta(j, xs), dtype=float))
+        L = (_logaddexp(left, right, np.empty(len(xs)), np.empty(len(xs)))
+             + np.log(0.5) + beta * np.asarray(eta(j, xs), dtype=float))
     return float(logsumexp(L))
 
 

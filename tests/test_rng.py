@@ -65,15 +65,29 @@ def test_golden_digest():
 
 
 def test_draws_leave_the_callers_arrays_unchanged():
-    # the generator mixes in place, but only arrays it allocated itself
+    # the generator mixes in place, but only arrays it allocated itself;
+    # int64 words are reinterpreted as uint64 through a view
     seed = np.arange(6, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    signed = np.arange(-9, 9, dtype=np.int64).reshape(3, 6)
+    strided = np.arange(-18, 18, dtype=np.int64).reshape(3, 12)[:, ::2]
     words = (np.arange(6, dtype=np.uint64), np.full((3, 1), 2 ** 63, dtype=np.uint64),
-             np.uint64(5))
+             np.uint64(5), signed, strided, np.arange(-3, 3, dtype=np.int32))
     kept = [seed.copy()] + [np.copy(w) for w in words]
     for draw in (rng.hash_words, rng.uniform, rng.normal):
         draw(seed, *words)
         draw(seed)
         draw(7, *words)
+        draw(signed[0], strided)
         for before, after in zip(kept, (seed,) + words):
-            assert after.dtype == np.uint64
+            assert after.dtype == before.dtype
             assert np.array_equal(before, after)
+
+
+def test_words_of_any_layout_and_width_draw_the_same():
+    signed = np.arange(-9, 9, dtype=np.int64).reshape(3, 6)
+    for words in ((signed[:, ::2],), (signed.T,), (signed.astype(np.int32),),
+                  (signed[0].astype(np.int16), signed[:, :1])):
+        for draw in (rng.hash_words, rng.uniform, rng.normal):
+            plain = [np.ascontiguousarray(w, dtype=np.int64) for w in words]
+            assert np.array_equal(draw(3, *words), draw(3, *plain))
+            assert np.array_equal(draw(3, *plain), draw(3, *[w.tolist() for w in plain]))
