@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import dijkstra
 
-from rfpp import rng
+from rfpp import lattice, rng
 from rfpp.lattice import (ExponentEstimate, LatticeConfig, LatticeError,
                           WeightLaw, _logaddexp, _witness_deviation,
                           _witness_tie, bond_matrix, euclidean_fpp,
@@ -172,22 +172,9 @@ def test_bond_matrix_golden_digest(name):
     assert h.hexdigest() == expected
 
 
-def _witness_tie_loop(mat, dist, chain):
-    """Reference: count the optimal parents of each witness vertex in turn."""
-    indptr, indices, data = mat.indptr, mat.indices, mat.data
-    for v in chain[1:]:
-        optimal = 0
-        for k in range(indptr[v], indptr[v + 1]):
-            if dist[indices[k]] + data[k] == dist[v]:
-                optimal += 1
-                if optimal > 1:
-                    return True
-    return False
-
-
 def _fpp_unbounded(cfg, target, replica, margin):
     """Reference: tau, witness and tie of a Dijkstra with no bound over the
-    bond matrix of the box fpp_passage draws, with the vertex-loop tie test."""
+    bond matrix of the box fpp_passage draws."""
     source = np.zeros(cfg.dimension, dtype=np.int64)
     lo = np.minimum(source, target) - margin
     hi = np.maximum(source, target) + margin
@@ -201,7 +188,7 @@ def _fpp_unbounded(cfg, target, replica, margin):
         chain.append(int(pred[chain[-1]]))
     chain.reverse()
     witness = np.stack(np.unravel_index(chain, shape), axis=1) + lo
-    return float(dist[tgt]), witness, _witness_tie_loop(mat, dist, chain)
+    return float(dist[tgt]), witness, _witness_tie(mat, dist, chain)
 
 
 FPP_BOUND_LAWS = (exponential_law(1.0), geometric_law(0.5),
@@ -211,9 +198,10 @@ FPP_BOUND_LAWS = (exponential_law(1.0), geometric_law(0.5),
 
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("law", FPP_BOUND_LAWS, ids=lambda law: law.kind)
-def test_fpp_bounded_dijkstra_equals_unbounded(d, law):
-    # margins 4 and 8 run one Dijkstra; margin n // 2 > 8 first bounds it by
-    # the passage time in the box of margin 8
+def test_fpp_bounded_dijkstra_equals_unbounded(d, law, monkeypatch):
+    # with a share of 1 every margin above 8 first bounds the Dijkstra by the
+    # passage time in the box of margin 8, and margin 8 by that of its own box
+    monkeypatch.setattr(lattice, "_NARROW_SHARE", 1)
     n = 20 if d == 2 else 18
     cfg = LatticeConfig(d, n, law, seed=41)
     for target in ((n,) + (0,) * (d - 1), (12, 9, 2)[:d]):
@@ -232,36 +220,36 @@ def test_fpp_bounded_dijkstra_equals_unbounded(d, law):
                 assert tau == bound == sum(target)
 
 
-def test_fpp_bound_from_the_narrow_box_can_be_strict():
+def test_fpp_bound_from_the_narrow_box_can_be_strict(monkeypatch):
     # zero geometric weights let the witness leave the box of margin 8
+    monkeypatch.setattr(lattice, "_NARROW_SHARE", 1)
     cfg = LatticeConfig(2, 20, geometric_law(0.5), seed=1)
     full = fpp_passage(cfg, (12, 9), margin=10)
     assert full.tau < fpp_passage(cfg, (12, 9), margin=8).tau
     assert full.tau == _fpp_unbounded(cfg, (12, 9), 0, 10)[0]
 
 
-def test_witness_tie_matches_the_vertex_loop():
-    outcomes = set()
-    for law in (geometric_law(0.5), WeightLaw("bernoulli", (0.5, 1.0, 2.0))):
-        cfg = LatticeConfig(2, 12, law, seed=53)
-        mat = bond_matrix(cfg, 0, (-6, -6), (18, 9))
-        for src in (0, 77, 312):
-            dist, pred = dijkstra(mat, directed=True, indices=src,
-                                  return_predecessors=True)
-            for tgt in range(0, mat.shape[0], 13):
-                chain = [tgt]
-                while pred[chain[-1]] >= 0:
-                    chain.append(int(pred[chain[-1]]))
-                chain.reverse()
-                tie = _witness_tie(mat, dist, chain)
-                assert tie == _witness_tie_loop(mat, dist, chain)
-                outcomes.add(tie)
-        # vertex lists that are no witness, boundary rows included
-        for r in range(20):
-            chain = rng.hash_words(r, np.arange(r % 7)) % np.uint64(mat.shape[0])
-            chain = chain.astype(np.int64).tolist()
-            assert _witness_tie(mat, dist, chain) == _witness_tie_loop(mat, dist, chain)
-    assert outcomes == {True, False}
+def test_fpp_narrow_pass_runs_only_on_boxes_ten_times_larger(monkeypatch):
+    boxes = []
+
+    def recording(config, replica, lo, hi):
+        boxes.append(int(np.prod(np.asarray(hi) - lo + 1)))
+        return bond_matrix(config, replica, lo, hi)
+
+    monkeypatch.setattr(lattice, "bond_matrix", recording)
+    law = exponential_law(1.0)
+    # default margin n // 2: the box of margin 8 holds 0.1006 of the full
+    # box's nodes at n = 99 and 0.0980 at n = 100
+    for n, passes in ((99, 1), (100, 2)):
+        boxes.clear()
+        cfg = LatticeConfig(2, n, law, seed=3)
+        got = fpp_passage(cfg, (n, 0))
+        assert len(boxes) == passes
+        assert got.tau == _fpp_unbounded(cfg, (n, 0), 0, n // 2)[0]
+    assert boxes == [(100 + 17) * 17, 201 * 101]
+    boxes.clear()
+    fpp_passage(LatticeConfig(3, 44, law, seed=3), (44, 0, 0))
+    assert boxes == [(44 + 17) * 17 ** 2, 89 * 45 ** 2]
 
 
 def test_lattice_points_are_validated_before_drawing(monkeypatch):
@@ -590,6 +578,12 @@ def test_polymer_blocked_equals_rowwise(n):
     got = polymer_free_energy(7, n, 1.3, eta=recording(calls)).log_z
     assert got == _polymer_rowwise(7, n, 1.3, eta=recording(oracle_calls))
     assert calls == oracle_calls
+
+
+def test_polymer_keeps_the_environments_warnings():
+    # the log-sum-exp silences its own invalid-value flag, not the caller's
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        polymer_free_energy(1, 3, 1.0, eta=lambda j, xs: np.sqrt(xs - 0.5 * j))
 
 
 def test_polymer_validation():
