@@ -48,7 +48,7 @@ from .fields import RegionError
 SPEED_TOL = 1e-6           # per-sample speed drift allowance, times (1 + t)
 CONJUGATE_REFINE = 1e-6    # bisection width for conjugate-time brackets
 CONDITION_LIMIT = 1e12     # metric condition number treated as singular
-JACOBI_CHUNK = 20000       # points per field call in the Jacobi coefficients
+JACOBI_CHUNK = 20000       # points per field call in the Jacobi generators
 DP_TOLERANCE = 6.0         # geodesic local error target, times step^4
 MIN_STEP = 1e-3            # smallest geodesic step, as a fraction of step
 
@@ -137,12 +137,15 @@ def _christoffel_and_partials(val, grad, hess):
 
 def riemann_tensor(val, grad, hess):
     """Batched R^r_smn from analytic first and second metric derivatives."""
-    gamma, dgamma = _christoffel_and_partials(val, grad, hess)
-    curv = (np.einsum("bmrns->brsmn", dgamma)
+    return _riemann_from_christoffel(*_christoffel_and_partials(val, grad, hess))
+
+
+def _riemann_from_christoffel(gamma, dgamma):
+    """Batched R^r_smn from Gamma and its partials dgamma[:, l] = d_l Gamma."""
+    return (np.einsum("bmrns->brsmn", dgamma)
             - np.einsum("bnrms->brsmn", dgamma)
             + np.einsum("brml,blns->brsmn", gamma, gamma)
             - np.einsum("brnl,blms->brsmn", gamma, gamma))
-    return curv
 
 
 def curvature_at(field, x, plane=None):
@@ -647,17 +650,22 @@ class JacobiRecord:
     det_history[i] is the Riemannian volume of the frame
     (velocity, J_1, ..., J_{d-1}) at times[i]; with the initial covariant
     derivatives forming a g-orthonormal transverse frame this normalizes to
-    t^{d-1} on a flat field.  conjugate_times are bracketed sign changes
-    refined to 1e-6.
+    t^{d-1} on a flat field.  conjugate_times are the sign changes of
+    det_history after t = 0: a change between two samples is refined to
+    CONJUGATE_REFINE on the determinant's cubic spline, and a sample where
+    the determinant is exactly 0 between samples of opposite sign gives its
+    own time.  A conjugate point of even multiplicity does not change the
+    sign and is not reported: in d = 3 that is a point where both transverse
+    Jacobi fields vanish together, such as the antipode on the round sphere.
     """
     times: np.ndarray
     det_history: np.ndarray
     conjugate_times: list
 
 
-def _transverse_frame(field, x0, v0):
-    """g-orthonormal frame (v0, e_2, .., e_d), oriented positively."""
-    g = field.values_batch(np.atleast_2d(x0))[0]
+def _transverse_frame(g, v0):
+    """g-orthonormal frame (v0, e_2, .., e_d), oriented positively, for the
+    metric matrix g at the start point."""
     d = len(v0)
     vecs = [v0 / np.sqrt(v0 @ g @ v0)]
     for seed_idx in range(d):
@@ -679,8 +687,10 @@ def _transverse_frame(field, x0, v0):
 
 
 def _hermite_midpoints(times, positions, velocities):
-    """Positions and velocities at interval midpoints from Hermite cubics."""
-    h = np.diff(times)[:, None]
+    """Positions and velocities at interval midpoints from Hermite cubics;
+    the sample axis is the first, so (N, d) and (N, B, d) histories both
+    work."""
+    h = np.diff(times).reshape((-1,) + (1,) * (positions.ndim - 1))
     x0, x1 = positions[:-1], positions[1:]
     v0, v1 = velocities[:-1], velocities[1:]
     xm = 0.5 * (x0 + x1) + 0.125 * h * (v0 - v1)
@@ -694,107 +704,132 @@ def jacobi_integrate(field, path):
     return jacobi_integrate_batch(field, [path])[0]
 
 
-def _jacobi_coefficients(field, X, V):
-    """Per-point linear operators of the Jacobi system.
+def _jacobi_generators(field, X, V):
+    """Generators M of the Jacobi system Y' = M Y at points X with
+    velocities V (any leading shape, last axis d), and the metric there.
 
+    Y stacks J over its covariant derivative W, and
+    M = [[-gv, I], [-cv, -gv]] with
     gv[k, j]   = Gamma^k_ij V^i              (connection drag)
     cv[r, m]   = R^r_smn V^s V^n             (tidal operator)
-    voldet     = sqrt(det g)                 (for the volume determinant)
+    Gamma and its partials come from one _christoffel_and_partials call per
+    point; gv contracts Gamma symmetrised as christoffel_from_derivatives
+    does, and R is riemann_tensor's.
     """
+    shape, d = X.shape[:-1], X.shape[-1]
+    X = X.reshape(-1, d)
+    V = V.reshape(-1, d)
     n = X.shape[0]
-    d = X.shape[1]
-    gv = np.empty((n, d, d))
-    cv = np.empty((n, d, d))
-    voldet = np.empty(n)
+    M = np.zeros((n, 2 * d, 2 * d))
+    M[:, :d, d:] = np.eye(d)
+    g = np.empty((n, d, d))
     for s in range(0, n, JACOBI_CHUNK):
         sl = slice(s, min(n, s + JACOBI_CHUNK))
-        val, grad, hess = field.evaluate_batch(X[sl])
-        gamma = christoffel_from_derivatives(val, grad)
-        R = riemann_tensor(val, grad, hess)
-        gv[sl] = np.einsum("bkij,bi->bkj", gamma, V[sl])
-        cv[sl] = np.einsum("brsmn,bs,bn->brm", R, V[sl], V[sl])
-        voldet[sl] = np.sqrt(np.linalg.det(val))
-    return gv, cv, voldet
+        g[sl], grad, hess = field.evaluate_batch(X[sl])
+        gamma, dgamma = _christoffel_and_partials(g[sl], grad, hess)
+        R = _riemann_from_christoffel(gamma, dgamma)
+        gamma = 0.5 * (gamma + np.swapaxes(gamma, 2, 3))
+        gv = np.einsum("bkij,bi->bkj", gamma, V[sl])
+        M[sl, :d, :d] = M[sl, d:, d:] = -gv
+        M[sl, d:, :d] = -np.einsum("brsmn,bs,bn->brm", R, V[sl], V[sl])
+    return M.reshape(shape + (2 * d, 2 * d)), g.reshape(shape + (d, d))
+
+
+def _rk4_propagators(Ms, Mm, h):
+    """P with Y[i + 1] = P[i] Y[i], the classical RK4 step of Y' = M(t) Y
+    as one matrix per step (formula in jacobi_integrate_batch), from M at
+    the samples, Ms (N, ...), and at the step midpoints, Mm (N - 1, ...),
+    for the step lengths h (N - 1,).  The products are formed for every
+    step at once, in place, with two temporaries; Mm is overwritten."""
+    M1, M4 = Ms[:-1], Ms[1:]
+    hc = h.reshape((-1,) + (1,) * (Ms.ndim - 1))
+    K2 = np.matmul(Mm, M1)
+    K2 *= 0.5 * hc
+    K2 += Mm
+    K3 = np.matmul(Mm, K2)
+    K3 *= 0.5 * hc
+    K3 += Mm
+    S = K2                              # becomes M1 + 2 K2 + 2 K3 + K4
+    S *= 2.0
+    S += M1
+    S += K3
+    S += K3
+    S += M4
+    K4_M4 = np.matmul(M4, K3, out=Mm)   # K4 - M4 = h M4 K3
+    K4_M4 *= hc
+    S += K4_M4
+    S *= hc / 6.0
+    S += np.eye(S.shape[-1])
+    return S
 
 
 def jacobi_integrate_batch(field, paths):
     """Jacobi records for several paths sharing the same sample times.
 
-    Field data (connection and curvature contracted with the velocity) is
-    precomputed in bulk at all samples and Hermite midpoints, so the RK4 loop
-    is pure linear algebra.
+    The Jacobi system is linear, Y' = M(t) Y with Y = (J; W) and W the
+    covariant derivative of J, so a classical RK4 step on the sample grid
+    (midpoint data from the Hermite cubics through the samples) is one
+    matrix P_i = I + h/6 (M1 + 2 K2 + 2 K3 + K4), K2 = M2 (I + h/2 M1),
+    K3 = M2 (I + h/2 K2), K4 = M4 (I + h K3), with M1, M4 at the samples
+    and M2 at the midpoint.  Field data and every P_i are formed in bulk;
+    the only loop left applies Y[i + 1] = P_i Y[i].  Every path must have
+    exactly the sample times of the first; each row's record is
+    bit-identical to the same path integrated alone.
+
+    In d = 3 a conjugate point of even multiplicity leaves the sign of the
+    determinant unchanged and is not reported (see JacobiRecord).
     """
     if not paths:
         return []
     d = paths[0].positions.shape[1]
     if d not in (2, 3):
         raise GeometryError("Jacobi integration supports d = 2 or 3")
+    times = paths[0].times
     for p in paths:
         if p.parametrization != "riemannian":
             raise GeometryError("Jacobi integration needs riemannian parametrization")
         if len(p.times) < 3:
             raise GeometryError("path too coarse for curvature sampling")
-        if len(p.times) != len(paths[0].times) or not np.allclose(p.times, paths[0].times):
+        if not np.array_equal(p.times, times):
             raise GeometryError("batched paths must share sample times")
     B = len(paths)
-    times = paths[0].times
     N = len(times)
     pos = np.stack([p.positions for p in paths], axis=1)   # (N, B, d)
     vel = np.stack([p.velocities for p in paths], axis=1)
 
-    xm = np.empty((N - 1, B, d))
-    vm = np.empty((N - 1, B, d))
+    Ms, g = _jacobi_generators(field, pos, vel)
+    Mm, _ = _jacobi_generators(field, *_hermite_midpoints(times, pos, vel))
+    P = _rk4_propagators(Ms, Mm, np.diff(times))
+
+    # Y = (J; W) at every sample, from J(0) = 0 and W(0) the transverse
+    # frame; the frames (velocity, J) get one batched determinant after
+    # the loop (LAPACK factors each matrix on its own)
+    Y = np.zeros((N, B, 2 * d, d - 1))
     for b in range(B):
-        xm[:, b], vm[:, b] = _hermite_midpoints(times, pos[:, b], vel[:, b])
-
-    gv_s, cv_s, vol_s = _jacobi_coefficients(
-        field, pos.reshape(N * B, d), vel.reshape(N * B, d))
-    gv_s = gv_s.reshape(N, B, d, d)
-    cv_s = cv_s.reshape(N, B, d, d)
-    vol_s = vol_s.reshape(N, B)
-    gv_m, cv_m, _ = _jacobi_coefficients(
-        field, xm.reshape((N - 1) * B, d), vm.reshape((N - 1) * B, d))
-    gv_m = gv_m.reshape(N - 1, B, d, d)
-    cv_m = cv_m.reshape(N - 1, B, d, d)
-
-    # J at every sample; the frames (velocity, J) get one batched
-    # determinant after the loop (LAPACK factors each matrix on its own)
-    J_hist = np.zeros((N, B, d, d - 1))
-    J = J_hist[0]
-    W = np.empty((B, d, d - 1))
-    for b in range(B):
-        frame = _transverse_frame(field, pos[0, b], vel[0, b])
-        W[b] = frame[:, 1:]
-
-    def rhs(gv, cv, Jc, Wc):
-        dJ = Wc - gv @ Jc
-        dW = -(cv @ Jc) - gv @ Wc
-        return dJ, dW
-
+        Y[0, b, d:] = _transverse_frame(g[0, b], vel[0, b])[:, 1:]
     for i in range(N - 1):
-        h = times[i + 1] - times[i]
-        k1J, k1W = rhs(gv_s[i], cv_s[i], J, W)
-        k2J, k2W = rhs(gv_m[i], cv_m[i], J + 0.5 * h * k1J, W + 0.5 * h * k1W)
-        k3J, k3W = rhs(gv_m[i], cv_m[i], J + 0.5 * h * k2J, W + 0.5 * h * k2W)
-        k4J, k4W = rhs(gv_s[i + 1], cv_s[i + 1], J + h * k3J, W + h * k3W)
-        J = J + (h / 6.0) * (k1J + 2 * k2J + 2 * k3J + k4J)
-        W = W + (h / 6.0) * (k1W + 2 * k2W + 2 * k3W + k4W)
-        J_hist[i + 1] = J
+        np.matmul(P[i], Y[i], out=Y[i + 1])
 
-    frames = np.concatenate([vel[1:, :, :, None], J_hist[1:]], axis=3)
-    dets = np.concatenate([np.zeros((1, B)),
-                           vol_s[1:] * np.linalg.det(frames)])
+    frames = np.concatenate([vel[1:, :, :, None], Y[1:, :, :d]], axis=3)
+    volume = np.sqrt(np.linalg.det(g[1:]))
+    dets = np.concatenate([np.zeros((1, B)), volume * np.linalg.det(frames)])
     return [_detect_conjugates(times, dets[:, b]) for b in range(B)]
 
 
 def _detect_conjugates(times, det):
+    """JacobiRecord of a determinant history; see JacobiRecord for which
+    times count as conjugate."""
+    nonzero = np.flatnonzero(det[1:]) + 1
+    sign = np.sign(det[nonzero])
+    change = np.flatnonzero(sign[:-1] != sign[1:])
     conjugate = []
-    spline = CubicSpline(times, det)
-    sign = np.sign(det)
-    for i in range(1, len(times) - 1):
-        if sign[i] != 0 and sign[i + 1] != 0 and sign[i] != sign[i + 1]:
-            t_star = brentq(spline, times[i], times[i + 1],
-                            xtol=CONJUGATE_REFINE)
-            conjugate.append(float(t_star))
+    if change.size:
+        spline = CubicSpline(times, det)
+    for a, b in zip(nonzero[change], nonzero[change + 1]):
+        if b == a + 1:
+            conjugate.append(float(brentq(spline, times[a], times[b],
+                                          xtol=CONJUGATE_REFINE)))
+        else:
+            conjugate.append(float(times[a + 1]))
     return JacobiRecord(times=times, det_history=det,
                         conjugate_times=conjugate)

@@ -8,11 +8,12 @@ from rfpp.experiments import BumpSpec, PerturbedConformalField, make_bump
 from rfpp.fields import (Box, ConstantMetric, FieldStack, FlatMetric,
                          HyperbolicDiskField, KernelSpec, MetricField,
                          ScaledField, SpherePatchField)
-from rfpp.geometry import (GeometryError, _geodesic_rhs,
+from rfpp.geometry import (GeodesicPath, GeometryError, _geodesic_rhs,
                            christoffel, christoffel_from_derivatives,
                            cumulative_lengths, curvature_at, geodesic_shoot,
-                           geodesic_shoot_batch, jacobi_integrate, lengths,
-                           reparametrize, riemannian_speeds)
+                           geodesic_shoot_batch, jacobi_integrate,
+                           jacobi_integrate_batch, lengths, reparametrize,
+                           riemannian_speeds)
 
 FLAT = FlatMetric(2)
 SPHERE = SpherePatchField(radius=1.0)
@@ -305,6 +306,114 @@ def test_jacobi_scalar_oracle_d2():
         jp = jp + (h / 6) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
         j[i + 1] = jv
     assert np.max(np.abs(rec.det_history - j)) <= 1e-8
+
+
+def _stage_form_dets(field, path):
+    """Reference: the Jacobi determinant history by the stage-form RK4 loop
+    (four right-hand-side evaluations per step on (J, W)), with the drag and
+    tidal operator from the public christoffel_from_derivatives and
+    riemann_tensor and the frame from a values_batch call."""
+    from rfpp.geometry import _hermite_midpoints, _transverse_frame, riemann_tensor
+
+    def coefficients(X, V):
+        val, grad, hess = field.evaluate_batch(X)
+        gv = np.einsum("bkij,bi->bkj", christoffel_from_derivatives(val, grad), V)
+        cv = np.einsum("brsmn,bs,bn->brm", riemann_tensor(val, grad, hess), V, V)
+        return gv, cv, np.sqrt(np.linalg.det(val))
+
+    times, pos, vel = path.times, path.positions, path.velocities
+    gv_s, cv_s, vol_s = coefficients(pos, vel)
+    gv_m, cv_m, _ = coefficients(*_hermite_midpoints(times, pos, vel))
+    g0 = field.values_batch(pos[:1])[0]
+    W = _transverse_frame(g0, vel[0])[:, 1:]
+    J = np.zeros_like(W)
+    dets = np.zeros(len(times))
+
+    def rhs(gv, cv, Jc, Wc):
+        return Wc - gv @ Jc, -(cv @ Jc) - gv @ Wc
+
+    for i in range(len(times) - 1):
+        h = times[i + 1] - times[i]
+        k1J, k1W = rhs(gv_s[i], cv_s[i], J, W)
+        k2J, k2W = rhs(gv_m[i], cv_m[i], J + 0.5 * h * k1J, W + 0.5 * h * k1W)
+        k3J, k3W = rhs(gv_m[i], cv_m[i], J + 0.5 * h * k2J, W + 0.5 * h * k2W)
+        k4J, k4W = rhs(gv_s[i + 1], cv_s[i + 1], J + h * k3J, W + h * k3W)
+        J = J + (h / 6.0) * (k1J + 2 * k2J + 2 * k3J + k4J)
+        W = W + (h / 6.0) * (k1W + 2 * k2W + 2 * k3W + k4W)
+        dets[i + 1] = vol_s[i + 1] * np.linalg.det(
+            np.column_stack([vel[i + 1], J]))
+    return dets
+
+
+def _bench_field(mode):
+    from rfpp.harness import make_field
+    return make_field(12345, {"mode": mode})
+
+
+@pytest.mark.parametrize("case", ["conformal", "sym_exp", "sphere", "flat3",
+                                  "sphere3"])
+def test_jacobi_propagators_match_stage_form(case):
+    # one RK4 step as one matrix reorders the sums of the stage form: the
+    # histories agree to rounding, and conjugate times to the bracket width
+    from rfpp.geometry import _detect_conjugates
+    field, x0, v0, T, exact = {
+        "conformal": (_bench_field("conformal"), (0.0, 0.0), (1.0, 0.0), 1.5,
+                      None),
+        "sym_exp": (_bench_field("sym_exp"), (0.0, 0.0), (1.0, 0.0), 1.5, None),
+        "sphere": (SPHERE, (1.0, 0.0), (0.0, 1.0), 3.3, None),
+        "flat3": (FlatMetric(3), (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 2.0,
+                  (np.square, 1e-12)),
+        "sphere3": (SpherePatchField(dim=3), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                    3.3, (lambda t: np.sin(t) ** 2, 1e-10)),
+    }[case]
+    path = geodesic_shoot(field, x0, np.array(v0), T=T, step=1e-3)
+    rec = jacobi_integrate(field, path)
+    ref = _stage_form_dets(field, path)
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(rec.det_history - ref)) <= 1e-12 * scale
+    ref_times = _detect_conjugates(path.times, ref).conjugate_times
+    assert len(rec.conjugate_times) == len(ref_times)
+    assert np.allclose(rec.conjugate_times, ref_times, rtol=0.0, atol=1e-9)
+    if case == "sphere":
+        assert len(ref_times) == 1 and abs(ref_times[0] - np.pi) <= 1e-3
+    if exact is not None:
+        closed_form, tol = exact
+        assert np.max(np.abs(rec.det_history - closed_form(rec.times))) <= tol
+
+
+@pytest.mark.parametrize("mode", ["conformal", "sym_exp"])
+def test_jacobi_batch_rows_match_single(mode):
+    field = MetricField(mode, seed=47, region=Box.cube(4.0, 2),
+                        kernel=KernelSpec(range=1.0, amplitude=0.5))
+    dirs = np.array([[1.0, 0.0], [0.0, 1.0], [-0.6, 0.8]])
+    paths = geodesic_shoot_batch(field, np.zeros(2), dirs, T=1.5, step=1e-3)
+    records = jacobi_integrate_batch(field, paths)
+    for path, rec in zip(paths, records):
+        single = jacobi_integrate(field, path)
+        assert same_bits(rec.det_history, single.det_history)
+        assert rec.conjugate_times == single.conjugate_times
+
+
+def test_jacobi_batch_rejects_differing_times():
+    path = geodesic_shoot(FLAT, (0.0, 0.0), np.array([1.0, 0.0]), T=0.1,
+                          step=1e-2)
+    shifted = GeodesicPath(times=path.times * (1.0 + 1e-9),
+                           positions=path.positions, velocities=path.velocities,
+                           parametrization="riemannian", step=path.step)
+    with pytest.raises(GeometryError):
+        jacobi_integrate_batch(FLAT, [path, shifted])
+
+
+def test_conjugate_time_on_a_sample():
+    from rfpp.geometry import _detect_conjugates
+    times = np.arange(7.0)
+    # a zero sample between opposite signs is a conjugate time; a zero
+    # touched from one side, and the zero at t = 0, are not
+    det = np.array([0.0, 1.0, 0.5, 0.0, -0.5, 0.0, -1.0])
+    assert _detect_conjugates(times, det).conjugate_times == [3.0]
+    det = np.array([0.0, 1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
+    found = _detect_conjugates(times, det).conjugate_times
+    assert len(found) == 2 and 1.0 < found[0] < 2.0 and 3.0 < found[1] < 4.0
 
 
 def test_jacobi_requires_riemannian():

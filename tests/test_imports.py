@@ -61,6 +61,7 @@ TEST_ORACLES = (
     "fields.ConstantMetric",        # closed-form constant metric: flat-case oracle
     "fields.HyperbolicDiskField",   # constant curvature -1: Jacobi and curvature oracle
     "geometry.curvature_at",        # sectional curvature: oracle for riemann_tensor
+    "geometry.riemann_tensor",      # R from metric derivatives: oracle for the Jacobi generators
     "distance.PassageGraph.edge_weight",  # one edge on demand: oracle for the matrix
 )
 
