@@ -1,7 +1,7 @@
 """Command-line entry point: rfpp <experiment> [options].
 
 Experiments: field-check geodesic distance shape frontier bump scan
-fpp lpp euclid-fpp polymer accept.
+fpp lpp polymer accept.
 
 A JSON config file (--config) provides the experiment parameters; flags
 override individual fields.  Outputs (CSV/JSON plus manifest.json) land in
@@ -54,8 +54,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.experiment not in EXPERIMENTS:
-        parser.error(f"unknown experiment {args.experiment!r}; valid names: "
-                     + ", ".join(EXPERIMENTS))
+        print(f"error: unknown experiment {args.experiment!r}; valid names: "
+              + ", ".join(EXPERIMENTS), file=sys.stderr)
+        return 2
     for flag, path in (("--save-field", args.save_field),
                        ("--load-field", args.load_field)):
         if path and args.experiment not in FIELD_EXPERIMENTS:
@@ -86,7 +87,7 @@ def main(argv=None):
         out = os.path.join("out", args.experiment)
     if args.law:
         params["law"] = args.law
-    if args.n:
+    if args.n is not None:
         params["n"] = args.n
     if args.suite:
         params["suite"] = args.suite

@@ -416,7 +416,7 @@ def is_minimizing(field, path, graph, tol=None, checkpoint_every=None):
     idx = np.arange(checkpoint_every, len(path.times), checkpoint_every)
     if len(idx) == 0:
         raise GraphError("path too short for any checkpoint")
-    cum = cumulative_lengths(path, field, "riemannian")
+    cum = cumulative_lengths(path, field)
     dist, _ = graph.sssp(graph.snap(path.positions[0]))
 
     times = path.times[idx]

@@ -320,13 +320,10 @@ class MetricField(Field):
     """A sampled random Riemannian metric on a box region.
 
     Immutable after construction; evaluation is pure and thread-safe.
-    ``value_scale`` multiplies the metric (and its derivatives) by a global
-    constant; power-of-two scales commute exactly with IEEE rounding, which
-    the scaling tests rely on.
     """
 
     def __init__(self, mode, seed, region, kernel=None, shift=1.0,
-                 spacing=None, value_scale=1.0):
+                 spacing=None):
         if mode not in _MODES:
             raise FieldError(f"unknown mode {mode!r}")
         kernel = kernel or KernelSpec()
@@ -340,7 +337,6 @@ class MetricField(Field):
         self.shift = float(shift)
         self.dim = region.dim
         self.spacing = float(spacing) if spacing else kernel.range / 4.0
-        self.value_scale = float(value_scale)
         if self.dim < 2:
             raise FieldError("dimension must be >= 2")
         channels = 1 if mode == "conformal" else sym_channel_count(self.dim)
@@ -376,13 +372,6 @@ class MetricField(Field):
     @property
     def correlation_length(self):
         return self.kernel.range
-
-    def scaled(self, factor):
-        """Copy of this field with the metric multiplied by ``factor``."""
-        out = object.__new__(MetricField)
-        out.__dict__.update(self.__dict__)
-        out.value_scale = self.value_scale * float(factor)
-        return out
 
     def _node_normalizer(self, offs):
         val = self.kernel.evaluate(offs * self.spacing, order=0)
@@ -453,12 +442,11 @@ class MetricField(Field):
         """Scalar e^{2 phi} for conformal fields (fast edge-weight path)."""
         if not self.conformal:
             raise FieldError("conformal_factor_batch needs a conformal field")
-        return self.value_scale * np.exp(2.0 * self._sums(X, 0)[:, 0])
+        return np.exp(2.0 * self._sums(X, 0)[:, 0])
 
     def conformal_exponent_batch(self, X, order=2):
-        """(phi, dphi, d2phi) of the conformal exponent, conformal mode only;
-        value_scale contributes log(scale)/2 to phi.  ``order`` means what it
-        means in evaluate_batch: with order=1 the Hessian sum is skipped and
+        """(phi, dphi, d2phi) of the conformal exponent, conformal mode only.
+        ``order`` means what it means in evaluate_batch: with order=1 the Hessian sum is skipped and
         d2phi is None (the conformal geodesic right-hand side needs only
         dphi)."""
         return _exponent_from_sums(self, self._sums(X, order))
@@ -478,8 +466,7 @@ def _exponent_from_sums(field, sums):
     if not field.conformal:
         raise FieldError("conformal_exponent_batch needs a conformal field")
     G, dG, d2G = sums
-    phi = G[:, 0] + 0.5 * np.log(field.value_scale)
-    return phi, dG[..., 0], _first_channel(d2G)
+    return G[:, 0], dG[..., 0], _first_channel(d2G)
 
 
 def _first_channel(A):
@@ -542,25 +529,20 @@ def _metric_from_sums(field, sums, order):
     dim, shift = field.dim, field.shift
     eye = np.eye(dim)
     if field.mode == "conformal":
-        out = _conformal_metric(G[:, 0], _first_channel(dG),
-                                _first_channel(d2G), dim)
-    elif field.mode == "sym_shift":
+        return _conformal_metric(G[:, 0], _first_channel(dG),
+                                 _first_channel(d2G), dim)
+    if field.mode == "sym_shift":
         val = shift * eye + _sym_from_channels(dim, G)
         if not np.all(_spd_mask(val)):
             raise RejectedRealizationError(
                 "sym_shift metric not positive-definite at an evaluation "
                 "point; reject this realization (see check_spd_on_region)")
-        out = val if order == 0 else (val, _sym_from_channels(dim, dG),
+        return val if order == 0 else (val, _sym_from_channels(dim, dG),
+                                       _sym_from_channels(dim, d2G))
+    # sym_exp
+    A = _sym_from_channels(dim, G) + np.log(shift) * eye
+    return _expm_sym_with_derivatives(A, _sym_from_channels(dim, dG),
                                       _sym_from_channels(dim, d2G))
-    else:  # sym_exp
-        A = _sym_from_channels(dim, G) + np.log(shift) * eye
-        out = _expm_sym_with_derivatives(A, _sym_from_channels(dim, dG),
-                                         _sym_from_channels(dim, d2G))
-    s = field.value_scale
-    if s == 1.0:
-        return out
-    return s * out if order == 0 else tuple(
-        None if a is None else s * a for a in out)
 
 
 def _conformal_metric(phi, dphi, d2phi, dim):
@@ -583,8 +565,8 @@ def _conformal_metric(phi, dphi, d2phi, dim):
 class FieldStack(Field):
     """Evaluate row b of a point batch against field b of a stack.
 
-    All stacked fields must share mode, kernel, spacing, region, shift and
-    value scale (only seeds differ); this turns per-seed loops (one geodesic
+    All stacked fields must share mode, kernel, spacing, region and shift
+    (only seeds differ); this turns per-seed loops (one geodesic
     per replica field) into a single batched evaluation.
     """
 
@@ -595,7 +577,7 @@ class FieldStack(Field):
         for f in fields_[1:]:
             same = (f.mode == f0.mode and f.kernel == f0.kernel
                     and f.spacing == f0.spacing and f.region == f0.region
-                    and f.shift == f0.shift and f.value_scale == f0.value_scale)
+                    and f.shift == f0.shift)
             if not same:
                 raise FieldError("stacked fields must share all parameters but the seed")
         self.fields = list(fields_)
@@ -737,9 +719,6 @@ class AnalyticField(Field):
     def evaluate_batch(self, X, order=2):
         raise NotImplementedError
 
-    def scaled(self, factor):
-        return ScaledField(self, factor)
-
 
 class ConstantMetric(AnalyticField):
     """g(x) = A for a fixed SPD matrix A."""
@@ -841,32 +820,6 @@ def _stereographic_exponent(y, a, sign, order):
     return phi, dphi, d2phi
 
 
-class ScaledField(AnalyticField):
-    """Wrapper multiplying another field's metric by a constant factor."""
-
-    def __init__(self, base, factor):
-        self.base = base
-        self.factor = float(factor)
-        self.dim = base.dim
-        self.region = base.region
-        self.correlation_length = base.correlation_length
-        self.conformal = base.conformal
-
-    def evaluate_batch(self, X, order=2):
-        val, grad, hess = self.base.evaluate_batch(X, order=order)
-        if hess is not None:
-            hess = self.factor * hess
-        return self.factor * val, self.factor * grad, hess
-
-    def values_batch(self, X):
-        return self.factor * self.base.values_batch(X)
-
-    def conformal_exponent_batch(self, X, order=2):
-        """The base's (phi, dphi, d2phi) with log(factor) / 2 added to phi."""
-        phi, dphi, d2phi = self.base.conformal_exponent_batch(X, order)
-        return phi + 0.5 * np.log(self.factor), dphi, d2phi
-
-
 # ---------------------------------------------------------------------------
 # SPD checks and eigenvalue bounds
 # ---------------------------------------------------------------------------
@@ -934,7 +887,7 @@ def eigen_bounds(field, cube_center, subgrid=9):
 #   32      8     f64    kernel amplitude
 #   40      8     f64    shift (mean level m)
 #   48      8     f64    noise spacing
-#   56      8     f64    value scale
+#   56      8     f64    reserved, always 1.0
 #   64      4     u32    channel count
 #   68      8d    f64[d] region lo
 #   ..      8d    f64[d] region hi
@@ -964,7 +917,7 @@ def save_field(field, path):
     buf.write(struct.pack("<BBBB", _MODES.index(field.mode), d, 0, 0))
     buf.write(struct.pack("<q", field.seed))
     buf.write(struct.pack("<ddddd", field.kernel.range, field.kernel.amplitude,
-                          field.shift, field.spacing, field.value_scale))
+                          field.shift, field.spacing, 1.0))
     buf.write(struct.pack("<I", field.noise.channels))
     buf.write(struct.pack(f"<{d}d", *field.region.lo))
     buf.write(struct.pack(f"<{d}d", *field.region.hi))
@@ -999,7 +952,9 @@ def load_field(path):
         raise FieldError(f"field container of dimension {d} has {len(data)} "
                          f"bytes, not {_HEADER_BYTES + 32 * d}")
     seed, = struct.unpack_from("<q", data, 16)
-    rng_, amp, shift, spacing, vscale = struct.unpack_from("<ddddd", data, 24)
+    rng_, amp, shift, spacing, reserved = struct.unpack_from("<ddddd", data, 24)
+    if reserved != 1.0:
+        raise FieldError(f"reserved value {reserved!r} at offset 56 is not 1.0")
     channels, = struct.unpack_from("<I", data, 64)
     off = 68
     lo = struct.unpack_from(f"<{d}d", data, off); off += 8 * d
@@ -1008,7 +963,7 @@ def load_field(path):
     counts = struct.unpack_from(f"<{d}q", data, off); off += 8 * d
     field = MetricField(_MODES[mode_c], seed, Box(lo, hi),
                         kernel=KernelSpec(range=rng_, amplitude=amp),
-                        shift=shift, spacing=spacing, value_scale=vscale)
+                        shift=shift, spacing=spacing)
     if (field.noise.index_lo != index_lo or field.noise.node_counts != counts
             or field.noise.channels != channels):
         raise FieldError("stored node grid does not match regeneration")

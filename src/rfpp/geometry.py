@@ -554,12 +554,10 @@ def lengths(path, field):
     return R, L
 
 
-def cumulative_lengths(path, field, kind="riemannian"):
-    """Cumulative arc length at each sample (trapezoid on sample speeds)."""
-    if kind == "riemannian":
-        speeds = riemannian_speeds(field, path.positions, path.velocities)
-    else:
-        speeds = np.linalg.norm(path.velocities, axis=1)
+def cumulative_lengths(path, field):
+    """Cumulative Riemannian arc length at each sample (trapezoid on sample
+    speeds)."""
+    speeds = riemannian_speeds(field, path.positions, path.velocities)
     dt = np.diff(path.times)
     inc = 0.5 * (speeds[1:] + speeds[:-1]) * dt
     return np.concatenate([[0.0], np.cumsum(inc)])

@@ -30,9 +30,10 @@ import numpy as np
 from . import __version__, rng
 
 EXPERIMENTS = ("field-check", "geodesic", "distance", "shape", "frontier",
-               "bump", "scan", "fpp", "lpp", "euclid-fpp", "polymer", "accept")
-# experiments that run once, on the master seed itself
-SINGLE_RUN = ("geodesic", "distance", "frontier", "bump", "euclid-fpp")
+               "bump", "scan", "fpp", "lpp", "polymer", "accept")
+# experiments that run once, on the master seed itself: the three that
+# evaluate the field of --seed, and bump, which samples no field
+SINGLE_RUN = ("geodesic", "distance", "frontier", "bump")
 # experiments whose replicas all draw under the master seed itself: fpp and
 # lpp key replica r's bonds by the word r
 MASTER_SEEDED = SINGLE_RUN + ("fpp", "lpp")
@@ -56,6 +57,10 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown experiment {self.experiment!r}; valid names: "
                 + ", ".join(EXPERIMENTS))
+        for name in ("seed", "replicas", "workers"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, not {value!r}")
         if self.replicas < 1:
             raise ConfigError("replicas must be >= 1")
         if self.replicas > 1 and self.experiment in SINGLE_RUN:
@@ -345,22 +350,6 @@ def _run_lpp(config):
     return out
 
 
-def _run_euclid_fpp(config):
-    from .lattice import euclidean_fpp
-    p = config.params
-    n_points = p.get("points", 500)
-    alpha = p.get("alpha", 1.5)
-    box = p.get("box", 10.0)
-    pts = np.column_stack([
-        rng.uniform(config.seed, 0, np.arange(n_points)) * box,
-        rng.uniform(config.seed, 1, np.arange(n_points)) * box])
-    res = euclidean_fpp(pts, alpha, pts[0], pts[1])
-    return {"euclid-fpp.json": canonical_json(
-        {"alpha": alpha, "points": n_points, "time": res.time,
-         "witness": res.witness.tolist(), "k_used": res.k_used,
-         "certified": res.certified})}
-
-
 def _run_polymer(config):
     from .lattice import polymer_free_energy
     p = config.params
@@ -400,7 +389,6 @@ _RUNNERS = {
     "scan": (_run_scan, ("scan.json",)),
     "fpp": (_run_fpp, ("fpp.csv", ("fpp-chi.json", "exponents"))),
     "lpp": (_run_lpp, ("lpp.csv", ("lpp-chi.json", "exponents"))),
-    "euclid-fpp": (_run_euclid_fpp, ("euclid-fpp.json",)),
     "polymer": (_run_polymer, ("polymer.csv",)),
     "accept": (_run_accept, ("acceptance.json",)),
 }

@@ -1,5 +1,5 @@
-"""Reference lattice models: standard FPP, Euclidean FPP, directed LPP and
-the directed polymer free energy, with fluctuation-exponent estimation.
+"""Reference lattice models: standard FPP, directed LPP and the directed
+polymer free energy, with fluctuation-exponent estimation.
 
 Bond weights are pure functions of (seed, replica, bond), drawn through the
 package's counter-based generator, and are quantized to multiples of 2^-30:
@@ -498,71 +498,6 @@ def kpz_report(sizes, taus, devs):
     tol = 2.0 * float(np.sqrt(chi.stderr ** 2 + 4.0 * xi.stderr ** 2))
     return KpzReport(xi=xi, chi=chi, kpz_residual=float(residual),
                      residual_tol=tol)
-
-
-# ---------------------------------------------------------------------------
-# Euclidean FPP on a point sample
-# ---------------------------------------------------------------------------
-
-@dataclass
-class EuclideanFppResult:
-    time: float
-    witness: np.ndarray          # indices into the point array
-    k_used: int
-    certified: bool
-
-
-def euclidean_fpp(points, alpha, a, b):
-    """Passage time with edge costs |q - q'|^alpha over a point sample.
-
-    Dijkstra runs on the k-nearest-neighbor graph with k escalated until the
-    best path costs no more than the cheapest conceivable pruned edge
-    (min over nodes of the k-th neighbor distance, to the alpha): then no
-    path through a pruned edge can improve on the answer, which certifies
-    the k-NN result against the complete graph.
-    """
-    if alpha <= 1:
-        raise LatticeError("alpha must exceed 1 (single edges win otherwise)")
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or len(points) < 2:
-        raise LatticeError("need at least two points")
-    from scipy.spatial import cKDTree
-    ia = int(np.argmin(np.linalg.norm(points - np.asarray(a), axis=1)))
-    ib = int(np.argmin(np.linalg.norm(points - np.asarray(b), axis=1)))
-    if np.linalg.norm(points[ia] - np.asarray(a)) > 1e-9 \
-            or np.linalg.norm(points[ib] - np.asarray(b)) > 1e-9:
-        raise LatticeError("endpoints must belong to the point sample")
-    n = len(points)
-    tree = cKDTree(points)
-    k = min(8, n - 1)
-    while True:
-        dists, nbrs = tree.query(points, k=k + 1)
-        dists, nbrs = dists[:, 1:], nbrs[:, 1:]
-        rows = np.repeat(np.arange(n), k)
-        cols = nbrs.ravel()
-        data = dists.ravel() ** alpha
-        # deduplicate mutual neighbor pairs (csr_matrix sums duplicates)
-        lo = np.minimum(rows, cols)
-        hi = np.maximum(rows, cols)
-        _, keep = np.unique(lo * n + hi, return_index=True)
-        lo, hi, data_u = lo[keep], hi[keep], data[keep]
-        mat = csr_matrix((np.concatenate([data_u, data_u]),
-                          (np.concatenate([lo, hi]),
-                           np.concatenate([hi, lo]))), shape=(n, n))
-        dist, pred = _sp_dijkstra(mat, directed=True, indices=ia,
-                                  return_predecessors=True)
-        best = float(dist[ib])
-        prune_floor = float(np.min(dists[:, -1]) ** alpha)
-        certified = (k >= n - 1) or (best <= prune_floor)
-        if certified or k >= n - 1:
-            chain = [ib]
-            while pred[chain[-1]] >= 0:
-                chain.append(int(pred[chain[-1]]))
-            chain.reverse()
-            return EuclideanFppResult(time=best,
-                                      witness=np.asarray(chain), k_used=k,
-                                      certified=bool(certified))
-        k = min(2 * k, n - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,7 @@ def test_missing_input_file_fails_fast(flag, tmp_path, capsys):
 
 @pytest.mark.parametrize("flag", ["--save-field", "--load-field"])
 @pytest.mark.parametrize("experiment", ["field-check", "shape", "scan", "bump",
-                                        "fpp", "lpp", "euclid-fpp", "polymer",
-                                        "accept"])
+                                        "fpp", "lpp", "polymer", "accept"])
 def test_field_flags_refused_where_no_seed_field_is_used(experiment, flag,
                                                          tmp_path, capsys):
     # these experiments draw a field per replica or none at all, so a saved
@@ -58,6 +57,38 @@ def test_unknown_weight_law_fails_fast(experiment, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_zero_box_size_fails_fast(tmp_path, capsys):
+    # --n 0 is a size, not an absent flag: it must not fall back to the default
+    out = tmp_path / "out"
+    assert cli.main(["fpp", "--n", "0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: box size must be >= 1"]
+    assert not out.exists()
+
+
+def test_unknown_experiment_fails_fast(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["euclid-fpp", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: unknown experiment 'euclid-fpp'; valid names: "
+                   + ", ".join(harness.EXPERIMENTS)]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value", [("replicas", "2"), ("replicas", 1.5),
+                                       ("seed", "7"), ("seed", True)])
+def test_non_integer_config_value_fails_fast(key, value, tmp_path, capsys):
+    # a string seed would run seed 7 under another config hash, and a string
+    # or float replica count would die with a traceback mid-run
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"params": {"n": 4}, key: value}))
+    out = tmp_path / "out"
+    assert cli.main(["lpp", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: {key} must be an integer, not {value!r}"]
+    assert not out.exists()
+
+
 def test_malformed_field_container_fails_fast(tmp_path, capsys):
     # magic, version 2 and two header bytes: 14 bytes of a 164-byte container
     field_path = tmp_path / "field.rfpp"
@@ -76,11 +107,10 @@ SINGLE_RUN_PARAMS = {
     "distance": {"graph_half_width": 3.0, "h": 0.5, "target": [2.0, 0.0]},
     "frontier": {"T": 0.4, "step": 1e-2},
     "bump": {"entries": 2, "check_minimizing": False},
-    "euclid-fpp": {"points": 20},
 }
 
 # experiments that sample no field and refuse --save-field
-NO_FIELD = ("bump", "euclid-fpp")
+NO_FIELD = ("bump",)
 
 
 @pytest.mark.parametrize("experiment", sorted(SINGLE_RUN_PARAMS))

@@ -8,8 +8,7 @@ from rfpp import rng
 from rfpp.experiments import BumpSpec, PerturbedConformalField, make_bump
 from rfpp.fields import (Box, ConstantMetric, FieldError, FieldStack,
                          FlatMetric, HyperbolicDiskField, KernelSpec,
-                         MetricField, RegionError, ScaledField,
-                         SpherePatchField, check_spd_on_region, eigen_bounds,
+                         MetricField, RegionError, SpherePatchField, check_spd_on_region, eigen_bounds,
                          load_field, sample_noise, save_field)
 
 BOX = Box.cube(6.0, 2)
@@ -323,7 +322,7 @@ def _bump(base):
 # [-w, w]^dim (the hyperbolic points stay inside its patch), computed on
 # earlier implementations of the support gather, kernel sums and mode maps
 # (numpy 2.4.6, x86-64); any rewrite of them must reproduce every bit.  The
-# flat, bump, perturbed and scaled-sphere digests were computed when
+# flat, bump and perturbed digests were computed when
 # FlatMetric was a constant tensor field and bump exponents were assembled
 # outside fields.py, always at order 2
 GOLDEN_EVALUATIONS = {
@@ -359,10 +358,6 @@ GOLDEN_EVALUATIONS = {
                             kernel=KERN, shift=2.0), 3, 2.0,
         "b962eb198e68f198b3d9dec276746d4d45754f43ef8eb92af1718168b93bb8fe",
         None),
-    "conformal_scaled": (
-        lambda: conformal(21).scaled(4.0), 2, 2.0,
-        "8db39232bddc8fc22e7efce723b0aafd2cb0d7bfeaa11f47d7953c5be9c41e07",
-        "17f3f50c59b7269578e928ac1538cc2af88a61f1d571f2089acdc203b65179c4"),
     "sphere_patch": (
         lambda: SpherePatchField(radius=1.5, center=(0.25, -0.5)), 2, 2.0,
         "c81e2b4f7747b7e0497c3834fb182279ec7719c62af6f8991137d63c44bf0bde",
@@ -388,11 +383,6 @@ GOLDEN_EVALUATIONS = {
                                         0.05), 2, 2.0,
         "b95941f4bbfe57faac016b8b0187caa3d752fd0f7eb6a77276e28102240ddbee",
         "759727a0574589a161e8f4abcba59f664d88c2a9b473df0e0693d2adb33308ed"),
-    "scaled_sphere": (
-        lambda: ScaledField(SpherePatchField(radius=1.5, center=(0.25, -0.5)),
-                            0.7), 2, 2.0,
-        "8466300f3f9c1af38aa1e704d62234fb8b7391faeacc9b537956f03c90616ffb",
-        "cf312a7ccfdafe3893de6fd84fe8a8dfe0088a3c298fdbe60a1ad2e24393d0d8"),
 }
 
 
@@ -421,13 +411,6 @@ def test_rows_evaluate_independently(mode, dim):
             for a, c in zip(whole, one):
                 if a is not None:
                     assert a[b].tobytes() == c[0].tobytes()
-
-
-def test_scaled_field_exact_power_of_two():
-    f = conformal(31)
-    f4 = f.scaled(4.0)
-    pts = np.array([[0.5, 0.5], [-2.0, 1.0]])
-    assert np.array_equal(f4.values_batch(pts), 4.0 * f.values_batch(pts))
 
 
 # ---------------------------------------------------------------- persistence
@@ -472,7 +455,9 @@ def test_load_rejects_corrupt(tmp_path):
     (lambda data: data[:14], "truncated"),
     (lambda data: data[:12] + bytes([7]) + data[13:], "mode code 7"),
     (lambda data: data[:13] + bytes([9]) + data[14:], "dimension 9"),
-], ids=["truncated", "bad_mode", "bad_dimension"])
+    (lambda data: data[:56] + np.array(4.0, "<f8").tobytes() + data[64:],
+     "offset 56"),
+], ids=["truncated", "bad_mode", "bad_dimension", "reserved_not_one"])
 def test_load_refuses_malformed_header(tmp_path, edit, match):
     path = tmp_path / "field.rfpp"
     save_field(conformal(5, box=Box.cube(2.0, 2)), path)
@@ -494,7 +479,6 @@ def _region_fields():
         "FlatMetric": FlatMetric(2),
         "SpherePatchField": SpherePatchField(radius=1.5),
         "HyperbolicDiskField": HyperbolicDiskField(),
-        "ScaledField": ScaledField(HyperbolicDiskField(), 0.7),
         "BumpField": _bump(conformal(21)),
         "PerturbedConformalField": PerturbedConformalField(
             _bump(conformal(21, box=Box((-1.0, -3.0), (5.0, 1.0)))),
@@ -504,7 +488,7 @@ def _region_fields():
 
 @pytest.mark.parametrize("name", [
     "MetricField", "FieldStack", "ConstantMetric", "FlatMetric",
-    "SpherePatchField", "HyperbolicDiskField", "ScaledField", "BumpField",
+    "SpherePatchField", "HyperbolicDiskField", "BumpField",
     "PerturbedConformalField"])
 def test_contains_follows_region(name):
     field = _region_fields()[name]

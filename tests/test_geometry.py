@@ -7,7 +7,7 @@ from rfpp import rng
 from rfpp.experiments import BumpSpec, PerturbedConformalField, make_bump
 from rfpp.fields import (Box, ConstantMetric, FieldStack, FlatMetric,
                          HyperbolicDiskField, KernelSpec, MetricField,
-                         ScaledField, SpherePatchField)
+                         SpherePatchField)
 from rfpp.geometry import (GeodesicPath, GeometryError, _geodesic_rhs,
                            christoffel, christoffel_from_derivatives,
                            cumulative_lengths, curvature_at, geodesic_shoot,
@@ -517,7 +517,6 @@ def _bump():
 
 CONFORMAL_FIELDS = {
     "metric_field": lambda: conformal(61, half_width=6.0),
-    "metric_field_scaled": lambda: conformal(61, half_width=6.0).scaled(3.0),
     "field_stack": lambda: FieldStack([conformal(s, half_width=6.0)
                                        for s in (61, 62, 63, 64)]),
     "sphere_patch": lambda: SpherePatchField(radius=2.0, center=(0.3, -0.2)),
@@ -525,8 +524,6 @@ CONFORMAL_FIELDS = {
     "bump": _bump,
     "perturbed": lambda: PerturbedConformalField(
         _bump(), conformal(65, half_width=6.0), 0.05),
-    "scaled_sphere": lambda: ScaledField(SpherePatchField(radius=2.0), 0.7),
-    "scaled_bump": lambda: ScaledField(_bump(), 2.5),
 }
 
 
@@ -562,7 +559,6 @@ def test_tensor_fields_keep_tensor_path(mode):
     field = MetricField(mode, seed=66, region=Box.cube(4.0, 2),
                         kernel=KernelSpec(range=1.0, amplitude=0.2), shift=2.0)
     assert not field.conformal
-    assert not ScaledField(field, 2.0).conformal
     X = 4.0 * rng.uniform(73, np.arange(40)).reshape(20, 2) - 2.0
     V = 2.0 * rng.uniform(74, np.arange(40)).reshape(20, 2) - 1.0
     for parametrization in ("riemannian", "euclidean"):

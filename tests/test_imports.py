@@ -66,14 +66,16 @@ TEST_ORACLES = (
 )
 
 
-def _reads(tree):
-    """Identifiers a syntax tree reads: Name loads, attribute names and
-    string constants holding the identifier (the benchmark's span table
-    names functions and methods by string); an import is not a read."""
+def _reads(tree, names=True):
+    """Identifiers a syntax tree reads: Name loads (unless ``names`` is
+    false), attribute names and string constants holding the identifier (the
+    benchmark's span table names functions and methods by string); an import
+    is not a read."""
     out = set()
     for n in ast.walk(tree):
         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-            out.add(n.id)
+            if names:
+                out.add(n.id)
         elif isinstance(n, ast.Attribute):
             out.add(n.attr)
         elif isinstance(n, ast.Constant) and isinstance(n.value, str):
@@ -164,12 +166,20 @@ def _src_modules():
     return {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
 
 
+def _bench_roots(sources):
+    """The identifiers the benchmark reaches rfpp through: its attribute
+    names and string constants.  Its own local names are not roots, since it
+    calls rfpp only through module attributes and its WRAPPED strings."""
+    return set().union(*(_reads(ast.parse(source), names=False)
+                         for source in sources))
+
+
 def test_no_unreferenced_definitions():
     """Every src definition (module-level assignments included) is reached
-    from the command line's ``main`` or from a name the benchmark reads,
-    test oracles aside."""
-    bench = set().union(*(_reads(ast.parse(path.read_text()))
-                          for path in sorted((ROOT / "perfbench").glob("*.py"))))
+    from the command line's ``main`` or from a name the benchmark reaches
+    rfpp through, test oracles aside."""
+    bench = _bench_roots(path.read_text()
+                         for path in sorted((ROOT / "perfbench").glob("*.py")))
     assert _unreached(_src_modules(), {"main"} | bench, TEST_ORACLES) == []
 
 
@@ -202,5 +212,10 @@ def test_unreferenced_definition_scan_sees_names_attributes_and_strings():
         "m.A.spare", "m.imported", "m.only_tested"]
     assert _unreached(defining, {"main"}, ("m.A.spare", "m.imported",
                                            "m.only_tested")) == []
+    # a benchmark local named like a method does not reach it; its
+    # attribute reads and strings do
+    bench = "spare = 1\nprint(spare, m.imported, 'only_tested')\n"
+    assert _unreached(defining, {"main"} | _bench_roots([bench])) == [
+        "m.A.spare"]
     reading = [defining["m"], test, "print(A(1, 2).kept)\n"]
     assert _unread_fields(defining, reading) == ["m.A.unread"]

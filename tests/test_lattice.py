@@ -8,10 +8,9 @@ from scipy.sparse.csgraph import dijkstra
 from rfpp import lattice, rng
 from rfpp.lattice import (ExponentEstimate, LatticeConfig, LatticeError,
                           WeightLaw, _logaddexp, _witness_deviation,
-                          _witness_tie, bond_matrix, euclidean_fpp,
-                          exponent_chi, exponential_law, fpp_passage,
-                          geometric_law, lpp_passage, polymer_free_energy,
-                          untied_fpp_passage)
+                          _witness_tie, bond_matrix, exponent_chi,
+                          exponential_law, fpp_passage, geometric_law,
+                          lpp_passage, polymer_free_energy, untied_fpp_passage)
 
 
 # --------------------------------------------------------------- weight laws
@@ -425,40 +424,6 @@ def test_kesten_band_fpp_small():
     cfg = LatticeConfig(2, 48, exponential_law(1.0), seed=31)
     est = exponent_chi("fpp", cfg, sizes=(12, 18, 27, 40), replicas=100)
     assert est.estimate <= 0.5 + 0.1
-
-
-# --------------------------------------------------------------- euclidean FPP
-
-def test_euclid_two_points():
-    pts = np.array([[0.0, 0.0], [3.0, 4.0]])
-    res = euclidean_fpp(pts, 1.5, pts[0], pts[1])
-    assert res.time == 5.0 ** 1.5
-
-
-def test_euclid_collinear_midpoint():
-    pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    res = euclidean_fpp(pts, 2.0, pts[0], pts[2])
-    assert res.time == 2.0
-    assert list(res.witness) == [0, 1, 2]
-
-
-def test_euclid_alpha_validation():
-    pts = np.array([[0.0, 0.0], [1.0, 0.0]])
-    with pytest.raises(LatticeError):
-        euclidean_fpp(pts, 1.0, pts[0], pts[1])
-    with pytest.raises(LatticeError):
-        euclidean_fpp(np.empty((0, 2)), 1.5, (0, 0), (1, 1))
-
-
-def test_euclid_knn_equals_complete_graph():
-    from scipy.sparse import csr_matrix
-    u = rng.uniform(91, np.arange(1000)).reshape(500, 2) * 10.0
-    res = euclidean_fpp(u, 1.5, u[0], u[7])
-    full = dijkstra(csr_matrix(
-        np.linalg.norm(u[:, None, :] - u[None, :, :], axis=2) ** 1.5),
-        indices=0)[7]
-    assert res.time == full
-    assert res.certified
 
 
 # --------------------------------------------------------------- polymer
