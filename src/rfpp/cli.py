@@ -5,7 +5,8 @@ fpp lpp polymer accept.
 
 A JSON config file (--config) provides the experiment parameters; flags
 override individual fields.  Outputs (CSV/JSON plus manifest.json) land in
---out.  RFPP_WORKERS sets the default worker count.
+--out.  The worker count is --workers, else the config's "workers", else
+RFPP_WORKERS, else 1.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ def build_parser():
     parser.add_argument("--config", help="JSON config file with a params object")
     parser.add_argument("--seed", type=int, default=None, help="master seed")
     parser.add_argument("--replicas", type=int, default=None)
-    parser.add_argument("--workers", type=int,
-                        default=int(os.environ.get("RFPP_WORKERS", "1")))
+    parser.add_argument("--workers", type=int, default=None,
+                        help="worker processes (default: the config's "
+                             "workers, else RFPP_WORKERS, else 1)")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--force", action="store_true",
                         help="overwrite existing outputs")
@@ -69,18 +71,29 @@ def main(argv=None):
             print(f"error: {flag} file not found: {path}", file=sys.stderr)
             return 2
     params = {}
-    seed, replicas, out = 1, 1, None
+    seed, replicas, workers, out = 1, 1, None, None
     if args.config:
         with open(args.config) as fh:
             loaded = json.load(fh)
         params = dict(loaded.get("params", {}))
         seed = loaded.get("seed", seed)
         replicas = loaded.get("replicas", replicas)
+        workers = loaded.get("workers", workers)
         out = loaded.get("out", out)
     if args.seed is not None:
         seed = args.seed
     if args.replicas is not None:
         replicas = args.replicas
+    if args.workers is not None:
+        workers = args.workers
+    if workers is None:
+        env = os.environ.get("RFPP_WORKERS", "1")
+        try:
+            workers = int(env)
+        except ValueError:
+            print(f"error: RFPP_WORKERS must be an integer, not {env!r}",
+                  file=sys.stderr)
+            return 2
     if args.out is not None:
         out = args.out
     if out is None:
@@ -99,7 +112,7 @@ def main(argv=None):
     try:
         config = ExperimentConfig(experiment=args.experiment, params=params,
                                   seed=seed, replicas=replicas,
-                                  workers=args.workers, out=out)
+                                  workers=workers, out=out)
         if args.save_field:
             output_paths(config, args.force)
             from .fields import save_field

@@ -11,10 +11,11 @@ Every Simpson node of an edge from h z to h (z + o) is a point of the
 doubled lattice (h/2) Z^d, namely (h/2) 2z, (h/2)(2z + o) and (h/2)(2z + 2o).
 The full weight matrix therefore evaluates the field once on the doubled
 lattice of the graph box, about 2^d times the node count, and assembles every
-offset's weights by integer gathers.  The field is called in blocks of at
-most one node count of points, so peak memory is that of a single field call
-over the nodes plus the stored samples (one speed per point for conformal
-fields, one d x d metric per point otherwise).
+offset's weights by integer gathers.  The field evaluates the whole
+doubled lattice in one call; it works through the points in cache-sized
+blocks of its own (see MetricField), so peak memory is the stored samples
+(one speed per point for conformal fields, one d x d metric per point
+otherwise) plus one block.
 
 Weights are quantized to a dyadic grid (2^k / 2^24 for a power-of-two scale
 k detected from the field), so every path cost is an exact IEEE-754 sum:
@@ -241,12 +242,11 @@ class PassageGraph:
     def _ensure_matrix(self):
         if self._matrix is not None:
             return
-        # one field pass over the doubled lattice; blocks of n_nodes points
-        # keep peak memory at that of one field call over the nodes
+        # one field call over the doubled lattice; the field bounds its own
+        # temporaries by evaluating in blocks
         shape2 = tuple(2 * s - 1 for s in self.shape)
         k = np.indices(shape2).reshape(self.dim, -1).T + 2 * self.z_lo
-        samples = np.concatenate([self._samples(k[i:i + self.n_nodes])
-                                  for i in range(0, len(k), self.n_nodes)])
+        samples = self._samples(k)
         rows, cols, data = [], [], []
         rel = np.indices(self.shape).reshape(self.dim, -1).T
         canonical = [o for o in self.offsets if tuple(o) > tuple(-o)]

@@ -283,6 +283,14 @@ def sample_noise(seed, region, spacing, channels, margin=None):
 
 _MODES = ("conformal", "sym_shift", "sym_exp")
 
+# support-entry products per block of a field evaluation: a batch is summed
+# in blocks of _FIELD_BLOCK // (K d^order) points, K the support nodes of a
+# point, so each (B, K, d^order) temporary of a block holds at most
+# _FIELD_BLOCK doubles (256 KiB): few enough to stay in cache and for malloc
+# to reuse, where larger ones are mapped and faulted in afresh every block
+# (2^16 took twice as long at order 0)
+_FIELD_BLOCK = 2 ** 15
+
 # symmetric-matrix channel layout: diagonal entries first, then upper pairs;
 # entry [i, j] is the channel holding g_ij
 _SYM_CHANNELS = {
@@ -320,6 +328,15 @@ class MetricField(Field):
     """A sampled random Riemannian metric on a box region.
 
     Immutable after construction; evaluation is pure and thread-safe.
+
+    Every batch method evaluates its points in blocks of a fixed number of
+    support-entry products, _FIELD_BLOCK // (K d^order) points for the K
+    support nodes of a point at derivative order 0, 1 or 2, and writes
+    each block's results into the output arrays; a batch of at most one
+    block is one pass.  So no per-point temporary exceeds one block,
+    whatever the batch size, and callers pass whole batches.  Each row is
+    evaluated independently of its batch: a row's result is, byte for
+    byte, the point evaluated alone, so blocking changes no output bit.
     """
 
     def __init__(self, mode, seed, region, kernel=None, shift=1.0,
@@ -359,6 +376,9 @@ class MetricField(Field):
         self._flat_offs = (offs - index_lo) @ self._strides          # (K,)
         self._flat_coeff = self.noise.coefficients.reshape(-1, channels)
         self._norm = self._node_normalizer(offs)
+        # points per evaluation block at orders 0, 1 and 2
+        self._steps = tuple(max(1, _FIELD_BLOCK // (len(offs) * self.dim ** k))
+                            for k in range(3))
         # every point of the region has its cell between the cells of the
         # two corners (floor is monotone), so the corners alone decide
         # whether each support stays on the noise grid
@@ -379,7 +399,7 @@ class MetricField(Field):
 
     # -- kernel sums -------------------------------------------------------
 
-    def _gather(self, X, lookup=None):
+    def _gather(self, X, lookup=None, start=0):
         """Per-axis displacements to, and coefficients of, every support node.
 
         Returns (dx1 (B,m,d), coeff (B,K,ch)) for the K = m^d nodes, m =
@@ -393,12 +413,10 @@ class MetricField(Field):
         the (B,d) rows at once by Box.contains_all.  The support needs no
         test per call: __init__ checked it for the cells of the region's
         corners, which bound the cell of every point inside.
-        ``lookup`` maps the flat noise-grid indices (B,K) to coefficients;
-        the default reads this field's own array.
+        ``lookup(flat, start)`` maps the flat noise-grid indices (B,K) of
+        batch rows start .. start + B to coefficients; the default reads
+        this field's own array.
         """
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2:
-            X = np.atleast_2d(X)
         if not self.region.contains_all(X):
             raise RegionError("evaluation point outside field region")
         h = self.spacing
@@ -407,16 +425,42 @@ class MetricField(Field):
         if lookup is None:
             coeff = self._flat_coeff.take(flat, axis=0)
         else:
-            coeff = lookup(flat)
+            coeff = lookup(flat, start)
         dx1 = X[:, None, :] - (cell[:, None, :] + self._line[None, :, None]) * h
         return dx1, coeff
 
-    def _sums(self, X, order, lookup=None):
-        """Kernel sums of this field at X up to ``order`` (see _kernel_sums);
-        ``lookup`` as in _gather."""
-        dx1, coeff = self._gather(X, lookup)
+    def _sums(self, X, order, lookup=None, start=0):
+        """Kernel sums at the points X (B,d) up to ``order`` (see
+        _kernel_sums); ``lookup`` and ``start`` as in _gather."""
+        dx1, coeff = self._gather(X, lookup, start)
         return _kernel_sums(self.kernel, self._norm, dx1, self._spread, coeff,
                             order)
+
+    def _blocked(self, X, order, finish, lookup=None):
+        """finish(self, sums, order) of the kernel sums (see _kernel_sums)
+        at the points X, in blocks of self._steps[order] rows written into
+        arrays of the batch's length: one array, or a tuple whose None
+        entries (skipped orders) stay None.  ``lookup`` as in _gather."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2:
+            X = np.atleast_2d(X)
+        step = self._steps[order]
+        if len(X) <= step:
+            return finish(self, self._sums(X, order, lookup), order)
+        out = None
+        for start in range(0, len(X), step):
+            rows = slice(start, start + step)
+            part = finish(self, self._sums(X[rows], order, lookup, start),
+                          order)
+            parts = part if isinstance(part, tuple) else (part,)
+            if out is None:
+                out = [None if a is None
+                       else np.empty((len(X),) + a.shape[1:], a.dtype)
+                       for a in parts]
+            for whole, a in zip(out, parts):
+                if whole is not None:
+                    whole[rows] = a
+        return tuple(out) if isinstance(part, tuple) else out[0]
 
     # -- evaluation --------------------------------------------------------
 
@@ -428,7 +472,7 @@ class MetricField(Field):
         when the Hessian is not needed (returned as None); the geodesic
         right-hand side only uses first derivatives.
         """
-        return _metric_from_sums(self, self._sums(X, order), order)
+        return self._blocked(X, order, _metric_from_sums)
 
     def evaluate(self, x):
         val, grad, hess = self.evaluate_batch(np.asarray(x, dtype=float)[None, :])
@@ -436,20 +480,20 @@ class MetricField(Field):
 
     def values_batch(self, X):
         """Metric values only (cheaper path for quadrature of edge weights)."""
-        return _metric_from_sums(self, self._sums(X, 0), 0)
+        return self._blocked(X, 0, _metric_from_sums)
 
     def conformal_factor_batch(self, X):
         """Scalar e^{2 phi} for conformal fields (fast edge-weight path)."""
         if not self.conformal:
             raise FieldError("conformal_factor_batch needs a conformal field")
-        return np.exp(2.0 * self._sums(X, 0)[:, 0])
+        return self._blocked(X, 0, _factor_from_sums)
 
     def conformal_exponent_batch(self, X, order=2):
         """(phi, dphi, d2phi) of the conformal exponent, conformal mode only.
-        ``order`` means what it means in evaluate_batch: with order=1 the Hessian sum is skipped and
-        d2phi is None (the conformal geodesic right-hand side needs only
-        dphi)."""
-        return _exponent_from_sums(self, self._sums(X, order))
+        ``order`` means what it means in evaluate_batch: with order=1 the
+        Hessian sum is skipped and d2phi is None (the conformal geodesic
+        right-hand side needs only dphi)."""
+        return self._blocked(X, order, _exponent_from_sums)
 
 
 def _sym_from_channels(dim, A):
@@ -460,13 +504,18 @@ def _sym_from_channels(dim, A):
     return np.ascontiguousarray(A[..., _SYM_CHANNELS[dim]])
 
 
-def _exponent_from_sums(field, sums):
+def _exponent_from_sums(field, sums, order):
     """(phi, dphi, d2phi) of a conformal field from its one-channel sums
     at order 1 or 2 (d2phi None at order 1)."""
     if not field.conformal:
         raise FieldError("conformal_exponent_batch needs a conformal field")
     G, dG, d2G = sums
     return G[:, 0], dG[..., 0], _first_channel(d2G)
+
+
+def _factor_from_sums(field, sums, order):
+    """e^{2 phi} of a conformal field from its order-0 sums."""
+    return np.exp(2.0 * sums[:, 0])
 
 
 def _first_channel(A):
@@ -601,27 +650,28 @@ class FieldStack(Field):
         cut down to some of its rows."""
         return FieldStack([self.field_at(b) for b in rows])
 
-    def _lookup(self, X):
-        """Coefficient lookup reading row i of the batch X from field
-        (i mod F); batches of k * F rows therefore map block-cyclically onto
-        the stack."""
-        B = np.atleast_2d(np.asarray(X, dtype=float)).shape[0]
-        if B % len(self.fields) != 0:
+    def _lookup(self, flat, start):
+        """Coefficients at the flat noise-grid indices flat (n, K) of batch
+        rows start .. start + n, row i read from field (i mod F); batches
+        of k * F rows therefore map block-cyclically onto the stack."""
+        rows = np.arange(start, start + len(flat)) % len(self.fields)
+        return self._coeff[rows[:, None], flat]
+
+    def _blocked(self, X, order, finish):
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if len(X) % len(self.fields) != 0:
             raise FieldError("point batch must be a multiple of the stack size")
-        rows = np.arange(B) % len(self.fields)
-        return lambda flat: self._coeff[rows[:, None], flat]
+        return self.template._blocked(X, order, finish, self._lookup)
 
     def evaluate_batch(self, X, order=2):
-        t = self.template
-        return _metric_from_sums(t, t._sums(X, order, self._lookup(X)), order)
+        return self._blocked(X, order, _metric_from_sums)
 
     def values_batch(self, X):
         return self.evaluate_batch(X, order=0)
 
     def conformal_exponent_batch(self, X, order=2):
         """As MetricField.conformal_exponent_batch, row b against field b."""
-        t = self.template
-        return _exponent_from_sums(t, t._sums(X, order, self._lookup(X)))
+        return self._blocked(X, order, _exponent_from_sums)
 
 
 def _spd_mask(mats):

@@ -36,7 +36,7 @@ unit-speed geodesic reads  D2 J + R(J, dx) dx = 0.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from scipy.integrate import simpson
@@ -48,7 +48,6 @@ from .fields import RegionError
 SPEED_TOL = 1e-6           # per-sample speed drift allowance, times (1 + t)
 CONJUGATE_REFINE = 1e-6    # bisection width for conjugate-time brackets
 CONDITION_LIMIT = 1e12     # metric condition number treated as singular
-JACOBI_CHUNK = 20000       # points per field call in the Jacobi generators
 DP_TOLERANCE = 6.0         # geodesic local error target, times step^4
 MIN_STEP = 1e-3            # smallest geodesic step, as a fraction of step
 
@@ -190,6 +189,9 @@ class GeodesicPath:
     ``steps`` and ``rejected`` count the integrator's accepted and rejected
     steps (zero for a path not shot by geodesic_shoot_batch).
     ``termination`` is "completed", "left_region" or "numerical".
+    ``speeds`` keeps the Riemannian speeds at the samples, evaluated on
+    ``speeds_field`` after shooting a riemannian path (None otherwise);
+    lengths and cumulative_lengths reuse them for that field object only.
     """
     times: np.ndarray
     positions: np.ndarray
@@ -202,6 +204,8 @@ class GeodesicPath:
     rejected: int = 0
     speed_drift_max: float = 0.0
     drift_flagged: bool = False
+    speeds: np.ndarray = dc_field(default=None, repr=False)
+    speeds_field: object = dc_field(default=None, repr=False)
 
     def __post_init__(self):
         if len(self.times) >= 2 and np.any(np.diff(self.times) <= 0):
@@ -519,6 +523,7 @@ def geodesic_shoot_batch(field, x0, v0, T, step=None, parametrization="riemannia
 def _attach_drift(field, path):
     if path.parametrization == "riemannian":
         speeds = riemannian_speeds(field, path.positions, path.velocities)
+        path.speeds, path.speeds_field = speeds, field
     else:
         speeds = np.linalg.norm(path.velocities, axis=1)
     tol = SPEED_TOL * (1.0 + path.times)
@@ -542,12 +547,20 @@ def geodesic_shoot(field, x0, v0, T, step=None, parametrization="riemannian"):
 # lengths and reparametrization
 # ---------------------------------------------------------------------------
 
+def _path_speeds(path, field):
+    """Riemannian speeds at the samples of path: the ones it keeps when
+    field is the object that evaluated them, else evaluated now."""
+    if path.speeds_field is field:
+        return path.speeds
+    return riemannian_speeds(field, path.positions, path.velocities)
+
+
 def lengths(path, field):
     """(Riemannian length, Euclidean length) by composite Simpson quadrature
     over the stored samples."""
     if len(path.times) < 2:
         raise GeometryError("need at least two samples")
-    r_speeds = riemannian_speeds(field, path.positions, path.velocities)
+    r_speeds = _path_speeds(path, field)
     e_speeds = np.linalg.norm(path.velocities, axis=1)
     R = float(simpson(r_speeds, x=path.times))
     L = float(simpson(e_speeds, x=path.times))
@@ -557,7 +570,7 @@ def lengths(path, field):
 def cumulative_lengths(path, field):
     """Cumulative Riemannian arc length at each sample (trapezoid on sample
     speeds)."""
-    speeds = riemannian_speeds(field, path.positions, path.velocities)
+    speeds = _path_speeds(path, field)
     dt = np.diff(path.times)
     inc = 0.5 * (speeds[1:] + speeds[:-1]) * dt
     return np.concatenate([[0.0], np.cumsum(inc)])
@@ -717,19 +730,15 @@ def _jacobi_generators(field, X, V):
     shape, d = X.shape[:-1], X.shape[-1]
     X = X.reshape(-1, d)
     V = V.reshape(-1, d)
-    n = X.shape[0]
-    M = np.zeros((n, 2 * d, 2 * d))
+    M = np.zeros((X.shape[0], 2 * d, 2 * d))
     M[:, :d, d:] = np.eye(d)
-    g = np.empty((n, d, d))
-    for s in range(0, n, JACOBI_CHUNK):
-        sl = slice(s, min(n, s + JACOBI_CHUNK))
-        g[sl], grad, hess = field.evaluate_batch(X[sl])
-        gamma, dgamma = _christoffel_and_partials(g[sl], grad, hess)
-        R = _riemann_from_christoffel(gamma, dgamma)
-        gamma = 0.5 * (gamma + np.swapaxes(gamma, 2, 3))
-        gv = np.einsum("bkij,bi->bkj", gamma, V[sl])
-        M[sl, :d, :d] = M[sl, d:, d:] = -gv
-        M[sl, d:, :d] = -np.einsum("brsmn,bs,bn->brm", R, V[sl], V[sl])
+    g, grad, hess = field.evaluate_batch(X)
+    gamma, dgamma = _christoffel_and_partials(g, grad, hess)
+    R = _riemann_from_christoffel(gamma, dgamma)
+    gamma = 0.5 * (gamma + np.swapaxes(gamma, 2, 3))
+    gv = np.einsum("bkij,bi->bkj", gamma, V)
+    M[:, :d, :d] = M[:, d:, d:] = -gv
+    M[:, d:, :d] = -np.einsum("brsmn,bs,bn->brm", R, V, V)
     return M.reshape(shape + (2 * d, 2 * d)), g.reshape(shape + (d, d))
 
 

@@ -89,6 +89,59 @@ def test_non_integer_config_value_fails_fast(key, value, tmp_path, capsys):
     assert not out.exists()
 
 
+def _run_with_workers(tmp_path, monkeypatch, flag, config_value, env):
+    """cli.main on an lpp config, the worker count given by --workers, the
+    config's "workers" and RFPP_WORKERS, each left out where None."""
+    if env is None:
+        monkeypatch.delenv("RFPP_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("RFPP_WORKERS", env)
+    loaded = {"params": {"n": 4}, "replicas": 2}
+    if config_value is not None:
+        loaded["workers"] = config_value
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(loaded))
+    argv = ["lpp", "--config", str(config), "--out", str(tmp_path / "out")]
+    if flag is not None:
+        argv += ["--workers", flag]
+    return cli.main(argv)
+
+
+@pytest.mark.parametrize("flag,config_value,env,expected", [
+    ("3", 2, "4", 3), (None, 2, "4", 2), (None, None, "4", 4),
+    (None, None, None, 1)])
+def test_worker_count_precedence(flag, config_value, env, expected, tmp_path,
+                                 monkeypatch):
+    # --workers, then the config's "workers", then RFPP_WORKERS, then 1
+    seen = []
+
+    def record(config, force=False):
+        seen.append(config.workers)
+        return harness.RunManifest("", "", [1], 0.0, {})
+
+    monkeypatch.setattr(cli, "run", record)
+    assert _run_with_workers(tmp_path, monkeypatch, flag, config_value,
+                             env) == 0
+    assert seen == [expected]
+
+
+@pytest.mark.parametrize("flag,config_value,env,message", [
+    (None, "x", None, "workers must be an integer, not 'x'"),
+    (None, 0, None, "workers must be >= 1"),
+    (None, None, "x", "RFPP_WORKERS must be an integer, not 'x'"),
+    (None, None, "0", "workers must be >= 1"),
+    ("0", None, None, "workers must be >= 1")])
+def test_invalid_worker_count_fails_fast(flag, config_value, env, message,
+                                         tmp_path, monkeypatch, capsys):
+    # an invalid config value was ignored, and an invalid RFPP_WORKERS died
+    # with a traceback while the parser was built
+    assert _run_with_workers(tmp_path, monkeypatch, flag, config_value,
+                             env) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: {message}"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_malformed_field_container_fails_fast(tmp_path, capsys):
     # magic, version 2 and two header bytes: 14 bytes of a 164-byte container
     field_path = tmp_path / "field.rfpp"

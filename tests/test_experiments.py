@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rfpp import experiments, rng
+from rfpp import experiments, geometry, rng
 from rfpp.fields import (Box, ConstantMetric, FlatMetric, KernelSpec,
                          MetricField, SpherePatchField)
 from rfpp.geometry import (GeodesicPath, geodesic_shoot, geodesic_shoot_batch,
@@ -342,6 +342,22 @@ def test_scan_verdicts_monotone_absorbing():
     diffs = np.diff(scan.verdicts.astype(int), axis=1)
     assert np.all(diffs <= 0)
     assert np.all(np.diff(scan.fractions) <= 0)
+
+
+def test_scan_row_evaluates_its_speeds_once(monkeypatch):
+    # is_minimizing reuses the speeds the shot evaluated for its drift check
+    calls = []
+    evaluate = geometry.riemannian_speeds
+
+    def counted(f, positions, velocities):
+        calls.append(len(positions))
+        return evaluate(f, positions, velocities)
+
+    monkeypatch.setattr(geometry, "riemannian_speeds", counted)
+    field = conformal(10, half_width=13.0)
+    graph = build_graph(field, Box.cube(11.0, 2), 0.5, 16)
+    direction_scan(field, graph, radii=(2.0, 4.0), k=4, step=1e-2)
+    assert len(calls) == 4
 
 
 def test_scan_final_directions_unit():

@@ -1,13 +1,15 @@
+import functools
 import hashlib
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rfpp import rng
 from rfpp.experiments import BumpSpec, PerturbedConformalField, make_bump
-from rfpp.fields import (Box, ConstantMetric, FieldError, FieldStack,
-                         FlatMetric, HyperbolicDiskField, KernelSpec,
+from rfpp.fields import (_FIELD_BLOCK, Box, ConstantMetric, FieldError,
+                         FieldStack, FlatMetric, HyperbolicDiskField, KernelSpec,
                          MetricField, RegionError, SpherePatchField, check_spd_on_region, eigen_bounds,
                          load_field, sample_noise, save_field)
 
@@ -393,24 +395,90 @@ def test_evaluation_golden_digest(name):
     assert _evaluation_digests(make(), pts) == (evaluation, conformal_)
 
 
+def _batch_methods(field):
+    """(order, method) of every batch entry point a field has, in one
+    order: a FieldStack's list is its member fields' list less the last."""
+    methods = [(0, field.values_batch)] + [
+        (k, functools.partial(field.evaluate_batch, order=k)) for k in (1, 2)]
+    if field.conformal:
+        methods += [(k, functools.partial(field.conformal_exponent_batch,
+                                          order=k)) for k in (1, 2)]
+        if hasattr(field, "conformal_factor_batch"):
+            methods.append((0, field.conformal_factor_batch))
+    return methods
+
+
+def _assert_rows_alone(whole, alone):
+    """Row b of a batch result (an array, or a tuple with None for a skipped
+    order) has the bytes of alone[b], the result for that point alone."""
+    wholes = whole if isinstance(whole, tuple) else (whole,)
+    for b, one in enumerate(alone):
+        ones = one if isinstance(one, tuple) else (one,)
+        for a, c in zip(wholes, ones, strict=True):
+            assert (a is None) == (c is None)
+            if a is not None:
+                assert a[b].tobytes() == c[0].tobytes()
+
+
+def _block_points(dim, n):
+    return 5.0 * rng.uniform(230, np.arange(n * dim)).reshape(n, dim) - 2.5
+
+
 @pytest.mark.parametrize("mode,dim", [("conformal", 2), ("conformal", 3),
-                                      ("sym_exp", 2), ("sym_exp", 3)])
+                                      ("sym_exp", 2), ("sym_exp", 3),
+                                      ("sym_shift", 2), ("sym_shift", 3)])
 def test_rows_evaluate_independently(mode, dim):
     # every row of a batch is byte for byte the point evaluated alone, at
-    # every order (signs of zeros included): no row's sum depends on the
-    # batch it came in
-    field = MetricField(mode, seed=23, region=Box.cube(3.0, dim), kernel=KERN)
-    X = 5.0 * rng.uniform(230, np.arange(257 * dim)).reshape(257, dim) - 2.5
-    batch = [field.values_batch(X)] + [field.evaluate_batch(X, order=k)
-                                       for k in (1, 2)]
-    for b in range(len(X)):
-        alone = [field.values_batch(X[b:b + 1])] + [
-            field.evaluate_batch(X[b:b + 1], order=k) for k in (1, 2)]
-        assert batch[0][b].tobytes() == alone[0][0].tobytes()
-        for whole, one in zip(batch[1:], alone[1:]):
-            for a, c in zip(whole, one):
-                if a is not None:
-                    assert a[b].tobytes() == c[0].tobytes()
+    # every order and entry point (signs of zeros included), for batches
+    # one point short of an evaluation block, one block, one point over and
+    # over three blocks: no row's result depends on the batch or the block
+    # it came in
+    field = MetricField(mode, seed=23, region=Box.cube(3.0, dim), kernel=KERN,
+                        shift=2.0)
+    for order, method in _batch_methods(field):
+        step = field._steps[order]
+        X = _block_points(dim, 3 * step + 7)
+        alone = [method(X[b:b + 1]) for b in range(len(X))]
+        for n in (step - 1, step, step + 1, 3 * step + 7):
+            _assert_rows_alone(method(X[:n]), alone[:n])
+
+
+@pytest.mark.parametrize("mode,dim", [("conformal", 2), ("conformal", 3),
+                                      ("sym_exp", 2)])
+def test_stack_rows_evaluate_independently(mode, dim):
+    # row b of a stack's batch is byte for byte field b mod 3 at that point
+    # alone, across block boundaries that do not fall on a multiple of the
+    # stack size
+    fields = [MetricField(mode, seed=s, region=Box.cube(3.0, dim), kernel=KERN,
+                          shift=2.0) for s in (23, 24, 25)]
+    stack = FieldStack(fields)
+    members = [_batch_methods(f) for f in fields]
+    for i, (order, method) in enumerate(_batch_methods(stack)):
+        step = fields[0]._steps[order]
+        sizes = [n - n % 3 for n in (step - 1, step + 3, 3 * step + 9)]
+        X = _block_points(dim, sizes[-1])
+        alone = [members[b % 3][i][1](X[b:b + 1]) for b in range(len(X))]
+        for n in sizes:
+            _assert_rows_alone(method(X[:n]), alone[:n])
+
+
+@pytest.mark.parametrize("call,n,outputs", [
+    (lambda f, X: f.conformal_factor_batch(X), 40000, 1),
+    (lambda f, X: f.evaluate_batch(X, order=2), 5000, 4 + 8 + 16)],
+    ids=["conformal_factor_batch", "evaluate_batch_order2"])
+def test_large_batch_memory_stays_within_a_few_blocks(call, n, outputs):
+    # tracemalloc sees numpy's buffers: the peak of one large call is its
+    # output (``outputs`` doubles per point) plus a few evaluation blocks of
+    # temporaries, not temporaries that grow with the batch
+    field = conformal(5)
+    X = 10.0 * rng.uniform(3, np.arange(2 * n)).reshape(n, 2) - 5.0
+    tracemalloc.start()
+    try:
+        call(field, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (n * outputs + 8 * _FIELD_BLOCK)
 
 
 # ---------------------------------------------------------------- persistence

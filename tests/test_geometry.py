@@ -1,9 +1,10 @@
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
-from rfpp import rng
+from rfpp import geometry, rng
 from rfpp.experiments import BumpSpec, PerturbedConformalField, make_bump
 from rfpp.fields import (Box, ConstantMetric, FieldStack, FlatMetric,
                          HyperbolicDiskField, KernelSpec, MetricField,
@@ -212,6 +213,38 @@ def test_lengths_selfconsistency_random():
     path = geodesic_shoot(field, (0.0, 0.0), np.array([0.0, 1.0]), T=6.0, step=1e-3)
     R, _ = lengths(path, field)
     assert abs(R - path.times[-1]) / path.times[-1] <= 1e-6
+
+
+def test_lengths_reuse_speeds_only_for_the_field_that_evaluated_them(
+        monkeypatch):
+    # shooting keeps the speeds it evaluated for the drift check; lengths
+    # and cumulative_lengths reuse them on that field object, bit for bit,
+    # and evaluate their own on any other, an equal twin included
+    field = conformal(21)
+    path = geodesic_shoot(field, (0.0, 0.0), np.array([0.3, 1.0]), T=2.0,
+                          step=1e-2)
+    bare = dataclasses.replace(path, speeds=None, speeds_field=None)
+    assert same_bits(path.speeds, riemannian_speeds(field, path.positions,
+                                                    path.velocities))
+    calls = []
+    evaluate = geometry.riemannian_speeds
+
+    def counted(f, positions, velocities):
+        calls.append(f)
+        return evaluate(f, positions, velocities)
+
+    monkeypatch.setattr(geometry, "riemannian_speeds", counted)
+    assert lengths(path, field) == lengths(bare, field)
+    assert same_bits(cumulative_lengths(path, field),
+                     cumulative_lengths(bare, field))
+    assert calls == [field, field]
+    for other in (conformal(22), conformal(21)):
+        calls.clear()
+        assert lengths(path, other) == lengths(bare, other)
+        assert same_bits(cumulative_lengths(path, other),
+                         cumulative_lengths(bare, other))
+        assert calls == [other] * 4
+    assert lengths(path, conformal(22)) != lengths(path, field)
 
 
 # ------------------------------------------------------------- reparametrize
