@@ -1,12 +1,11 @@
 """Command-line entry point: rfpp <experiment> [options].
 
-Experiments: field-check geodesic distance shape frontier bump scan
-fpp lpp polymer accept.
-
-A JSON config file (--config) provides the experiment parameters; flags
-override individual fields.  Outputs (CSV/JSON plus manifest.json) land in
---out.  The worker count is --workers, else the config's "workers", else
-RFPP_WORKERS, else 1.
+The experiments, and the parameters each one reads, are the records of
+harness.EXPERIMENTS.  A JSON config file (--config) provides the experiment
+parameters; flags override individual fields.  A parameter the experiment
+does not read, flag or config key, is refused before anything runs.
+Outputs (CSV/JSON plus manifest.json) land in --out.  The worker count is
+--workers, else the config's "workers", else RFPP_WORKERS, else 1.
 """
 
 from __future__ import annotations
@@ -16,12 +15,7 @@ import json
 import os
 import sys
 
-from .harness import (EXPERIMENTS, ConfigError, ExperimentConfig,
-                      output_paths, run)
-
-# the experiments that evaluate make_field(--seed, params), the field that
-# --save-field writes and --load-field replaces
-FIELD_EXPERIMENTS = ("geodesic", "distance", "frontier")
+from .harness import EXPERIMENTS, ConfigError, ExperimentConfig, run
 
 
 def build_parser():
@@ -48,24 +42,13 @@ def build_parser():
                                       "uniform, bernoulli, deterministic)")
     parser.add_argument("--n", type=int, help="principal lattice size")
     parser.add_argument("--suite", choices=("fast", "full"),
-                        help="acceptance suite to run (accept experiment)")
+                        help="acceptance suite to run")
     return parser
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.experiment not in EXPERIMENTS:
-        print(f"error: unknown experiment {args.experiment!r}; valid names: "
-              + ", ".join(EXPERIMENTS), file=sys.stderr)
-        return 2
-    for flag, path in (("--save-field", args.save_field),
-                       ("--load-field", args.load_field)):
-        if path and args.experiment not in FIELD_EXPERIMENTS:
-            print(f"error: {flag} applies only to the experiments that use "
-                  f"the field of --seed: {', '.join(FIELD_EXPERIMENTS)}",
-                  file=sys.stderr)
-            return 2
     for flag, path in (("--config", args.config), ("--load-field", args.load_field)):
         if path and not os.path.isfile(path):
             print(f"error: {flag} file not found: {path}", file=sys.stderr)
@@ -98,27 +81,15 @@ def main(argv=None):
         out = args.out
     if out is None:
         out = os.path.join("out", args.experiment)
-    if args.law:
-        params["law"] = args.law
-    if args.n is not None:
-        params["n"] = args.n
-    if args.suite:
-        params["suite"] = args.suite
-    if args.load_field:
-        params["load_field"] = args.load_field
-    if args.save_field:
-        params["save_field"] = args.save_field
+    # flags that set the parameter of their own name
+    for key in ("law", "n", "suite", "load_field", "save_field"):
+        if getattr(args, key) is not None:
+            params[key] = getattr(args, key)
 
     try:
         config = ExperimentConfig(experiment=args.experiment, params=params,
                                   seed=seed, replicas=replicas,
                                   workers=workers, out=out)
-        if args.save_field:
-            output_paths(config, args.force)
-            from .fields import save_field
-            from .harness import make_field
-            os.makedirs(out, exist_ok=True)
-            save_field(make_field(seed, params), args.save_field)
         manifest = run(config, force=args.force)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -269,17 +269,15 @@ class PassageGraph:
 
     # -- queries ---------------------------------------------------------------
 
-    def sssp(self, source_z, limit=np.inf):
+    def sssp(self, source_z):
         """Single-source distances and predecessors from a lattice point."""
         src = int(self.node_index(np.asarray(source_z)))
-        key = (src, float(limit))
-        if key not in self._sssp_cache:
+        if src not in self._sssp_cache:
             self._ensure_matrix()
-            dist, pred = _sp_dijkstra(self._matrix, directed=True,
-                                      indices=src, return_predecessors=True,
-                                      limit=limit)
-            self._sssp_cache[key] = (dist, pred)
-        return self._sssp_cache[key]
+            self._sssp_cache[src] = _sp_dijkstra(
+                self._matrix, directed=True, indices=src,
+                return_predecessors=True)
+        return self._sssp_cache[src]
 
 
 def build_graph(field, region, h, stencil=16):
@@ -313,7 +311,9 @@ def ball(graph, t):
     if t < 0:
         raise GraphError("ball radius must be >= 0")
     origin = np.zeros(graph.dim, dtype=np.int64)
-    dist, _ = graph.sssp(origin, limit=t if t > 0 else np.inf)
+    # the origin's full search, which distance() caches too: the nodes within
+    # t, and their distances, are those a search stopped at t settles
+    dist, _ = graph.sssp(origin)
     if t == 0:
         inside_idx = np.array([int(graph.node_index(origin))])
     else:

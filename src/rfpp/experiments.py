@@ -442,7 +442,7 @@ def bump_experiment(base, spec, eps, entries=50, perturbations=1, seed=0,
             clipped.append(GeodesicPath(
                 times=pp.times[:n_min], positions=pp.positions[:n_min],
                 velocities=pp.velocities[:n_min], parametrization="riemannian",
-                step=pp.step, field_ref=pp.field_ref, termination=pp.termination))
+                step=pp.step, termination=pp.termination))
         records = jacobi_integrate_batch(field, clipped)
         graph = None
         if check_minimizing:

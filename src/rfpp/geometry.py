@@ -198,7 +198,6 @@ class GeodesicPath:
     velocities: np.ndarray
     parametrization: str
     step: float
-    field_ref: str = ""
     termination: str = "completed"
     steps: int = 0
     rejected: int = 0
@@ -511,8 +510,6 @@ def geodesic_shoot_batch(field, x0, v0, T, step=None, parametrization="riemannia
         path = GeodesicPath(times=times[:n_b], positions=pos_hist[:n_b, b],
                             velocities=vel_hist[:n_b, b],
                             parametrization=parametrization, step=step,
-                            field_ref=repr(getattr(field_b, "seed",
-                                                   type(field_b).__name__)),
                             termination=str(termination[b]),
                             steps=int(steps[b]), rejected=int(rejected[b]))
         _attach_drift(field_b, path)
@@ -645,7 +642,7 @@ def reparametrize(path, target, field):
     out = GeodesicPath(times=tau, positions=new_pos, velocities=new_vel,
                        parametrization=target,
                        step=float(total / (n - 1)) if n > 1 else path.step,
-                       field_ref=path.field_ref, termination=path.termination)
+                       termination=path.termination)
     _attach_drift(field, out)
     return out
 

@@ -1,11 +1,15 @@
 """Reproducible experiment orchestration.
 
-Every experiment is described by an ExperimentConfig (a plain dict of
-parameters plus seed/replica/worker counts), dispatched to the owning module
-with per-replica seeds derived deterministically from the master seed (the
-SINGLE_RUN experiments run once, on the master seed itself, and refuse
-replicas > 1; fpp and lpp key their replicas by index under the master
-seed), and written atomically (temp file + rename) together with a
+Every experiment is one record of the EXPERIMENTS table: its runner, the
+output files it writes, how its replicas are seeded and every parameter it
+reads, with its default.  An ExperimentConfig (a plain dict of parameters
+plus seed/replica/worker counts) naming a parameter its record does not
+declare is refused with a ConfigError before anything runs.  The runner
+reads the declared defaults merged under the given parameters.  Seeding is
+"master" (the run happens once, on the master seed itself, and refuses
+replicas > 1), "keyed" (every replica draws under the master seed, keyed by
+its index) or "derived" (replica r draws from derive_seed(seed, r)).
+Outputs are written atomically (temp file + rename) together with a
 RunManifest that records the config hash, code version, the seeds the run
 used, wall time and SHA-256 digests of every output file.
 
@@ -29,15 +33,6 @@ import numpy as np
 
 from . import __version__, rng
 
-EXPERIMENTS = ("field-check", "geodesic", "distance", "shape", "frontier",
-               "bump", "scan", "fpp", "lpp", "polymer", "accept")
-# experiments that run once, on the master seed itself: the three that
-# evaluate the field of --seed, and bump, which samples no field
-SINGLE_RUN = ("geodesic", "distance", "frontier", "bump")
-# experiments whose replicas all draw under the master seed itself: fpp and
-# lpp key replica r's bonds by the word r
-MASTER_SEEDED = SINGLE_RUN + ("fpp", "lpp")
-
 
 class ConfigError(ValueError):
     pass
@@ -57,13 +52,20 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown experiment {self.experiment!r}; valid names: "
                 + ", ".join(EXPERIMENTS))
+        spec = EXPERIMENTS[self.experiment]
+        unknown = [key for key in self.params if key not in spec.params]
+        if unknown:
+            raise ConfigError(
+                f"{self.experiment} does not read "
+                f"{', '.join(map(repr, unknown))}; its parameters are: "
+                + ", ".join(sorted(spec.params)))
         for name in ("seed", "replicas", "workers"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ConfigError(f"{name} must be an integer, not {value!r}")
         if self.replicas < 1:
             raise ConfigError("replicas must be >= 1")
-        if self.replicas > 1 and self.experiment in SINGLE_RUN:
+        if self.replicas > 1 and spec.seeding == "master":
             raise ConfigError(f"{self.experiment} runs once on the master "
                               f"seed; replicas must be 1")
         if self.workers < 1:
@@ -96,27 +98,18 @@ class RunManifest:
 
 
 def atomic_write(path, data):
-    """Write bytes or text to path via a temp file and rename."""
-    mode = "wb" if isinstance(data, bytes) else "w"
+    """Write bytes to path via a temp file and rename."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rfpp-tmp-")
     try:
-        with os.fdopen(fd, mode) as fh:
+        with os.fdopen(fd, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def file_digest(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 def exact_mean(values):
@@ -159,80 +152,83 @@ def _replica_csv(column, values):
 # experiment runners
 # ---------------------------------------------------------------------------
 
-def _default_field_params(params):
-    return {
-        "mode": params.get("mode", "conformal"),
-        "amplitude": params.get("amplitude", 0.3),
-        "range": params.get("range", 1.0),
-        "shift": params.get("shift", 1.0),
-        "half_width": params.get("half_width", 16.0),
-        "spacing": params.get("spacing", None),
-    }
+# the parameters make_field reads, with their defaults
+FIELD_PARAMS = {"mode": "conformal", "amplitude": 0.3, "range": 1.0,
+                "shift": 1.0, "half_width": 16.0, "spacing": None}
+# a run on the one field of the master seed can load that field instead, or
+# save it; a run that draws a field per replica cannot
+SEED_FIELD_PARAMS = {**FIELD_PARAMS, "load_field": None, "save_field": None}
 
 
 def make_field(seed, params):
-    from .fields import Box, KernelSpec, MetricField, load_field
-    if params.get("load_field"):
-        return load_field(params["load_field"])
-    p = _default_field_params(params)
+    """The sampled field of ``seed``, FIELD_PARAMS merged under ``params``
+    (other keys of ``params`` are not read)."""
+    from .fields import Box, KernelSpec, MetricField
+    p = {**FIELD_PARAMS, **params}
     kernel = KernelSpec(range=p["range"], amplitude=p["amplitude"])
     return MetricField(p["mode"], seed=seed, region=Box.cube(p["half_width"], 2),
                        kernel=kernel, shift=p["shift"], spacing=p["spacing"])
 
 
+def _seed_field(seed, p):
+    """The field a master-seeded run evaluates: the container p["load_field"]
+    names, else the field of ``seed``; written to p["save_field"] when set."""
+    from .fields import load_field, save_field
+    field = load_field(p["load_field"]) if p["load_field"] else make_field(seed, p)
+    if p["save_field"]:
+        os.makedirs(os.path.dirname(os.path.abspath(p["save_field"])), exist_ok=True)
+        save_field(field, p["save_field"])
+    return field
+
+
 def _field_check_replica(args):
     seed, params = args
     from .fields import Box, check_spd_on_region, eigen_bounds
-    field = make_field(seed, params)
-    hw = min(4.0, _default_field_params(params)["half_width"] / 2)
-    ok, lam_floor = check_spd_on_region(field, Box.cube(hw, 2),
-                                        grid=params.get("grid", 0.25))
+    p = {**EXPERIMENTS["field-check"].params, **params}
+    field = make_field(seed, p)
+    ok, lam_floor = check_spd_on_region(
+        field, Box.cube(min(4.0, p["half_width"] / 2), 2), grid=p["grid"])
     eb = eigen_bounds(field, (0, 0))
     return {"seed": seed, "spd_ok": bool(ok), "lambda_floor": lam_floor,
             "lambda_min_cube0": eb.lambda_min, "lambda_max_cube0": eb.lambda_max}
 
 
-def _run_field_check(config):
+def _run_field_check(config, p):
     seeds = replica_seeds(config.seed, config.replicas)
-    rows = _run_replicas(_field_check_replica,
-                         [(s, config.params) for s in seeds], config.workers)
+    rows = _run_replicas(_field_check_replica, [(s, p) for s in seeds],
+                         config.workers)
     accept_rate = exact_mean([1.0 if r["spd_ok"] else 0.0 for r in rows])
     report = {"replicas": rows, "spd_accept_rate": accept_rate}
     return {"field-check.json": canonical_json(report)}
 
 
-def _run_geodesic(config):
+def _run_geodesic(config, p):
     from .geometry import geodesic_shoot, jacobi_integrate, lengths
-    p = config.params
-    field = make_field(config.seed, p)
-    path = geodesic_shoot(field, p.get("x0", (0.0, 0.0)),
-                          np.asarray(p.get("v0", (1.0, 0.0))),
-                          T=p.get("T", 5.0), step=p.get("step", 1e-3),
-                          parametrization=p.get("parametrization", "riemannian"))
+    field = _seed_field(config.seed, p)
+    path = geodesic_shoot(field, p["x0"], np.asarray(p["v0"]), T=p["T"],
+                          step=p["step"], parametrization=p["parametrization"])
     R, L = lengths(path, field)
     out = {"geodesic.csv": path.csv_text()}
     summary = {"riemannian_length": R, "euclidean_length": L,
                "speed_drift_max": path.speed_drift_max,
                "termination": path.termination, "steps": path.steps,
                "rejected": path.rejected}
-    if p.get("jacobi", True) and path.parametrization == "riemannian":
+    if p["jacobi"] and path.parametrization == "riemannian":
         rec = jacobi_integrate(field, path)
         summary["conjugate_times"] = list(rec.conjugate_times)
     out["geodesic.json"] = canonical_json(summary)
     return out
 
 
-def _run_distance(config):
+def _run_distance(config, p):
     from .distance import build_graph, distance, ball
     from .fields import Box
-    p = config.params
-    field = make_field(config.seed, p)
-    hw = p.get("graph_half_width", 12.0)
-    graph = build_graph(field, Box.cube(hw, 2), p.get("h", 0.25),
-                        stencil=p.get("stencil", 16))
-    target = np.asarray(p.get("target", (10.0, 0.0)))
+    field = _seed_field(config.seed, p)
+    hw = p["graph_half_width"]
+    graph = build_graph(field, Box.cube(hw, 2), p["h"], stencil=p["stencil"])
+    target = np.asarray(p["target"])
     d_hat, witness = distance(graph, np.zeros(2), target)
-    raster = ball(graph, p.get("ball_radius", hw / 2))
+    raster = ball(graph, hw / 2 if p["ball_radius"] is None else p["ball_radius"])
     return {"distance.json": canonical_json(
                 {"target": target.tolist(), "d_hat": d_hat,
                  "witness_nodes": len(witness), "stencil_factor": graph.factor}),
@@ -243,55 +239,49 @@ def _shape_replica(args):
     seed, params = args
     from .distance import build_graph, directional_mu
     from .fields import Box
-    p = dict(params)
-    t = p.get("t", 30.0)
-    p.setdefault("half_width", t + 3.0)
+    p = {**EXPERIMENTS["shape"].params, **params}
+    t = p["t"]
+    if p["half_width"] is None:
+        p["half_width"] = t + 3.0
     field = make_field(seed, p)
-    graph = build_graph(field, Box.cube(t + 2.0, 2), p.get("h", 0.3),
-                        stencil=p.get("stencil", 32))
-    return directional_mu(graph, t, p.get("directions", 16))
+    graph = build_graph(field, Box.cube(t + 2.0, 2), p["h"], stencil=p["stencil"])
+    return directional_mu(graph, t, p["directions"])
 
 
-def _run_shape(config):
+def _run_shape(config, p):
     from .distance import ShapeEstimate
-    p = config.params
     seeds = replica_seeds(config.seed, config.replicas)
     rows = _run_replicas(_shape_replica, [(s, p) for s in seeds], config.workers)
-    est = ShapeEstimate.from_samples(rows, p.get("t", 30.0))
+    est = ShapeEstimate.from_samples(rows, p["t"])
     report = {"t": est.t, "replicas": est.replicas,
               "anisotropy_ratio": est.anisotropy_ratio,
               "mu": est.mu.tolist(), "stderr": est.stderr.tolist()}
     return {"shape.csv": est.csv_text(), "shape.json": canonical_json(report)}
 
 
-def _run_frontier(config):
+def _run_frontier(config, p):
     from .experiments import frontier_scan
     from .geometry import geodesic_shoot
-    p = config.params
-    field = make_field(config.seed, p)
-    path = geodesic_shoot(field, (1e-9, 0.0), np.asarray(p.get("v0", (1.0, 0.0))),
-                          T=p.get("T", 10.0), step=p.get("step", 2e-3),
-                          parametrization="euclidean")
-    scan = frontier_scan(path, field, beta=p.get("beta", 0.5), rho=p.get("rho", 1.0))
+    field = _seed_field(config.seed, p)
+    path = geodesic_shoot(field, (1e-9, 0.0), np.asarray(p["v0"]), T=p["T"],
+                          step=p["step"], parametrization="euclidean")
+    scan = frontier_scan(path, field, beta=p["beta"], rho=p["rho"])
     return {"frontier.csv": scan.csv_text(),
             "frontier.json": canonical_json(
                 {"intervals": scan.intervals,
                  "density_tail": float(scan.density[-1])})}
 
 
-def _run_bump(config):
+def _run_bump(config, p):
     from .experiments import BumpSpec, bump_experiment
     from .fields import FlatMetric
-    p = config.params
-    spec = BumpSpec(center=tuple(p.get("center", (0.0, 0.0))),
-                    cone_half_angle=p.get("cone_half_angle", float(np.arccos(0.25))),
-                    cap_curvature=p.get("cap_curvature", 1.0),
-                    glue_width=p.get("glue_width", 0.2))
-    report = bump_experiment(FlatMetric(2), spec, eps=p.get("eps", 0.0),
-                             entries=p.get("entries", 20),
-                             perturbations=p.get("perturbations", 1),
-                             seed=config.seed,
-                             check_minimizing=p.get("check_minimizing", True))
+    spec = BumpSpec(center=tuple(p["center"]),
+                    cone_half_angle=p["cone_half_angle"],
+                    cap_curvature=p["cap_curvature"], glue_width=p["glue_width"])
+    report = bump_experiment(FlatMetric(2), spec, eps=p["eps"],
+                             entries=p["entries"],
+                             perturbations=p["perturbations"], seed=config.seed,
+                             check_minimizing=p["check_minimizing"])
     return {"bump.json": canonical_json(report.as_dict())}
 
 
@@ -300,97 +290,123 @@ def _scan_replica(args):
     from .distance import build_graph
     from .fields import Box
     from .experiments import direction_scan
-    p = dict(params)
-    radii = p.get("radii", (5.0, 10.0, 20.0, 40.0))
-    p.setdefault("half_width", max(radii) * 1.25 + 5.0)
+    p = {**EXPERIMENTS["scan"].params, **params}
+    radii = p["radii"]
+    if p["half_width"] is None:
+        p["half_width"] = max(radii) * 1.25 + 5.0
     field = make_field(seed, p)
     graph = build_graph(field, Box.cube(max(radii) * 1.1 + 2.0, 2),
-                        p.get("h", 0.4), stencil=p.get("stencil", 16))
-    scan = direction_scan(field, graph, radii, k=p.get("directions", 64),
-                          step=p.get("step", 1e-2))
+                        p["h"], stencil=p["stencil"])
+    scan = direction_scan(field, graph, radii, k=p["directions"], step=p["step"])
     return scan.as_dict()
 
 
-def _run_scan(config):
+def _run_scan(config, p):
     seeds = replica_seeds(config.seed, config.replicas)
-    rows = _run_replicas(_scan_replica, [(s, config.params) for s in seeds],
-                         config.workers)
+    rows = _run_replicas(_scan_replica, [(s, p) for s in seeds], config.workers)
     return {"scan.json": canonical_json({"replicas": rows})}
 
 
-def _run_fpp(config):
+def _run_fpp(config, p):
     from .lattice import LatticeConfig, fpp_passage, exponent_chi
-    p = config.params
-    law = _law_from_params(p)
-    n = p.get("n", 50)
-    cfg = LatticeConfig(p.get("dimension", 2), n, law, config.seed)
+    n = p["n"]
+    cfg = LatticeConfig(p["dimension"], n, _law_from_params(p), config.seed)
     target = np.array([n] + [0] * (cfg.dimension - 1))
     taus = [fpp_passage(cfg, target, replica=r).tau
             for r in range(config.replicas)]
     out = {"fpp.csv": _replica_csv("tau", taus)}
-    if p.get("exponents", False):
-        sizes = tuple(p.get("sizes", (50, 100, 200, 400)))
-        est = exponent_chi("fpp", cfg, sizes, replicas=config.replicas)
+    if p["exponents"]:
+        est = exponent_chi("fpp", cfg, tuple(p["sizes"]), replicas=config.replicas)
         out["fpp-chi.json"] = canonical_json(est.as_dict())
     return out
 
 
-def _run_lpp(config):
+def _run_lpp(config, p):
     from .lattice import LatticeConfig, lpp_passage, exponent_chi
-    p = config.params
-    law = _law_from_params(p, default="geometric")
-    n = p.get("n", 100)
-    cfg = LatticeConfig(2, n, law, config.seed)
+    n = p["n"]
+    cfg = LatticeConfig(2, n, _law_from_params(p), config.seed)
     vals = [lpp_passage(cfg, (n, n), replica=r) for r in range(config.replicas)]
     out = {"lpp.csv": _replica_csv("last_passage", vals)}
-    if p.get("exponents", False):
-        sizes = tuple(p.get("sizes", (125, 250, 500, 1000)))
-        est = exponent_chi("lpp", cfg, sizes, replicas=config.replicas)
+    if p["exponents"]:
+        est = exponent_chi("lpp", cfg, tuple(p["sizes"]), replicas=config.replicas)
         out["lpp-chi.json"] = canonical_json(est.as_dict())
     return out
 
 
-def _run_polymer(config):
+def _run_polymer(config, p):
     from .lattice import polymer_free_energy
-    p = config.params
-    n = p.get("n", 100)
-    beta = p.get("beta", 1.0)
-    rows = []
-    for r in range(config.replicas):
-        seed_r = rng.derive_seed(config.seed, r)
-        res = polymer_free_energy(seed_r, n, beta)
-        rows.append(res.free_energy)
+    rows = [polymer_free_energy(seed, p["n"], p["beta"]).free_energy
+            for seed in replica_seeds(config.seed, config.replicas)]
     return {"polymer.csv": _replica_csv("free_energy", rows)}
 
 
-def _law_from_params(p, default="exponential"):
+def _law_from_params(p):
     from .lattice import LAW_DEFAULTS, WeightLaw
-    kind = p.get("law", default)
-    params = tuple(p.get("law_params", ())) or LAW_DEFAULTS.get(kind, ())
-    return WeightLaw(kind, params)
+    kind = p["law"]
+    return WeightLaw(kind, tuple(p["law_params"]) or LAW_DEFAULTS.get(kind, ()))
 
 
-def _run_accept(config):
+def _run_accept(config, p):
     from .acceptance import run_suite
-    suite = config.params.get("suite", "fast")
-    report = run_suite(suite=suite, workers=config.workers)
+    report = run_suite(suite=p["suite"], workers=config.workers)
     return {"acceptance.json": report.to_json()}
 
 
-# each experiment's runner and the output files it writes; a (name, param)
-# pair is written only when that parameter is set
-_RUNNERS = {
-    "field-check": (_run_field_check, ("field-check.json",)),
-    "geodesic": (_run_geodesic, ("geodesic.csv", "geodesic.json")),
-    "distance": (_run_distance, ("ball.csv", "distance.json")),
-    "shape": (_run_shape, ("shape.csv", "shape.json")),
-    "frontier": (_run_frontier, ("frontier.csv", "frontier.json")),
-    "bump": (_run_bump, ("bump.json",)),
-    "scan": (_run_scan, ("scan.json",)),
-    "fpp": (_run_fpp, ("fpp.csv", ("fpp-chi.json", "exponents"))),
-    "lpp": (_run_lpp, ("lpp.csv", ("lpp-chi.json", "exponents"))),
-    "polymer": (_run_polymer, ("polymer.csv",)),
-    "accept": (_run_accept, ("acceptance.json",)),
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment.  ``runner(config, p)`` reads the merged parameters p
+    and returns {output name: text}; ``outputs`` names the files it writes, a
+    (name, param) pair being written only when that parameter is set;
+    ``seeding`` is "master", "keyed" or "derived" (see the module docstring);
+    ``params`` maps every parameter the runner reads to its default, None
+    where the runner works the default out from the others."""
+    runner: object
+    outputs: tuple
+    seeding: str
+    params: dict
+
+
+EXPERIMENTS = {
+    "field-check": Experiment(
+        _run_field_check, ("field-check.json",), "derived",
+        {**FIELD_PARAMS, "grid": 0.25}),
+    "geodesic": Experiment(
+        _run_geodesic, ("geodesic.csv", "geodesic.json"), "master",
+        {**SEED_FIELD_PARAMS, "x0": (0.0, 0.0), "v0": (1.0, 0.0), "T": 5.0,
+         "step": 1e-3, "parametrization": "riemannian", "jacobi": True}),
+    "distance": Experiment(
+        _run_distance, ("ball.csv", "distance.json"), "master",
+        {**SEED_FIELD_PARAMS, "graph_half_width": 12.0, "h": 0.25,
+         "stencil": 16, "target": (10.0, 0.0), "ball_radius": None}),
+    "shape": Experiment(
+        _run_shape, ("shape.csv", "shape.json"), "derived",
+        {**FIELD_PARAMS, "half_width": None, "t": 30.0, "h": 0.3,
+         "stencil": 32, "directions": 16}),
+    "frontier": Experiment(
+        _run_frontier, ("frontier.csv", "frontier.json"), "master",
+        {**SEED_FIELD_PARAMS, "v0": (1.0, 0.0), "T": 10.0, "step": 2e-3,
+         "beta": 0.5, "rho": 1.0}),
+    "bump": Experiment(
+        _run_bump, ("bump.json",), "master",
+        {"center": (0.0, 0.0), "cone_half_angle": float(np.arccos(0.25)),
+         "cap_curvature": 1.0, "glue_width": 0.2, "eps": 0.0, "entries": 20,
+         "perturbations": 1, "check_minimizing": True}),
+    "scan": Experiment(
+        _run_scan, ("scan.json",), "derived",
+        {**FIELD_PARAMS, "half_width": None, "radii": (5.0, 10.0, 20.0, 40.0),
+         "h": 0.4, "stencil": 16, "directions": 64, "step": 1e-2}),
+    "fpp": Experiment(
+        _run_fpp, ("fpp.csv", ("fpp-chi.json", "exponents")), "keyed",
+        {"law": "exponential", "law_params": (), "n": 50, "dimension": 2,
+         "exponents": False, "sizes": (50, 100, 200, 400)}),
+    "lpp": Experiment(
+        _run_lpp, ("lpp.csv", ("lpp-chi.json", "exponents")), "keyed",
+        {"law": "geometric", "law_params": (), "n": 100, "exponents": False,
+         "sizes": (125, 250, 500, 1000)}),
+    "polymer": Experiment(
+        _run_polymer, ("polymer.csv",), "derived", {"n": 100, "beta": 1.0}),
+    "accept": Experiment(
+        _run_accept, ("acceptance.json",), "derived", {"suite": "fast"}),
 }
 
 
@@ -398,7 +414,7 @@ def output_paths(config, force=False):
     """{name: path} of the files ``config``'s run writes, in name order;
     ConfigError if one of them exists already and ``force`` is not set."""
     names = []
-    for entry in _RUNNERS[config.experiment][1]:
+    for entry in EXPERIMENTS[config.experiment].outputs:
         name, param = (entry, None) if isinstance(entry, str) else entry
         if param is None or config.params.get(param, False):
             names.append(name)
@@ -419,19 +435,22 @@ def run(config, force=False):
     """
     t0 = time.perf_counter()
     paths = output_paths(config, force)
-    outputs = _RUNNERS[config.experiment][0](config)
+    spec = EXPERIMENTS[config.experiment]
+    outputs = spec.runner(config, {**spec.params, **config.params})
     if sorted(outputs) != list(paths):
         raise AssertionError(f"{config.experiment} wrote {sorted(outputs)}, "
                              f"not its declared outputs {list(paths)}")
     os.makedirs(config.out, exist_ok=True)
     digests = {}
     for name, path in paths.items():
-        atomic_write(path, outputs[name])
-        digests[name] = file_digest(path)
+        data = outputs[name].encode()
+        atomic_write(path, data)
+        digests[name] = hashlib.sha256(data).hexdigest()
     manifest = RunManifest(
         config_hash=config.digest(), code_version=__version__,
-        replica_seeds=([config.seed] if config.experiment in MASTER_SEEDED
-                       else replica_seeds(config.seed, config.replicas)),
+        replica_seeds=(replica_seeds(config.seed, config.replicas)
+                       if spec.seeding == "derived" else [config.seed]),
         wall_time_s=time.perf_counter() - t0, outputs=digests)
-    atomic_write(os.path.join(config.out, "manifest.json"), manifest.to_json())
+    atomic_write(os.path.join(config.out, "manifest.json"),
+                 manifest.to_json().encode())
     return manifest

@@ -32,9 +32,53 @@ def test_field_flags_refused_where_no_seed_field_is_used(experiment, flag,
     out = tmp_path / "out"
     assert cli.main([experiment, flag, str(field_path), "--out", str(out)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: {flag} applies only")
+    key = flag[2:].replace("-", "_")
+    assert len(err) == 1 and err[0].startswith(
+        f"error: {experiment} does not read {key!r}")
     assert not out.exists()
     assert field_path.exists() == (flag == "--load-field")
+
+
+# parameters no runner of the experiment reads: one per experiment, the
+# misspellings of a geodesic config, lattice and suite flags on shape, a
+# geodesic field mode on fpp, and a field container in the config of an
+# experiment that draws a field per replica (each replica would load the one
+# container, or the saved field would not be the one a replica used)
+REFUSED = (
+    [(e, [], {"no_such_parameter": 1}, ["no_such_parameter"])
+     for e in harness.EXPERIMENTS]
+    + [("geodesic", [], {"T": 0.2, "stpe": 0.5, "amplitud": 9},
+        ["stpe", "amplitud"]),
+       ("shape", ["--law", "bernoulli", "--n", "3", "--suite", "full"], {},
+        ["law", "n", "suite"]),
+       ("fpp", [], {"mode": "sym_exp", "exponent": True},
+        ["mode", "exponent"])]
+    + [(e, ["--replicas", "2"], {key: None}, [key])
+       for e in ("field-check", "shape", "scan")
+       for key in ("load_field", "save_field")])
+
+
+@pytest.mark.parametrize("experiment,argv,params,keys", REFUSED,
+                         ids=[f"{e}-{'-'.join(k)}" for e, _, _, k in REFUSED])
+def test_undeclared_parameters_are_refused_before_running(
+        experiment, argv, params, keys, tmp_path, capsys):
+    from rfpp.fields import save_field
+    field_path = tmp_path / "field.rfpp"
+    if "load_field" in keys:
+        save_field(harness.make_field(5, {"half_width": 4.0}), field_path)
+    saved = field_path.read_bytes() if field_path.exists() else None
+    params = {k: str(field_path) if v is None else v for k, v in params.items()}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"params": params}))
+    out = tmp_path / "out"
+    assert cli.main([experiment, "--config", str(config), "--out", str(out)]
+                    + argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {experiment} does not read "
+                             + ", ".join(map(repr, keys)) + ";")
+    assert not out.exists()
+    assert (field_path.read_bytes() if field_path.exists() else None) == saved
 
 
 def test_tiny_run_writes_outputs(tmp_path, capsys):
@@ -286,7 +330,7 @@ SMOKE_PARAMS = {**SINGLE_RUN_PARAMS, **REPLICA_PARAMS,
                 "accept": {}}
 
 
-@pytest.mark.parametrize("experiment", sorted(harness._RUNNERS))
+@pytest.mark.parametrize("experiment", harness.EXPERIMENTS)
 def test_every_experiment_runs_from_the_cli(experiment, tmp_path,
                                             monkeypatch):
     # the suite's fast subset takes tens of seconds; criterion 4

@@ -337,6 +337,26 @@ def test_ball_boundary_matches_loop(case):
     assert 0 < len(b.boundary) < len(b.inside) or case == "origin_only"
 
 
+@pytest.mark.parametrize("mode", ["conformal", "sym_exp"])
+def test_ball_matches_a_search_stopped_at_its_radius(mode):
+    # ball reads the origin's unlimited search, which distance() has cached
+    # first as the distance run does; a search stopped at t must settle the
+    # same nodes at the same distances
+    from scipy.sparse.csgraph import dijkstra
+    field = MetricField(mode, seed=7, region=Box.cube(9.0, 2),
+                        kernel=KernelSpec(range=1.0, amplitude=0.3))
+    g = build_graph(field, Box.cube(8.0, 2), 0.25, 16)
+    distance(g, (0.0, 0.0), (6.0, 0.0))
+    origin = int(g.node_index((0, 0)))
+    for t in (0.5, 3.0, 4.0):
+        stopped = dijkstra(g._matrix, directed=True, indices=origin, limit=t)
+        inside = np.where(stopped <= t)[0]
+        b = ball(g, t)
+        assert len(inside) > 1
+        assert np.array_equal(b.inside, g.index_node(inside) * g.h)
+        assert np.array_equal(b.distances, stopped[inside])
+
+
 # --------------------------------------------------------------- shape
 
 def shape_of(fields, t):

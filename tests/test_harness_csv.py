@@ -1,3 +1,4 @@
+import ast
 import os
 
 import numpy as np
@@ -168,3 +169,43 @@ def test_shape_digests_do_not_depend_on_the_worker_count(tmp_path):
         digests.append(manifest.outputs)
     assert sorted(digests[0]) == ["shape.csv", "shape.json"]
     assert digests[0] == digests[1]
+
+
+def _parameter_reads():
+    """For each module-level function of harness.py: the string keys it
+    reads from its parameter dict ``p``, the harness functions it names, and
+    whether it reads parameters any other way (``p.get``, ``config.params``)."""
+    with open(harness.__file__) as fh:
+        tree = ast.parse(fh.read())
+    funcs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    keys, names, other = {}, {}, {}
+    for name, func in funcs.items():
+        nodes = list(ast.walk(func))
+        keys[name] = {n.slice.value for n in nodes
+                      if isinstance(n, ast.Subscript)
+                      and isinstance(n.value, ast.Name) and n.value.id == "p"
+                      and isinstance(n.slice, ast.Constant)}
+        names[name] = {n.id for n in nodes
+                       if isinstance(n, ast.Name) and n.id in funcs}
+        other[name] = any(isinstance(n, ast.Attribute)
+                          and isinstance(n.value, ast.Name)
+                          and (n.value.id, n.attr) in (("p", "get"),
+                                                       ("config", "params"))
+                          for n in nodes)
+    return keys, names, other
+
+
+def test_table_declares_exactly_the_parameters_its_runners_read():
+    # a runner, with its replica task and the helpers it reaches, reads its
+    # parameters only as p["name"], and those names are its record's
+    keys, names, other = _parameter_reads()
+    for experiment, spec in harness.EXPERIMENTS.items():
+        reached, todo = set(), [spec.runner.__name__]
+        while todo:
+            name = todo.pop()
+            if name not in reached:
+                reached.add(name)
+                todo += names[name]
+        assert not [name for name in reached if other[name]], experiment
+        read = set().union(*(keys[name] for name in reached))
+        assert read == set(spec.params), experiment
