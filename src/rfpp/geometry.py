@@ -31,6 +31,13 @@ tensor is assembled as
 
 with (R(X, Y) Z)^r = R^r_smn Z^s X^m Y^n, so the Jacobi equation along a
 unit-speed geodesic reads  D2 J + R(J, dx) dx = 0.
+
+At module level only numpy and fields are imported, since every rfpp call
+that shoots a geodesic imports this module.  SciPy routines load on first
+use: CubicSpline and brentq when a Jacobi determinant changes sign (to
+refine the conjugate time), CubicHermiteSpline in
+GeodesicPath.position_spline.  Arc lengths use _simpson, which repeats
+scipy.integrate.simpson bit for bit.
 """
 
 from __future__ import annotations
@@ -39,9 +46,6 @@ import warnings
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.interpolate import CubicHermiteSpline, CubicSpline
-from scipy.optimize import brentq
 
 from .fields import RegionError
 
@@ -211,6 +215,7 @@ class GeodesicPath:
             raise GeometryError("sample times must be strictly increasing")
 
     def position_spline(self):
+        from scipy.interpolate import CubicHermiteSpline
         return CubicHermiteSpline(self.times, self.positions, self.velocities, axis=0)
 
     def csv_text(self):
@@ -552,15 +557,45 @@ def _path_speeds(path, field):
     return riemannian_speeds(field, path.positions, path.velocities)
 
 
+def _simpson(y, x):
+    """scipy.integrate.simpson(y, x=x) for 1-D samples y at strictly
+    increasing x, with SciPy's arithmetic step for step, so the two agree bit
+    for bit.  SciPy's guards against zero spacings are left out: GeodesicPath
+    refuses times that do not increase."""
+    n = len(y)
+    h = np.diff(x)
+    if n == 2:
+        return 0.5 * h[0] * (y[1] + y[0])
+    m = n - 2 if n % 2 else n - 3
+    h0, h1 = h[0:m:2], h[1:m + 1:2]
+    hsum = h0 + h1
+    ratio = h0 / h1
+    total = np.sum(hsum / 6.0 * (y[0:m:2] * (2.0 - 1.0 / ratio)
+                                 + y[1:m + 1:2] * (hsum * (hsum / (h0 * h1)))
+                                 + y[2:m + 2:2] * (2.0 - ratio)))
+    if n % 2:
+        return total
+    # 0-d arrays, as in SciPy: b ** 3 then runs numpy's power loop, which
+    # need not round like a scalar pow
+    a, b = h[-2, ...], h[-1, ...]
+    alpha = (2 * (b * b) + 3 * a * b) / (6 * (b + a))
+    beta = (b * b + 3.0 * a * b) / (6 * a)
+    eta = b ** 3 / (6 * a * (a + b))
+    return total + (alpha * y[-1] + beta * y[-2] - eta * y[-3])
+
+
 def lengths(path, field):
-    """(Riemannian length, Euclidean length) by composite Simpson quadrature
-    over the stored samples."""
+    """(Riemannian length, Euclidean length) of the stored samples by SciPy's
+    composite Simpson rule (scipy.integrate.simpson, repeated bit for bit by
+    _simpson): a parabola through each pair of intervals, uneven spacing
+    allowed; for an even sample count, Cartwright's correction over the last
+    interval; for two samples, the trapezoid."""
     if len(path.times) < 2:
         raise GeometryError("need at least two samples")
     r_speeds = _path_speeds(path, field)
     e_speeds = np.linalg.norm(path.velocities, axis=1)
-    R = float(simpson(r_speeds, x=path.times))
-    L = float(simpson(e_speeds, x=path.times))
+    R = float(_simpson(r_speeds, path.times))
+    L = float(_simpson(e_speeds, path.times))
     return R, L
 
 
@@ -828,6 +863,8 @@ def _detect_conjugates(times, det):
     change = np.flatnonzero(sign[:-1] != sign[1:])
     conjugate = []
     if change.size:
+        from scipy.interpolate import CubicSpline
+        from scipy.optimize import brentq
         spline = CubicSpline(times, det)
     for a, b in zip(nonzero[change], nonzero[change + 1]):
         if b == a + 1:

@@ -8,7 +8,9 @@ declare is refused with a ConfigError before anything runs.  The runner
 reads the declared defaults merged under the given parameters.  Seeding is
 "master" (the run happens once, on the master seed itself, and refuses
 replicas > 1), "keyed" (every replica draws under the master seed, keyed by
-its index) or "derived" (replica r draws from derive_seed(seed, r)).
+its index), "derived" (replica r draws from derive_seed(seed, r)) or "fixed"
+(the run happens once on seeds of its own, reads no seed, records none and
+refuses replicas > 1).
 Outputs are written atomically (temp file + rename) together with a
 RunManifest that records the config hash, code version, the seeds the run
 used, wall time and SHA-256 digests of every output file.
@@ -26,7 +28,6 @@ import math
 import os
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -65,9 +66,11 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be an integer, not {value!r}")
         if self.replicas < 1:
             raise ConfigError("replicas must be >= 1")
-        if self.replicas > 1 and spec.seeding == "master":
-            raise ConfigError(f"{self.experiment} runs once on the master "
-                              f"seed; replicas must be 1")
+        if self.replicas > 1 and spec.seeding in ("master", "fixed"):
+            source = {"master": "the master seed",
+                      "fixed": "its own fixed seeds"}[spec.seeding]
+            raise ConfigError(f"{self.experiment} runs once on {source}; "
+                              f"replicas must be 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
 
@@ -127,6 +130,9 @@ def _run_replicas(task, seeds, workers):
     order regardless of completion order."""
     if workers <= 1 or len(seeds) <= 1:
         return [task(s) for s in seeds]
+    # imported here: only runs with workers > 1 use a pool, and every rfpp
+    # process would pay for the import
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(task, seeds))
 
@@ -357,9 +363,9 @@ class Experiment:
     """One experiment.  ``runner(config, p)`` reads the merged parameters p
     and returns {output name: text}; ``outputs`` names the files it writes, a
     (name, param) pair being written only when that parameter is set;
-    ``seeding`` is "master", "keyed" or "derived" (see the module docstring);
-    ``params`` maps every parameter the runner reads to its default, None
-    where the runner works the default out from the others."""
+    ``seeding`` is "master", "keyed", "derived" or "fixed" (see the module
+    docstring); ``params`` maps every parameter the runner reads to its
+    default, None where the runner works the default out from the others."""
     runner: object
     outputs: tuple
     seeding: str
@@ -406,7 +412,7 @@ EXPERIMENTS = {
     "polymer": Experiment(
         _run_polymer, ("polymer.csv",), "derived", {"n": 100, "beta": 1.0}),
     "accept": Experiment(
-        _run_accept, ("acceptance.json",), "derived", {"suite": "fast"}),
+        _run_accept, ("acceptance.json",), "fixed", {"suite": "fast"}),
 }
 
 
@@ -446,10 +452,13 @@ def run(config, force=False):
         data = outputs[name].encode()
         atomic_write(path, data)
         digests[name] = hashlib.sha256(data).hexdigest()
+    if spec.seeding == "derived":
+        seeds = replica_seeds(config.seed, config.replicas)
+    else:
+        seeds = [] if spec.seeding == "fixed" else [config.seed]
     manifest = RunManifest(
         config_hash=config.digest(), code_version=__version__,
-        replica_seeds=(replica_seeds(config.seed, config.replicas)
-                       if spec.seeding == "derived" else [config.seed]),
+        replica_seeds=seeds,
         wall_time_s=time.perf_counter() - t0, outputs=digests)
     atomic_write(os.path.join(config.out, "manifest.json"),
                  manifest.to_json().encode())

@@ -236,6 +236,27 @@ def test_manifest_records_the_seed_the_run_used(experiment, tmp_path):
     assert manifest["replica_seeds"] == [17]
 
 
+def test_accept_refuses_replicas(tmp_path, capsys):
+    # the suite runs each criterion on seeds of its own, so replicas would
+    # repeat the same run
+    out = tmp_path / "out"
+    assert cli.main(["accept", "--replicas", "3", "--seed", "5",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: accept runs once on its own fixed seeds; "
+                   "replicas must be 1"]
+    assert not out.exists()
+
+
+def test_accept_manifest_records_no_seed(tmp_path, monkeypatch):
+    from rfpp import acceptance
+    monkeypatch.setattr(acceptance, "FAST_CRITERIA", (4,))
+    out = tmp_path / "out"
+    assert cli.main(["accept", "--seed", "5", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["replica_seeds"] == []
+
+
 def _lattice_replica_values(experiment, seeds, replicas):
     """What each replica of a 6-site run computes from the recorded seeds."""
     if experiment == "polymer":

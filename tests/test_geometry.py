@@ -215,6 +215,23 @@ def test_lengths_selfconsistency_random():
     assert abs(R - path.times[-1]) / path.times[-1] <= 1e-6
 
 
+@pytest.mark.parametrize("n", list(range(2, 41)) + [1155, 1500, 1501])
+def test_simpson_matches_scipy_bit_for_bit(n):
+    # geometry avoids importing scipy.integrate for one routine; the private
+    # rule must give what scipy.integrate.simpson gives, to the last bit, on
+    # the uniform cumsum grids shooting produces and on irregular ones
+    from scipy.integrate import simpson
+    gen = np.random.default_rng(n)
+    grids = [np.cumsum(np.full(n, step)) for step in (1e-3, 2e-3, 1e-2)]
+    grids += [np.cumsum(gen.uniform(1e-4, 1e-1, n)),
+              np.unique(gen.uniform(0.0, 5.0, n))]
+    for x in grids:
+        assert len(x) == n
+        for y in (gen.normal(size=n), 1.0 + gen.uniform(0.0, 1e-3, n)):
+            assert same_bits(np.asarray(geometry._simpson(y, x)),
+                             np.asarray(simpson(y, x=x)))
+
+
 def test_lengths_reuse_speeds_only_for_the_field_that_evaluated_them(
         monkeypatch):
     # shooting keeps the speeds it evaluated for the drift check; lengths

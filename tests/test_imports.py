@@ -1,9 +1,13 @@
 """Every name a module of src/rfpp imports is used in the scope that
 imports it, every function, class and method it defines is reached from a
 run, and every dataclass field it defines is read somewhere (no linter is
-assumed to be installed, so these are the checks)."""
+assumed to be installed, so these are the checks).  Start-up stays lean:
+SciPy subpackages other than sparse load only where they are used."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -219,3 +223,60 @@ def test_unreferenced_definition_scan_sees_names_attributes_and_strings():
         "m.A.spare"]
     reading = [defining["m"], test, "print(A(1, 2).kept)\n"]
     assert _unread_fields(defining, reading) == ["m.A.unread"]
+
+
+# SciPy subpackages no rfpp call should pay to import before it needs them
+LAZY_SCIPY = ("scipy.integrate", "scipy.interpolate", "scipy.optimize",
+              "scipy.special")
+
+# SciPy subpackages an rfpp module may import at module level: the passage
+# graphs and the lattice FPP run on csgraph, whose import loads none of the
+# lazy ones
+MODULE_LEVEL_SCIPY = {"scipy.sparse", "scipy.sparse.csgraph"}
+
+
+def _module_level_scipy(source):
+    """Modules of scipy imported by the module-level statements of source."""
+    names = set()
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, ast.Import):
+            names |= {alias.name for alias in stmt.names}
+        elif isinstance(stmt, ast.ImportFrom) and stmt.module:
+            names.add(stmt.module)
+    return {name for name in names
+            if name == "scipy" or name.startswith("scipy.")}
+
+
+def test_module_level_scipy_imports_are_sparse_only():
+    found = {path.name: sorted(_module_level_scipy(path.read_text())
+                               - MODULE_LEVEL_SCIPY)
+             for path in sorted(SRC.glob("*.py"))}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def test_module_level_scipy_scan_ignores_local_imports():
+    source = ("import scipy.sparse\n"
+              "from scipy.integrate import simpson\n"
+              "def f():\n"
+              "    from scipy.optimize import brentq\n")
+    assert _module_level_scipy(source) == {"scipy.sparse", "scipy.integrate"}
+
+
+def test_startup_leaves_lazy_scipy_unloaded():
+    """Importing the command line and every benchmark workload's modules, in
+    a fresh interpreter, loads none of the lazily imported subpackages."""
+    sys.path.insert(0, str(ROOT))
+    try:
+        from perfbench.workloads import WORKLOADS
+    finally:
+        sys.path.remove(str(ROOT))
+    modules = sorted({"rfpp.cli"}.union(
+        *(w.modules for w in WORKLOADS.values())))
+    code = ("import importlib, sys\n"
+            f"for name in {modules!r}:\n"
+            "    importlib.import_module(name)\n"
+            f"print(sorted(set({LAZY_SCIPY!r}) & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert proc.stdout.strip() == "[]"
