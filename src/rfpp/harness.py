@@ -348,8 +348,10 @@ def _run_polymer(config, p):
 
 def _law_from_params(p):
     from .lattice import LAW_DEFAULTS, WeightLaw
-    kind = p["law"]
-    return WeightLaw(kind, tuple(p["law_params"]) or LAW_DEFAULTS.get(kind, ()))
+    kind, params = p["law"], p["law_params"]
+    if not isinstance(params, (list, tuple)):
+        raise ConfigError(f"law_params must be a list, not {params!r}")
+    return WeightLaw(kind, tuple(params) or LAW_DEFAULTS.get(kind, ()))
 
 
 def _run_accept(config, p):

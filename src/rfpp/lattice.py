@@ -15,16 +15,20 @@ for directed LPP, whose up/right paths to n e1 would be degenerate), and xi
 from the slope of log E d_n against log n, d_n the maximal deviation of the
 unique witness from the axis.  The KPZ residual chi - (2 xi - 1) is reported
 with the combined regression error.
+
+Of SciPy, only FPP loads anything: ``scipy.sparse`` when ``bond_matrix``
+first assembles a box and ``scipy.sparse.csgraph`` when ``fpp_passage``
+first runs Dijkstra.  LPP, the polymer and the weight laws run on numpy
+alone, so a run of them imports no SciPy module.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
 from . import rng
 from .harness import exact_mean
@@ -37,6 +41,14 @@ _SAMPLE_BLOCK = 2 ** 15
 
 class LatticeError(ValueError):
     pass
+
+
+def _check_number(name, value, kind):
+    """LatticeError unless value is a number of the kind (numbers.Integral
+    or numbers.Real, numpy's included); a bool is no number here."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        noun = "an integer" if kind is numbers.Integral else "a real number"
+        raise LatticeError(f"{name} must be {noun}, not {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +79,10 @@ class WeightLaw:
         if self.kind not in LAW_DEFAULTS:
             raise LatticeError(f"unknown weight law {self.kind!r}")
         p = self.params
+        for value in p:
+            _check_number(f"a parameter of law {self.kind}", value,
+                          numbers.Real)
+        _check_number("scale", self.scale, numbers.Real)
         ok = {
             "exponential": lambda: len(p) == 1 and p[0] > 0,
             "geometric": lambda: len(p) == 1 and 0 < p[0] < 1,
@@ -107,31 +123,44 @@ class WeightLaw:
         return out
 
     def _fill(self, seed, words, out):
-        """Write the quantized draws keyed by (seed, words) into out."""
-        if self.kind == "deterministic":
-            out.fill(self.params[0])
-        else:
-            u = rng.uniform(seed, *words)
-            if self.kind == "exponential":
-                np.log(u, out=out)
-                np.negative(out, out=out)
+        """Write the quantized draws keyed by (seed, words) into out: the
+        law's raw weight w as round(w 2^30) 2^-30 scale, with passes folded
+        where the fold gives the same bits (see the comments)."""
+        if self.kind == "geometric":
+            # floor makes an integer k, which the grid leaves fixed:
+            # round(k 2^30) 2^-30 = k, so only the scale is applied
+            np.log(rng.uniform(seed, *words), out=out)
+            out /= np.log1p(-self.params[0])
+            np.floor(out, out=out)
+            if self.scale != 1:
+                out *= self.scale
+            return
+        if self.kind == "exponential":
+            # (-log u / rate) 2^30 as (log u (-2^30)) / rate: the factor
+            # -2^30 is exact on |log u| in [2^-54, 38], so it commutes with
+            # the rounding of the division; dividing by rate 1 is the
+            # identity
+            np.log(rng.uniform(seed, *words), out=out)
+            out *= -_WEIGHT_GRID
+            if self.params[0] != 1:
                 out /= self.params[0]
-            elif self.kind == "geometric":
-                np.log(u, out=out)
-                out /= np.log1p(-self.params[0])
-                np.floor(out, out=out)
+        else:
+            if self.kind == "deterministic":
+                out.fill(self.params[0])
             elif self.kind == "uniform":
                 a, b = self.params
-                np.multiply(u, b - a, out=out)
+                np.multiply(rng.uniform(seed, *words), b - a, out=out)
                 out += a
             else:  # bernoulli
                 prob, lo, hi = self.params
                 out.fill(lo)
-                np.copyto(out, hi, where=u < prob)
-        out *= _WEIGHT_GRID
+                np.copyto(out, hi, where=rng.uniform(seed, *words) < prob)
+            out *= _WEIGHT_GRID
         np.round(out, out=out)
-        out /= _WEIGHT_GRID
-        out *= self.scale
+        # (k 2^-30) scale as k (scale 2^-30): both products by 2^-30 are
+        # exact (k an integer, scale >= 2^-992), so each side rounds the
+        # same product k scale 2^-30 once
+        out *= self.scale / _WEIGHT_GRID
 
 def exponential_law(rate=1.0):
     return WeightLaw("exponential", (float(rate),))
@@ -150,6 +179,8 @@ class LatticeConfig:
     seed: int
 
     def __post_init__(self):
+        _check_number("dimension", self.dimension, numbers.Integral)
+        _check_number("n", self.n, numbers.Integral)
         if self.dimension < 2:
             raise LatticeError("dimension must be >= 2")
         if self.n < 1:
@@ -189,6 +220,7 @@ def bond_matrix(config, replica, lo, hi):
     dropped.  The result is the canonical CSR form (sorted columns, no
     duplicates, explicit zero weights kept).
     """
+    from scipy.sparse import csr_matrix
     lo = np.asarray(lo, dtype=np.int64)
     hi = np.asarray(hi, dtype=np.int64)
     d = len(lo)
@@ -263,6 +295,7 @@ def fpp_passage(config, target, replica=0, margin=None, source=None):
     witness nor an optimal parent of a witness vertex, so tau, the witness
     when untied and ``tie_detected`` equal those of the unbounded search.
     """
+    from scipy.sparse.csgraph import dijkstra
     d = config.dimension
     source = _lattice_point(np.zeros(d) if source is None else source, d, "source")
     target = _lattice_point(target, d, "target")
@@ -275,13 +308,13 @@ def fpp_passage(config, target, replica=0, margin=None, source=None):
     nlo, nhi = lo + (margin - _NARROW_MARGIN), hi - (margin - _NARROW_MARGIN)
     # a margin of 8 or less fails the test: the narrow box is then no smaller
     if _NARROW_SHARE * np.prod(nhi - nlo + 1) <= np.prod(hi - lo + 1):
-        dist = _sp_dijkstra(bond_matrix(config, replica, nlo, nhi), directed=True,
-                            indices=_node(source, nlo, nhi))
+        dist = dijkstra(bond_matrix(config, replica, nlo, nhi), directed=True,
+                        indices=_node(source, nlo, nhi))
         bound = float(dist[_node(target, nlo, nhi)])
     mat = bond_matrix(config, replica, lo, hi)
     src_idx, tgt_idx = _node(source, lo, hi), _node(target, lo, hi)
-    dist, pred = _sp_dijkstra(mat, directed=True, indices=src_idx,
-                              return_predecessors=True, limit=bound)
+    dist, pred = dijkstra(mat, directed=True, indices=src_idx,
+                          return_predecessors=True, limit=bound)
     chain = [tgt_idx]
     while pred[chain[-1]] >= 0:
         chain.append(int(pred[chain[-1]]))
@@ -347,12 +380,15 @@ def lpp_passage(config, target, origin=(0, 0), replica=0):
         T[i, j] = max_{k <= j} (A[k] + C[j] - C[k])
                 = C[j] + max_{k <= j} (A[k] - C[k]),
 
-    a running maximum.  The weights are folded before the scan: wU is
-    cumsummed in place along its rows and wR[i-1, :] - C is formed in place
-    of wR, so a row costs one add, one running maximum and one add of the
-    row's cumsum.  This equals the recursion bit for bit while every
-    partial sum, A - C included, is a multiple of 2^-30 below 2^53 units
-    in magnitude (the regime of the module docstring: quantized weights,
+    a running maximum.  The weights are drawn and folded one block of rows
+    at a time, about _SAMPLE_BLOCK bonds of each direction per block: the
+    block's wU rows are cumsummed in place and wR[i-1, :] - C is formed in
+    place of its wR rows, so a row costs one add, one running maximum and
+    one add of the row's cumsum; the next block is drawn into the same
+    buffer.  Memory is O(n), one block of at least one row, not the two
+    full (m + 1) x n tables.  This equals the recursion bit for bit while every partial
+    sum, A - C included, is a multiple of 2^-30 below 2^53 units in
+    magnitude (the regime of the module docstring: quantized weights,
     exact binary ``scale``); then no addition or subtraction rounds.
     """
     if config.dimension != 2:
@@ -364,21 +400,34 @@ def lpp_passage(config, target, origin=(0, 0), replica=0):
         raise LatticeError("target must lie up/right of the origin")
     # wR[i, j]: bond (ox+i, oy+j) -> (ox+i+1, oy+j), i < m
     # wU[i, j]: bond (ox+i, oy+j) -> (ox+i, oy+j+1), j < n
-    ii = np.arange(ox, ox + m)
-    jj = np.arange(oy, oy + n + 1)
-    wR = config.law.sample(config.seed, replica, 0, ii[:, None], jj[None, :])
-    ii = np.arange(ox, ox + m + 1)
-    jj = np.arange(oy, oy + n)
-    wU = config.law.sample(config.seed, replica, 1, ii[:, None], jj[None, :])
-
-    np.cumsum(wU, axis=1, out=wU)
-    wR[:, 1:] -= wU[1:]
+    law, seed = config.law, config.seed
+    jr = np.arange(oy, oy + n + 1)[None, :]
+    ju = jr[:, :n]
     T = np.zeros(n + 1)
-    T[1:] = wU[0]
-    for i in range(1, m + 1):
-        T += wR[i - 1]
-        np.maximum.accumulate(T, out=T)
-        T[1:] += wU[i]
+    np.cumsum(law.sample(seed, replica, 1, ox, ju[0]), out=T[1:])
+    step = max(1, _SAMPLE_BLOCK // (n + 1))
+    # one buffer holds both blocks; each block is drawn into it by one
+    # _fill, the call sample makes for at most _SAMPLE_BLOCK keys or one
+    # row.  Reusing it spares the page faults of fresh blocks, and with
+    # glibc, freeing a chunk as large as both blocks raises the heap's trim
+    # threshold above the draws' temporaries, which would otherwise be
+    # returned to the system and faulted in again block after block
+    rows = min(step, m)
+    buf = np.empty(rows * (2 * n + 1))
+    bufR = buf[:rows * (n + 1)].reshape(rows, n + 1)
+    bufU = buf[rows * (n + 1):].reshape(rows, n)
+    for i0 in range(1, m + 1, step):
+        # row i of the recursion reads wR row i - 1 and wU row i
+        ii = np.arange(ox + i0, ox + min(i0 + step, m + 1))[:, None]
+        wR, wU = bufR[:len(ii)], bufU[:len(ii)]
+        law._fill(seed, (replica, 0, ii - 1, jr), wR)
+        law._fill(seed, (replica, 1, ii, ju), wU)
+        np.cumsum(wU, axis=1, out=wU)
+        wR[:, 1:] -= wU
+        for r in range(len(wU)):
+            T += wR[r]
+            np.maximum.accumulate(T, out=T)
+            T[1:] += wU[r]
     return float(T[n])
 
 
@@ -512,7 +561,9 @@ class PolymerResult:
     free_energy: float           # -(1/beta) log Z_n
 
 
-_POLYMER_BLOCK = 64
+# sites per polymer environment block: each rng.normal temporary of a
+# block (128 KiB at most) stays in cache; 2^15 and 2^16 measured no faster
+_POLYMER_SITES = 2 ** 14
 
 
 def _logaddexp(a, b, out, t):
@@ -536,22 +587,47 @@ def _logaddexp(a, b, out, t):
     return out
 
 
+def _logsumexp(a):
+    """log(sum(exp(a))) of a 1-D array, bit for bit as
+    scipy.special.logsumexp computes it: with M = max(a), m the count of
+    entries equal to M and s the sum of exp(a - M) over the array with
+    those entries zeroed, log1p(s / m) + log(m) + M (log1p(0) where s = 0),
+    under SciPy's errstate; where that is not finite, log(sum(exp(a)))."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        top = np.max(a)
+        tied = a == top
+        m = np.count_nonzero(tied)
+        e = np.exp(a - top)
+        e[tied] = 0.0
+        s = np.sum(e)
+        out = np.log1p(s / m if s != 0 else s) + np.log(m) + top
+    if not np.isfinite(out):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out = np.log(np.sum(np.exp(a)))
+    return float(out)
+
+
 def polymer_free_energy(seed, n, beta, eta=None):
     """Free energy of the d = 1 directed polymer in a random environment.
 
     Z_n integrates e^{beta sum eta(j, w_j)} over simple random walks from
     the origin; the forward transfer recursion over reachable sites uses
-    log-sum-exp throughout (``_logaddexp``, vectorized), so Z_n is exact up
-    to floating error.  ``eta`` may be a callable (j, x_array) -> values,
-    called once per time j with the reachable sites x in {-j, -j+2, ..., j};
-    by default it is an i.i.d. standard normal table keyed by (seed, j, x).
+    log-sum-exp throughout (``_logaddexp``, vectorized, and ``_logsumexp``
+    over the final sites), so Z_n is exact up to floating error.  ``eta``
+    may be a callable (j, x_array) -> values, called once per time j with
+    the reachable sites x in {-j, -j+2, ..., j}; by default it is an
+    i.i.d. standard normal table keyed by (seed, j, x).
 
-    The default table is drawn in blocks of _POLYMER_BLOCK (64) times, one
+    The default table is drawn in blocks of consecutive times, one
     ``rng.normal`` call per block, each row padded to the sites of the
     block's last time (the padding draws are unused); every value equals
-    the per-site draw.
+    the per-site draw.  A block from time j0 takes the most times k whose
+    padded table, k (j0 + k) sites, fits in _POLYMER_SITES (2^14), and at
+    least one time.
     """
-    if beta <= 0:
+    _check_number("n", n, numbers.Integral)
+    _check_number("beta", beta, numbers.Real)
+    if not beta > 0:
         raise LatticeError("inverse temperature must be > 0")
     if n < 1:
         raise LatticeError("horizon must be >= 1")
@@ -571,10 +647,15 @@ def polymer_free_energy(seed, n, beta, eta=None):
     P[1] = 0.0
     M = np.empty(n + 1)
     t = np.empty(n + 1)
-    for j0 in range(1, n + 1, _POLYMER_BLOCK):
-        js = np.arange(j0, min(j0 + _POLYMER_BLOCK, n + 1))
+    j0 = 1
+    while j0 <= n:
+        # the largest k with k (j0 + k) <= _POLYMER_SITES
+        k = max(1, (math.isqrt(j0 * j0 + 4 * _POLYMER_SITES) - j0) // 2)
+        js = np.arange(j0, min(j0 + k, n + 1))
+        j0 += k
         xs = 2 * np.arange(js[-1] + 1) - js[:, None]
-        weight = beta * eta_block(js, xs)
+        weight = eta_block(js, xs)
+        weight *= beta
         with np.errstate(invalid="ignore"):
             for r, j in enumerate(js.tolist()):
                 L = P[1:j + 2]
@@ -582,7 +663,6 @@ def polymer_free_energy(seed, n, beta, eta=None):
                 _logaddexp(P[:j + 1], L, M[:j + 1], t[:j + 1])
                 np.add(M[:j + 1], log_half, out=L)
                 L += weight[r, :j + 1]
-    from scipy.special import logsumexp
-    log_z = float(logsumexp(P[1:n + 2]))
+    log_z = _logsumexp(P[1:n + 2])
     return PolymerResult(n=n, beta=float(beta), log_z=log_z,
                          free_energy=-log_z / beta)

@@ -257,6 +257,41 @@ def test_accept_manifest_records_no_seed(tmp_path, monkeypatch):
     assert manifest["replica_seeds"] == []
 
 
+# lattice parameters of the wrong type: each used to run on a truncated
+# value (n = 2.5 as n = 2, true as 1) or die with a TypeError traceback
+WRONG_TYPE = (
+    ("lpp", {"n": 2.5}, "n must be an integer, not 2.5"),
+    ("fpp", {"n": 2.5}, "n must be an integer, not 2.5"),
+    ("fpp", {"dimension": 2.0}, "dimension must be an integer, not 2.0"),
+    ("fpp", {"law_params": ["x"]},
+     "a parameter of law exponential must be a real number, not 'x'"),
+    ("lpp", {"law_params": 0.5}, "law_params must be a list, not 0.5"),
+    ("polymer", {"n": 2.5}, "n must be an integer, not 2.5"),
+    ("polymer", {"n": "5"}, "n must be an integer, not '5'"),
+    ("polymer", {"n": True}, "n must be an integer, not True"),
+    ("polymer", {"beta": "x"}, "beta must be a real number, not 'x'"),
+)
+
+
+@pytest.mark.parametrize("experiment,params,message", WRONG_TYPE,
+                         ids=[f"{e}-{k}-{type(v).__name__}" for e, p, _ in WRONG_TYPE
+                              for k, v in p.items()])
+def test_lattice_parameters_of_the_wrong_type_fail_fast(
+        experiment, params, message, tmp_path, capsys, monkeypatch):
+    draws = []
+    for name in ("uniform", "normal"):
+        monkeypatch.setattr(rng, name, lambda *key: draws.append(key) or 1 / 0)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"params": params}))
+    out = tmp_path / "out"
+    assert cli.main([experiment, "--config", str(config), "--out",
+                     str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: {message}"]
+    assert draws == []
+    assert not out.exists()
+
+
 def _lattice_replica_values(experiment, seeds, replicas):
     """What each replica of a 6-site run computes from the recorded seeds."""
     if experiment == "polymer":

@@ -2,12 +2,14 @@
 imports it, every function, class and method it defines is reached from a
 run, and every dataclass field it defines is read somewhere (no linter is
 assumed to be installed, so these are the checks).  Start-up stays lean:
-SciPy subpackages other than sparse load only where they are used."""
+SciPy subpackages other than sparse load only where they are used, and
+lattice runs other than FPP load no SciPy at all."""
 
 import ast
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -230,8 +232,7 @@ LAZY_SCIPY = ("scipy.integrate", "scipy.interpolate", "scipy.optimize",
               "scipy.special")
 
 # SciPy subpackages an rfpp module may import at module level: the passage
-# graphs and the lattice FPP run on csgraph, whose import loads none of the
-# lazy ones
+# graphs run on csgraph, whose import loads none of the lazy ones
 MODULE_LEVEL_SCIPY = {"scipy.sparse", "scipy.sparse.csgraph"}
 
 
@@ -280,3 +281,29 @@ def test_startup_leaves_lazy_scipy_unloaded():
                           text=True, check=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": str(SRC.parent)})
     assert proc.stdout.strip() == "[]"
+
+
+def test_lattice_imports_no_scipy_at_module_level():
+    # FPP imports csr_matrix and dijkstra where it assembles and searches;
+    # LPP, the polymer and the weight laws run on numpy alone
+    assert _module_level_scipy((SRC / "lattice.py").read_text()) == set()
+
+
+def test_lpp_and_polymer_runs_load_no_scipy(tmp_path):
+    """Whole lpp and polymer runs through the harness, in a fresh
+    interpreter, leave no scipy module in sys.modules."""
+    code = textwrap.dedent(f"""
+        import sys
+        from rfpp import harness
+        for experiment, n in (("lpp", 12), ("polymer", 9)):
+            harness.run(harness.ExperimentConfig(
+                experiment, {{"n": n}}, replicas=2,
+                out={str(tmp_path)!r} + "/" + experiment))
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert proc.stdout.strip() == "[]"
+    assert (tmp_path / "lpp" / "lpp.csv").exists()
+    assert (tmp_path / "polymer" / "polymer.csv").exists()

@@ -1,4 +1,6 @@
 import hashlib
+import tracemalloc
+import warnings
 from itertools import combinations, product
 
 import numpy as np
@@ -6,11 +8,12 @@ import pytest
 from scipy.sparse.csgraph import dijkstra
 
 from rfpp import lattice, rng
-from rfpp.lattice import (ExponentEstimate, LatticeConfig, LatticeError,
-                          WeightLaw, _logaddexp, _witness_deviation,
-                          _witness_tie, bond_matrix, exponent_chi,
-                          exponential_law, fpp_passage, geometric_law,
-                          lpp_passage, polymer_free_energy, untied_fpp_passage)
+from rfpp.lattice import (_SAMPLE_BLOCK, ExponentEstimate, LatticeConfig,
+                          LatticeError, WeightLaw, _logaddexp, _logsumexp,
+                          _witness_deviation, _witness_tie, bond_matrix,
+                          exponent_chi, exponential_law, fpp_passage,
+                          geometric_law, lpp_passage, polymer_free_energy,
+                          untied_fpp_passage)
 
 
 # --------------------------------------------------------------- weight laws
@@ -22,6 +25,19 @@ def test_law_validation():
         WeightLaw("power_alpha", (0.5,))
     with pytest.raises(LatticeError):
         WeightLaw("nonsense", ())
+    for params, scale in ((("x",), 1.0), ((True,), 1.0), ((None,), 1.0),
+                          ((1.0,), "2"), ((1.0,), True)):
+        with pytest.raises(LatticeError):
+            WeightLaw("exponential", params, scale)
+    assert WeightLaw("uniform", (np.int64(0), np.float32(1.0))).random
+
+
+def test_config_validation():
+    law = exponential_law(1.0)
+    for dimension, n in ((2.0, 5), (2, 2.5), (2, "5"), (True, 5), (2, True)):
+        with pytest.raises(LatticeError):
+            LatticeConfig(dimension, n, law, seed=1)
+    assert LatticeConfig(np.int64(2), np.int32(5), law, seed=1).n == 5
 
 
 def test_law_sampling_deterministic_and_quantized():
@@ -65,6 +81,48 @@ def test_sample_golden_digest():
         for key in SAMPLE_KEYS:
             h.update(np.ascontiguousarray(law.sample(*key)).tobytes())
     assert h.hexdigest() == SAMPLE_GOLDEN
+
+
+# sha256 of WeightLaw.sample over SAMPLE_KEYS for a rate and a p other than
+# the defaults and every law at two exact binary scales, computed when _fill
+# ran each pass of round(w 2^30) 2^-30 scale on its own (numpy 2.4.6,
+# x86-64): folding passes must change no bit
+SCALED_GOLDEN = {
+    ("exponential", (0.75,), 1.0):
+        "27fe44f12618075726b3c4ec1c15b0592320968a41473bb3edac610980ac45bb",
+    ("geometric", (0.3,), 1.0):
+        "868fc4d4f983fb2f284a75bb34c41e5125df0f1b43b2b4235c1c51fe36354420",
+    ("exponential", (1.0,), 3.0):
+        "13850325607b1dd9ec8dea955a08df67599099ef36f72781f6364e2f47f26796",
+    ("geometric", (0.5,), 3.0):
+        "eda7d66f2519719daab901c7450b76d35676b4d1b00119d57c760d46d69d5cca",
+    ("uniform", (0.0, 1.0), 3.0):
+        "f11f304beb023c622f8c8be403ce0d76c8695dff656f8b9fd461d57138d820de",
+    ("bernoulli", (0.5, 1.0, 2.0), 3.0):
+        "f5bf0edec27c5c83f3b996bead45dc27c81631a7cc829b554d0949a6753c28eb",
+    ("deterministic", (1.0,), 3.0):
+        "1c38f329e1f925cf220534a4e30b7a74e80e3a5c67a0749bc257ba36b95cd4eb",
+    ("exponential", (1.0,), 0.5):
+        "edae6ccc31d5f0ab478481f7725602719a602d83ef45082b795dd9649642b054",
+    ("geometric", (0.5,), 0.5):
+        "7d6510d27041c201839db46fd246293c058a82352d0132f8f4dc961023c6b6a0",
+    ("uniform", (0.0, 1.0), 0.5):
+        "73dc77ca10f9eb7e9101ca337104fce87c06eff0f5aa2209b7793c294839a98e",
+    ("bernoulli", (0.5, 1.0, 2.0), 0.5):
+        "da1551f0a298af4424b263363221f23eba34c6dc07854f7d1029ba148c8e1590",
+    ("deterministic", (1.0,), 0.5):
+        "600929aef4ce5b66510f768666b556b814898b48724c81a26d7d8907d1aa4170",
+}
+
+
+@pytest.mark.parametrize("law", sorted(SCALED_GOLDEN),
+                         ids=lambda law: "-".join(map(str, (law[0],) + law[1]))
+                         + f"-scale{law[2]}")
+def test_sample_golden_digest_per_law(law):
+    h = hashlib.sha256()
+    for key in SAMPLE_KEYS:
+        h.update(np.ascontiguousarray(WeightLaw(*law).sample(*key)).tobytes())
+    assert h.hexdigest() == SCALED_GOLDEN[law]
 
 
 def test_sample_shapes_follow_the_words():
@@ -390,6 +448,65 @@ def test_lpp_row_scan_equals_antidiagonal_recursion(law):
                     == _lpp_antidiagonal(cfg, target, origin=origin, replica=r))
 
 
+def _lpp_full_tables(config, target, origin=(0, 0), replica=0):
+    """Reference: lpp_passage's row scan over both weight tables drawn in
+    full, folded in place before the scan."""
+    ox, oy = origin
+    m, n = target[0] - ox, target[1] - oy
+    ii, jj = np.arange(ox, ox + m), np.arange(oy, oy + n + 1)
+    wR = config.law.sample(config.seed, replica, 0, ii[:, None], jj[None, :])
+    ii, jj = np.arange(ox, ox + m + 1), np.arange(oy, oy + n)
+    wU = config.law.sample(config.seed, replica, 1, ii[:, None], jj[None, :])
+    np.cumsum(wU, axis=1, out=wU)
+    wR[:, 1:] -= wU[1:]
+    T = np.zeros(n + 1)
+    T[1:] = wU[0]
+    for i in range(1, m + 1):
+        T += wR[i - 1]
+        np.maximum.accumulate(T, out=T)
+        T[1:] += wU[i]
+    return float(T[n])
+
+
+def _lpp_block_cases():
+    """(origin, target) pairs around lpp_passage's row blocks: m on either
+    side of the rows per block and of twice that, widths whose n + 1 does
+    not divide the block, divides it exactly and exceeds it, m = 0 and 1,
+    n = 0, and non-zero origins."""
+    cases = []
+    for n in (3000, _SAMPLE_BLOCK - 1, _SAMPLE_BLOCK + 5):
+        rows = max(1, _SAMPLE_BLOCK // (n + 1))
+        for m in sorted({0, 1, rows - 1, rows, rows + 1, 2 * rows, 2 * rows + 1}):
+            cases.append(((0, 0), (m, n)))
+    cases += [((0, 0), (70, 0)), ((5, -9), (5, 40)), ((-3, 11), (12, 3011)),
+              ((4, -2), (4 + 2 * (_SAMPLE_BLOCK // 1001) + 1, 998))]
+    return cases
+
+
+@pytest.mark.parametrize("law", [geometric_law(0.5), exponential_law(1.0)],
+                         ids=lambda law: law.kind)
+def test_lpp_row_blocks_equal_full_tables(law):
+    cfg = LatticeConfig(2, 100, law, seed=41)
+    for origin, target in _lpp_block_cases():
+        assert (lpp_passage(cfg, target, origin=origin, replica=3)
+                == _lpp_full_tables(cfg, target, origin=origin, replica=3))
+
+
+def test_lpp_memory_stays_within_a_few_blocks():
+    # the peak is a few sample blocks of weights and their temporaries plus
+    # the O(n) row, not the two (n + 1) x n weight tables (61.6 MiB at
+    # n = 2000)
+    n = 2000
+    cfg = LatticeConfig(2, n, geometric_law(0.5), seed=5)
+    tracemalloc.start()
+    try:
+        lpp_passage(cfg, (n, n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (4 * (n + 1) + 8 * _SAMPLE_BLOCK)
+
+
 def test_lpp_superadditivity_exact():
     cfg = LatticeConfig(2, 40, geometric_law(0.5), seed=29)
     u = rng.uniform(3000, np.arange(400)).reshape(100, 4)
@@ -528,7 +645,9 @@ def _polymer_rowwise(seed, n, beta, eta=None):
     return float(logsumexp(L))
 
 
-@pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+# blocks of at most 2^14 sites end at times 127, 206, 267, ..., 689, 711
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 126, 127, 128, 200, 206, 207,
+                               208, 267, 268, 711, 712])
 def test_polymer_blocked_equals_rowwise(n):
     for seed in (5, 901):
         assert polymer_free_energy(seed, n, 0.7).log_z == _polymer_rowwise(seed, n, 0.7)
@@ -545,6 +664,40 @@ def test_polymer_blocked_equals_rowwise(n):
     assert calls == oracle_calls
 
 
+def test_logsumexp_matches_scipy_bit_for_bit():
+    from scipy.special import logsumexp
+    u = rng.uniform(77, np.arange(3 * 4000)).reshape(3, -1)
+    z = rng.normal(78, np.arange(4000))
+    inputs = []
+    for k in range(300):
+        n = 1 + int(u[0, k] * (2500 if k % 10 == 0 else 60))
+        a = z[:n] * 10.0 ** (6 * u[1, k] - 3)
+        if k % 4 == 1:                   # tied maxima
+            a[::3] = a.max()
+        elif k % 4 == 2:                 # -inf entries
+            a[1::2] = -np.inf
+        elif k % 4 == 3:                 # many ties
+            a = np.round(a)
+        inputs.append(a)
+    inputs += [np.array(v) for v in (
+        [-np.inf] * 3, [np.inf, 1.0], [np.inf, np.inf], [np.nan, 1.0],
+        [1e308, 1e308], [-np.inf, np.inf], [1e308, -1e308], [0.0],
+        [-800.0, -801.0], [710.0, 709.0])]
+    # equal bits and equal warnings: SciPy silences log(0) where a NaN
+    # maximum has no tied entry, and warns of the overflow of 1e308 - -1e308
+    for a in inputs:
+        got, want = (_with_warnings(f, a) for f in (_logsumexp, logsumexp))
+        assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+        assert got[1] == want[1]
+
+
+def _with_warnings(f, a):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = f(a)
+    return value, [str(w.message) for w in caught]
+
+
 def test_polymer_keeps_the_environments_warnings():
     # the log-sum-exp silences its own invalid-value flag, not the caller's
     with pytest.warns(RuntimeWarning, match="invalid value"):
@@ -556,3 +709,9 @@ def test_polymer_validation():
         polymer_free_energy(1, 5, 0.0)
     with pytest.raises(LatticeError):
         polymer_free_energy(1, 0, 1.0)
+    for n, beta in ((2.5, 1.0), ("5", 1.0), (True, 1.0), (5, "x"), (5, True),
+                    (5, float("nan"))):
+        with pytest.raises(LatticeError):
+            polymer_free_energy(1, n, beta)
+    assert (polymer_free_energy(1, np.int64(5), np.float32(0.5)).log_z
+            == polymer_free_energy(1, 5, float(np.float32(0.5))).log_z)
