@@ -10,12 +10,13 @@ computed exactly from the stencil geometry (stencil_factor).
 Every Simpson node of an edge from h z to h (z + o) is a point of the
 doubled lattice (h/2) Z^d, namely (h/2) 2z, (h/2)(2z + o) and (h/2)(2z + 2o).
 The full weight matrix therefore evaluates the field once on the doubled
-lattice of the graph box, about 2^d times the node count, and assembles every
-offset's weights by integer gathers.  The field evaluates the whole
-doubled lattice in one call; it works through the points in cache-sized
-blocks of its own (see MetricField), so peak memory is the stored samples
-(one speed per point for conformal fields, one d x d metric per point
-otherwise) plus one block.
+lattice of the graph box, about 2^d times the node count, in one call; the
+field works through the points in cache-sized blocks of its own (see
+MetricField).  The samples stay an array over the doubled lattice, and the
+edges along one stencil offset start at the nodes of one sub-box of the
+graph box, so their sources, targets and Simpson nodes are (strided) slices
+of the node and sample arrays.  The weights go straight into the canonical
+CSR matrix (see PassageGraph): no COO triplets, index sort or duplicate sum.
 
 Weights are quantized to a dyadic grid (2^k / 2^24 for a power-of-two scale
 k detected from the field), so every path cost is an exact IEEE-754 sum:
@@ -59,6 +60,8 @@ def stencil_offsets(stencil, dim=2):
     """Directions of the {8, 16, 32} stencil (d = 2) or its d = 3 analogue
     (coprime vectors of Chebyshev radius up to 1, 2 or 3)."""
     rings = {8: 1, 16: 2, 32: 3}
+    if isinstance(stencil, bool) or not isinstance(stencil, (int, np.integer)):
+        raise GraphError(f"stencil must be an integer, not {stencil!r}")
     if stencil not in rings:
         raise GraphError(f"stencil must be one of {sorted(rings)}")
     vecs = [_coprime_ring(r, dim) for r in range(1, rings[stencil] + 1)]
@@ -105,8 +108,8 @@ class BallRaster:
         d = self.inside.shape[1]
         lines = [f"# ball radius: {float(self.t)!r}", f"# clipped: {self.clipped}",
                  ",".join([f"x{i + 1}" for i in range(d)] + ["distance"])]
-        lines += [",".join(repr(float(v)) for v in (*row, dist))
-                  for row, dist in zip(self.inside, self.distances)]
+        rows = np.column_stack([self.inside, self.distances]).tolist()
+        lines += [",".join(map(repr, row)) for row in rows]
         return "\n".join(lines) + "\n"
 
 
@@ -118,6 +121,19 @@ class PassageGraph:
     distance query, single edges via edge_weight) and cached.  Both paths
     sample the field at the same doubled-lattice points and share the speed,
     quadrature and quantization code, so they agree exactly.
+
+    The matrix is assembled in a slot table of n_nodes rows by |stencil|
+    slots, slot j of a row holding the edge along the j-th offset in
+    lexicographic order.  Row-major numbering turns lexicographic order of
+    the in-box targets into ascending column order, so the valid slots of
+    each row, read in order, are its sorted CSR row, whatever the box's
+    width.  (The flat column offsets themselves can tie or reorder when the
+    box is narrower than the stencil's reach; no row has two in-box slots
+    with one column.)  Each edge is weighed once and written to the slot of
+    its offset at the source and of the negated offset at the target.  Peak
+    memory is the samples, plus about 17 bytes per slot: the slot table,
+    its mask and the stored weights, or later the mask, weights, column
+    table and column indices.
     """
 
     def __init__(self, field, region, h, stencil=16):
@@ -127,7 +143,8 @@ class PassageGraph:
         self.region = region
         self.h = float(h)
         self.dim = region.dim
-        self.stencil = int(stencil)
+        self.stencil = stencil
+        self.offsets = stencil_offsets(stencil, self.dim)
         corners = np.array([region.lo, region.hi])
         if not np.all(field.contains(corners)):
             raise GraphError("graph region exceeds the field's valid region")
@@ -135,8 +152,7 @@ class PassageGraph:
         self.z_hi = np.floor(np.asarray(region.hi) / self.h + 1e-9).astype(np.int64)
         self.shape = tuple((self.z_hi - self.z_lo + 1).astype(int))
         self.n_nodes = int(np.prod(self.shape))
-        self.offsets = stencil_offsets(self.stencil, self.dim)
-        self.factor = stencil_factor(self.stencil, self.dim)
+        self.factor = stencil_factor(stencil, self.dim)
         # only a sampled field has the scalar e^{2 phi} path
         self._scalar_speed = isinstance(field, MetricField) and field.conformal
         self._unit = self._weight_unit()
@@ -174,19 +190,18 @@ class PassageGraph:
         p = np.clip(p, self.z_lo.astype(float), self.z_hi.astype(float))
         return np.round(p).astype(np.int64)
 
-    def all_node_positions(self):
-        return grid_points([np.arange(self.z_lo[i], self.z_hi[i] + 1)
-                            for i in range(self.dim)]) * self.h
-
     # -- weights ---------------------------------------------------------------
 
     def _weight_unit(self):
         """Dyadic quantization unit, equivariant under power-of-two scaling
         of the metric."""
-        pts = self.all_node_positions()
-        probe = pts[:: max(1, len(pts) // 512)]
-        g = self.field.values_batch(probe)
-        smax = float(np.sqrt(np.max(np.linalg.eigvalsh(g))))
+        probe = self.index_node(np.arange(0, self.n_nodes,
+                                          max(1, self.n_nodes // 512)))
+        samples = self._samples(2 * probe)
+        if self._scalar_speed:
+            smax = float(np.max(samples))
+        else:
+            smax = float(np.sqrt(np.max(np.linalg.eigvalsh(samples))))
         lmax = float(np.max(np.linalg.norm(self.offsets, axis=1))) * self.h
         scale = 2.0 ** np.floor(np.log2(smax * lmax))
         return scale * 2.0 ** (-_QUANT_BITS)
@@ -203,15 +218,19 @@ class PassageGraph:
     def _offset_weights(self, off, samples, ends):
         """Quantized Simpson lengths of the edges along stencil offset off.
 
-        ends = (i0, im, i1) index the samples at each edge's start, midpoint
-        and end; the speed sqrt(e g e) is formed once per sample.
+        samples holds _samples on some array of points, with the metric's
+        d x d axes last; ends = (i0, im, i1) index that array at each edge's
+        start, midpoint and end.  The speed sqrt(e g e) is formed once per
+        sample.
         """
         ell = np.linalg.norm(off * self.h)
         if self._scalar_speed:
             s = samples
         else:
             e = off * self.h / ell
-            s = np.sqrt(np.einsum("i,bij,j->b", e, samples, e))
+            d = self.dim
+            s = np.sqrt(np.einsum("i,bij,j->b", e, samples.reshape(-1, d, d), e))
+            s = s.reshape(samples.shape[:-2])
         i0, im, i1 = ends
         raw = (ell / 6.0) * (s[i0] + 4.0 * s[im] + s[i1])
         return self._quantize(raw)
@@ -242,30 +261,47 @@ class PassageGraph:
     def _ensure_matrix(self):
         if self._matrix is not None:
             return
-        # one field call over the doubled lattice; the field bounds its own
-        # temporaries by evaluating in blocks
-        shape2 = tuple(2 * s - 1 for s in self.shape)
-        k = np.indices(shape2).reshape(self.dim, -1).T + 2 * self.z_lo
-        samples = self._samples(k)
-        rows, cols, data = [], [], []
-        rel = np.indices(self.shape).reshape(self.dim, -1).T
-        canonical = [o for o in self.offsets if tuple(o) > tuple(-o)]
-        for off in canonical:
-            ok = np.all((rel + off >= 0) & (rel + off < self.shape), axis=1)
-            src_rel = rel[ok]
-            src_idx = np.ravel_multi_index(src_rel.T, self.shape)
-            tgt_idx = np.ravel_multi_index((src_rel + off).T, self.shape)
-            ends = [np.ravel_multi_index((2 * src_rel + j * off).T, shape2)
-                    for j in range(3)]
+        shape, n_nodes = self.shape, self.n_nodes
+        # one field call over the doubled lattice, kept as that lattice's
+        # array; the field bounds its own temporaries by evaluating in blocks
+        shape2 = tuple(2 * n - 1 for n in shape)
+        samples = self._samples(
+            np.indices(shape2).reshape(self.dim, -1).T + 2 * self.z_lo)
+        samples = samples.reshape(shape2 + samples.shape[1:])
+        # slot j of each row holds the edge along offs[j].  Lexicographic
+        # offset order is row-major target order, so a row's in-box slots
+        # come in ascending column order, and -offs[j] is offs[-1 - j].
+        offs = self.offsets[np.lexsort(self.offsets.T[::-1])]
+        n_slots = len(offs)
+        slots = np.zeros(shape + (n_slots,))
+        valid = np.zeros(shape + (n_slots,), dtype=bool)
+        for j in range(n_slots // 2, n_slots):      # the offsets o > -o
+            off = offs[j]
+            # the sources z of edges z -> z + off form a box slice; their
+            # targets, and the Simpson nodes 2 z, 2 z + off and 2 z + 2 off
+            # of the doubled lattice, are that slice shifted (and strided)
+            src = tuple(slice(max(0, -c), n - max(0, c)) for c, n in zip(off, shape))
+            if any(s.start >= s.stop for s in src):
+                continue                # no edge along off fits in the box
+            tgt = tuple(slice(s.start + c, s.stop + c) for s, c in zip(src, off))
+            ends = [tuple(slice(2 * s.start + i * c, 2 * s.stop - 1 + i * c, 2)
+                          for s, c in zip(src, off)) for i in range(3)]
             w = self._offset_weights(off, samples, ends)
-            rows += [src_idx, tgt_idx]
-            cols += [tgt_idx, src_idx]
-            data += [w, w]
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        data = np.concatenate(data)
-        self._matrix = csr_matrix((data, (rows, cols)),
-                                  shape=(self.n_nodes, self.n_nodes))
+            slots[src + (j,)] = w
+            valid[src + (j,)] = True
+            slots[tgt + (n_slots - 1 - j,)] = w
+            valid[tgt + (n_slots - 1 - j,)] = True
+        # the index dtype scipy would pick; building it directly saves a copy
+        index = np.int32 if n_slots * n_nodes < 2 ** 31 else np.int64
+        valid = valid.reshape(n_nodes, n_slots)
+        indptr = np.zeros(n_nodes + 1, dtype=index)
+        np.cumsum(valid.sum(axis=1, dtype=index), out=indptr[1:])
+        data = slots.reshape(n_nodes, n_slots)[valid]
+        del slots                       # before the column table is made
+        strides = np.cumprod((shape[1:] + (1,))[::-1])[::-1]
+        cols = np.arange(n_nodes, dtype=index)[:, None] + (offs @ strides).astype(index)
+        self._matrix = csr_matrix((data, cols[valid], indptr),
+                                  shape=(n_nodes, n_nodes))
 
     # -- queries ---------------------------------------------------------------
 
@@ -383,8 +419,8 @@ class ShapeEstimate:
     def csv_text(self):
         angles, _ = _unit_directions(len(self.mu))
         lines = ["angle,mu,stderr"]
-        lines += [",".join(repr(float(v)) for v in row)
-                  for row in zip(angles, self.mu, self.stderr)]
+        rows = np.column_stack([angles, self.mu, self.stderr]).tolist()
+        lines += [",".join(map(repr, row)) for row in rows]
         return "\n".join(lines) + "\n"
 
 

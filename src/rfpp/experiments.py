@@ -66,8 +66,8 @@ class FrontierScan:
                  "l,r,r_dot,cone_angle,is_frontier,local_norm,density"]
         lines += [f"{float(rec.l)!r},{float(rec.r)!r},{float(rec.r_dot)!r},"
                   f"{float(rec.cone_angle)!r},{int(rec.is_frontier)},"
-                  f"{float(rec.local_norm)!r},{float(dens)!r}"
-                  for rec, dens in zip(self.records, self.density)]
+                  f"{float(rec.local_norm)!r},{dens!r}"
+                  for rec, dens in zip(self.records, self.density.tolist())]
         return "\n".join(lines) + "\n"
 
 

@@ -226,7 +226,7 @@ class GeodesicPath:
                  ",".join(["t"] + [f"x{i + 1}" for i in range(d)]
                           + [f"v{i + 1}" for i in range(d)])]
         rows = np.column_stack([self.times, self.positions, self.velocities])
-        lines += [",".join(repr(float(v)) for v in row) for row in rows]
+        lines += [",".join(map(repr, row)) for row in rows.tolist()]
         return "\n".join(lines) + "\n"
 
 

@@ -227,12 +227,20 @@ def _run_geodesic(config, p):
 
 
 def _run_distance(config, p):
-    from .distance import build_graph, distance, ball
+    from .distance import build_graph, distance, ball, stencil_offsets
     from .fields import Box
-    field = _seed_field(config.seed, p)
     hw = p["graph_half_width"]
-    graph = build_graph(field, Box.cube(hw, 2), p["h"], stencil=p["stencil"])
     target = np.asarray(p["target"])
+    # refused before the field is drawn: a target outside the box would be
+    # clipped to its edge, and a bad stencil would fail after the draw
+    if target.shape != (2,):
+        raise ConfigError(f"target must be a point of the plane, not {p['target']!r}")
+    if not np.all(np.abs(target.astype(float)) <= hw):
+        raise ConfigError(f"target {target.tolist()} lies outside the graph box "
+                          f"[-{hw}, {hw}]^2")
+    stencil_offsets(p["stencil"])
+    field = _seed_field(config.seed, p)
+    graph = build_graph(field, Box.cube(hw, 2), p["h"], stencil=p["stencil"])
     d_hat, witness = distance(graph, np.zeros(2), target)
     raster = ball(graph, hw / 2 if p["ball_radius"] is None else p["ball_radius"])
     return {"distance.json": canonical_json(
@@ -255,7 +263,8 @@ def _shape_replica(args):
 
 
 def _run_shape(config, p):
-    from .distance import ShapeEstimate
+    from .distance import ShapeEstimate, stencil_offsets
+    stencil_offsets(p["stencil"])       # a bad stencil fails before any draw
     seeds = replica_seeds(config.seed, config.replicas)
     rows = _run_replicas(_shape_replica, [(s, p) for s in seeds], config.workers)
     est = ShapeEstimate.from_samples(rows, p["t"])
@@ -308,35 +317,45 @@ def _scan_replica(args):
 
 
 def _run_scan(config, p):
+    from .distance import stencil_offsets
+    stencil_offsets(p["stencil"])       # a bad stencil fails before any draw
     seeds = replica_seeds(config.seed, config.replicas)
     rows = _run_replicas(_scan_replica, [(s, p) for s in seeds], config.workers)
     return {"scan.json": canonical_json({"replicas": rows})}
 
 
 def _run_fpp(config, p):
-    from .lattice import LatticeConfig, fpp_passage, exponent_chi
+    from .lattice import LatticeConfig, fpp_passage
     n = p["n"]
     cfg = LatticeConfig(p["dimension"], n, _law_from_params(p), config.seed)
+    # the estimate first: exponent_chi checks its sizes, replica count and
+    # law before it draws, so a bad one is refused before any replica runs
+    out = _exponent_output("fpp", cfg, p, config.replicas)
     target = np.array([n] + [0] * (cfg.dimension - 1))
     taus = [fpp_passage(cfg, target, replica=r).tau
             for r in range(config.replicas)]
-    out = {"fpp.csv": _replica_csv("tau", taus)}
-    if p["exponents"]:
-        est = exponent_chi("fpp", cfg, tuple(p["sizes"]), replicas=config.replicas)
-        out["fpp-chi.json"] = canonical_json(est.as_dict())
+    out["fpp.csv"] = _replica_csv("tau", taus)
     return out
 
 
 def _run_lpp(config, p):
-    from .lattice import LatticeConfig, lpp_passage, exponent_chi
+    from .lattice import LatticeConfig, lpp_passage
     n = p["n"]
     cfg = LatticeConfig(2, n, _law_from_params(p), config.seed)
+    out = _exponent_output("lpp", cfg, p, config.replicas)
     vals = [lpp_passage(cfg, (n, n), replica=r) for r in range(config.replicas)]
-    out = {"lpp.csv": _replica_csv("last_passage", vals)}
-    if p["exponents"]:
-        est = exponent_chi("lpp", cfg, tuple(p["sizes"]), replicas=config.replicas)
-        out["lpp-chi.json"] = canonical_json(est.as_dict())
+    out["lpp.csv"] = _replica_csv("last_passage", vals)
     return out
+
+
+def _exponent_output(model, cfg, p, replicas):
+    """{"<model>-chi.json": exponent_chi's estimate} when p["exponents"] is
+    set, else {}."""
+    if not p["exponents"]:
+        return {}
+    from .lattice import exponent_chi
+    est = exponent_chi(model, cfg, tuple(p["sizes"]), replicas=replicas)
+    return {f"{model}-chi.json": canonical_json(est.as_dict())}
 
 
 def _run_polymer(config, p):

@@ -509,8 +509,12 @@ def exponent_chi(model, config, sizes, replicas=100):
     """chi_estimate over ``replicas`` passage times at each size."""
     if model not in ("fpp", "lpp"):
         raise LatticeError("model must be fpp or lpp")
-    if len(sizes) < 4:
-        raise LatticeError("need at least 4 sizes")
+    if (len(sizes) < 4
+            or any(isinstance(n, bool) or not isinstance(n, (int, np.integer))
+                   for n in sizes)
+            or sizes[0] < 1 or any(a >= b for a, b in zip(sizes, sizes[1:]))):
+        raise LatticeError(f"sizes must be at least 4 strictly increasing "
+                           f"integers >= 1, not {list(sizes)!r}")
     if replicas < 100:
         raise LatticeError("need at least 100 replicas")
     if not config.law.random:

@@ -278,6 +278,14 @@ WRONG_TYPE = (
                               for k, v in p.items()])
 def test_lattice_parameters_of_the_wrong_type_fail_fast(
         experiment, params, message, tmp_path, capsys, monkeypatch):
+    _assert_refused_before_drawing(experiment, params, message, tmp_path,
+                                   capsys, monkeypatch)
+
+
+def _assert_refused_before_drawing(experiment, params, message, tmp_path,
+                                   capsys, monkeypatch):
+    """The run exits 2 with the one error line, before any rng.uniform or
+    rng.normal call and before making its output directory."""
     draws = []
     for name in ("uniform", "normal"):
         monkeypatch.setattr(rng, name, lambda *key: draws.append(key) or 1 / 0)
@@ -290,6 +298,44 @@ def test_lattice_parameters_of_the_wrong_type_fail_fast(
     assert err == [f"error: {message}"]
     assert draws == []
     assert not out.exists()
+
+
+# values that only the runner can judge, refused before its first draw:
+# a distance target outside the graph box (it was clipped to the box edge),
+# a stencil that is not an integer (16.5 ran as 16) and exponent sizes that
+# are not at least 4 strictly increasing integers >= 1 (4.5 ran at n = 4 but
+# was regressed on as 4.5)
+SIZES = "sizes must be at least 4 strictly increasing integers >= 1, not "
+REFUSED_BEFORE_DRAWING = (
+    ("distance", {"graph_half_width": 3.0},
+     "target [10.0, 0.0] lies outside the graph box [-3.0, 3.0]^2"),
+    ("distance", {"target": [0.0, -4.5], "graph_half_width": 4.0},
+     "target [0.0, -4.5] lies outside the graph box [-4.0, 4.0]^2"),
+    ("distance", {"target": [1.0, 2.0, 3.0]},
+     "target must be a point of the plane, not [1.0, 2.0, 3.0]"),
+    ("distance", {"stencil": 16.5}, "stencil must be an integer, not 16.5"),
+    ("distance", {"stencil": True}, "stencil must be an integer, not True"),
+    ("shape", {"stencil": 32.0}, "stencil must be an integer, not 32.0"),
+    ("scan", {"stencil": 16.5}, "stencil must be an integer, not 16.5"),
+    ("fpp", {"exponents": True, "sizes": [4.5, 6, 8, 10]},
+     SIZES + "[4.5, 6, 8, 10]"),
+    ("lpp", {"exponents": True, "sizes": [4.5, 6, 8, 10]},
+     SIZES + "[4.5, 6, 8, 10]"),
+    ("lpp", {"exponents": True, "sizes": [4, 6, 8]}, SIZES + "[4, 6, 8]"),
+    ("fpp", {"exponents": True, "sizes": [0, 2, 4, 8]}, SIZES + "[0, 2, 4, 8]"),
+    ("lpp", {"exponents": True, "sizes": [4, 4, 6, 8]}, SIZES + "[4, 4, 6, 8]"),
+    ("fpp", {"exponents": True, "sizes": [True, 2, 3, 4]},
+     SIZES + "[True, 2, 3, 4]"),
+)
+
+
+@pytest.mark.parametrize("experiment,params,message", REFUSED_BEFORE_DRAWING,
+                         ids=[f"{e}-{'-'.join(map(str, p.values()))}"
+                              for e, p, _ in REFUSED_BEFORE_DRAWING])
+def test_values_out_of_range_fail_before_drawing(
+        experiment, params, message, tmp_path, capsys, monkeypatch):
+    _assert_refused_before_drawing(experiment, params, message, tmp_path,
+                                   capsys, monkeypatch)
 
 
 def _lattice_replica_values(experiment, seeds, replicas):

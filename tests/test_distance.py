@@ -151,6 +151,112 @@ def test_weight_matrix_golden_digest(name):
     assert _matrix_digest(build_graph(make(), region, h, stencil)) == expected
 
 
+def _coo_reference(g):
+    """The weight matrix as COO triplets, every canonical offset's edges in
+    both directions, converted by scipy (an index sort per row): the
+    assembly that the direct CSR construction replaced."""
+    from scipy.sparse import csr_matrix
+    shape2 = tuple(2 * s - 1 for s in g.shape)
+    samples = g._samples(np.indices(shape2).reshape(g.dim, -1).T + 2 * g.z_lo)
+    rel = np.indices(g.shape).reshape(g.dim, -1).T
+    rows, cols, data = [], [], []
+    for off in g.offsets:
+        if tuple(off) <= tuple(-off):
+            continue
+        src_rel = rel[np.all((rel + off >= 0) & (rel + off < g.shape), axis=1)]
+        src = np.ravel_multi_index(src_rel.T, g.shape)
+        tgt = np.ravel_multi_index((src_rel + off).T, g.shape)
+        ends = [np.ravel_multi_index((2 * src_rel + j * off).T, shape2)
+                for j in range(3)]
+        w = g._offset_weights(off, samples, ends)
+        rows += [src, tgt]
+        cols += [tgt, src]
+        data += [w, w]
+    return csr_matrix((np.concatenate(data),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(g.n_nodes, g.n_nodes))
+
+
+def _csr_field(kind, dim):
+    if kind == "analytic":
+        return SpherePatchField(radius=2.0, dim=dim)
+    return MetricField(kind, seed=5, region=Box.cube(2.0, dim),
+                       kernel=KernelSpec(range=1.0, amplitude=0.3))
+
+
+# graph boxes at h = 0.25 in d = 2: 9 x 9 nodes, boxes narrower than the
+# stencil's reach along the slow and the fast axis (2 x 9 and 9 x 2; on the
+# latter the flat column offsets tie or reorder: (0, 1) and (1, -1) are both
+# +1), one row (1 x 9), one column (9 x 1) and a single node
+CSR_BOXES = {
+    "square": ((-1.0, -1.0), (1.0, 1.0)),
+    "narrow_first": ((0.0, -1.0), (0.25, 1.0)),
+    "narrow_last": ((-1.0, 0.0), (1.0, 0.25)),
+    "one_row": ((0.0, -1.0), (0.1, 1.0)),
+    "one_column": ((-1.0, 0.0), (1.0, 0.1)),
+    "single_node": ((0.0, 0.0), (0.1, 0.1)),
+}
+
+
+# every box on the sampled conformal field; the other fields, whose weights
+# take the metric-matrix and the closed-form paths, on two of them
+CSR_CASES = [(box, dim, stencil, kind)
+             for kind, boxes in (("conformal", sorted(CSR_BOXES)),
+                                 ("sym_exp", ["square", "narrow_last"]),
+                                 ("analytic", ["square", "narrow_last"]))
+             for box in boxes for dim in (2, 3) for stencil in (8, 16, 32)]
+
+
+@pytest.mark.parametrize("box,dim,stencil,kind", CSR_CASES,
+                         ids=["-".join(map(str, case)) for case in CSR_CASES])
+def test_direct_csr_equals_the_coo_assembly(box, dim, stencil, kind):
+    lo, hi = CSR_BOXES[box]
+    # in d = 3 the middle axis spans the square's extent
+    if dim == 3:
+        lo, hi = (lo[0], -1.0, lo[1]), (hi[0], 1.0, hi[1])
+    g = build_graph(_csr_field(kind, dim), Box(lo, hi), 0.25, stencil)
+    g._ensure_matrix()
+    ref = _coo_reference(g)
+    assert g._matrix.shape == ref.shape
+    for name in ("data", "indices", "indptr"):
+        got, want = getattr(g._matrix, name), getattr(ref, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+    # every in-box stencil neighbour is stored
+    assert g._matrix.nnz == sum(int(np.prod(np.maximum(np.asarray(g.shape)
+                                                       - np.abs(o), 0)))
+                                for o in g.offsets)
+
+
+def test_assembly_peak_memory_is_a_few_bytes_per_slot():
+    # 81 x 81 nodes, 32 slots each: the slot table and its mask (9 bytes a
+    # slot), the column table (4 bytes a slot), the stored weights
+    # (8 bytes an entry) and the doubled-lattice speeds (8 bytes a point),
+    # plus 1 MiB for the field's evaluation blocks.  The COO assembly
+    # peaked at about 48 bytes a slot, 2.6 times this bound.
+    import tracemalloc
+    g = build_graph(conformal(3, half_width=11.0), Box.cube(10.0, 2), 0.25, 32)
+    slots = g.n_nodes * len(g.offsets)
+    points = int(np.prod([2 * n - 1 for n in g.shape]))
+    tracemalloc.start()
+    try:
+        g._ensure_matrix()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 13 * slots + 8 * g._matrix.nnz + 8 * points + 2 ** 20
+
+
+@pytest.mark.parametrize("stencil", [16.5, 16.0, True, "16", None])
+def test_stencil_that_is_not_an_integer_is_refused(stencil):
+    with pytest.raises(GraphError, match="stencil must be an integer"):
+        build_graph(FLAT, Box.cube(1.0, 2), 0.25, stencil)
+    with pytest.raises(GraphError, match="stencil must be an integer"):
+        stencil_offsets(stencil)
+    assert build_graph(FLAT, Box.cube(1.0, 2), 0.25, np.int64(16)).factor \
+        == stencil_factor(16)
+
+
 def test_random_edge_weight_vs_fine_quadrature():
     field = conformal(5, half_width=5.0)
     g = build_graph(field, Box.cube(3.0, 2), 0.25, 16)

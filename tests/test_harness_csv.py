@@ -117,6 +117,54 @@ def test_writer_cells_are_plain_numbers():
                 float(cell)
 
 
+# cells whose text a writer must not change: signed zero, nan, both
+# infinities, subnormals, extremes and values repr shortens
+SPECIAL = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 2.5e-310, 1e300,
+                    -1e300, 0.1, 1.0 / 3.0])
+
+
+def _cell_by_cell(rows):
+    """Rows formatted one numpy scalar at a time, repr(float(v)) per cell."""
+    return [",".join(repr(float(v)) for v in row) for row in rows]
+
+
+def test_writers_format_special_values_cell_for_cell():
+    from rfpp.distance import BallRaster, _unit_directions
+    from rfpp.experiments import FrontierRecord, FrontierScan
+    from rfpp.geometry import GeodesicPath
+    v = SPECIAL
+    cols = [np.roll(v, k) for k in range(4)]
+    times = np.array([-0.0, 5e-324, 2.5e-310, 0.1, 1.0 / 3.0, 1.0, 2.0, 3.0,
+                      4.0, 1e300])
+    path = GeodesicPath(times=times, positions=np.column_stack(cols[:2]),
+                        velocities=np.column_stack(cols[2:]),
+                        parametrization="euclidean", step=0.5)
+    raster = BallRaster(t=1.0, inside=np.column_stack(cols[:2]),
+                        boundary=np.zeros((0, 2)), distances=cols[2])
+    shape = ShapeEstimate(mu=cols[0], stderr=cols[1], anisotropy_ratio=1.0,
+                          t=1.0, replicas=2)
+    records = [FrontierRecord(l=a, r=b, r_dot=c, cone_angle=d,
+                              is_frontier=bool(i % 2), local_norm=a)
+               for i, (a, b, c, d) in enumerate(zip(*cols))]
+    scan = FrontierScan(records=records, intervals=[], beta=0.5, density=cols[3])
+    expected = {
+        "GeodesicPath": _cell_by_cell(np.column_stack([times, *cols])),
+        "BallRaster": _cell_by_cell(zip(*cols[:3])),
+        "ShapeEstimate": _cell_by_cell(zip(_unit_directions(len(v))[0], *cols[:2])),
+        "FrontierScan": [
+            ",".join(_cell_by_cell([rec[:4]]) + [str(i % 2)]
+                     + _cell_by_cell([(rec[0], rec[3])]))
+            for i, rec in enumerate(zip(*cols))]}
+    for name, obj in (("GeodesicPath", path), ("BallRaster", raster),
+                      ("ShapeEstimate", shape), ("FrontierScan", scan)):
+        rows = [ln for ln in obj.csv_text().splitlines()
+                if not ln.startswith("#")][1:]
+        assert rows == expected[name], name
+    text = path.csv_text()
+    for cell in ("-0.0", "nan", "inf", "-inf", "5e-324", "2.5e-310", "1e+300"):
+        assert cell in text.replace("\n", ",").split(",")
+
+
 def test_fpp_in_three_dimensions(tmp_path):
     out = str(tmp_path / "fpp")
     manifest = run(ExperimentConfig("fpp", {"dimension": 3, "n": 3}, seed=3,
