@@ -13,6 +13,14 @@ Coefficients are keyed by (seed, integer node coordinates, channel), so the
 same seed reproduces the same field on any region and the law is invariant
 under lattice translations.
 
+A point x in lattice cell c = floor(x / spacing) sums over the K =
+(2 reach)^d nodes c + j, j in -reach + 1 .. reach on every axis, reach =
+ceil(range / spacing): 64 nodes in 2-D and 512 in 3-D at the default
+spacing range / 4.  The line j = -reach is left out because it never
+carries weight: every node on it lies at least reach * spacing >= range from
+x, where k vanishes.  N0 is taken over the full symmetric (2 reach + 1)^d
+grid of offsets.
+
 Three constructions map G to a metric:
 
     conformal   g = e^{2 phi} I          phi scalar, always SPD (default)
@@ -284,11 +292,13 @@ def sample_noise(seed, region, spacing, channels, margin=None):
 _MODES = ("conformal", "sym_shift", "sym_exp")
 
 # support-entry products per block of a field evaluation: a batch is summed
-# in blocks of _FIELD_BLOCK // (K d^order) points, K the support nodes of a
-# point, so each (B, K, d^order) temporary of a block holds at most
-# _FIELD_BLOCK doubles (256 KiB): few enough to stay in cache and for malloc
-# to reuse, where larger ones are mapped and faulted in afresh every block
-# (2^16 took twice as long at order 0)
+# in blocks of _FIELD_BLOCK // (K d^order) points, K = (2 reach)^d the
+# support nodes of a point, so each (B, K, d^order) temporary of a block
+# holds at most _FIELD_BLOCK doubles (256 KiB): few enough to stay in cache
+# and for malloc to reuse, where larger ones are mapped and faulted in afresh
+# every block (2^16 took twice as long at order 0).  At the default spacing
+# (K = 64 in 2-D, 512 in 3-D) a block holds 512, 256 and 128 points at
+# orders 0, 1 and 2 in 2-D, and 64, 21 and 7 in 3-D
 _FIELD_BLOCK = 2 ** 15
 
 # symmetric-matrix channel layout: diagonal entries first, then upper pairs;
@@ -330,8 +340,9 @@ class MetricField(Field):
     Immutable after construction; evaluation is pure and thread-safe.
 
     Every batch method evaluates its points in blocks of a fixed number of
-    support-entry products, _FIELD_BLOCK // (K d^order) points for the K
-    support nodes of a point at derivative order 0, 1 or 2, and writes
+    support-entry products, _FIELD_BLOCK // (K d^order) points for the K =
+    (2 reach)^d support nodes of a point (the module docstring says why the
+    line -reach is left out) at derivative order 0, 1 or 2, and writes
     each block's results into the output arrays; a batch of at most one
     block is one pass.  So no per-point temporary exceeds one block,
     whatever the batch size, and callers pass whole batches.  Each row is
@@ -359,15 +370,21 @@ class MetricField(Field):
         channels = 1 if mode == "conformal" else sym_channel_count(self.dim)
         self.noise = sample_noise(self.seed, region, self.spacing, channels,
                                   margin=kernel.range)
-        # support geometry, fixed for the field's lifetime: the 2 reach + 1
-        # node offsets along one axis, the (2 reach + 1)^d offsets around a
-        # cell (their mesh, first axis slowest), the index spreading a row
-        # (m, d) of a per-axis table over the mesh, their offsets in the flat
-        # (C-order) noise index, and the flat coefficient view they index
+        # support geometry, fixed for the field's lifetime: the 2 reach node
+        # offsets -reach + 1 .. reach along one axis, the (2 reach)^d offsets
+        # around a cell (their mesh, first axis slowest), the index spreading
+        # a row (m, d) of a per-axis table over the mesh, their offsets in
+        # the flat (C-order) noise index, and the flat coefficient view they
+        # index.  The line -reach is left out: a point X of cell c = floor(X
+        # / h) lies at least reach h >= range from it along that axis, so
+        # u >= 1 at every node on it and psi, psi', psi'' are +0.0 there.
+        # Where X / h rounds up onto an integer, u can fall an ulp short of
+        # 1; 1 - u is then below _GAP_FLOOR, so psi and psi'' are still +0.0
+        # and psi' is -0.0, which adds nothing to a sum
         self._reach = int(np.ceil(kernel.range / self.spacing))
-        self._line = np.arange(-self._reach, self._reach + 1)         # (m,)
+        self._line = np.arange(-self._reach + 1, self._reach + 1)     # (m,)
         offs = grid_points([self._line] * self.dim)                  # (K, d)
-        self._spread = ((offs + self._reach) * self.dim
+        self._spread = ((offs - self._line[0]) * self.dim
                         + np.arange(self.dim)).ravel()               # (K d,)
         index_lo = np.asarray(self.noise.index_lo, dtype=np.int64)
         counts = np.asarray(self.noise.node_counts, dtype=np.int64)
@@ -375,7 +392,10 @@ class MetricField(Field):
         # flat index of support node k of cell z: z @ strides + _flat_offs[k]
         self._flat_offs = (offs - index_lo) @ self._strides          # (K,)
         self._flat_coeff = self.noise.coefficients.reshape(-1, channels)
-        self._norm = self._node_normalizer(offs)
+        # N0 over the full symmetric (2 reach + 1)^d node grid, so the
+        # field's scale does not depend on which lines a support holds
+        full = np.arange(-self._reach, self._reach + 1)
+        self._norm = self._node_normalizer(grid_points([full] * self.dim))
         # points per evaluation block at orders 0, 1 and 2
         self._steps = tuple(max(1, _FIELD_BLOCK // (len(offs) * self.dim ** k))
                             for k in range(3))
@@ -403,10 +423,12 @@ class MetricField(Field):
         """Per-axis displacements to, and coefficients of, every support node.
 
         Returns (dx1 (B,m,d), coeff (B,K,ch)) for the K = m^d nodes, m =
-        2 reach + 1, whose kernel support can reach each point.  The support
-        of a point is the mesh of m node lines per axis, so its displacements
-        are a per-axis table: dx1[b, j, i] = X[b, i] - (cell[b, i] + j -
-        reach) h, with the integer add, the multiply and the subtract a full
+        2 reach, whose kernel support can reach each point: the node lines
+        -reach + 1 .. reach about the point's cell (the line -reach lies at
+        least range away, so it carries no weight).  The support of a point
+        is the mesh of m node lines per axis, so its displacements are a
+        per-axis table: dx1[b, j, i] = X[b, i] - (cell[b, i] + j - reach +
+        1) h, with the integer add, the multiply and the subtract a full
         (B,K,d) displacement tensor would apply to that entry.  Node k of
         coeff's K axis is the mesh point (j_0, ..., j_{d-1}), first axis
         slowest.  A point outside the region raises RegionError, tested on
@@ -529,11 +551,12 @@ def _kernel_sums(kernel, norm, dx1, spread, coeff, order=2):
     order 1 and (G, dG, d2G (B,d,d,ch)) at order 2.
 
     The displacements come as the per-axis table dx1 (B,m,d) of _gather and
-    coeff (B,K,ch) holds the K = m^d mesh nodes, first axis slowest.  No
-    (B,K,d) displacement tensor is built: u = |dx|^2 / range^2 is the outer
-    sum of the squared per-axis displacements, added in the order
-    einsum("bi,bi->b") adds a row of up to seven terms (two lanes, even
-    axes and odd axes, then their sum): x0^2 + x1^2 in 2-D and
+    coeff (B,K,ch) holds the K = m^d mesh nodes, m = 2 reach (the lines
+    -reach + 1 .. reach; the line -reach carries no weight), first axis
+    slowest.  No (B,K,d) displacement tensor is built: u = |dx|^2 /
+    range^2 is the outer sum of the squared per-axis displacements, added
+    in the order einsum("bi,bi->b") adds a row of up to seven terms (two
+    lanes, even axes and odd axes, then their sum): x0^2 + x1^2 in 2-D and
     (x0^2 + x2^2) + x1^2 in 3-D, so every u keeps the bits of the einsum
     over the full tensor.  From order 1 on, the factor du/dx = 2 dx /
     range^2 is computed per axis and spread over the mesh by ``spread``,

@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import os
 import tempfile
 import time
@@ -187,6 +188,36 @@ def _seed_field(seed, p):
     return field
 
 
+def _finite_real(value):
+    """Whether value is a finite real number; a bool is none here."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _check_positive(name, value):
+    if not (_finite_real(value) and value > 0):
+        raise ConfigError(f"{name} must be a finite real number > 0, "
+                          f"not {value!r}")
+
+
+def _check_point(name, value):
+    """ConfigError unless value is a point of the plane: two finite reals."""
+    try:
+        ok = len(value) == 2 and all(map(_finite_real, value))
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ConfigError(f"{name} must be a point of the plane, not {value!r}")
+
+
+def _check_graph_box(what, graph_hw, field_hw):
+    """Refuse a graph box [-graph_hw, graph_hw]^2 that the field to be drawn,
+    on [-field_hw, field_hw]^2, does not cover; ``what`` names graph_hw."""
+    if graph_hw > field_hw:
+        raise ConfigError(f"{what} = {graph_hw:g} exceeds the field's "
+                          f"half_width {field_hw:g}")
+
+
 def _field_check_replica(args):
     seed, params = args
     from .fields import Box, check_spd_on_region, eigen_bounds
@@ -210,6 +241,16 @@ def _run_field_check(config, p):
 
 def _run_geodesic(config, p):
     from .geometry import geodesic_shoot, jacobi_integrate, lengths
+    # refused before the field is drawn
+    _check_positive("T", p["T"])
+    _check_positive("step", p["step"])
+    _check_point("x0", p["x0"])
+    _check_point("v0", p["v0"])
+    if not isinstance(p["jacobi"], bool):
+        raise ConfigError(f"jacobi must be a bool, not {p['jacobi']!r}")
+    if p["parametrization"] not in ("riemannian", "euclidean"):
+        raise ConfigError("parametrization must be 'riemannian' or "
+                          f"'euclidean', not {p['parametrization']!r}")
     field = _seed_field(config.seed, p)
     path = geodesic_shoot(field, p["x0"], np.asarray(p["v0"]), T=p["T"],
                           step=p["step"], parametrization=p["parametrization"])
@@ -230,15 +271,17 @@ def _run_distance(config, p):
     from .distance import build_graph, distance, ball, stencil_offsets
     from .fields import Box
     hw = p["graph_half_width"]
-    target = np.asarray(p["target"])
     # refused before the field is drawn: a target outside the box would be
-    # clipped to its edge, and a bad stencil would fail after the draw
-    if target.shape != (2,):
-        raise ConfigError(f"target must be a point of the plane, not {p['target']!r}")
-    if not np.all(np.abs(target.astype(float)) <= hw):
+    # clipped to its edge, and a bad stencil or a box outside the field
+    # would fail after the draw
+    _check_point("target", p["target"])
+    target = np.asarray(p["target"])
+    if not np.all(np.abs(target) <= hw):
         raise ConfigError(f"target {target.tolist()} lies outside the graph box "
                           f"[-{hw}, {hw}]^2")
     stencil_offsets(p["stencil"])
+    if not p["load_field"]:
+        _check_graph_box("graph_half_width", hw, p["half_width"])
     field = _seed_field(config.seed, p)
     graph = build_graph(field, Box.cube(hw, 2), p["h"], stencil=p["stencil"])
     d_hat, witness = distance(graph, np.zeros(2), target)
@@ -264,7 +307,11 @@ def _shape_replica(args):
 
 def _run_shape(config, p):
     from .distance import ShapeEstimate, stencil_offsets
-    stencil_offsets(p["stencil"])       # a bad stencil fails before any draw
+    # a bad stencil or a graph box outside the field fails before any draw
+    stencil_offsets(p["stencil"])
+    if p["half_width"] is not None:
+        _check_graph_box("graph half-width t + 2", p["t"] + 2.0,
+                         p["half_width"])
     seeds = replica_seeds(config.seed, config.replicas)
     rows = _run_replicas(_shape_replica, [(s, p) for s in seeds], config.workers)
     est = ShapeEstimate.from_samples(rows, p["t"])
@@ -277,6 +324,10 @@ def _run_shape(config, p):
 def _run_frontier(config, p):
     from .experiments import frontier_scan
     from .geometry import geodesic_shoot
+    # refused before the field is drawn
+    _check_positive("T", p["T"])
+    _check_positive("step", p["step"])
+    _check_point("v0", p["v0"])
     field = _seed_field(config.seed, p)
     path = geodesic_shoot(field, (1e-9, 0.0), np.asarray(p["v0"]), T=p["T"],
                           step=p["step"], parametrization="euclidean")
@@ -318,7 +369,11 @@ def _scan_replica(args):
 
 def _run_scan(config, p):
     from .distance import stencil_offsets
-    stencil_offsets(p["stencil"])       # a bad stencil fails before any draw
+    # a bad stencil or a graph box outside the field fails before any draw
+    stencil_offsets(p["stencil"])
+    if p["half_width"] is not None:
+        _check_graph_box("graph half-width 1.1 max(radii) + 2",
+                         max(p["radii"]) * 1.1 + 2.0, p["half_width"])
     seeds = replica_seeds(config.seed, config.replicas)
     rows = _run_replicas(_scan_replica, [(s, p) for s in seeds], config.workers)
     return {"scan.json": canonical_json({"replicas": rows})}

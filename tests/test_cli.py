@@ -302,9 +302,12 @@ def _assert_refused_before_drawing(experiment, params, message, tmp_path,
 
 # values that only the runner can judge, refused before its first draw:
 # a distance target outside the graph box (it was clipped to the box edge),
-# a stencil that is not an integer (16.5 ran as 16) and exponent sizes that
+# a stencil that is not an integer (16.5 ran as 16), exponent sizes that
 # are not at least 4 strictly increasing integers >= 1 (4.5 ran at n = 4 but
-# was regressed on as 4.5)
+# was regressed on as 4.5), a graph box larger than the field's region (it
+# failed after the draw), and geodesic and frontier values of the wrong kind
+# ("T": "5" died in the shot, "jacobi": "no" integrated Jacobi fields and
+# "T": true ran T = 1)
 SIZES = "sizes must be at least 4 strictly increasing integers >= 1, not "
 REFUSED_BEFORE_DRAWING = (
     ("distance", {"graph_half_width": 3.0},
@@ -326,6 +329,28 @@ REFUSED_BEFORE_DRAWING = (
     ("lpp", {"exponents": True, "sizes": [4, 4, 6, 8]}, SIZES + "[4, 4, 6, 8]"),
     ("fpp", {"exponents": True, "sizes": [True, 2, 3, 4]},
      SIZES + "[True, 2, 3, 4]"),
+    ("distance", {"graph_half_width": 20.0, "target": [1.0, 0.0]},
+     "graph_half_width = 20 exceeds the field's half_width 16"),
+    ("shape", {"t": 20.0, "half_width": 10.0},
+     "graph half-width t + 2 = 22 exceeds the field's half_width 10"),
+    ("scan", {"radii": [5.0, 20.0], "half_width": 20.0},
+     "graph half-width 1.1 max(radii) + 2 = 24 exceeds the field's "
+     "half_width 20"),
+    ("geodesic", {"T": "5"}, "T must be a finite real number > 0, not '5'"),
+    ("geodesic", {"T": -1.0}, "T must be a finite real number > 0, not -1.0"),
+    ("geodesic", {"step": True},
+     "step must be a finite real number > 0, not True"),
+    ("geodesic", {"jacobi": "no"}, "jacobi must be a bool, not 'no'"),
+    ("geodesic", {"parametrization": "arc"},
+     "parametrization must be 'riemannian' or 'euclidean', not 'arc'"),
+    ("geodesic", {"x0": [0.0]}, "x0 must be a point of the plane, not [0.0]"),
+    ("geodesic", {"v0": ["1", 0]},
+     "v0 must be a point of the plane, not ['1', 0]"),
+    ("frontier", {"T": True}, "T must be a finite real number > 0, not True"),
+    ("frontier", {"step": "x"},
+     "step must be a finite real number > 0, not 'x'"),
+    ("frontier", {"v0": [1.0, 0.0, 0.0]},
+     "v0 must be a point of the plane, not [1.0, 0.0, 0.0]"),
 )
 
 

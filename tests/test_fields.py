@@ -11,7 +11,7 @@ from rfpp.experiments import BumpSpec, PerturbedConformalField, make_bump
 from rfpp.fields import (_FIELD_BLOCK, Box, ConstantMetric, FieldError,
                          FieldStack, FlatMetric, HyperbolicDiskField, KernelSpec,
                          MetricField, RegionError, SpherePatchField, check_spd_on_region, eigen_bounds,
-                         load_field, sample_noise, save_field)
+                         grid_points, load_field, sample_noise, save_field)
 
 BOX = Box.cube(6.0, 2)
 KERN = KernelSpec(range=1.0, amplitude=0.3)
@@ -210,6 +210,75 @@ def test_radial_has_the_bits_of_the_closed_form_on_the_support():
             assert a.tobytes() == b.tobytes()
 
 
+def _boundary_points(spacing, dim):
+    """Points whose coordinates are noise-lattice coordinates z * spacing,
+    |z| <= 8, or 1 to 3 ulps below or above one: 600 with every coordinate
+    drawn from those values, then, along each axis, every value with the
+    other coordinates 0 (where u at a node off that axis alone can fall
+    short of its bound)."""
+    base = np.arange(-8, 9) * spacing
+    values, lo, hi = [base], base, base
+    for _ in range(3):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        values += [lo, hi]
+    values = np.concatenate(values)
+    pick = rng.uniform(240, dim, np.arange(600 * dim)) * len(values)
+    lines = np.zeros((dim, len(values), dim))
+    for i in range(dim):
+        lines[i, :, i] = values
+    return np.vstack([values[pick.astype(np.int64)].reshape(600, dim),
+                      lines.reshape(-1, dim)])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("range_,spacing,ulp_short", [
+    (1.0, 0.25, False), (1.0, 0.3, False), (1.0, 0.4, False),
+    (0.6, 0.2, True)])
+def test_dropped_support_line_carries_no_weight(range_, spacing, ulp_short,
+                                                dim):
+    # a support holds the lines -reach + 1 .. reach; the nodes of the full
+    # (2 reach + 1)^d mesh it leaves out (the line -reach on some axis) lie
+    # at least range from every point of the cell, at range / spacing an
+    # integer (4) or not (3.33, 2.5), for points on cell boundaries and a
+    # few ulps to either side.  psi, psi' and psi'' are +0.0 there at every
+    # order, except that psi' is -0.0, as the closed form has it, where u
+    # falls an ulp short of 1 because 0.6 / 0.2 = 3 with 0.2 not dyadic;
+    # a zero of either sign adds nothing to a sum
+    kernel = KernelSpec(range=range_)
+    field = MetricField("conformal", seed=5, region=Box.cube(2.0, dim),
+                        kernel=kernel, spacing=spacing)
+    reach = field._reach
+    assert field._line.tolist() == list(range(-reach + 1, reach + 1))
+    full = grid_points([np.arange(-reach, reach + 1)] * dim)
+    dropped = full[(full == -reach).any(axis=1)]
+    assert (len(full) - len(dropped) == len(field._flat_offs)
+            == (2 * reach) ** dim)
+    X = _boundary_points(spacing, dim)
+    cell = np.floor(X / spacing).astype(np.int64)
+    dx = X[:, None, :] - (cell[:, None, :] + dropped) * spacing
+    u = np.einsum("bki,bki->bk", dx, dx) / range_ ** 2
+    zero = np.zeros_like(u).tobytes()
+    assert kernel.radial(u, 0).tobytes() == zero
+    for psi, psi1, psi2 in (kernel.radial(u, 1), kernel.radial(u, 2)):
+        assert psi.tobytes() == zero
+        assert psi2 is None or psi2.tobytes() == zero
+        if ulp_short:
+            assert np.all(psi1 == 0.0) and np.any(np.signbit(psi1))
+        else:
+            assert psi1.tobytes() == zero
+
+
+@pytest.mark.parametrize("dim,nodes,steps", [(2, 64, (512, 256, 128)),
+                                             (3, 512, (64, 21, 7))])
+def test_support_size_and_block_points(dim, nodes, steps):
+    # at the default spacing range / 4 a support holds (2 * 4)^d nodes, and
+    # a block _FIELD_BLOCK // (K d^order) points at orders 0, 1 and 2
+    field = MetricField("conformal", seed=5, region=Box.cube(2.0, dim),
+                        kernel=KERN)
+    assert len(field._flat_offs) == nodes
+    assert field._steps == steps
+
+
 def test_lattice_stationarity():
     # single-point moments agree at lattice-translated points across seeds
     shift = np.array([0.25 * 3, 0.25 * 5])     # a noise-lattice vector
@@ -290,11 +359,16 @@ def test_field_stack_matches_single_fields():
         assert sh[i].tobytes() == h[0].tobytes()
 
 
-def _evaluation_digests(field, pts):
+def _evaluation_digests(field, pts, split=False):
     """sha256 of evaluate_batch (orders 1 and 2) and values_batch, and of the
     conformal entry points (conformal_exponent_batch at orders 1 and 2, then
     conformal_factor_batch where the field has it; None for tensor fields).
-    Every order-1 call must return None for the Hessian it skips."""
+    Every order-1 call must return None for the Hessian it skips.  With
+    ``split`` (conformal fields) the pair is (value, derivative) instead:
+    the digest of every array that reads phi's value (the evaluate_batch
+    and values_batch arrays, phi at orders 1 and 2, then
+    conformal_factor_batch where the field has it), then of dphi at orders
+    1 and 2 and d2phi."""
     def digest(arrays):
         h = hashlib.sha256()
         for a in arrays:
@@ -312,6 +386,10 @@ def _evaluation_digests(field, pts):
     conformal = orders(field.conformal_exponent_batch)
     if hasattr(field, "conformal_factor_batch"):
         conformal.append(field.conformal_factor_batch(pts))
+    if split:
+        phi1, dphi1, phi2, dphi2, d2phi2, *factor = conformal
+        return (digest(evaluation + [phi1, phi2] + factor),
+                digest([dphi1, dphi2, d2phi2]))
     return digest(evaluation), digest(conformal)
 
 
@@ -324,14 +402,23 @@ def _bump(base):
 # [-w, w]^dim (the hyperbolic points stay inside its patch), computed on
 # earlier implementations of the support gather, kernel sums and mode maps
 # (numpy 2.4.6, x86-64); any rewrite of them must reproduce every bit.  The
-# flat, bump and perturbed digests were computed when
-# FlatMetric was a constant tensor field and bump exponents were assembled
-# outside fields.py, always at order 2
+# flat and bump_flat digests were computed when FlatMetric was a constant
+# tensor field and bump exponents were assembled outside fields.py, always
+# at order 2.
+#
+# The entries of SPLIT_DIGESTS, whose phi is a sampled kernel sum, hold
+# (value, derivative) digests instead.  The last bits of phi, and of every
+# array that reads it, depend on how the one-channel einsum over the support
+# groups its sums, which the support's length decides; dphi and d2phi do
+# not read phi, except where the bump's blend reads its base's phi, so the
+# derivative digests of conformal, conformal_3d and stack hold across a
+# change of the support's length and those of bump_conformal and perturbed
+# do not
 GOLDEN_EVALUATIONS = {
     "conformal": (
         lambda: conformal(21), 2, 2.0,
-        "f4729b9ad80d40ba54532d60ae3f7bc15f2e0f8a28ed6fe5e19d9f13487dde35",
-        "b6d1f6c974ef2296d65622f23422ea394e02d731c47b441af4a5a87f83fb7444"),
+        "72b974fb063eb7943bfad970451056cd3d9a1e46a552aaf5478aa4102dc1fe86",
+        "585a2410b73cd9cb88fd7cda9b510e0d134138f75a7feabf84250a5d5a43db8c"),
     "sym_shift": (
         lambda: MetricField("sym_shift", seed=21, region=BOX, kernel=KERN,
                             shift=2.0), 2, 2.0,
@@ -343,13 +430,13 @@ GOLDEN_EVALUATIONS = {
         None),
     "stack": (
         lambda: FieldStack([conformal(s) for s in (21, 22)]), 2, 2.0,
-        "28b0bd51b989c5643e6ef622c32f1080534c3d32a7475316353d06525844805f",
-        "d61dd6e49b938c2f268cea244a7a846325318ed72940719613df64ccee07941f"),
+        "a21b7bd4b192e3e4882ddcb038142be8b83eb7df1b9fbbe951a30068c3d0c8b8",
+        "285725044db28e7d1c27ce82d711994f123a3c2168b3cefa6dd8918092bb52c6"),
     "conformal_3d": (
         lambda: MetricField("conformal", seed=21, region=Box.cube(3.0, 3),
                             kernel=KERN), 3, 2.0,
-        "15239dbbe55382dbd79c1707765d730900eec19dd5065745ed5c878c806cf26a",
-        "66ae11d1938b5cd7cbf27a82fc2beac2a14b7c5090bd792846ecec0431850a69"),
+        "df16f76506015e68fb88e0e0fac81905f74f7db7f84a627f9021e98ff147cd36",
+        "b65ff4d7b53a9374d99ce703a951bf0594096b5a0bf621156f5b967a427c7a08"),
     "sym_exp_3d": (
         lambda: MetricField("sym_exp", seed=21, region=Box.cube(3.0, 3),
                             kernel=KERN), 3, 2.0,
@@ -374,8 +461,8 @@ GOLDEN_EVALUATIONS = {
         "a11937f356a9b0ba592c82f5290bac8016cb33a3f9bc68d3490147c158ebb10d"),
     "bump_conformal": (
         lambda: _bump(conformal(21)), 2, 2.0,
-        "99045b6857f2fbeabca15b8815ccbaa656e53d6560430aaed1d6a7e4799b406f",
-        "0dde7999641272991562c954d16c4af61d013709d1102a5ff9b8105fbebd4a02"),
+        "9f72b1f0ec22c1605bc7fee13a52f568b0d7ba38a46378092f427bff994a9a8b",
+        "1da746308d02b96e7230545b8f67df8901efa54c52eb2b5e1630ba5498dd65c5"),
     "bump_flat": (
         lambda: _bump(FlatMetric(2)), 2, 2.0,
         "a9ff5b291e64b77f460f0112cb8a8643fef8e27b4f86282e2a5ef458c94c8e19",
@@ -383,16 +470,20 @@ GOLDEN_EVALUATIONS = {
     "perturbed": (
         lambda: PerturbedConformalField(_bump(conformal(21)), conformal(22),
                                         0.05), 2, 2.0,
-        "b95941f4bbfe57faac016b8b0187caa3d752fd0f7eb6a77276e28102240ddbee",
-        "759727a0574589a161e8f4abcba59f664d88c2a9b473df0e0693d2adb33308ed"),
+        "3ee17517c523b6a169d6786a0b3d17e4d89c1602421bad60e6cd325cb3aba78f",
+        "1c6a03d5c0516c16e72ea0c9c9a7fe905f704a47bb36f8d3b93fe685444d3bc4"),
 }
+
+SPLIT_DIGESTS = {"conformal", "conformal_3d", "stack", "bump_conformal",
+                 "perturbed"}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_EVALUATIONS))
 def test_evaluation_golden_digest(name):
-    make, dim, w, evaluation, conformal_ = GOLDEN_EVALUATIONS[name]
+    make, dim, w, first, second = GOLDEN_EVALUATIONS[name]
     pts = 2.0 * w * rng.uniform(210, np.arange(64 * dim)).reshape(64, dim) - w
-    assert _evaluation_digests(make(), pts) == (evaluation, conformal_)
+    assert _evaluation_digests(make(), pts, name in SPLIT_DIGESTS) == (
+        first, second)
 
 
 def _batch_methods(field):

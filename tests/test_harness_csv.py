@@ -33,13 +33,13 @@ GOLDEN = {
         "ball.csv": "adeb50b51e6b35bacb41cd12d5a7cffefd0d29bd6ccf6636c0c2561fe62bb0dd",
         "distance.json": "0f48844e0f1565d3df2ceba6c6679b84b5a69c44e23bb053183986bf35b4e447"},
     "frontier": {
-        "frontier.csv": "eeb36759220ca383f7c3ac52b1c98463139f26a6af629940c4e92213affc0f89",
+        "frontier.csv": "380fe5de82c52f1a39c95f824e8111788297ddeb24ce698be6108493c20c1a5f",
         "frontier.json": "f37180601017e2ba75b90e63d86d4ff730788a22698be38e33353dff5f5ce769"},
     "fpp": {
         "fpp.csv": "05f97ea68d4c0970c942dc95053bae50a10a39b1045ce11c60c7fecdd68b6dc0"},
     "geodesic": {
         "geodesic.csv": "3a57eafaf6acb8cbf83abcf89f94e67e8430b615143f09c5b2c358f34486b122",
-        "geodesic.json": "657ad1c0d841d8370a2701ee053bf543805b25795667f4a1a52b4b6b1f7233c3"},
+        "geodesic.json": "041335d9533f27867b876b513afda93263a7cb3db19c7bf15711e1223ec2960a"},
     "lpp": {
         "lpp.csv": "16c276f025c439fb7659e028646c860eca689b2ca867b7e37ee543703c4a0174"},
     "polymer": {
