@@ -200,6 +200,21 @@ def _check_positive(name, value):
                           f"not {value!r}")
 
 
+def _check_positives(name, values):
+    """ConfigError unless values is a nonempty list of finite reals > 0."""
+    if not (isinstance(values, (list, tuple)) and values
+            and all(_finite_real(v) and v > 0 for v in values)):
+        raise ConfigError(f"{name} must be a nonempty list of finite real "
+                          f"numbers > 0, not {values!r}")
+
+
+def _check_count(name, value):
+    """ConfigError unless value is an integer >= 1; a bool is none here."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= 1):
+        raise ConfigError(f"{name} must be an integer >= 1, not {value!r}")
+
+
 def _check_point(name, value):
     """ConfigError unless value is a point of the plane: two finite reals."""
     try:
@@ -275,6 +290,7 @@ def _run_distance(config, p):
     # clipped to its edge, and a bad stencil or a box outside the field
     # would fail after the draw
     _check_point("target", p["target"])
+    _check_positive("h", p["h"])
     target = np.asarray(p["target"])
     if not np.all(np.abs(target) <= hw):
         raise ConfigError(f"target {target.tolist()} lies outside the graph box "
@@ -307,7 +323,10 @@ def _shape_replica(args):
 
 def _run_shape(config, p):
     from .distance import ShapeEstimate, stencil_offsets
-    # a bad stencil or a graph box outside the field fails before any draw
+    # bad values or a graph box outside the field fail before any draw
+    _check_positive("t", p["t"])
+    _check_positive("h", p["h"])
+    _check_count("directions", p["directions"])
     stencil_offsets(p["stencil"])
     if p["half_width"] is not None:
         _check_graph_box("graph half-width t + 2", p["t"] + 2.0,
@@ -341,6 +360,7 @@ def _run_frontier(config, p):
 def _run_bump(config, p):
     from .experiments import BumpSpec, bump_experiment
     from .fields import FlatMetric
+    _check_count("entries", p["entries"])
     spec = BumpSpec(center=tuple(p["center"]),
                     cone_half_angle=p["cone_half_angle"],
                     cap_curvature=p["cap_curvature"], glue_width=p["glue_width"])
@@ -369,7 +389,11 @@ def _scan_replica(args):
 
 def _run_scan(config, p):
     from .distance import stencil_offsets
-    # a bad stencil or a graph box outside the field fails before any draw
+    # bad values or a graph box outside the field fail before any draw
+    _check_positives("radii", p["radii"])
+    _check_positive("h", p["h"])
+    _check_positive("step", p["step"])
+    _check_count("directions", p["directions"])
     stencil_offsets(p["stencil"])
     if p["half_width"] is not None:
         _check_graph_box("graph half-width 1.1 max(radii) + 2",

@@ -305,9 +305,10 @@ def _assert_refused_before_drawing(experiment, params, message, tmp_path,
 # a stencil that is not an integer (16.5 ran as 16), exponent sizes that
 # are not at least 4 strictly increasing integers >= 1 (4.5 ran at n = 4 but
 # was regressed on as 4.5), a graph box larger than the field's region (it
-# failed after the draw), and geodesic and frontier values of the wrong kind
-# ("T": "5" died in the shot, "jacobi": "no" integrated Jacobi fields and
-# "T": true ran T = 1)
+# failed after the draw), and values of the wrong kind ("T": "5" died in the
+# shot, "jacobi": "no" integrated Jacobi fields, "T": true ran T = 1, and the
+# scan, shape, bump and distance cases died with a traceback, the scan's
+# after drawing its field)
 SIZES = "sizes must be at least 4 strictly increasing integers >= 1, not "
 REFUSED_BEFORE_DRAWING = (
     ("distance", {"graph_half_width": 3.0},
@@ -351,6 +352,15 @@ REFUSED_BEFORE_DRAWING = (
      "step must be a finite real number > 0, not 'x'"),
     ("frontier", {"v0": [1.0, 0.0, 0.0]},
      "v0 must be a point of the plane, not [1.0, 0.0, 0.0]"),
+    ("scan", {"directions": 2.5}, "directions must be an integer >= 1, not 2.5"),
+    ("scan", {"radii": [2, "x"]},
+     "radii must be a nonempty list of finite real numbers > 0, "
+     "not [2, 'x']"),
+    ("shape", {"t": "3"}, "t must be a finite real number > 0, not '3'"),
+    ("shape", {"directions": 2.5},
+     "directions must be an integer >= 1, not 2.5"),
+    ("bump", {"entries": 2.5}, "entries must be an integer >= 1, not 2.5"),
+    ("distance", {"h": "0.3"}, "h must be a finite real number > 0, not '0.3'"),
 )
 
 

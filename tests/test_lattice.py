@@ -229,6 +229,99 @@ def test_bond_matrix_golden_digest(name):
     assert h.hexdigest() == expected
 
 
+def _slot_table_bond_matrix(config, replica, lo, hi):
+    """Reference: the bond matrix assembled from one full-box (nodes, 2d)
+    slot table and its mask, compacted in one pass."""
+    from scipy.sparse import csr_matrix
+    lo = np.asarray(lo, dtype=np.int64)
+    hi = np.asarray(hi, dtype=np.int64)
+    d = len(lo)
+    shape = tuple(int(k) for k in hi - lo + 1)
+    n_nodes = int(np.prod(shape))
+    index = np.int32 if 2 * d * n_nodes < 2 ** 31 else np.int64
+    slots = np.zeros(shape + (2 * d,))
+    valid = np.zeros(shape + (2 * d,), dtype=bool)
+    degree = np.full(shape, 2 * d, dtype=index)
+    offsets = np.empty(2 * d, dtype=index)
+    strides = np.cumprod((shape[1:] + (1,))[::-1])[::-1]
+    for axis in range(d):
+        grids = [np.arange(lo[i], hi[i] + (i != axis)).reshape(
+            [-1 if k == i else 1 for k in range(d)]) for i in range(d)]
+        w = config.law.sample(config.seed, replica, axis, *grids)
+        tail = (slice(None),) * axis + (slice(0, -1),)
+        head = (slice(None),) * axis + (slice(1, None),)
+        down, up = axis, 2 * d - 1 - axis
+        slots[head + (Ellipsis, down)] = w
+        valid[head + (Ellipsis, down)] = True
+        slots[tail + (Ellipsis, up)] = w
+        valid[tail + (Ellipsis, up)] = True
+        degree[(slice(None),) * axis + (0,)] -= 1
+        degree[(slice(None),) * axis + (-1,)] -= 1
+        offsets[down], offsets[up] = -strides[axis], strides[axis]
+    valid = valid.reshape(n_nodes, 2 * d)
+    cols = np.arange(n_nodes, dtype=index)[:, None] + offsets
+    indptr = np.zeros(n_nodes + 1, dtype=index)
+    np.cumsum(degree.ravel(), out=indptr[1:])
+    return csr_matrix((slots.reshape(n_nodes, 2 * d)[valid], cols[valid],
+                       indptr), shape=(n_nodes, n_nodes))
+
+
+# (law, lo, hi) of the boxes the blocked build must reproduce: 2-D and 3-D,
+# one layer thick along axis 0 and along the last axis, a single node, and
+# geometric weights, a quarter of them explicit zeros
+BLOCKED_BOXES = {
+    "2d": (exponential_law(1.0), (-3, -4), (6, 2)),
+    "3d": (exponential_law(1.0), (-2, -1, -3), (4, 2, 1)),
+    "2d_one_layer_axis0": (exponential_law(1.0), (5, -4), (5, 3)),
+    "2d_one_layer_last": (exponential_law(1.0), (-4, 2), (5, 2)),
+    "3d_one_layer_axis0": (exponential_law(1.0), (0, -2, -1), (0, 3, 2)),
+    "3d_one_layer_last": (exponential_law(1.0), (-3, -2, 7), (4, 1, 7)),
+    "single_node": (exponential_law(1.0), (2, -1), (2, -1)),
+    "3d_single_node": (exponential_law(1.0), (0, 0, 0), (0, 0, 0)),
+    "2d_geometric": (geometric_law(0.5), (-5, -3), (7, 4)),
+    "3d_geometric": (geometric_law(0.5), (-2, -2, -2), (4, 1, 2)),
+}
+
+
+@pytest.mark.parametrize("block", [None, 1, 100, 300])
+@pytest.mark.parametrize("name", sorted(BLOCKED_BOXES))
+def test_blocked_bond_matrix_equals_slot_table(name, block, monkeypatch):
+    # a block holds max(1, _SAMPLE_BLOCK // (2d layer)) axis-0 layers: 1 gives
+    # one layer per block, 100 splits the 2-D boxes 3 + 3 + 3 + 1 and
+    # 3 + 3 + 3 + 3 + 1, 300 the 3-D boxes 2 + 2 + 2 + 1 and the geometric
+    # 2-D box 9 + 4, and the default takes each box in one block
+    law, lo, hi = BLOCKED_BOXES[name]
+    cfg = LatticeConfig(len(lo), 8, law, seed=21)
+    if block is not None:
+        monkeypatch.setattr(lattice, "_SAMPLE_BLOCK", block)
+    mat = bond_matrix(cfg, 2, lo, hi)
+    ref = _slot_table_bond_matrix(cfg, 2, lo, hi)
+    assert mat.has_canonical_format
+    assert mat.shape == ref.shape
+    for got, want in ((mat.data, ref.data), (mat.indices, ref.indices),
+                      (mat.indptr, ref.indptr)):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    if law.kind == "geometric":
+        assert np.count_nonzero(mat.data == 0) > 0
+
+
+def test_bond_matrix_peak_memory_is_a_few_bytes_per_entry():
+    # the CSR's 12 bytes per entry (float64 data, int32 indices), indptr and
+    # a degree pass over it, and a few block-sized tables; a full-box slot
+    # table and its masked copies took 20.0 MiB on this 601 x 301 box
+    n = 300
+    cfg = LatticeConfig(2, n, exponential_law(1.0), seed=5)
+    lo, hi = (-n // 2, -n // 2), (n + n // 2, n // 2)
+    tracemalloc.start()
+    try:
+        mat = bond_matrix(cfg, 0, lo, hi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * mat.nnz + 8 * mat.shape[0] + 2 * 2 ** 20
+
+
 def _fpp_unbounded(cfg, target, replica, margin):
     """Reference: tau, witness and tie of a Dijkstra with no bound over the
     bond matrix of the box fpp_passage draws."""
@@ -352,6 +445,14 @@ def witness_deviation(cfg, n, replica=0):
     res = untied_fpp_passage(cfg, np.array([n, 0]), replica,
                              margin=max(8, cfg.n // 2))
     return _witness_deviation(res.witness, n)
+
+
+def test_untied_passage_refuses_a_law_that_always_ties():
+    # geometric(1/2) weights tie on every replica at n = 40: the search
+    # resampled forever
+    cfg = LatticeConfig(2, 40, geometric_law(0.5), seed=3)
+    with pytest.raises(LatticeError, match="geometric law"):
+        untied_fpp_passage(cfg, np.array([40, 0]), 0, margin=10)
 
 
 def test_transversal_deviation_cases():
