@@ -21,12 +21,10 @@ carries weight: every node on it lies at least reach * spacing >= range from
 x, where k vanishes.  N0 is taken over the full symmetric (2 reach + 1)^d
 grid of offsets.
 
-Three constructions map G to a metric:
+Two constructions map G to a metric, both SPD by construction:
 
-    conformal   g = e^{2 phi} I          phi scalar, always SPD (default)
-    sym_shift   g = m I + G              G symmetric-matrix valued; positivity
-                                         must be checked (rejection sampling)
-    sym_exp     g = expm(log(m) I + G)   always SPD, log-space shift
+    conformal   g = e^{2 phi} I          phi scalar (default)
+    sym_exp     g = expm(log(m) I + G)   G symmetric-matrix valued
 
 Derivatives of g are computed analytically by differentiating the kernel sum
 and chain-ruling through the construction map; no finite differences anywhere.
@@ -76,10 +74,6 @@ class FieldError(ValueError):
 
 class RegionError(FieldError):
     """Evaluation point outside the valid region."""
-
-
-class RejectedRealizationError(FieldError):
-    """A sym_shift realization failed positive-definiteness."""
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +283,8 @@ def sample_noise(seed, region, spacing, channels, margin=None):
 # the sampled metric field
 # ---------------------------------------------------------------------------
 
-_MODES = ("conformal", "sym_shift", "sym_exp")
+# construction modes by container mode code; code 1 is reserved
+_MODE_CODES = {"conformal": 0, "sym_exp": 2}
 
 # support-entry products per block of a field evaluation: a batch is summed
 # in blocks of _FIELD_BLOCK // (K d^order) points, K = (2 reach)^d the
@@ -307,10 +302,6 @@ _SYM_CHANNELS = {
     2: np.array([[0, 2], [2, 1]]),
     3: np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]]),
 }
-
-
-def sym_channel_count(dim):
-    return dim * (dim + 1) // 2
 
 
 class Field:
@@ -352,8 +343,9 @@ class MetricField(Field):
 
     def __init__(self, mode, seed, region, kernel=None, shift=1.0,
                  spacing=None):
-        if mode not in _MODES:
-            raise FieldError(f"unknown mode {mode!r}")
+        if mode not in _MODE_CODES:
+            raise FieldError(f"unknown mode {mode!r}; valid modes: "
+                             f"{', '.join(_MODE_CODES)}")
         kernel = kernel or KernelSpec()
         if shift <= 0:
             raise FieldError("shift (mean level) must be > 0")
@@ -362,12 +354,13 @@ class MetricField(Field):
         self.seed = int(seed)
         self.region = region
         self.kernel = kernel
+        self.correlation_length = kernel.range
         self.shift = float(shift)
         self.dim = region.dim
         self.spacing = float(spacing) if spacing else kernel.range / 4.0
         if self.dim < 2:
             raise FieldError("dimension must be >= 2")
-        channels = 1 if mode == "conformal" else sym_channel_count(self.dim)
+        channels = 1 if self.conformal else self.dim * (self.dim + 1) // 2
         self.noise = sample_noise(self.seed, region, self.spacing, channels,
                                   margin=kernel.range)
         # support geometry, fixed for the field's lifetime: the 2 reach node
@@ -395,7 +388,9 @@ class MetricField(Field):
         # N0 over the full symmetric (2 reach + 1)^d node grid, so the
         # field's scale does not depend on which lines a support holds
         full = np.arange(-self._reach, self._reach + 1)
-        self._norm = self._node_normalizer(grid_points([full] * self.dim))
+        val = kernel.evaluate(grid_points([full] * self.dim) * self.spacing,
+                              order=0)
+        self._norm = float(np.sqrt(np.sum(val ** 2)))
         # points per evaluation block at orders 0, 1 and 2
         self._steps = tuple(max(1, _FIELD_BLOCK // (len(offs) * self.dim ** k))
                             for k in range(3))
@@ -406,16 +401,6 @@ class MetricField(Field):
         rel = corners.astype(np.int64) - index_lo
         if np.any(rel[0] < self._reach) or np.any(rel[1] + self._reach >= counts):
             raise FieldError("kernel support escapes the noise grid")
-
-    # -- plumbing ----------------------------------------------------------
-
-    @property
-    def correlation_length(self):
-        return self.kernel.range
-
-    def _node_normalizer(self, offs):
-        val = self.kernel.evaluate(offs * self.spacing, order=0)
-        return float(np.sqrt(np.sum(val ** 2)))
 
     # -- kernel sums -------------------------------------------------------
 
@@ -598,21 +583,11 @@ def _metric_from_sums(field, sums, order):
     0, 1 or 2: the metric value alone at order 0, else (value, grad, hess)
     with hess None at order 1."""
     G, dG, d2G = (sums, None, None) if order == 0 else sums
-    dim, shift = field.dim, field.shift
-    eye = np.eye(dim)
-    if field.mode == "conformal":
+    dim = field.dim
+    if field.conformal:
         return _conformal_metric(G[:, 0], _first_channel(dG),
                                  _first_channel(d2G), dim)
-    if field.mode == "sym_shift":
-        val = shift * eye + _sym_from_channels(dim, G)
-        if not np.all(_spd_mask(val)):
-            raise RejectedRealizationError(
-                "sym_shift metric not positive-definite at an evaluation "
-                "point; reject this realization (see check_spd_on_region)")
-        return val if order == 0 else (val, _sym_from_channels(dim, dG),
-                                       _sym_from_channels(dim, d2G))
-    # sym_exp
-    A = _sym_from_channels(dim, G) + np.log(shift) * eye
+    A = _sym_from_channels(dim, G) + np.log(field.shift) * np.eye(dim)
     return _expm_sym_with_derivatives(A, _sym_from_channels(dim, dG),
                                       _sym_from_channels(dim, d2G))
 
@@ -695,17 +670,6 @@ class FieldStack(Field):
     def conformal_exponent_batch(self, X, order=2):
         """As MetricField.conformal_exponent_batch, row b against field b."""
         return self._blocked(X, order, _exponent_from_sums)
-
-
-def _spd_mask(mats):
-    """Positive-definiteness by Sylvester's criterion (d = 2 or 3)."""
-    d = mats.shape[-1]
-    m1 = mats[..., 0, 0] > 0
-    det2 = mats[..., 0, 0] * mats[..., 1, 1] - mats[..., 0, 1] * mats[..., 1, 0]
-    ok = m1 & (det2 > 0)
-    if d == 3:
-        ok = ok & (np.linalg.det(mats) > 0)
-    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -894,54 +858,6 @@ def _stereographic_exponent(y, a, sign, order):
 
 
 # ---------------------------------------------------------------------------
-# SPD checks and eigenvalue bounds
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EigenBounds:
-    """Sampled eigenvalue extrema over a region (lambda_min, lambda_max)."""
-    lambda_min: float
-    lambda_max: float
-    region: object
-
-    def __post_init__(self):
-        if not (0 < self.lambda_min <= self.lambda_max):
-            raise FieldError("eigenvalue bounds must satisfy 0 < min <= max")
-
-
-def check_spd_on_region(field, region, grid, floor=1e-3):
-    """Scan minimum eigenvalue over a sampling grid.
-
-    Returns (ok, lambda_floor): ok iff the observed minimum is >= ``floor``.
-    For sym_shift fields this is the rejection step that keeps only
-    realizations that are positive-definite with margin.
-    """
-    pts = grid_points([np.arange(region.lo[i], region.hi[i] + grid * 0.5, grid)
-                       for i in range(field.dim)])
-    try:
-        vals = field.values_batch(pts)
-    except RejectedRealizationError:
-        return False, float("-inf")
-    lam_min = float(np.min(np.linalg.eigvalsh(vals)))
-    return lam_min >= floor, lam_min
-
-
-def eigen_bounds(field, cube_center, subgrid=9):
-    """Eigenvalue extrema over the unit cube centered at a lattice point,
-    sampled on a subgrid x subgrid x ... mesh."""
-    center = np.asarray(cube_center, dtype=float)
-    d = field.dim
-    cube = Box(tuple(center - 0.5), tuple(center + 0.5))
-    if not np.all(field.contains(np.array([cube.lo, cube.hi]))):
-        raise RegionError("cube outside field region")
-    pts = grid_points([np.linspace(cube.lo[i], cube.hi[i], subgrid)
-                       for i in range(d)])
-    lam = np.linalg.eigvalsh(field.values_batch(pts))
-    return EigenBounds(lambda_min=float(np.min(lam)),
-                       lambda_max=float(np.max(lam)), region=cube)
-
-
-# ---------------------------------------------------------------------------
 # persistence
 # ---------------------------------------------------------------------------
 #
@@ -952,7 +868,8 @@ def eigen_bounds(field, cube_center, subgrid=9):
 #   offset  size  field
 #   0       8     magic  b"RFPP-FLD"
 #   8       4     u32    version (2)
-#   12      1     u8     mode code (0 conformal, 1 sym_shift, 2 sym_exp)
+#   12      1     u8     mode code (0 conformal, 2 sym_exp; 1 is reserved,
+#                        it was sym_shift)
 #   13      1     u8     dimension d
 #   14      2     u8[2]  reserved (0)
 #   16      8     i64    seed
@@ -987,7 +904,7 @@ def save_field(field, path):
     buf = io.BytesIO()
     buf.write(_MAGIC)
     buf.write(struct.pack("<I", _FORMAT_VERSION))
-    buf.write(struct.pack("<BBBB", _MODES.index(field.mode), d, 0, 0))
+    buf.write(struct.pack("<BBBB", _MODE_CODES[field.mode], d, 0, 0))
     buf.write(struct.pack("<q", field.seed))
     buf.write(struct.pack("<ddddd", field.kernel.range, field.kernel.amplitude,
                           field.shift, field.spacing, 1.0))
@@ -1017,7 +934,8 @@ def load_field(path):
     if version != _FORMAT_VERSION:
         raise FieldError(f"unsupported container version {version}")
     mode_c, d = data[12], data[13]
-    if mode_c >= len(_MODES):
+    mode = {c: m for m, c in _MODE_CODES.items()}.get(mode_c)
+    if mode is None:
         raise FieldError(f"unknown mode code {mode_c}")
     if d < 2:
         raise FieldError(f"dimension {d} below 2")
@@ -1034,7 +952,7 @@ def load_field(path):
     hi = struct.unpack_from(f"<{d}d", data, off); off += 8 * d
     index_lo = struct.unpack_from(f"<{d}q", data, off); off += 8 * d
     counts = struct.unpack_from(f"<{d}q", data, off); off += 8 * d
-    field = MetricField(_MODES[mode_c], seed, Box(lo, hi),
+    field = MetricField(mode, seed, Box(lo, hi),
                         kernel=KernelSpec(range=rng_, amplitude=amp),
                         shift=shift, spacing=spacing)
     if (field.noise.index_lo != index_lo or field.noise.node_counts != counts

@@ -194,10 +194,24 @@ def _finite_real(value):
             and math.isfinite(value))
 
 
-def _check_positive(name, value):
-    if not (_finite_real(value) and value > 0):
-        raise ConfigError(f"{name} must be a finite real number > 0, "
+_BOUNDS = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0,
+           "in (0, 1)": lambda v: 0 < v < 1}
+
+
+def _check_real(name, value, bound="> 0"):
+    """ConfigError unless value is a finite real number ``bound``, a _BOUNDS key."""
+    if not (_finite_real(value) and _BOUNDS[bound](value)):
+        raise ConfigError(f"{name} must be a finite real number {bound}, "
                           f"not {value!r}")
+
+
+def _check_field_params(p):
+    """ConfigError unless make_field can build a field from p's values."""
+    _check_real("amplitude", p["amplitude"], ">= 0")
+    for name in ("range", "shift", "half_width"):
+        _check_real(name, p[name])
+    if p["spacing"] is not None:
+        _check_real("spacing", p["spacing"])
 
 
 def _check_positives(name, values):
@@ -233,32 +247,11 @@ def _check_graph_box(what, graph_hw, field_hw):
                           f"half_width {field_hw:g}")
 
 
-def _field_check_replica(args):
-    seed, params = args
-    from .fields import Box, check_spd_on_region, eigen_bounds
-    p = {**EXPERIMENTS["field-check"].params, **params}
-    field = make_field(seed, p)
-    ok, lam_floor = check_spd_on_region(
-        field, Box.cube(min(4.0, p["half_width"] / 2), 2), grid=p["grid"])
-    eb = eigen_bounds(field, (0, 0))
-    return {"seed": seed, "spd_ok": bool(ok), "lambda_floor": lam_floor,
-            "lambda_min_cube0": eb.lambda_min, "lambda_max_cube0": eb.lambda_max}
-
-
-def _run_field_check(config, p):
-    seeds = replica_seeds(config.seed, config.replicas)
-    rows = _run_replicas(_field_check_replica, [(s, p) for s in seeds],
-                         config.workers)
-    accept_rate = exact_mean([1.0 if r["spd_ok"] else 0.0 for r in rows])
-    report = {"replicas": rows, "spd_accept_rate": accept_rate}
-    return {"field-check.json": canonical_json(report)}
-
-
 def _run_geodesic(config, p):
     from .geometry import geodesic_shoot, jacobi_integrate, lengths
     # refused before the field is drawn
-    _check_positive("T", p["T"])
-    _check_positive("step", p["step"])
+    _check_real("T", p["T"])
+    _check_real("step", p["step"])
     _check_point("x0", p["x0"])
     _check_point("v0", p["v0"])
     if not isinstance(p["jacobi"], bool):
@@ -266,6 +259,7 @@ def _run_geodesic(config, p):
     if p["parametrization"] not in ("riemannian", "euclidean"):
         raise ConfigError("parametrization must be 'riemannian' or "
                           f"'euclidean', not {p['parametrization']!r}")
+    _check_field_params(p)
     field = _seed_field(config.seed, p)
     path = geodesic_shoot(field, p["x0"], np.asarray(p["v0"]), T=p["T"],
                           step=p["step"], parametrization=p["parametrization"])
@@ -290,12 +284,15 @@ def _run_distance(config, p):
     # clipped to its edge, and a bad stencil or a box outside the field
     # would fail after the draw
     _check_point("target", p["target"])
-    _check_positive("h", p["h"])
+    _check_real("h", p["h"])
     target = np.asarray(p["target"])
     if not np.all(np.abs(target) <= hw):
         raise ConfigError(f"target {target.tolist()} lies outside the graph box "
                           f"[-{hw}, {hw}]^2")
     stencil_offsets(p["stencil"])
+    if p["ball_radius"] is not None:
+        _check_real("ball_radius", p["ball_radius"], ">= 0")
+    _check_field_params(p)
     if not p["load_field"]:
         _check_graph_box("graph_half_width", hw, p["half_width"])
     field = _seed_field(config.seed, p)
@@ -308,14 +305,20 @@ def _run_distance(config, p):
             "ball.csv": raster.csv_text()}
 
 
+def _shape_params(params):
+    """shape's defaults under params; a None half_width is t + 3."""
+    p = {**EXPERIMENTS["shape"].params, **params}
+    if p["half_width"] is None:
+        p["half_width"] = p["t"] + 3.0
+    return p
+
+
 def _shape_replica(args):
     seed, params = args
     from .distance import build_graph, directional_mu
     from .fields import Box
-    p = {**EXPERIMENTS["shape"].params, **params}
+    p = _shape_params(params)
     t = p["t"]
-    if p["half_width"] is None:
-        p["half_width"] = t + 3.0
     field = make_field(seed, p)
     graph = build_graph(field, Box.cube(t + 2.0, 2), p["h"], stencil=p["stencil"])
     return directional_mu(graph, t, p["directions"])
@@ -324,13 +327,13 @@ def _shape_replica(args):
 def _run_shape(config, p):
     from .distance import ShapeEstimate, stencil_offsets
     # bad values or a graph box outside the field fail before any draw
-    _check_positive("t", p["t"])
-    _check_positive("h", p["h"])
+    _check_real("t", p["t"])
+    _check_real("h", p["h"])
     _check_count("directions", p["directions"])
     stencil_offsets(p["stencil"])
-    if p["half_width"] is not None:
-        _check_graph_box("graph half-width t + 2", p["t"] + 2.0,
-                         p["half_width"])
+    p = _shape_params(p)
+    _check_field_params(p)
+    _check_graph_box("graph half-width t + 2", p["t"] + 2.0, p["half_width"])
     seeds = replica_seeds(config.seed, config.replicas)
     rows = _run_replicas(_shape_replica, [(s, p) for s in seeds], config.workers)
     est = ShapeEstimate.from_samples(rows, p["t"])
@@ -344,9 +347,12 @@ def _run_frontier(config, p):
     from .experiments import frontier_scan
     from .geometry import geodesic_shoot
     # refused before the field is drawn
-    _check_positive("T", p["T"])
-    _check_positive("step", p["step"])
+    _check_real("T", p["T"])
+    _check_real("step", p["step"])
     _check_point("v0", p["v0"])
+    _check_real("beta", p["beta"], "in (0, 1)")
+    _check_real("rho", p["rho"])
+    _check_field_params(p)
     field = _seed_field(config.seed, p)
     path = geodesic_shoot(field, (1e-9, 0.0), np.asarray(p["v0"]), T=p["T"],
                           step=p["step"], parametrization="euclidean")
@@ -361,6 +367,8 @@ def _run_bump(config, p):
     from .experiments import BumpSpec, bump_experiment
     from .fields import FlatMetric
     _check_count("entries", p["entries"])
+    _check_count("perturbations", p["perturbations"])
+    _check_real("eps", p["eps"], ">= 0")
     spec = BumpSpec(center=tuple(p["center"]),
                     cone_half_angle=p["cone_half_angle"],
                     cap_curvature=p["cap_curvature"], glue_width=p["glue_width"])
@@ -371,15 +379,21 @@ def _run_bump(config, p):
     return {"bump.json": canonical_json(report.as_dict())}
 
 
+def _scan_params(params):
+    """scan's defaults under params; a None half_width is 1.25 max(radii) + 5."""
+    p = {**EXPERIMENTS["scan"].params, **params}
+    if p["half_width"] is None:
+        p["half_width"] = max(p["radii"]) * 1.25 + 5.0
+    return p
+
+
 def _scan_replica(args):
     seed, params = args
     from .distance import build_graph
     from .fields import Box
     from .experiments import direction_scan
-    p = {**EXPERIMENTS["scan"].params, **params}
+    p = _scan_params(params)
     radii = p["radii"]
-    if p["half_width"] is None:
-        p["half_width"] = max(radii) * 1.25 + 5.0
     field = make_field(seed, p)
     graph = build_graph(field, Box.cube(max(radii) * 1.1 + 2.0, 2),
                         p["h"], stencil=p["stencil"])
@@ -391,13 +405,14 @@ def _run_scan(config, p):
     from .distance import stencil_offsets
     # bad values or a graph box outside the field fail before any draw
     _check_positives("radii", p["radii"])
-    _check_positive("h", p["h"])
-    _check_positive("step", p["step"])
+    _check_real("h", p["h"])
+    _check_real("step", p["step"])
     _check_count("directions", p["directions"])
     stencil_offsets(p["stencil"])
-    if p["half_width"] is not None:
-        _check_graph_box("graph half-width 1.1 max(radii) + 2",
-                         max(p["radii"]) * 1.1 + 2.0, p["half_width"])
+    p = _scan_params(p)
+    _check_field_params(p)
+    _check_graph_box("graph half-width 1.1 max(radii) + 2",
+                     max(p["radii"]) * 1.1 + 2.0, p["half_width"])
     seeds = replica_seeds(config.seed, config.replicas)
     rows = _run_replicas(_scan_replica, [(s, p) for s in seeds], config.workers)
     return {"scan.json": canonical_json({"replicas": rows})}
@@ -473,9 +488,6 @@ class Experiment:
 
 
 EXPERIMENTS = {
-    "field-check": Experiment(
-        _run_field_check, ("field-check.json",), "derived",
-        {**FIELD_PARAMS, "grid": 0.25}),
     "geodesic": Experiment(
         _run_geodesic, ("geodesic.csv", "geodesic.json"), "master",
         {**SEED_FIELD_PARAMS, "x0": (0.0, 0.0), "v0": (1.0, 0.0), "T": 5.0,

@@ -19,8 +19,8 @@ def test_missing_input_file_fails_fast(flag, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag", ["--save-field", "--load-field"])
-@pytest.mark.parametrize("experiment", ["field-check", "shape", "scan", "bump",
-                                        "fpp", "lpp", "polymer", "accept"])
+@pytest.mark.parametrize("experiment", ["shape", "scan", "bump", "fpp", "lpp",
+                                        "polymer", "accept"])
 def test_field_flags_refused_where_no_seed_field_is_used(experiment, flag,
                                                          tmp_path, capsys):
     # these experiments draw a field per replica or none at all, so a saved
@@ -54,7 +54,7 @@ REFUSED = (
        ("fpp", [], {"mode": "sym_exp", "exponent": True},
         ["mode", "exponent"])]
     + [(e, ["--replicas", "2"], {key: None}, [key])
-       for e in ("field-check", "shape", "scan")
+       for e in ("shape", "scan")
        for key in ("load_field", "save_field")])
 
 
@@ -110,11 +110,12 @@ def test_zero_box_size_fails_fast(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_unknown_experiment_fails_fast(tmp_path, capsys):
+@pytest.mark.parametrize("experiment", ["euclid-fpp", "field-check"])
+def test_unknown_experiment_fails_fast(experiment, tmp_path, capsys):
     out = tmp_path / "out"
-    assert cli.main(["euclid-fpp", "--out", str(out)]) == 2
+    assert cli.main([experiment, "--out", str(out)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["error: unknown experiment 'euclid-fpp'; valid names: "
+    assert err == [f"error: unknown experiment {experiment!r}; valid names: "
                    + ", ".join(harness.EXPERIMENTS)]
     assert not out.exists()
 
@@ -308,7 +309,12 @@ def _assert_refused_before_drawing(experiment, params, message, tmp_path,
 # failed after the draw), and values of the wrong kind ("T": "5" died in the
 # shot, "jacobi": "no" integrated Jacobi fields, "T": true ran T = 1, and the
 # scan, shape, bump and distance cases died with a traceback, the scan's
-# after drawing its field)
+# after drawing its field), and the same for field, bump, ball and frontier
+# values: a string shift, amplitude or half_width died with a traceback (in
+# the replica task for shape and scan), a bool amplitude, a string spacing
+# and a NaN shift ran, a bad ball_radius or beta failed only after the draw,
+# "perturbations": 0 ran one perturbation, and a deleted field mode is
+# refused as an unknown one
 SIZES = "sizes must be at least 4 strictly increasing integers >= 1, not "
 REFUSED_BEFORE_DRAWING = (
     ("distance", {"graph_half_width": 3.0},
@@ -361,6 +367,37 @@ REFUSED_BEFORE_DRAWING = (
      "directions must be an integer >= 1, not 2.5"),
     ("bump", {"entries": 2.5}, "entries must be an integer >= 1, not 2.5"),
     ("distance", {"h": "0.3"}, "h must be a finite real number > 0, not '0.3'"),
+    ("geodesic", {"mode": "sym_shift"},
+     "unknown mode 'sym_shift'; valid modes: conformal, sym_exp"),
+    ("shape", {"mode": "sym_shift"},
+     "unknown mode 'sym_shift'; valid modes: conformal, sym_exp"),
+    ("geodesic", {"shift": "1"},
+     "shift must be a finite real number > 0, not '1'"),
+    ("scan", {"shift": "1"}, "shift must be a finite real number > 0, not '1'"),
+    ("frontier", {"shift": float("nan")},
+     "shift must be a finite real number > 0, not nan"),
+    ("geodesic", {"amplitude": "x"},
+     "amplitude must be a finite real number >= 0, not 'x'"),
+    ("scan", {"amplitude": True},
+     "amplitude must be a finite real number >= 0, not True"),
+    ("shape", {"half_width": "x"},
+     "half_width must be a finite real number > 0, not 'x'"),
+    ("shape", {"range": 0}, "range must be a finite real number > 0, not 0"),
+    ("distance", {"spacing": "0.25"},
+     "spacing must be a finite real number > 0, not '0.25'"),
+    ("bump", {"perturbations": 1.5},
+     "perturbations must be an integer >= 1, not 1.5"),
+    ("bump", {"perturbations": 0}, "perturbations must be an integer >= 1, not 0"),
+    ("bump", {"eps": "0.0"}, "eps must be a finite real number >= 0, not '0.0'"),
+    ("distance", {"ball_radius": "x"},
+     "ball_radius must be a finite real number >= 0, not 'x'"),
+    ("distance", {"ball_radius": -1},
+     "ball_radius must be a finite real number >= 0, not -1"),
+    ("frontier", {"beta": "0.5"},
+     "beta must be a finite real number in (0, 1), not '0.5'"),
+    ("frontier", {"beta": 1.5},
+     "beta must be a finite real number in (0, 1), not 1.5"),
+    ("frontier", {"rho": False}, "rho must be a finite real number > 0, not False"),
 )
 
 
@@ -407,7 +444,6 @@ def test_lattice_manifest_records_the_seeds_the_replicas_used(experiment,
 # tiny parameters of the experiments that draw replica r's field from
 # derive_seed(seed, r)
 REPLICA_PARAMS = {
-    "field-check": {"half_width": 4.0, "grid": 0.5},
     "shape": {"t": 2.0, "h": 0.5, "stencil": 16, "directions": 8},
     "scan": {"radii": [1.0, 2.0], "h": 0.5, "directions": 4, "step": 1e-2},
 }
@@ -420,11 +456,9 @@ def _replica_outputs_from_seeds(experiment, seeds, params):
         rows = [harness._shape_replica((s, params)) for s in seeds]
         return "shape.csv", ShapeEstimate.from_samples(
             rows, params["t"]).csv_text()
-    task = {"field-check": harness._field_check_replica,
-            "scan": harness._scan_replica}[experiment]
-    rows = [json.loads(harness.canonical_json(task((s, params))))
+    rows = [json.loads(harness.canonical_json(harness._scan_replica((s, params))))
             for s in seeds]
-    return f"{experiment}.json", rows
+    return "scan.json", rows
 
 
 @pytest.mark.parametrize("experiment", sorted(REPLICA_PARAMS))

@@ -10,7 +10,7 @@ from rfpp import rng
 from rfpp.experiments import BumpSpec, PerturbedConformalField, make_bump
 from rfpp.fields import (_FIELD_BLOCK, Box, ConstantMetric, FieldError,
                          FieldStack, FlatMetric, HyperbolicDiskField, KernelSpec,
-                         MetricField, RegionError, SpherePatchField, check_spd_on_region, eigen_bounds,
+                         MetricField, RegionError, SpherePatchField,
                          grid_points, load_field, sample_noise, save_field)
 
 BOX = Box.cube(6.0, 2)
@@ -101,7 +101,6 @@ def test_region_enforced():
 
 
 @pytest.mark.parametrize("mode,shift", [("conformal", 1.0),
-                                        ("sym_shift", 3.0),
                                         ("sym_exp", 2.0)])
 def test_derivative_consistency(mode, shift):
     # Richardson-extrapolated central differences kill the h^2 truncation of
@@ -140,28 +139,11 @@ def test_derivative_consistency(mode, shift):
     assert np.max(np.abs(hess - h_rich)) / scale_h <= 1e-6
 
 
-def test_sym_shift_rejection_rate():
-    # tiny mean level, unit noise: Gaussian fluctuations must reject some seeds
-    rejected = 0
-    for seed in range(100):
-        f = MetricField("sym_shift", seed=seed, region=Box.cube(3.0, 2),
-                        kernel=KernelSpec(range=1.0, amplitude=1.0), shift=0.01)
-        ok, _ = check_spd_on_region(f, Box.cube(2.0, 2), grid=0.5)
-        if not ok:
-            rejected += 1
-    assert rejected > 0
-
-
 def test_conformal_always_spd():
+    X = grid_points([np.arange(-4.0, 4.25, 0.5)] * 2)
     for seed in range(10):
         f = conformal(seed, amplitude=1.0)
-        ok, lam = check_spd_on_region(f, Box.cube(4.0, 2), grid=0.5, floor=0.0)
-        assert ok and lam > 0
-
-
-def test_flat_spd_floor():
-    ok, lam = check_spd_on_region(FlatMetric(2), Box.cube(2.0, 2), grid=0.5)
-    assert ok and lam == 1.0
+        assert np.all(np.linalg.eigvalsh(f.values_batch(X)) > 0)
 
 
 # ---------------------------------------------------------------- finite range
@@ -311,34 +293,19 @@ def test_conformal_isotropy_axis_vs_diagonal():
     assert abs(sa - sd) <= 3.0 * se
 
 
-# ---------------------------------------------------------------- eigen bounds
-
-def test_eigen_bounds_flat_and_diagonal():
-    eb = eigen_bounds(FlatMetric(2), (0, 0))
-    assert eb.lambda_min == 1.0 and eb.lambda_max == 1.0
-    eb2 = eigen_bounds(ConstantMetric(np.diag([2.0, 3.0])), (1, 1))
-    assert eb2.lambda_min == 2.0 and eb2.lambda_max == 3.0
-
-
-def test_eigen_bounds_conformal_scalar_oracle():
-    f = conformal(23)
-    eb = eigen_bounds(f, (0, 0), subgrid=9)
-    axes = [np.linspace(-0.5, 0.5, 9)] * 2
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    factors = f.conformal_factor_batch(pts)
-    assert np.isclose(eb.lambda_min, factors.min(), rtol=0, atol=0)
-    assert np.isclose(eb.lambda_max, factors.max(), rtol=0, atol=0)
-
-
 def test_finite_range_cube_covariance_across_seeds():
-    # two cubes with gap >= 2 * range: covariance of Lambda over 200 seeds
+    # two unit cubes with gap >= 2 * range: covariance over 200 seeds of
+    # Lambda, the largest conformal factor on a 5 x 5 mesh of each cube
+    def cube(x):
+        return grid_points([np.linspace(x - 0.5, x + 0.5, 5),
+                            np.linspace(-0.5, 0.5, 5)])
+
     a = np.empty(200)
     b = np.empty(200)
     for seed in range(200):
         f = conformal(seed, box=Box.cube(6.0, 2))
-        a[seed] = eigen_bounds(f, (-2, 0), subgrid=5).lambda_max
-        b[seed] = eigen_bounds(f, (2, 0), subgrid=5).lambda_max
+        a[seed] = f.conformal_factor_batch(cube(-2.0)).max()
+        b[seed] = f.conformal_factor_batch(cube(2.0)).max()
     prod = (a - a.mean()) * (b - b.mean())
     cov = prod.mean()
     se = prod.std(ddof=1) / np.sqrt(len(prod))
@@ -419,11 +386,6 @@ GOLDEN_EVALUATIONS = {
         lambda: conformal(21), 2, 2.0,
         "72b974fb063eb7943bfad970451056cd3d9a1e46a552aaf5478aa4102dc1fe86",
         "585a2410b73cd9cb88fd7cda9b510e0d134138f75a7feabf84250a5d5a43db8c"),
-    "sym_shift": (
-        lambda: MetricField("sym_shift", seed=21, region=BOX, kernel=KERN,
-                            shift=2.0), 2, 2.0,
-        "f81345ee211cb54322be671f7e4e03f763f494127e3e1bef0c8ef89de221db02",
-        None),
     "sym_exp": (
         lambda: MetricField("sym_exp", seed=21, region=BOX, kernel=KERN), 2, 2.0,
         "b1b4c671092fba3a4168021b9e4e7b7ef7a706b51025c08203b58794b623c74a",
@@ -441,11 +403,6 @@ GOLDEN_EVALUATIONS = {
         lambda: MetricField("sym_exp", seed=21, region=Box.cube(3.0, 3),
                             kernel=KERN), 3, 2.0,
         "0b620e6ba7f72c4dd7000b37eb9624e32f8f1dd6244afcb630a80be99616bdf3",
-        None),
-    "sym_shift_3d": (
-        lambda: MetricField("sym_shift", seed=21, region=Box.cube(3.0, 3),
-                            kernel=KERN, shift=2.0), 3, 2.0,
-        "b962eb198e68f198b3d9dec276746d4d45754f43ef8eb92af1718168b93bb8fe",
         None),
     "sphere_patch": (
         lambda: SpherePatchField(radius=1.5, center=(0.25, -0.5)), 2, 2.0,
@@ -516,8 +473,7 @@ def _block_points(dim, n):
 
 
 @pytest.mark.parametrize("mode,dim", [("conformal", 2), ("conformal", 3),
-                                      ("sym_exp", 2), ("sym_exp", 3),
-                                      ("sym_shift", 2), ("sym_shift", 3)])
+                                      ("sym_exp", 2), ("sym_exp", 3)])
 def test_rows_evaluate_independently(mode, dim):
     # every row of a batch is byte for byte the point evaluated alone, at
     # every order and entry point (signs of zeros included), for batches
@@ -613,10 +569,12 @@ def test_load_rejects_corrupt(tmp_path):
 @pytest.mark.parametrize("edit,match", [
     (lambda data: data[:14], "truncated"),
     (lambda data: data[:12] + bytes([7]) + data[13:], "mode code 7"),
+    (lambda data: data[:12] + bytes([1]) + data[13:], "mode code 1"),
     (lambda data: data[:13] + bytes([9]) + data[14:], "dimension 9"),
     (lambda data: data[:56] + np.array(4.0, "<f8").tobytes() + data[64:],
      "offset 56"),
-], ids=["truncated", "bad_mode", "bad_dimension", "reserved_not_one"])
+], ids=["truncated", "bad_mode", "reserved_mode", "bad_dimension",
+        "reserved_not_one"])
 def test_load_refuses_malformed_header(tmp_path, edit, match):
     path = tmp_path / "field.rfpp"
     save_field(conformal(5, box=Box.cube(2.0, 2)), path)
