@@ -11,11 +11,13 @@ Every Simpson node of an edge from h z to h (z + o) is a point of the
 doubled lattice (h/2) Z^d, namely (h/2) 2z, (h/2)(2z + o) and (h/2)(2z + 2o).
 The full weight matrix therefore evaluates the field once on the doubled
 lattice of the graph box, about 2^d times the node count, in one call; the
-field works through the points in cache-sized blocks of its own (see
-MetricField).  The samples stay an array over the doubled lattice, and the
-edges along one stencil offset start at the nodes of one sub-box of the
-graph box, so their sources, targets and Simpson nodes are (strided) slices
-of the node and sample arrays.  The weights go straight into the canonical
+field works through the points in cache-sized blocks of its own, and where
+the doubled lattice is commensurate with its noise lattice it evaluates the
+kernel once per lattice phase, not once per point (see MetricField and
+PassageGraph._samples).  The samples stay an array over the doubled
+lattice, and the edges along one stencil offset start at the nodes of one
+sub-box of the graph box, so their sources, targets and Simpson nodes are
+(strided) slices of the node and sample arrays.  The weights go straight into the canonical
 CSR matrix (see PassageGraph): no COO triplets, index sort or duplicate sum.
 
 Weights are quantized to a dyadic grid (2^k / 2^24 for a power-of-two scale
@@ -209,11 +211,27 @@ class PassageGraph:
     def _samples(self, k):
         """Field data at the doubled-lattice points (k / 2) h, k (M, d)
         integer: the speed factor sqrt(e^{2 phi}) for conformal fields, the
-        metric matrices otherwise."""
-        X = (k / 2) * self.h
+        metric matrices otherwise.
+
+        A sampled field is told the lattice, (k, h / 2), next to the points:
+        where h / 2 = (p / q) spacing with q^d at most the K support nodes
+        of a point, it evaluates the kernel once per phase of the lattice in
+        the noise cells, q^d times K, not once per sample and node (see
+        MetricField._phase_table).  Every sample of the graph, the unit
+        probes, the matrix and edge_weight, goes through here, so they share
+        one definition of a sample.  Where the lattice points are exact
+        dyadics (h = 0.25 or 0.5 at the default spacing) the samples keep
+        the bits of the point-by-point evaluation; on other commensurate
+        lattices (h = 0.3, 0.4) e^{2 phi} moves by a few ulps, which the
+        dyadic weight quantization absorbs."""
+        step = self.h / 2
+        X = k * step                    # the bits of (k / 2) h
+        if not isinstance(self.field, MetricField):
+            return self.field.values_batch(X)
+        lattice = (k, step)
         if self._scalar_speed:
-            return np.sqrt(self.field.conformal_factor_batch(X))
-        return self.field.values_batch(X)
+            return np.sqrt(self.field.conformal_factor_batch(X, lattice=lattice))
+        return self.field.values_batch(X, lattice=lattice)
 
     def _offset_weights(self, off, samples, ends):
         """Quantized Simpson lengths of the edges along stencil offset off.

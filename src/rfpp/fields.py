@@ -21,6 +21,18 @@ carries weight: every node on it lies at least reach * spacing >= range from
 x, where k vanishes.  N0 is taken over the full symmetric (2 reach + 1)^d
 grid of offsets.
 
+A passage graph samples the field on a lattice {step k : k integer}.  When
+step = (p / q) spacing with q^d <= K (q <= 2 reach), a lattice point lies
+in the exact integer cell floor(k p / q), at one of q^d phases inside it,
+so the kernel is evaluated once per phase and support node, a q^d x K table
+(4 x 64 rows at h = 0.25, 25 x 64 at h = 0.3 and 0.4, default spacing), and
+each point only gathers its coefficients and contracts them against its
+phase's row (see MetricField._phase_table).  Each row is built from one
+representative point through the same displacement and kernel code, so a
+lattice of exact dyadics keeps the bits the point-by-point sums of a
+passage graph's batch have; on other commensurate lattices the sums move by
+a few ulps.
+
 Two constructions map G to a metric, both SPD by construction:
 
     conformal   g = e^{2 phi} I          phi scalar (default)
@@ -336,9 +348,30 @@ class MetricField(Field):
     line -reach is left out) at derivative order 0, 1 or 2, and writes
     each block's results into the output arrays; a batch of at most one
     block is one pass.  So no per-point temporary exceeds one block,
-    whatever the batch size, and callers pass whole batches.  Each row is
-    evaluated independently of its batch: a row's result is, byte for
-    byte, the point evaluated alone, so blocking changes no output bit.
+    whatever the batch size, and callers pass whole batches.  Each row of a
+    batch in C (row-major) order is evaluated independently of its batch:
+    a row's result is, byte for byte, the point evaluated alone, so
+    blocking changes no output bit.  (A batch in another memory layout
+    takes einsum's node sums in another order: the conformal sums of a
+    transposed batch, as a passage graph builds its lattice, can differ
+    from the row-major ones in their last bits.)
+
+    values_batch and conformal_factor_batch also take the lattice the
+    points lie on, lattice = (k, step) for X = k step with integer k, as a
+    passage graph does.  Where step = (p / q) spacing with q^d <= K, the
+    kernel sums come from one psi table of q^d phases by K support nodes,
+    built once per step (_phase_table), and each point only gathers its
+    coefficients and contracts them against its phase's row, with the
+    node sums in the order of a transposed batch (points fastest), the
+    order the passage graph's matrix has always used.  On a lattice of
+    exact dyadics (h = 0.25 or 0.5 at the default spacing 0.25) the
+    result is the point-by-point evaluation of the graph's batch bit for
+    bit; on the other commensurate lattices it is within a few ulps
+    (at most 6.5e-15 relative in e^{2 phi} at h = 0.3 and 0.4 on [-12,
+    12]^2, seeds 1 to 3: a table row's displacements are those of a point
+    near the origin, a far point's own carry the rounding of k step).
+    Other steps, and points outside a lattice, take the point-by-point
+    path.
     """
 
     def __init__(self, mode, seed, region, kernel=None, shift=1.0,
@@ -398,9 +431,13 @@ class MetricField(Field):
         # two corners (floor is monotone), so the corners alone decide
         # whether each support stays on the noise grid
         corners = np.floor(np.array([region.lo, region.hi]) / self.spacing)
-        rel = corners.astype(np.int64) - index_lo
+        self._corner_cells = corners.astype(np.int64)                # (2, d)
+        rel = self._corner_cells - index_lo
         if np.any(rel[0] < self._reach) or np.any(rel[1] + self._reach >= counts):
             raise FieldError("kernel support escapes the noise grid")
+        # psi tables of the lattices sampled so far, by lattice step (see
+        # _phase_table); filled on first use
+        self._phase_tables = {}
 
     # -- kernel sums -------------------------------------------------------
 
@@ -412,29 +449,33 @@ class MetricField(Field):
         -reach + 1 .. reach about the point's cell (the line -reach lies at
         least range away, so it carries no weight).  The support of a point
         is the mesh of m node lines per axis, so its displacements are a
-        per-axis table: dx1[b, j, i] = X[b, i] - (cell[b, i] + j - reach +
-        1) h, with the integer add, the multiply and the subtract a full
-        (B,K,d) displacement tensor would apply to that entry.  Node k of
-        coeff's K axis is the mesh point (j_0, ..., j_{d-1}), first axis
-        slowest.  A point outside the region raises RegionError, tested on
-        the (B,d) rows at once by Box.contains_all.  The support needs no
-        test per call: __init__ checked it for the cells of the region's
-        corners, which bound the cell of every point inside.
+        per-axis table (see _displacements).  Node k of coeff's K axis is
+        the mesh point (j_0, ..., j_{d-1}), first axis slowest.  A point
+        outside the region raises RegionError, tested on the (B,d) rows at
+        once by Box.contains_all.  The support needs no test per call:
+        __init__ checked it for the cells of the region's corners, which
+        bound the cell of every point inside.
         ``lookup(flat, start)`` maps the flat noise-grid indices (B,K) of
         batch rows start .. start + B to coefficients; the default reads
         this field's own array.
         """
         if not self.region.contains_all(X):
             raise RegionError("evaluation point outside field region")
-        h = self.spacing
-        cell = np.floor(X / h).astype(np.int64)
+        cell = np.floor(X / self.spacing).astype(np.int64)
         flat = (cell @ self._strides)[:, None] + self._flat_offs
         if lookup is None:
             coeff = self._flat_coeff.take(flat, axis=0)
         else:
             coeff = lookup(flat, start)
-        dx1 = X[:, None, :] - (cell[:, None, :] + self._line[None, :, None]) * h
-        return dx1, coeff
+        return self._displacements(X, cell), coeff
+
+    def _displacements(self, X, cell):
+        """The per-axis table dx1 (B,m,d) of points X (B,d) in the cells
+        cell (B,d): dx1[b, j, i] = X[b, i] - (cell[b, i] + j - reach + 1)
+        h, with the integer add, the multiply and the subtract a full
+        (B,K,d) displacement tensor would apply to that entry."""
+        return X[:, None, :] - ((cell[:, None, :] + self._line[None, :, None])
+                                * self.spacing)
 
     def _sums(self, X, order, lookup=None, start=0):
         """Kernel sums at the points X (B,d) up to ``order`` (see
@@ -443,22 +484,103 @@ class MetricField(Field):
         return _kernel_sums(self.kernel, self._norm, dx1, self._spread, coeff,
                             order)
 
-    def _blocked(self, X, order, finish, lookup=None):
+    def _phase_table(self, step):
+        """(p, q, psi) for the lattice {step k : k integer}, or None.
+
+        The lattice is commensurate with the noise lattice when step = (p /
+        q) spacing for integers p >= 1 and 1 <= q <= m = 2 reach, so that q^d
+        <= K (q is the least such; q step and p spacing agree to a few
+        ulps).  A point k step then lies in the cell floor(k p / q), an
+        exact integer, at one of q^d offsets inside it, its phase r = k p mod
+        q (per axis, taken as the base-q number r_0 .. r_{d-1}).  Column r
+        of psi (K, q^d) holds psi at the K support nodes of one
+        representative point of phase r, k in {0 .. q - 1}^d (k -> k p mod q
+        is one-to-one there), computed as _gather and _kernel_sums compute
+        them for that point.  Where the lattice points are exact dyadics, as
+        at step 1/8 or 1/4 with the default spacing 1/4, every point of a
+        phase has the displacements of its representative bit for bit, and
+        so its psi; elsewhere the displacements differ from a point's own in
+        their last bits.  Built on first use for each step and kept."""
+        if step not in self._phase_tables:
+            self._phase_tables[step] = self._make_phase_table(step)
+        return self._phase_tables[step]
+
+    def _make_phase_table(self, step):
+        ratio = step / self.spacing
+        if not (np.isfinite(ratio) and ratio > 0):
+            return None
+        for q in range(1, len(self._line) + 1):
+            p = int(round(ratio * q))
+            if p >= 1 and abs(p * self.spacing - q * step) <= 8e-16 * q * step:
+                break
+        else:
+            return None
+        reps = grid_points([np.arange(q)] * self.dim)                # (q^d, d)
+        cell = reps * p // q
+        phase = (reps * p - cell * q) @ q ** np.arange(self.dim - 1, -1, -1)
+        dx1 = self._displacements(reps * step, cell)
+        psi = np.empty((len(self._flat_offs), len(reps)))
+        psi[:, phase] = self.kernel.radial(_support_u(self.kernel, dx1), 0).T
+        return p, q, psi
+
+    def _lattice_sums(self, X, lattice):
+        """The order-0 kernel sums of the lattice points X = k step, for
+        lattice = (k (B,d) integer, step), from the phase table of step (see
+        _phase_table): a function of the batch rows (a slice) it sums, which
+        gathers the coefficients and the table's columns node-major, (K, B),
+        and contracts them.  einsum then adds each point's K node terms in
+        the order in which _kernel_sums adds them for a transposed batch,
+        the layout of a passage graph's lattice.  None where the table
+        does not apply: step is not commensurate with the spacing, or a
+        point's exact cell lies outside the cells of the region's corners
+        (which __init__ checked), as an ulp of rounding at the region's edge
+        can make it.  A point outside the region raises RegionError."""
+        k, step = lattice
+        table = self._phase_table(step)
+        if table is None or len(X) == 0:
+            return None
+        if not self.region.contains_all(X):
+            raise RegionError("evaluation point outside field region")
+        p, q, psi = table
+        k = np.asarray(k, dtype=np.int64)
+        # a cell is monotone in k along each axis
+        if (np.any(k.min(axis=0) * p // q < self._corner_cells[0])
+                or np.any(k.max(axis=0) * p // q > self._corner_cells[1])):
+            return None
+        radix = q ** np.arange(self.dim - 1, -1, -1)
+        scale = self.kernel.amplitude / self._norm
+
+        def sums(rows):
+            kp = k[rows] * p
+            cell = kp // q
+            phase = (kp - cell * q) @ radix
+            flat = self._flat_offs[:, None] + cell @ self._strides
+            return scale * np.einsum("kb,kbc->bc", psi.take(phase, axis=1),
+                                     self._flat_coeff.take(flat, axis=0))
+        return sums
+
+    def _blocked(self, X, order, finish, lookup=None, lattice=None):
         """finish(self, sums, order) of the kernel sums (see _kernel_sums)
         at the points X, in blocks of self._steps[order] rows written into
         arrays of the batch's length: one array, or a tuple whose None
-        entries (skipped orders) stay None.  ``lookup`` as in _gather."""
+        entries (skipped orders) stay None.  ``lookup`` as in _gather;
+        ``lattice`` = (k, step) at order 0 says X = k step and takes the
+        sums from the lattice's phase table where it applies (see
+        _lattice_sums)."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2:
             X = np.atleast_2d(X)
+        sums = None if lattice is None else self._lattice_sums(X, lattice)
+        if sums is None:
+            def sums(rows):
+                return self._sums(X[rows], order, lookup, rows.start)
         step = self._steps[order]
         if len(X) <= step:
-            return finish(self, self._sums(X, order, lookup), order)
+            return finish(self, sums(slice(0, len(X))), order)
         out = None
         for start in range(0, len(X), step):
             rows = slice(start, start + step)
-            part = finish(self, self._sums(X[rows], order, lookup, start),
-                          order)
+            part = finish(self, sums(rows), order)
             parts = part if isinstance(part, tuple) else (part,)
             if out is None:
                 out = [None if a is None
@@ -485,15 +607,19 @@ class MetricField(Field):
         val, grad, hess = self.evaluate_batch(np.asarray(x, dtype=float)[None, :])
         return val[0], grad[0], hess[0]
 
-    def values_batch(self, X):
-        """Metric values only (cheaper path for quadrature of edge weights)."""
-        return self._blocked(X, 0, _metric_from_sums)
+    def values_batch(self, X, lattice=None):
+        """Metric values only (cheaper path for quadrature of edge weights).
+        ``lattice`` = (k, step) says X = k step for the integers k (B,d), as
+        the points of a passage graph are; the kernel sums then come from
+        the lattice's phase table where it applies (see _phase_table)."""
+        return self._blocked(X, 0, _metric_from_sums, lattice=lattice)
 
-    def conformal_factor_batch(self, X):
-        """Scalar e^{2 phi} for conformal fields (fast edge-weight path)."""
+    def conformal_factor_batch(self, X, lattice=None):
+        """Scalar e^{2 phi} for conformal fields (fast edge-weight path);
+        ``lattice`` as in values_batch."""
         if not self.conformal:
             raise FieldError("conformal_factor_batch needs a conformal field")
-        return self._blocked(X, 0, _factor_from_sums)
+        return self._blocked(X, 0, _factor_from_sums, lattice=lattice)
 
     def conformal_exponent_batch(self, X, order=2):
         """(phi, dphi, d2phi) of the conformal exponent, conformal mode only.
@@ -550,13 +676,7 @@ def _kernel_sums(kernel, norm, dx1, spread, coeff, order=2):
     B, m, d = dx1.shape
     K = m ** d
     xi2 = kernel.range ** 2
-    sq = dx1 * dx1
-    axes = _mesh_axes(d)
-    lanes = [sq[axes[0]], sq[axes[1]]]
-    for i in range(2, d):
-        lanes[i % 2] = lanes[i % 2] + sq[axes[i]]
-    u = np.add(lanes[0], lanes[1]).reshape(B, K)
-    u /= xi2
+    u = _support_u(kernel, dx1)
     scale = kernel.amplitude / norm
     if order == 0:
         return scale * np.einsum("bk,bkc->bc", kernel.radial(u, 0), coeff)
@@ -567,6 +687,20 @@ def _kernel_sums(kernel, norm, dx1, spread, coeff, order=2):
     if order < 2:
         return G, dG, None
     return G, dG, scale * np.einsum("bkij,bkc->bijc", hess, coeff)
+
+
+def _support_u(kernel, dx1):
+    """u = |dx|^2 / range^2 (B,K) at the K = m^d mesh nodes of the per-axis
+    table dx1 (B,m,d), first axis slowest (see _kernel_sums)."""
+    B, m, d = dx1.shape
+    sq = dx1 * dx1
+    axes = _mesh_axes(d)
+    lanes = [sq[axes[0]], sq[axes[1]]]
+    for i in range(2, d):
+        lanes[i % 2] = lanes[i % 2] + sq[axes[i]]
+    u = np.add(lanes[0], lanes[1]).reshape(B, m ** d)
+    u /= kernel.range ** 2
+    return u
 
 
 @functools.cache

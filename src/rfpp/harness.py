@@ -210,6 +210,11 @@ def _check_field_params(p):
     _check_real("amplitude", p["amplitude"], ">= 0")
     for name in ("range", "shift", "half_width"):
         _check_real(name, p[name])
+    # a conformal field never reads the sym_exp mean level: another value
+    # would hash a different config for the same field
+    if p["mode"] == "conformal" and p["shift"] != 1.0:
+        raise ConfigError(f"shift is the sym_exp mean level; a conformal field "
+                          f"takes only 1.0, not {p['shift']!r}")
     if p["spacing"] is not None:
         _check_real("spacing", p["spacing"])
 
@@ -283,6 +288,7 @@ def _run_distance(config, p):
     # refused before the field is drawn: a target outside the box would be
     # clipped to its edge, and a bad stencil or a box outside the field
     # would fail after the draw
+    _check_real("graph_half_width", hw)
     _check_point("target", p["target"])
     _check_real("h", p["h"])
     target = np.asarray(p["target"])

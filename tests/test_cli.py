@@ -314,8 +314,13 @@ def _assert_refused_before_drawing(experiment, params, message, tmp_path,
 # the replica task for shape and scan), a bool amplitude, a string spacing
 # and a NaN shift ran, a bad ball_radius or beta failed only after the draw,
 # "perturbations": 0 ran one perturbation, and a deleted field mode is
-# refused as an unknown one
+# refused as an unknown one; a graph_half_width of the wrong kind died in the
+# target test with a traceback, and a conformal run with a shift other than
+# 1.0, which it never reads, wrote the default run's bytes under another
+# config hash
 SIZES = "sizes must be at least 4 strictly increasing integers >= 1, not "
+CONFORMAL_SHIFT = ("shift is the sym_exp mean level; a conformal field takes "
+                   "only 1.0, not ")
 REFUSED_BEFORE_DRAWING = (
     ("distance", {"graph_half_width": 3.0},
      "target [10.0, 0.0] lies outside the graph box [-3.0, 3.0]^2"),
@@ -398,6 +403,16 @@ REFUSED_BEFORE_DRAWING = (
     ("frontier", {"beta": 1.5},
      "beta must be a finite real number in (0, 1), not 1.5"),
     ("frontier", {"rho": False}, "rho must be a finite real number > 0, not False"),
+    ("distance", {"graph_half_width": "x", "h": 0.5},
+     "graph_half_width must be a finite real number > 0, not 'x'"),
+    ("distance", {"graph_half_width": True, "h": 0.5},
+     "graph_half_width must be a finite real number > 0, not True"),
+    ("distance", {"graph_half_width": 0},
+     "graph_half_width must be a finite real number > 0, not 0"),
+    ("distance", {"graph_half_width": float("nan")},
+     "graph_half_width must be a finite real number > 0, not nan"),
+    ("geodesic", {"shift": 5.0}, CONFORMAL_SHIFT + "5.0"),
+    ("distance", {"shift": 2.0}, CONFORMAL_SHIFT + "2.0"),
 )
 
 
@@ -408,6 +423,13 @@ def test_values_out_of_range_fail_before_drawing(
         experiment, params, message, tmp_path, capsys, monkeypatch):
     _assert_refused_before_drawing(experiment, params, message, tmp_path,
                                    capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("shift", [0.5, 1.0, 2.0])
+def test_sym_exp_accepts_any_shift_it_reads(shift):
+    # shift is the sym_exp mean level; only a conformal run refuses it
+    harness._check_field_params({**harness.FIELD_PARAMS, "mode": "sym_exp",
+                                 "shift": shift})
 
 
 def _lattice_replica_values(experiment, seeds, replicas):

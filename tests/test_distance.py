@@ -116,6 +116,43 @@ def test_edge_weight_matches_bulk_matrix():
             assert g.edge_weight(nodes[i], nodes[j]) == w
 
 
+@pytest.mark.parametrize("mode", ["conformal", "sym_exp"])
+def test_edge_weight_matches_bulk_matrix_off_the_dyadic_lattice(mode):
+    # at h = 0.3 the samples come from 25 phase rows whose displacements
+    # differ from each sample's own in their last bits; edge_weight samples
+    # through the same tables, so every fifth edge agrees with the matrix
+    field = MetricField(mode, seed=13, region=Box.cube(3.0, 2),
+                        kernel=KernelSpec(range=1.0, amplitude=0.3))
+    g = build_graph(field, Box.cube(1.5, 2), 0.3, 16)
+    g._ensure_matrix()
+    m = g._matrix.tocoo()
+    nodes = g.index_node(np.arange(g.n_nodes))
+    for i, j, w in list(zip(m.row, m.col, m.data))[::5]:
+        assert g.edge_weight(nodes[i], nodes[j]) == w
+
+
+@pytest.mark.parametrize("mode", ["conformal", "sym_exp"])
+@pytest.mark.parametrize("h,q", [(0.25, 2), (0.3, 5), (0.4, 5)])
+def test_graph_evaluates_the_kernel_once_per_phase(h, q, mode, monkeypatch):
+    # building a graph and its matrix evaluates psi at q^d phases times the
+    # K = 64 support nodes, not at every sample: a fall back to the
+    # point-by-point path fails here rather than only costing time
+    field = MetricField(mode, seed=14, region=Box.cube(4.0, 2),
+                        kernel=KernelSpec(range=1.0, amplitude=0.3))
+    entries = []
+    radial = KernelSpec.radial
+
+    def counted(self, u, order=2):
+        entries.append(np.size(u))
+        return radial(self, u, order)
+
+    monkeypatch.setattr(KernelSpec, "radial", counted)
+    g = build_graph(field, Box.cube(3.0, 2), h, 16)
+    g._ensure_matrix()
+    g.edge_weight((0, 0), (1, 2))
+    assert sum(entries) == q ** 2 * 64
+
+
 def _matrix_digest(g):
     g._ensure_matrix()
     h = hashlib.sha256()
@@ -314,11 +351,11 @@ class _FourTimes(MetricField):
     """The metric 4 g of a sampled conformal g: a power of two, so every
     value is exact and the graph keeps its scalar-speed path."""
 
-    def values_batch(self, X):
-        return 4.0 * super().values_batch(X)
+    def values_batch(self, X, lattice=None):
+        return 4.0 * super().values_batch(X, lattice=lattice)
 
-    def conformal_factor_batch(self, X):
-        return 4.0 * super().conformal_factor_batch(X)
+    def conformal_factor_batch(self, X, lattice=None):
+        return 4.0 * super().conformal_factor_batch(X, lattice=lattice)
 
 
 def test_global_scaling_exact_witness_invariant():

@@ -528,6 +528,88 @@ def test_large_batch_memory_stays_within_a_few_blocks(call, n, outputs):
     assert peak <= 8 * (n * outputs + 8 * _FIELD_BLOCK)
 
 
+# ---------------------------------------------------------------- lattice tables
+
+def _graph_lattice(dim, h, half_width):
+    """The integer points k and the step h / 2 of the doubled lattice a
+    passage graph of spacing h samples on [-half_width, half_width]^dim, in
+    the layout PassageGraph._ensure_matrix builds them (np.indices,
+    transposed): a point-by-point evaluation of X = k step in that layout is
+    what the graph's matrix has always been made of."""
+    n = int(round(2 * half_width / h))
+    k = np.indices((2 * n + 1,) * dim).reshape(dim, -1).T - n
+    return k, h / 2
+
+
+def _order0_call(field):
+    return field.conformal_factor_batch if field.conformal else field.values_batch
+
+
+LATTICE_FIELDS = [("conformal", 2), ("conformal", 3), ("sym_exp", 2),
+                  ("sym_exp", 3)]
+
+
+@pytest.mark.parametrize("mode,dim", LATTICE_FIELDS)
+@pytest.mark.parametrize("h,pq", [(0.25, (1, 2)), (0.5, (1, 1))])
+def test_dyadic_lattice_table_keeps_the_point_by_point_bits(mode, dim, h, pq):
+    # the lattice points are exact dyadics, so every point of a phase has
+    # its representative's displacements bit for bit; batches of several
+    # evaluation blocks in 2-D and 3-D
+    field = MetricField(mode, seed=31, region=Box.cube(2.5, dim), kernel=KERN)
+    k, step = _graph_lattice(dim, h, 1.5)
+    call = _order0_call(field)
+    table = call(k * step, lattice=(k, step))
+    assert field._phase_table(step)[:2] == pq
+    assert table.tobytes() == call(k * step).tobytes()
+
+
+@pytest.mark.parametrize("mode,dim", LATTICE_FIELDS)
+@pytest.mark.parametrize("h", [0.3, 0.4])
+def test_commensurate_lattice_table_within_ulps(mode, dim, h):
+    # h / 2 = 3/5 and 4/5 of the spacing: 25 phases in 2-D, 125 in 3-D,
+    # whose displacements differ from a point's own in their last bits
+    field = MetricField(mode, seed=32, region=Box.cube(2.5, dim), kernel=KERN)
+    k, step = _graph_lattice(dim, h, 1.5)
+    call = _order0_call(field)
+    table = call(k * step, lattice=(k, step))
+    assert field._phase_table(step)[1] == 5
+    per_point = call(k * step)
+    assert np.max(np.abs(table - per_point)) <= 1e-14 * np.max(np.abs(per_point))
+
+
+@pytest.mark.parametrize("mode", ["conformal", "sym_exp"])
+def test_incommensurate_lattice_keeps_the_point_by_point_path(mode):
+    # h / 2 = 29/50 of the spacing: q = 50 phases per axis exceed the 8
+    # support lines, so no table is built and the bits are the per-point ones
+    field = MetricField(mode, seed=33, region=Box.cube(2.5, 2), kernel=KERN)
+    k, step = _graph_lattice(2, 0.29, 1.5)
+    call = _order0_call(field)
+    assert call(k * step, lattice=(k, step)).tobytes() == call(k * step).tobytes()
+    assert field._phase_table(step) is None
+
+
+def test_lattice_outside_the_region_raises():
+    field = conformal(34, box=Box.cube(2.0, 2))
+    k, step = _graph_lattice(2, 0.25, 2.5)
+    with pytest.raises(RegionError):
+        field.conformal_factor_batch(k * step, lattice=(k, step))
+
+
+def test_lattice_cell_past_the_corner_cells_keeps_the_point_by_point_path():
+    # 45 * 0.35 rounds down to 15.749999999999998, below 63 * 0.25: a region
+    # ending there has its corner in cell 62, while the point's exact cell
+    # floor(45 * 7 / 5) is 63, so the table does not apply to it
+    hi = 45 * 0.35
+    assert hi < 63 * 0.25
+    field = MetricField("conformal", seed=35, region=Box((0.0, 0.0), (hi, hi)),
+                        kernel=KERN)
+    k = np.array([[45, 0], [45, 45], [44, 3]])
+    step = 0.35
+    assert field._phase_table(step)[:2] == (7, 5)
+    assert (field.conformal_factor_batch(k * step, lattice=(k, step)).tobytes()
+            == field.conformal_factor_batch(k * step).tobytes())
+
+
 # ---------------------------------------------------------------- persistence
 
 def test_save_load_roundtrip(tmp_path):
