@@ -47,7 +47,7 @@ def _sha(obj):
 
 def _c1_flat_distance(workers=1):
     from .distance import build_graph, distance, stencil_factor
-    graph = build_graph(FlatMetric(2), Box.cube(10.4, 2), h=0.05, stencil=16)
+    graph = build_graph(FlatMetric(), Box.cube(10.4, 2), h=0.05, stencil=16)
     d_hat, _ = distance(graph, (0.0, 0.0), (10.0, 0.0))
     ratio = d_hat / 10.0
     passed = 1.0 <= ratio <= 1.03
@@ -343,10 +343,10 @@ def _c10_bump(workers=1):
     from .experiments import BumpSpec, bump_experiment
     spec = BumpSpec(center=(0.0, 0.0), cone_half_angle=float(np.arccos(0.25)),
                     cap_curvature=1.0, glue_width=0.2)
-    sweep = bump_experiment(FlatMetric(2), spec, eps=0.0, entries=50,
+    sweep = bump_experiment(FlatMetric(), spec, eps=0.0, entries=50,
                             perturbations=1, seed=100001,
                             check_minimizing=False)
-    perturbed = bump_experiment(FlatMetric(2), spec, eps=0.01, entries=20,
+    perturbed = bump_experiment(FlatMetric(), spec, eps=0.01, entries=20,
                                 perturbations=20, seed=100002,
                                 check_minimizing=False)
     passed = sweep.conjugate_fraction == 1.0 and perturbed.conjugate_fraction == 1.0
@@ -396,7 +396,7 @@ def _c11_task(args):
 def _c11_frontier(workers=1):
     from .experiments import frontier_scan
     from .geometry import geodesic_shoot
-    flat = FlatMetric(2)
+    flat = FlatMetric()
     radial = geodesic_shoot(flat, (1e-12, 0.0), np.array([1.0, 0.0]),
                             T=5.0, step=1e-3, parametrization="euclidean")
     scan = frontier_scan(radial, flat, beta=0.5, rho=0.5, regularity=False)

@@ -7,10 +7,13 @@ by 3-point Simpson quadrature; the remaining error is dominated by the
 stencil's angular resolution, whose worst-case overestimation factor is
 computed exactly from the stencil geometry (stencil_factor).
 
+Graphs live in the plane, as the fields do: a region of another dimension
+is refused with a GraphError.
+
 Every Simpson node of an edge from h z to h (z + o) is a point of the
-doubled lattice (h/2) Z^d, namely (h/2) 2z, (h/2)(2z + o) and (h/2)(2z + 2o).
+doubled lattice (h/2) Z^2, namely (h/2) 2z, (h/2)(2z + o) and (h/2)(2z + 2o).
 The full weight matrix therefore evaluates the field once on the doubled
-lattice of the graph box, about 2^d times the node count, in one call; the
+lattice of the graph box, about 4 times the node count, in one call; the
 field works through the points in cache-sized blocks of its own, and where
 the doubled lattice is commensurate with its noise lattice it evaluates the
 kernel once per lattice phase, not once per point (see MetricField and
@@ -49,48 +52,42 @@ class GraphError(ValueError):
 # stencils
 # ---------------------------------------------------------------------------
 
-def _coprime_ring(radius, dim):
-    """Integer vectors with Chebyshev norm == radius and coprime entries."""
-    vecs = grid_points([np.arange(-radius, radius + 1)] * dim)
+def _coprime_ring(radius):
+    """Integer vectors of the plane with Chebyshev norm == radius and
+    coprime entries."""
+    vecs = grid_points([np.arange(-radius, radius + 1)] * 2)
     cheb = np.max(np.abs(vecs), axis=1)
     vecs = vecs[cheb == radius]
     g = np.gcd.reduce(np.abs(vecs), axis=1)
     return vecs[g == 1]
 
 
-def stencil_offsets(stencil, dim=2):
-    """Directions of the {8, 16, 32} stencil (d = 2) or its d = 3 analogue
-    (coprime vectors of Chebyshev radius up to 1, 2 or 3)."""
+def stencil_offsets(stencil):
+    """Directions of the {8, 16, 32} stencil: the coprime vectors of
+    Chebyshev radius up to 1, 2 or 3."""
     rings = {8: 1, 16: 2, 32: 3}
     if isinstance(stencil, bool) or not isinstance(stencil, (int, np.integer)):
         raise GraphError(f"stencil must be an integer, not {stencil!r}")
     if stencil not in rings:
         raise GraphError(f"stencil must be one of {sorted(rings)}")
-    vecs = [_coprime_ring(r, dim) for r in range(1, rings[stencil] + 1)]
+    vecs = [_coprime_ring(r) for r in range(1, rings[stencil] + 1)]
     return np.concatenate(vecs, axis=0)
 
 
-def stencil_factor(stencil, dim=2):
+def stencil_factor(stencil):
     """Worst-case ratio of stencil-path length to straight-line distance.
 
     The cheapest stencil path along a vector u costs the gauge of
     P = conv{o / |o|} at u (writing u = sum a_o o / |o| with a >= 0 costs
     sum a_o), so the worst ratio over unit vectors is 1 / the inradius of P,
-    the distance from the origin to its nearest facet.  Exact in any
-    dimension.
+    the distance from the origin to its nearest edge.  P's edges join
+    angular neighbours on the unit circle, and an edge spanning the angle g
+    lies at distance cos(g / 2) from the origin, so the ratio is exact.
     """
-    offs = stencil_offsets(stencil, dim).astype(float)
-    if dim == 2:
-        # P's edges join angular neighbours on the unit circle; an edge
-        # spanning the angle g lies at distance cos(g / 2) from the origin
-        angles = np.sort(np.arctan2(offs[:, 1], offs[:, 0]))
-        gaps = np.diff(angles, append=angles[0] + 2 * np.pi)
-        return float(1 / np.cos(np.max(gaps) / 2))
-    # imported here: scipy.spatial adds about 7.5 MiB of resident memory,
-    # which 2-D graphs do not need
-    from scipy.spatial import ConvexHull
-    unit = offs / np.linalg.norm(offs, axis=1, keepdims=True)
-    return float(1 / np.min(-ConvexHull(unit).equations[:, -1]))
+    offs = stencil_offsets(stencil).astype(float)
+    angles = np.sort(np.arctan2(offs[:, 1], offs[:, 0]))
+    gaps = np.diff(angles, append=angles[0] + 2 * np.pi)
+    return float(1 / np.cos(np.max(gaps) / 2))
 
 
 # ---------------------------------------------------------------------------
@@ -138,15 +135,19 @@ class PassageGraph:
     table and column indices.
     """
 
+    dim = 2
+
     def __init__(self, field, region, h, stencil=16):
+        if region.dim != 2:
+            raise GraphError(f"dimension {region.dim}: passage graphs live "
+                             "in the plane (d = 2)")
         if h <= 0:
             raise GraphError("grid spacing must be > 0")
         self.field = field
         self.region = region
         self.h = float(h)
-        self.dim = region.dim
         self.stencil = stencil
-        self.offsets = stencil_offsets(stencil, self.dim)
+        self.offsets = stencil_offsets(stencil)
         corners = np.array([region.lo, region.hi])
         if not np.all(field.contains(corners)):
             raise GraphError("graph region exceeds the field's valid region")
@@ -154,7 +155,7 @@ class PassageGraph:
         self.z_hi = np.floor(np.asarray(region.hi) / self.h + 1e-9).astype(np.int64)
         self.shape = tuple((self.z_hi - self.z_lo + 1).astype(int))
         self.n_nodes = int(np.prod(self.shape))
-        self.factor = stencil_factor(stencil, self.dim)
+        self.factor = stencil_factor(stencil)
         # only a sampled field has the scalar e^{2 phi} path
         self._scalar_speed = isinstance(field, MetricField) and field.conformal
         self._unit = self._weight_unit()
@@ -209,23 +210,26 @@ class PassageGraph:
         return scale * 2.0 ** (-_QUANT_BITS)
 
     def _samples(self, k):
-        """Field data at the doubled-lattice points (k / 2) h, k (M, d)
+        """Field data at the doubled-lattice points (k / 2) h, k (M, 2)
         integer: the speed factor sqrt(e^{2 phi}) for conformal fields, the
         metric matrices otherwise.
 
         A sampled field is told the lattice, (k, h / 2), next to the points:
-        where h / 2 = (p / q) spacing with q^d at most the K support nodes
+        where h / 2 = (p / q) spacing with q^2 at most the K support nodes
         of a point, it evaluates the kernel once per phase of the lattice in
-        the noise cells, q^d times K, not once per sample and node (see
+        the noise cells, q^2 times K, not once per sample and node (see
         MetricField._phase_table).  Every sample of the graph, the unit
         probes, the matrix and edge_weight, goes through here, so they share
         one definition of a sample.  Where the lattice points are exact
         dyadics (h = 0.25 or 0.5 at the default spacing) the samples keep
         the bits of the point-by-point evaluation; on other commensurate
         lattices (h = 0.3, 0.4) e^{2 phi} moves by a few ulps, which the
-        dyadic weight quantization absorbs."""
+        dyadic weight quantization absorbs.  X is formed in C order
+        whatever the layout of k: off the tables a field's sums follow the
+        layout of X in their last bits, and the matrix passes k transposed
+        where edge_weight passes it row-major."""
         step = self.h / 2
-        X = k * step                    # the bits of (k / 2) h
+        X = np.multiply(k, step, order="C")     # the bits of (k / 2) h
         if not isinstance(self.field, MetricField):
             return self.field.values_batch(X)
         lattice = (k, step)

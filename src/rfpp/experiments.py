@@ -270,7 +270,6 @@ class BumpField(ConformalAnalyticField):
     def __init__(self, spec, base):
         if not base.conformal:
             raise BumpError("bump overlays need a conformal or flat base field")
-        super().__init__(dim=base.dim)
         self.spec = spec
         self.base = base
         self.region = base.region
@@ -278,11 +277,9 @@ class BumpField(ConformalAnalyticField):
         self.apex = np.asarray(spec.center, dtype=float)
         u = np.asarray(spec.orientation, dtype=float)
         self.cap = SpherePatchField(radius=spec.cap_radius,
-                                    center=self.apex + spec.cap_radius * u,
-                                    dim=self.dim)
+                                    center=self.apex + spec.cap_radius * u)
 
     def phi_batch(self, X, order=2):
-        d = X.shape[1]
         w = self.spec.glue_width
         y = X - self.apex
         s = np.linalg.norm(y, axis=1)
@@ -306,7 +303,7 @@ class BumpField(ConformalAnalyticField):
         if order < 2:
             return phi, dphi, None
         with np.errstate(invalid="ignore", divide="ignore"):
-            d2t = (np.eye(d)[None]
+            d2t = (np.eye(2)[None]
                    - y[:, :, None] * y[:, None, :] / (shat ** 2)[:, None, None]) \
                 / (w * shat[:, None, None])
         d2chi = (c2[:, None, None] * dt[:, :, None] * dt[:, None, :]
@@ -335,7 +332,6 @@ class PerturbedConformalField(ConformalAnalyticField):
     valid where both are."""
 
     def __init__(self, base, noise_field, amplitude):
-        super().__init__(dim=base.dim)
         self.base = base
         self.noise_field = noise_field
         self.amplitude = float(amplitude)
@@ -399,8 +395,6 @@ def bump_experiment(base, spec, eps, entries=50, perturbations=1, seed=0,
     """
     if eps < 0:
         raise BumpError("perturbation size must be >= 0")
-    if base.dim != 2:
-        raise BumpError("the bump sweep is implemented in d = 2")
     bump = make_bump(spec, base)
     theta = spec.entry_half_angle
     R = spec.cap_radius
@@ -502,8 +496,6 @@ def direction_scan(field, graph, radii, k=64, base=None, step=None):
     nested, and the verdicts are additionally forced monotone).
     """
     radii = np.sort(np.asarray(radii, dtype=float))
-    if field.dim != 2:
-        raise ExperimentError("the direction scan is implemented in d = 2")
     base = np.zeros(2) if base is None else np.asarray(base, dtype=float)
     _, dirs = _unit_directions(k)
     # transience bound: a minimizing geodesic still inside the radius-R ball

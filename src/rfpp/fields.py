@@ -13,18 +13,20 @@ Coefficients are keyed by (seed, integer node coordinates, channel), so the
 same seed reproduces the same field on any region and the law is invariant
 under lattice translations.
 
+Fields live in the plane: every field refuses a dimension other than 2
+with one FieldError.
+
 A point x in lattice cell c = floor(x / spacing) sums over the K =
-(2 reach)^d nodes c + j, j in -reach + 1 .. reach on every axis, reach =
-ceil(range / spacing): 64 nodes in 2-D and 512 in 3-D at the default
-spacing range / 4.  The line j = -reach is left out because it never
-carries weight: every node on it lies at least reach * spacing >= range from
-x, where k vanishes.  N0 is taken over the full symmetric (2 reach + 1)^d
-grid of offsets.
+(2 reach)^2 nodes c + j, j in -reach + 1 .. reach on both axes, reach =
+ceil(range / spacing): 64 nodes at the default spacing range / 4.  The line
+j = -reach is left out because it never carries weight: every node on it
+lies at least reach * spacing >= range from x, where k vanishes.  N0 is
+taken over the full symmetric (2 reach + 1)^2 grid of offsets.
 
 A passage graph samples the field on a lattice {step k : k integer}.  When
-step = (p / q) spacing with q^d <= K (q <= 2 reach), a lattice point lies
-in the exact integer cell floor(k p / q), at one of q^d phases inside it,
-so the kernel is evaluated once per phase and support node, a q^d x K table
+step = (p / q) spacing with q^2 <= K (q <= 2 reach), a lattice point lies
+in the exact integer cell floor(k p / q), at one of q^2 phases inside it,
+so the kernel is evaluated once per phase and support node, a q^2 x K table
 (4 x 64 rows at h = 0.25, 25 x 64 at h = 0.3 and 0.4, default spacing), and
 each point only gathers its coefficients and contracts them against its
 phase's row (see MetricField._phase_table).  Each row is built from one
@@ -55,7 +57,7 @@ interface and can be passed anywhere a sampled field is accepted.
 Every field is a ``Field``, which owns the protocol its consumers
 (geodesics, the passage graph, the experiments) read:
 
-    region        the Box a field is valid on, None for all of R^d; the
+    region        the Box a field is valid on, None for all of R^2; the
                   one source of membership, ``contains(points)``
     conformal     set when g = c e^{2 phi} I; this module alone decides it,
                   from the mode or the class, and every field with the flag
@@ -69,7 +71,6 @@ Every field is a ``Field``, which owns the protocol its consumers
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import io
 import struct
@@ -299,26 +300,29 @@ def sample_noise(seed, region, spacing, channels, margin=None):
 _MODE_CODES = {"conformal": 0, "sym_exp": 2}
 
 # support-entry products per block of a field evaluation: a batch is summed
-# in blocks of _FIELD_BLOCK // (K d^order) points, K = (2 reach)^d the
-# support nodes of a point, so each (B, K, d^order) temporary of a block
+# in blocks of _FIELD_BLOCK // (K 2^order) points, K = (2 reach)^2 the
+# support nodes of a point, so each (B, K, 2^order) temporary of a block
 # holds at most _FIELD_BLOCK doubles (256 KiB): few enough to stay in cache
 # and for malloc to reuse, where larger ones are mapped and faulted in afresh
 # every block (2^16 took twice as long at order 0).  At the default spacing
-# (K = 64 in 2-D, 512 in 3-D) a block holds 512, 256 and 128 points at
-# orders 0, 1 and 2 in 2-D, and 64, 21 and 7 in 3-D
+# (K = 64) a block holds 512, 256 and 128 points at orders 0, 1 and 2
 _FIELD_BLOCK = 2 ** 15
 
-# symmetric-matrix channel layout: diagonal entries first, then upper pairs;
-# entry [i, j] is the channel holding g_ij
-_SYM_CHANNELS = {
-    2: np.array([[0, 2], [2, 1]]),
-    3: np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]]),
-}
+# symmetric-matrix channel layout: diagonal entries first, then the upper
+# pair; entry [i, j] is the channel holding g_ij
+_SYM_CHANNELS = np.array([[0, 2], [2, 1]])
+
+
+def _check_plane(d):
+    """Refuse every dimension but 2: fields live in the plane."""
+    if d != 2:
+        raise FieldError(f"dimension {d}: fields live in the plane (d = 2)")
 
 
 class Field:
     """The protocol every field shares (see the module docstring)."""
 
+    dim = 2
     region = None           # None means unbounded
     conformal = False
 
@@ -343,8 +347,8 @@ class MetricField(Field):
     Immutable after construction; evaluation is pure and thread-safe.
 
     Every batch method evaluates its points in blocks of a fixed number of
-    support-entry products, _FIELD_BLOCK // (K d^order) points for the K =
-    (2 reach)^d support nodes of a point (the module docstring says why the
+    support-entry products, _FIELD_BLOCK // (K 2^order) points for the K =
+    (2 reach)^2 support nodes of a point (the module docstring says why the
     line -reach is left out) at derivative order 0, 1 or 2, and writes
     each block's results into the output arrays; a batch of at most one
     block is one pass.  So no per-point temporary exceeds one block,
@@ -358,8 +362,8 @@ class MetricField(Field):
 
     values_batch and conformal_factor_batch also take the lattice the
     points lie on, lattice = (k, step) for X = k step with integer k, as a
-    passage graph does.  Where step = (p / q) spacing with q^d <= K, the
-    kernel sums come from one psi table of q^d phases by K support nodes,
+    passage graph does.  Where step = (p / q) spacing with q^2 <= K, the
+    kernel sums come from one psi table of q^2 phases by K support nodes,
     built once per step (_phase_table), and each point only gathers its
     coefficients and contracts them against its phase's row, with the
     node sums in the order of a transposed batch (points fastest), the
@@ -379,6 +383,7 @@ class MetricField(Field):
         if mode not in _MODE_CODES:
             raise FieldError(f"unknown mode {mode!r}; valid modes: "
                              f"{', '.join(_MODE_CODES)}")
+        _check_plane(region.dim)
         kernel = kernel or KernelSpec()
         if shift <= 0:
             raise FieldError("shift (mean level) must be > 0")
@@ -389,15 +394,12 @@ class MetricField(Field):
         self.kernel = kernel
         self.correlation_length = kernel.range
         self.shift = float(shift)
-        self.dim = region.dim
         self.spacing = float(spacing) if spacing else kernel.range / 4.0
-        if self.dim < 2:
-            raise FieldError("dimension must be >= 2")
-        channels = 1 if self.conformal else self.dim * (self.dim + 1) // 2
+        channels = 1 if self.conformal else 3
         self.noise = sample_noise(self.seed, region, self.spacing, channels,
                                   margin=kernel.range)
         # support geometry, fixed for the field's lifetime: the 2 reach node
-        # offsets -reach + 1 .. reach along one axis, the (2 reach)^d offsets
+        # offsets -reach + 1 .. reach along one axis, the (2 reach)^2 offsets
         # around a cell (their mesh, first axis slowest), the index spreading
         # a row (m, d) of a per-axis table over the mesh, their offsets in
         # the flat (C-order) noise index, and the flat coefficient view they
@@ -418,7 +420,7 @@ class MetricField(Field):
         # flat index of support node k of cell z: z @ strides + _flat_offs[k]
         self._flat_offs = (offs - index_lo) @ self._strides          # (K,)
         self._flat_coeff = self.noise.coefficients.reshape(-1, channels)
-        # N0 over the full symmetric (2 reach + 1)^d node grid, so the
+        # N0 over the full symmetric (2 reach + 1)^2 node grid, so the
         # field's scale does not depend on which lines a support holds
         full = np.arange(-self._reach, self._reach + 1)
         val = kernel.evaluate(grid_points([full] * self.dim) * self.spacing,
@@ -444,14 +446,14 @@ class MetricField(Field):
     def _gather(self, X, lookup=None, start=0):
         """Per-axis displacements to, and coefficients of, every support node.
 
-        Returns (dx1 (B,m,d), coeff (B,K,ch)) for the K = m^d nodes, m =
+        Returns (dx1 (B,m,2), coeff (B,K,ch)) for the K = m^2 nodes, m =
         2 reach, whose kernel support can reach each point: the node lines
         -reach + 1 .. reach about the point's cell (the line -reach lies at
         least range away, so it carries no weight).  The support of a point
         is the mesh of m node lines per axis, so its displacements are a
         per-axis table (see _displacements).  Node k of coeff's K axis is
-        the mesh point (j_0, ..., j_{d-1}), first axis slowest.  A point
-        outside the region raises RegionError, tested on the (B,d) rows at
+        the mesh point (j_0, j_1), first axis slowest.  A point outside the
+        region raises RegionError, tested on the (B,2) rows at
         once by Box.contains_all.  The support needs no test per call:
         __init__ checked it for the cells of the region's corners, which
         bound the cell of every point inside.
@@ -488,13 +490,13 @@ class MetricField(Field):
         """(p, q, psi) for the lattice {step k : k integer}, or None.
 
         The lattice is commensurate with the noise lattice when step = (p /
-        q) spacing for integers p >= 1 and 1 <= q <= m = 2 reach, so that q^d
+        q) spacing for integers p >= 1 and 1 <= q <= m = 2 reach, so that q^2
         <= K (q is the least such; q step and p spacing agree to a few
         ulps).  A point k step then lies in the cell floor(k p / q), an
-        exact integer, at one of q^d offsets inside it, its phase r = k p mod
-        q (per axis, taken as the base-q number r_0 .. r_{d-1}).  Column r
-        of psi (K, q^d) holds psi at the K support nodes of one
-        representative point of phase r, k in {0 .. q - 1}^d (k -> k p mod q
+        exact integer, at one of q^2 offsets inside it, its phase r = k p mod
+        q (per axis, taken as the base-q number r_0 r_1).  Column r of psi
+        (K, q^2) holds psi at the K support nodes of one representative
+        point of phase r, k in {0 .. q - 1}^2 (k -> k p mod q
         is one-to-one there), computed as _gather and _kernel_sums compute
         them for that point.  Where the lattice points are exact dyadics, as
         at step 1/8 or 1/4 with the default spacing 1/4, every point of a
@@ -515,7 +517,7 @@ class MetricField(Field):
                 break
         else:
             return None
-        reps = grid_points([np.arange(q)] * self.dim)                # (q^d, d)
+        reps = grid_points([np.arange(q)] * self.dim)                # (q^2, 2)
         cell = reps * p // q
         phase = (reps * p - cell * q) @ q ** np.arange(self.dim - 1, -1, -1)
         dx1 = self._displacements(reps * step, cell)
@@ -629,12 +631,12 @@ class MetricField(Field):
         return self._blocked(X, order, _exponent_from_sums)
 
 
-def _sym_from_channels(dim, A):
-    """(B, ..., ch) channel arrays to (B, ..., d, d) symmetric matrices."""
+def _sym_from_channels(A):
+    """(B, ..., 3) channel arrays to (B, ..., 2, 2) symmetric matrices."""
     if A is None:
         return None
     # C order: on a strided view the sym_exp einsums round differently
-    return np.ascontiguousarray(A[..., _SYM_CHANNELS[dim]])
+    return np.ascontiguousarray(A[..., _SYM_CHANNELS])
 
 
 def _exponent_from_sums(field, sums, order):
@@ -658,20 +660,18 @@ def _first_channel(A):
 
 def _kernel_sums(kernel, norm, dx1, spread, coeff, order=2):
     """Contract kernel derivatives against coefficients, scaled by
-    amplitude / N0: G (B,ch) alone at order 0, (G, dG (B,d,ch), None) at
-    order 1 and (G, dG, d2G (B,d,d,ch)) at order 2.
+    amplitude / N0: G (B,ch) alone at order 0, (G, dG (B,2,ch), None) at
+    order 1 and (G, dG, d2G (B,2,2,ch)) at order 2.
 
-    The displacements come as the per-axis table dx1 (B,m,d) of _gather and
-    coeff (B,K,ch) holds the K = m^d mesh nodes, m = 2 reach (the lines
+    The displacements come as the per-axis table dx1 (B,m,2) of _gather and
+    coeff (B,K,ch) holds the K = m^2 mesh nodes, m = 2 reach (the lines
     -reach + 1 .. reach; the line -reach carries no weight), first axis
-    slowest.  No (B,K,d) displacement tensor is built: u = |dx|^2 /
-    range^2 is the outer sum of the squared per-axis displacements, added
-    in the order einsum("bi,bi->b") adds a row of up to seven terms (two
-    lanes, even axes and odd axes, then their sum): x0^2 + x1^2 in 2-D and
-    (x0^2 + x2^2) + x1^2 in 3-D, so every u keeps the bits of the einsum
-    over the full tensor.  From order 1 on, the factor du/dx = 2 dx /
+    slowest.  No (B,K,2) displacement tensor is built: u = |dx|^2 /
+    range^2 is the outer sum x0^2 + x1^2 of the squared per-axis
+    displacements, the sum einsum("bi,bi->b") forms over the full tensor,
+    so every u keeps its bits.  From order 1 on, the factor du/dx = 2 dx /
     range^2 is computed per axis and spread over the mesh by ``spread``,
-    the (K d,) positions in a flattened (m, d) table row of the mesh
+    the (2 K,) positions in a flattened (m, 2) table row of the mesh
     entries (k, i)."""
     B, m, d = dx1.shape
     K = m ** d
@@ -690,26 +690,13 @@ def _kernel_sums(kernel, norm, dx1, spread, coeff, order=2):
 
 
 def _support_u(kernel, dx1):
-    """u = |dx|^2 / range^2 (B,K) at the K = m^d mesh nodes of the per-axis
-    table dx1 (B,m,d), first axis slowest (see _kernel_sums)."""
-    B, m, d = dx1.shape
+    """u = |dx|^2 / range^2 (B,K) at the K = m^2 mesh nodes of the per-axis
+    table dx1 (B,m,2), first axis slowest (see _kernel_sums)."""
+    B, m, _ = dx1.shape
     sq = dx1 * dx1
-    axes = _mesh_axes(d)
-    lanes = [sq[axes[0]], sq[axes[1]]]
-    for i in range(2, d):
-        lanes[i % 2] = lanes[i % 2] + sq[axes[i]]
-    u = np.add(lanes[0], lanes[1]).reshape(B, m ** d)
+    u = np.add(sq[:, :, None, 0], sq[:, None, :, 1]).reshape(B, m * m)
     u /= kernel.range ** 2
     return u
-
-
-@functools.cache
-def _mesh_axes(d):
-    """Per axis i, the index taking column i of a per-axis table (B,m,d) to
-    a view that broadcasts along axis i of the (B, m, ..., m) support
-    mesh."""
-    return tuple((slice(None),) + (None,) * i + (slice(None),)
-                 + (None,) * (d - 1 - i) + (i,) for i in range(d))
 
 
 def _metric_from_sums(field, sums, order):
@@ -717,20 +704,19 @@ def _metric_from_sums(field, sums, order):
     0, 1 or 2: the metric value alone at order 0, else (value, grad, hess)
     with hess None at order 1."""
     G, dG, d2G = (sums, None, None) if order == 0 else sums
-    dim = field.dim
     if field.conformal:
         return _conformal_metric(G[:, 0], _first_channel(dG),
-                                 _first_channel(d2G), dim)
-    A = _sym_from_channels(dim, G) + np.log(field.shift) * np.eye(dim)
-    return _expm_sym_with_derivatives(A, _sym_from_channels(dim, dG),
-                                      _sym_from_channels(dim, d2G))
+                                 _first_channel(d2G))
+    A = _sym_from_channels(G) + np.log(field.shift) * np.eye(2)
+    return _expm_sym_with_derivatives(A, _sym_from_channels(dG),
+                                      _sym_from_channels(d2G))
 
 
-def _conformal_metric(phi, dphi, d2phi, dim):
-    """g = e^{2 phi} I from phi (B,), dphi (B,d) and d2phi (B,d,d): the value
+def _conformal_metric(phi, dphi, d2phi):
+    """g = e^{2 phi} I from phi (B,), dphi (B,2) and d2phi (B,2,2): the value
     alone when dphi is None, else (value, grad, hess) with hess None when
     d2phi is None."""
-    eye = np.eye(dim)
+    eye = np.eye(2)
     f = np.exp(2.0 * phi)
     val = f[:, None, None] * eye
     if dphi is None:
@@ -763,7 +749,6 @@ class FieldStack(Field):
                 raise FieldError("stacked fields must share all parameters but the seed")
         self.fields = list(fields_)
         self.template = f0
-        self.dim = f0.dim
         self.region = f0.region
         self.conformal = f0.conformal
         self.correlation_length = f0.correlation_length
@@ -876,7 +861,7 @@ def _expm_sym_with_derivatives(A, dA, d2A):
 # ---------------------------------------------------------------------------
 
 class AnalyticField(Field):
-    """Base for closed-form metrics valid on all of R^d (or a stated region)."""
+    """Base for closed-form metrics valid on all of R^2 (or a stated region)."""
 
     correlation_length = 1.0
 
@@ -890,27 +875,35 @@ class AnalyticField(Field):
     def evaluate_batch(self, X, order=2):
         raise NotImplementedError
 
+    def _points(self, X):
+        """X as a (B, 2) float batch, behind the dimension and region
+        checks."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        _check_plane(X.shape[1])
+        if self.region is not None and not self.region.contains_all(X):
+            raise RegionError("evaluation point outside field region")
+        return X
+
 
 class ConstantMetric(AnalyticField):
-    """g(x) = A for a fixed SPD matrix A."""
+    """g(x) = A for a fixed SPD 2 x 2 matrix A."""
 
     def __init__(self, matrix):
         A = np.asarray(matrix, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise FieldError("constant metric needs a square matrix")
+        _check_plane(len(A))
         if not np.allclose(A, A.T):
             raise FieldError("constant metric must be symmetric")
         if np.min(np.linalg.eigvalsh(A)) <= 0:
             raise FieldError("constant metric must be positive-definite")
         self.matrix = A
-        self.dim = A.shape[0]
 
     def evaluate_batch(self, X, order=2):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        B, d = X.shape
-        val = np.broadcast_to(self.matrix, (B, d, d)).copy()
-        grad = np.zeros((B, d, d, d))
-        hess = np.zeros((B, d, d, d, d)) if order >= 2 else None
+        B = len(self._points(X))
+        val = np.broadcast_to(self.matrix, (B, 2, 2)).copy()
+        grad = np.zeros((B, 2, 2, 2))
+        hess = np.zeros((B, 2, 2, 2, 2)) if order >= 2 else None
         return val, grad, hess
 
 
@@ -919,33 +912,26 @@ class ConformalAnalyticField(AnalyticField):
 
     conformal = True
 
-    def __init__(self, dim=2):
-        self.dim = dim
-
     def phi_batch(self, X, order=2):
-        """Return (phi (B,), dphi (B,d), d2phi (B,d,d)), d2phi None below
+        """Return (phi (B,), dphi (B,2), d2phi (B,2,2)), d2phi None below
         order 2."""
         raise NotImplementedError
 
     def conformal_exponent_batch(self, X, order=2):
-        """phi_batch behind the region check."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self.region is not None and not self.region.contains_all(X):
-            raise RegionError("evaluation point outside field region")
-        return self.phi_batch(X, order)
+        """phi_batch behind the dimension and region checks."""
+        return self.phi_batch(self._points(X), order)
 
     def evaluate_batch(self, X, order=2):
-        return _conformal_metric(*self.conformal_exponent_batch(X, order),
-                                 self.dim)
+        return _conformal_metric(*self.conformal_exponent_batch(X, order))
 
 
 class FlatMetric(ConformalAnalyticField):
     """The euclidean metric g = I, the conformal field with phi = 0."""
 
     def phi_batch(self, X, order=2):
-        B, d = X.shape
-        return (np.zeros(B), np.zeros((B, d)),
-                np.zeros((B, d, d)) if order >= 2 else None)
+        B = len(X)
+        return (np.zeros(B), np.zeros((B, 2)),
+                np.zeros((B, 2, 2)) if order >= 2 else None)
 
 
 class SpherePatchField(ConformalAnalyticField):
@@ -954,10 +940,10 @@ class SpherePatchField(ConformalAnalyticField):
     Conformal factor e^{2 phi} = 4 R^4 / (R^2 + |x - c|^2)^2.
     """
 
-    def __init__(self, radius=1.0, center=None, dim=2):
-        super().__init__(dim)
+    def __init__(self, radius=1.0, center=None):
         self.radius = float(radius)
-        self.center = np.zeros(dim) if center is None else np.asarray(center, float)
+        self.center = np.zeros(2) if center is None else np.asarray(center, float)
+        _check_plane(len(self.center))
 
     def phi_batch(self, X, order=2):
         return _stereographic_exponent(X - self.center, self.radius ** 2, 1.0,
@@ -967,9 +953,8 @@ class SpherePatchField(ConformalAnalyticField):
 class HyperbolicDiskField(ConformalAnalyticField):
     """Poincare disk: e^{2 phi} = 4 / (1 - |x|^2)^2 on |x| < 1, curvature -1."""
 
-    def __init__(self, dim=2, patch_radius=0.99):
-        super().__init__(dim)
-        self.region = Box.cube(patch_radius / np.sqrt(dim), dim)
+    def __init__(self, patch_radius=0.99):
+        self.region = Box.cube(patch_radius / np.sqrt(2), 2)
 
     def phi_batch(self, X, order=2):
         return _stereographic_exponent(X, 1.0, -1.0, order)
@@ -986,7 +971,7 @@ def _stereographic_exponent(y, a, sign, order):
     dphi = -2.0 * sign * y / q[:, None]
     if order < 2:
         return phi, dphi, None
-    d2phi = (-2.0 * sign * np.eye(y.shape[1]) / q[:, None, None]
+    d2phi = (-2.0 * sign * np.eye(2) / q[:, None, None]
              + 4.0 * y[:, :, None] * y[:, None, :] / (q ** 2)[:, None, None])
     return phi, dphi, d2phi
 
@@ -1004,7 +989,7 @@ def _stereographic_exponent(y, a, sign, order):
 #   8       4     u32    version (2)
 #   12      1     u8     mode code (0 conformal, 2 sym_exp; 1 is reserved,
 #                        it was sym_shift)
-#   13      1     u8     dimension d
+#   13      1     u8     dimension d (2; the loader refuses any other)
 #   14      2     u8[2]  reserved (0)
 #   16      8     i64    seed
 #   24      8     f64    kernel range
@@ -1071,8 +1056,7 @@ def load_field(path):
     mode = {c: m for m, c in _MODE_CODES.items()}.get(mode_c)
     if mode is None:
         raise FieldError(f"unknown mode code {mode_c}")
-    if d < 2:
-        raise FieldError(f"dimension {d} below 2")
+    _check_plane(d)
     if len(data) != _HEADER_BYTES + 32 * d:
         raise FieldError(f"field container of dimension {d} has {len(data)} "
                          f"bytes, not {_HEADER_BYTES + 32 * d}")

@@ -1,5 +1,6 @@
-"""Differential geometry on metric fields: Christoffel symbols, geodesic
-shooting, arc lengths, reparametrization, Jacobi fields and curvature.
+"""Differential geometry on metric fields of the plane: Christoffel
+symbols, geodesic shooting, arc lengths, reparametrization, Jacobi fields
+and Gauss curvature.
 
 Geodesics solve  d2x^k = -Gamma^k_ij dx^i dx^j  with the embedded
 Dormand-Prince 5(4) pair.  ``step`` is the output sample spacing and the
@@ -29,12 +30,15 @@ tensor is assembled as
     R^r_smn = d_m Gamma^r_ns - d_n Gamma^r_ms
               + Gamma^r_ml Gamma^l_ns - Gamma^r_nl Gamma^l_ms
 
-with (R(X, Y) Z)^r = R^r_smn Z^s X^m Y^n, so the Jacobi equation along a
-unit-speed geodesic reads  D2 J + R(J, dx) dx = 0.
+with (R(X, Y) Z)^r = R^r_smn Z^s X^m Y^n.  The Gauss curvature is
+K = R_1212 / det g, R_1212 = <R(e_1, e_2) e_2, e_1>_g.  Along a unit-speed
+geodesic a Jacobi field normal to it is J = j n, n the parallel unit
+normal, with the scalar Jacobi equation  j'' + K(gamma(t)) j = 0  (do
+Carmo, Riemannian Geometry, ch. 5).
 
 At module level only numpy and fields are imported, since every rfpp call
 that shoots a geodesic imports this module.  SciPy routines load on first
-use: CubicSpline and brentq when a Jacobi determinant changes sign (to
+use: CubicSpline and brentq when a Jacobi field j changes sign (to
 refine the conjugate time), CubicHermiteSpline in
 GeodesicPath.position_spline.  Arc lengths use _simpson, which repeats
 scipy.integrate.simpson bit for bit.
@@ -151,31 +155,20 @@ def _riemann_from_christoffel(gamma, dgamma):
             - np.einsum("brnl,blms->brsmn", gamma, gamma))
 
 
-def curvature_at(field, x, plane=None):
-    """Gauss curvature (d = 2) or sectional curvature of a plane (d = 3).
+def _gauss_curvature(field, X):
+    """Gauss curvature K = R_1212 / det g at the points X (..., 2), from one
+    evaluate_batch call at order 2."""
+    g, grad, hess = field.evaluate_batch(X.reshape(-1, 2))
+    R = _riemann_from_christoffel(*_christoffel_and_partials(g, grad, hess))
+    # R_1212 = g_r1 R^r_212
+    num = R[:, 0, 1, 0, 1] * g[:, 0, 0] + R[:, 1, 1, 0, 1] * g[:, 1, 0]
+    K = num / (g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 0, 1])
+    return K.reshape(X.shape[:-1])
 
-    ``plane`` is a pair of spanning vectors, required when d = 3.
-    """
-    x = np.asarray(x, dtype=float)
-    val, grad, hess = field.evaluate_batch(x[None, :])
-    g = val[0]
-    if np.linalg.cond(g) > CONDITION_LIMIT:
-        raise GeometryError("metric nearly singular at the requested point")
-    R = riemann_tensor(val, grad, hess)[0]
-    d = g.shape[0]
-    if d == 2:
-        u = np.array([1.0, 0.0])
-        v = np.array([0.0, 1.0])
-    else:
-        if plane is None:
-            raise GeometryError("sectional curvature in d = 3 needs a plane")
-        u, v = (np.asarray(w, dtype=float) for w in plane)
-    ruv = np.einsum("rsmn,s,m,n->r", R, v, u, v)      # R(u, v) v
-    num = np.einsum("r,rs,s->", ruv, g, u)            # <R(u,v)v, u>_g
-    uu = u @ g @ u
-    vv = v @ g @ v
-    uv = u @ g @ v
-    return float(num / (uu * vv - uv * uv))
+
+def curvature_at(field, x):
+    """Gauss curvature at the point x."""
+    return float(_gauss_curvature(field, np.asarray(x, dtype=float)[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -688,90 +681,45 @@ def reparametrize(path, target, field):
 
 @dataclass
 class JacobiRecord:
-    """Transverse Jacobi determinant history along a geodesic.
+    """Normal Jacobi field along a geodesic.
 
-    det_history[i] is the Riemannian volume of the frame
-    (velocity, J_1, ..., J_{d-1}) at times[i]; with the initial covariant
-    derivatives forming a g-orthonormal transverse frame this normalizes to
-    t^{d-1} on a flat field.  conjugate_times are the sign changes of
-    det_history after t = 0: a change between two samples is refined to
-    CONJUGATE_REFINE on the determinant's cubic spline, and a sample where
-    the determinant is exactly 0 between samples of opposite sign gives its
-    own time.  A conjugate point of even multiplicity does not change the
-    sign and is not reported: in d = 3 that is a point where both transverse
-    Jacobi fields vanish together, such as the antipode on the round sphere.
+    det_history[i] is j(times[i]), where J = j n is the Jacobi field along
+    the geodesic with J(0) = 0 and DJ(0) = n, n the positively oriented
+    unit normal: the Riemannian area sqrt(det g) det(velocity, J) of the
+    frame (velocity, J), which is t on a flat field.  conjugate_times are
+    the sign changes of det_history after t = 0: a change between two
+    samples is refined to CONJUGATE_REFINE on j's cubic spline, and a
+    sample where j is exactly 0 between samples of opposite sign gives its
+    own time.  j(t0) = j'(t0) = 0 would force j = 0, so every zero of j is
+    simple and the sign changes count the conjugate points with their
+    multiplicity.
     """
     times: np.ndarray
     det_history: np.ndarray
     conjugate_times: list
 
 
-def _transverse_frame(g, v0):
-    """g-orthonormal frame (v0, e_2, .., e_d), oriented positively, for the
-    metric matrix g at the start point."""
-    d = len(v0)
-    vecs = [v0 / np.sqrt(v0 @ g @ v0)]
-    for seed_idx in range(d):
-        if len(vecs) == d:
-            break
-        cand = np.zeros(d)
-        cand[seed_idx] = 1.0
-        for e in vecs:
-            cand = cand - (cand @ g @ e) * e
-        nrm = np.sqrt(cand @ g @ cand)
-        if nrm > 1e-10:
-            vecs.append(cand / nrm)
-    if len(vecs) != d:
-        raise GeometryError("failed to build a transverse frame")
-    frame = np.column_stack(vecs)
-    if np.linalg.det(frame) < 0:
-        frame[:, -1] = -frame[:, -1]
-    return frame
-
-
 def _hermite_midpoints(times, positions, velocities):
-    """Positions and velocities at interval midpoints from Hermite cubics;
-    the sample axis is the first, so (N, d) and (N, B, d) histories both
-    work."""
+    """Positions at interval midpoints from Hermite cubics; the sample axis
+    is the first, so (N, 2) and (N, B, 2) histories both work."""
     h = np.diff(times).reshape((-1,) + (1,) * (positions.ndim - 1))
-    x0, x1 = positions[:-1], positions[1:]
-    v0, v1 = velocities[:-1], velocities[1:]
-    xm = 0.5 * (x0 + x1) + 0.125 * h * (v0 - v1)
-    vm = 1.5 * (x1 - x0) / h - 0.25 * (v0 + v1)
-    return xm, vm
+    return (0.5 * (positions[:-1] + positions[1:])
+            + 0.125 * h * (velocities[:-1] - velocities[1:]))
 
 
 def jacobi_integrate(field, path):
-    """Integrate the matrix Jacobi equation J'' + R(J, dx) dx = 0 along a
-    unit-Riemannian-speed geodesic, J(0) = 0, DJ(0) = transverse identity."""
+    """Integrate the scalar Jacobi equation j'' + K j = 0 along a
+    unit-Riemannian-speed geodesic, j(0) = 0, j'(0) = 1."""
     return jacobi_integrate_batch(field, [path])[0]
 
 
-def _jacobi_generators(field, X, V):
-    """Generators M of the Jacobi system Y' = M Y at points X with
-    velocities V (any leading shape, last axis d), and the metric there.
-
-    Y stacks J over its covariant derivative W, and
-    M = [[-gv, I], [-cv, -gv]] with
-    gv[k, j]   = Gamma^k_ij V^i              (connection drag)
-    cv[r, m]   = R^r_smn V^s V^n             (tidal operator)
-    Gamma and its partials come from one _christoffel_and_partials call per
-    point; gv contracts Gamma symmetrised as christoffel_from_derivatives
-    does, and R is riemann_tensor's.
-    """
-    shape, d = X.shape[:-1], X.shape[-1]
-    X = X.reshape(-1, d)
-    V = V.reshape(-1, d)
-    M = np.zeros((X.shape[0], 2 * d, 2 * d))
-    M[:, :d, d:] = np.eye(d)
-    g, grad, hess = field.evaluate_batch(X)
-    gamma, dgamma = _christoffel_and_partials(g, grad, hess)
-    R = _riemann_from_christoffel(gamma, dgamma)
-    gamma = 0.5 * (gamma + np.swapaxes(gamma, 2, 3))
-    gv = np.einsum("bkij,bi->bkj", gamma, V)
-    M[:, :d, :d] = M[:, d:, d:] = -gv
-    M[:, d:, :d] = -np.einsum("brsmn,bs,bn->brm", R, V, V)
-    return M.reshape(shape + (2 * d, 2 * d)), g.reshape(shape + (d, d))
+def _scalar_generators(K):
+    """Generators M = [[0, 1], [-K, 0]] of (j, j')' = M (j, j') for the
+    Gauss curvatures K (any shape)."""
+    M = np.zeros(K.shape + (2, 2))
+    M[..., 0, 1] = 1.0
+    M[..., 1, 0] = -K
+    return M
 
 
 def _rk4_propagators(Ms, Mm, h):
@@ -805,24 +753,19 @@ def _rk4_propagators(Ms, Mm, h):
 def jacobi_integrate_batch(field, paths):
     """Jacobi records for several paths sharing the same sample times.
 
-    The Jacobi system is linear, Y' = M(t) Y with Y = (J; W) and W the
-    covariant derivative of J, so a classical RK4 step on the sample grid
-    (midpoint data from the Hermite cubics through the samples) is one
-    matrix P_i = I + h/6 (M1 + 2 K2 + 2 K3 + K4), K2 = M2 (I + h/2 M1),
+    The scalar Jacobi equation is linear, Y' = M(t) Y with Y = (j, j') and
+    M = [[0, 1], [-K, 0]], so a classical RK4 step on the sample grid
+    (midpoints from the Hermite cubics through the samples) is one matrix
+    P_i = I + h/6 (M1 + 2 K2 + 2 K3 + K4), K2 = M2 (I + h/2 M1),
     K3 = M2 (I + h/2 K2), K4 = M4 (I + h K3), with M1, M4 at the samples
-    and M2 at the midpoint.  Field data and every P_i are formed in bulk;
-    the only loop left applies Y[i + 1] = P_i Y[i].  Every path must have
+    and M2 at the midpoint.  The Gauss curvature K at the samples and at the
+    midpoints, and every P_i, are formed in bulk; the only loop left
+    applies Y[i + 1] = P_i Y[i] from Y[0] = (0, 1).  Every path must have
     exactly the sample times of the first; each row's record is
     bit-identical to the same path integrated alone.
-
-    In d = 3 a conjugate point of even multiplicity leaves the sign of the
-    determinant unchanged and is not reported (see JacobiRecord).
     """
     if not paths:
         return []
-    d = paths[0].positions.shape[1]
-    if d not in (2, 3):
-        raise GeometryError("Jacobi integration supports d = 2 or 3")
     times = paths[0].times
     for p in paths:
         if p.parametrization != "riemannian":
@@ -831,28 +774,18 @@ def jacobi_integrate_batch(field, paths):
             raise GeometryError("path too coarse for curvature sampling")
         if not np.array_equal(p.times, times):
             raise GeometryError("batched paths must share sample times")
-    B = len(paths)
-    N = len(times)
-    pos = np.stack([p.positions for p in paths], axis=1)   # (N, B, d)
+    pos = np.stack([p.positions for p in paths], axis=1)   # (N, B, 2)
     vel = np.stack([p.velocities for p in paths], axis=1)
 
-    Ms, g = _jacobi_generators(field, pos, vel)
-    Mm, _ = _jacobi_generators(field, *_hermite_midpoints(times, pos, vel))
+    Ms = _scalar_generators(_gauss_curvature(field, pos))
+    Mm = _scalar_generators(_gauss_curvature(
+        field, _hermite_midpoints(times, pos, vel)))
     P = _rk4_propagators(Ms, Mm, np.diff(times))
-
-    # Y = (J; W) at every sample, from J(0) = 0 and W(0) the transverse
-    # frame; the frames (velocity, J) get one batched determinant after
-    # the loop (LAPACK factors each matrix on its own)
-    Y = np.zeros((N, B, 2 * d, d - 1))
-    for b in range(B):
-        Y[0, b, d:] = _transverse_frame(g[0, b], vel[0, b])[:, 1:]
-    for i in range(N - 1):
+    Y = np.zeros(pos.shape[:2] + (2, 1))
+    Y[0, :, 1] = 1.0
+    for i in range(len(times) - 1):
         np.matmul(P[i], Y[i], out=Y[i + 1])
-
-    frames = np.concatenate([vel[1:, :, :, None], Y[1:, :, :d]], axis=3)
-    volume = np.sqrt(np.linalg.det(g[1:]))
-    dets = np.concatenate([np.zeros((1, B)), volume * np.linalg.det(frames)])
-    return [_detect_conjugates(times, dets[:, b]) for b in range(B)]
+    return [_detect_conjugates(times, Y[:, b, 0, 0]) for b in range(len(paths))]
 
 
 def _detect_conjugates(times, det):

@@ -378,7 +378,7 @@ def _run_bump(config, p):
     spec = BumpSpec(center=tuple(p["center"]),
                     cone_half_angle=p["cone_half_angle"],
                     cap_curvature=p["cap_curvature"], glue_width=p["glue_width"])
-    report = bump_experiment(FlatMetric(2), spec, eps=p["eps"],
+    report = bump_experiment(FlatMetric(), spec, eps=p["eps"],
                              entries=p["entries"],
                              perturbations=p["perturbations"], seed=config.seed,
                              check_minimizing=p["check_minimizing"])

@@ -14,7 +14,7 @@ from rfpp.experiments import (BumpError, BumpSpec, ExperimentError,
                               frontier_density, frontier_scan,
                               local_regularity, make_bump)
 
-FLAT = FlatMetric(2)
+FLAT = FlatMetric()
 CONE_ANGLE = float(np.arccos(0.25))      # cos(phi) = beta/2 with beta = 1/2
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from rfpp import rng
+from rfpp.distance import GraphError, build_graph
 from rfpp.experiments import BumpSpec, PerturbedConformalField, make_bump
 from rfpp.fields import (_FIELD_BLOCK, Box, ConstantMetric, FieldError,
                          FieldStack, FlatMetric, HyperbolicDiskField, KernelSpec,
@@ -212,14 +213,14 @@ def _boundary_points(spacing, dim):
                       lines.reshape(-1, dim)])
 
 
-@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("dim", [2])
 @pytest.mark.parametrize("range_,spacing,ulp_short", [
     (1.0, 0.25, False), (1.0, 0.3, False), (1.0, 0.4, False),
     (0.6, 0.2, True)])
 def test_dropped_support_line_carries_no_weight(range_, spacing, ulp_short,
                                                 dim):
     # a support holds the lines -reach + 1 .. reach; the nodes of the full
-    # (2 reach + 1)^d mesh it leaves out (the line -reach on some axis) lie
+    # (2 reach + 1)^2 mesh it leaves out (the line -reach on some axis) lie
     # at least range from every point of the cell, at range / spacing an
     # integer (4) or not (3.33, 2.5), for points on cell boundaries and a
     # few ulps to either side.  psi, psi' and psi'' are +0.0 there at every
@@ -250,11 +251,10 @@ def test_dropped_support_line_carries_no_weight(range_, spacing, ulp_short,
             assert psi1.tobytes() == zero
 
 
-@pytest.mark.parametrize("dim,nodes,steps", [(2, 64, (512, 256, 128)),
-                                             (3, 512, (64, 21, 7))])
+@pytest.mark.parametrize("dim,nodes,steps", [(2, 64, (512, 256, 128))])
 def test_support_size_and_block_points(dim, nodes, steps):
-    # at the default spacing range / 4 a support holds (2 * 4)^d nodes, and
-    # a block _FIELD_BLOCK // (K d^order) points at orders 0, 1 and 2
+    # at the default spacing range / 4 a support holds (2 * 4)^2 nodes, and
+    # a block _FIELD_BLOCK // (K 2^order) points at orders 0, 1 and 2
     field = MetricField("conformal", seed=5, region=Box.cube(2.0, dim),
                         kernel=KERN)
     assert len(field._flat_offs) == nodes
@@ -378,9 +378,8 @@ def _bump(base):
 # array that reads it, depend on how the one-channel einsum over the support
 # groups its sums, which the support's length decides; dphi and d2phi do
 # not read phi, except where the bump's blend reads its base's phi, so the
-# derivative digests of conformal, conformal_3d and stack hold across a
-# change of the support's length and those of bump_conformal and perturbed
-# do not
+# derivative digests of conformal and stack hold across a change of the
+# support's length and those of bump_conformal and perturbed do not
 GOLDEN_EVALUATIONS = {
     "conformal": (
         lambda: conformal(21), 2, 2.0,
@@ -394,16 +393,6 @@ GOLDEN_EVALUATIONS = {
         lambda: FieldStack([conformal(s) for s in (21, 22)]), 2, 2.0,
         "a21b7bd4b192e3e4882ddcb038142be8b83eb7df1b9fbbe951a30068c3d0c8b8",
         "285725044db28e7d1c27ce82d711994f123a3c2168b3cefa6dd8918092bb52c6"),
-    "conformal_3d": (
-        lambda: MetricField("conformal", seed=21, region=Box.cube(3.0, 3),
-                            kernel=KERN), 3, 2.0,
-        "df16f76506015e68fb88e0e0fac81905f74f7db7f84a627f9021e98ff147cd36",
-        "b65ff4d7b53a9374d99ce703a951bf0594096b5a0bf621156f5b967a427c7a08"),
-    "sym_exp_3d": (
-        lambda: MetricField("sym_exp", seed=21, region=Box.cube(3.0, 3),
-                            kernel=KERN), 3, 2.0,
-        "0b620e6ba7f72c4dd7000b37eb9624e32f8f1dd6244afcb630a80be99616bdf3",
-        None),
     "sphere_patch": (
         lambda: SpherePatchField(radius=1.5, center=(0.25, -0.5)), 2, 2.0,
         "c81e2b4f7747b7e0497c3834fb182279ec7719c62af6f8991137d63c44bf0bde",
@@ -413,7 +402,7 @@ GOLDEN_EVALUATIONS = {
         "404eafabda22c103c77447a9725d525556bbf9b114cc0691d677862ec4258d8f",
         "cd6c222eba7a09efcf9b4c26e93a247b8c04276bb6d00f5c84bcb62cfee39862"),
     "flat": (
-        lambda: FlatMetric(2), 2, 2.0,
+        lambda: FlatMetric(), 2, 2.0,
         "2a3c0465947de3a09a9a039eda7d5efedaa50b8f0252cdbbd165eb68c1ee1b5f",
         "a11937f356a9b0ba592c82f5290bac8016cb33a3f9bc68d3490147c158ebb10d"),
     "bump_conformal": (
@@ -421,7 +410,7 @@ GOLDEN_EVALUATIONS = {
         "9f72b1f0ec22c1605bc7fee13a52f568b0d7ba38a46378092f427bff994a9a8b",
         "1da746308d02b96e7230545b8f67df8901efa54c52eb2b5e1630ba5498dd65c5"),
     "bump_flat": (
-        lambda: _bump(FlatMetric(2)), 2, 2.0,
+        lambda: _bump(FlatMetric()), 2, 2.0,
         "a9ff5b291e64b77f460f0112cb8a8643fef8e27b4f86282e2a5ef458c94c8e19",
         "c2bbfe035f3825e0f10298b295d8150159ffd5a9e805f3d47c62e9c3ed28433a"),
     "perturbed": (
@@ -431,8 +420,7 @@ GOLDEN_EVALUATIONS = {
         "1c6a03d5c0516c16e72ea0c9c9a7fe905f704a47bb36f8d3b93fe685444d3bc4"),
 }
 
-SPLIT_DIGESTS = {"conformal", "conformal_3d", "stack", "bump_conformal",
-                 "perturbed"}
+SPLIT_DIGESTS = {"conformal", "stack", "bump_conformal", "perturbed"}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_EVALUATIONS))
@@ -472,8 +460,7 @@ def _block_points(dim, n):
     return 5.0 * rng.uniform(230, np.arange(n * dim)).reshape(n, dim) - 2.5
 
 
-@pytest.mark.parametrize("mode,dim", [("conformal", 2), ("conformal", 3),
-                                      ("sym_exp", 2), ("sym_exp", 3)])
+@pytest.mark.parametrize("mode,dim", [("conformal", 2), ("sym_exp", 2)])
 def test_rows_evaluate_independently(mode, dim):
     # every row of a batch is byte for byte the point evaluated alone, at
     # every order and entry point (signs of zeros included), for batches
@@ -490,8 +477,7 @@ def test_rows_evaluate_independently(mode, dim):
             _assert_rows_alone(method(X[:n]), alone[:n])
 
 
-@pytest.mark.parametrize("mode,dim", [("conformal", 2), ("conformal", 3),
-                                      ("sym_exp", 2)])
+@pytest.mark.parametrize("mode,dim", [("conformal", 2), ("sym_exp", 2)])
 def test_stack_rows_evaluate_independently(mode, dim):
     # row b of a stack's batch is byte for byte field b mod 3 at that point
     # alone, across block boundaries that do not fall on a multiple of the
@@ -545,8 +531,7 @@ def _order0_call(field):
     return field.conformal_factor_batch if field.conformal else field.values_batch
 
 
-LATTICE_FIELDS = [("conformal", 2), ("conformal", 3), ("sym_exp", 2),
-                  ("sym_exp", 3)]
+LATTICE_FIELDS = [("conformal", 2), ("sym_exp", 2)]
 
 
 @pytest.mark.parametrize("mode,dim", LATTICE_FIELDS)
@@ -554,7 +539,7 @@ LATTICE_FIELDS = [("conformal", 2), ("conformal", 3), ("sym_exp", 2),
 def test_dyadic_lattice_table_keeps_the_point_by_point_bits(mode, dim, h, pq):
     # the lattice points are exact dyadics, so every point of a phase has
     # its representative's displacements bit for bit; batches of several
-    # evaluation blocks in 2-D and 3-D
+    # evaluation blocks
     field = MetricField(mode, seed=31, region=Box.cube(2.5, dim), kernel=KERN)
     k, step = _graph_lattice(dim, h, 1.5)
     call = _order0_call(field)
@@ -566,8 +551,8 @@ def test_dyadic_lattice_table_keeps_the_point_by_point_bits(mode, dim, h, pq):
 @pytest.mark.parametrize("mode,dim", LATTICE_FIELDS)
 @pytest.mark.parametrize("h", [0.3, 0.4])
 def test_commensurate_lattice_table_within_ulps(mode, dim, h):
-    # h / 2 = 3/5 and 4/5 of the spacing: 25 phases in 2-D, 125 in 3-D,
-    # whose displacements differ from a point's own in their last bits
+    # h / 2 = 3/5 and 4/5 of the spacing: 25 phases, whose displacements
+    # differ from a point's own in their last bits
     field = MetricField(mode, seed=32, region=Box.cube(2.5, dim), kernel=KERN)
     k, step = _graph_lattice(dim, h, 1.5)
     call = _order0_call(field)
@@ -665,6 +650,52 @@ def test_load_refuses_malformed_header(tmp_path, edit, match):
         load_field(path)
 
 
+# ---------------------------------------------------------------- the plane
+
+def _container_3d(path):
+    """A field container of dimension 3, laid out as save_field lays out a
+    2-D one: a 2-D container's header with the dimension byte set to 3,
+    three values per per-axis entry, then its coefficient digest."""
+    save_field(conformal(5, box=Box.cube(2.0, 2)), path)
+    data = path.read_bytes()
+    axes = [np.full(3, -2.0, "<f8"), np.full(3, 2.0, "<f8"),
+            np.full(3, -12, "<i8"), np.full(3, 25, "<i8")]
+    path.write_bytes(data[:13] + bytes([3]) + data[14:68]
+                     + b"".join(a.tobytes() for a in axes) + data[-32:])
+    return path
+
+
+# per name, the error and a function of the test's tmp_path returning the
+# call that must refuse d = 3 (anything it writes first is written then)
+PLANE_REFUSALS = {
+    "MetricField": (FieldError, lambda tmp: functools.partial(
+        MetricField, "conformal", 5, Box.cube(2.0, 3), KERN)),
+    "FlatMetric": (FieldError, lambda tmp: functools.partial(
+        FlatMetric().evaluate_batch, np.zeros((1, 3)))),
+    "ConstantMetric": (FieldError, lambda tmp: functools.partial(
+        ConstantMetric, np.eye(3))),
+    "SpherePatchField": (FieldError, lambda tmp: functools.partial(
+        SpherePatchField, center=(0.0, 0.0, 0.0))),
+    "build_graph": (GraphError, lambda tmp: functools.partial(
+        build_graph, FlatMetric(), Box.cube(1.0, 3), 0.25)),
+    "load_field": (FieldError, lambda tmp: functools.partial(
+        load_field, _container_3d(tmp / "field.rfpp"))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLANE_REFUSALS))
+def test_dimension_three_is_refused_before_drawing(name, tmp_path,
+                                                   monkeypatch):
+    error, prepare = PLANE_REFUSALS[name]
+    refused = prepare(tmp_path)
+    draws = []
+    for fn in ("uniform", "normal"):
+        monkeypatch.setattr(rng, fn, lambda *key: draws.append(key) or 1 / 0)
+    with pytest.raises(error, match="^dimension 3: .* live in the plane"):
+        refused()
+    assert draws == []
+
+
 # ---------------------------------------------------------------- membership
 
 def _region_fields():
@@ -675,7 +706,7 @@ def _region_fields():
         "MetricField": conformal(5, box=small),
         "FieldStack": FieldStack([conformal(5, box=small), conformal(6, box=small)]),
         "ConstantMetric": ConstantMetric(np.diag([1.0, 2.0])),
-        "FlatMetric": FlatMetric(2),
+        "FlatMetric": FlatMetric(),
         "SpherePatchField": SpherePatchField(radius=1.5),
         "HyperbolicDiskField": HyperbolicDiskField(),
         "BumpField": _bump(conformal(21)),

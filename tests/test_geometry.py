@@ -16,7 +16,7 @@ from rfpp.geometry import (GeodesicPath, GeometryError, _geodesic_rhs,
                            jacobi_integrate_batch, lengths, reparametrize,
                            riemannian_speeds)
 
-FLAT = FlatMetric(2)
+FLAT = FlatMetric()
 SPHERE = SpherePatchField(radius=1.0)
 
 
@@ -323,47 +323,34 @@ def test_jacobi_hyperbolic_no_conjugate():
     assert np.max(np.abs(rec.det_history - np.sinh(rec.times))) <= 1e-8
 
 
-def _gauss_curvature_batch(field, pts):
-    from rfpp.geometry import riemann_tensor
-    val, grad, hess = field.evaluate_batch(pts)
-    R = riemann_tensor(val, grad, hess)
-    r_1212 = np.einsum("bs,bs->b", val[:, 0, :], R[:, :, 1, 0, 1])
-    return r_1212 / np.linalg.det(val)
-
-
-def test_jacobi_scalar_oracle_d2():
-    # matrix determinant equals the scalar Jacobi solution j'' + K j = 0
-    # in d = 2 (same step and midpoint rule, independent reduction)
-    from rfpp.geometry import _hermite_midpoints
-    field = conformal(23)
-    path = geodesic_shoot(field, (0.0, 0.0), np.array([1.0, 0.5]), T=3.0, step=1e-3)
-    rec = jacobi_integrate(field, path)
-    K = _gauss_curvature_batch(field, path.positions)
-    xm, _ = _hermite_midpoints(path.times, path.positions, path.velocities)
-    Kmid = _gauss_curvature_batch(field, xm)
-    j = np.zeros(len(path.times))
-    jp = 1.0
-    jv = 0.0
-    h = path.times[1] - path.times[0]
-    for i in range(len(path.times) - 1):
-        def f(jj, pp, k):
-            return pp, -k * jj
-        k1 = f(jv, jp, K[i])
-        k2 = f(jv + 0.5 * h * k1[0], jp + 0.5 * h * k1[1], Kmid[i])
-        k3 = f(jv + 0.5 * h * k2[0], jp + 0.5 * h * k2[1], Kmid[i])
-        k4 = f(jv + h * k3[0], jp + h * k3[1], K[i + 1])
-        jv = jv + (h / 6) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        jp = jp + (h / 6) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        j[i + 1] = jv
-    assert np.max(np.abs(rec.det_history - j)) <= 1e-8
+def _transverse_frame(g, v0):
+    """g-orthonormal frame (v0, e_2), oriented positively, for the metric
+    matrix g at the start point (Gram-Schmidt from the coordinate axes)."""
+    vecs = [v0 / np.sqrt(v0 @ g @ v0)]
+    for axis in np.eye(len(v0)):
+        if len(vecs) == len(v0):
+            break
+        cand = axis
+        for e in vecs:
+            cand = cand - (cand @ g @ e) * e
+        nrm = np.sqrt(cand @ g @ cand)
+        if nrm > 1e-10:
+            vecs.append(cand / nrm)
+    frame = np.column_stack(vecs)
+    if np.linalg.det(frame) < 0:
+        frame[:, -1] = -frame[:, -1]
+    return frame
 
 
 def _stage_form_dets(field, path):
-    """Reference: the Jacobi determinant history by the stage-form RK4 loop
-    (four right-hand-side evaluations per step on (J, W)), with the drag and
-    tidal operator from the public christoffel_from_derivatives and
-    riemann_tensor and the frame from a values_batch call."""
-    from rfpp.geometry import _hermite_midpoints, _transverse_frame, riemann_tensor
+    """Reference: the Jacobi determinant history sqrt(det g) det(V, J) of
+    the matrix Jacobi equation D2 J + R(J, V) V = 0, by the stage-form RK4
+    loop (four right-hand-side evaluations per step on (J, W), W the
+    covariant derivative), with the drag and tidal operator from the public
+    christoffel_from_derivatives and riemann_tensor, midpoint data from the
+    Hermite cubics through the samples and the frame from a values_batch
+    call."""
+    from rfpp.geometry import riemann_tensor
 
     def coefficients(X, V):
         val, grad, hess = field.evaluate_batch(X)
@@ -372,8 +359,11 @@ def _stage_form_dets(field, path):
         return gv, cv, np.sqrt(np.linalg.det(val))
 
     times, pos, vel = path.times, path.positions, path.velocities
+    h = np.diff(times)[:, None]
+    x_mid = 0.5 * (pos[:-1] + pos[1:]) + 0.125 * h * (vel[:-1] - vel[1:])
+    v_mid = 1.5 * (pos[1:] - pos[:-1]) / h - 0.25 * (vel[:-1] + vel[1:])
     gv_s, cv_s, vol_s = coefficients(pos, vel)
-    gv_m, cv_m, _ = coefficients(*_hermite_midpoints(times, pos, vel))
+    gv_m, cv_m, _ = coefficients(x_mid, v_mid)
     g0 = field.values_batch(pos[:1])[0]
     W = _transverse_frame(g0, vel[0])[:, 1:]
     J = np.zeros_like(W)
@@ -400,35 +390,27 @@ def _bench_field(mode):
     return make_field(12345, {"mode": mode})
 
 
-@pytest.mark.parametrize("case", ["conformal", "sym_exp", "sphere", "flat3",
-                                  "sphere3"])
+@pytest.mark.parametrize("case", ["conformal", "sym_exp", "sphere"])
 def test_jacobi_propagators_match_stage_form(case):
-    # one RK4 step as one matrix reorders the sums of the stage form: the
-    # histories agree to rounding, and conjugate times to the bracket width
+    # the scalar j'' + K j = 0 in propagator form against the matrix Jacobi
+    # equation in stage form: two discretisations of one ODE on the same
+    # samples and midpoints, which agree to 1e-8, and conjugate times to
+    # well within the bracket width
     from rfpp.geometry import _detect_conjugates
-    field, x0, v0, T, exact = {
-        "conformal": (_bench_field("conformal"), (0.0, 0.0), (1.0, 0.0), 1.5,
-                      None),
-        "sym_exp": (_bench_field("sym_exp"), (0.0, 0.0), (1.0, 0.0), 1.5, None),
-        "sphere": (SPHERE, (1.0, 0.0), (0.0, 1.0), 3.3, None),
-        "flat3": (FlatMetric(3), (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 2.0,
-                  (np.square, 1e-12)),
-        "sphere3": (SpherePatchField(dim=3), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
-                    3.3, (lambda t: np.sin(t) ** 2, 1e-10)),
+    field, x0, v0, T = {
+        "conformal": (_bench_field("conformal"), (0.0, 0.0), (1.0, 0.0), 1.5),
+        "sym_exp": (_bench_field("sym_exp"), (0.0, 0.0), (1.0, 0.0), 1.5),
+        "sphere": (SPHERE, (1.0, 0.0), (0.0, 1.0), 3.3),
     }[case]
     path = geodesic_shoot(field, x0, np.array(v0), T=T, step=1e-3)
     rec = jacobi_integrate(field, path)
     ref = _stage_form_dets(field, path)
-    scale = np.max(np.abs(ref))
-    assert np.max(np.abs(rec.det_history - ref)) <= 1e-12 * scale
+    assert np.max(np.abs(rec.det_history - ref)) <= 1e-8
     ref_times = _detect_conjugates(path.times, ref).conjugate_times
     assert len(rec.conjugate_times) == len(ref_times)
     assert np.allclose(rec.conjugate_times, ref_times, rtol=0.0, atol=1e-9)
     if case == "sphere":
         assert len(ref_times) == 1 and abs(ref_times[0] - np.pi) <= 1e-3
-    if exact is not None:
-        closed_form, tol = exact
-        assert np.max(np.abs(rec.det_history - closed_form(rec.times))) <= tol
 
 
 @pytest.mark.parametrize("mode", ["conformal", "sym_exp"])
@@ -497,13 +479,6 @@ def test_curvature_conformal_identity():
                   for i in range(2))
         closed = -lap / e2p
         assert abs(curvature_at(field, x) - closed) <= 1e-8
-
-
-def test_sectional_curvature_d3_constant():
-    field = ConstantMetric(np.diag([2.0, 2.0, 2.0]))
-    k = curvature_at(field, np.zeros(3), plane=(np.array([1.0, 0, 0]),
-                                                np.array([0, 1.0, 0])))
-    assert k == 0.0
 
 
 # ------------------------------------------------------------- batching

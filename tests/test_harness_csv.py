@@ -97,7 +97,7 @@ def _writer_texts():
     graph = build_graph(field, Box.cube(2.0, 2), 0.5, stencil=16)
     path = geodesic_shoot(field, (1e-9, 0.0), np.array([1.0, 0.0]), T=0.3,
                           step=1e-2, parametrization="euclidean")
-    flat = build_graph(FlatMetric(2), Box.cube(3.0, 2), 0.5, stencil=16)
+    flat = build_graph(FlatMetric(), Box.cube(3.0, 2), 0.5, stencil=16)
     shape = ShapeEstimate.from_samples([directional_mu(flat, 2.0, 8)] * 2, 2.0)
     return {"GeodesicPath": path.csv_text(),
             "BallRaster": ball(graph, 1.5).csv_text(),

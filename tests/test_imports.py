@@ -66,8 +66,8 @@ def test_unused_import_scan_sees_local_scopes():
 TEST_ORACLES = (
     "fields.ConstantMetric",        # closed-form constant metric: flat-case oracle
     "fields.HyperbolicDiskField",   # constant curvature -1: Jacobi and curvature oracle
-    "geometry.curvature_at",        # sectional curvature: oracle for riemann_tensor
-    "geometry.riemann_tensor",      # R from metric derivatives: oracle for the Jacobi generators
+    "geometry.curvature_at",        # one-point Gauss curvature: checked against closed forms
+    "geometry.riemann_tensor",      # R from metric derivatives: oracle of the stage-form Jacobi reference
     "distance.PassageGraph.edge_weight",  # one edge on demand: oracle for the matrix
 )
 
