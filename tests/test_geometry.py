@@ -342,6 +342,33 @@ def _transverse_frame(g, v0):
     return frame
 
 
+def test_jacobi_scalar_oracle_d2():
+    # the propagator product equals the scalar Jacobi solution j'' + K j = 0
+    # by a stage-form RK4 loop (same step and midpoint rule)
+    from rfpp.geometry import _gauss_curvature, _hermite_midpoints
+    field = conformal(23)
+    path = geodesic_shoot(field, (0.0, 0.0), np.array([1.0, 0.5]), T=3.0, step=1e-3)
+    rec = jacobi_integrate(field, path)
+    K = _gauss_curvature(field, path.positions)
+    xm = _hermite_midpoints(path.times, path.positions, path.velocities)
+    Kmid = _gauss_curvature(field, xm)
+    j = np.zeros(len(path.times))
+    jp = 1.0
+    jv = 0.0
+    h = path.times[1] - path.times[0]
+    for i in range(len(path.times) - 1):
+        def f(jj, pp, k):
+            return pp, -k * jj
+        k1 = f(jv, jp, K[i])
+        k2 = f(jv + 0.5 * h * k1[0], jp + 0.5 * h * k1[1], Kmid[i])
+        k3 = f(jv + 0.5 * h * k2[0], jp + 0.5 * h * k2[1], Kmid[i])
+        k4 = f(jv + h * k3[0], jp + h * k3[1], K[i + 1])
+        jv = jv + (h / 6) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        jp = jp + (h / 6) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        j[i + 1] = jv
+    assert np.max(np.abs(rec.det_history - j)) <= 1e-8
+
+
 def _stage_form_dets(field, path):
     """Reference: the Jacobi determinant history sqrt(det g) det(V, J) of
     the matrix Jacobi equation D2 J + R(J, V) V = 0, by the stage-form RK4
