@@ -12,16 +12,17 @@ is refused with a GraphError.
 
 Every Simpson node of an edge from h z to h (z + o) is a point of the
 doubled lattice (h/2) Z^2, namely (h/2) 2z, (h/2)(2z + o) and (h/2)(2z + 2o).
-The full weight matrix therefore evaluates the field once on the doubled
-lattice of the graph box, about 4 times the node count, in one call; the
-field works through the points in cache-sized blocks of its own, and where
-the doubled lattice is commensurate with its noise lattice it evaluates the
-kernel once per lattice phase, not once per point (see MetricField and
-PassageGraph._samples).  The samples stay an array over the doubled
-lattice, and the edges along one stencil offset start at the nodes of one
-sub-box of the graph box, so their sources, targets and Simpson nodes are
-(strided) slices of the node and sample arrays.  The weights go straight into the canonical
-CSR matrix (see PassageGraph): no COO triplets, index sort or duplicate sum.
+A graph therefore evaluates the field once, when it is built, on the
+doubled lattice of the graph box, about 4 times the node count, in one
+call; where the doubled lattice is commensurate with the field's noise
+lattice, the field sums each lattice phase as one strided correlation over
+its coefficient grid (see MetricField and PassageGraph._samples).  The
+weight unit and the full weight matrix read those samples, an array over
+the doubled lattice, and the edges along one stencil offset start at the
+nodes of one sub-box of the graph box, so their sources, targets and
+Simpson nodes are (strided) slices of the node and sample arrays.  The
+weights go straight into the canonical CSR matrix (see PassageGraph): no
+COO triplets, index sort or duplicate sum.
 
 Weights are quantized to a dyadic grid (2^k / 2^24 for a power-of-two scale
 k detected from the field), so every path cost is an exact IEEE-754 sum:
@@ -118,8 +119,10 @@ class PassageGraph:
     Nodes are lattice points h * z inside the region; edges follow the given
     stencil.  Weights are computed on demand (the full matrix on the first
     distance query, single edges via edge_weight) and cached.  Both paths
-    sample the field at the same doubled-lattice points and share the speed,
-    quadrature and quantization code, so they agree exactly.
+    sample the field at the same doubled-lattice points, the matrix on the
+    box sampled at construction and edge_weight on a box of its own, and
+    share the speed, quadrature and quantization code, so they agree
+    exactly.
 
     The matrix is assembled in a slot table of n_nodes rows by |stencil|
     slots, slot j of a row holding the edge along the j-th offset in
@@ -158,6 +161,10 @@ class PassageGraph:
         self.factor = stencil_factor(stencil)
         # only a sampled field has the scalar e^{2 phi} path
         self._scalar_speed = isinstance(field, MetricField) and field.conformal
+        # the samples of the doubled-lattice box (see _samples), read by the
+        # unit probes and, on the first distance query, by the matrix
+        self._box_samples = self._samples(
+            2 * self.z_lo, tuple(2 * n - 1 for n in self.shape))
         self._unit = self._weight_unit()
         self._matrix = None
         self._edge_cache = {}
@@ -197,10 +204,10 @@ class PassageGraph:
 
     def _weight_unit(self):
         """Dyadic quantization unit, equivariant under power-of-two scaling
-        of the metric."""
+        of the metric, from the samples at every (n_nodes // 512)-th node."""
         probe = self.index_node(np.arange(0, self.n_nodes,
                                           max(1, self.n_nodes // 512)))
-        samples = self._samples(2 * probe)
+        samples = self._box_samples[tuple(2 * (probe - self.z_lo).T)]
         if self._scalar_speed:
             smax = float(np.max(samples))
         else:
@@ -209,33 +216,33 @@ class PassageGraph:
         scale = 2.0 ** np.floor(np.log2(smax * lmax))
         return scale * 2.0 ** (-_QUANT_BITS)
 
-    def _samples(self, k):
-        """Field data at the doubled-lattice points (k / 2) h, k (M, 2)
-        integer: the speed factor sqrt(e^{2 phi}) for conformal fields, the
+    def _samples(self, k_lo, shape):
+        """Field data at the doubled-lattice box of points (k / 2) h, k =
+        k_lo + i for i in 0 .. shape - 1 per axis, as an array of that
+        shape: the speed factor sqrt(e^{2 phi}) for conformal fields, the
         metric matrices otherwise.
 
-        A sampled field is told the lattice, (k, h / 2), next to the points:
-        where h / 2 = (p / q) spacing with q^2 at most the K support nodes
-        of a point, it evaluates the kernel once per phase of the lattice in
-        the noise cells, q^2 times K, not once per sample and node (see
-        MetricField._phase_table).  Every sample of the graph, the unit
-        probes, the matrix and edge_weight, goes through here, so they share
-        one definition of a sample.  Where the lattice points are exact
-        dyadics (h = 0.25 or 0.5 at the default spacing) the samples keep
-        the bits of the point-by-point evaluation; on other commensurate
-        lattices (h = 0.3, 0.4) e^{2 phi} moves by a few ulps, which the
-        dyadic weight quantization absorbs.  X is formed in C order
-        whatever the layout of k: off the tables a field's sums follow the
-        layout of X in their last bits, and the matrix passes k transposed
-        where edge_weight passes it row-major."""
-        step = self.h / 2
-        X = np.multiply(k, step, order="C")     # the bits of (k / 2) h
+        The points go to the field row-major (first axis slowest), with
+        their box (k_lo, shape, h / 2): where h / 2 is commensurate with a
+        sampled field's spacing, the field evaluates the kernel once per
+        lattice phase and support node and sums each phase as one strided
+        correlation (see MetricField._box_sums).  Every sample of the graph
+        goes through here, so the matrix's box and edge_weight's box of one
+        edge share one definition of a sample.  Where the lattice points
+        are exact dyadics (h = 0.25 or 0.5 at the default spacing) the
+        samples keep the bits of the point-by-point evaluation; on other
+        commensurate lattices (h = 0.3, 0.4) e^{2 phi} moves by a few ulps,
+        which the dyadic weight quantization absorbs."""
+        lattice = (k_lo, shape, self.h / 2)
+        X = grid_points([np.arange(lo, lo + n) for lo, n in zip(k_lo, shape)])
+        X = X * lattice[2]                      # the bits of (k / 2) h
         if not isinstance(self.field, MetricField):
-            return self.field.values_batch(X)
-        lattice = (k, step)
-        if self._scalar_speed:
-            return np.sqrt(self.field.conformal_factor_batch(X, lattice=lattice))
-        return self.field.values_batch(X, lattice=lattice)
+            samples = self.field.values_batch(X)
+        elif self._scalar_speed:
+            samples = np.sqrt(self.field.conformal_factor_batch(X, lattice=lattice))
+        else:
+            samples = self.field.values_batch(X, lattice=lattice)
+        return samples.reshape(tuple(shape) + samples.shape[1:])
 
     def _offset_weights(self, off, samples, ends):
         """Quantized Simpson lengths of the edges along stencil offset off.
@@ -275,21 +282,20 @@ class PassageGraph:
             off = zv - zu
             if not any(np.array_equal(off, o) for o in self.offsets):
                 raise GraphError(f"{u}->{v} is not a stencil edge")
-            samples = self._samples(np.stack([2 * zu, zu + zv, 2 * zv]))
-            w = self._offset_weights(off, samples, ([0], [1], [2]))
-            self._edge_cache[key] = float(w[0])
+            # its own box of the doubled lattice, spanning the Simpson
+            # nodes 2 u, u + v and 2 v, not the matrix's samples
+            ends = np.stack([2 * zu, zu + zv, 2 * zv])
+            lo = ends.min(axis=0)
+            samples = self._samples(lo, ends.max(axis=0) - lo + 1)
+            w = self._offset_weights(off, samples, [tuple(k) for k in ends - lo])
+            self._edge_cache[key] = float(w)
         return self._edge_cache[key]
 
     def _ensure_matrix(self):
         if self._matrix is not None:
             return
         shape, n_nodes = self.shape, self.n_nodes
-        # one field call over the doubled lattice, kept as that lattice's
-        # array; the field bounds its own temporaries by evaluating in blocks
-        shape2 = tuple(2 * n - 1 for n in shape)
-        samples = self._samples(
-            np.indices(shape2).reshape(self.dim, -1).T + 2 * self.z_lo)
-        samples = samples.reshape(shape2 + samples.shape[1:])
+        samples, self._box_samples = self._box_samples, None
         # slot j of each row holds the edge along offs[j].  Lexicographic
         # offset order is row-major target order, so a row's in-box slots
         # come in ascending column order, and -offs[j] is offs[-1 - j].

@@ -23,13 +23,15 @@ j = -reach is left out because it never carries weight: every node on it
 lies at least reach * spacing >= range from x, where k vanishes.  N0 is
 taken over the full symmetric (2 reach + 1)^2 grid of offsets.
 
-A passage graph samples the field on a lattice {step k : k integer}.  When
-step = (p / q) spacing with q^2 <= K (q <= 2 reach), a lattice point lies
-in the exact integer cell floor(k p / q), at one of q^2 phases inside it,
-so the kernel is evaluated once per phase and support node, a q^2 x K table
-(4 x 64 rows at h = 0.25, 25 x 64 at h = 0.3 and 0.4, default spacing), and
-each point only gathers its coefficients and contracts them against its
-phase's row (see MetricField._phase_table).  Each row is built from one
+A passage graph samples the field on a box of the lattice {step k : k
+integer}.  When step = (p / q) spacing with q^2 <= K (q <= 2 reach), a
+lattice point lies in the exact integer cell floor(k p / q), at one of q^2
+phases inside it, so the kernel is evaluated once per phase and support
+node, a q^2 x K table (4 x 64 rows at h = 0.25, 25 x 64 at h = 0.3 and 0.4,
+default spacing; see MetricField._phase_table).  The points of one phase
+are every q-th point of the box along each axis, and their cells step by p,
+so their sums are one strided correlation of the phase's row with the
+coefficient grid (see MetricField._box_sums).  Each row is built from one
 representative point through the same displacement and kernel code, so a
 lattice of exact dyadics keeps the bits the point-by-point sums of a
 passage graph's batch have; on other commensurate lattices the sums move by
@@ -77,6 +79,7 @@ import struct
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import rng
 
@@ -357,25 +360,22 @@ class MetricField(Field):
     a row's result is, byte for byte, the point evaluated alone, so
     blocking changes no output bit.  (A batch in another memory layout
     takes einsum's node sums in another order: the conformal sums of a
-    transposed batch, as a passage graph builds its lattice, can differ
-    from the row-major ones in their last bits.)
+    transposed batch can differ from the row-major ones in their last
+    bits.)
 
-    values_batch and conformal_factor_batch also take the lattice the
-    points lie on, lattice = (k, step) for X = k step with integer k, as a
-    passage graph does.  Where step = (p / q) spacing with q^2 <= K, the
-    kernel sums come from one psi table of q^2 phases by K support nodes,
-    built once per step (_phase_table), and each point only gathers its
-    coefficients and contracts them against its phase's row, with the
-    node sums in the order of a transposed batch (points fastest), the
-    order the passage graph's matrix has always used.  On a lattice of
-    exact dyadics (h = 0.25 or 0.5 at the default spacing 0.25) the
-    result is the point-by-point evaluation of the graph's batch bit for
-    bit; on the other commensurate lattices it is within a few ulps
-    (at most 6.5e-15 relative in e^{2 phi} at h = 0.3 and 0.4 on [-12,
-    12]^2, seeds 1 to 3: a table row's displacements are those of a point
-    near the origin, a far point's own carry the rounding of k step).
-    Other steps, and points outside a lattice, take the point-by-point
-    path.
+    values_batch and conformal_factor_batch also take the lattice box the
+    points fill, as a passage graph samples them (see values_batch).
+    Where its step = (p / q) spacing with q^2 <= K, the kernel sums are
+    one strided correlation per lattice phase (_box_sums), with the node
+    sums in the order of a transposed batch (points fastest), the order
+    the passage graph's matrix has always used.  On a lattice of exact
+    dyadics (h = 0.25 or 0.5 at the default spacing 0.25) the result is
+    the point-by-point evaluation of the graph's batch bit for bit; on the
+    other commensurate lattices it is within a few ulps (at most 6.5e-15
+    relative in e^{2 phi} at h = 0.3 and 0.4 on [-12, 12]^2, seeds 1 to
+    3: a table row's displacements are those of a point near the origin,
+    a far point's own carry the rounding of k step).  Other steps take the
+    point-by-point path.
     """
 
     def __init__(self, mode, seed, region, kernel=None, shift=1.0,
@@ -414,12 +414,17 @@ class MetricField(Field):
         offs = grid_points([self._line] * self.dim)                  # (K, d)
         self._spread = ((offs - self._line[0]) * self.dim
                         + np.arange(self.dim)).ravel()               # (K d,)
-        index_lo = np.asarray(self.noise.index_lo, dtype=np.int64)
+        self._index_lo = index_lo = np.asarray(self.noise.index_lo,
+                                               dtype=np.int64)
         counts = np.asarray(self.noise.node_counts, dtype=np.int64)
         self._strides = np.append(np.cumprod(counts[:0:-1])[::-1], 1)
         # flat index of support node k of cell z: z @ strides + _flat_offs[k]
         self._flat_offs = (offs - index_lo) @ self._strides          # (K,)
         self._flat_coeff = self.noise.coefficients.reshape(-1, channels)
+        # the grid channel-major (ch, N0, N1), whose strided windows hold
+        # the supports of a lattice box's points (see _box_sums)
+        self._grid_cm = np.ascontiguousarray(
+            np.moveaxis(self.noise.coefficients, -1, 0))
         # N0 over the full symmetric (2 reach + 1)^2 node grid, so the
         # field's scale does not depend on which lines a support holds
         full = np.arange(-self._reach, self._reach + 1)
@@ -494,15 +499,19 @@ class MetricField(Field):
         <= K (q is the least such; q step and p spacing agree to a few
         ulps).  A point k step then lies in the cell floor(k p / q), an
         exact integer, at one of q^2 offsets inside it, its phase r = k p mod
-        q (per axis, taken as the base-q number r_0 r_1).  Column r of psi
+        q (per axis, taken as the base-q number r_0 r_1); p and q are
+        coprime, so the phase repeats every q points along an axis while
+        the cell advances by p (the strides of _box_sums).  Column r of psi
         (K, q^2) holds psi at the K support nodes of one representative
         point of phase r, k in {0 .. q - 1}^2 (k -> k p mod q
         is one-to-one there), computed as _gather and _kernel_sums compute
-        them for that point.  Where the lattice points are exact dyadics, as
-        at step 1/8 or 1/4 with the default spacing 1/4, every point of a
-        phase has the displacements of its representative bit for bit, and
-        so its psi; elsewhere the displacements differ from a point's own in
-        their last bits.  Built on first use for each step and kept."""
+        them for that point, nodes in the order of the mesh (first axis
+        slowest), as a support window of the grid holds them.  Where the
+        lattice points are exact dyadics, as at step 1/8 or 1/4 with the
+        default spacing 1/4, every point of a phase has the displacements
+        of its representative bit for bit, and so its psi; elsewhere the
+        displacements differ from a point's own in their last bits.  Built
+        on first use for each step and kept."""
         if step not in self._phase_tables:
             self._phase_tables[step] = self._make_phase_table(step)
         return self._phase_tables[step]
@@ -525,55 +534,81 @@ class MetricField(Field):
         psi[:, phase] = self.kernel.radial(_support_u(self.kernel, dx1), 0).T
         return p, q, psi
 
-    def _lattice_sums(self, X, lattice):
-        """The order-0 kernel sums of the lattice points X = k step, for
-        lattice = (k (B,d) integer, step), from the phase table of step (see
-        _phase_table): a function of the batch rows (a slice) it sums, which
-        gathers the coefficients and the table's columns node-major, (K, B),
-        and contracts them.  einsum then adds each point's K node terms in
-        the order in which _kernel_sums adds them for a transposed batch,
-        the layout of a passage graph's lattice.  None where the table
-        does not apply: step is not commensurate with the spacing, or a
-        point's exact cell lies outside the cells of the region's corners
+    def _box_sums(self, X, box):
+        """The order-0 kernel sums (N, ch) of the points X of the lattice
+        box = (k_lo, shape, step) (see values_batch), or None where the
+        phase table of step does not apply (see _phase_table) or the exact
+        cell of a box corner lies outside the cells of the region's corners
         (which __init__ checked), as an ulp of rounding at the region's edge
-        can make it.  A point outside the region raises RegionError."""
-        k, step = lattice
+        can make it.  A box outside the region raises RegionError.
+
+        The points of one phase are every q-th point of the box along each
+        axis and their cells step by p, so their supports are a strided
+        window of the channel-major coefficient grid, which the corner
+        check keeps on the grid.  Each phase multiplies its psi column into
+        its window node-major, (K, ch, rows, n1), in blocks of rows holding
+        at most _FIELD_BLOCK products (at least one row), and adds the K
+        node terms in node order (see _node_sum): the order einsum takes in
+        _kernel_sums for a transposed batch, whatever the box around a
+        point."""
+        k_lo, shape, step = box
         table = self._phase_table(step)
         if table is None or len(X) == 0:
             return None
-        if not self.region.contains_all(X):
+        k_lo = np.asarray(k_lo, dtype=np.int64)
+        shape = tuple(int(n) for n in shape)
+        if len(X) != np.prod(shape):
+            raise FieldError(f"{len(X)} points do not fill a {shape} box")
+        # the box's first and last points are its corners
+        if not self.region.contains_all(X[[0, -1]]):
             raise RegionError("evaluation point outside field region")
         p, q, psi = table
-        k = np.asarray(k, dtype=np.int64)
         # a cell is monotone in k along each axis
-        if (np.any(k.min(axis=0) * p // q < self._corner_cells[0])
-                or np.any(k.max(axis=0) * p // q > self._corner_cells[1])):
+        cells = np.array([k_lo, k_lo + shape - 1]) * p // q
+        if (np.any(cells[0] < self._corner_cells[0])
+                or np.any(cells[1] > self._corner_cells[1])):
             return None
-        radix = q ** np.arange(self.dim - 1, -1, -1)
+        m, ch = len(self._line), len(self._grid_cm)
+        windows = sliding_window_view(self._grid_cm, (m, m), axis=(1, 2))
         scale = self.kernel.amplitude / self._norm
-
-        def sums(rows):
-            kp = k[rows] * p
+        out = np.empty(shape + (ch,))
+        for c in np.ndindex(*np.minimum(q, shape)):
+            kp = (k_lo + c) * p
             cell = kp // q
-            phase = (kp - cell * q) @ radix
-            flat = self._flat_offs[:, None] + cell @ self._strides
-            return scale * np.einsum("kb,kbc->bc", psi.take(phase, axis=1),
-                                     self._flat_coeff.take(flat, axis=0))
-        return sums
+            phase = (kp[0] - cell[0] * q) * q + kp[1] - cell[1] * q
+            col = psi[:, phase].reshape(m, m, 1, 1, 1)
+            n0, n1 = ((np.asarray(shape) - c + q - 1) // q).tolist()
+            # window a of an axis holds the nodes a .. a + m - 1 of the grid
+            a0, a1 = (cell - self._reach + 1 - self._index_lo).tolist()
+            win = windows[:, a0::p, a1::p][:, :n0, :n1]
+            rows = max(1, _FIELD_BLOCK // (m * m * ch * n1))
+            for r in range(0, n0, rows):
+                part = win[:, r:r + rows]
+                # in C order, not the window's layout, the (K, n) reshape
+                # is a view and each node's terms are one contiguous slice
+                terms = np.multiply(col, part.transpose(3, 4, 0, 1, 2), order="C")
+                sums = _node_sum(terms.reshape(m * m, -1))
+                dest = out[c[0] + q * r:c[0] + q * (r + rows):q, c[1]::q]
+                np.multiply(sums.reshape(part.shape[:3]).transpose(1, 2, 0),
+                            scale, out=dest)
+        return out.reshape(-1, ch)
 
     def _blocked(self, X, order, finish, lookup=None, lattice=None):
         """finish(self, sums, order) of the kernel sums (see _kernel_sums)
         at the points X, in blocks of self._steps[order] rows written into
         arrays of the batch's length: one array, or a tuple whose None
         entries (skipped orders) stay None.  ``lookup`` as in _gather;
-        ``lattice`` = (k, step) at order 0 says X = k step and takes the
-        sums from the lattice's phase table where it applies (see
-        _lattice_sums)."""
+        ``lattice`` = (k_lo, shape, step) at order 0 says X is that lattice
+        box and takes the sums from the box's phases where the phase table
+        applies (see _box_sums)."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2:
             X = np.atleast_2d(X)
-        sums = None if lattice is None else self._lattice_sums(X, lattice)
-        if sums is None:
+        box = None if lattice is None else self._box_sums(X, lattice)
+        if box is not None:
+            def sums(rows):
+                return box[rows]
+        else:
             def sums(rows):
                 return self._sums(X[rows], order, lookup, rows.start)
         step = self._steps[order]
@@ -611,9 +646,10 @@ class MetricField(Field):
 
     def values_batch(self, X, lattice=None):
         """Metric values only (cheaper path for quadrature of edge weights).
-        ``lattice`` = (k, step) says X = k step for the integers k (B,d), as
-        the points of a passage graph are; the kernel sums then come from
-        the lattice's phase table where it applies (see _phase_table)."""
+        ``lattice`` = (k_lo, shape, step) says X holds the points (k_lo + i)
+        step, i in 0 .. shape - 1 per axis, row-major, as a passage graph's
+        samples do; the kernel sums then come from the lattice's phase table
+        where it applies (see _box_sums)."""
         return self._blocked(X, 0, _metric_from_sums, lattice=lattice)
 
     def conformal_factor_batch(self, X, lattice=None):
@@ -687,6 +723,15 @@ def _kernel_sums(kernel, norm, dx1, spread, coeff, order=2):
     if order < 2:
         return G, dG, None
     return G, dG, scale * np.einsum("bkij,bkc->bijc", hess, coeff)
+
+
+def _node_sum(terms):
+    """The sums over axis 0 of terms (K, n), node 0 first and one node at a
+    time, as einsum adds a node axis: add.reduce keeps that order where n
+    > 1, but sums a single column pairwise; add.accumulate never does."""
+    if terms.shape[1] > 1:
+        return np.add.reduce(terms, axis=0)
+    return np.add.accumulate(terms, axis=0)[-1]
 
 
 def _support_u(kernel, dx1):

@@ -112,20 +112,15 @@ def test_edge_weight_matches_bulk_matrix_off_the_dyadic_lattice(mode):
 
 
 @pytest.mark.parametrize("mode", ["conformal", "sym_exp"])
-def test_samples_do_not_depend_on_the_layout_of_k(mode):
+def test_edge_weight_matches_bulk_matrix_off_the_phase_tables(mode):
     # at h = 0.29 no phase table applies (h / 2 = 29/50 of the spacing), so
-    # the samples are point-by-point sums; the matrix passes its doubled
-    # lattice transposed and edge_weight row-major, and both must get the
-    # same bits, so every edge agrees with the matrix
+    # the samples are point-by-point sums, of the matrix's box and of each
+    # edge's own small box; both must get the same bits, so every edge
+    # agrees with the matrix
     field = MetricField(mode, seed=13, region=Box.cube(3.0, 2),
                         kernel=KernelSpec(range=1.0, amplitude=0.3))
     g = build_graph(field, Box.cube(1.5, 2), 0.29, 16)
     assert field._phase_table(g.h / 2) is None
-    shape2 = tuple(2 * n - 1 for n in g.shape)
-    k = np.indices(shape2).reshape(2, -1).T + 2 * g.z_lo
-    assert not k.flags.c_contiguous
-    assert (g._samples(k).tobytes()
-            == g._samples(np.ascontiguousarray(k)).tobytes())
     g._ensure_matrix()
     m = g._matrix.tocoo()
     nodes = g.index_node(np.arange(g.n_nodes))
@@ -196,7 +191,8 @@ def _coo_reference(g):
     assembly that the direct CSR construction replaced."""
     from scipy.sparse import csr_matrix
     shape2 = tuple(2 * s - 1 for s in g.shape)
-    samples = g._samples(np.indices(shape2).reshape(g.dim, -1).T + 2 * g.z_lo)
+    samples = g._samples(2 * g.z_lo, shape2)
+    samples = samples.reshape((-1,) + samples.shape[g.dim:])
     rel = np.indices(g.shape).reshape(g.dim, -1).T
     rows, cols, data = [], [], []
     for off in g.offsets:

@@ -516,15 +516,19 @@ def test_large_batch_memory_stays_within_a_few_blocks(call, n, outputs):
 
 # ---------------------------------------------------------------- lattice tables
 
-def _graph_lattice(dim, h, half_width):
-    """The integer points k and the step h / 2 of the doubled lattice a
-    passage graph of spacing h samples on [-half_width, half_width]^dim, in
-    the layout PassageGraph._ensure_matrix builds them (np.indices,
-    transposed): a point-by-point evaluation of X = k step in that layout is
-    what the graph's matrix has always been made of."""
+def _box_points(box):
+    """The points (k_lo + i) step of a lattice box (k_lo, shape, step),
+    row-major, as PassageGraph._samples builds them."""
+    k_lo, shape, step = box
+    return grid_points([np.arange(lo, lo + n) for lo, n in zip(k_lo, shape)]) * step
+
+
+def _graph_box(h, half_width):
+    """The doubled-lattice box a passage graph of spacing h samples on
+    [-half_width, half_width]^2, (k_lo, shape, h / 2), and its points."""
     n = int(round(2 * half_width / h))
-    k = np.indices((2 * n + 1,) * dim).reshape(dim, -1).T - n
-    return k, h / 2
+    box = ((-n, -n), (2 * n + 1,) * 2, h / 2)
+    return box, _box_points(box)
 
 
 def _order0_call(field):
@@ -539,13 +543,14 @@ LATTICE_FIELDS = [("conformal", 2), ("sym_exp", 2)]
 def test_dyadic_lattice_table_keeps_the_point_by_point_bits(mode, dim, h, pq):
     # the lattice points are exact dyadics, so every point of a phase has
     # its representative's displacements bit for bit; batches of several
-    # evaluation blocks
+    # evaluation blocks.  The box adds each point's node terms in the order
+    # einsum takes for the transposed batch the passage graph's matrix has
+    # always been made of (the row-major conformal sums differ in last bits)
     field = MetricField(mode, seed=31, region=Box.cube(2.5, dim), kernel=KERN)
-    k, step = _graph_lattice(dim, h, 1.5)
+    box, X = _graph_box(h, 1.5)
     call = _order0_call(field)
-    table = call(k * step, lattice=(k, step))
-    assert field._phase_table(step)[:2] == pq
-    assert table.tobytes() == call(k * step).tobytes()
+    assert field._phase_table(box[2])[:2] == pq
+    assert call(X, lattice=box).tobytes() == call(np.asfortranarray(X)).tobytes()
 
 
 @pytest.mark.parametrize("mode,dim", LATTICE_FIELDS)
@@ -554,11 +559,11 @@ def test_commensurate_lattice_table_within_ulps(mode, dim, h):
     # h / 2 = 3/5 and 4/5 of the spacing: 25 phases, whose displacements
     # differ from a point's own in their last bits
     field = MetricField(mode, seed=32, region=Box.cube(2.5, dim), kernel=KERN)
-    k, step = _graph_lattice(dim, h, 1.5)
+    box, X = _graph_box(h, 1.5)
     call = _order0_call(field)
-    table = call(k * step, lattice=(k, step))
-    assert field._phase_table(step)[1] == 5
-    per_point = call(k * step)
+    table = call(X, lattice=box)
+    assert field._phase_table(box[2])[1] == 5
+    per_point = call(X)
     assert np.max(np.abs(table - per_point)) <= 1e-14 * np.max(np.abs(per_point))
 
 
@@ -567,32 +572,63 @@ def test_incommensurate_lattice_keeps_the_point_by_point_path(mode):
     # h / 2 = 29/50 of the spacing: q = 50 phases per axis exceed the 8
     # support lines, so no table is built and the bits are the per-point ones
     field = MetricField(mode, seed=33, region=Box.cube(2.5, 2), kernel=KERN)
-    k, step = _graph_lattice(2, 0.29, 1.5)
+    box, X = _graph_box(0.29, 1.5)
     call = _order0_call(field)
-    assert call(k * step, lattice=(k, step)).tobytes() == call(k * step).tobytes()
-    assert field._phase_table(step) is None
+    assert call(X, lattice=box).tobytes() == call(X).tobytes()
+    assert field._phase_table(box[2]) is None
 
 
 def test_lattice_outside_the_region_raises():
     field = conformal(34, box=Box.cube(2.0, 2))
-    k, step = _graph_lattice(2, 0.25, 2.5)
+    box, X = _graph_box(0.25, 2.5)
     with pytest.raises(RegionError):
-        field.conformal_factor_batch(k * step, lattice=(k, step))
+        field.conformal_factor_batch(X, lattice=box)
+
+
+def test_lattice_box_must_hold_the_points():
+    field = conformal(34, box=Box.cube(2.0, 2))
+    box, X = _graph_box(0.25, 1.5)
+    with pytest.raises(FieldError, match="do not fill"):
+        field.conformal_factor_batch(X[1:], lattice=box)
 
 
 def test_lattice_cell_past_the_corner_cells_keeps_the_point_by_point_path():
     # 45 * 0.35 rounds down to 15.749999999999998, below 63 * 0.25: a region
-    # ending there has its corner in cell 62, while the point's exact cell
-    # floor(45 * 7 / 5) is 63, so the table does not apply to it
+    # ending there has its corner in cell 62, while the exact cell floor(45
+    # * 7 / 5) of the box's last row and column is 63, so the table does
+    # not apply to the box
     hi = 45 * 0.35
     assert hi < 63 * 0.25
     field = MetricField("conformal", seed=35, region=Box((0.0, 0.0), (hi, hi)),
                         kernel=KERN)
-    k = np.array([[45, 0], [45, 45], [44, 3]])
-    step = 0.35
-    assert field._phase_table(step)[:2] == (7, 5)
-    assert (field.conformal_factor_batch(k * step, lattice=(k, step)).tobytes()
-            == field.conformal_factor_batch(k * step).tobytes())
+    box = ((43, 42), (3, 4), 0.35)
+    X = _box_points(box)
+    assert field._phase_table(box[2])[:2] == (7, 5)
+    assert (field.conformal_factor_batch(X, lattice=box).tobytes()
+            == field.conformal_factor_batch(X).tobytes())
+
+
+@pytest.mark.parametrize("mode", ["conformal", "sym_exp"])
+@pytest.mark.parametrize("h", [0.25, 0.3])
+def test_sub_boxes_keep_the_bits_of_their_box(mode, h):
+    # a point's sums do not depend on the box around it: the row halves of
+    # a box, one of its columns and one of its points give its bits (the
+    # lone point sums one entry per node, the lone column few per phase)
+    field = MetricField(mode, seed=36, region=Box.cube(3.5, 2), kernel=KERN)
+    call = _order0_call(field)
+    (k_lo, shape, step), X = _graph_box(h, 2.0)
+    whole = call(X, lattice=(k_lo, shape, step))
+    whole = whole.reshape(shape + whole.shape[1:])
+    half = shape[0] // 2
+    subs = [((k_lo[0], k_lo[1]), (half, shape[1]), (slice(0, half),)),
+            ((k_lo[0] + half, k_lo[1]), (shape[0] - half, shape[1]),
+             (slice(half, None),)),
+            ((k_lo[0], k_lo[1] + 5), (shape[0], 1), (slice(None), slice(5, 6))),
+            ((k_lo[0] + 7, k_lo[1] + 3), (1, 1), (slice(7, 8), slice(3, 4)))]
+    for lo, sub_shape, part in subs:
+        box = (lo, sub_shape, step)
+        got = call(_box_points(box), lattice=box)
+        assert got.tobytes() == np.ascontiguousarray(whole[part]).tobytes()
 
 
 # ---------------------------------------------------------------- persistence
