@@ -41,6 +41,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
 from .fields import MetricField, grid_points
+from .harness import csv_table
 
 _QUANT_BITS = 24
 
@@ -106,11 +107,10 @@ class BallRaster:
 
     def csv_text(self):
         d = self.inside.shape[1]
-        lines = [f"# ball radius: {float(self.t)!r}", f"# clipped: {self.clipped}",
-                 ",".join([f"x{i + 1}" for i in range(d)] + ["distance"])]
-        rows = np.column_stack([self.inside, self.distances]).tolist()
-        lines += [",".join(map(repr, row)) for row in rows]
-        return "\n".join(lines) + "\n"
+        return csv_table(
+            [f"# ball radius: {float(self.t)!r}", f"# clipped: {self.clipped}",
+             ",".join([f"x{i + 1}" for i in range(d)] + ["distance"])],
+            [*self.inside.T, self.distances])
 
 
 class PassageGraph:
@@ -446,10 +446,7 @@ class ShapeEstimate:
 
     def csv_text(self):
         angles, _ = _unit_directions(len(self.mu))
-        lines = ["angle,mu,stderr"]
-        rows = np.column_stack([angles, self.mu, self.stderr]).tolist()
-        lines += [",".join(map(repr, row)) for row in rows]
-        return "\n".join(lines) + "\n"
+        return csv_table(["angle,mu,stderr"], [angles, self.mu, self.stderr])
 
 
 @dataclass

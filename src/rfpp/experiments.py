@@ -30,6 +30,7 @@ from .fields import (Box, ConformalAnalyticField, FieldError, KernelSpec,
                      MetricField, RegionError, SpherePatchField, grid_points)
 from .geometry import GeodesicPath, geodesic_shoot_batch, jacobi_integrate_batch
 from .distance import _unit_directions, is_minimizing
+from .harness import csv_table
 
 
 HOLDER_ALPHA = 0.5                 # Holder exponent of local_regularity
@@ -62,13 +63,15 @@ class FrontierScan:
     density: np.ndarray        # running frontier density at each sample
 
     def csv_text(self):
-        lines = [f"# beta: {float(self.beta)!r}",
-                 "l,r,r_dot,cone_angle,is_frontier,local_norm,density"]
-        lines += [f"{float(rec.l)!r},{float(rec.r)!r},{float(rec.r_dot)!r},"
-                  f"{float(rec.cone_angle)!r},{int(rec.is_frontier)},"
-                  f"{float(rec.local_norm)!r},{dens!r}"
-                  for rec, dens in zip(self.records, self.density.tolist())]
-        return "\n".join(lines) + "\n"
+        cells = [(rec.l, rec.r, rec.r_dot, rec.cone_angle, rec.local_norm)
+                 for rec in self.records]
+        floats = np.array(cells, dtype=float).reshape(-1, 5).T
+        flags = np.array([rec.is_frontier for rec in self.records],
+                         dtype=np.int64)
+        return csv_table(
+            [f"# beta: {float(self.beta)!r}",
+             "l,r,r_dot,cone_angle,is_frontier,local_norm,density"],
+            [*floats[:4], flags, floats[4], self.density])
 
 
 def frontier_scan(path, field, beta, rho, regularity=True):
@@ -279,17 +282,16 @@ class BumpField(ConformalAnalyticField):
         self.cap = SpherePatchField(radius=spec.cap_radius,
                                     center=self.apex + spec.cap_radius * u)
 
-    def phi_batch(self, X, order=2):
+    def _ramp(self, X, order):
+        """(chi, dchi, d2chi) of the ramp chi(|x - apex| / glue_width),
+        dchi None below order 1 and d2chi None below order 2."""
         w = self.spec.glue_width
         y = X - self.apex
         s = np.linalg.norm(y, axis=1)
         t = s / w
         chi, c1, c2 = _quintic_blend(t)
-        pb, dpb, d2pb = self.base.conformal_exponent_batch(X, order)
-        pc, dpc, d2pc = self.cap.phi_batch(X, order)
-        delta = pc - pb
-        ddelta = dpc - dpb
-
+        if order < 1:
+            return chi, None, None
         # derivatives of chi(|y| / w); chi', chi'' vanish at the apex
         with np.errstate(invalid="ignore", divide="ignore"):
             shat = np.where(s > 0, s, np.inf)
@@ -297,11 +299,8 @@ class BumpField(ConformalAnalyticField):
         dchi = c1[:, None] * dt
         zero = (s == 0) | (t >= 1.0)
         dchi[zero] = 0.0
-
-        phi = pb + chi * delta
-        dphi = dpb + dchi * delta[:, None] + chi[:, None] * ddelta
         if order < 2:
-            return phi, dphi, None
+            return chi, dchi, None
         with np.errstate(invalid="ignore", divide="ignore"):
             d2t = (np.eye(2)[None]
                    - y[:, :, None] * y[:, None, :] / (shat ** 2)[:, None, None]) \
@@ -309,12 +308,41 @@ class BumpField(ConformalAnalyticField):
         d2chi = (c2[:, None, None] * dt[:, :, None] * dt[:, None, :]
                  + c1[:, None, None] * d2t)
         d2chi[zero] = 0.0
+        return chi, dchi, d2chi
+
+    def phi_batch(self, X, order=2):
+        chi, dchi, d2chi = self._ramp(X, order)
+        pb, dpb, d2pb = self.base.conformal_exponent_batch(X, order)
+        pc, dpc, d2pc = self.cap.phi_batch(X, order)
+        delta = pc - pb
+        phi = pb + chi * delta
+        if order < 1:
+            return phi, None, None
+        ddelta = dpc - dpb
+        dphi = dpb + dchi * delta[:, None] + chi[:, None] * ddelta
+        if order < 2:
+            return phi, dphi, None
         d2delta = d2pc - d2pb
         d2phi = (d2pb + d2chi * delta[:, None, None]
                  + dchi[:, :, None] * ddelta[:, None, :]
                  + dchi[:, None, :] * ddelta[:, :, None]
                  + chi[:, None, None] * d2delta)
         return phi, dphi, d2phi
+
+    def phi_laplacian_batch(self, X):
+        """Lap phi = Lap pb + Lap chi delta + 2 grad chi . grad delta
+        + chi Lap delta, delta = pc - pb, from the base's and the cap's phi,
+        gradient and Laplacian."""
+        chi, dchi, d2chi = self._ramp(X, 2)
+        pb, dpb, _ = self.base.conformal_exponent_batch(X, 1)
+        _, lpb = self.base.conformal_laplacian_batch(X)
+        pc, dpc, _ = self.cap.phi_batch(X, 1)
+        _, lpc = self.cap.phi_laplacian_batch(X)
+        delta = pc - pb
+        lap = (lpb + (d2chi[:, 0, 0] + d2chi[:, 1, 1]) * delta
+               + 2.0 * np.einsum("bi,bi->b", dchi, dpc - dpb)
+               + chi * (lpc - lpb))
+        return pb + chi * delta, lap
 
 
 def make_bump(spec, base):
@@ -343,8 +371,14 @@ class PerturbedConformalField(ConformalAnalyticField):
         phi, dphi, d2phi = self.base.conformal_exponent_batch(X, order)
         q, dq, d2q = self.noise_field.conformal_exponent_batch(X, order)
         a = self.amplitude
-        return (phi + a * q, dphi + a * dq,
+        return (phi + a * q, None if dphi is None else dphi + a * dq,
                 None if d2phi is None else d2phi + a * d2q)
+
+    def phi_laplacian_batch(self, X):
+        phi, lap = self.base.conformal_laplacian_batch(X)
+        q, lq = self.noise_field.conformal_laplacian_batch(X)
+        a = self.amplitude
+        return phi + a * q, lap + a * lq
 
 
 def _perturbation_scale(bump, overlay, probe_points, eps):

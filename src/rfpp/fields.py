@@ -61,10 +61,12 @@ Every field is a ``Field``, which owns the protocol its consumers
 
     region        the Box a field is valid on, None for all of R^2; the
                   one source of membership, ``contains(points)``
-    conformal     set when g = c e^{2 phi} I; this module alone decides it,
+    conformal     set when g = e^{2 phi} I; this module alone decides it,
                   from the mode or the class, and every field with the flag
                   answers ``conformal_exponent_batch(X, order)`` with (phi,
-                  dphi, d2phi), d2phi None below order 2
+                  dphi, d2phi), dphi None below order 1 and d2phi None below
+                  order 2, and ``conformal_laplacian_batch(X)`` with (phi,
+                  Laplacian of phi), which Gauss curvature reads
     field_at(b)   the field evaluating batch row b, and
     for_rows(r)   the field evaluating a batch cut down to rows r: the field
                   itself, except for a FieldStack, whose rows are separate
@@ -190,13 +192,7 @@ class KernelSpec:
         psi'' = +0.0 as the closed form has them inside the support; psi' is
         set to +0.0 where u >= 1."""
         u = np.asarray(u, dtype=float)
-        inv = np.subtract(1.0, u)
-        below = inv < _GAP_FLOOR
-        np.copyto(inv, 0.25, where=below)
-        np.divide(1.0, inv, out=inv)
-        psi = np.subtract(1.0, inv)
-        np.exp(psi, out=psi)
-        np.copyto(psi, 0.0, where=below)
+        psi, inv = _psi_and_gap(u)
         if order == 0:
             return psi
         # -(e inv inv) has the bits of (-e) inv inv: rounding is symmetric
@@ -207,6 +203,24 @@ class KernelSpec:
         if order < 2:
             return psi, d1, None
         return psi, d1, psi * (inv ** 4 - 2.0 * inv ** 3)
+
+    def radial_laplacian(self, u):
+        """psi(u) and u psi''(u) + psi'(u) for u = |x|^2 / range^2: the
+        Laplacian of psi(u) in the plane is 4 / range^2 times the latter.
+
+        With inv = 1 / (1 - u), psi' = -psi inv^2 and psi'' = psi inv^3
+        (inv - 2), and u inv = inv - 1, so u psi'' + psi' = psi inv^2 (inv^2
+        - 3 inv + 1), formed by products alone.  psi has the bits radial
+        gives it; the guard of radial makes the second +-0.0 wherever psi
+        is +0.0."""
+        psi, inv = _psi_and_gap(np.asarray(u, dtype=float))
+        lap = inv - 3.0
+        lap *= inv
+        lap += 1.0
+        lap *= inv
+        lap *= inv
+        lap *= psi
+        return psi, lap
 
     def evaluate(self, dx, order=2):
         """Kernel value, gradient and Hessian at displacements dx (B, d),
@@ -231,6 +245,19 @@ class KernelSpec:
                 + d1[..., None, None] * (2.0 / self.range ** 2)
                 * np.eye(du.shape[-1]))
         return psi, grad, hess
+
+
+def _psi_and_gap(u):
+    """(psi(u), inv) with inv = 1 / (1 - u), run at 1 - u = 1/4 and psi set
+    to +0.0 where 1 - u < _GAP_FLOOR (see KernelSpec.radial)."""
+    inv = np.subtract(1.0, u)
+    below = inv < _GAP_FLOOR
+    np.copyto(inv, 0.25, where=below)
+    np.divide(1.0, inv, out=inv)
+    psi = np.subtract(1.0, inv)
+    np.exp(psi, out=psi)
+    np.copyto(psi, 0.0, where=below)
+    return psi, inv
 
 
 # ---------------------------------------------------------------------------
@@ -484,12 +511,13 @@ class MetricField(Field):
         return X[:, None, :] - ((cell[:, None, :] + self._line[None, :, None])
                                 * self.spacing)
 
-    def _sums(self, X, order, lookup=None, start=0):
-        """Kernel sums at the points X (B,d) up to ``order`` (see
-        _kernel_sums); ``lookup`` and ``start`` as in _gather."""
+    def _sums(self, X, order, lookup=None, start=0, contract=None):
+        """Kernel sums at the points X (B,d) up to ``order``, formed by
+        ``contract`` from the support (_kernel_sums unless given; see
+        _laplacian_sums); ``lookup`` and ``start`` as in _gather."""
         dx1, coeff = self._gather(X, lookup, start)
-        return _kernel_sums(self.kernel, self._norm, dx1, self._spread, coeff,
-                            order)
+        return (contract or _kernel_sums)(self.kernel, self._norm, dx1,
+                                          self._spread, coeff, order)
 
     def _phase_table(self, step):
         """(p, q, psi) for the lattice {step k : k integer}, or None.
@@ -593,27 +621,30 @@ class MetricField(Field):
                             scale, out=dest)
         return out.reshape(-1, ch)
 
-    def _blocked(self, X, order, finish, lookup=None, lattice=None):
+    def _blocked(self, X, order, finish, lookup=None, lattice=None,
+                 contract=None):
         """finish(self, sums, order) of the kernel sums (see _kernel_sums)
         at the points X, in blocks of self._steps[order] rows written into
         arrays of the batch's length: one array, or a tuple whose None
-        entries (skipped orders) stay None.  ``lookup`` as in _gather;
-        ``lattice`` = (k_lo, shape, step) at order 0 says X is that lattice
-        box and takes the sums from the box's phases where the phase table
-        applies (see _box_sums)."""
+        entries (skipped orders) stay None.  ``lookup`` as in _gather and
+        ``contract`` as in _sums; ``lattice`` = (k_lo, shape, step) at order
+        0 says X is that lattice box and takes the sums from the box's
+        phases where the phase table applies (see _box_sums)."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2:
             X = np.atleast_2d(X)
+        step = self._steps[order]
         box = None if lattice is None else self._box_sums(X, lattice)
+        if len(X) <= step:
+            if box is None:
+                box = self._sums(X, order, lookup, 0, contract)
+            return finish(self, box, order)
         if box is not None:
             def sums(rows):
                 return box[rows]
         else:
             def sums(rows):
-                return self._sums(X[rows], order, lookup, rows.start)
-        step = self._steps[order]
-        if len(X) <= step:
-            return finish(self, sums(slice(0, len(X))), order)
+                return self._sums(X[rows], order, lookup, rows.start, contract)
         out = None
         for start in range(0, len(X), step):
             rows = slice(start, start + step)
@@ -663,8 +694,15 @@ class MetricField(Field):
         """(phi, dphi, d2phi) of the conformal exponent, conformal mode only.
         ``order`` means what it means in evaluate_batch: with order=1 the
         Hessian sum is skipped and d2phi is None (the conformal geodesic
-        right-hand side needs only dphi)."""
+        right-hand side needs only dphi), with order=0 dphi is None too."""
         return self._blocked(X, order, _exponent_from_sums)
+
+    def conformal_laplacian_batch(self, X):
+        """(phi, Laplacian of phi) of the conformal exponent, conformal mode
+        only, from the Laplacian sums of _laplacian_sums: no Hessian tensor
+        is formed."""
+        return self._blocked(X, 1, _laplacian_from_sums,
+                             contract=_laplacian_sums)
 
 
 def _sym_from_channels(A):
@@ -676,12 +714,21 @@ def _sym_from_channels(A):
 
 
 def _exponent_from_sums(field, sums, order):
-    """(phi, dphi, d2phi) of a conformal field from its one-channel sums
-    at order 1 or 2 (d2phi None at order 1)."""
+    """(phi, dphi, d2phi) of a conformal field from its one-channel sums,
+    the derivatives above ``order`` None."""
     if not field.conformal:
         raise FieldError("conformal_exponent_batch needs a conformal field")
-    G, dG, d2G = sums
-    return G[:, 0], dG[..., 0], _first_channel(d2G)
+    G, dG, d2G = (sums, None, None) if order == 0 else sums
+    return G[:, 0], _first_channel(dG), _first_channel(d2G)
+
+
+def _laplacian_from_sums(field, sums, order):
+    """(phi, Laplacian of phi) of a conformal field from the one-channel
+    sums of _laplacian_sums."""
+    if not field.conformal:
+        raise FieldError("conformal_laplacian_batch needs a conformal field")
+    G, LG = sums
+    return G[:, 0], LG[:, 0]
 
 
 def _factor_from_sums(field, sums, order):
@@ -723,6 +770,22 @@ def _kernel_sums(kernel, norm, dx1, spread, coeff, order=2):
     if order < 2:
         return G, dG, None
     return G, dG, scale * np.einsum("bkij,bkc->bijc", hess, coeff)
+
+
+def _laplacian_sums(kernel, norm, dx1, spread, coeff, order):
+    """The order-0 sums G (B,ch) and the sums of the kernel's Laplacian,
+    from _kernel_sums's arguments (``spread`` and ``order`` unused: a
+    block holds two (B,K) products per node, as at order 1).
+
+    For u = |x|^2 / range^2 in the plane, |grad u|^2 = 4 u / range^2 and
+    Lap u = 4 / range^2, so the Laplacian of psi(u) is (4 / range^2)(u psi''
+    + psi') per node (KernelSpec.radial_laplacian): no (B,K,2,2) Hessian
+    tensor is formed.  G keeps the bits of the order-0 sums."""
+    psi, lap = kernel.radial_laplacian(_support_u(kernel, dx1))
+    scale = kernel.amplitude / norm
+    return (scale * np.einsum("bk,bkc->bc", psi, coeff),
+            (4.0 * scale / kernel.range ** 2)
+            * np.einsum("bk,bkc->bc", lap, coeff))
 
 
 def _node_sum(terms):
@@ -819,11 +882,12 @@ class FieldStack(Field):
         rows = np.arange(start, start + len(flat)) % len(self.fields)
         return self._coeff[rows[:, None], flat]
 
-    def _blocked(self, X, order, finish):
+    def _blocked(self, X, order, finish, contract=None):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if len(X) % len(self.fields) != 0:
             raise FieldError("point batch must be a multiple of the stack size")
-        return self.template._blocked(X, order, finish, self._lookup)
+        return self.template._blocked(X, order, finish, self._lookup,
+                                      contract=contract)
 
     def evaluate_batch(self, X, order=2):
         return self._blocked(X, order, _metric_from_sums)
@@ -834,6 +898,10 @@ class FieldStack(Field):
     def conformal_exponent_batch(self, X, order=2):
         """As MetricField.conformal_exponent_batch, row b against field b."""
         return self._blocked(X, order, _exponent_from_sums)
+
+    def conformal_laplacian_batch(self, X):
+        """As MetricField.conformal_laplacian_batch, row b against field b."""
+        return self._blocked(X, 1, _laplacian_from_sums, _laplacian_sums)
 
 
 # ---------------------------------------------------------------------------
@@ -953,18 +1021,33 @@ class ConstantMetric(AnalyticField):
 
 
 class ConformalAnalyticField(AnalyticField):
-    """g = e^{2 phi} I for a closed-form phi; subclasses supply phi_batch."""
+    """g = e^{2 phi} I for a closed-form phi; subclasses supply phi_batch,
+    and phi_laplacian_batch where the Laplacian has a closed form."""
 
     conformal = True
 
     def phi_batch(self, X, order=2):
-        """Return (phi (B,), dphi (B,2), d2phi (B,2,2)), d2phi None below
-        order 2."""
+        """Return (phi (B,), dphi (B,2), d2phi (B,2,2)), dphi None below
+        order 1 and d2phi None below order 2."""
         raise NotImplementedError
+
+    def phi_laplacian_batch(self, X):
+        """(phi (B,), Laplacian of phi (B,)): here the trace of phi_batch's
+        Hessian, for a field without a closed form."""
+        phi, _, d2phi = self.phi_batch(X, 2)
+        return phi, d2phi[:, 0, 0] + d2phi[:, 1, 1]
 
     def conformal_exponent_batch(self, X, order=2):
         """phi_batch behind the dimension and region checks."""
         return self.phi_batch(self._points(X), order)
+
+    def conformal_laplacian_batch(self, X):
+        """phi_laplacian_batch behind the dimension and region checks."""
+        return self.phi_laplacian_batch(self._points(X))
+
+    def values_batch(self, X):
+        return _conformal_metric(self.conformal_exponent_batch(X, 0)[0],
+                                 None, None)
 
     def evaluate_batch(self, X, order=2):
         return _conformal_metric(*self.conformal_exponent_batch(X, order))
@@ -975,7 +1058,7 @@ class FlatMetric(ConformalAnalyticField):
 
     def phi_batch(self, X, order=2):
         B = len(X)
-        return (np.zeros(B), np.zeros((B, 2)),
+        return (np.zeros(B), np.zeros((B, 2)) if order >= 1 else None,
                 np.zeros((B, 2, 2)) if order >= 2 else None)
 
 
@@ -994,6 +1077,9 @@ class SpherePatchField(ConformalAnalyticField):
         return _stereographic_exponent(X - self.center, self.radius ** 2, 1.0,
                                        order)
 
+    def phi_laplacian_batch(self, X):
+        return _stereographic_laplacian(X - self.center, self.radius ** 2, 1.0)
+
 
 class HyperbolicDiskField(ConformalAnalyticField):
     """Poincare disk: e^{2 phi} = 4 / (1 - |x|^2)^2 on |x| < 1, curvature -1."""
@@ -1004,21 +1090,41 @@ class HyperbolicDiskField(ConformalAnalyticField):
     def phi_batch(self, X, order=2):
         return _stereographic_exponent(X, 1.0, -1.0, order)
 
+    def phi_laplacian_batch(self, X):
+        return _stereographic_laplacian(X, 1.0, -1.0)
 
-def _stereographic_exponent(y, a, sign, order):
-    """(phi, dphi, d2phi) of e^{2 phi} = 4 a^2 / (a + sign |y|^2)^2, the
-    stereographic chart of curvature sign / a, d2phi None below order 2;
-    points where a + sign |y|^2 <= 0 lie outside the chart."""
+
+def _stereographic_q(y, a, sign):
+    """q = a + sign |y|^2, e^{2 phi} = 4 a^2 / q^2, in the stereographic
+    chart of curvature sign / a; points where q <= 0 lie outside it."""
     q = a + sign * np.einsum("bi,bi->b", y, y)
     if np.any(q <= 0):
         raise RegionError("point outside the stereographic chart")
+    return q
+
+
+def _stereographic_exponent(y, a, sign, order):
+    """(phi, dphi, d2phi) of e^{2 phi} = 4 a^2 / (a + sign |y|^2)^2, the
+    stereographic chart of curvature sign / a, dphi None below order 1 and
+    d2phi None below order 2."""
+    q = _stereographic_q(y, a, sign)
     phi = np.log(2.0 * a) - np.log(q)
+    if order < 1:
+        return phi, None, None
     dphi = -2.0 * sign * y / q[:, None]
     if order < 2:
         return phi, dphi, None
     d2phi = (-2.0 * sign * np.eye(2) / q[:, None, None]
              + 4.0 * y[:, :, None] * y[:, None, :] / (q ** 2)[:, None, None])
     return phi, dphi, d2phi
+
+
+def _stereographic_laplacian(y, a, sign):
+    """(phi, Laplacian of phi) in the chart of _stereographic_exponent: the
+    trace -4 sign / q + 4 |y|^2 / q^2 of its Hessian is -4 sign a / q^2, as
+    sign^2 = 1, so K = -e^{-2 phi} Lap phi = sign / a."""
+    q = _stereographic_q(y, a, sign)
+    return np.log(2.0 * a) - np.log(q), (-4.0 * sign * a) / (q * q)
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,20 @@ acceleration at both ends of each step.  Two parametrizations are supported:
                               right-hand side projects out the tangential
                               component of the acceleration)
 
-For a conformal metric g = c e^{2 phi} I the Christoffel symbols are
+For a conformal metric g = e^{2 phi} I (phi is the exponent of g itself,
+so a constant factor c of the metric is the constant (log c) / 2 in phi) the
+Christoffel symbols are
 Gamma^k_ij = delta^k_i d_j phi + delta^k_j d_i phi - delta_ij d_k phi, so the
 acceleration is the closed form  |V|^2 grad phi - 2 (V . grad phi) V  and the
 right-hand side needs only grad phi, read through
-conformal_exponent_batch(X, order=1).  It is used for every field with
-``conformal`` set (fields.py decides which those are); every other field
-contracts the general Christoffel tensor.
+conformal_exponent_batch(X, order=1).  Its Gauss curvature is the closed
+form  K = -e^{-2 phi} Lap phi  (do Carmo, Riemannian Geometry, ch. 5), read
+through conformal_laplacian_batch(X): phi and its Laplacian alone, which a
+sampled field sums per kernel node without forming the Hessian tensor and an
+analytic field takes from its closed forms.  Both closed forms are used for
+every field with ``conformal`` set (fields.py decides which those are);
+every other field contracts the general Christoffel tensor and takes K from
+the Riemann tensor below.
 
 Index conventions follow fields.py: grad[i, a, b] = d_i g_ab.  The Riemann
 tensor is assembled as
@@ -30,14 +37,15 @@ tensor is assembled as
     R^r_smn = d_m Gamma^r_ns - d_n Gamma^r_ms
               + Gamma^r_ml Gamma^l_ns - Gamma^r_nl Gamma^l_ms
 
-with (R(X, Y) Z)^r = R^r_smn Z^s X^m Y^n.  The Gauss curvature is
-K = R_1212 / det g, R_1212 = <R(e_1, e_2) e_2, e_1>_g.  Along a unit-speed
-geodesic a Jacobi field normal to it is J = j n, n the parallel unit
-normal, with the scalar Jacobi equation  j'' + K(gamma(t)) j = 0  (do
-Carmo, Riemannian Geometry, ch. 5).
+with (R(X, Y) Z)^r = R^r_smn Z^s X^m Y^n.  The Gauss curvature of a field
+that is not conformal is K = R_1212 / det g, R_1212 = <R(e_1, e_2) e_2,
+e_1>_g; riemann_tensor stays the oracle the conformal closed form is tested
+against.  Along a unit-speed geodesic a Jacobi field normal to it is J = j n,
+n the parallel unit normal, with the scalar Jacobi equation
+j'' + K(gamma(t)) j = 0  (do Carmo, Riemannian Geometry, ch. 5).
 
-At module level only numpy and fields are imported, since every rfpp call
-that shoots a geodesic imports this module.  SciPy routines load on first
+At module level only numpy, fields and the CSV writer of harness are
+imported, since every rfpp call that shoots a geodesic imports this module.  SciPy routines load on first
 use: CubicSpline and brentq when a Jacobi field j changes sign (to
 refine the conjugate time), CubicHermiteSpline in
 GeodesicPath.position_spline.  Arc lengths use _simpson, which repeats
@@ -52,6 +60,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .fields import RegionError
+from .harness import csv_table
 
 SPEED_TOL = 1e-6           # per-sample speed drift allowance, times (1 + t)
 CONJUGATE_REFINE = 1e-6    # bisection width for conjugate-time brackets
@@ -156,13 +165,22 @@ def _riemann_from_christoffel(gamma, dgamma):
 
 
 def _gauss_curvature(field, X):
-    """Gauss curvature K = R_1212 / det g at the points X (..., 2), from one
-    evaluate_batch call at order 2."""
-    g, grad, hess = field.evaluate_batch(X.reshape(-1, 2))
-    R = _riemann_from_christoffel(*_christoffel_and_partials(g, grad, hess))
-    # R_1212 = g_r1 R^r_212
-    num = R[:, 0, 1, 0, 1] * g[:, 0, 0] + R[:, 1, 1, 0, 1] * g[:, 1, 0]
-    K = num / (g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 0, 1])
+    """Gauss curvature at the points X (..., 2).
+
+    For a field with ``conformal`` set, g = e^{2 phi} I and K = -e^{-2 phi}
+    Lap phi, from conformal_laplacian_batch; every other field gives
+    K = R_1212 / det g from one evaluate_batch call at order 2.
+    """
+    X2 = X.reshape(-1, 2)
+    if field.conformal:
+        phi, lap = field.conformal_laplacian_batch(X2)
+        K = -np.exp(-2.0 * phi) * lap
+    else:
+        g, grad, hess = field.evaluate_batch(X2)
+        R = _riemann_from_christoffel(*_christoffel_and_partials(g, grad, hess))
+        # R_1212 = g_r1 R^r_212
+        num = R[:, 0, 1, 0, 1] * g[:, 0, 0] + R[:, 1, 1, 0, 1] * g[:, 1, 0]
+        K = num / (g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 0, 1])
     return K.reshape(X.shape[:-1])
 
 
@@ -213,14 +231,13 @@ class GeodesicPath:
 
     def csv_text(self):
         d = self.positions.shape[1]
-        lines = [f"# parametrization: {self.parametrization}",
-                 f"# step: {float(self.step)!r}",
-                 f"# termination: {self.termination}",
-                 ",".join(["t"] + [f"x{i + 1}" for i in range(d)]
-                          + [f"v{i + 1}" for i in range(d)])]
-        rows = np.column_stack([self.times, self.positions, self.velocities])
-        lines += [",".join(map(repr, row)) for row in rows.tolist()]
-        return "\n".join(lines) + "\n"
+        return csv_table(
+            [f"# parametrization: {self.parametrization}",
+             f"# step: {float(self.step)!r}",
+             f"# termination: {self.termination}",
+             ",".join(["t"] + [f"x{i + 1}" for i in range(d)]
+                      + [f"v{i + 1}" for i in range(d)])],
+            [self.times, *self.positions.T, *self.velocities.T])
 
 
 def riemannian_speeds(field, positions, velocities):
@@ -263,16 +280,6 @@ def _geodesic_rhs(field, X, V, parametrization):
     return V, acc
 
 
-def _margin_steps(field, X, V):
-    """Per row, the largest step h whose margin 1.5 h |V|_max still fits
-    between X and the boundary of the field's region box (inf without one)."""
-    region = field.region
-    if region is None:
-        return np.full(len(X), np.inf)
-    room = np.minimum(X - np.asarray(region.lo), np.asarray(region.hi) - X)
-    return np.min(room, axis=1) / (1.5 * np.max(np.abs(V), axis=1))
-
-
 def _weights(coefs):
     """(stages, column) of a row of stage weights: the stages of its nonzero
     weights (a slice where they are consecutive) and those weights as a
@@ -286,8 +293,9 @@ def _weights(coefs):
     return np.array(stages), column
 
 
-_DP_STAGES = tuple(zip(_DP_C, map(_weights, _DP_A), map(_weights, _DP_AA)))
+_DP_STAGES = tuple(zip(map(_weights, _DP_A), map(_weights, _DP_AA)))
 _DP_ERR = (_weights(_DP_EA), _weights(_DP_E))
+_DP_NODES = np.array(_DP_C)[:, None, None]
 
 
 def _combine(weights, ks):
@@ -315,17 +323,17 @@ def _dp5_step(field, X, V, A, h, parametrization):
     hh = hc * hc
     kv = np.empty((len(_DP_STAGES) + 1,) + A.shape)
     kv[0] = A
-    for j, (c, a, aa) in enumerate(_DP_STAGES, start=1):
+    # X + c_i h V of every stage at once
+    XC = X + (_DP_NODES * hc) * V
+    for j, (a, aa) in enumerate(_DP_STAGES, start=1):
         Vs = V + hc * _combine(a, kv)
         W = _combine(aa, kv)
-        Xs = X + (c * hc) * V
-        if W is not None:
-            Xs = Xs + hh * W
+        Xs = XC[j - 1] if W is None else XC[j - 1] + hh * W
         _, kv[j] = _geodesic_rhs(field, Xs, Vs, parametrization)
     err_x, err_v = _DP_ERR
-    err = np.maximum(np.max(np.abs(hh * _combine(err_x, kv)), axis=1),
-                     np.max(np.abs(hc * _combine(err_v, kv)), axis=1))
-    return Xs, Vs, kv[-1].copy(), W, err
+    err = np.abs(np.concatenate([hh * _combine(err_x, kv),
+                                 hc * _combine(err_v, kv)], axis=1)).max(axis=1)
+    return Xs, Vs, kv[-1], W, err
 
 
 def _dp5_rows(field, idx, X, V, A, h, parametrization):
@@ -371,16 +379,20 @@ def _hermite_samples(theta, h, x0, v0, a0, v1, a1, W):
 
 def _dense_output(times, pos_hist, vel_hist, attempts):
     """Write the grid samples in (t0, t1] of every accepted step into the
-    histories, from each step's Hermite interpolant in one vectorized call,
-    and return the number of samples per row.  ``attempts`` lists the
-    steps the integration loop attempted, as (idx, accept, t0, t1, h, X, V,
-    A, Vn, An, W) over the rows idx it advanced."""
-    n_samples = np.ones(pos_hist.shape[1], dtype=np.int64)
+    histories, from each step's Hermite interpolant in one vectorized call.
+    ``attempts`` lists the steps the integration loop attempted, as (idx,
+    accept, t0, t1, h, X, V, A, Vn, An, W) over the rows idx it advanced.
+    Returns the number of samples, accepted steps and rejected steps per
+    row."""
+    B = pos_hist.shape[1]
+    n_samples = np.ones(B, dtype=np.int64)
     if not attempts:
-        return n_samples
+        return n_samples, np.zeros(B, dtype=np.int64), np.zeros(B, dtype=np.int64)
     columns = [np.concatenate(parts) for parts in zip(*attempts)]
     accept = columns.pop(1)
+    tried = np.bincount(columns[0], minlength=B)
     rows, t0, t1, h, X, V, A, Vn, An, W = (c[accept] for c in columns)
+    steps = np.bincount(rows, minlength=B)
     k_lo = np.searchsorted(times, t0, side="right")
     k_hi = np.searchsorted(times, t1, side="right")
     counts = k_hi - k_lo
@@ -391,7 +403,7 @@ def _dense_output(times, pos_hist, vel_hist, attempts):
         (times[ks] - t0[sel]) / h[sel], h[sel], X[sel], V[sel], A[sel],
         Vn[sel], An[sel], W[sel])
     np.maximum.at(n_samples, rows, k_hi)
-    return n_samples
+    return n_samples, steps, tried - steps
 
 
 def geodesic_shoot_batch(field, x0, v0, T, step=None, parametrization="riemannian"):
@@ -438,8 +450,9 @@ def geodesic_shoot_batch(field, x0, v0, T, step=None, parametrization="riemannia
     vel_hist[0] = V
     termination = np.array(["completed"] * B, dtype=object)
     tol = DP_TOLERANCE * step ** 4
-    steps = np.zeros(B, dtype=np.int64)
-    rejected = np.zeros(B, dtype=np.int64)
+    region = field.region
+    if region is not None:
+        lo, hi = np.asarray(region.lo), np.asarray(region.hi)
 
     # state of the rows still integrating: row index, position, velocity,
     # acceleration, time, proposed step and last accepted error ratio; every
@@ -448,59 +461,74 @@ def geodesic_shoot_batch(field, x0, v0, T, step=None, parametrization="riemannia
     t, h, last = np.zeros(B), np.full(B, step), np.ones(B)
     field_a = field
     attempts = []
-    while idx.size:
-        fit = _margin_steps(field, X, V)
-        cramped = fit < step
-        if cramped.any():
-            termination[idx[cramped]] = "left_region"
-            idx, X, V, A, t, h, last, fit = (
-                a[~cramped] for a in (idx, X, V, A, t, h, last, fit))
-            if idx.size == 0:
-                break
-            field_a = field.for_rows(idx)
-        ha = np.minimum(np.minimum(h, fit), t_end - t)
-        try:
-            Xn, Vn, An, W, err = _dp5_step(field_a, X, V, A, ha,
-                                           parametrization)
-            out = np.zeros(idx.size, dtype=bool)
-        except RegionError:
-            Xn, Vn, An, W, err, out = _dp5_rows(field, idx, X, V, A, ha,
-                                                parametrization)
-        finite = (np.isfinite(err) & np.isfinite(Xn).all(axis=1)
-                  & np.isfinite(Vn).all(axis=1) & np.isfinite(An).all(axis=1))
-        ratio = err / tol
-        accept = ~out & finite & (ratio <= 1.0)
-        # PI step control (Gustafsson 1991, with the constants of Hairer and
-        # Wanner's DOPRI5): an accepted step also weighs the previous ratio.
-        # A step that left the region is retried at a quarter of its length,
-        # but not below the sample spacing.
-        with np.errstate(divide="ignore"):
-            grow = np.where(finite, 0.9 * ratio ** -0.17, 0.0)
-        grow[accept] *= last[accept] ** 0.04
-        last[accept] = np.maximum(ratio[accept], 1e-4)
-        h = np.where(out, np.maximum(0.25 * ha, step), ha * np.clip(grow, 0.2, 5.0))
-        steps[idx] += accept
-        rejected[idx] += ~accept
-
-        t1 = np.where(ha == t_end - t, t_end, t + ha)
-        attempts.append((idx, accept, t, t1, ha, X, V, A, Vn, An, W))
-        t = np.where(accept, t1, t)
-        X, V, A = (np.where(accept[:, None], new, old)
-                   for new, old in ((Xn, X), (Vn, V), (An, A)))
-
-        done = accept & (t >= t_end)
-        left = out & (ha <= step)
-        failed = ~out & ~done & (h < MIN_STEP * step)
-        termination[idx[left]] = "left_region"
-        termination[idx[failed]] = "numerical"
-        going = ~(done | left | failed)
-        if not going.all():
-            idx, X, V, A, t, h, last = (
-                a[going] for a in (idx, X, V, A, t, h, last))
-            if idx.size:
+    # a zero error estimate takes ratio ** -0.17 to inf, which the step
+    # control clips
+    with np.errstate(divide="ignore"):
+        while idx.size:
+            # per row, the largest step whose margin 1.5 h |V|_max still
+            # fits between X and the boundary of the region box
+            if region is None:
+                fit = np.full(idx.size, np.inf)
+            else:
+                fit = (np.minimum(X - lo, hi - X).min(axis=1)
+                       / (1.5 * np.abs(V).max(axis=1)))
+            cramped = fit < step
+            if cramped.any():
+                termination[idx[cramped]] = "left_region"
+                idx, X, V, A, t, h, last, fit = (
+                    a[~cramped] for a in (idx, X, V, A, t, h, last, fit))
+                if idx.size == 0:
+                    break
                 field_a = field.for_rows(idx)
+            rest = t_end - t
+            ha = np.minimum(np.minimum(h, fit), rest)
+            try:
+                Xn, Vn, An, W, err = _dp5_step(field_a, X, V, A, ha,
+                                               parametrization)
+                out = None
+            except RegionError:
+                Xn, Vn, An, W, err, out = _dp5_rows(field, idx, X, V, A, ha,
+                                                    parametrization)
+            # the rows that left the region have NaN results
+            finite = np.isfinite(np.concatenate(
+                [Xn, Vn, An, err[:, None]], axis=1)).all(axis=1)
+            ratio = err / tol
+            accept = finite & (ratio <= 1.0)
+            # PI step control (Gustafsson 1991, with the constants of Hairer
+            # and Wanner's DOPRI5): an accepted step also weighs the previous
+            # ratio.  A step that left the region is retried at a quarter of
+            # its length, but not below the sample spacing.
+            grow = np.where(finite, 0.9 * ratio ** -0.17, 0.0)
+            grow = np.where(accept, grow * last ** 0.04, grow)
+            last = np.where(accept, np.maximum(ratio, 1e-4), last)
+            h = ha * np.clip(grow, 0.2, 5.0)
+            if out is not None:
+                h = np.where(out, np.maximum(0.25 * ha, step), h)
 
-    n_samples = _dense_output(times, pos_hist, vel_hist, attempts)
+            t1 = np.where(ha == rest, t_end, t + ha)
+            attempts.append((idx, accept, t, t1, ha, X, V, A, Vn, An, W))
+            t = np.where(accept, t1, t)
+            X, V, A = (np.where(accept[:, None], new, old)
+                       for new, old in ((Xn, X), (Vn, V), (An, A)))
+
+            # a row retried after leaving the region has h >= step, so it
+            # never counts as failed
+            done = accept & (t >= t_end)
+            failed = ~done & (h < MIN_STEP * step)
+            going = ~(done | failed)
+            if out is not None:
+                left = out & (ha <= step)
+                termination[idx[left]] = "left_region"
+                going &= ~left
+            if not going.all():
+                termination[idx[failed]] = "numerical"
+                idx, X, V, A, t, h, last = (
+                    a[going] for a in (idx, X, V, A, t, h, last))
+                if idx.size:
+                    field_a = field.for_rows(idx)
+
+    n_samples, steps, rejected = _dense_output(times, pos_hist, vel_hist,
+                                               attempts)
     paths = []
     for b in range(B):
         field_b = field.field_at(b)

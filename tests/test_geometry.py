@@ -6,9 +6,9 @@ import pytest
 
 from rfpp import geometry, rng
 from rfpp.experiments import BumpSpec, PerturbedConformalField, make_bump
-from rfpp.fields import (Box, ConstantMetric, FieldStack, FlatMetric,
-                         HyperbolicDiskField, KernelSpec, MetricField,
-                         SpherePatchField)
+from rfpp.fields import (Box, ConformalAnalyticField, ConstantMetric,
+                         FieldStack, FlatMetric, HyperbolicDiskField,
+                         KernelSpec, MetricField, SpherePatchField)
 from rfpp.geometry import (GeodesicPath, GeometryError, _geodesic_rhs,
                            christoffel, christoffel_from_derivatives,
                            cumulative_lengths, curvature_at, geodesic_shoot,
@@ -491,21 +491,28 @@ def test_curvature_flat_zero():
 def test_curvature_sphere_unit():
     pts = 4.0 * rng.uniform(31, np.arange(200)).reshape(100, 2) - 2.0
     ks = np.array([curvature_at(SPHERE, x) for x in pts])
-    assert np.max(np.abs(ks - 1.0)) <= 1e-6
+    assert np.max(np.abs(ks - 1.0)) <= 1e-12
+
+
+def _riemann_curvature(field, X):
+    """The oracle K = R_1212 / det g from riemann_tensor and the metric's
+    derivatives to order 2, R_1212 = g_r1 R^r_212."""
+    from rfpp.geometry import riemann_tensor
+    g, grad, hess = field.evaluate_batch(X)
+    R = riemann_tensor(g, grad, hess)
+    num = R[:, 0, 1, 0, 1] * g[:, 0, 0] + R[:, 1, 1, 0, 1] * g[:, 1, 0]
+    return num / (g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 0, 1])
 
 
 def test_curvature_conformal_identity():
-    # K = -e^{-2 phi} Laplacian(phi) in d = 2
+    # curvature_at reads K = -e^{-2 phi} Laplacian(phi) off the Laplacian
+    # sums; the oracle assembles R_1212 / det g from the order-2 metric
     field = conformal(32)
     pts = 6.0 * rng.uniform(33, np.arange(60)).reshape(30, 2) - 3.0
-    for x in pts:
-        val, grad, hess = field.evaluate_batch(x[None, :])
-        e2p = val[0, 0, 0]
-        dphi = grad[0, :, 0, 0] / (2 * e2p)
-        lap = sum(hess[0, i, i, 0, 0] / (2 * e2p) - 2 * dphi[i] ** 2
-                  for i in range(2))
-        closed = -lap / e2p
-        assert abs(curvature_at(field, x) - closed) <= 1e-8
+    ref = _riemann_curvature(field, pts)
+    scale = np.max(np.abs(ref))
+    for x, k in zip(pts, ref):
+        assert abs(curvature_at(field, x) - k) <= 1e-12 * scale
 
 
 # ------------------------------------------------------------- batching
@@ -606,6 +613,36 @@ def test_conformal_exponent_order_one_is_order_two_without_hessian(name):
     assert phi1.tobytes() == phi2.tobytes() and dphi1.tobytes() == dphi2.tobytes()
 
 
+@pytest.mark.parametrize("name", sorted(CONFORMAL_FIELDS))
+def test_conformal_gauss_curvature_matches_riemann_oracle(name):
+    # K = -e^{-2 phi} Lap phi from conformal_laplacian_batch (Laplacian sums,
+    # closed forms, or a blend of both) against R_1212 / det g
+    from rfpp.geometry import _gauss_curvature
+    field = CONFORMAL_FIELDS[name]()
+    X = 1.1 * rng.uniform(71, np.arange(128)).reshape(64, 2) - 0.5
+    K = _gauss_curvature(field, X)
+    ref = _riemann_curvature(field, X)
+    assert np.max(np.abs(K - ref)) <= 1e-12 * np.max(np.abs(ref))
+    closed = {"sphere_patch": 1.0 / 2.0 ** 2, "hyperbolic_disk": -1.0}
+    if name in closed:
+        assert np.max(np.abs(K - closed[name])) <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(CONFORMAL_FIELDS) + ["flat"])
+def test_order_zero_exponent_and_values_keep_their_bits(name):
+    # phi alone at order 0, and the metric values from it, with the bits of
+    # phi and the values of order 1; the Laplacian entry's phi has them too
+    field = FLAT if name == "flat" else CONFORMAL_FIELDS[name]()
+    X = 1.1 * rng.uniform(71, np.arange(128)).reshape(64, 2) - 0.5
+    phi0, dphi0, d2phi0 = field.conformal_exponent_batch(X, order=0)
+    phi1, _, _ = field.conformal_exponent_batch(X, order=1)
+    assert dphi0 is None and d2phi0 is None
+    assert same_bits(phi0, phi1)
+    assert same_bits(field.values_batch(X), field.evaluate_batch(X, order=1)[0])
+    phi_lap, lap = field.conformal_laplacian_batch(X)
+    assert same_bits(phi_lap, phi1) and lap.shape == (64,)
+
+
 @pytest.mark.parametrize("mode", ["sym_exp"])
 def test_tensor_fields_keep_tensor_path(mode):
     field = MetricField(mode, seed=66, region=Box.cube(4.0, 2),
@@ -671,6 +708,45 @@ def test_conformal_paths_golden_digest():
         "euclidean":
             "c14653f4204bca7f62a86cb3e6bad5ca500d90a83a280febce2eac902553abbc",
     }
+
+
+class _NaNBeyond(ConformalAnalyticField):
+    """A conformal field whose exponent is NaN beyond x1 = edge.  Its base
+    must take NaN points: a MetricField refuses them as outside its region,
+    which would end the row "left_region" instead."""
+
+    def __init__(self, base, edge):
+        self.base, self.edge = base, edge
+        self.region = base.region
+        self.correlation_length = base.correlation_length
+
+    def phi_batch(self, X, order=2):
+        bad = X[:, 0] > self.edge
+        return tuple(None if a is None
+                     else np.where(bad.reshape((-1,) + (1,) * (a.ndim - 1)),
+                                   np.nan, a)
+                     for a in self.base.conformal_exponent_batch(X, order))
+
+
+def test_non_finite_stage_ends_only_its_row():
+    # row 0 runs into the NaN half-plane: its stages turn non-finite, its
+    # steps shrink below MIN_STEP step and it ends "numerical" before the
+    # edge; the other rows never see a NaN and keep their bits and counts
+    field = _NaNBeyond(SpherePatchField(radius=3.0, center=(0.2, -0.1)), 0.3)
+    dirs = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+    paths = geodesic_shoot_batch(field, np.zeros(2), dirs, T=1.0, step=1e-2)
+    assert [p.termination for p in paths] == ["numerical", "completed",
+                                              "completed"]
+    bad = paths[0]
+    assert bad.times[-1] < 1.0 and bad.rejected > 0
+    assert np.all(np.isfinite(bad.positions))
+    assert np.all(bad.positions[:, 0] <= 0.3)
+    for i in (1, 2):
+        single = geodesic_shoot(field, np.zeros(2), dirs[i], T=1.0, step=1e-2)
+        assert (single.steps, single.rejected) == (paths[i].steps,
+                                                   paths[i].rejected)
+        assert same_bits(paths[i].positions, single.positions)
+        assert same_bits(paths[i].velocities, single.velocities)
 
 
 def test_region_error_ends_only_its_row():
