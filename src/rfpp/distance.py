@@ -40,8 +40,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
-from .fields import MetricField, grid_points
-from .harness import csv_table
+from .fields import MetricField, csv_table, grid_points
 
 _QUANT_BITS = 24
 

@@ -161,6 +161,16 @@ def grid_points(axes):
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
+def csv_table(lines, columns):
+    """The header ``lines``, then one comma-separated row per entry of the
+    equal-length 1-D arrays ``columns``, every line ending in a newline.
+    A cell is the repr of its entry's Python value (column.tolist()), so a
+    float keeps every digit, signed zero, nan and the infinities.  Each
+    column is formatted as a whole and the rows are its cells zipped."""
+    cells = (map(repr, column.tolist()) for column in columns)
+    return "\n".join([*lines, *map(",".join, zip(*cells))]) + "\n"
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """Compactly supported smoothing kernel, scaled by ``amplitude``.
@@ -1021,8 +1031,7 @@ class ConstantMetric(AnalyticField):
 
 
 class ConformalAnalyticField(AnalyticField):
-    """g = e^{2 phi} I for a closed-form phi; subclasses supply phi_batch,
-    and phi_laplacian_batch where the Laplacian has a closed form."""
+    """g = e^{2 phi} I for a closed-form phi; subclasses supply phi_batch."""
 
     conformal = True
 
@@ -1031,19 +1040,14 @@ class ConformalAnalyticField(AnalyticField):
         order 1 and d2phi None below order 2."""
         raise NotImplementedError
 
-    def phi_laplacian_batch(self, X):
-        """(phi (B,), Laplacian of phi (B,)): here the trace of phi_batch's
-        Hessian, for a field without a closed form."""
-        phi, _, d2phi = self.phi_batch(X, 2)
-        return phi, d2phi[:, 0, 0] + d2phi[:, 1, 1]
-
     def conformal_exponent_batch(self, X, order=2):
         """phi_batch behind the dimension and region checks."""
         return self.phi_batch(self._points(X), order)
 
     def conformal_laplacian_batch(self, X):
-        """phi_laplacian_batch behind the dimension and region checks."""
-        return self.phi_laplacian_batch(self._points(X))
+        """(phi, Laplacian of phi): the trace of phi_batch's Hessian."""
+        phi, _, d2phi = self.conformal_exponent_batch(X, 2)
+        return phi, d2phi[:, 0, 0] + d2phi[:, 1, 1]
 
     def values_batch(self, X):
         return _conformal_metric(self.conformal_exponent_batch(X, 0)[0],
@@ -1077,9 +1081,6 @@ class SpherePatchField(ConformalAnalyticField):
         return _stereographic_exponent(X - self.center, self.radius ** 2, 1.0,
                                        order)
 
-    def phi_laplacian_batch(self, X):
-        return _stereographic_laplacian(X - self.center, self.radius ** 2, 1.0)
-
 
 class HyperbolicDiskField(ConformalAnalyticField):
     """Poincare disk: e^{2 phi} = 4 / (1 - |x|^2)^2 on |x| < 1, curvature -1."""
@@ -1090,24 +1091,15 @@ class HyperbolicDiskField(ConformalAnalyticField):
     def phi_batch(self, X, order=2):
         return _stereographic_exponent(X, 1.0, -1.0, order)
 
-    def phi_laplacian_batch(self, X):
-        return _stereographic_laplacian(X, 1.0, -1.0)
-
-
-def _stereographic_q(y, a, sign):
-    """q = a + sign |y|^2, e^{2 phi} = 4 a^2 / q^2, in the stereographic
-    chart of curvature sign / a; points where q <= 0 lie outside it."""
-    q = a + sign * np.einsum("bi,bi->b", y, y)
-    if np.any(q <= 0):
-        raise RegionError("point outside the stereographic chart")
-    return q
-
 
 def _stereographic_exponent(y, a, sign, order):
     """(phi, dphi, d2phi) of e^{2 phi} = 4 a^2 / (a + sign |y|^2)^2, the
     stereographic chart of curvature sign / a, dphi None below order 1 and
-    d2phi None below order 2."""
-    q = _stereographic_q(y, a, sign)
+    d2phi None below order 2; points where a + sign |y|^2 <= 0 lie outside
+    the chart."""
+    q = a + sign * np.einsum("bi,bi->b", y, y)
+    if np.any(q <= 0):
+        raise RegionError("point outside the stereographic chart")
     phi = np.log(2.0 * a) - np.log(q)
     if order < 1:
         return phi, None, None
@@ -1117,14 +1109,6 @@ def _stereographic_exponent(y, a, sign, order):
     d2phi = (-2.0 * sign * np.eye(2) / q[:, None, None]
              + 4.0 * y[:, :, None] * y[:, None, :] / (q ** 2)[:, None, None])
     return phi, dphi, d2phi
-
-
-def _stereographic_laplacian(y, a, sign):
-    """(phi, Laplacian of phi) in the chart of _stereographic_exponent: the
-    trace -4 sign / q + 4 |y|^2 / q^2 of its Hessian is -4 sign a / q^2, as
-    sign^2 = 1, so K = -e^{-2 phi} Lap phi = sign / a."""
-    q = _stereographic_q(y, a, sign)
-    return np.log(2.0 * a) - np.log(q), (-4.0 * sign * a) / (q * q)
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,10 @@ conformal_exponent_batch(X, order=1).  Its Gauss curvature is the closed
 form  K = -e^{-2 phi} Lap phi  (do Carmo, Riemannian Geometry, ch. 5), read
 through conformal_laplacian_batch(X): phi and its Laplacian alone, which a
 sampled field sums per kernel node without forming the Hessian tensor and an
-analytic field takes from its closed forms.  Both closed forms are used for
-every field with ``conformal`` set (fields.py decides which those are);
-every other field contracts the general Christoffel tensor and takes K from
-the Riemann tensor below.
+analytic field takes as the trace of its phi Hessian.  Both closed forms are
+used for every field with ``conformal`` set (fields.py decides which those
+are); every other field contracts the general Christoffel tensor and takes
+K from the Riemann tensor below.
 
 Index conventions follow fields.py: grad[i, a, b] = d_i g_ab.  The Riemann
 tensor is assembled as
@@ -44,8 +44,8 @@ against.  Along a unit-speed geodesic a Jacobi field normal to it is J = j n,
 n the parallel unit normal, with the scalar Jacobi equation
 j'' + K(gamma(t)) j = 0  (do Carmo, Riemannian Geometry, ch. 5).
 
-At module level only numpy, fields and the CSV writer of harness are
-imported, since every rfpp call that shoots a geodesic imports this module.  SciPy routines load on first
+At module level only numpy and fields are imported, since every rfpp call
+that shoots a geodesic imports this module.  SciPy routines load on first
 use: CubicSpline and brentq when a Jacobi field j changes sign (to
 refine the conjugate time), CubicHermiteSpline in
 GeodesicPath.position_spline.  Arc lengths use _simpson, which repeats
@@ -59,8 +59,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fields import RegionError
-from .harness import csv_table
+from .fields import RegionError, csv_table
 
 SPEED_TOL = 1e-6           # per-sample speed drift allowance, times (1 + t)
 CONJUGATE_REFINE = 1e-6    # bisection width for conjugate-time brackets
@@ -261,7 +260,7 @@ def _normalize(field, x0, v0, parametrization):
 def _geodesic_rhs(field, X, V, parametrization):
     """(dx/dt, dv/dt) of the geodesic system at a batch of states.
 
-    For a field with ``conformal`` set, g = c e^{2 phi} I and
+    For a field with ``conformal`` set, g = e^{2 phi} I and
     Gamma^k_ij V^i V^j = 2 (V . dphi) V^k - |V|^2 d_k phi, so the
     acceleration needs dphi alone; every other field contracts the general
     Christoffel tensor.  The euclidean parametrization then projects out the
@@ -461,71 +460,70 @@ def geodesic_shoot_batch(field, x0, v0, T, step=None, parametrization="riemannia
     t, h, last = np.zeros(B), np.full(B, step), np.ones(B)
     field_a = field
     attempts = []
-    # a zero error estimate takes ratio ** -0.17 to inf, which the step
-    # control clips
-    with np.errstate(divide="ignore"):
-        while idx.size:
-            # per row, the largest step whose margin 1.5 h |V|_max still
-            # fits between X and the boundary of the region box
-            if region is None:
-                fit = np.full(idx.size, np.inf)
-            else:
-                fit = (np.minimum(X - lo, hi - X).min(axis=1)
-                       / (1.5 * np.abs(V).max(axis=1)))
-            cramped = fit < step
-            if cramped.any():
-                termination[idx[cramped]] = "left_region"
-                idx, X, V, A, t, h, last, fit = (
-                    a[~cramped] for a in (idx, X, V, A, t, h, last, fit))
-                if idx.size == 0:
-                    break
-                field_a = field.for_rows(idx)
-            rest = t_end - t
-            ha = np.minimum(np.minimum(h, fit), rest)
-            try:
-                Xn, Vn, An, W, err = _dp5_step(field_a, X, V, A, ha,
-                                               parametrization)
-                out = None
-            except RegionError:
-                Xn, Vn, An, W, err, out = _dp5_rows(field, idx, X, V, A, ha,
-                                                    parametrization)
-            # the rows that left the region have NaN results
-            finite = np.isfinite(np.concatenate(
-                [Xn, Vn, An, err[:, None]], axis=1)).all(axis=1)
-            ratio = err / tol
-            accept = finite & (ratio <= 1.0)
-            # PI step control (Gustafsson 1991, with the constants of Hairer
-            # and Wanner's DOPRI5): an accepted step also weighs the previous
-            # ratio.  A step that left the region is retried at a quarter of
-            # its length, but not below the sample spacing.
+    while idx.size:
+        # per row, the largest step whose margin 1.5 h |V|_max still
+        # fits between X and the boundary of the region box
+        if region is None:
+            fit = np.full(idx.size, np.inf)
+        else:
+            fit = (np.minimum(X - lo, hi - X).min(axis=1)
+                   / (1.5 * np.abs(V).max(axis=1)))
+        cramped = fit < step
+        if cramped.any():
+            termination[idx[cramped]] = "left_region"
+            idx, X, V, A, t, h, last, fit = (
+                a[~cramped] for a in (idx, X, V, A, t, h, last, fit))
+            if idx.size == 0:
+                break
+            field_a = field.for_rows(idx)
+        rest = t_end - t
+        ha = np.minimum(np.minimum(h, fit), rest)
+        try:
+            Xn, Vn, An, W, err = _dp5_step(field_a, X, V, A, ha,
+                                           parametrization)
+            out = None
+        except RegionError:
+            Xn, Vn, An, W, err, out = _dp5_rows(field, idx, X, V, A, ha,
+                                                parametrization)
+        # the rows that left the region have NaN results
+        finite = np.isfinite(np.concatenate(
+            [Xn, Vn, An, err[:, None]], axis=1)).all(axis=1)
+        ratio = err / tol
+        accept = finite & (ratio <= 1.0)
+        # PI step control (Gustafsson 1991, with the constants of Hairer
+        # and Wanner's DOPRI5): an accepted step also weighs the previous
+        # ratio.  A step that left the region is retried at a quarter of
+        # its length, but not below the sample spacing.  A zero error
+        # estimate takes ratio ** -0.17 to inf, which the clip bounds.
+        with np.errstate(divide="ignore"):
             grow = np.where(finite, 0.9 * ratio ** -0.17, 0.0)
-            grow = np.where(accept, grow * last ** 0.04, grow)
-            last = np.where(accept, np.maximum(ratio, 1e-4), last)
-            h = ha * np.clip(grow, 0.2, 5.0)
-            if out is not None:
-                h = np.where(out, np.maximum(0.25 * ha, step), h)
+        grow = np.where(accept, grow * last ** 0.04, grow)
+        last = np.where(accept, np.maximum(ratio, 1e-4), last)
+        h = ha * np.clip(grow, 0.2, 5.0)
+        if out is not None:
+            h = np.where(out, np.maximum(0.25 * ha, step), h)
 
-            t1 = np.where(ha == rest, t_end, t + ha)
-            attempts.append((idx, accept, t, t1, ha, X, V, A, Vn, An, W))
-            t = np.where(accept, t1, t)
-            X, V, A = (np.where(accept[:, None], new, old)
-                       for new, old in ((Xn, X), (Vn, V), (An, A)))
+        t1 = np.where(ha == rest, t_end, t + ha)
+        attempts.append((idx, accept, t, t1, ha, X, V, A, Vn, An, W))
+        t = np.where(accept, t1, t)
+        X, V, A = (np.where(accept[:, None], new, old)
+                   for new, old in ((Xn, X), (Vn, V), (An, A)))
 
-            # a row retried after leaving the region has h >= step, so it
-            # never counts as failed
-            done = accept & (t >= t_end)
-            failed = ~done & (h < MIN_STEP * step)
-            going = ~(done | failed)
-            if out is not None:
-                left = out & (ha <= step)
-                termination[idx[left]] = "left_region"
-                going &= ~left
-            if not going.all():
-                termination[idx[failed]] = "numerical"
-                idx, X, V, A, t, h, last = (
-                    a[going] for a in (idx, X, V, A, t, h, last))
-                if idx.size:
-                    field_a = field.for_rows(idx)
+        # a row retried after leaving the region has h >= step, so it
+        # never counts as failed
+        done = accept & (t >= t_end)
+        failed = ~done & (h < MIN_STEP * step)
+        going = ~(done | failed)
+        if out is not None:
+            left = out & (ha <= step)
+            termination[idx[left]] = "left_region"
+            going &= ~left
+        if not going.all():
+            termination[idx[failed]] = "numerical"
+            idx, X, V, A, t, h, last = (
+                a[going] for a in (idx, X, V, A, t, h, last))
+            if idx.size:
+                field_a = field.for_rows(idx)
 
     n_samples, steps, rejected = _dense_output(times, pos_hist, vel_hist,
                                                attempts)

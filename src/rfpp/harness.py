@@ -149,20 +149,10 @@ def canonical_json(obj):
     return json.dumps(obj, sort_keys=True, indent=2, default=default)
 
 
-def csv_table(lines, columns):
-    """The header ``lines``, then one comma-separated row per entry of the
-    equal-length 1-D arrays ``columns``, every line ending in a newline.
-    A cell is the repr of its entry's Python value (column.tolist()), so a
-    float keeps every digit, signed zero, nan and the infinities.  Each
-    column is formatted as a whole and the rows are its cells zipped."""
-    cells = (map(repr, column.tolist()) for column in columns)
-    return "\n".join([*lines, *map(",".join, zip(*cells))]) + "\n"
-
-
 def _replica_csv(column, values):
     """A replica,<column> table with one row per replica, in replica order."""
-    values = np.asarray(values, dtype=float)
-    return csv_table([f"replica,{column}"], [np.arange(len(values)), values])
+    return f"replica,{column}\n" + "".join(
+        f"{r},{float(v)!r}\n" for r, v in enumerate(values))
 
 
 # ---------------------------------------------------------------------------
