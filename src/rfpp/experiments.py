@@ -282,20 +282,16 @@ class BumpField(ConformalAnalyticField):
         self.cap = SpherePatchField(radius=spec.cap_radius,
                                     center=self.apex + spec.cap_radius * u)
 
-    def phi_batch(self, X, order=2):
+    def _ramp(self, X, order):
+        """(chi, dchi, d2chi) of the ramp chi(|x - apex| / glue_width),
+        dchi None below order 1 and d2chi None below order 2."""
         w = self.spec.glue_width
         y = X - self.apex
         s = np.linalg.norm(y, axis=1)
         t = s / w
         chi, c1, c2 = _quintic_blend(t)
-        pb, dpb, d2pb = self.base.conformal_exponent_batch(X, order)
-        pc, dpc, d2pc = self.cap.phi_batch(X, order)
-        delta = pc - pb
-        phi = pb + chi * delta
         if order < 1:
-            return phi, None, None
-        ddelta = dpc - dpb
-
+            return chi, None, None
         # derivatives of chi(|y| / w); chi', chi'' vanish at the apex
         with np.errstate(invalid="ignore", divide="ignore"):
             shat = np.where(s > 0, s, np.inf)
@@ -303,10 +299,8 @@ class BumpField(ConformalAnalyticField):
         dchi = c1[:, None] * dt
         zero = (s == 0) | (t >= 1.0)
         dchi[zero] = 0.0
-
-        dphi = dpb + dchi * delta[:, None] + chi[:, None] * ddelta
         if order < 2:
-            return phi, dphi, None
+            return chi, dchi, None
         with np.errstate(invalid="ignore", divide="ignore"):
             d2t = (np.eye(2)[None]
                    - y[:, :, None] * y[:, None, :] / (shat ** 2)[:, None, None]) \
@@ -314,12 +308,47 @@ class BumpField(ConformalAnalyticField):
         d2chi = (c2[:, None, None] * dt[:, :, None] * dt[:, None, :]
                  + c1[:, None, None] * d2t)
         d2chi[zero] = 0.0
+        return chi, dchi, d2chi
+
+    def phi_batch(self, X, order=2):
+        chi, dchi, d2chi = self._ramp(X, order)
+        pb, dpb, d2pb = self.base.conformal_exponent_batch(X, order)
+        pc, dpc, d2pc = self.cap.phi_batch(X, order)
+        delta = pc - pb
+        phi = pb + chi * delta
+        if order < 1:
+            return phi, None, None
+        ddelta = dpc - dpb
+        dphi = dpb + dchi * delta[:, None] + chi[:, None] * ddelta
+        if order < 2:
+            return phi, dphi, None
         d2delta = d2pc - d2pb
         d2phi = (d2pb + d2chi * delta[:, None, None]
                  + dchi[:, :, None] * ddelta[:, None, :]
                  + dchi[:, None, :] * ddelta[:, :, None]
                  + chi[:, None, None] * d2delta)
         return phi, dphi, d2phi
+
+    def phi_laplacian_batch(self, X):
+        """Lap phi = Lap pb + Lap chi delta + 2 grad chi . grad delta
+        + chi Lap delta, delta = pc - pb.  The cap is evaluated once: its
+        curvature is kappa = -e^{-2 pc} Lap pc, so Lap pc = -kappa e^{2 pc}.
+        The base gives phi and Lap phi everywhere and its gradient only on
+        the glue ring 0 < |x - apex| < glue_width, the one place grad chi is
+        not zero."""
+        chi, dchi, d2chi = self._ramp(X, 2)
+        pb, lpb = self.base.conformal_laplacian_batch(X)
+        pc, dpc, _ = self.cap.phi_batch(X, 1)
+        lpc = np.exp(2.0 * pc) * -self.spec.cap_curvature
+        delta = pc - pb
+        lap = (lpb + (d2chi[:, 0, 0] + d2chi[:, 1, 1]) * delta
+               + chi * (lpc - lpb))
+        ring = np.flatnonzero(dchi.any(axis=1))
+        if ring.size:
+            _, dpb, _ = self.base.conformal_exponent_batch(X[ring], 1)
+            lap[ring] += 2.0 * np.einsum("bi,bi->b", dchi[ring],
+                                         dpc[ring] - dpb)
+        return pb + chi * delta, lap
 
 
 def make_bump(spec, base):
@@ -350,6 +379,12 @@ class PerturbedConformalField(ConformalAnalyticField):
         a = self.amplitude
         return (phi + a * q, None if dphi is None else dphi + a * dq,
                 None if d2phi is None else d2phi + a * d2q)
+
+    def phi_laplacian_batch(self, X):
+        phi, lap = self.base.conformal_laplacian_batch(X)
+        q, lq = self.noise_field.conformal_laplacian_batch(X)
+        a = self.amplitude
+        return phi + a * q, lap + a * lq
 
 
 def _perturbation_scale(bump, overlay, probe_points, eps):

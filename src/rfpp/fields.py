@@ -1031,7 +1031,8 @@ class ConstantMetric(AnalyticField):
 
 
 class ConformalAnalyticField(AnalyticField):
-    """g = e^{2 phi} I for a closed-form phi; subclasses supply phi_batch."""
+    """g = e^{2 phi} I for a closed-form phi; subclasses supply phi_batch
+    and phi_laplacian_batch."""
 
     conformal = True
 
@@ -1040,14 +1041,18 @@ class ConformalAnalyticField(AnalyticField):
         order 1 and d2phi None below order 2."""
         raise NotImplementedError
 
+    def phi_laplacian_batch(self, X):
+        """Return (phi (B,), Laplacian of phi (B,)), phi with the bits of
+        phi_batch's."""
+        raise NotImplementedError
+
     def conformal_exponent_batch(self, X, order=2):
         """phi_batch behind the dimension and region checks."""
         return self.phi_batch(self._points(X), order)
 
     def conformal_laplacian_batch(self, X):
-        """(phi, Laplacian of phi): the trace of phi_batch's Hessian."""
-        phi, _, d2phi = self.conformal_exponent_batch(X, 2)
-        return phi, d2phi[:, 0, 0] + d2phi[:, 1, 1]
+        """phi_laplacian_batch behind the dimension and region checks."""
+        return self.phi_laplacian_batch(self._points(X))
 
     def values_batch(self, X):
         return _conformal_metric(self.conformal_exponent_batch(X, 0)[0],
@@ -1065,6 +1070,9 @@ class FlatMetric(ConformalAnalyticField):
         return (np.zeros(B), np.zeros((B, 2)) if order >= 1 else None,
                 np.zeros((B, 2, 2)) if order >= 2 else None)
 
+    def phi_laplacian_batch(self, X):
+        return np.zeros(len(X)), np.zeros(len(X))
+
 
 class SpherePatchField(ConformalAnalyticField):
     """Stereographic image of the round sphere of radius R: curvature 1/R^2.
@@ -1081,6 +1089,11 @@ class SpherePatchField(ConformalAnalyticField):
         return _stereographic_exponent(X - self.center, self.radius ** 2, 1.0,
                                        order)
 
+    def phi_laplacian_batch(self, X):
+        # curvature 1 / R^2 = -e^{-2 phi} Lap phi
+        phi = self.phi_batch(X, 0)[0]
+        return phi, np.exp(2.0 * phi) * (-1.0 / self.radius ** 2)
+
 
 class HyperbolicDiskField(ConformalAnalyticField):
     """Poincare disk: e^{2 phi} = 4 / (1 - |x|^2)^2 on |x| < 1, curvature -1."""
@@ -1090,6 +1103,11 @@ class HyperbolicDiskField(ConformalAnalyticField):
 
     def phi_batch(self, X, order=2):
         return _stereographic_exponent(X, 1.0, -1.0, order)
+
+    def phi_laplacian_batch(self, X):
+        # curvature -1 = -e^{-2 phi} Lap phi
+        phi = self.phi_batch(X, 0)[0]
+        return phi, np.exp(2.0 * phi)
 
 
 def _stereographic_exponent(y, a, sign, order):

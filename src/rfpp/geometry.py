@@ -26,10 +26,10 @@ conformal_exponent_batch(X, order=1).  Its Gauss curvature is the closed
 form  K = -e^{-2 phi} Lap phi  (do Carmo, Riemannian Geometry, ch. 5), read
 through conformal_laplacian_batch(X): phi and its Laplacian alone, which a
 sampled field sums per kernel node without forming the Hessian tensor and an
-analytic field takes as the trace of its phi Hessian.  Both closed forms are
-used for every field with ``conformal`` set (fields.py decides which those
-are); every other field contracts the general Christoffel tensor and takes
-K from the Riemann tensor below.
+analytic field takes from its closed forms.  Both closed forms are used for
+every field with ``conformal`` set (fields.py decides which those are);
+every other field contracts the general Christoffel tensor and takes K from
+the Riemann tensor below.
 
 Index conventions follow fields.py: grad[i, a, b] = d_i g_ab.  The Riemann
 tensor is assembled as

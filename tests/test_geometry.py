@@ -616,8 +616,8 @@ def test_conformal_exponent_order_one_is_order_two_without_hessian(name):
 @pytest.mark.parametrize("name", sorted(CONFORMAL_FIELDS))
 def test_conformal_gauss_curvature_matches_riemann_oracle(name):
     # K = -e^{-2 phi} Lap phi from conformal_laplacian_batch (Laplacian sums
-    # on sampled fields, the trace of the phi Hessian on analytic ones)
-    # against R_1212 / det g
+    # on sampled fields, closed forms on analytic ones) against
+    # R_1212 / det g
     from rfpp.geometry import _gauss_curvature
     field = CONFORMAL_FIELDS[name]()
     X = 1.1 * rng.uniform(71, np.arange(128)).reshape(64, 2) - 0.5
