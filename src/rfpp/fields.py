@@ -67,6 +67,10 @@ Every field is a ``Field``, which owns the protocol its consumers
                   dphi, d2phi), dphi None below order 1 and d2phi None below
                   order 2, and ``conformal_laplacian_batch(X)`` with (phi,
                   Laplacian of phi), which Gauss curvature reads
+    sym_exp       set when g = e^A for a symmetric A (the sym_exp mode);
+                  every field with the flag answers ``log_metric_batch(X,
+                  order)`` with the channels (A_00, A_11, A_01) of A and of
+                  its derivatives, which the geodesic right-hand side reads
     field_at(b)   the field evaluating batch row b, and
     for_rows(r)   the field evaluating a batch cut down to rows r: the field
                   itself, except for a FieldStack, whose rows are separate
@@ -77,6 +81,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import math
 import struct
 from dataclasses import dataclass, field as dc_field
 
@@ -144,6 +149,16 @@ class Box:
         comparison of [X, -X] against [lo, -hi]: negation is exact, so it
         holds exactly where lo <= X <= hi, and NaN fails it."""
         return (points * _SIGNS >= self._bounds).all()
+
+    def screen(self, points):
+        """points (B, d) with every non-finite row set to NaN, which a field
+        evaluates to NaN, after a batch that contains_all refused: a finite
+        row outside the box raises RegionError.  Only that refusal pays for
+        the finiteness test."""
+        finite = np.isfinite(points).all(axis=1)
+        if not self.contains_all(points[finite]):
+            raise RegionError("evaluation point outside field region")
+        return np.where(finite[:, None], points, np.nan)
 
     def intersection(self, other):
         """The box common to this box and ``other``."""
@@ -365,6 +380,7 @@ class Field:
     dim = 2
     region = None           # None means unbounded
     conformal = False
+    sym_exp = False
 
     def contains(self, points):
         """Membership of points (N, d) in ``region``."""
@@ -424,13 +440,20 @@ class MetricField(Field):
         kernel = kernel or KernelSpec()
         if shift <= 0:
             raise FieldError("shift (mean level) must be > 0")
+        if mode == "conformal" and shift != 1.0:
+            raise FieldError(f"shift is the sym_exp mean level; a conformal "
+                             f"field takes only 1.0, not {shift!r}")
         self.mode = mode
         self.conformal = mode == "conformal"
+        self.sym_exp = mode == "sym_exp"
         self.seed = int(seed)
         self.region = region
         self.kernel = kernel
         self.correlation_length = kernel.range
         self.shift = float(shift)
+        # the channels (00, 11, 01) of log(shift) I, which sym_exp adds to
+        # the kernel sums
+        self._shift_channels = np.log(self.shift) * _FROM_BASIS[:, 0]
         self.spacing = float(spacing) if spacing else kernel.range / 4.0
         channels = 1 if self.conformal else 3
         self.noise = sample_noise(self.seed, region, self.spacing, channels,
@@ -496,16 +519,21 @@ class MetricField(Field):
         per-axis table (see _displacements).  Node k of coeff's K axis is
         the mesh point (j_0, j_1), first axis slowest.  A point outside the
         region raises RegionError, tested on the (B,2) rows at
-        once by Box.contains_all.  The support needs no test per call:
-        __init__ checked it for the cells of the region's corners, which
-        bound the cell of every point inside.
+        once by Box.contains_all; a non-finite point is evaluated as NaN
+        (Box.screen), on the support of the region's low corner.  The
+        support needs no test per call: __init__ checked it for the cells
+        of the region's corners, which bound the cell of every point
+        inside.
         ``lookup(flat, start)`` maps the flat noise-grid indices (B,K) of
         batch rows start .. start + B to coefficients; the default reads
         this field's own array.
         """
-        if not self.region.contains_all(X):
-            raise RegionError("evaluation point outside field region")
-        cell = np.floor(X / self.spacing).astype(np.int64)
+        if self.region.contains_all(X):
+            cell = np.floor(X / self.spacing).astype(np.int64)
+        else:
+            X = self.region.screen(X)
+            cell = np.floor(np.where(np.isnan(X), self.region.lo, X)
+                            / self.spacing).astype(np.int64)
         flat = (cell @ self._strides)[:, None] + self._flat_offs
         if lookup is None:
             coeff = self._flat_coeff.take(flat, axis=0)
@@ -714,6 +742,13 @@ class MetricField(Field):
         return self._blocked(X, 1, _laplacian_from_sums,
                              contract=_laplacian_sums)
 
+    def log_metric_batch(self, X, order=2):
+        """(A, dA, d2A) of the exponent A = log g, sym_exp mode only, as
+        channels (A_00, A_11, A_01): A (B,3), dA (B,2,3) with dA[:, i] = d_i
+        A and d2A (B,2,2,3), the derivatives above ``order`` None as in
+        evaluate_batch.  No exponential is formed."""
+        return self._blocked(X, order, _log_metric_from_sums)
+
 
 def _sym_from_channels(A):
     """(B, ..., 3) channel arrays to (B, ..., 2, 2) symmetric matrices."""
@@ -739,6 +774,15 @@ def _laplacian_from_sums(field, sums, order):
         raise FieldError("conformal_laplacian_batch needs a conformal field")
     G, LG = sums
     return G[:, 0], LG[:, 0]
+
+
+def _log_metric_from_sums(field, sums, order):
+    """(A, dA, d2A) channels of a sym_exp field's exponent A = log(shift) I
+    + G from its kernel sums, the derivatives above ``order`` None."""
+    if not field.sym_exp:
+        raise FieldError("log_metric_batch needs a sym_exp field")
+    G, dG, d2G = (sums, None, None) if order == 0 else sums
+    return G + field._shift_channels, dG, d2G
 
 
 def _factor_from_sums(field, sums, order):
@@ -825,9 +869,7 @@ def _metric_from_sums(field, sums, order):
     if field.conformal:
         return _conformal_metric(G[:, 0], _first_channel(dG),
                                  _first_channel(d2G))
-    A = _sym_from_channels(G) + np.log(field.shift) * np.eye(2)
-    return _expm_sym_with_derivatives(A, _sym_from_channels(dG),
-                                      _sym_from_channels(d2G))
+    return _sym_exp_metric(*_log_metric_from_sums(field, sums, order))
 
 
 def _conformal_metric(phi, dphi, d2phi):
@@ -869,6 +911,7 @@ class FieldStack(Field):
         self.template = f0
         self.region = f0.region
         self.conformal = f0.conformal
+        self.sym_exp = f0.sym_exp
         self.correlation_length = f0.correlation_length
         self._coeff = np.stack(
             [f.noise.coefficients.reshape(-1, f.noise.channels) for f in self.fields])
@@ -913,70 +956,162 @@ class FieldStack(Field):
         """As MetricField.conformal_laplacian_batch, row b against field b."""
         return self._blocked(X, 1, _laplacian_from_sums, _laplacian_sums)
 
+    def log_metric_batch(self, X, order=2):
+        """As MetricField.log_metric_batch, row b against field b."""
+        return self._blocked(X, order, _log_metric_from_sums)
+
 
 # ---------------------------------------------------------------------------
-# matrix exponential with Daleckii-Krein derivatives (sym_exp mode)
+# the 2 x 2 symmetric exponential in closed form (sym_exp mode)
 # ---------------------------------------------------------------------------
+#
+# A symmetric 2 x 2 matrix X with channels (X_00, X_11, X_01) has the
+# coordinates (x0, xi) = ((X_00 + X_11) / 2, (X_00 - X_11) / 2, X_01) in the
+# basis (I, Z, X) of the identity and the traceless [[1, 0], [0, -1]] and
+# [[0, 1], [1, 0]], whose squares are I and whose products anticommute.  So
+# A = m I + N, N = nu . (Z, X), has N^2 = s I with s = |nu|^2, and
+#
+#     e^A = e^m (C I + S N),   C = cosh(sqrt s),  S = sinh(sqrt s) / sqrt s,
+#
+# both entire in s, with C' = S / 2 and S' = (C - S) / (2 s) (' = d/ds).
+# A direction E = (e, eps) moves s by 2 tau, tau = nu . eps, so
+#
+#     D e^A[E] = e^m M(E),  M(e, eps) = (C e + S tau, (S e + 2 S' tau) nu
+#                                        + S eps),
+#
+# a symmetric map of the coordinates, and with F = (f, phi), sigma = nu . phi
+# and S'' = (S / 2 - 3 S') / (2 s), D^2 e^A[E, F] = e^m (f M(E) + d_F M(E)):
+#
+#     first coordinate   C e f + S (e sigma + f tau) + 2 S' tau sigma
+#                        + S eps . phi
+#     traceless part     (S e f + 2 S' (e sigma + f tau) + 4 S'' tau sigma
+#                        + 2 S' eps . phi) nu + (S e + 2 S' tau) phi
+#                        + (S f + 2 S' sigma) eps
+#
+# Each row is computed on its own, by products and sums in a fixed order.
 
-def _exp_dd1(a, b):
-    """First divided difference of exp: (e^a - e^b) / (a - b), stable."""
-    m = 0.5 * (a + b)
-    h = 0.5 * (a - b)
-    small = np.abs(h) < 1e-6
-    hs = np.where(small, 1.0, h)
-    out = np.where(small,
-                   np.exp(m) * (1.0 + h * h / 6.0),
-                   np.exp(m) * np.sinh(hs) / hs)
-    return out
+# the coordinates (x0, xi) of the channels (X_00, X_11, X_01) of a row
+# vector X are X _TO_BASIS, and the channels of coordinates x are x
+# _FROM_BASIS
+_TO_BASIS = np.array([[0.5, 0.5, 0.0], [0.5, -0.5, 0.0], [0.0, 0.0, 1.0]])
+_FROM_BASIS = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
+# below this s, (C, S, S', S'') come from their Taylor series in s, where
+# (C - S) / (2 s) would cancel; at s = 0 they are exact
+_SERIES_S = 1.0
+# Taylor coefficients of C = sum s^k / (2k)!, S = sum s^k / (2k+1)!, S' =
+# sum k s^(k-1) / (2k+1)! and S'' = sum k (k-1) s^(k-2) / (2k+1)!, by power
+# of s (rows) and coefficient (columns); at s = 1 the first term left out is
+# below 1e-17 of the sum
+_EXP_SERIES = np.array(
+    [[1.0 / math.factorial(2 * k), 1.0 / math.factorial(2 * k + 1),
+      (k + 1) / math.factorial(2 * k + 3),
+      (k + 2) * (k + 1) / math.factorial(2 * k + 5)] for k in range(10)])
+# M (flattened) = (k _M_PRODUCTS) o^T o + k _M_DIAGONAL for the coefficients
+# k = (C, S, S', S'') and o = (1, nu): the products C, S nu and 2 S' nu nu^T
+# and S on the traceless diagonal
+_M_PRODUCTS = np.zeros((4, 9))
+_M_PRODUCTS[0, 0] = 1.0
+_M_PRODUCTS[1, [1, 2, 3, 6]] = 1.0
+_M_PRODUCTS[2, [4, 5, 7, 8]] = 2.0
+_M_DIAGONAL = np.zeros((4, 9))
+_M_DIAGONAL[1, [4, 8]] = 1.0
 
 
-def _exp_dd2(a, b, c):
-    """Second divided difference exp[a, b, c], stable for clustered args."""
-    a, b, c = np.broadcast_arrays(a, b, c)
-    spread = np.maximum(np.abs(a - c), np.maximum(np.abs(a - b), np.abs(b - c)))
-    mu = (a + b + c) / 3.0
-    # generic formula through the widest pair to avoid cancellation
-    d_ac = np.where(np.abs(a - c) < 1e-6, 1.0, a - c)
-    generic = (_exp_dd1(a, b) - _exp_dd1(b, c)) / d_ac
-    swap = np.abs(a - c) < np.abs(a - b)   # then (b, c, a) has a wider end pair
-    d_ba = np.where(np.abs(b - a) < 1e-6, 1.0, b - a)
-    alt = (_exp_dd1(b, c) - _exp_dd1(c, a)) / d_ba
-    out = np.where(swap, alt, generic)
-    taylor = np.exp(mu) * (0.5 + (a + b + c - 3 * mu) / 6.0)
-    return np.where(spread < 1e-5, taylor, out)
+def _exp_coefficients(s):
+    """(B,4) columns C, S, S', S'' of e^N = C I + S N at s = |N|^2 / 2 >=
+    0 (B,).  Rows with s < _SERIES_S take the series, the others the
+    closed forms; a row's coefficients depend on its own s alone."""
+    small = s < _SERIES_S
+    count = np.count_nonzero(small)
+    if count == len(s):
+        return _series_coefficients(s)
+    if count == 0:
+        return _direct_coefficients(s)
+    return np.where(small[:, None],
+                    _series_coefficients(np.where(small, s, 0.0)),
+                    _direct_coefficients(np.where(small, _SERIES_S, s)))
 
 
-def _expm_sym_with_derivatives(A, dA, d2A):
-    """e^A with first and second directional derivatives, A symmetric.
+def _series_coefficients(s):
+    """The coefficients from their series: the powers of s by one running
+    product along each row, times _EXP_SERIES."""
+    powers = np.empty((len(s), 1, len(_EXP_SERIES)))
+    powers[:, 0, 0] = 1.0
+    powers[:, 0, 1:] = s[:, None]
+    np.multiply.accumulate(powers, axis=2, out=powers)
+    return np.matmul(powers, _EXP_SERIES)[:, 0]
 
-    A: (B,d,d); dA: (B,p,d,d) directions per coordinate; d2A: (B,p,p,d,d).
-    Returns e^A alone when dA is None, else (e^A, grad, hess) with hess None
-    when d2A is None.
-    Uses the spectral (Daleckii-Krein) representation: in the eigenbasis of A,
-    [De^A(E)]_ij = E~_ij f[l_i, l_j] and
-    [D2e^A(E,F)]_ij = sum_k (E~_ik F~_kj + F~_ik E~_kj) f[l_i, l_k, l_j].
-    """
-    lam, Q = np.linalg.eigh(A)
-    val = np.einsum("bik,bk,bjk->bij", Q, np.exp(lam), Q)
+
+def _direct_coefficients(s):
+    """The coefficients from their closed forms, s > 0."""
+    x = np.sqrt(s)
+    C = np.cosh(x)
+    S = np.sinh(x) / x
+    S1 = (C - S) / (2.0 * s)
+    return np.stack([C, S, S1, (0.5 * S - 3.0 * S1) / (2.0 * s)], axis=1)
+
+
+def _exp_coordinates(A):
+    """The coordinates a (B,1,3) = (m, nu) of the channels A (B,3) of a
+    symmetric exponent, and the _exp_coefficients (B,4) at s = |nu|^2."""
+    a = np.matmul(A[:, None, :], _TO_BASIS)
+    nu = a[:, :, 1:]
+    return a, _exp_coefficients(np.matmul(nu, np.swapaxes(nu, 1, 2))[:, 0, 0])
+
+
+def _exp_derivative_map(a, k):
+    """The symmetric (B,3,3) matrices M of the formulas above, from
+    _exp_coordinates: the coordinates of D e^A[E] / e^m are E M, for the
+    coordinates E of a direction (a row vector).  The first row of M is (C,
+    S nu), the coordinates of e^A / e^m."""
+    o = a.copy()
+    o[:, :, 0] = 1.0
+    kk = k[:, None, :]
+    M = np.matmul(kk, _M_PRODUCTS).reshape(-1, 3, 3)
+    M *= np.matmul(np.swapaxes(o, 1, 2), o)
+    M += np.matmul(kk, _M_DIAGONAL).reshape(-1, 3, 3)
+    return M
+
+
+def _sym_exp_metric(A, dA, d2A):
+    """e^A with its first and second derivatives, from the channels A (B,3)
+    of the symmetric exponent, dA (B,p,3) of its derivatives along p
+    coordinates and d2A (B,p,p,3) of its second derivatives.  Returns e^A
+    (B,2,2) alone when dA is None, else (e^A, grad (B,p,2,2), hess
+    (B,p,p,2,2)) with hess None when d2A is None (formulas above)."""
+    a, k = _exp_coordinates(A)
+    nu = a[:, :, 1:]
+    em = np.exp(a[:, :, :1])                                   # (B,1,1)
+    x = a * k[:, 1, None, None]                                # (C, S nu)
+    x[:, :, 0] = k[:, :1]
+    value = _sym_from_channels((em * np.matmul(x, _FROM_BASIS))[:, 0])
     if dA is None:
-        return val
-    f1 = _exp_dd1(lam[:, :, None], lam[:, None, :])              # (B,d,d)
-
-    Et = np.einsum("bki,bpkl,blj->bpij", Q, dA, Q)               # directions in eigenbasis
-    grad_t = Et * f1[:, None, :, :]
-    grad = np.einsum("bik,bpkl,bjl->bpij", Q, grad_t, Q)
+        return value
+    # in channels, D e^A[E] = e^m E J
+    J = np.matmul(np.matmul(_TO_BASIS, _exp_derivative_map(a, k)),
+                  _FROM_BASIS)
+    grad = _sym_from_channels(em * np.matmul(dA, J))
     if d2A is None:
-        return val, grad, None
-
-    f2 = _exp_dd2(lam[:, :, None, None], lam[:, None, :, None],
-                  lam[:, None, None, :])                          # (B,d,d,d) [i,k,j]
-    E2t = np.einsum("bki,bpqkl,blj->bpqij", Q, d2A, Q)
-    # chain rule: D2 expm[E_p, E_q] + D expm[d2A_pq]
-    cross = np.einsum("bpik,bqkj,bikj->bpqij", Et, Et, f2)
-    cross = cross + np.swapaxes(cross, 1, 2)
-    second_t = cross + E2t * f1[:, None, None, :, :]
-    hess = np.einsum("bik,bpqkl,bjl->bpqij", Q, second_t, Q)
-    return val, grad, hess
+        return value, grad, None
+    # the coordinates (e, eps) of the directions d_k A, tau = eps . nu and
+    # the symmetric (B,p,p) products of the formulas above
+    C, S, S1, S2 = (k[:, i, None, None] for i in range(4))
+    da = np.matmul(dA, _TO_BASIS)
+    e, eps = da[:, :, :1], da[:, :, 1:]
+    tau = np.matmul(eps, np.swapaxes(nu, 1, 2))               # (B,p,1)
+    ee = np.matmul(e, np.swapaxes(e, 1, 2))
+    et = np.matmul(e, np.swapaxes(tau, 1, 2))
+    et = et + np.swapaxes(et, 1, 2)
+    tt = np.matmul(tau, np.swapaxes(tau, 1, 2))
+    epsilon = np.matmul(eps, np.swapaxes(eps, 1, 2))
+    x = np.empty(ee.shape + (3,))
+    x[..., 0] = C * ee + S * et + 2.0 * S1 * tt + S * epsilon
+    x[..., 1:] = ((S * ee + 2.0 * S1 * et + 4.0 * S2 * tt
+                   + 2.0 * S1 * epsilon)[..., None] * nu[:, None])
+    cross = (S * e + 2.0 * S1 * tau)[:, :, None] * eps[:, None]
+    x[..., 1:] += cross + np.swapaxes(cross, 1, 2)
+    hess = np.matmul(x, _FROM_BASIS) + np.matmul(d2A, J[:, None])
+    return value, grad, _sym_from_channels(em[:, :, :, None] * hess)
 
 
 # ---------------------------------------------------------------------------
@@ -1000,11 +1135,11 @@ class AnalyticField(Field):
 
     def _points(self, X):
         """X as a (B, 2) float batch, behind the dimension and region
-        checks."""
+        checks (Box.screen sets a non-finite row to NaN)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         _check_plane(X.shape[1])
         if self.region is not None and not self.region.contains_all(X):
-            raise RegionError("evaluation point outside field region")
+            X = self.region.screen(X)
         return X
 
 

@@ -27,9 +27,15 @@ form  K = -e^{-2 phi} Lap phi  (do Carmo, Riemannian Geometry, ch. 5), read
 through conformal_laplacian_batch(X): phi and its Laplacian alone, which a
 sampled field sums per kernel node without forming the Hessian tensor and an
 analytic field takes from its closed forms.  Both closed forms are used for
-every field with ``conformal`` set (fields.py decides which those are);
-every other field contracts the general Christoffel tensor and takes K from
-the Riemann tensor below.
+every field with ``conformal`` set (fields.py decides which those are).
+
+For g = e^A with A symmetric (``sym_exp`` set), the right-hand side reads
+the channels of A and its partials through log_metric_batch(X, order=1)
+and forms the acceleration from the closed-form exponential of fields.py:
+with A = m I + N, the factor e^m of g and of its derivatives cancels
+against the e^-m of g^-1 (see _sym_exp_acceleration).  Its Gauss curvature
+comes from the Riemann tensor below.  Every other field contracts the
+general Christoffel tensor and takes K from the Riemann tensor.
 
 Index conventions follow fields.py: grad[i, a, b] = d_i g_ab.  The Riemann
 tensor is assembled as
@@ -59,7 +65,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fields import RegionError, csv_table
+from .fields import (_TO_BASIS, RegionError, _exp_coordinates,
+                     _exp_derivative_map, csv_table)
 
 SPEED_TOL = 1e-6           # per-sample speed drift allowance, times (1 + t)
 CONJUGATE_REFINE = 1e-6    # bisection width for conjugate-time brackets
@@ -108,10 +115,16 @@ class DegeneratePathError(GeometryError):
 # Christoffel symbols and curvature
 # ---------------------------------------------------------------------------
 
+# the adjugate of a 2 x 2 matrix g: entry (i, j) is (-1)^(i+j) g[1-j, 1-i]
+_ADJUGATE_ROWS = np.array([[1, 0], [1, 0]])
+_ADJUGATE_COLUMNS = np.array([[1, 1], [0, 0]])
+_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
 def christoffel_from_derivatives(val, grad):
     """Batched Gamma^k_ij = 1/2 g^km (d_i g_mj + d_j g_im - d_m g_ij).
 
-    val (B,d,d), grad (B,d,d,d) with grad[:,i,a,b] = d_i g_ab.
+    val (B,2,2), grad (B,2,2,2) with grad[:,i,a,b] = d_i g_ab.
     """
     _, _, gamma = _christoffel_parts(val, grad)
     return 0.5 * (gamma + np.swapaxes(gamma, 2, 3))   # enforce exact symmetry
@@ -119,8 +132,11 @@ def christoffel_from_derivatives(val, grad):
 
 def _christoffel_parts(val, grad):
     """(g^-1, term, Gamma) with term[:,m,i,j] = d_i g_mj + d_j g_im - d_m g_ij
-    and Gamma = g^-1 term / 2, not symmetrised."""
-    ginv = np.linalg.inv(val)
+    and Gamma = g^-1 term / 2, not symmetrised; g^-1 is the adjugate over
+    the determinant."""
+    det = val[:, 0, 0] * val[:, 1, 1] - val[:, 0, 1] * val[:, 1, 0]
+    ginv = val[:, _ADJUGATE_ROWS, _ADJUGATE_COLUMNS] * _ADJUGATE_SIGNS
+    ginv /= det[:, None, None]
     term = (np.einsum("bimj->bmij", grad)
             + np.einsum("bjim->bmij", grad)
             - grad)
@@ -262,14 +278,19 @@ def _geodesic_rhs(field, X, V, parametrization):
 
     For a field with ``conformal`` set, g = e^{2 phi} I and
     Gamma^k_ij V^i V^j = 2 (V . dphi) V^k - |V|^2 d_k phi, so the
-    acceleration needs dphi alone; every other field contracts the general
-    Christoffel tensor.  The euclidean parametrization then projects out the
-    tangential component.
+    acceleration needs dphi alone.  A field with ``sym_exp`` set, g = e^A,
+    gives the channels of A and its partials, from which
+    _sym_exp_acceleration forms the acceleration in closed form.  Every
+    other field contracts the general Christoffel tensor.  The euclidean
+    parametrization then projects out the tangential component.
     """
     if field.conformal:
         _, dphi, _ = field.conformal_exponent_batch(X, order=1)
         acc = (np.einsum("bi,bi->b", V, V)[:, None] * dphi
                - 2.0 * np.einsum("bi,bi->b", V, dphi)[:, None] * V)
+    elif field.sym_exp:
+        A, dA, _ = field.log_metric_batch(X, order=1)
+        acc = _sym_exp_acceleration(A, dA, V)
     else:
         val, grad, _ = field.evaluate_batch(X, order=1)
         gamma = christoffel_from_derivatives(val, grad)
@@ -277,6 +298,40 @@ def _geodesic_rhs(field, X, V, parametrization):
     if parametrization == "euclidean":
         acc = acc - np.einsum("bk,bk->b", acc, V)[:, None] * V
     return V, acc
+
+
+# L(V) = V[:, _L_INDEX] * _L_SIGNS (B,2,3) has the columns V, Z V and X V
+# for the basis (I, Z, X) of fields.py: X V = L(V) x^T for a symmetric X of
+# coordinates x (a row vector)
+_L_INDEX = np.array([[0, 0, 1], [1, 1, 0]])
+_L_SIGNS = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 1.0]])
+# -(C I - S N) = -C I + S nu_0 Z + S nu_1 X, flattened row-major, is (C,
+# S nu) times this
+_NEG_INVERSE_TERMS = np.array([[-1.0, 0.0, 0.0, -1.0], [1.0, 0.0, 0.0, -1.0],
+                               [0.0, 1.0, 1.0, 0.0]])
+
+
+def _sym_exp_acceleration(A, dA, V):
+    """-Gamma^k_ij V^i V^j of g = e^A from the channels (A_00, A_11, A_01)
+    of A (B,3) and of its partials dA (B,2,3) (see fields.py, sym_exp).
+
+    d_k g = e^m D_k, where D_k has the coordinates E_k M for the
+    coordinates E_k of d_k A and the symmetric derivative map M of
+    fields.py, so D_k V = L(V) M E_k^T is column k of H = L(V) M E^T.  Then
+    D_V V = H V and (V^T D_k V)_k = H^T V, and with g^-1 = e^-m (C I - S N)
+    the acceleration -g^-1 (D_V g V - (V^T d_k g V)_k / 2) is -(C I - S N)
+    (H - H^T / 2) V: e^m, and with it the mean level, cancels, and no
+    metric, inverse or Christoffel tensor is formed.  Every product is a
+    stacked matmul or elementwise, the cheapest calls on the geodesic's
+    one-row batches."""
+    M = _exp_derivative_map(*_exp_coordinates(A))
+    L = V[:, _L_INDEX] * _L_SIGNS
+    H = np.matmul(np.matmul(np.matmul(L, M), _TO_BASIS),
+                  np.swapaxes(dA, 1, 2))
+    w = np.matmul(H - 0.5 * np.swapaxes(H, 1, 2), V[:, :, None])
+    # M's first row is (C, S nu)
+    G = np.matmul(M[:, :1], _NEG_INVERSE_TERMS).reshape(-1, 2, 2)
+    return np.matmul(G, w)[:, :, 0]
 
 
 def _weights(coefs):

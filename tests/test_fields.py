@@ -2,6 +2,7 @@ import functools
 import hashlib
 import pickle
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -371,7 +372,8 @@ def _bump(base):
 # (numpy 2.4.6, x86-64); any rewrite of them must reproduce every bit.  The
 # flat and bump_flat digests were computed when FlatMetric was a constant
 # tensor field and bump exponents were assembled outside fields.py, always
-# at order 2.
+# at order 2.  The sym_exp digest was computed with the closed-form 2 x 2
+# exponential, which moved the last bits the eigendecomposition gave.
 #
 # The entries of SPLIT_DIGESTS, whose phi is a sampled kernel sum, hold
 # (value, derivative) digests instead.  The last bits of phi, and of every
@@ -387,7 +389,7 @@ GOLDEN_EVALUATIONS = {
         "585a2410b73cd9cb88fd7cda9b510e0d134138f75a7feabf84250a5d5a43db8c"),
     "sym_exp": (
         lambda: MetricField("sym_exp", seed=21, region=BOX, kernel=KERN), 2, 2.0,
-        "b1b4c671092fba3a4168021b9e4e7b7ef7a706b51025c08203b58794b623c74a",
+        "ba246f51740cbb6e9a33ec15c7c4667f8d69d61ec251ca0134ee61bc299db036",
         None),
     "stack": (
         lambda: FieldStack([conformal(s) for s in (21, 22)]), 2, 2.0,
@@ -441,7 +443,14 @@ def _batch_methods(field):
                                           order=k)) for k in (1, 2)]
         if hasattr(field, "conformal_factor_batch"):
             methods.append((0, field.conformal_factor_batch))
+    if field.sym_exp:
+        methods += [(k, functools.partial(field.log_metric_batch, order=k))
+                    for k in (0, 1, 2)]
     return methods
+
+
+# a shift per mode: sym_exp reads any mean level, a conformal field only 1.0
+SHIFT = {"conformal": 1.0, "sym_exp": 2.0}
 
 
 def _assert_rows_alone(whole, alone):
@@ -468,7 +477,7 @@ def test_rows_evaluate_independently(mode, dim):
     # over three blocks: no row's result depends on the batch or the block
     # it came in
     field = MetricField(mode, seed=23, region=Box.cube(3.0, dim), kernel=KERN,
-                        shift=2.0)
+                        shift=SHIFT[mode])
     for order, method in _batch_methods(field):
         step = field._steps[order]
         X = _block_points(dim, 3 * step + 7)
@@ -483,7 +492,7 @@ def test_stack_rows_evaluate_independently(mode, dim):
     # alone, across block boundaries that do not fall on a multiple of the
     # stack size
     fields = [MetricField(mode, seed=s, region=Box.cube(3.0, dim), kernel=KERN,
-                          shift=2.0) for s in (23, 24, 25)]
+                          shift=SHIFT[mode]) for s in (23, 24, 25)]
     stack = FieldStack(fields)
     members = [_batch_methods(f) for f in fields]
     for i, (order, method) in enumerate(_batch_methods(stack)):
@@ -512,6 +521,85 @@ def test_large_batch_memory_stays_within_a_few_blocks(call, n, outputs):
     finally:
         tracemalloc.stop()
     assert peak <= 8 * (n * outputs + 8 * _FIELD_BLOCK)
+
+
+# ---------------------------------------------------------------- sym_exp closed form
+
+def _sym(c):
+    return np.array([[c[0], c[2]], [c[2], c[1]]])
+
+
+def _expm_oracle(A, E, F, G):
+    """e^A, D e^A[E] and D^2 e^A[E, F] + D e^A[G] for 2 x 2 matrices, from
+    scipy.linalg.expm of block upper-triangular matrices: D e^A[E] is the
+    (1, 2) block of exp([[A, E], [0, A]]), and D^2 e^A[E, F] the (1, 3)
+    block of exp([[A, E, 0], [0, A, F], [0, 0, A]]) plus the same with E and
+    F swapped (Najfeld and Havel 1995; Higham, Functions of Matrices, ch.
+    3).  No eigendecomposition, so equal eigenvalues are no special case."""
+    from scipy.linalg import expm
+    Z = np.zeros((2, 2))
+
+    def first(E):
+        return expm(np.block([[A, E], [Z, A]]))[:2, 2:]
+
+    def second(E, F):
+        return expm(np.block([[A, E, Z], [Z, A, F], [Z, Z, A]]))[:2, 4:]
+
+    return expm(A), first(E), second(E, F) + second(F, E) + first(G)
+
+
+def _exponent(s, m=0.4, angle=0.7):
+    """Channels (A_00, A_11, A_01) of A = m I + N with |N|^2 / 2 = s."""
+    r = np.sqrt(s)
+    return np.array([m + r * np.cos(angle), m - r * np.cos(angle),
+                     r * np.sin(angle)])
+
+
+# s = 0 is A = m I exactly; 1e-12 .. 0.999 take the series (below 1), 1.001
+# and up the closed forms.  The oracle's own error grows with the norm of
+# its block matrices (scaling and squaring), to about 1e-13 at s = 25, while
+# the closed form stays within 1e-15 of a 40-digit evaluation there
+EXPM_CASES = {"aI": (_exponent(0.0), 1e-14),
+              "s=1e-12": (_exponent(1e-12), 1e-14),
+              "s=0.3": (_exponent(0.3), 1e-14),
+              "s=0.999": (_exponent(0.999), 1e-14),
+              "s=1.001": (_exponent(1.001), 1e-14),
+              "s=4": (_exponent(4.0), 1e-12),
+              "s=25": (_exponent(25.0), 1e-12),
+              "random": (2.0 * rng.uniform(240, np.arange(3)) - 1.0, 1e-14)}
+
+
+@pytest.mark.parametrize("case", sorted(EXPM_CASES))
+def test_sym_exp_closed_form_matches_block_expm(case):
+    from rfpp.fields import _sym_exp_metric
+    A, tol = EXPM_CASES[case]
+    u = 2.0 * rng.uniform(241, np.arange(18)) - 1.0
+    dA, d2A = u[:6].reshape(1, 2, 3), u[6:].reshape(1, 2, 2, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val, grad, hess = _sym_exp_metric(A[None], dA, d2A)
+    for i in range(2):
+        for j in range(2):
+            ref = _expm_oracle(_sym(A), _sym(dA[0, i]), _sym(dA[0, j]),
+                               _sym(d2A[0, i, j]))
+            for got, want in zip((val[0], grad[0, i], hess[0, i, j]), ref):
+                assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+
+def test_sym_exp_rows_keep_their_bits_across_the_series_threshold():
+    # a batch mixing s = 0, series rows and closed-form rows gives each row
+    # the bytes of that row alone, at every order, without a warning
+    from rfpp.fields import _sym_exp_metric
+    A = np.array([_exponent(s) for s in (0.0, 0.5, 2.0, 1e-12, 9.0, 0.999)])
+    u = 2.0 * rng.uniform(242, np.arange(6 * 18)) - 1.0
+    dA, d2A = u[:36].reshape(6, 2, 3), u[36:].reshape(6, 2, 2, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for args in ((A, None, None), (A, dA, None), (A, dA, d2A)):
+            whole = _sym_exp_metric(*args)
+            alone = [_sym_exp_metric(*(None if a is None else a[b:b + 1]
+                                       for a in args)) for b in range(6)]
+            _assert_rows_alone(whole, alone)
 
 
 # ---------------------------------------------------------------- lattice tables
@@ -683,6 +771,31 @@ def test_load_refuses_malformed_header(tmp_path, edit, match):
     save_field(conformal(5, box=Box.cube(2.0, 2)), path)
     path.write_bytes(edit(path.read_bytes()))
     with pytest.raises(FieldError, match=match):
+        load_field(path)
+
+
+CONFORMAL_SHIFT = ("^shift is the sym_exp mean level; a conformal field "
+                   "takes only 1.0, not ")
+
+
+def test_conformal_shift_is_refused_before_drawing(monkeypatch):
+    # a conformal field never reads shift, so a value other than 1.0 would
+    # be ignored and still saved into its container
+    draws = []
+    for fn in ("uniform", "normal"):
+        monkeypatch.setattr(rng, fn, lambda *key: draws.append(key) or 1 / 0)
+    with pytest.raises(FieldError, match=CONFORMAL_SHIFT + "5.0$"):
+        MetricField("conformal", 3, Box.cube(2.0, 2), KERN, shift=5.0)
+    assert draws == []
+
+
+def test_load_refuses_a_conformal_shift(tmp_path):
+    # the shift slot (offset 40) of a conformal container set to 5.0
+    path = tmp_path / "field.rfpp"
+    save_field(conformal(5, box=Box.cube(2.0, 2)), path)
+    data = path.read_bytes()
+    path.write_bytes(data[:40] + np.array(5.0, "<f8").tobytes() + data[48:])
+    with pytest.raises(FieldError, match=CONFORMAL_SHIFT + "5.0$"):
         load_field(path)
 
 

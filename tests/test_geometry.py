@@ -8,7 +8,8 @@ from rfpp import geometry, rng
 from rfpp.experiments import BumpSpec, PerturbedConformalField, make_bump
 from rfpp.fields import (Box, ConformalAnalyticField, ConstantMetric,
                          FieldStack, FlatMetric, HyperbolicDiskField,
-                         KernelSpec, MetricField, SpherePatchField)
+                         KernelSpec, MetricField, RegionError,
+                         SpherePatchField)
 from rfpp.geometry import (GeodesicPath, GeometryError, _geodesic_rhs,
                            christoffel, christoffel_from_derivatives,
                            cumulative_lengths, curvature_at, geodesic_shoot,
@@ -646,14 +647,27 @@ def test_order_zero_exponent_and_values_keep_their_bits(name):
 
 @pytest.mark.parametrize("mode", ["sym_exp"])
 def test_tensor_fields_keep_tensor_path(mode):
-    field = MetricField(mode, seed=66, region=Box.cube(4.0, 2),
-                        kernel=KernelSpec(range=1.0, amplitude=0.2), shift=2.0)
-    assert not field.conformal
+    # sym_exp rows take their acceleration from the channel sums of A and
+    # its partials (no Christoffel tensor), within 1e-12 of the tensor
+    # path, for a field and a stack in both parametrizations; a constant
+    # metric keeps the tensor path bit for bit
+    fields = [MetricField(mode, seed=s, region=Box.cube(4.0, 2),
+                          kernel=KernelSpec(range=1.0, amplitude=0.2),
+                          shift=2.0) for s in (66, 67)]
     X = 4.0 * rng.uniform(73, np.arange(40)).reshape(20, 2) - 2.0
     V = 2.0 * rng.uniform(74, np.arange(40)).reshape(20, 2) - 1.0
+    constant = ConstantMetric([[2.0, 0.3], [0.3, 0.5]])
+    for field in (fields[0], FieldStack(fields)):
+        assert field.sym_exp and not field.conformal
+        for parametrization in ("riemannian", "euclidean"):
+            _, acc = _geodesic_rhs(field, X, V, parametrization)
+            ref = _tensor_acceleration(field, X, V, parametrization)
+            err = np.max(np.abs(acc - ref), axis=1)
+            assert np.all(err <= 1e-12 * np.max(np.abs(ref), axis=1))
+    assert not constant.sym_exp and not constant.conformal
     for parametrization in ("riemannian", "euclidean"):
-        _, acc = _geodesic_rhs(field, X, V, parametrization)
-        assert np.array_equal(acc, _tensor_acceleration(field, X, V,
+        _, acc = _geodesic_rhs(constant, X, V, parametrization)
+        assert np.array_equal(acc, _tensor_acceleration(constant, X, V,
                                                         parametrization))
 
 
@@ -667,9 +681,9 @@ def _path_digest(paths):
 
 
 def test_sym_exp_paths_golden_digest():
-    # computed with the Dormand-Prince shooter (numpy 2.4.6, x86-64): a
-    # refactoring must reproduce the paths bit for bit, early left_region
-    # terminations included
+    # computed with the Dormand-Prince shooter and the closed-form sym_exp
+    # acceleration (numpy 2.4.6, x86-64): a refactoring must reproduce the
+    # paths bit for bit, early left_region terminations included
     field = MetricField("sym_exp", seed=7, region=Box.cube(2.5, 2),
                         kernel=KernelSpec(range=1.0, amplitude=0.3))
     dirs = np.array([[1.0, 0.0], [0.0, 1.0], [-0.6, 0.8], [0.7, -0.7]])
@@ -681,9 +695,9 @@ def test_sym_exp_paths_golden_digest():
         digests[parametrization] = _path_digest(paths)
     assert digests == {
         "riemannian":
-            "fa0468bb21ec20c0b76b2b0997ec121a3f8658e31effdbb07a632771204a435e",
+            "9d23f602b32ae5cb2063a6210318df0d3afabcf4edd621bfc10a5b2e328e8a7b",
         "euclidean":
-            "8cc34dd7744f63b55832d5384fbb2ceb7c6e9d14e5a8feb29275484f6c20c59d",
+            "19e0ddfd0d4f00c50d7629df0d3293a3623864339fa111f171559ff1834780b6",
     }
 
 
@@ -712,9 +726,10 @@ def test_conformal_paths_golden_digest():
 
 
 class _NaNBeyond(ConformalAnalyticField):
-    """A conformal field whose exponent is NaN beyond x1 = edge.  Its base
-    must take NaN points: a MetricField refuses them as outside its region,
-    which would end the row "left_region" instead."""
+    """A conformal field whose exponent is NaN beyond x1 = edge.  The NaN
+    stage positions that follow reach its base, which evaluates them as
+    NaN: a finite point outside a sampled field's region raises
+    RegionError, a non-finite one does not."""
 
     def __init__(self, base, edge):
         self.base, self.edge = base, edge
@@ -732,22 +747,47 @@ class _NaNBeyond(ConformalAnalyticField):
 def test_non_finite_stage_ends_only_its_row():
     # row 0 runs into the NaN half-plane: its stages turn non-finite, its
     # steps shrink below MIN_STEP step and it ends "numerical" before the
-    # edge; the other rows never see a NaN and keep their bits and counts
-    field = _NaNBeyond(SpherePatchField(radius=3.0, center=(0.2, -0.1)), 0.3)
-    dirs = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
-    paths = geodesic_shoot_batch(field, np.zeros(2), dirs, T=1.0, step=1e-2)
-    assert [p.termination for p in paths] == ["numerical", "completed",
-                                              "completed"]
-    bad = paths[0]
-    assert bad.times[-1] < 1.0 and bad.rejected > 0
-    assert np.all(np.isfinite(bad.positions))
-    assert np.all(bad.positions[:, 0] <= 0.3)
-    for i in (1, 2):
-        single = geodesic_shoot(field, np.zeros(2), dirs[i], T=1.0, step=1e-2)
-        assert (single.steps, single.rejected) == (paths[i].steps,
-                                                   paths[i].rejected)
-        assert same_bits(paths[i].positions, single.positions)
-        assert same_bits(paths[i].velocities, single.velocities)
+    # edge; the other rows never see a NaN and keep their bits and counts.
+    # Over a sampled base the NaN stages reach MetricField._gather, which
+    # must not take them for points outside the region ("left_region")
+    for base in (SpherePatchField(radius=3.0, center=(0.2, -0.1)),
+                 conformal(69, half_width=2.0)):
+        field = _NaNBeyond(base, 0.3)
+        dirs = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+        paths = geodesic_shoot_batch(field, np.zeros(2), dirs, T=1.0,
+                                     step=1e-2)
+        assert [p.termination for p in paths] == ["numerical", "completed",
+                                                  "completed"]
+        bad = paths[0]
+        assert bad.times[-1] < 1.0 and bad.rejected > 0
+        assert np.all(np.isfinite(bad.positions))
+        assert np.all(bad.positions[:, 0] <= 0.3)
+        for i in (1, 2):
+            single = geodesic_shoot(field, np.zeros(2), dirs[i], T=1.0,
+                                    step=1e-2)
+            assert (single.steps, single.rejected) == (paths[i].steps,
+                                                       paths[i].rejected)
+            assert same_bits(paths[i].positions, single.positions)
+            assert same_bits(paths[i].velocities, single.velocities)
+
+
+@pytest.mark.parametrize("name", ["conformal", "sym_exp", "hyperbolic_disk"])
+def test_fields_with_a_region_screen_non_finite_points(name):
+    # a NaN or infinite row evaluates to NaN and leaves the other rows'
+    # bits alone; a finite row outside the region still raises RegionError
+    field = {"conformal": lambda: conformal(69, half_width=2.0),
+             "sym_exp": lambda: MetricField(
+                 "sym_exp", seed=69, region=Box.cube(2.0, 2),
+                 kernel=KernelSpec(range=1.0, amplitude=0.3)),
+             "hyperbolic_disk": HyperbolicDiskField}[name]()
+    X = np.array([[0.1, 0.2], [np.nan, 0.0], [0.5, np.inf], [-0.3, 0.3]])
+    whole = field.evaluate_batch(X, order=2)
+    inside = field.evaluate_batch(X[[0, 3]], order=2)
+    for a, b in zip(whole, inside):
+        assert same_bits(a[[0, 3]], b)
+        assert np.all(np.isnan(a[[1, 2]]))
+    with pytest.raises(RegionError):
+        field.evaluate_batch(np.array([[np.nan, 0.0], [3.0, 0.0]]))
 
 
 def test_region_error_ends_only_its_row():
