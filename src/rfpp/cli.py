@@ -1,9 +1,15 @@
 """Command-line entry point: rfpp <experiment> [options].
 
 The experiments, and the parameters each one reads, are the records of
-harness.EXPERIMENTS.  A JSON config file (--config) provides the experiment
-parameters; flags override individual fields.  A parameter the experiment
-does not read, flag or config key, is refused before anything runs.
+harness.EXPERIMENTS.  A JSON config file (--config) holds one object with
+any of the keys params (an object of experiment parameters), seed,
+replicas, workers and out; flags override individual fields.  Each
+parameter has the kind its record declares next to its default: a finite
+real number with a bound, an integer >= 1, a bool, one of a set of values,
+a point of the plane, a list of reals or integers, a path or an existing
+file, or None where the default is None.  A config file of another shape, a
+parameter the experiment does not read or a value not of its kind is
+refused before anything runs, with one error line and exit code 2.
 Outputs (CSV/JSON plus manifest.json) land in --out.  The worker count is
 --workers, else the config's "workers", else RFPP_WORKERS, else 1.
 """
@@ -46,55 +52,64 @@ def build_parser():
     return parser
 
 
-def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    for flag, path in (("--config", args.config), ("--load-field", args.load_field)):
-        if path and not os.path.isfile(path):
-            print(f"error: {flag} file not found: {path}", file=sys.stderr)
-            return 2
-    params = {}
-    seed, replicas, workers, out = 1, 1, None, None
-    if args.config:
-        with open(args.config) as fh:
-            loaded = json.load(fh)
-        params = dict(loaded.get("params", {}))
-        seed = loaded.get("seed", seed)
-        replicas = loaded.get("replicas", replicas)
-        workers = loaded.get("workers", workers)
-        out = loaded.get("out", out)
-    if args.seed is not None:
-        seed = args.seed
-    if args.replicas is not None:
-        replicas = args.replicas
-    if args.workers is not None:
-        workers = args.workers
-    if workers is None:
-        env = os.environ.get("RFPP_WORKERS", "1")
+CONFIG_KEYS = ("params", "seed", "replicas", "workers", "out")
+
+
+def _read_config(path):
+    """The object of the config file at path: ConfigError unless it is JSON,
+    an object of CONFIG_KEYS only, and its params an object."""
+    if not os.path.isfile(path):
+        raise ConfigError(f"--config file not found: {path}")
+    with open(path) as fh:
         try:
-            workers = int(env)
-        except ValueError:
-            print(f"error: RFPP_WORKERS must be an integer, not {env!r}",
-                  file=sys.stderr)
-            return 2
-    if args.out is not None:
-        out = args.out
-    if out is None:
-        out = os.path.join("out", args.experiment)
+            loaded = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"--config {path} is not JSON: {exc}") from None
+    if not isinstance(loaded, dict):
+        raise ConfigError(f"--config must hold a JSON object, not "
+                          f"{type(loaded).__name__}")
+    unknown = [key for key in loaded if key not in CONFIG_KEYS]
+    if unknown:
+        raise ConfigError(f"--config has no key {', '.join(map(repr, unknown))}; "
+                          f"its keys are: {', '.join(CONFIG_KEYS)}")
+    if not isinstance(loaded.get("params", {}), dict):
+        raise ConfigError(f"params must be a JSON object, not {loaded['params']!r}")
+    return loaded
+
+
+def _config(args):
+    """The ExperimentConfig of the parsed command line: each field is its
+    flag, else the config file's value, else its default."""
+    loaded = _read_config(args.config) if args.config else {}
+    params = dict(loaded.get("params", {}))
     # flags that set the parameter of their own name
     for key in ("law", "n", "suite", "load_field", "save_field"):
         if getattr(args, key) is not None:
             params[key] = getattr(args, key)
+    fields = {"seed": 1, "replicas": 1, "workers": None,
+              "out": os.path.join("out", args.experiment)}
+    for name, default in fields.items():
+        flag = getattr(args, name)
+        fields[name] = loaded.get(name, default) if flag is None else flag
+    if fields["workers"] is None:
+        env = os.environ.get("RFPP_WORKERS", "1")
+        try:
+            fields["workers"] = int(env)
+        except ValueError:
+            raise ConfigError(f"RFPP_WORKERS must be an integer, "
+                              f"not {env!r}") from None
+    return ExperimentConfig(args.experiment, params, **fields)
 
+
+def main(argv=None):
+    args = build_parser().parse_args(argv)
     try:
-        config = ExperimentConfig(experiment=args.experiment, params=params,
-                                  seed=seed, replicas=replicas,
-                                  workers=workers, out=out)
+        config = _config(args)
         manifest = run(config, force=args.force)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:       # a ConfigError, or a library's refusal
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"wrote {len(manifest.outputs)} output file(s) to {out} "
+    print(f"wrote {len(manifest.outputs)} output file(s) to {config.out} "
           f"({manifest.wall_time_s:.1f}s)")
     for name, digest in sorted(manifest.outputs.items()):
         print(f"  {name}  sha256:{digest[:16]}")

@@ -526,34 +526,34 @@ class DirectionScan:
                 "final_directions": self.final_directions.tolist()}
 
 
-def direction_scan(field, graph, radii, k=64, base=None, step=None):
+def direction_scan(field, graph, radii, k=64, step=None):
     """Minimizing verdicts per (initial direction, radius).
 
-    Each of k directions is shot until it exits the largest radius (or a
-    transience-bound time budget); the geodesic segment up to its first exit
-    of each ball is judged by is_minimizing.  Once non-minimizing, a
-    direction stays non-minimizing at all larger radii (checkpoint sets are
-    nested, and the verdicts are additionally forced monotone).
+    Each of k directions is shot from the origin until it exits the largest
+    radius (or a transience-bound time budget); the geodesic segment up to
+    its first exit of each ball is judged by is_minimizing.  Once
+    non-minimizing, a direction stays non-minimizing at all larger radii
+    (checkpoint sets are nested, and the verdicts are additionally forced
+    monotone).
     """
     radii = np.sort(np.asarray(radii, dtype=float))
-    base = np.zeros(2) if base is None else np.asarray(base, dtype=float)
     _, dirs = _unit_directions(k)
     # transience bound: a minimizing geodesic still inside the radius-R ball
     # at Riemannian time > R sqrt(Lambda(ball)) cannot be minimizing, so the
     # horizon only needs to slightly exceed the largest such bound
     corr = field.correlation_length
     subgrid = max(17, int(np.ceil(4.0 * radii[-1] / corr)) + 1)
-    lam_hat = _ball_lambda_max_at(field, base, radii[-1], subgrid=subgrid)
+    lam_hat = _ball_lambda_max(field, radii[-1], subgrid=subgrid)
     bounds = radii * np.sqrt(lam_hat)
     horizon = 1.05 * bounds[-1] + 1.0
-    paths = geodesic_shoot_batch(field, base, dirs, horizon, step=step)
+    paths = geodesic_shoot_batch(field, np.zeros(2), dirs, horizon, step=step)
 
     verdicts = np.ones((k, len(radii)), dtype=bool)
     trapped = np.zeros(k, dtype=bool)
     finals = np.zeros((k, 2))
     for i, p in enumerate(paths):
-        r_t = np.linalg.norm(p.positions - base, axis=1)
-        finals[i] = (p.positions[-1] - base) / max(r_t[-1], 1e-300)
+        r_t = np.linalg.norm(p.positions, axis=1)
+        finals[i] = p.positions[-1] / max(r_t[-1], 1e-300)
         verdict = is_minimizing(field, p, graph)
         times = verdict.checkpoint_times
         ok = verdict.verdicts
@@ -576,10 +576,10 @@ def direction_scan(field, graph, radii, k=64, base=None, step=None):
                          trapped=trapped)
 
 
-def _ball_lambda_max_at(field, center, radius, subgrid=17):
-    pts = grid_points([np.linspace(center[i] - radius, center[i] + radius, subgrid)
-                       for i in range(field.dim)])
-    pts = pts[np.linalg.norm(pts - center, axis=1) <= radius]
+def _ball_lambda_max(field, radius, subgrid=17):
+    """The largest metric eigenvalue on a subgrid of the origin's ball."""
+    pts = grid_points([np.linspace(-radius, radius, subgrid)] * field.dim)
+    pts = pts[np.linalg.norm(pts, axis=1) <= radius]
     pts = pts[field.contains(pts)]
     if len(pts) == 0:
         raise ExperimentError("no valid points in the scan ball")

@@ -1279,7 +1279,7 @@ def _stereographic_exponent(y, a, sign, order):
 #                        it was sym_shift)
 #   13      1     u8     dimension d (2; the loader refuses any other)
 #   14      2     u8[2]  reserved (0)
-#   16      8     i64    seed
+#   16      8     u64    seed
 #   24      8     f64    kernel range
 #   32      8     f64    kernel amplitude
 #   40      8     f64    shift (mean level m)
@@ -1312,7 +1312,8 @@ def save_field(field, path):
     buf.write(_MAGIC)
     buf.write(struct.pack("<I", _FORMAT_VERSION))
     buf.write(struct.pack("<BBBB", _MODE_CODES[field.mode], d, 0, 0))
-    buf.write(struct.pack("<q", field.seed))
+    # the generator reads seeds mod 2^64: a negative seed keeps its i64 bytes
+    buf.write(struct.pack("<Q", field.seed % 2 ** 64))
     buf.write(struct.pack("<ddddd", field.kernel.range, field.kernel.amplitude,
                           field.shift, field.spacing, 1.0))
     buf.write(struct.pack("<I", field.noise.channels))
@@ -1348,7 +1349,7 @@ def load_field(path):
     if len(data) != _HEADER_BYTES + 32 * d:
         raise FieldError(f"field container of dimension {d} has {len(data)} "
                          f"bytes, not {_HEADER_BYTES + 32 * d}")
-    seed, = struct.unpack_from("<q", data, 16)
+    seed, = struct.unpack_from("<Q", data, 16)
     rng_, amp, shift, spacing, reserved = struct.unpack_from("<ddddd", data, 24)
     if reserved != 1.0:
         raise FieldError(f"reserved value {reserved!r} at offset 56 is not 1.0")

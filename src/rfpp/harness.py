@@ -2,9 +2,12 @@
 
 Every experiment is one record of the EXPERIMENTS table: its runner, the
 output files it writes, how its replicas are seeded and every parameter it
-reads, with its default.  An ExperimentConfig (a plain dict of parameters
-plus seed/replica/worker counts) naming a parameter its record does not
-declare is refused with a ConfigError before anything runs.  The runner
+reads, with its default and its Kind: a finite real number with a bound, an
+integer >= 1, a bool, one of a set of values, a point of the plane, a list
+of reals or integers, a path or an existing file, or None where the default
+is None.  An ExperimentConfig naming a parameter its record does not
+declare, or a value not of its kind, is refused with a ConfigError before
+anything runs; a runner checks only what ties values together.  The runner
 reads the declared defaults merged under the given parameters.  Seeding is
 "master" (the run happens once, on the master seed itself, and refuses
 replicas > 1), "keyed" (every replica draws under the master seed, keyed by
@@ -25,8 +28,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 import os
+import sys
 import tempfile
 import time
 from dataclasses import dataclass, field as dc_field
@@ -61,10 +64,17 @@ class ExperimentConfig:
                 f"{self.experiment} does not read "
                 f"{', '.join(map(repr, unknown))}; its parameters are: "
                 + ", ".join(sorted(spec.params)))
+        for name, value in self.params.items():
+            default, kind = spec.params[name]
+            kind.check(name, value, or_none=default is None)
         for name in ("seed", "replicas", "workers"):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not _integer(value):
                 raise ConfigError(f"{name} must be an integer, not {value!r}")
+        # the generator reduces seeds mod 2^64: another seed would alias one
+        # of these under a different config hash
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigError(f"seed must be in [0, 2^64), not {self.seed}")
         if self.replicas < 1:
             raise ConfigError("replicas must be >= 1")
         if self.replicas > 1 and spec.seeding in ("master", "fixed"):
@@ -74,6 +84,7 @@ class ExperimentConfig:
                               f"replicas must be 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        PATH.check("out", self.out)
 
     def canonical(self):
         return json.dumps(
@@ -156,22 +167,91 @@ def _replica_csv(column, values):
 
 
 # ---------------------------------------------------------------------------
+# parameter kinds, whose values are JSON values the config hash covers
+# ---------------------------------------------------------------------------
+
+def _integer(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _finite_real(value):
+    """Whether value is a float, or an integer a float can hold, and finite."""
+    return ((_integer(value) or isinstance(value, float))
+            and abs(value) <= sys.float_info.max)
+
+
+@dataclass(frozen=True)
+class Kind:
+    """The values a parameter takes: those ``test`` accepts, which ``noun``
+    names in a refusal."""
+    noun: str
+    test: object
+
+    def check(self, name, value, or_none=False):
+        """ConfigError unless value is of this kind, or None if or_none."""
+        if not (or_none and value is None or self.test(value)):
+            noun = self.noun + (" or None" if or_none else "")
+            raise ConfigError(f"{name} must be {noun}, not {value!r}")
+
+
+def _one_of(*choices):
+    # 16.0 == 16, but a stencil of 16.0 is no stencil: the type must match too
+    return Kind("one of " + ", ".join(map(repr, choices)),
+                lambda v: isinstance(v, type(choices[0])) and v in choices)
+
+
+def _list_of(test, noun, least=1):
+    return Kind(noun, lambda v: isinstance(v, (list, tuple)) and len(v) >= least
+                and all(map(test, v)))
+
+
+POSITIVE = Kind("a finite real number > 0", lambda v: _finite_real(v) and v > 0)
+NONNEGATIVE = Kind("a finite real number >= 0",
+                   lambda v: _finite_real(v) and v >= 0)
+FRACTION = Kind("a finite real number in (0, 1)",
+                lambda v: _finite_real(v) and 0 < v < 1)
+COUNT = Kind("an integer >= 1", lambda v: _integer(v) and v >= 1)
+FLAG = Kind("a bool", lambda v: isinstance(v, bool))
+POINT = Kind("a point of the plane", lambda v: isinstance(v, (list, tuple))
+             and len(v) == 2 and all(map(_finite_real, v)))
+PATH = Kind("a path", lambda v: isinstance(v, str) and v != "")
+FILE = Kind("an existing file", lambda v: isinstance(v, str) and os.path.isfile(v))
+STENCIL = _one_of(8, 16, 32)
+PARAMETRIZATION = _one_of("riemannian", "euclidean")
+SUITE = _one_of("fast", "full")
+# fields.MetricField's modes and lattice.LAW_DEFAULTS' laws
+MODE = _one_of("conformal", "sym_exp")
+LAW = _one_of("exponential", "geometric", "uniform", "bernoulli",
+              "deterministic")
+LAW_PARAMS = _list_of(_finite_real, "a list of finite real numbers", least=0)
+SIZES = _list_of(COUNT.test, "a nonempty list of integers >= 1")
+RADII = _list_of(POSITIVE.test, "a nonempty list of finite real numbers > 0")
+
+
+# ---------------------------------------------------------------------------
 # experiment runners
 # ---------------------------------------------------------------------------
 
-# the parameters make_field reads, with their defaults
-FIELD_PARAMS = {"mode": "conformal", "amplitude": 0.3, "range": 1.0,
-                "shift": 1.0, "half_width": 16.0, "spacing": None}
+# the parameters make_field reads, each with its default and kind
+FIELD_PARAMS = {"mode": ("conformal", MODE), "amplitude": (0.3, NONNEGATIVE),
+                "range": (1.0, POSITIVE), "shift": (1.0, POSITIVE),
+                "half_width": (16.0, POSITIVE), "spacing": (None, POSITIVE)}
 # a run on the one field of the master seed can load that field instead, or
 # save it; a run that draws a field per replica cannot
-SEED_FIELD_PARAMS = {**FIELD_PARAMS, "load_field": None, "save_field": None}
+SEED_FIELD_PARAMS = {**FIELD_PARAMS, "load_field": (None, FILE),
+                     "save_field": (None, PATH)}
+
+
+def _defaults(params):
+    """{name: default} of a {name: (default, kind)} declaration."""
+    return {name: default for name, (default, _) in params.items()}
 
 
 def make_field(seed, params):
-    """The sampled field of ``seed``, FIELD_PARAMS merged under ``params``
-    (other keys of ``params`` are not read)."""
+    """The sampled field of ``seed``, FIELD_PARAMS' defaults merged under
+    ``params`` (other keys of ``params`` are not read)."""
     from .fields import Box, KernelSpec, MetricField
-    p = {**FIELD_PARAMS, **params}
+    p = {**_defaults(FIELD_PARAMS), **params}
     kernel = KernelSpec(range=p["range"], amplitude=p["amplitude"])
     return MetricField(p["mode"], seed=seed, region=Box.cube(p["half_width"], 2),
                        kernel=kernel, shift=p["shift"], spacing=p["spacing"])
@@ -188,60 +268,11 @@ def _seed_field(seed, p):
     return field
 
 
-def _finite_real(value):
-    """Whether value is a finite real number; a bool is none here."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
-_BOUNDS = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0,
-           "in (0, 1)": lambda v: 0 < v < 1}
-
-
-def _check_real(name, value, bound="> 0"):
-    """ConfigError unless value is a finite real number ``bound``, a _BOUNDS key."""
-    if not (_finite_real(value) and _BOUNDS[bound](value)):
-        raise ConfigError(f"{name} must be a finite real number {bound}, "
-                          f"not {value!r}")
-
-
-def _check_field_params(p):
-    """ConfigError unless make_field can build a field from p's values."""
-    _check_real("amplitude", p["amplitude"], ">= 0")
-    for name in ("range", "shift", "half_width"):
-        _check_real(name, p[name])
-    # a conformal field never reads the sym_exp mean level: another value
-    # would hash a different config for the same field
-    if p["mode"] == "conformal" and p["shift"] != 1.0:
-        raise ConfigError(f"shift is the sym_exp mean level; a conformal field "
-                          f"takes only 1.0, not {p['shift']!r}")
-    if p["spacing"] is not None:
-        _check_real("spacing", p["spacing"])
-
-
-def _check_positives(name, values):
-    """ConfigError unless values is a nonempty list of finite reals > 0."""
-    if not (isinstance(values, (list, tuple)) and values
-            and all(_finite_real(v) and v > 0 for v in values)):
-        raise ConfigError(f"{name} must be a nonempty list of finite real "
-                          f"numbers > 0, not {values!r}")
-
-
-def _check_count(name, value):
-    """ConfigError unless value is an integer >= 1; a bool is none here."""
-    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            and value >= 1):
-        raise ConfigError(f"{name} must be an integer >= 1, not {value!r}")
-
-
-def _check_point(name, value):
-    """ConfigError unless value is a point of the plane: two finite reals."""
-    try:
-        ok = len(value) == 2 and all(map(_finite_real, value))
-    except TypeError:
-        ok = False
-    if not ok:
-        raise ConfigError(f"{name} must be a point of the plane, not {value!r}")
+def _check_inside(what, point, box, hw):
+    """Refuse a point ``what`` outside [-hw, hw]^2, the ``box``."""
+    if max(map(abs, point)) > hw:
+        raise ConfigError(f"{what} {list(point)} lies outside the {box} "
+                          f"[-{hw}, {hw}]^2")
 
 
 def _check_graph_box(what, graph_hw, field_hw):
@@ -254,17 +285,9 @@ def _check_graph_box(what, graph_hw, field_hw):
 
 def _run_geodesic(config, p):
     from .geometry import geodesic_shoot, jacobi_integrate, lengths
-    # refused before the field is drawn
-    _check_real("T", p["T"])
-    _check_real("step", p["step"])
-    _check_point("x0", p["x0"])
-    _check_point("v0", p["v0"])
-    if not isinstance(p["jacobi"], bool):
-        raise ConfigError(f"jacobi must be a bool, not {p['jacobi']!r}")
-    if p["parametrization"] not in ("riemannian", "euclidean"):
-        raise ConfigError("parametrization must be 'riemannian' or "
-                          f"'euclidean', not {p['parametrization']!r}")
-    _check_field_params(p)
+    # refused before the field is drawn: the shot would fail after the draw
+    if not p["load_field"]:
+        _check_inside("x0", p["x0"], "field's box", p["half_width"])
     field = _seed_field(config.seed, p)
     path = geodesic_shoot(field, p["x0"], np.asarray(p["v0"]), T=p["T"],
                           step=p["step"], parametrization=p["parametrization"])
@@ -282,27 +305,18 @@ def _run_geodesic(config, p):
 
 
 def _run_distance(config, p):
-    from .distance import build_graph, distance, ball, stencil_offsets
+    from .distance import build_graph, distance, ball
     from .fields import Box
     hw = p["graph_half_width"]
     # refused before the field is drawn: a target outside the box would be
-    # clipped to its edge, and a bad stencil or a box outside the field
-    # would fail after the draw
-    _check_real("graph_half_width", hw)
-    _check_point("target", p["target"])
-    _check_real("h", p["h"])
-    target = np.asarray(p["target"])
-    if not np.all(np.abs(target) <= hw):
-        raise ConfigError(f"target {target.tolist()} lies outside the graph box "
-                          f"[-{hw}, {hw}]^2")
-    stencil_offsets(p["stencil"])
-    if p["ball_radius"] is not None:
-        _check_real("ball_radius", p["ball_radius"], ">= 0")
-    _check_field_params(p)
+    # clipped to its edge, and a box outside the field would fail after the
+    # draw
+    _check_inside("target", p["target"], "graph box", hw)
     if not p["load_field"]:
         _check_graph_box("graph_half_width", hw, p["half_width"])
     field = _seed_field(config.seed, p)
     graph = build_graph(field, Box.cube(hw, 2), p["h"], stencil=p["stencil"])
+    target = np.asarray(p["target"])
     d_hat, witness = distance(graph, np.zeros(2), target)
     raster = ball(graph, hw / 2 if p["ball_radius"] is None else p["ball_radius"])
     return {"distance.json": canonical_json(
@@ -313,7 +327,7 @@ def _run_distance(config, p):
 
 def _shape_params(params):
     """shape's defaults under params; a None half_width is t + 3."""
-    p = {**EXPERIMENTS["shape"].params, **params}
+    p = {**_defaults(EXPERIMENTS["shape"].params), **params}
     if p["half_width"] is None:
         p["half_width"] = p["t"] + 3.0
     return p
@@ -331,14 +345,9 @@ def _shape_replica(args):
 
 
 def _run_shape(config, p):
-    from .distance import ShapeEstimate, stencil_offsets
-    # bad values or a graph box outside the field fail before any draw
-    _check_real("t", p["t"])
-    _check_real("h", p["h"])
-    _check_count("directions", p["directions"])
-    stencil_offsets(p["stencil"])
+    from .distance import ShapeEstimate
+    # a graph box outside the field fails before any draw
     p = _shape_params(p)
-    _check_field_params(p)
     _check_graph_box("graph half-width t + 2", p["t"] + 2.0, p["half_width"])
     seeds = replica_seeds(config.seed, config.replicas)
     rows = _run_replicas(_shape_replica, [(s, p) for s in seeds], config.workers)
@@ -352,13 +361,6 @@ def _run_shape(config, p):
 def _run_frontier(config, p):
     from .experiments import frontier_scan
     from .geometry import geodesic_shoot
-    # refused before the field is drawn
-    _check_real("T", p["T"])
-    _check_real("step", p["step"])
-    _check_point("v0", p["v0"])
-    _check_real("beta", p["beta"], "in (0, 1)")
-    _check_real("rho", p["rho"])
-    _check_field_params(p)
     field = _seed_field(config.seed, p)
     path = geodesic_shoot(field, (1e-9, 0.0), np.asarray(p["v0"]), T=p["T"],
                           step=p["step"], parametrization="euclidean")
@@ -372,9 +374,6 @@ def _run_frontier(config, p):
 def _run_bump(config, p):
     from .experiments import BumpSpec, bump_experiment
     from .fields import FlatMetric
-    _check_count("entries", p["entries"])
-    _check_count("perturbations", p["perturbations"])
-    _check_real("eps", p["eps"], ">= 0")
     spec = BumpSpec(center=tuple(p["center"]),
                     cone_half_angle=p["cone_half_angle"],
                     cap_curvature=p["cap_curvature"], glue_width=p["glue_width"])
@@ -387,7 +386,7 @@ def _run_bump(config, p):
 
 def _scan_params(params):
     """scan's defaults under params; a None half_width is 1.25 max(radii) + 5."""
-    p = {**EXPERIMENTS["scan"].params, **params}
+    p = {**_defaults(EXPERIMENTS["scan"].params), **params}
     if p["half_width"] is None:
         p["half_width"] = max(p["radii"]) * 1.25 + 5.0
     return p
@@ -408,15 +407,8 @@ def _scan_replica(args):
 
 
 def _run_scan(config, p):
-    from .distance import stencil_offsets
-    # bad values or a graph box outside the field fail before any draw
-    _check_positives("radii", p["radii"])
-    _check_real("h", p["h"])
-    _check_real("step", p["step"])
-    _check_count("directions", p["directions"])
-    stencil_offsets(p["stencil"])
+    # a graph box outside the field fails before any draw
     p = _scan_params(p)
-    _check_field_params(p)
     _check_graph_box("graph half-width 1.1 max(radii) + 2",
                      max(p["radii"]) * 1.1 + 2.0, p["half_width"])
     seeds = replica_seeds(config.seed, config.replicas)
@@ -467,10 +459,7 @@ def _run_polymer(config, p):
 
 def _law_from_params(p):
     from .lattice import LAW_DEFAULTS, WeightLaw
-    kind, params = p["law"], p["law_params"]
-    if not isinstance(params, (list, tuple)):
-        raise ConfigError(f"law_params must be a list, not {params!r}")
-    return WeightLaw(kind, tuple(params) or LAW_DEFAULTS.get(kind, ()))
+    return WeightLaw(p["law"], tuple(p["law_params"]) or LAW_DEFAULTS[p["law"]])
 
 
 def _run_accept(config, p):
@@ -486,7 +475,8 @@ class Experiment:
     (name, param) pair being written only when that parameter is set;
     ``seeding`` is "master", "keyed", "derived" or "fixed" (see the module
     docstring); ``params`` maps every parameter the runner reads to its
-    default, None where the runner works the default out from the others."""
+    default and its Kind, the default None where the runner works it out
+    from the others."""
     runner: object
     outputs: tuple
     seeding: str
@@ -496,41 +486,49 @@ class Experiment:
 EXPERIMENTS = {
     "geodesic": Experiment(
         _run_geodesic, ("geodesic.csv", "geodesic.json"), "master",
-        {**SEED_FIELD_PARAMS, "x0": (0.0, 0.0), "v0": (1.0, 0.0), "T": 5.0,
-         "step": 1e-3, "parametrization": "riemannian", "jacobi": True}),
+        {**SEED_FIELD_PARAMS, "x0": ((0.0, 0.0), POINT), "v0": ((1.0, 0.0), POINT),
+         "T": (5.0, POSITIVE), "step": (1e-3, POSITIVE), "jacobi": (True, FLAG),
+         "parametrization": ("riemannian", PARAMETRIZATION)}),
     "distance": Experiment(
         _run_distance, ("ball.csv", "distance.json"), "master",
-        {**SEED_FIELD_PARAMS, "graph_half_width": 12.0, "h": 0.25,
-         "stencil": 16, "target": (10.0, 0.0), "ball_radius": None}),
+        {**SEED_FIELD_PARAMS, "graph_half_width": (12.0, POSITIVE),
+         "h": (0.25, POSITIVE), "stencil": (16, STENCIL),
+         "target": ((10.0, 0.0), POINT), "ball_radius": (None, NONNEGATIVE)}),
     "shape": Experiment(
         _run_shape, ("shape.csv", "shape.json"), "derived",
-        {**FIELD_PARAMS, "half_width": None, "t": 30.0, "h": 0.3,
-         "stencil": 32, "directions": 16}),
+        {**FIELD_PARAMS, "half_width": (None, POSITIVE), "t": (30.0, POSITIVE),
+         "h": (0.3, POSITIVE), "stencil": (32, STENCIL), "directions": (16, COUNT)}),
     "frontier": Experiment(
         _run_frontier, ("frontier.csv", "frontier.json"), "master",
-        {**SEED_FIELD_PARAMS, "v0": (1.0, 0.0), "T": 10.0, "step": 2e-3,
-         "beta": 0.5, "rho": 1.0}),
+        {**SEED_FIELD_PARAMS, "v0": ((1.0, 0.0), POINT), "T": (10.0, POSITIVE),
+         "step": (2e-3, POSITIVE), "beta": (0.5, FRACTION), "rho": (1.0, POSITIVE)}),
     "bump": Experiment(
         _run_bump, ("bump.json",), "master",
-        {"center": (0.0, 0.0), "cone_half_angle": float(np.arccos(0.25)),
-         "cap_curvature": 1.0, "glue_width": 0.2, "eps": 0.0, "entries": 20,
-         "perturbations": 1, "check_minimizing": True}),
+        {"center": ((0.0, 0.0), POINT),
+         "cone_half_angle": (float(np.arccos(0.25)), POSITIVE),
+         "cap_curvature": (1.0, POSITIVE), "glue_width": (0.2, POSITIVE),
+         "eps": (0.0, NONNEGATIVE), "entries": (20, COUNT),
+         "perturbations": (1, COUNT), "check_minimizing": (True, FLAG)}),
     "scan": Experiment(
         _run_scan, ("scan.json",), "derived",
-        {**FIELD_PARAMS, "half_width": None, "radii": (5.0, 10.0, 20.0, 40.0),
-         "h": 0.4, "stencil": 16, "directions": 64, "step": 1e-2}),
+        {**FIELD_PARAMS, "half_width": (None, POSITIVE),
+         "radii": ((5.0, 10.0, 20.0, 40.0), RADII), "h": (0.4, POSITIVE),
+         "stencil": (16, STENCIL), "directions": (64, COUNT), "step": (1e-2, POSITIVE)}),
     "fpp": Experiment(
         _run_fpp, ("fpp.csv", ("fpp-chi.json", "exponents")), "keyed",
-        {"law": "exponential", "law_params": (), "n": 50, "dimension": 2,
-         "exponents": False, "sizes": (50, 100, 200, 400)}),
+        {"law": ("exponential", LAW), "law_params": ((), LAW_PARAMS),
+         "n": (50, COUNT), "dimension": (2, COUNT), "exponents": (False, FLAG),
+         "sizes": ((50, 100, 200, 400), SIZES)}),
     "lpp": Experiment(
         _run_lpp, ("lpp.csv", ("lpp-chi.json", "exponents")), "keyed",
-        {"law": "geometric", "law_params": (), "n": 100, "exponents": False,
-         "sizes": (125, 250, 500, 1000)}),
+        {"law": ("geometric", LAW), "law_params": ((), LAW_PARAMS),
+         "n": (100, COUNT), "exponents": (False, FLAG),
+         "sizes": ((125, 250, 500, 1000), SIZES)}),
     "polymer": Experiment(
-        _run_polymer, ("polymer.csv",), "derived", {"n": 100, "beta": 1.0}),
+        _run_polymer, ("polymer.csv",), "derived",
+        {"n": (100, COUNT), "beta": (1.0, POSITIVE)}),
     "accept": Experiment(
-        _run_accept, ("acceptance.json",), "fixed", {"suite": "fast"}),
+        _run_accept, ("acceptance.json",), "fixed", {"suite": ("fast", SUITE)}),
 }
 
 
@@ -560,7 +558,7 @@ def run(config, force=False):
     t0 = time.perf_counter()
     paths = output_paths(config, force)
     spec = EXPERIMENTS[config.experiment]
-    outputs = spec.runner(config, {**spec.params, **config.params})
+    outputs = spec.runner(config, {**_defaults(spec.params), **config.params})
     if sorted(outputs) != list(paths):
         raise AssertionError(f"{config.experiment} wrote {sorted(outputs)}, "
                              f"not its declared outputs {list(paths)}")

@@ -14,8 +14,39 @@ def test_missing_input_file_fails_fast(flag, tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["distance", flag, missing, "--out", str(out)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert err == [f"error: {flag} file not found: {missing}"]
+    assert err == [{"--config": f"error: --config file not found: {missing}",
+                    "--load-field": "error: load_field must be an existing "
+                                    f"file or None, not {missing!r}"}[flag]]
     assert not out.exists()
+
+
+# config files of the wrong shape: each died with a traceback, or (an unknown
+# top-level key) was ignored and the default run written
+BAD_CONFIG_FILES = (
+    ("not-json", "{params: 1}", "--config {path} is not JSON: Expecting "
+     "property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("list", "[1, 2]", "--config must hold a JSON object, not list"),
+    ("params-list", '{"params": [1, 2]}',
+     "params must be a JSON object, not [1, 2]"),
+    ("params-string", '{"params": "n"}', "params must be a JSON object, not 'n'"),
+    ("out-number", '{"out": 5}', "out must be a path, not 5"),
+    ("misspelled-key", '{"prams": {"n": 5}}', "--config has no key 'prams'; "
+     "its keys are: params, seed, replicas, workers, out"),
+)
+
+
+@pytest.mark.parametrize("text,message", [row[1:] for row in BAD_CONFIG_FILES],
+                         ids=[row[0] for row in BAD_CONFIG_FILES])
+def test_config_file_of_the_wrong_shape_fails_fast(text, message, tmp_path,
+                                                   capsys, monkeypatch):
+    # no --out: the default output directory, out/polymer, is not made either
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    assert cli.main(["polymer", "--config", str(config)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: " + message.format(path=config)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 @pytest.mark.parametrize("flag", ["--save-field", "--load-field"])
@@ -97,7 +128,8 @@ def test_unknown_weight_law_fails_fast(experiment, tmp_path, capsys):
     assert cli.main([experiment, "--law", "gamma", "--n", "6",
                      "--out", str(out)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["error: unknown weight law 'gamma'"]
+    assert err == ["error: law must be one of 'exponential', 'geometric', "
+                   "'uniform', 'bernoulli', 'deterministic', not 'gamma'"]
     assert not out.exists()
 
 
@@ -106,7 +138,7 @@ def test_zero_box_size_fails_fast(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["fpp", "--n", "0", "--out", str(out)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["error: box size must be >= 1"]
+    assert err == ["error: n must be an integer >= 1, not 0"]
     assert not out.exists()
 
 
@@ -131,6 +163,18 @@ def test_non_integer_config_value_fails_fast(key, value, tmp_path, capsys):
     assert cli.main(["lpp", "--config", str(config), "--out", str(out)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"error: {key} must be an integer, not {value!r}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_seed_outside_the_generator_range_fails_fast(seed, tmp_path, capsys):
+    # the generator reduces seeds mod 2^64: -1 ran seed 2^64 - 1 and 2^64
+    # ran seed 0, each under another config hash
+    out = tmp_path / "out"
+    assert cli.main(["polymer", "--n", "4", "--seed", str(seed),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: seed must be in [0, 2^64), not {seed}"]
     assert not out.exists()
 
 
@@ -258,29 +302,15 @@ def test_accept_manifest_records_no_seed(tmp_path, monkeypatch):
     assert manifest["replica_seeds"] == []
 
 
-# lattice parameters of the wrong type: each used to run on a truncated
-# value (n = 2.5 as n = 2, true as 1) or die with a TypeError traceback
-WRONG_TYPE = (
-    ("lpp", {"n": 2.5}, "n must be an integer, not 2.5"),
-    ("fpp", {"n": 2.5}, "n must be an integer, not 2.5"),
-    ("fpp", {"dimension": 2.0}, "dimension must be an integer, not 2.0"),
-    ("fpp", {"law_params": ["x"]},
-     "a parameter of law exponential must be a real number, not 'x'"),
-    ("lpp", {"law_params": 0.5}, "law_params must be a list, not 0.5"),
-    ("polymer", {"n": 2.5}, "n must be an integer, not 2.5"),
-    ("polymer", {"n": "5"}, "n must be an integer, not '5'"),
-    ("polymer", {"n": True}, "n must be an integer, not True"),
-    ("polymer", {"beta": "x"}, "beta must be a real number, not 'x'"),
-)
-
-
-@pytest.mark.parametrize("experiment,params,message", WRONG_TYPE,
-                         ids=[f"{e}-{k}-{type(v).__name__}" for e, p, _ in WRONG_TYPE
-                              for k, v in p.items()])
-def test_lattice_parameters_of_the_wrong_type_fail_fast(
-        experiment, params, message, tmp_path, capsys, monkeypatch):
-    _assert_refused_before_drawing(experiment, params, message, tmp_path,
-                                   capsys, monkeypatch)
+def _kind_error(experiment, params):
+    """The refusal of the first of params not of the kind its record
+    declares."""
+    declared = harness.EXPERIMENTS[experiment].params
+    name, value = next((name, value) for name, value in params.items()
+                       if not declared[name][1].test(value))
+    default, kind = declared[name]
+    noun = kind.noun + (" or None" if default is None else "")
+    return f"{name} must be {noun}, not {value!r}"
 
 
 def _assert_refused_before_drawing(experiment, params, message, tmp_path,
@@ -301,23 +331,74 @@ def _assert_refused_before_drawing(experiment, params, message, tmp_path,
     assert not out.exists()
 
 
-# values that only the runner can judge, refused before its first draw:
-# a distance target outside the graph box (it was clipped to the box edge),
-# a stencil that is not an integer (16.5 ran as 16), exponent sizes that
-# are not at least 4 strictly increasing integers >= 1 (4.5 ran at n = 4 but
-# was regressed on as 4.5), a graph box larger than the field's region (it
-# failed after the draw), and values of the wrong kind ("T": "5" died in the
-# shot, "jacobi": "no" integrated Jacobi fields, "T": true ran T = 1, and the
-# scan, shape, bump and distance cases died with a traceback, the scan's
-# after drawing its field), and the same for field, bump, ball and frontier
-# values: a string shift, amplitude or half_width died with a traceback (in
-# the replica task for shape and scan), a bool amplitude, a string spacing
-# and a NaN shift ran, a bad ball_radius or beta failed only after the draw,
-# "perturbations": 0 ran one perturbation, and a deleted field mode is
-# refused as an unknown one; a graph_half_width of the wrong kind died in the
-# target test with a traceback, and a conformal run with a shift other than
-# 1.0, which it never reads, wrote the default run's bytes under another
-# config hash
+# a value of the wrong kind for each declared kind: a string where a number,
+# a bool or a list belongs, a fraction where an integer does
+WRONG_KIND = {
+    harness.POSITIVE: "x", harness.NONNEGATIVE: "x", harness.FRACTION: "x",
+    harness.COUNT: 2.5, harness.FLAG: "no", harness.POINT: [1.0],
+    harness.RADII: "x", harness.SIZES: "no", harness.LAW_PARAMS: 0.5,
+    harness.STENCIL: 16.5, harness.PARAMETRIZATION: "arc",
+    harness.MODE: "sym_shift", harness.LAW: "gamma", harness.SUITE: "x",
+    harness.PATH: 5, harness.FILE: "missing.rfpp",
+}
+DECLARED = [(e, name) for e, spec in harness.EXPERIMENTS.items()
+            for name in spec.params]
+
+
+@pytest.mark.parametrize("experiment,name", DECLARED,
+                         ids=[f"{e}-{name}" for e, name in DECLARED])
+def test_every_parameter_of_the_wrong_kind_fails_before_drawing(
+        experiment, name, tmp_path, capsys, monkeypatch):
+    # generated from the EXPERIMENTS table; the missing load_field is
+    # relative to the run's directory
+    monkeypatch.chdir(tmp_path)
+    value = WRONG_KIND[harness.EXPERIMENTS[experiment].params[name][1]]
+    _assert_refused_before_drawing(experiment, {name: value},
+                                   _kind_error(experiment, {name: value}),
+                                   tmp_path, capsys, monkeypatch)
+
+
+def test_every_default_is_of_its_declared_kind():
+    for experiment, spec in harness.EXPERIMENTS.items():
+        defaults = {name: default for name, (default, _) in spec.params.items()}
+        harness.ExperimentConfig(experiment, defaults)
+
+
+def test_declared_modes_and_laws_are_the_libraries_own():
+    from rfpp.fields import _MODE_CODES
+    from rfpp.lattice import LAW_DEFAULTS
+    assert harness.MODE.noun == "one of " + ", ".join(map(repr, _MODE_CODES))
+    assert harness.LAW.noun == "one of " + ", ".join(map(repr, LAW_DEFAULTS))
+
+
+# values of the wrong type that each ran on a truncated value (n = 2.5 as
+# n = 2, true as 1) or died with a TypeError traceback, before the
+# declaration refused them
+WRONG_TYPE = (
+    ("lpp", {"n": 2.5}), ("fpp", {"n": 2.5}), ("fpp", {"dimension": 2.0}),
+    ("fpp", {"law_params": ["x"]}), ("lpp", {"law_params": 0.5}),
+    ("polymer", {"n": 2.5}), ("polymer", {"n": "5"}), ("polymer", {"n": True}),
+    ("polymer", {"beta": "x"}),
+)
+
+
+@pytest.mark.parametrize("experiment,params", WRONG_TYPE,
+                         ids=[f"{e}-{k}-{type(v).__name__}" for e, p in WRONG_TYPE
+                              for k, v in p.items()])
+def test_lattice_parameters_of_the_wrong_type_fail_fast(
+        experiment, params, tmp_path, capsys, monkeypatch):
+    _assert_refused_before_drawing(experiment, params,
+                                   _kind_error(experiment, params), tmp_path,
+                                   capsys, monkeypatch)
+
+
+# values that only the runner can judge, refused before its first draw: a
+# distance target outside the graph box (it was clipped to the box edge), a
+# geodesic start point outside the field (it failed after the draw),
+# exponent sizes that are not at least 4 strictly increasing, a graph box
+# larger than the field's region (it failed after the draw), and a conformal
+# run with a shift other than 1.0, which it never reads (it wrote the default
+# run's bytes under another config hash; MetricField refuses it)
 SIZES = "sizes must be at least 4 strictly increasing integers >= 1, not "
 CONFORMAL_SHIFT = ("shift is the sym_exp mean level; a conformal field takes "
                    "only 1.0, not ")
@@ -326,21 +407,10 @@ REFUSED_BEFORE_DRAWING = (
      "target [10.0, 0.0] lies outside the graph box [-3.0, 3.0]^2"),
     ("distance", {"target": [0.0, -4.5], "graph_half_width": 4.0},
      "target [0.0, -4.5] lies outside the graph box [-4.0, 4.0]^2"),
-    ("distance", {"target": [1.0, 2.0, 3.0]},
-     "target must be a point of the plane, not [1.0, 2.0, 3.0]"),
-    ("distance", {"stencil": 16.5}, "stencil must be an integer, not 16.5"),
-    ("distance", {"stencil": True}, "stencil must be an integer, not True"),
-    ("shape", {"stencil": 32.0}, "stencil must be an integer, not 32.0"),
-    ("scan", {"stencil": 16.5}, "stencil must be an integer, not 16.5"),
-    ("fpp", {"exponents": True, "sizes": [4.5, 6, 8, 10]},
-     SIZES + "[4.5, 6, 8, 10]"),
-    ("lpp", {"exponents": True, "sizes": [4.5, 6, 8, 10]},
-     SIZES + "[4.5, 6, 8, 10]"),
+    ("geodesic", {"x0": [100.0, 0.0]},
+     "x0 [100.0, 0.0] lies outside the field's box [-16.0, 16.0]^2"),
     ("lpp", {"exponents": True, "sizes": [4, 6, 8]}, SIZES + "[4, 6, 8]"),
-    ("fpp", {"exponents": True, "sizes": [0, 2, 4, 8]}, SIZES + "[0, 2, 4, 8]"),
     ("lpp", {"exponents": True, "sizes": [4, 4, 6, 8]}, SIZES + "[4, 4, 6, 8]"),
-    ("fpp", {"exponents": True, "sizes": [True, 2, 3, 4]},
-     SIZES + "[True, 2, 3, 4]"),
     ("distance", {"graph_half_width": 20.0, "target": [1.0, 0.0]},
      "graph_half_width = 20 exceeds the field's half_width 16"),
     ("shape", {"t": 20.0, "half_width": 10.0},
@@ -348,72 +418,44 @@ REFUSED_BEFORE_DRAWING = (
     ("scan", {"radii": [5.0, 20.0], "half_width": 20.0},
      "graph half-width 1.1 max(radii) + 2 = 24 exceeds the field's "
      "half_width 20"),
-    ("geodesic", {"T": "5"}, "T must be a finite real number > 0, not '5'"),
-    ("geodesic", {"T": -1.0}, "T must be a finite real number > 0, not -1.0"),
-    ("geodesic", {"step": True},
-     "step must be a finite real number > 0, not True"),
-    ("geodesic", {"jacobi": "no"}, "jacobi must be a bool, not 'no'"),
-    ("geodesic", {"parametrization": "arc"},
-     "parametrization must be 'riemannian' or 'euclidean', not 'arc'"),
-    ("geodesic", {"x0": [0.0]}, "x0 must be a point of the plane, not [0.0]"),
-    ("geodesic", {"v0": ["1", 0]},
-     "v0 must be a point of the plane, not ['1', 0]"),
-    ("frontier", {"T": True}, "T must be a finite real number > 0, not True"),
-    ("frontier", {"step": "x"},
-     "step must be a finite real number > 0, not 'x'"),
-    ("frontier", {"v0": [1.0, 0.0, 0.0]},
-     "v0 must be a point of the plane, not [1.0, 0.0, 0.0]"),
-    ("scan", {"directions": 2.5}, "directions must be an integer >= 1, not 2.5"),
-    ("scan", {"radii": [2, "x"]},
-     "radii must be a nonempty list of finite real numbers > 0, "
-     "not [2, 'x']"),
-    ("shape", {"t": "3"}, "t must be a finite real number > 0, not '3'"),
-    ("shape", {"directions": 2.5},
-     "directions must be an integer >= 1, not 2.5"),
-    ("bump", {"entries": 2.5}, "entries must be an integer >= 1, not 2.5"),
-    ("distance", {"h": "0.3"}, "h must be a finite real number > 0, not '0.3'"),
-    ("geodesic", {"mode": "sym_shift"},
-     "unknown mode 'sym_shift'; valid modes: conformal, sym_exp"),
-    ("shape", {"mode": "sym_shift"},
-     "unknown mode 'sym_shift'; valid modes: conformal, sym_exp"),
-    ("geodesic", {"shift": "1"},
-     "shift must be a finite real number > 0, not '1'"),
-    ("scan", {"shift": "1"}, "shift must be a finite real number > 0, not '1'"),
-    ("frontier", {"shift": float("nan")},
-     "shift must be a finite real number > 0, not nan"),
-    ("geodesic", {"amplitude": "x"},
-     "amplitude must be a finite real number >= 0, not 'x'"),
-    ("scan", {"amplitude": True},
-     "amplitude must be a finite real number >= 0, not True"),
-    ("shape", {"half_width": "x"},
-     "half_width must be a finite real number > 0, not 'x'"),
-    ("shape", {"range": 0}, "range must be a finite real number > 0, not 0"),
-    ("distance", {"spacing": "0.25"},
-     "spacing must be a finite real number > 0, not '0.25'"),
-    ("bump", {"perturbations": 1.5},
-     "perturbations must be an integer >= 1, not 1.5"),
-    ("bump", {"perturbations": 0}, "perturbations must be an integer >= 1, not 0"),
-    ("bump", {"eps": "0.0"}, "eps must be a finite real number >= 0, not '0.0'"),
-    ("distance", {"ball_radius": "x"},
-     "ball_radius must be a finite real number >= 0, not 'x'"),
-    ("distance", {"ball_radius": -1},
-     "ball_radius must be a finite real number >= 0, not -1"),
-    ("frontier", {"beta": "0.5"},
-     "beta must be a finite real number in (0, 1), not '0.5'"),
-    ("frontier", {"beta": 1.5},
-     "beta must be a finite real number in (0, 1), not 1.5"),
-    ("frontier", {"rho": False}, "rho must be a finite real number > 0, not False"),
-    ("distance", {"graph_half_width": "x", "h": 0.5},
-     "graph_half_width must be a finite real number > 0, not 'x'"),
-    ("distance", {"graph_half_width": True, "h": 0.5},
-     "graph_half_width must be a finite real number > 0, not True"),
-    ("distance", {"graph_half_width": 0},
-     "graph_half_width must be a finite real number > 0, not 0"),
-    ("distance", {"graph_half_width": float("nan")},
-     "graph_half_width must be a finite real number > 0, not nan"),
     ("geodesic", {"shift": 5.0}, CONFORMAL_SHIFT + "5.0"),
     ("distance", {"shift": 2.0}, CONFORMAL_SHIFT + "2.0"),
-)
+) + tuple(
+    # values of the wrong kind, each of which ran ("jacobi": "no" integrated
+    # Jacobi fields, "T": true ran T = 1, a bool amplitude, a string spacing
+    # and a NaN shift ran, "perturbations": 0 ran one perturbation, a stencil
+    # of 16.5 ran as 16, sizes of 4.5 ran at n = 4 but were regressed on as
+    # 4.5), failed only after the draw, or died with a traceback, before the
+    # declaration refused them; the message is the declaration's
+    (e, p, _kind_error(e, p)) for e, p in (
+        ("distance", {"target": [1.0, 2.0, 3.0]}),
+        ("distance", {"stencil": 16.5}), ("distance", {"stencil": True}),
+        ("shape", {"stencil": 32.0}), ("scan", {"stencil": 16.5}),
+        ("fpp", {"exponents": True, "sizes": [4.5, 6, 8, 10]}),
+        ("lpp", {"exponents": True, "sizes": [4.5, 6, 8, 10]}),
+        ("fpp", {"exponents": True, "sizes": [0, 2, 4, 8]}),
+        ("fpp", {"exponents": True, "sizes": [True, 2, 3, 4]}),
+        ("geodesic", {"T": "5"}), ("geodesic", {"T": -1.0}),
+        ("geodesic", {"step": True}), ("geodesic", {"jacobi": "no"}),
+        ("geodesic", {"parametrization": "arc"}), ("geodesic", {"x0": [0.0]}),
+        ("geodesic", {"v0": ["1", 0]}), ("frontier", {"T": True}),
+        ("frontier", {"step": "x"}), ("frontier", {"v0": [1.0, 0.0, 0.0]}),
+        ("scan", {"directions": 2.5}), ("scan", {"radii": [2, "x"]}),
+        ("shape", {"t": "3"}), ("shape", {"directions": 2.5}),
+        ("bump", {"entries": 2.5}), ("distance", {"h": "0.3"}),
+        ("geodesic", {"mode": "sym_shift"}), ("shape", {"mode": "sym_shift"}),
+        ("geodesic", {"shift": "1"}), ("scan", {"shift": "1"}),
+        ("frontier", {"shift": float("nan")}), ("geodesic", {"amplitude": "x"}),
+        ("scan", {"amplitude": True}), ("shape", {"half_width": "x"}),
+        ("shape", {"range": 0}), ("distance", {"spacing": "0.25"}),
+        ("bump", {"perturbations": 1.5}), ("bump", {"perturbations": 0}),
+        ("bump", {"eps": "0.0"}), ("distance", {"ball_radius": "x"}),
+        ("distance", {"ball_radius": -1}), ("frontier", {"beta": "0.5"}),
+        ("frontier", {"beta": 1.5}), ("frontier", {"rho": False}),
+        ("distance", {"graph_half_width": "x", "h": 0.5}),
+        ("distance", {"graph_half_width": True, "h": 0.5}),
+        ("distance", {"graph_half_width": 0}),
+        ("distance", {"graph_half_width": float("nan")})))
 
 
 @pytest.mark.parametrize("experiment,params,message", REFUSED_BEFORE_DRAWING,
@@ -427,9 +469,10 @@ def test_values_out_of_range_fail_before_drawing(
 
 @pytest.mark.parametrize("shift", [0.5, 1.0, 2.0])
 def test_sym_exp_accepts_any_shift_it_reads(shift):
-    # shift is the sym_exp mean level; only a conformal run refuses it
-    harness._check_field_params({**harness.FIELD_PARAMS, "mode": "sym_exp",
-                                 "shift": shift})
+    # shift is the sym_exp mean level; only a conformal field refuses it
+    params = {"mode": "sym_exp", "shift": shift, "half_width": 2.0}
+    harness.ExperimentConfig("geodesic", params)
+    assert harness.make_field(1, params).shift == shift
 
 
 def _lattice_replica_values(experiment, seeds, replicas):

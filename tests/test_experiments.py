@@ -141,8 +141,7 @@ def late_times(field, graph, path, radius):
     radius later than radius sqrt(Lambda_hat) (the bound direction_scan's
     trapped rule rests on), split into those while is_minimizing accepts
     the segment so far and those after, and the last time inside."""
-    origin = np.zeros(2)
-    bound = radius * np.sqrt(experiments._ball_lambda_max_at(field, origin, radius))
+    bound = radius * np.sqrt(experiments._ball_lambda_max(field, radius))
     cut = is_minimizing(field, path, graph).first_failure_time
     inside = np.linalg.norm(path.positions, axis=1) <= radius
     late = path.times[inside & (path.times > bound)]
@@ -319,12 +318,15 @@ def test_scan_sphere_cut_all_directions(monkeypatch):
 
     shoot = experiments.geodesic_shoot_batch
     monkeypatch.setattr(experiments, "geodesic_shoot_batch", recorded)
-    sphere = SpherePatchField(radius=1.0)
-    graph = build_graph(sphere, Box.cube(6.0, 2), 0.08, 32)
+    # the scan starts at the origin: the sphere and the graph box are the
+    # sphere about the origin and the box [-6, 6]^2 translated by -(1, 0),
+    # so the scan runs from the base point (1, 0) of that picture
+    sphere = SpherePatchField(radius=1.0, center=(-1.0, 0.0))
+    graph = build_graph(sphere, Box((-7.0, -6.0), (5.0, 6.0)), 0.08, 32)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         scan = direction_scan(sphere, graph, radii=(0.5, 1.0, 2.5, 4.0), k=8,
-                              base=(1.0, 0.0), step=2e-3)
+                              step=2e-3)
     assert np.all(np.diff(scan.fractions) <= 0)
     assert scan.fractions[-1] <= 2.0 / 8.0
     assert [p.termination for p in shots] == (

@@ -736,6 +736,19 @@ def test_save_load_roundtrip(tmp_path):
         assert np.array_equal(x, y)
 
 
+def test_save_load_roundtrip_above_the_signed_seed_range(tmp_path):
+    # derived seeds reach 2^64 - 1: the container stores the seed as a u64
+    seed = 2 ** 63 + 1
+    f = conformal(seed, box=Box.cube(2.0, 2))
+    path = tmp_path / "field.rfpp"
+    save_field(f, path)
+    assert path.read_bytes()[16:24] == seed.to_bytes(8, "little")
+    g = load_field(path)
+    assert g.seed == seed
+    pts = np.array([[0.3, -0.4], [1.1, 0.9]])
+    assert g.values_batch(pts).tobytes() == f.values_batch(pts).tobytes()
+
+
 @pytest.mark.parametrize("offset,match", [(-1, "digest"), (16, "digest"),
                                           (8, "unsupported container version")])
 def test_load_rejects_tampered_container(tmp_path, offset, match):
